@@ -173,7 +173,7 @@ func main() {
 			die(err)
 		}
 		isp.End()
-		res = expt.AnalyzeDecodedSpan(dec, base, expt.Config{}, rootSp)
+		res = expt.AnalyzeDecodedOn(nil, dec, base, expt.Config{}, rootSp)
 	} else {
 		inst, err := workloads.Get(*workload, workloads.Variant(*variant))
 		die(err)

@@ -1,14 +1,21 @@
 // Package colenc provides the self-describing column codecs shared by the
 // columnar .ggp v2 sections and the derived-index sidecars (lod summary
-// index, query metric table). Every vector is written as a uvarint element
-// count followed by the element data, so a decoder can bounds-check the
-// claimed size against the remaining payload *before* allocating — corrupt
-// or truncated input fails with a structured error instead of an OOM or a
-// panic.
+// index, query metric table). A section's layout is declared once, as a
+// list of Cols: each Col binds a wire encoding to a pointer at a typed
+// destination, and Encode and Decode both walk that list, so the writer and
+// the reader of a section cannot disagree about its column order.
 //
-// Fixed-width vectors (U64s/U32s/F64s) are little-endian and decode at
-// near-memcpy cost. Varint vectors (U64sVar/I64sVar) trade decode speed for
-// size on columns that are mostly small or zero (hardware counters, line
+// Every vector is written as a uvarint element count followed by the
+// element data, so a decoder can bounds-check the claimed size against the
+// remaining payload *before* allocating — corrupt or truncated input fails
+// with a structured error instead of an OOM or a panic. A destination may
+// be narrower than its wire encoding ([]int32 behind a zigzag varint, a
+// named integer type behind a fixed u32): the decoder range-checks each
+// element as it stores it, so no caller widens, narrows or copies a column.
+//
+// Fixed-width vectors (U64/U32/F64) are little-endian and decode at
+// near-memcpy cost. Varint vectors (Uvar/Ivar) trade decode speed for size
+// on columns that are mostly small or zero (hardware counters, line
 // numbers). String vectors store one shared blob plus monotonic end
 // offsets; decoding materializes a single Go string and slices it, so a
 // million labels cost one allocation for the backing store.
@@ -25,117 +32,352 @@ import (
 // malformed input without matching message text.
 var ErrCorrupt = errors.New("colenc: corrupt column")
 
-// Buf is an append-only column encoder. The zero value is ready to use.
-type Buf struct {
-	b []byte
+// Integer is the set of in-memory element types of an integer column.
+type Integer interface {
+	~int | ~int32 | ~int64 | ~uint8 | ~uint32 | ~uint64
 }
 
-// Bytes returns the encoded payload. The slice aliases the builder's
-// internal buffer; further appends may invalidate it.
-func (e *Buf) Bytes() []byte { return e.b }
-
-// Len returns the number of bytes encoded so far.
-func (e *Buf) Len() int { return len(e.b) }
-
-// Uvarint appends a single unsigned varint.
-func (e *Buf) Uvarint(v uint64) {
-	e.b = binary.AppendUvarint(e.b, v)
+// Col is one declared column of a section. Decoding replaces the
+// destination with a fresh slice (nil for zero rows) that never aliases the
+// payload.
+type Col struct {
+	enc func(b []byte) []byte
+	dec func(d *reader) (rows int, err error)
 }
 
-// Str appends a single length-prefixed string.
-func (e *Buf) Str(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.b = append(e.b, s...)
+// Encode serializes the columns in order.
+func Encode(cols ...Col) []byte {
+	var b []byte
+	for _, c := range cols {
+		b = c.enc(b)
+	}
+	return b
 }
 
-// U64s appends a fixed-width vector of 8-byte little-endian values.
-func (e *Buf) U64s(v []uint64) {
-	e.Uvarint(uint64(len(v)))
-	e.b = growBy(e.b, 8*len(v))
-	for _, x := range v {
-		e.b = binary.LittleEndian.AppendUint64(e.b, x)
+// Decode fills the columns' destinations from payload, which must hold
+// exactly those columns: trailing bytes are an error.
+func Decode(payload []byte, cols ...Col) error {
+	rest, err := DecodePrefix(payload, cols...)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+	}
+	return err
+}
+
+// DecodePrefix decodes the columns from the front of payload and returns
+// what follows them, for layouts whose later columns depend on earlier
+// values (a query table's column set is data).
+func DecodePrefix(payload []byte, cols ...Col) ([]byte, error) {
+	d := &reader{b: payload}
+	if _, err := d.cols(cols); err != nil {
+		return nil, err
+	}
+	return d.b[d.off:], nil
+}
+
+// SameRows groups columns that must decode to the same number of rows; the
+// group counts as one column of that many rows.
+func SameRows(cols ...Col) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			for _, c := range cols {
+				b = c.enc(b)
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			rows, err := d.cols(cols)
+			if err != nil {
+				return 0, err
+			}
+			for i, n := range rows {
+				if n != rows[0] {
+					return 0, fmt.Errorf("%w: column %d has %d rows, column 0 has %d", ErrCorrupt, i, n, rows[0])
+				}
+			}
+			return rows[0], nil
+		},
 	}
 }
 
-// U32s appends a fixed-width vector of 4-byte little-endian values.
-func (e *Buf) U32s(v []uint32) {
-	e.Uvarint(uint64(len(v)))
-	e.b = growBy(e.b, 4*len(v))
-	for _, x := range v {
-		e.b = binary.LittleEndian.AppendUint32(e.b, x)
+// Uvarint is a single unsigned varint, not a vector.
+func Uvarint[T Integer](p *T) Col {
+	return Col{
+		enc: func(b []byte) []byte { return binary.AppendUvarint(b, uint64(*p)) },
+		dec: func(d *reader) (int, error) {
+			x, err := d.uvarint()
+			if err != nil {
+				return 0, err
+			}
+			var ok bool
+			if *p, ok = fromU[T](x); !ok {
+				return 0, d.corrupt("value out of range")
+			}
+			return 1, nil
+		},
 	}
 }
 
-// F64s appends a fixed-width vector of float64 raw bits, little-endian.
+// Str is a single length-prefixed string, not a vector.
+func Str(p *string) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			return append(binary.AppendUvarint(b, uint64(len(*p))), *p...)
+		},
+		dec: func(d *reader) (int, error) {
+			n, err := d.count(1)
+			if err != nil {
+				return 0, err
+			}
+			*p = string(d.b[d.off : d.off+n])
+			d.off += n
+			return 1, nil
+		},
+	}
+}
+
+// U64 is a fixed-width vector of 8-byte little-endian values.
+func U64(p *[]uint64) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			b = header(b, len(*p), 8)
+			for _, x := range *p {
+				b = binary.LittleEndian.AppendUint64(b, x)
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			return vector(d, p, 8, func(v []uint64) error {
+				for i := range v {
+					v[i] = binary.LittleEndian.Uint64(d.b[d.off:])
+					d.off += 8
+				}
+				return nil
+			})
+		},
+	}
+}
+
+// U32 is a fixed-width vector of 4-byte little-endian values.
+func U32[T Integer](p *[]T) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			b = header(b, len(*p), 4)
+			for _, x := range *p {
+				b = binary.LittleEndian.AppendUint32(b, uint32(x))
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			return vector(d, p, 4, func(v []T) error {
+				for i := range v {
+					var ok bool
+					if v[i], ok = fromU[T](uint64(binary.LittleEndian.Uint32(d.b[d.off:]))); !ok {
+						return d.corrupt("value out of range")
+					}
+					d.off += 4
+				}
+				return nil
+			})
+		},
+	}
+}
+
+// F64 is a fixed-width vector of float64 raw bits, little-endian.
 // Round-tripping preserves every bit pattern, including NaNs.
-func (e *Buf) F64s(v []float64) {
-	e.Uvarint(uint64(len(v)))
-	e.b = growBy(e.b, 8*len(v))
-	for _, x := range v {
-		e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(x))
+func F64(p *[]float64) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			b = header(b, len(*p), 8)
+			for _, x := range *p {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			return vector(d, p, 8, func(v []float64) error {
+				for i := range v {
+					v[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
+					d.off += 8
+				}
+				return nil
+			})
+		},
 	}
 }
 
-// U64sVar appends a vector of unsigned varints. Best for columns that are
-// mostly zero or small (hardware counters).
-func (e *Buf) U64sVar(v []uint64) {
-	e.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.b = binary.AppendUvarint(e.b, x)
+// Uvar is a vector of unsigned varints. Best for columns that are mostly
+// zero or small (hardware counters).
+func Uvar[T Integer](p *[]T) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			b = header(b, len(*p), 0)
+			for _, x := range *p {
+				b = binary.AppendUvarint(b, uint64(x))
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			return vector(d, p, 1, func(v []T) error {
+				for i := range v {
+					x, err := d.uvarint()
+					if err != nil {
+						return err
+					}
+					var ok bool
+					if v[i], ok = fromU[T](x); !ok {
+						return d.corrupt("value out of range")
+					}
+				}
+				return nil
+			})
+		},
 	}
 }
 
-// I64sVar appends a vector of zigzag-encoded signed varints.
-func (e *Buf) I64sVar(v []int64) {
-	e.Uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.b = binary.AppendVarint(e.b, x)
+// Ivar is a vector of zigzag-encoded signed varints.
+func Ivar[T Integer](p *[]T) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			b = header(b, len(*p), 0)
+			for _, x := range *p {
+				b = binary.AppendVarint(b, int64(x))
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			return vector(d, p, 1, func(v []T) error {
+				for i := range v {
+					x, w := binary.Varint(d.b[d.off:])
+					if w <= 0 {
+						return d.corrupt("bad varint")
+					}
+					d.off += w
+					t := T(x)
+					if int64(t) != x || (t < 0) != (x < 0) {
+						return d.corrupt("value out of range")
+					}
+					v[i] = t
+				}
+				return nil
+			})
+		},
 	}
 }
 
-// U8s appends a raw byte vector (node kinds, boundary kinds).
-func (e *Buf) U8s(v []uint8) {
-	e.Uvarint(uint64(len(v)))
-	e.b = append(e.b, v...)
-}
-
-// Bools appends a bool vector, one byte per element.
-func (e *Buf) Bools(v []bool) {
-	e.Uvarint(uint64(len(v)))
-	e.b = growBy(e.b, len(v))
-	for _, x := range v {
-		if x {
-			e.b = append(e.b, 1)
-		} else {
-			e.b = append(e.b, 0)
-		}
+// U8 is a vector of one byte per element (node kinds, boundary kinds); an
+// element that does not fit a byte is a caller bug and encodes truncated.
+func U8[T Integer](p *[]T) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			b = header(b, len(*p), 1)
+			for _, x := range *p {
+				b = append(b, byte(x))
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			return vector(d, p, 1, func(v []T) error {
+				for i := range v {
+					v[i] = T(d.b[d.off+i])
+				}
+				d.off += len(v)
+				return nil
+			})
+		},
 	}
 }
 
-// Strs appends a string vector as count, monotonic 4-byte end offsets, and
-// one concatenated blob. The total blob size must fit in uint32.
-func (e *Buf) Strs(v []string) {
-	e.Uvarint(uint64(len(v)))
-	total := 0
-	for _, s := range v {
-		total += len(s)
-	}
-	if uint64(total) > math.MaxUint32 {
-		panic("colenc: string blob exceeds 4 GiB")
-	}
-	e.b = growBy(e.b, 4*len(v)+total)
-	end := uint32(0)
-	for _, s := range v {
-		end += uint32(len(s))
-		e.b = binary.LittleEndian.AppendUint32(e.b, end)
-	}
-	for _, s := range v {
-		e.b = append(e.b, s...)
+// Bool is a bool vector, one byte per element; any nonzero byte decodes as
+// true.
+func Bool(p *[]bool) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			b = header(b, len(*p), 1)
+			for _, x := range *p {
+				if x {
+					b = append(b, 1)
+				} else {
+					b = append(b, 0)
+				}
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			return vector(d, p, 1, func(v []bool) error {
+				for i := range v {
+					v[i] = d.b[d.off+i] != 0
+				}
+				d.off += len(v)
+				return nil
+			})
+		},
 	}
 }
 
-// growBy ensures capacity for n more bytes without changing the length.
-func growBy(b []byte, n int) []byte {
+// Strs is a string vector: count, monotonic 4-byte end offsets, and one
+// concatenated blob, whose total size must fit in uint32. All decoded
+// strings share one backing allocation.
+func Strs[T ~string](p *[]T) Col {
+	return Col{
+		enc: func(b []byte) []byte {
+			total := 0
+			for _, s := range *p {
+				total += len(s)
+			}
+			if uint64(total) > math.MaxUint32 {
+				panic("colenc: string blob exceeds 4 GiB")
+			}
+			b = grow(binary.AppendUvarint(b, uint64(len(*p))), 4*len(*p)+total)
+			end := uint32(0)
+			for _, s := range *p {
+				end += uint32(len(s))
+				b = binary.LittleEndian.AppendUint32(b, end)
+			}
+			for _, s := range *p {
+				b = append(b, s...)
+			}
+			return b
+		},
+		dec: func(d *reader) (int, error) {
+			return vector(d, p, 4, func(v []T) error {
+				ends := d.b[d.off : d.off+4*len(v)]
+				d.off += len(ends)
+				blobLen := binary.LittleEndian.Uint32(ends[len(ends)-4:])
+				if uint64(blobLen) > uint64(len(d.b)-d.off) {
+					return d.corrupt("string blob exceeds payload")
+				}
+				blob := T(d.b[d.off : d.off+int(blobLen)])
+				d.off += int(blobLen)
+				start := uint32(0)
+				for i := range v {
+					end := binary.LittleEndian.Uint32(ends[4*i:])
+					if end < start || end > blobLen {
+						return d.corrupt("string offsets not monotonic")
+					}
+					v[i] = blob[start:end]
+					start = end
+				}
+				return nil
+			})
+		},
+	}
+}
+
+// fromU converts a wire value to T, reporting whether T can hold it.
+func fromU[T Integer](x uint64) (T, bool) {
+	t := T(x)
+	return t, uint64(t) == x && t >= 0
+}
+
+// header appends a vector's element count and ensures capacity for n
+// elements of width bytes, without changing the length further.
+func header(b []byte, n, width int) []byte {
+	return grow(binary.AppendUvarint(b, uint64(n)), n*width)
+}
+
+// grow ensures capacity for n more bytes without changing the length.
+func grow(b []byte, n int) []byte {
 	if cap(b)-len(b) >= n {
 		return b
 	}
@@ -144,32 +386,30 @@ func growBy(b []byte, n int) []byte {
 	return nb
 }
 
-// Reader decodes columns from a payload in sequence. Every accessor
-// validates the claimed element count against the remaining bytes before
-// allocating.
-type Reader struct {
+// reader is the decode cursor over one payload.
+type reader struct {
 	b   []byte
 	off int
 }
 
-// NewReader wraps a payload for sequential column decoding. Decoded
-// vectors never alias b except for Strs blobs, which are copied into one
-// fresh string per call.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
-
-// Remaining returns the number of undecoded bytes.
-func (d *Reader) Remaining() int { return len(d.b) - d.off }
-
-// Done reports whether the payload was consumed exactly; decoders use it
-// to reject sections with trailing garbage.
-func (d *Reader) Done() bool { return d.off == len(d.b) }
-
-func (d *Reader) corrupt(what string) error {
+func (d *reader) corrupt(what string) error {
 	return fmt.Errorf("%w: %s at offset %d", ErrCorrupt, what, d.off)
 }
 
-// Uvarint decodes a single unsigned varint.
-func (d *Reader) Uvarint() (uint64, error) {
+// cols decodes a column list in order and returns each column's row count.
+func (d *reader) cols(cols []Col) ([]int, error) {
+	rows := make([]int, len(cols))
+	for i, c := range cols {
+		n, err := c.dec(d)
+		if err != nil {
+			return nil, fmt.Errorf("column %d: %w", i, err)
+		}
+		rows[i] = n
+	}
+	return rows, nil
+}
+
+func (d *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
 		return 0, d.corrupt("bad uvarint")
@@ -178,196 +418,31 @@ func (d *Reader) Uvarint() (uint64, error) {
 	return v, nil
 }
 
-// Str decodes a single length-prefixed string (a copy, not an alias).
-func (d *Reader) Str() (string, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(d.Remaining()) {
-		return "", d.corrupt("string length exceeds payload")
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-// count decodes a vector length and validates that n elements of width
-// bytes each fit in the remaining payload (width 0 skips the check, for
-// varint vectors whose minimum element size is 1).
-func (d *Reader) count(width int) (int, error) {
-	v, err := d.Uvarint()
+// count decodes a vector length and validates that n elements of at least
+// width bytes each fit in the remaining payload.
+func (d *reader) count(width int) (int, error) {
+	v, err := d.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	w := width
-	if w == 0 {
-		w = 1
-	}
-	if v > uint64(d.Remaining())/uint64(w) {
+	if v > uint64(len(d.b)-d.off)/uint64(width) {
 		return 0, d.corrupt("vector length exceeds payload")
 	}
 	return int(v), nil
 }
 
-// U64s decodes a fixed-width uint64 vector. Returns nil for length 0.
-func (d *Reader) U64s() ([]uint64, error) {
-	n, err := d.count(8)
-	if err != nil {
-		return nil, err
+// vector decodes a vector's count, allocates the destination once the
+// count is known to fit the payload, and has fill decode the elements.
+func vector[T any](d *reader, p *[]T, width int, fill func(v []T) error) (int, error) {
+	*p = nil
+	n, err := d.count(width)
+	if err != nil || n == 0 {
+		return 0, err
 	}
-	if n == 0 {
-		return nil, nil
+	v := make([]T, n)
+	if err := fill(v); err != nil {
+		return 0, err
 	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint64(d.b[d.off:])
-		d.off += 8
-	}
-	return v, nil
-}
-
-// U32s decodes a fixed-width uint32 vector. Returns nil for length 0.
-func (d *Reader) U32s() ([]uint32, error) {
-	n, err := d.count(4)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	v := make([]uint32, n)
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint32(d.b[d.off:])
-		d.off += 4
-	}
-	return v, nil
-}
-
-// F64s decodes a fixed-width float64 vector. Returns nil for length 0.
-func (d *Reader) F64s() ([]float64, error) {
-	n, err := d.count(8)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-		d.off += 8
-	}
-	return v, nil
-}
-
-// U64sVar decodes an unsigned-varint vector. Returns nil for length 0.
-func (d *Reader) U64sVar() ([]uint64, error) {
-	n, err := d.count(0)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	v := make([]uint64, n)
-	for i := range v {
-		x, err := d.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		v[i] = x
-	}
-	return v, nil
-}
-
-// I64sVar decodes a zigzag signed-varint vector. Returns nil for length 0.
-func (d *Reader) I64sVar() ([]int64, error) {
-	n, err := d.count(0)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	v := make([]int64, n)
-	for i := range v {
-		x, w := binary.Varint(d.b[d.off:])
-		if w <= 0 {
-			return nil, d.corrupt("bad varint")
-		}
-		d.off += w
-		v[i] = x
-	}
-	return v, nil
-}
-
-// U8s decodes a raw byte vector. Returns nil for length 0. The result is
-// a copy, never an alias of the payload.
-func (d *Reader) U8s() ([]uint8, error) {
-	n, err := d.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	v := make([]uint8, n)
-	copy(v, d.b[d.off:d.off+n])
-	d.off += n
-	return v, nil
-}
-
-// Bools decodes a bool vector. Any nonzero byte is true. Returns nil for
-// length 0.
-func (d *Reader) Bools() ([]bool, error) {
-	n, err := d.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	v := make([]bool, n)
-	for i := range v {
-		v[i] = d.b[d.off+i] != 0
-	}
-	d.off += n
-	return v, nil
-}
-
-// Strs decodes a string vector. All strings share one backing allocation.
-// Returns nil for length 0.
-func (d *Reader) Strs() ([]string, error) {
-	n, err := d.count(4)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	ends := make([]uint32, n)
-	prev := uint32(0)
-	for i := range ends {
-		e := binary.LittleEndian.Uint32(d.b[d.off:])
-		d.off += 4
-		if e < prev {
-			return nil, d.corrupt("string offsets not monotonic")
-		}
-		ends[i] = e
-		prev = e
-	}
-	blobLen := int(prev)
-	if blobLen > d.Remaining() {
-		return nil, d.corrupt("string blob exceeds payload")
-	}
-	blob := string(d.b[d.off : d.off+blobLen])
-	d.off += blobLen
-	v := make([]string, n)
-	start := uint32(0)
-	for i, e := range ends {
-		v[i] = blob[start:e]
-		start = e
-	}
-	return v, nil
+	*p = v
+	return n, nil
 }

@@ -91,9 +91,6 @@ func (s *GraphStore) Weight(n NodeID) profile.Time { return s.weight[n] }
 // Core returns the core that executed node n.
 func (s *GraphStore) Core(n NodeID) int { return int(s.core[n]) }
 
-// CountersAt returns node n's hardware-counter readings.
-func (s *GraphStore) CountersAt(n NodeID) cache.Counters { return s.counters[n] }
-
 // Members returns how many original nodes a grouped node represents.
 func (s *GraphStore) Members(n NodeID) int { return int(s.members[n]) }
 

@@ -31,18 +31,15 @@ import (
 )
 
 // analyzeNS accumulates wall time spent in the analysis phase (graph build,
-// metric derivation, highlighting) across all runs since process start or
-// the last ResetAnalyzeStats. grainbench reports it per figure so analysis
-// cost is visible separately from simulation cost.
+// metric derivation, highlighting) across all runs since process start.
+// grainbench reports it per figure, as a delta, so analysis cost is visible
+// separately from simulation cost.
 var analyzeNS atomic.Int64
 
 // AnalyzeStats returns the accumulated analysis-phase wall time.
 func AnalyzeStats() time.Duration { return time.Duration(analyzeNS.Load()) }
 
-// ResetAnalyzeStats zeroes the analysis-phase wall-time counter.
-func ResetAnalyzeStats() { analyzeNS.Store(0) }
-
-// analyze is the shared analysis half of runOne and AnalyzeTrace: graph
+// analyze is the shared analysis half of runOne and AnalyzeTraceOn: graph
 // build, metric derivation and highlighting, with the per-grain kernels
 // running on pool (nil selects the shared experiment pool, the CLI
 // default). It feeds the analyze-phase timer and, when self-observability
@@ -297,31 +294,23 @@ func RunSpan(inst workloads.Instance, cfg Config, parent *obs.Span) (*Result, er
 	return res, err
 }
 
-// AnalyzeTrace derives the full metric set from an already-recorded trace
-// (typically a grain-profile artifact loaded with ggp.ReadFile) without
-// executing the simulator. baseline may be nil, in which case work
+// AnalyzeTraceOn derives the full metric set from an already-recorded
+// trace (typically a grain-profile artifact loaded with ggp.ReadFile)
+// without executing the simulator. baseline may be nil, in which case work
 // deviation is unavailable, exactly as with Config.Baseline off. The
 // pipeline is runOne's analysis half verbatim — graph build, metrics,
 // highlighting — so a saved artifact analyzes byte-identically to the live
 // run it recorded. cfg.Cores <= 0 takes the core count from the trace.
-func AnalyzeTrace(tr, baseline *profile.Trace, cfg Config) *Result {
-	return AnalyzeTraceSpan(tr, baseline, cfg, nil)
-}
-
-// AnalyzeTraceSpan is AnalyzeTrace with the phase spans rooted under
-// parent (nil behaves exactly like AnalyzeTrace).
-func AnalyzeTraceSpan(tr, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
-	return AnalyzeTraceOn(nil, tr, baseline, cfg, parent)
-}
-
-// AnalyzeTraceOn is AnalyzeTrace running its parallel kernels on an
-// explicit pool instead of the shared package-level one set by
-// SetParallelism. It is the re-entrant entry point for concurrent callers
-// (the grainserved artifact server analyzes independent requests on pools
-// it owns): the analysis touches no package-level pool state, so
-// concurrent AnalyzeTraceOn calls never race with each other or with a
-// CLI-style SetParallelism elsewhere in the process. A nil pool selects
-// the shared pool, which is only safe when nothing mutates it
+// The phase spans are rooted under parent (nil reports them as their own
+// tree).
+//
+// The parallel kernels run on pool, not on the shared package-level one
+// set by SetParallelism, which makes this the re-entrant entry point for
+// concurrent callers (the grainserved artifact server analyzes independent
+// requests on pools it owns): the analysis touches no package-level pool
+// state, so concurrent AnalyzeTraceOn calls never race with each other or
+// with a CLI-style SetParallelism elsewhere in the process. A nil pool
+// selects the shared pool, which is only safe when nothing mutates it
 // concurrently. The output is byte-identical at every pool width.
 func AnalyzeTraceOn(pool *runpool.Runner, tr, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
 	cores := cfg.Cores

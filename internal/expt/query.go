@@ -82,22 +82,17 @@ func WriteQuery(w io.Writer, res *Result, src string, pool *runpool.Runner) erro
 	if err != nil {
 		return err
 	}
-	return WritePlan(w, res, plan, pool)
-}
-
-// WritePlan is WriteQuery for a pre-compiled plan (the server parses up
-// front so malformed queries fail fast, before cache admission). The
-// "grains" source is the per-grain metric table; "tasks" builds the
-// level-of-detail summary index on demand and queries its per-task
-// subtree aggregates.
-func WritePlan(w io.Writer, res *Result, plan *query.Plan, pool *runpool.Runner) error {
 	return WritePlanSpan(w, res, plan, pool, nil)
 }
 
-// WritePlanSpan is WritePlan with source-table construction and plan
-// execution reported as child phase spans under parent (nil behaves
-// exactly like WritePlan), so `-phases` attributes the one-time index
-// build separately from the per-query execution cost.
+// WritePlanSpan is WriteQuery for a pre-compiled plan (the server parses
+// up front so malformed queries fail fast, before cache admission). The
+// "grains" source is the per-grain metric table; "tasks" builds the
+// level-of-detail summary index on demand and queries its per-task
+// subtree aggregates. Source-table construction and plan execution are
+// reported as child phase spans under parent (nil reports nothing), so
+// `-phases` attributes the one-time index build separately from the
+// per-query execution cost.
 func WritePlanSpan(w io.Writer, res *Result, plan *query.Plan, pool *runpool.Runner, parent *obs.Span) error {
 	tsp := parent.Child("query:table")
 	var t *query.Table

@@ -81,9 +81,6 @@ var ingestNS atomic.Int64
 // IngestStats returns the accumulated artifact-ingest wall time.
 func IngestStats() time.Duration { return time.Duration(ingestNS.Load()) }
 
-// ResetIngestStats zeroes the artifact-ingest timer.
-func ResetIngestStats() { ingestNS.Store(0) }
-
 // ArtifactStats reports how many artifact decodes executed and how many
 // loads were served from the content-hash cache.
 func ArtifactStats() (decodes, hits uint64) { return artifactMemo.Stats() }

@@ -93,7 +93,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 
 // TestArtifactAnalysisMatchesLive checks the single-artifact path grainview
 // uses: a run recorded to a .ggp artifact, read back with ggp.ReadFile and
-// analyzed with AnalyzeTrace, exports byte-identically to the live Result.
+// analyzed with AnalyzeTraceOn, exports byte-identically to the live Result.
 func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	defer resetArtifactDirs()
 	dir := t.TempDir()
@@ -122,7 +122,7 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := AnalyzeTrace(tr, nil, Config{})
+	replayed := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
 
 	if got, want := replayed.Trace.Cores, live.Trace.Cores; got != want {
 		t.Fatalf("replayed trace has %d cores, live %d", got, want)

@@ -18,20 +18,15 @@ import (
 // AnalyzeDecoded analyzes a decoded artifact. When the decode carried a
 // materialized graph (columnar v2), the build phase is skipped; sidecar
 // payloads riding along are threaded into the result for Lod/GrainTable.
-// baseline may be nil, exactly as with AnalyzeTrace. cfg.Cores <= 0 takes
-// the core count from the trace.
+// baseline may be nil, exactly as with AnalyzeTraceOn. cfg.Cores <= 0
+// takes the core count from the trace.
 func AnalyzeDecoded(dec *ggp.Decoded, baseline *profile.Trace, cfg Config) *Result {
 	return AnalyzeDecodedOn(nil, dec, baseline, cfg, nil)
 }
 
-// AnalyzeDecodedSpan is AnalyzeDecoded with the phase spans rooted under
-// parent (nil behaves exactly like AnalyzeDecoded).
-func AnalyzeDecodedSpan(dec *ggp.Decoded, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
-	return AnalyzeDecodedOn(nil, dec, baseline, cfg, parent)
-}
-
 // AnalyzeDecodedOn is AnalyzeDecoded running its parallel kernels on an
-// explicit pool (nil selects the shared pool, as with AnalyzeTraceOn).
+// explicit pool (nil selects the shared pool, as with AnalyzeTraceOn) with
+// the phase spans rooted under parent (nil: their own tree).
 // The graph is taken from the decode result at most once — a second
 // analysis of the same Decoded rebuilds from the trace, which produces
 // the same graph.

@@ -29,7 +29,8 @@
 // indexes (topological levels, lod summary, query metric table) written
 // after first analysis; each is content-keyed against the graph sections'
 // checksums so a stale sidecar is detected and silently rebuilt, never
-// trusted. See writer2.go/reader2.go and DESIGN.md §14.
+// trusted. See schema2.go (the section layouts), writer2.go/reader2.go and
+// DESIGN.md §14.
 //
 //	header   := magic "GGPF" | version byte 0x02
 //	section  := id byte | uvarint payload length | payload |

@@ -4,10 +4,50 @@ import (
 	"bytes"
 	"testing"
 
+	"graingraph/internal/cache"
 	"graingraph/internal/core"
 	"graingraph/internal/ggp"
 	"graingraph/internal/profile"
 )
+
+// seedTrace is the hand-written trace behind the fuzz corpus and the
+// committed golden artifact (testdata/seed.v2s.ggp). It does not come from
+// the simulator, so the golden bytes move only when the format does, and
+// every field holds a value no other field holds, so a decoder that swaps
+// two columns of one type cannot reproduce it.
+func seedTrace() *profile.Trace {
+	ctr := func(k uint64) cache.Counters {
+		return cache.Counters{Accesses: 70 + k, L1Miss: 60 + k, L2Miss: 50 + k, L3Miss: 40 + k, Remote: 30 + k, Stall: 20 + k, Compute: 10 + k}
+	}
+	child := profile.ChildID(profile.RootID, 0)
+	return &profile.Trace{
+		Program: "fuzz-seed", Cores: 2, Sockets: 1, Scheduler: "work-stealing", Flavor: "MIR",
+		PagePolicy: "first-touch", Start: 3, End: 103,
+		Tasks: []*profile.TaskRecord{
+			{ID: profile.RootID, Loc: profile.SrcLoc{File: "main.c", Line: 10, Func: "main"},
+				CreateTime: 1, CreateCost: 2, StartTime: 3, EndTime: 103,
+				Fragments: []profile.Fragment{
+					{Start: 3, End: 12, Core: 0, Counters: ctr(1)}, {Start: 14, End: 30, Core: 1, Counters: ctr(2)},
+					{Start: 41, End: 43, Core: 0, Counters: ctr(3)}, {Start: 62, End: 103, Core: 1, Counters: ctr(4)}},
+				Boundaries: []profile.Boundary{
+					{Kind: profile.BoundaryFork, At: 12, Child: child},
+					{Kind: profile.BoundaryJoin, At: 30, Joined: []profile.GrainID{child}, Wait: 4, Suspended: 11},
+					{Kind: profile.BoundaryLoop, At: 43, Loop: 5}}},
+			{ID: child, Parent: profile.RootID, Loc: profile.SrcLoc{File: "work.c", Line: 77, Func: "leaf"},
+				Depth: 1, CreateTime: 12, CreateCost: 6, CreatedBy: 1, StartTime: 15, EndTime: 29, Inlined: true,
+				Fragments: []profile.Fragment{{Start: 15, End: 29, Core: 1, Counters: ctr(5)}}},
+		},
+		Loops: []*profile.LoopRecord{{ID: 5, Loc: profile.SrcLoc{File: "loop.c", Line: 21, Func: "sweep"},
+			Schedule: profile.ScheduleDynamic, ChunkSize: 4, Lo: -2, Hi: 8, Start: 43, End: 61,
+			StartThread: 1, Threads: []int{1, 0}}},
+		Chunks: []*profile.ChunkRecord{
+			{Loop: 5, Seq: 0, Thread: 1, Lo: -2, Hi: 2, Start: 45, End: 52, Bookkeep: 2, Counters: ctr(6)},
+			{Loop: 5, Seq: 1, Thread: 0, Lo: 2, Hi: 6, Start: 46, End: 58, Bookkeep: 3, Counters: ctr(7)},
+			{Loop: 5, Seq: 2, Thread: 1, Lo: 6, Hi: 8, Start: 53, End: 60, Bookkeep: 1, Counters: ctr(8)}},
+		Bookkeeps: []*profile.BookkeepRecord{{Loop: 5, Thread: 1, Grabs: 2, Total: 3}, {Loop: 5, Thread: 0, Grabs: 1, Total: 3}},
+		Workers:   []profile.WorkerStat{{Busy: 90, Overhead: 10}, {Busy: 13, Overhead: 7}},
+	}
+}
 
 // FuzzGGPReader throws arbitrary bytes at the artifact readers. The
 // invariant is purely defensive: ggp.ReadTrace (v1) and ggp.Decode (v1 +
@@ -17,17 +57,7 @@ import (
 // a flipped version byte, a v2 header on a v1 body, corrupted section and
 // sidecar checksums, and oversized section lengths.
 func FuzzGGPReader(f *testing.F) {
-	tr := &profile.Trace{
-		Program: "fuzz-seed", Cores: 2, Start: 0, End: 100,
-		Tasks: []*profile.TaskRecord{
-			{ID: profile.RootID, Fragments: []profile.Fragment{{Start: 0, End: 40}, {Start: 60, End: 100}},
-				Boundaries: []profile.Boundary{{Kind: profile.BoundaryLoop, At: 40, Loop: 0}}},
-		},
-		Loops:     []*profile.LoopRecord{{ID: 0, Lo: 0, Hi: 8, Start: 40, End: 60, Threads: []int{0, 1}}},
-		Chunks:    []*profile.ChunkRecord{{Loop: 0, Lo: 0, Hi: 8, Start: 45, End: 58, Bookkeep: 5}},
-		Bookkeeps: []*profile.BookkeepRecord{{Loop: 0, Grabs: 1, Total: 5}},
-		Workers:   []profile.WorkerStat{{Busy: 90, Overhead: 10}, {Busy: 13, Overhead: 0}},
-	}
+	tr := seedTrace()
 	var buf bytes.Buffer
 	if err := ggp.WriteTrace(&buf, tr); err != nil {
 		f.Fatal(err)

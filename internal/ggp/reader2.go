@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"sync/atomic"
 
@@ -156,9 +155,62 @@ type v2Section struct {
 	crc     uint32
 }
 
+// v2Artifact holds the decoded columns of every section of one artifact.
+// The nodes and edges sections share the graph columns: what is on disk
+// is what core.AdoptGraph takes.
+type v2Artifact struct {
+	meta      v2Meta
+	workers   v2Workers
+	tasks     v2Tasks
+	frags     v2Frags
+	bounds    v2Bounds
+	loops     v2Loops
+	chunks    v2Chunks
+	bookkeeps v2Bookkeeps
+	graph     core.GraphColumns
+	nodes     v2Nodes
+	nodeCtrs  v2Counters
+	edges     v2Edges
+	levels    v2Levels
+}
+
+func newV2Artifact() *v2Artifact {
+	a := &v2Artifact{}
+	a.nodes.g, a.edges.g = &a.graph, &a.graph
+	return a
+}
+
+// v2ContentSection is one content section: its id, the span its decode is
+// reported under, and its columns.
+type v2ContentSection struct {
+	id    byte
+	span  string
+	cols  v2Cols
+	graph bool // a graph section: trace-only decodes verify it without decoding
+}
+
+// content lists the content sections. All are required except workers,
+// which the writer omits for a trace without per-worker statistics.
+func (a *v2Artifact) content() []v2ContentSection {
+	return []v2ContentSection{
+		{id: secV2Meta, span: "decode:meta", cols: &a.meta},
+		{id: secV2Workers, span: "decode:workers", cols: &a.workers},
+		{id: secV2Tasks, span: "decode:tasks", cols: &a.tasks},
+		{id: secV2Frags, span: "decode:frags", cols: &a.frags},
+		{id: secV2Bounds, span: "decode:bounds", cols: &a.bounds},
+		{id: secV2Loops, span: "decode:loops", cols: &a.loops},
+		{id: secV2Chunks, span: "decode:chunks", cols: &a.chunks},
+		{id: secV2Bookkeeps, span: "decode:bookkeeps", cols: &a.bookkeeps},
+		{id: secV2Nodes, span: "decode:nodes", cols: &a.nodes, graph: true},
+		{id: secV2NodeCounters, span: "decode:nodes", cols: &a.nodeCtrs, graph: true},
+		{id: secV2Edges, span: "decode:edges", cols: &a.edges, graph: true},
+	}
+}
+
 // decodeV2 walks the section frames serially (cheap — payloads are
 // subslices), verifies the trailer's content key against the stored
-// per-section checksums, then decodes all sections in parallel on pool.
+// per-section checksums, then decodes all sections in parallel on pool,
+// one job per section.
 func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Decoded, error) {
 	secs, key, err := walkV2(data)
 	if err != nil {
@@ -175,123 +227,87 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 		}
 		byID[s.id] = s
 	}
-	for _, id := range []byte{secV2Meta, secV2Tasks, secV2Frags, secV2Bounds, secV2Loops, secV2Chunks, secV2Bookkeeps} {
-		if byID[id] == nil {
-			return nil, fmt.Errorf("%w: missing section 0x%02x", ErrTruncated, id)
-		}
-	}
-	if full {
-		for _, id := range []byte{secV2Nodes, secV2NodeCounters, secV2Edges} {
-			if byID[id] == nil {
-				return nil, fmt.Errorf("%w: missing section 0x%02x", ErrTruncated, id)
-			}
-		}
-	}
 
 	dec := &Decoded{Version: 2, ContentKey: key}
-	var (
-		meta    v2Meta
-		workers v2WorkersCols
-		tasks   v2TaskCols
-		frags   v2FragCols
-		bounds  v2BoundCols
-		loops   v2LoopCols
-		chunks  v2ChunkCols
-		bks     v2BookkeepCols
-		nodes   v2NodeCols
-		nodeCtr [7][]uint64
-		edges   v2EdgeCols
-		levels  v2LevelCols
-		stale   atomic.Bool
-	)
+	a := newV2Artifact()
+	var stale atomic.Bool
 
 	type job struct {
 		name string
-		run  func(s *v2Section) error
 		sec  *v2Section
+		run  func(payload []byte) error
 	}
 	var jobs []job
-	add := func(name string, s *v2Section, run func(s *v2Section) error) {
-		if s != nil {
-			jobs = append(jobs, job{name: name, run: run, sec: s})
-		}
-	}
 	// verifyOnly checks a section's checksum without materializing it —
 	// used for unknown sections and, in trace-only mode, for the graph
-	// sections, so corruption is detected either way.
-	verifyOnly := func(s *v2Section) error { return verifyV2(s) }
+	// sections and sidecars, so corruption is detected either way.
+	verifyOnly := func([]byte) error { return nil }
 
-	add("decode:meta", byID[secV2Meta], func(s *v2Section) error { return meta.decode(s) })
-	add("decode:workers", byID[secV2Workers], func(s *v2Section) error { return workers.decode(s) })
-	add("decode:tasks", byID[secV2Tasks], func(s *v2Section) error { return tasks.decode(s) })
-	add("decode:frags", byID[secV2Frags], func(s *v2Section) error { return frags.decode(s) })
-	add("decode:bounds", byID[secV2Bounds], func(s *v2Section) error { return bounds.decode(s) })
-	add("decode:loops", byID[secV2Loops], func(s *v2Section) error { return loops.decode(s) })
-	add("decode:chunks", byID[secV2Chunks], func(s *v2Section) error { return chunks.decode(s) })
-	add("decode:bookkeeps", byID[secV2Bookkeeps], func(s *v2Section) error { return bks.decode(s) })
-	if full {
-		add("decode:nodes", byID[secV2Nodes], func(s *v2Section) error { return nodes.decode(s) })
-		add("decode:nodes", byID[secV2NodeCounters], func(s *v2Section) error {
-			return decodeV2Counters(s, &nodeCtr)
-		})
-		add("decode:edges", byID[secV2Edges], func(s *v2Section) error { return edges.decode(s) })
-		add("decode:sidecar:levels", byID[secV2Levels], func(s *v2Section) error {
-			body, ok, err := sidecarBody(s, key)
-			if err != nil {
-				return err
-			}
-			if !ok {
+	for _, c := range a.content() {
+		s, cols := byID[c.id], c.cols
+		required := c.id != secV2Workers && (full || !c.graph)
+		switch {
+		case s == nil && required:
+			return nil, fmt.Errorf("%w: missing section 0x%02x", ErrTruncated, c.id)
+		case s == nil:
+		case c.graph && !full:
+			jobs = append(jobs, job{"decode:verify", s, verifyOnly})
+		default:
+			jobs = append(jobs, job{c.span, s, func(payload []byte) error {
+				return colenc.Decode(payload, cols.schema()...)
+			}})
+		}
+	}
+	// A sidecar that is intact but keyed to other content, or of another
+	// format version, is discarded and rebuilt, never trusted; so is a
+	// levels body that does not decode.
+	for _, sc := range []struct {
+		id   byte
+		name string
+		use  func(body []byte)
+	}{
+		{secV2Levels, "decode:sidecar:levels", func(body []byte) {
+			if colenc.Decode(body, a.levels.schema()...) != nil {
 				stale.Store(true)
+				a.levels = v2Levels{}
+			}
+		}},
+		{secV2Lod, "decode:sidecar:lod", func(body []byte) { dec.lodData = body }},
+		{secV2Query, "decode:sidecar:query", func(body []byte) { dec.queryData = body }},
+	} {
+		s, use := byID[sc.id], sc.use
+		switch {
+		case s == nil:
+		case !full:
+			jobs = append(jobs, job{"decode:verify", s, verifyOnly})
+		default:
+			jobs = append(jobs, job{sc.name, s, func(payload []byte) error {
+				body, ok, err := sidecarBody(payload, key)
+				if err != nil {
+					return err
+				}
+				if ok {
+					use(body)
+				} else {
+					stale.Store(true)
+				}
 				return nil
-			}
-			if lerr := levels.decode(body); lerr != nil {
-				// CRC-valid but structurally off: treat like a stale
-				// sidecar (rebuild), never trust it.
-				stale.Store(true)
-				levels = v2LevelCols{}
-			}
-			return nil
-		})
-		add("decode:sidecar:lod", byID[secV2Lod], func(s *v2Section) error {
-			body, ok, err := sidecarBody(s, key)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				stale.Store(true)
-				return nil
-			}
-			dec.lodData = body
-			return nil
-		})
-		add("decode:sidecar:query", byID[secV2Query], func(s *v2Section) error {
-			body, ok, err := sidecarBody(s, key)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				stale.Store(true)
-				return nil
-			}
-			dec.queryData = body
-			return nil
-		})
-	} else {
-		for _, id := range []byte{secV2Nodes, secV2NodeCounters, secV2Edges, secV2Levels, secV2Lod, secV2Query} {
-			add("decode:verify", byID[id], verifyOnly)
+			}})
 		}
 	}
 	for i := range secs {
-		s := &secs[i]
-		if !v2Known(s.id) && s.id != secV2Trailer {
-			add("decode:verify", s, verifyOnly)
+		if s := &secs[i]; !v2Known(s.id) && s.id != secV2Trailer {
+			jobs = append(jobs, job{"decode:verify", s, verifyOnly})
 		}
 	}
 
 	if _, err := runpool.Map(pool, len(jobs), func(i int) (struct{}, error) {
 		j := jobs[i]
 		csp := sp.Child(j.name)
-		err := j.run(j.sec)
+		err := ErrCRC
+		if crc32.Checksum(j.sec.payload, castagnoli) == j.sec.crc {
+			err = j.run(j.sec.payload)
+		}
 		csp.End()
 		if err != nil {
 			return struct{}{}, fmt.Errorf("ggp: section 0x%02x: %w", j.sec.id, err)
@@ -303,21 +319,25 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 	dec.SidecarStale = stale.Load()
 
 	asp := sp.Child("assemble:trace")
-	tr, err := assembleV2Trace(&meta, &workers, &tasks, &frags, &bounds, &loops, &chunks, &bks)
+	tr, err := a.assembleTrace()
 	asp.End()
 	if err != nil {
 		return nil, err
 	}
 	dec.Trace = tr
+	// The records keep what they slice out of the trace columns (grain IDs,
+	// joined and thread lists); the rest is garbage before the graph is
+	// assembled beside it.
+	a.tasks, a.frags, a.bounds, a.loops, a.chunks, a.bookkeeps = v2Tasks{}, v2Frags{}, v2Bounds{}, v2Loops{}, v2Chunks{}, v2Bookkeeps{}
 
 	if full {
 		gsp := sp.Child("assemble:graph")
-		g, hadLevels, lerr := assembleV2Graph(tr, &meta, &nodes, &nodeCtr, &edges, &levels)
+		g, hadLevels, lerr := a.assembleGraph(tr)
 		gsp.End()
 		if lerr != nil {
 			return nil, lerr
 		}
-		if levels.off != nil && !hadLevels {
+		if a.levels.off != nil && !hadLevels {
 			// Level sidecar rejected during adoption: rebuild later.
 			dec.SidecarStale = true
 		}
@@ -362,17 +382,15 @@ func walkV2(data []byte) ([]v2Section, uint32, error) {
 			if crc32.Checksum(payload, castagnoli) != stored {
 				return nil, 0, fmt.Errorf("%w: trailer checksum", ErrCRC)
 			}
-			d := colenc.NewReader(payload)
 			if len(payload) < 4 {
 				return nil, 0, fmt.Errorf("%w: trailer payload is %d bytes", ErrCRC, len(payload))
 			}
 			key = binary.LittleEndian.Uint32(payload)
-			d = colenc.NewReader(payload[4:])
-			count, err := d.Uvarint()
-			if err != nil {
-				return nil, 0, fmt.Errorf("%w: trailer section count", ErrCRC)
+			var count uint64
+			if err := colenc.Decode(payload[4:], colenc.Uvarint(&count)); err != nil {
+				return nil, 0, fmt.Errorf("%w: trailer section count: %v", ErrCRC, err)
 			}
-			if int(count) != len(secs)-1 {
+			if count != uint64(len(secs)-1) {
 				return nil, 0, fmt.Errorf("%w: trailer counts %d sections, stream has %d", ErrCRC, count, len(secs)-1)
 			}
 		case isV2Sidecar(id):
@@ -397,521 +415,29 @@ func v2Known(id byte) bool {
 	return false
 }
 
-func verifyV2(s *v2Section) error {
-	if crc32.Checksum(s.payload, castagnoli) != s.crc {
-		return ErrCRC
-	}
-	return nil
-}
-
-// sidecarBody verifies a sidecar section and unwraps its payload header.
+// sidecarBody unwraps a checksum-verified sidecar payload's header.
 // ok=false (with no error) means the sidecar is intact but not trustworthy
 // — wrong format version or content key — and must be discarded.
-func sidecarBody(s *v2Section, key uint32) (body []byte, ok bool, err error) {
-	if err := verifyV2(s); err != nil {
-		return nil, false, err
+func sidecarBody(payload []byte, key uint32) (body []byte, ok bool, err error) {
+	if len(payload) < 5 {
+		return nil, false, fmt.Errorf("sidecar payload is %d bytes, want >= 5", len(payload))
 	}
-	if len(s.payload) < 5 {
-		return nil, false, fmt.Errorf("sidecar payload is %d bytes, want >= 5", len(s.payload))
-	}
-	if s.payload[0] != sidecarFormatVersion {
+	if payload[0] != sidecarFormatVersion || binary.LittleEndian.Uint32(payload[1:]) != key {
 		return nil, false, nil
 	}
-	if binary.LittleEndian.Uint32(s.payload[1:]) != key {
-		return nil, false, nil
-	}
-	return s.payload[5:], true, nil
-}
-
-// ---- per-section column holders ----
-
-type v2Meta struct {
-	program, scheduler, flavor, pagePolicy string
-	cores, sockets                         int
-	start, end                             profile.Time
-	nTasks, nLoops, nChunks, nBookkeeps    int
-	nNodes, nEdges                         int
-}
-
-func (m *v2Meta) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if m.program, err = d.Str(); err != nil {
-		return err
-	}
-	u := func(dst *int) error {
-		v, err := d.Uvarint()
-		if err != nil {
-			return err
-		}
-		if v > math.MaxInt32 {
-			return fmt.Errorf("meta count %d out of range", v)
-		}
-		*dst = int(v)
-		return nil
-	}
-	if err = u(&m.cores); err != nil {
-		return err
-	}
-	if err = u(&m.sockets); err != nil {
-		return err
-	}
-	if m.scheduler, err = d.Str(); err != nil {
-		return err
-	}
-	if m.flavor, err = d.Str(); err != nil {
-		return err
-	}
-	if m.pagePolicy, err = d.Str(); err != nil {
-		return err
-	}
-	if m.start, err = d.Uvarint(); err != nil {
-		return err
-	}
-	if m.end, err = d.Uvarint(); err != nil {
-		return err
-	}
-	for _, dst := range []*int{&m.nTasks, &m.nLoops, &m.nChunks, &m.nBookkeeps, &m.nNodes, &m.nEdges} {
-		if err = u(dst); err != nil {
-			return err
-		}
-	}
-	if !d.Done() {
-		return fmt.Errorf("meta carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2WorkersCols struct {
-	busy, over []uint64
-}
-
-func (w *v2WorkersCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if w.busy, err = d.U64s(); err != nil {
-		return err
-	}
-	if w.over, err = d.U64s(); err != nil {
-		return err
-	}
-	if len(w.busy) != len(w.over) {
-		return fmt.Errorf("worker columns disagree (%d/%d)", len(w.busy), len(w.over))
-	}
-	if !d.Done() {
-		return fmt.Errorf("workers carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2TaskCols struct {
-	ids, parents, locFile, locFunc []string
-	locLine, depth, createdBy      []int64
-	createTime, createCost         []uint64
-	startTime, endTime             []uint64
-	inlined                        []bool
-	fragOff, boundOff              []uint32
-}
-
-func (t *v2TaskCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if t.ids, err = d.Strs(); err != nil {
-		return err
-	}
-	if t.parents, err = d.Strs(); err != nil {
-		return err
-	}
-	if t.locFile, err = d.Strs(); err != nil {
-		return err
-	}
-	if t.locLine, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if t.locFunc, err = d.Strs(); err != nil {
-		return err
-	}
-	if t.depth, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if t.createTime, err = d.U64s(); err != nil {
-		return err
-	}
-	if t.createCost, err = d.U64s(); err != nil {
-		return err
-	}
-	if t.createdBy, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if t.startTime, err = d.U64s(); err != nil {
-		return err
-	}
-	if t.endTime, err = d.U64s(); err != nil {
-		return err
-	}
-	if t.inlined, err = d.Bools(); err != nil {
-		return err
-	}
-	if t.fragOff, err = d.U32s(); err != nil {
-		return err
-	}
-	if t.boundOff, err = d.U32s(); err != nil {
-		return err
-	}
-	if !d.Done() {
-		return fmt.Errorf("tasks carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2FragCols struct {
-	start, end []uint64
-	core       []int64
-	ctr        [7][]uint64
-}
-
-func (f *v2FragCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if f.start, err = d.U64s(); err != nil {
-		return err
-	}
-	if f.end, err = d.U64s(); err != nil {
-		return err
-	}
-	if f.core, err = d.I64sVar(); err != nil {
-		return err
-	}
-	for i := range f.ctr {
-		if f.ctr[i], err = d.U64sVar(); err != nil {
-			return err
-		}
-	}
-	if !d.Done() {
-		return fmt.Errorf("fragments carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2BoundCols struct {
-	kind           []uint8
-	at, wait, susp []uint64
-	child, joined  []string
-	loop           []int64
-	joinedOff      []uint32
-}
-
-func (b *v2BoundCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if b.kind, err = d.U8s(); err != nil {
-		return err
-	}
-	if b.at, err = d.U64s(); err != nil {
-		return err
-	}
-	if b.child, err = d.Strs(); err != nil {
-		return err
-	}
-	if b.wait, err = d.U64s(); err != nil {
-		return err
-	}
-	if b.susp, err = d.U64s(); err != nil {
-		return err
-	}
-	if b.loop, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if b.joinedOff, err = d.U32s(); err != nil {
-		return err
-	}
-	if b.joined, err = d.Strs(); err != nil {
-		return err
-	}
-	if !d.Done() {
-		return fmt.Errorf("boundaries carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2LoopCols struct {
-	id, locLine, chunkSize, lo, hi, startThread, threads []int64
-	locFile, locFunc                                     []string
-	sched                                                []uint8
-	start, end                                           []uint64
-	threadOff                                            []uint32
-}
-
-func (l *v2LoopCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if l.id, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if l.locFile, err = d.Strs(); err != nil {
-		return err
-	}
-	if l.locLine, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if l.locFunc, err = d.Strs(); err != nil {
-		return err
-	}
-	if l.sched, err = d.U8s(); err != nil {
-		return err
-	}
-	if l.chunkSize, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if l.lo, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if l.hi, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if l.start, err = d.U64s(); err != nil {
-		return err
-	}
-	if l.end, err = d.U64s(); err != nil {
-		return err
-	}
-	if l.startThread, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if l.threadOff, err = d.U32s(); err != nil {
-		return err
-	}
-	if l.threads, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if !d.Done() {
-		return fmt.Errorf("loops carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2ChunkCols struct {
-	loop, seq, thread, lo, hi []int64
-	start, end, bookkeep      []uint64
-	ctr                       [7][]uint64
-}
-
-func (c *v2ChunkCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if c.loop, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if c.seq, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if c.thread, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if c.lo, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if c.hi, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if c.start, err = d.U64s(); err != nil {
-		return err
-	}
-	if c.end, err = d.U64s(); err != nil {
-		return err
-	}
-	if c.bookkeep, err = d.U64sVar(); err != nil {
-		return err
-	}
-	for i := range c.ctr {
-		if c.ctr[i], err = d.U64sVar(); err != nil {
-			return err
-		}
-	}
-	if !d.Done() {
-		return fmt.Errorf("chunks carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2BookkeepCols struct {
-	loop, thread, grabs []int64
-	total               []uint64
-}
-
-func (b *v2BookkeepCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if b.loop, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if b.thread, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if b.grabs, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if b.total, err = d.U64sVar(); err != nil {
-		return err
-	}
-	if !d.Done() {
-		return fmt.Errorf("bookkeeps carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2NodeCols struct {
-	dict                     []string
-	kind                     []uint8
-	grainRef                 []uint32
-	loop, seq, core, members []int64
-	label                    []string
-	start, end, weight       []uint64
-}
-
-func (n *v2NodeCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if n.dict, err = d.Strs(); err != nil {
-		return err
-	}
-	if n.kind, err = d.U8s(); err != nil {
-		return err
-	}
-	if n.grainRef, err = d.U32s(); err != nil {
-		return err
-	}
-	if n.loop, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if n.seq, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if n.core, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if n.members, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if n.label, err = d.Strs(); err != nil {
-		return err
-	}
-	if n.start, err = d.U64s(); err != nil {
-		return err
-	}
-	if n.end, err = d.U64s(); err != nil {
-		return err
-	}
-	if n.weight, err = d.U64s(); err != nil {
-		return err
-	}
-	if !d.Done() {
-		return fmt.Errorf("nodes carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-func decodeV2Counters(s *v2Section, out *[7][]uint64) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	for i := range out {
-		if out[i], err = d.U64sVar(); err != nil {
-			return err
-		}
-	}
-	if !d.Done() {
-		return fmt.Errorf("node counters carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2EdgeCols struct {
-	from, to    []uint32
-	kind        []uint8
-	first, last []int64
-}
-
-func (e *v2EdgeCols) decode(s *v2Section) error {
-	if err := verifyV2(s); err != nil {
-		return err
-	}
-	d := colenc.NewReader(s.payload)
-	var err error
-	if e.from, err = d.U32s(); err != nil {
-		return err
-	}
-	if e.to, err = d.U32s(); err != nil {
-		return err
-	}
-	if e.kind, err = d.U8s(); err != nil {
-		return err
-	}
-	if e.first, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if e.last, err = d.I64sVar(); err != nil {
-		return err
-	}
-	if !d.Done() {
-		return fmt.Errorf("edges carries %d trailing bytes", d.Remaining())
-	}
-	return nil
-}
-
-type v2LevelCols struct {
-	off, nodes []uint32
-	level      []uint64
-}
-
-func (l *v2LevelCols) decode(body []byte) error {
-	d := colenc.NewReader(body)
-	var err error
-	if l.off, err = d.U32s(); err != nil {
-		return err
-	}
-	if l.nodes, err = d.U32s(); err != nil {
-		return err
-	}
-	if l.level, err = d.U64sVar(); err != nil {
-		return err
-	}
-	if !d.Done() {
-		return fmt.Errorf("levels carries %d trailing bytes", d.Remaining())
-	}
-	return nil
+	return payload[5:], true, nil
 }
 
 // ---- assembly ----
+
+// checkRows validates a section's row count against the count another
+// section (meta, or the section its rows index into) says it has.
+func checkRows(name string, got, want int) error {
+	if got != want {
+		return fmt.Errorf("ggp: %s has %d rows, want %d", name, got, want)
+	}
+	return nil
+}
 
 // checkOffsets validates a CSR offset column: n+1 monotonic entries from 0
 // to total.
@@ -930,159 +456,64 @@ func checkOffsets(name string, off []uint32, n, total int) error {
 	return nil
 }
 
-// sameLen validates that every named column has exactly n rows.
-func sameLen(section string, n int, cols map[string]int) error {
-	for name, l := range cols {
-		if l != n {
-			return fmt.Errorf("ggp: %s column %s has %d rows, want %d", section, name, l, n)
+// assembleTrace scatters the decoded trace sections into records. Each
+// section's columns already agree on their row count (the schemas group
+// them); what is checked here is agreement between sections.
+func (a *v2Artifact) assembleTrace() (*profile.Trace, error) {
+	meta, tc, fc, bc, lc, cc, kc := &a.meta, &a.tasks, &a.frags, &a.bounds, &a.loops, &a.chunks, &a.bookkeeps
+	nT, nF, nB := len(tc.ids), len(fc.start), len(bc.kind)
+	nL, nC, nK := len(lc.id), len(cc.loop), len(kc.loop)
+	for _, err := range []error{
+		checkRows("tasks", nT, int(meta.nTasks)),
+		checkRows("loops", nL, int(meta.nLoops)),
+		checkRows("chunks", nC, int(meta.nChunks)),
+		checkRows("bookkeeps", nK, int(meta.nBookkeeps)),
+		checkOffsets("fragment", tc.fragOff, nT, nF),
+		checkOffsets("boundary", tc.boundOff, nT, nB),
+		checkOffsets("joined", bc.joinedOff, nB, len(bc.joined)),
+		checkOffsets("loop thread", lc.threadOff, nL, len(lc.threads)),
+	} {
+		if err != nil {
+			return nil, err
 		}
-	}
-	return nil
-}
-
-func countersAt(ctr *[7][]uint64, i int) cache.Counters {
-	return cache.Counters{
-		Accesses: ctr[0][i],
-		L1Miss:   ctr[1][i],
-		L2Miss:   ctr[2][i],
-		L3Miss:   ctr[3][i],
-		Remote:   ctr[4][i],
-		Stall:    ctr[5][i],
-		Compute:  ctr[6][i],
-	}
-}
-
-func checkCtr(section string, ctr *[7][]uint64, n int) error {
-	for i := range ctr {
-		if len(ctr[i]) != n {
-			return fmt.Errorf("ggp: %s counter column %d has %d rows, want %d", section, i, len(ctr[i]), n)
-		}
-	}
-	return nil
-}
-
-func toInt(section string, v []int64) ([]int, error) {
-	out := make([]int, len(v))
-	for i, x := range v {
-		if x < math.MinInt32 || x > math.MaxInt32 {
-			return nil, fmt.Errorf("ggp: %s value %d out of range", section, x)
-		}
-		out[i] = int(x)
-	}
-	return out, nil
-}
-
-func assembleV2Trace(meta *v2Meta, workers *v2WorkersCols, tc *v2TaskCols, fc *v2FragCols,
-	bc *v2BoundCols, lc *v2LoopCols, cc *v2ChunkCols, kc *v2BookkeepCols) (*profile.Trace, error) {
-
-	nT := meta.nTasks
-	if err := sameLen("tasks", nT, map[string]int{
-		"ids": len(tc.ids), "parents": len(tc.parents), "locFile": len(tc.locFile),
-		"locLine": len(tc.locLine), "locFunc": len(tc.locFunc), "depth": len(tc.depth),
-		"createTime": len(tc.createTime), "createCost": len(tc.createCost),
-		"createdBy": len(tc.createdBy), "startTime": len(tc.startTime),
-		"endTime": len(tc.endTime), "inlined": len(tc.inlined),
-	}); err != nil {
-		return nil, err
-	}
-	nF := len(fc.start)
-	if err := sameLen("fragments", nF, map[string]int{"end": len(fc.end), "core": len(fc.core)}); err != nil {
-		return nil, err
-	}
-	if err := checkCtr("fragments", &fc.ctr, nF); err != nil {
-		return nil, err
-	}
-	nB := len(bc.kind)
-	if err := sameLen("boundaries", nB, map[string]int{
-		"at": len(bc.at), "child": len(bc.child), "wait": len(bc.wait),
-		"susp": len(bc.susp), "loop": len(bc.loop),
-	}); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("fragment", tc.fragOff, nT, nF); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("boundary", tc.boundOff, nT, nB); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("joined", bc.joinedOff, nB, len(bc.joined)); err != nil {
-		return nil, err
-	}
-	nL := meta.nLoops
-	if err := sameLen("loops", nL, map[string]int{
-		"id": len(lc.id), "locFile": len(lc.locFile), "locLine": len(lc.locLine),
-		"locFunc": len(lc.locFunc), "sched": len(lc.sched), "chunkSize": len(lc.chunkSize),
-		"lo": len(lc.lo), "hi": len(lc.hi), "start": len(lc.start), "end": len(lc.end),
-		"startThread": len(lc.startThread),
-	}); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("loop thread", lc.threadOff, nL, len(lc.threads)); err != nil {
-		return nil, err
-	}
-	nC := meta.nChunks
-	if err := sameLen("chunks", nC, map[string]int{
-		"loop": len(cc.loop), "seq": len(cc.seq), "thread": len(cc.thread),
-		"lo": len(cc.lo), "hi": len(cc.hi), "start": len(cc.start),
-		"end": len(cc.end), "bookkeep": len(cc.bookkeep),
-	}); err != nil {
-		return nil, err
-	}
-	if err := checkCtr("chunks", &cc.ctr, nC); err != nil {
-		return nil, err
-	}
-	nK := meta.nBookkeeps
-	if err := sameLen("bookkeeps", nK, map[string]int{
-		"loop": len(kc.loop), "thread": len(kc.thread), "grabs": len(kc.grabs), "total": len(kc.total),
-	}); err != nil {
-		return nil, err
 	}
 
 	tr := &profile.Trace{
 		Program:    meta.program,
-		Cores:      meta.cores,
-		Sockets:    meta.sockets,
+		Cores:      int(meta.cores),
+		Sockets:    int(meta.sockets),
 		Scheduler:  meta.scheduler,
 		Flavor:     meta.flavor,
 		PagePolicy: meta.pagePolicy,
 		Start:      meta.start,
 		End:        meta.end,
 	}
-	if n := len(workers.busy); n > 0 {
+	if n := len(a.workers.busy); n > 0 {
 		tr.Workers = make([]profile.WorkerStat, n)
 		for i := range tr.Workers {
-			tr.Workers[i] = profile.WorkerStat{Busy: workers.busy[i], Overhead: workers.over[i]}
+			tr.Workers[i] = profile.WorkerStat{Busy: a.workers.busy[i], Overhead: a.workers.over[i]}
 		}
 	}
 
 	frags := make([]profile.Fragment, nF)
 	for i := range frags {
-		frags[i] = profile.Fragment{
-			Start:    fc.start[i],
-			End:      fc.end[i],
-			Core:     int(fc.core[i]),
-			Counters: countersAt(&fc.ctr, i),
-		}
-	}
-	joined := make([]profile.GrainID, len(bc.joined))
-	for i, s := range bc.joined {
-		joined[i] = profile.GrainID(s)
+		frags[i] = profile.Fragment{Start: fc.start[i], End: fc.end[i], Core: fc.core[i], Counters: fc.ctr.at(i)}
 	}
 	bounds := make([]profile.Boundary, nB)
 	for i := range bounds {
-		if bc.kind[i] > uint8(profile.BoundaryLoop) {
+		if bc.kind[i] > profile.BoundaryLoop {
 			return nil, fmt.Errorf("ggp: unknown boundary kind %d", bc.kind[i])
 		}
 		b := profile.Boundary{
-			Kind:      profile.BoundaryKind(bc.kind[i]),
+			Kind:      bc.kind[i],
 			At:        bc.at[i],
-			Child:     profile.GrainID(bc.child[i]),
+			Child:     bc.child[i],
 			Wait:      bc.wait[i],
 			Suspended: bc.susp[i],
-			Loop:      profile.LoopID(bc.loop[i]),
+			Loop:      bc.loop[i],
 		}
 		if lo, hi := bc.joinedOff[i], bc.joinedOff[i+1]; hi > lo {
-			b.Joined = joined[lo:hi:hi]
+			b.Joined = bc.joined[lo:hi:hi]
 		}
 		bounds[i] = b
 	}
@@ -1091,13 +522,13 @@ func assembleV2Trace(meta *v2Meta, workers *v2WorkersCols, tc *v2TaskCols, fc *v
 	tr.Tasks = make([]*profile.TaskRecord, nT)
 	for i := range tasks {
 		t := &tasks[i]
-		t.ID = profile.GrainID(tc.ids[i])
-		t.Parent = profile.GrainID(tc.parents[i])
-		t.Loc = profile.SrcLoc{File: tc.locFile[i], Line: int(tc.locLine[i]), Func: tc.locFunc[i]}
-		t.Depth = int(tc.depth[i])
+		t.ID = tc.ids[i]
+		t.Parent = tc.parents[i]
+		t.Loc = profile.SrcLoc{File: tc.locFile[i], Line: tc.locLine[i], Func: tc.locFunc[i]}
+		t.Depth = tc.depth[i]
 		t.CreateTime = tc.createTime[i]
 		t.CreateCost = tc.createCost[i]
-		t.CreatedBy = int(tc.createdBy[i])
+		t.CreatedBy = tc.createdBy[i]
 		t.StartTime = tc.startTime[i]
 		t.EndTime = tc.endTime[i]
 		t.Inlined = tc.inlined[i]
@@ -1111,28 +542,24 @@ func assembleV2Trace(meta *v2Meta, workers *v2WorkersCols, tc *v2TaskCols, fc *v
 	}
 
 	if nL > 0 {
-		threads, err := toInt("loop threads", lc.threads)
-		if err != nil {
-			return nil, err
-		}
 		loops := make([]profile.LoopRecord, nL)
 		tr.Loops = make([]*profile.LoopRecord, nL)
 		for i := range loops {
-			if lc.sched[i] > uint8(profile.ScheduleGuided) {
+			if lc.sched[i] > profile.ScheduleGuided {
 				return nil, fmt.Errorf("ggp: unknown loop schedule %d", lc.sched[i])
 			}
 			l := &loops[i]
-			l.ID = profile.LoopID(lc.id[i])
-			l.Loc = profile.SrcLoc{File: lc.locFile[i], Line: int(lc.locLine[i]), Func: lc.locFunc[i]}
-			l.Schedule = profile.ScheduleKind(lc.sched[i])
-			l.ChunkSize = int(lc.chunkSize[i])
-			l.Lo = int(lc.lo[i])
-			l.Hi = int(lc.hi[i])
+			l.ID = lc.id[i]
+			l.Loc = profile.SrcLoc{File: lc.locFile[i], Line: lc.locLine[i], Func: lc.locFunc[i]}
+			l.Schedule = lc.sched[i]
+			l.ChunkSize = lc.chunkSize[i]
+			l.Lo = lc.lo[i]
+			l.Hi = lc.hi[i]
 			l.Start = lc.start[i]
 			l.End = lc.end[i]
-			l.StartThread = int(lc.startThread[i])
+			l.StartThread = lc.startThread[i]
 			if lo, hi := lc.threadOff[i], lc.threadOff[i+1]; hi > lo {
-				l.Threads = threads[lo:hi:hi]
+				l.Threads = lc.threads[lo:hi:hi]
 			}
 			tr.Loops[i] = l
 		}
@@ -1142,17 +569,18 @@ func assembleV2Trace(meta *v2Meta, workers *v2WorkersCols, tc *v2TaskCols, fc *v
 		chunks := make([]profile.ChunkRecord, nC)
 		tr.Chunks = make([]*profile.ChunkRecord, nC)
 		for i := range chunks {
-			c := &chunks[i]
-			c.Loop = profile.LoopID(cc.loop[i])
-			c.Seq = int(cc.seq[i])
-			c.Thread = int(cc.thread[i])
-			c.Lo = int(cc.lo[i])
-			c.Hi = int(cc.hi[i])
-			c.Start = cc.start[i]
-			c.End = cc.end[i]
-			c.Bookkeep = cc.bookkeep[i]
-			c.Counters = countersAt(&cc.ctr, i)
-			tr.Chunks[i] = c
+			chunks[i] = profile.ChunkRecord{
+				Loop:     cc.loop[i],
+				Seq:      cc.seq[i],
+				Thread:   cc.thread[i],
+				Lo:       cc.lo[i],
+				Hi:       cc.hi[i],
+				Start:    cc.start[i],
+				End:      cc.end[i],
+				Bookkeep: cc.bookkeep[i],
+				Counters: cc.ctr.at(i),
+			}
+			tr.Chunks[i] = &chunks[i]
 		}
 	}
 
@@ -1160,12 +588,8 @@ func assembleV2Trace(meta *v2Meta, workers *v2WorkersCols, tc *v2TaskCols, fc *v
 		bks := make([]profile.BookkeepRecord, nK)
 		tr.Bookkeeps = make([]*profile.BookkeepRecord, nK)
 		for i := range bks {
-			b := &bks[i]
-			b.Loop = profile.LoopID(kc.loop[i])
-			b.Thread = int(kc.thread[i])
-			b.Grabs = int(kc.grabs[i])
-			b.Total = kc.total[i]
-			tr.Bookkeeps[i] = b
+			bks[i] = profile.BookkeepRecord{Loop: kc.loop[i], Thread: kc.thread[i], Grabs: kc.grabs[i], Total: kc.total[i]}
+			tr.Bookkeeps[i] = &bks[i]
 		}
 	}
 
@@ -1175,126 +599,60 @@ func assembleV2Trace(meta *v2Meta, workers *v2WorkersCols, tc *v2TaskCols, fc *v
 	return tr, nil
 }
 
-func assembleV2Graph(tr *profile.Trace, meta *v2Meta, nc *v2NodeCols, ctr *[7][]uint64,
-	ec *v2EdgeCols, lc *v2LevelCols) (*core.Graph, bool, error) {
-
-	nn := meta.nNodes
-	ne := meta.nEdges
-	if err := sameLen("nodes", nn, map[string]int{
-		"kind": len(nc.kind), "grainRef": len(nc.grainRef), "loop": len(nc.loop),
-		"seq": len(nc.seq), "core": len(nc.core), "members": len(nc.members),
-		"label": len(nc.label), "start": len(nc.start), "end": len(nc.end),
-		"weight": len(nc.weight),
-	}); err != nil {
-		return nil, false, err
-	}
-	if err := checkCtr("nodes", ctr, nn); err != nil {
-		return nil, false, err
-	}
-	if err := sameLen("edges", ne, map[string]int{
-		"from": len(ec.from), "to": len(ec.to), "kind": len(ec.kind),
-	}); err != nil {
-		return nil, false, err
-	}
-	dictLen := len(tr.Tasks) + len(tr.Chunks)
-	if len(nc.dict) != dictLen {
-		return nil, false, fmt.Errorf("ggp: grain dictionary has %d entries, want %d", len(nc.dict), dictLen)
-	}
-	if len(ec.first) != dictLen || len(ec.last) != dictLen {
-		return nil, false, fmt.Errorf("ggp: entry/exit columns have %d/%d entries, want %d", len(ec.first), len(ec.last), dictLen)
+// assembleGraph adopts the decoded graph columns. What the graph sections
+// hold beyond them — the grain dictionary and references into it, the
+// transposed counters, the entry/exit columns — is resolved here; edge
+// endpoints, enum values and the level index are checked by core's adopt
+// functions. hadLevels reports whether a levels sidecar was adopted; a
+// rejected one is stale or malformed, and the index rebuilds lazily.
+func (a *v2Artifact) assembleGraph(tr *profile.Trace) (g *core.Graph, hadLevels bool, err error) {
+	nc, ec, dict := &a.nodes, &a.edges, a.nodes.dict
+	nn, dictLen := len(a.graph.Kind), len(tr.Tasks)+len(tr.Chunks)
+	for _, err := range []error{
+		checkRows("nodes", nn, int(a.meta.nNodes)),
+		checkRows("node counters", len(a.nodeCtrs[0]), nn),
+		checkRows("edges", len(a.graph.EdgeFrom), int(a.meta.nEdges)),
+		checkRows("grain dictionary", len(dict), dictLen),
+		checkRows("entry/exit columns", len(ec.first), dictLen),
+	} {
+		if err != nil {
+			return nil, false, err
+		}
 	}
 
-	cols := core.GraphColumns{
-		Kind:     nc.kind,
-		Grain:    make([]profile.GrainID, nn),
-		Loop:     make([]int32, nn),
-		Seq:      make([]int32, nn),
-		Label:    nc.label,
-		Start:    nc.start,
-		End:      nc.end,
-		Weight:   nc.weight,
-		Core:     make([]int32, nn),
-		Counters: make([]cache.Counters, nn),
-		Members:  make([]int32, nn),
-		EdgeFrom: make([]int32, ne),
-		EdgeTo:   make([]int32, ne),
-		EdgeKind: ec.kind,
-	}
-	for i := 0; i < nn; i++ {
-		ref := nc.grainRef[i]
+	a.graph.Grain = make([]profile.GrainID, nn)
+	a.graph.Counters = make([]cache.Counters, nn)
+	for i, ref := range nc.grainRef {
 		if int(ref) >= dictLen {
 			return nil, false, fmt.Errorf("ggp: node %d grain ref %d out of range [0,%d)", i, ref, dictLen)
 		}
-		cols.Grain[i] = profile.GrainID(nc.dict[ref])
-		for _, c := range [...]struct {
-			dst []int32
-			src int64
-		}{{cols.Loop, nc.loop[i]}, {cols.Seq, nc.seq[i]}, {cols.Core, nc.core[i]}, {cols.Members, nc.members[i]}} {
-			if c.src < math.MinInt32 || c.src > math.MaxInt32 {
-				return nil, false, fmt.Errorf("ggp: node %d column value %d out of range", i, c.src)
-			}
-			c.dst[i] = int32(c.src)
-		}
-		cols.Counters[i] = countersAt(ctr, i)
-	}
-	for i := 0; i < ne; i++ {
-		if ec.from[i] >= uint32(nn) || ec.to[i] >= uint32(nn) {
-			return nil, false, fmt.Errorf("ggp: edge %d endpoints (%d,%d) out of range [0,%d)", i, ec.from[i], ec.to[i], nn)
-		}
-		cols.EdgeFrom[i] = int32(ec.from[i])
-		cols.EdgeTo[i] = int32(ec.to[i])
+		a.graph.Grain[i] = dict[ref]
+		a.graph.Counters[i] = a.nodeCtrs.at(i)
 	}
 
 	first := make(map[profile.GrainID]core.NodeID, dictLen)
 	last := make(map[profile.GrainID]core.NodeID, dictLen)
-	for i := 0; i < dictLen; i++ {
+	for i, id := range dict {
 		for _, m := range [...]struct {
 			dst map[profile.GrainID]core.NodeID
-			src int64
+			src core.NodeID
 		}{{first, ec.first[i]}, {last, ec.last[i]}} {
 			if m.src == -1 {
 				continue
 			}
-			if m.src < 0 || m.src >= int64(nn) {
+			if m.src < 0 || int(m.src) >= nn {
 				return nil, false, fmt.Errorf("ggp: entry/exit node %d out of range [0,%d)", m.src, nn)
 			}
-			m.dst[profile.GrainID(nc.dict[i])] = core.NodeID(m.src)
+			m.dst[id] = m.src
 		}
 	}
 
-	g, err := core.AdoptGraph(tr, cols, first, last)
+	g, err = core.AdoptGraph(tr, a.graph, first, last)
 	if err != nil {
 		return nil, false, fmt.Errorf("ggp: %w", err)
 	}
-
-	if lc.off == nil {
+	if a.levels.off == nil {
 		return g, false, nil
 	}
-	// Levels sidecar: adopt with structural validation; rejection means
-	// the sidecar was stale or malformed, and the index rebuilds lazily.
-	off := make([]int32, len(lc.off))
-	nodes := make([]int32, len(lc.nodes))
-	level := make([]int32, len(lc.level))
-	for i, v := range lc.off {
-		if v > math.MaxInt32 {
-			return g, false, nil
-		}
-		off[i] = int32(v)
-	}
-	for i, v := range lc.nodes {
-		if v > math.MaxInt32 {
-			return g, false, nil
-		}
-		nodes[i] = int32(v)
-	}
-	for i, v := range lc.level {
-		if v > math.MaxInt32 {
-			return g, false, nil
-		}
-		level[i] = int32(v)
-	}
-	if err := g.AdoptLevels(off, nodes, level); err != nil {
-		return g, false, nil
-	}
-	return g, true, nil
+	return g, g.AdoptLevels(a.levels.off, a.levels.nodes, a.levels.level) == nil, nil
 }

@@ -2,7 +2,9 @@ package ggp_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -284,6 +286,21 @@ func TestV2CorruptionFailsClosed(t *testing.T) {
 		}
 		bad := append([]byte(nil), data...)
 		bad[idx] ^= 0xFF
+		if _, err := ggp.Decode(bad, nil, nil); !errors.Is(err, ggp.ErrCRC) {
+			t.Fatalf("got %v, want ErrCRC", err)
+		}
+	})
+	t.Run("trailer with trailing bytes", func(t *testing.T) {
+		// Re-frame the trailer with one extra payload byte and a checksum
+		// that covers it: only the trailing-bytes check can object.
+		at := len(data) - 11 // id, 1-byte length 5, key + 1-byte count, CRC
+		if data[at] != ggp.SecV2Trailer || data[at+1] != 5 {
+			t.Fatalf("trailer frame is not where this test expects it")
+		}
+		payload := append(bytes.Clone(data[at+2:at+7]), 0x00)
+		bad := append(bytes.Clone(data[:at]), ggp.SecV2Trailer, byte(len(payload)))
+		bad = append(bad, payload...)
+		bad = binary.LittleEndian.AppendUint32(bad, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 		if _, err := ggp.Decode(bad, nil, nil); !errors.Is(err, ggp.ErrCRC) {
 			t.Fatalf("got %v, want ErrCRC", err)
 		}

@@ -63,25 +63,26 @@ func encodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar, keyOverride uint
 	w.buf = append(w.buf, Magic...)
 	w.buf = append(w.buf, Version2)
 
-	w.section(secV2Meta, encodeV2Meta(tr, g))
+	// Each section's columns are gathered just before they are written
+	// and are garbage right after, so the writer's peak is the output
+	// plus one section's columns, not plus every section's.
+	w.put(secV2Meta, gatherMeta(tr, g))
 	if len(tr.Workers) > 0 {
-		w.section(secV2Workers, encodeV2Workers(tr.Workers))
+		w.put(secV2Workers, gatherWorkers(tr.Workers))
 	}
-	w.section(secV2Tasks, encodeV2Tasks(tr.Tasks))
-	w.section(secV2Frags, encodeV2Frags(tr.Tasks))
-	w.section(secV2Bounds, encodeV2Bounds(tr.Tasks))
-	w.section(secV2Loops, encodeV2Loops(tr.Loops))
-	w.section(secV2Chunks, encodeV2Chunks(tr.Chunks))
-	w.section(secV2Bookkeeps, encodeV2Bookkeeps(tr.Bookkeeps))
-
-	dict, dictIdx := grainDict(tr)
-	nodes, nodeCtrs, edges, err := encodeV2Graph(tr, g, dict, dictIdx)
+	w.put(secV2Tasks, gatherTasks(tr.Tasks))
+	w.put(secV2Frags, gatherFrags(tr.Tasks))
+	w.put(secV2Bounds, gatherBounds(tr.Tasks))
+	w.put(secV2Loops, gatherLoops(tr.Loops))
+	w.put(secV2Chunks, gatherChunks(tr.Chunks))
+	w.put(secV2Bookkeeps, gatherBookkeeps(tr.Bookkeeps))
+	nodes, nodeCtrs, edges, err := gatherGraph(tr, g)
 	if err != nil {
 		return nil, err
 	}
-	w.section(secV2Nodes, nodes)
-	w.section(secV2NodeCounters, nodeCtrs)
-	w.section(secV2Edges, edges)
+	w.put(secV2Nodes, nodes)
+	w.put(secV2NodeCounters, nodeCtrs)
+	w.put(secV2Edges, edges)
 
 	// The content key is fixed once all content sections are written;
 	// sidecars embed it and do not feed it.
@@ -90,8 +91,9 @@ func encodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar, keyOverride uint
 	if useOverride {
 		sideKey = keyOverride
 	}
-	if off, lvlNodes, lvl := g.ExportLevels(); off != nil {
-		w.sidecar(secV2Levels, sideKey, encodeV2Levels(off, lvlNodes, lvl))
+	var levels v2Levels
+	if levels.off, levels.nodes, levels.level = g.ExportLevels(); levels.off != nil {
+		w.sidecar(secV2Levels, sideKey, colenc.Encode(levels.schema()...))
 	}
 	for _, s := range side {
 		if !isV2Sidecar(byte(s.Kind)) {
@@ -100,11 +102,7 @@ func encodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar, keyOverride uint
 		w.sidecar(byte(s.Kind), sideKey, s.Data)
 	}
 
-	var tb colenc.Buf
-	trailer := binary.LittleEndian.AppendUint32(nil, key)
-	tb.Uvarint(uint64(w.sections))
-	trailer = append(trailer, tb.Bytes()...)
-	w.section(secV2Trailer, trailer)
+	w.section(secV2Trailer, binary.AppendUvarint(binary.LittleEndian.AppendUint32(nil, key), uint64(w.sections)))
 	return w.buf, nil
 }
 
@@ -153,6 +151,11 @@ func (w *v2Writer) section(id byte, payload []byte) {
 	}
 }
 
+// put writes a content section from its gathered columns.
+func (w *v2Writer) put(id byte, cols v2Cols) {
+	w.section(id, colenc.Encode(cols.schema()...))
+}
+
 func (w *v2Writer) sidecar(id byte, key uint32, data []byte) {
 	payload := make([]byte, 0, 5+len(data))
 	payload = append(payload, sidecarFormatVersion)
@@ -165,157 +168,86 @@ func (w *v2Writer) contentKey() uint32 {
 	return crc32.Checksum(w.crcs, castagnoli)
 }
 
-// grainDict builds the grain-ID dictionary in the canonical order (tasks,
-// then chunks — the same order Build assigns entry/exit map entries) plus
-// the reverse index used to encode node grain references.
-func grainDict(tr *profile.Trace) ([]string, map[profile.GrainID]int32) {
-	dict := make([]string, 0, len(tr.Tasks)+len(tr.Chunks))
-	idx := make(map[profile.GrainID]int32, len(tr.Tasks)+len(tr.Chunks))
-	for _, t := range tr.Tasks {
-		idx[t.ID] = int32(len(dict))
-		dict = append(dict, string(t.ID))
+// The gather functions transpose the trace's records into one section's
+// columns each.
+
+func gatherMeta(tr *profile.Trace, g *core.Graph) *v2Meta {
+	return &v2Meta{
+		program: tr.Program, scheduler: tr.Scheduler, flavor: tr.Flavor, pagePolicy: tr.PagePolicy,
+		cores: int32(tr.Cores), sockets: int32(tr.Sockets), start: tr.Start, end: tr.End,
+		nTasks: int32(len(tr.Tasks)), nLoops: int32(len(tr.Loops)),
+		nChunks: int32(len(tr.Chunks)), nBookkeeps: int32(len(tr.Bookkeeps)),
+		nNodes: int32(g.NumNodes()), nEdges: int32(g.NumEdges()),
 	}
-	for _, ck := range tr.Chunks {
-		id := tr.ChunkGrainID(ck)
-		idx[id] = int32(len(dict))
-		dict = append(dict, string(id))
-	}
-	return dict, idx
 }
 
-func encodeV2Meta(tr *profile.Trace, g *core.Graph) []byte {
-	var e colenc.Buf
-	e.Str(tr.Program)
-	e.Uvarint(uint64(int64(tr.Cores)))
-	e.Uvarint(uint64(int64(tr.Sockets)))
-	e.Str(tr.Scheduler)
-	e.Str(tr.Flavor)
-	e.Str(tr.PagePolicy)
-	e.Uvarint(tr.Start)
-	e.Uvarint(tr.End)
-	e.Uvarint(uint64(len(tr.Tasks)))
-	e.Uvarint(uint64(len(tr.Loops)))
-	e.Uvarint(uint64(len(tr.Chunks)))
-	e.Uvarint(uint64(len(tr.Bookkeeps)))
-	e.Uvarint(uint64(g.NumNodes()))
-	e.Uvarint(uint64(g.NumEdges()))
-	return e.Bytes()
-}
-
-func encodeV2Workers(ws []profile.WorkerStat) []byte {
-	busy := make([]uint64, len(ws))
-	over := make([]uint64, len(ws))
-	for i, w := range ws {
-		busy[i], over[i] = w.Busy, w.Overhead
+func gatherWorkers(ws []profile.WorkerStat) *v2Workers {
+	w := &v2Workers{busy: make([]profile.Time, len(ws)), over: make([]profile.Time, len(ws))}
+	for i, s := range ws {
+		w.busy[i], w.over[i] = s.Busy, s.Overhead
 	}
-	var e colenc.Buf
-	e.U64s(busy)
-	e.U64s(over)
-	return e.Bytes()
+	return w
 }
 
-func encodeV2Tasks(tasks []*profile.TaskRecord) []byte {
+func gatherTasks(tasks []*profile.TaskRecord) *v2Tasks {
 	n := len(tasks)
-	ids := make([]string, n)
-	parents := make([]string, n)
-	locFile := make([]string, n)
-	locLine := make([]int64, n)
-	locFunc := make([]string, n)
-	depth := make([]int64, n)
-	createTime := make([]uint64, n)
-	createCost := make([]uint64, n)
-	createdBy := make([]int64, n)
-	startTime := make([]uint64, n)
-	endTime := make([]uint64, n)
-	inlined := make([]bool, n)
-	fragOff := make([]uint32, n+1)
-	boundOff := make([]uint32, n+1)
+	c := &v2Tasks{
+		ids:        make([]profile.GrainID, n),
+		parents:    make([]profile.GrainID, n),
+		locFile:    make([]string, n),
+		locLine:    make([]int, n),
+		locFunc:    make([]string, n),
+		depth:      make([]int, n),
+		createTime: make([]profile.Time, n),
+		createCost: make([]profile.Time, n),
+		createdBy:  make([]int, n),
+		startTime:  make([]profile.Time, n),
+		endTime:    make([]profile.Time, n),
+		inlined:    make([]bool, n),
+		fragOff:    make([]uint32, n+1),
+		boundOff:   make([]uint32, n+1),
+	}
 	for i, t := range tasks {
-		ids[i] = string(t.ID)
-		parents[i] = string(t.Parent)
-		locFile[i] = t.Loc.File
-		locLine[i] = int64(t.Loc.Line)
-		locFunc[i] = t.Loc.Func
-		depth[i] = int64(t.Depth)
-		createTime[i] = t.CreateTime
-		createCost[i] = t.CreateCost
-		createdBy[i] = int64(t.CreatedBy)
-		startTime[i] = t.StartTime
-		endTime[i] = t.EndTime
-		inlined[i] = t.Inlined
-		fragOff[i+1] = fragOff[i] + uint32(len(t.Fragments))
-		boundOff[i+1] = boundOff[i] + uint32(len(t.Boundaries))
+		c.ids[i] = t.ID
+		c.parents[i] = t.Parent
+		c.locFile[i] = t.Loc.File
+		c.locLine[i] = t.Loc.Line
+		c.locFunc[i] = t.Loc.Func
+		c.depth[i] = t.Depth
+		c.createTime[i] = t.CreateTime
+		c.createCost[i] = t.CreateCost
+		c.createdBy[i] = t.CreatedBy
+		c.startTime[i] = t.StartTime
+		c.endTime[i] = t.EndTime
+		c.inlined[i] = t.Inlined
+		c.fragOff[i+1] = c.fragOff[i] + uint32(len(t.Fragments))
+		c.boundOff[i+1] = c.boundOff[i] + uint32(len(t.Boundaries))
 	}
-	var e colenc.Buf
-	e.Strs(ids)
-	e.Strs(parents)
-	e.Strs(locFile)
-	e.I64sVar(locLine)
-	e.Strs(locFunc)
-	e.I64sVar(depth)
-	e.U64s(createTime)
-	e.U64s(createCost)
-	e.I64sVar(createdBy)
-	e.U64s(startTime)
-	e.U64s(endTime)
-	e.Bools(inlined)
-	e.U32s(fragOff)
-	e.U32s(boundOff)
-	return e.Bytes()
+	return c
 }
 
-// counterCols transposes a counter extractor over n rows into the seven
-// per-counter columns and encodes them as sparse uvarint vectors.
-func counterCols(e *colenc.Buf, n int, at func(i int) *counters7) {
-	cols := make([][]uint64, 7)
-	for c := range cols {
-		cols[c] = make([]uint64, n)
-	}
-	for i := 0; i < n; i++ {
-		v := at(i)
-		for c := 0; c < 7; c++ {
-			cols[c][i] = v[c]
-		}
-	}
-	for c := 0; c < 7; c++ {
-		e.U64sVar(cols[c])
-	}
-}
-
-// counters7 is the flat view of cache.Counters in its canonical field
-// order (the same order the v1 encoder uses).
-type counters7 [7]uint64
-
-func encodeV2Frags(tasks []*profile.TaskRecord) []byte {
+func gatherFrags(tasks []*profile.TaskRecord) *v2Frags {
 	n := 0
 	for _, t := range tasks {
 		n += len(t.Fragments)
 	}
-	start := make([]uint64, n)
-	end := make([]uint64, n)
-	core := make([]int64, n)
-	flat := make([]counters7, n)
+	c := &v2Frags{start: make([]profile.Time, n), end: make([]profile.Time, n), core: make([]int, n)}
+	c.ctr.alloc(n)
 	i := 0
 	for _, t := range tasks {
 		for fi := range t.Fragments {
 			f := &t.Fragments[fi]
-			start[i] = f.Start
-			end[i] = f.End
-			core[i] = int64(f.Core)
-			c := f.Counters
-			flat[i] = counters7{c.Accesses, c.L1Miss, c.L2Miss, c.L3Miss, c.Remote, c.Stall, c.Compute}
+			c.start[i] = f.Start
+			c.end[i] = f.End
+			c.core[i] = f.Core
+			c.ctr.set(i, &f.Counters)
 			i++
 		}
 	}
-	var e colenc.Buf
-	e.U64s(start)
-	e.U64s(end)
-	e.I64sVar(core)
-	counterCols(&e, n, func(i int) *counters7 { return &flat[i] })
-	return e.Bytes()
+	return c
 }
 
-func encodeV2Bounds(tasks []*profile.TaskRecord) []byte {
+func gatherBounds(tasks []*profile.TaskRecord) *v2Bounds {
 	n, nj := 0, 0
 	for _, t := range tasks {
 		n += len(t.Boundaries)
@@ -323,251 +255,161 @@ func encodeV2Bounds(tasks []*profile.TaskRecord) []byte {
 			nj += len(t.Boundaries[bi].Joined)
 		}
 	}
-	kind := make([]uint8, n)
-	at := make([]uint64, n)
-	child := make([]string, n)
-	wait := make([]uint64, n)
-	susp := make([]uint64, n)
-	loop := make([]int64, n)
-	joinedOff := make([]uint32, n+1)
-	joined := make([]string, 0, nj)
+	c := &v2Bounds{
+		kind:      make([]profile.BoundaryKind, n),
+		at:        make([]profile.Time, n),
+		child:     make([]profile.GrainID, n),
+		wait:      make([]profile.Time, n),
+		susp:      make([]profile.Time, n),
+		loop:      make([]profile.LoopID, n),
+		joinedOff: make([]uint32, n+1),
+		joined:    make([]profile.GrainID, 0, nj),
+	}
 	i := 0
 	for _, t := range tasks {
 		for bi := range t.Boundaries {
 			b := &t.Boundaries[bi]
-			kind[i] = uint8(b.Kind)
-			at[i] = b.At
-			child[i] = string(b.Child)
-			wait[i] = b.Wait
-			susp[i] = b.Suspended
-			loop[i] = int64(b.Loop)
-			for _, j := range b.Joined {
-				joined = append(joined, string(j))
-			}
-			joinedOff[i+1] = uint32(len(joined))
+			c.kind[i] = b.Kind
+			c.at[i] = b.At
+			c.child[i] = b.Child
+			c.wait[i] = b.Wait
+			c.susp[i] = b.Suspended
+			c.loop[i] = b.Loop
+			c.joined = append(c.joined, b.Joined...)
+			c.joinedOff[i+1] = uint32(len(c.joined))
 			i++
 		}
 	}
-	var e colenc.Buf
-	e.U8s(kind)
-	e.U64s(at)
-	e.Strs(child)
-	e.U64s(wait)
-	e.U64s(susp)
-	e.I64sVar(loop)
-	e.U32s(joinedOff)
-	e.Strs(joined)
-	return e.Bytes()
+	return c
 }
 
-func encodeV2Loops(loops []*profile.LoopRecord) []byte {
-	n := 0
-	nt := 0
+func gatherLoops(loops []*profile.LoopRecord) *v2Loops {
+	n, nt := len(loops), 0
 	for _, l := range loops {
-		n++
 		nt += len(l.Threads)
 	}
-	id := make([]int64, n)
-	locFile := make([]string, n)
-	locLine := make([]int64, n)
-	locFunc := make([]string, n)
-	sched := make([]uint8, n)
-	chunkSize := make([]int64, n)
-	lo := make([]int64, n)
-	hi := make([]int64, n)
-	start := make([]uint64, n)
-	end := make([]uint64, n)
-	startThread := make([]int64, n)
-	threadOff := make([]uint32, n+1)
-	threads := make([]int64, 0, nt)
+	c := &v2Loops{
+		id:          make([]profile.LoopID, n),
+		locFile:     make([]string, n),
+		locLine:     make([]int, n),
+		locFunc:     make([]string, n),
+		sched:       make([]profile.ScheduleKind, n),
+		chunkSize:   make([]int, n),
+		lo:          make([]int, n),
+		hi:          make([]int, n),
+		start:       make([]profile.Time, n),
+		end:         make([]profile.Time, n),
+		startThread: make([]int, n),
+		threadOff:   make([]uint32, n+1),
+		threads:     make([]int, 0, nt),
+	}
 	for i, l := range loops {
-		id[i] = int64(l.ID)
-		locFile[i] = l.Loc.File
-		locLine[i] = int64(l.Loc.Line)
-		locFunc[i] = l.Loc.Func
-		sched[i] = uint8(l.Schedule)
-		chunkSize[i] = int64(l.ChunkSize)
-		lo[i] = int64(l.Lo)
-		hi[i] = int64(l.Hi)
-		start[i] = l.Start
-		end[i] = l.End
-		startThread[i] = int64(l.StartThread)
-		for _, th := range l.Threads {
-			threads = append(threads, int64(th))
-		}
-		threadOff[i+1] = uint32(len(threads))
+		c.id[i] = l.ID
+		c.locFile[i] = l.Loc.File
+		c.locLine[i] = l.Loc.Line
+		c.locFunc[i] = l.Loc.Func
+		c.sched[i] = l.Schedule
+		c.chunkSize[i] = l.ChunkSize
+		c.lo[i] = l.Lo
+		c.hi[i] = l.Hi
+		c.start[i] = l.Start
+		c.end[i] = l.End
+		c.startThread[i] = l.StartThread
+		c.threads = append(c.threads, l.Threads...)
+		c.threadOff[i+1] = uint32(len(c.threads))
 	}
-	var e colenc.Buf
-	e.I64sVar(id)
-	e.Strs(locFile)
-	e.I64sVar(locLine)
-	e.Strs(locFunc)
-	e.U8s(sched)
-	e.I64sVar(chunkSize)
-	e.I64sVar(lo)
-	e.I64sVar(hi)
-	e.U64s(start)
-	e.U64s(end)
-	e.I64sVar(startThread)
-	e.U32s(threadOff)
-	e.I64sVar(threads)
-	return e.Bytes()
+	return c
 }
 
-func encodeV2Chunks(chunks []*profile.ChunkRecord) []byte {
+func gatherChunks(chunks []*profile.ChunkRecord) *v2Chunks {
 	n := len(chunks)
-	loop := make([]int64, n)
-	seq := make([]int64, n)
-	thread := make([]int64, n)
-	lo := make([]int64, n)
-	hi := make([]int64, n)
-	start := make([]uint64, n)
-	end := make([]uint64, n)
-	bookkeep := make([]uint64, n)
-	flat := make([]counters7, n)
+	c := &v2Chunks{
+		loop:     make([]profile.LoopID, n),
+		seq:      make([]int, n),
+		thread:   make([]int, n),
+		lo:       make([]int, n),
+		hi:       make([]int, n),
+		start:    make([]profile.Time, n),
+		end:      make([]profile.Time, n),
+		bookkeep: make([]profile.Time, n),
+	}
+	c.ctr.alloc(n)
 	for i, ck := range chunks {
-		loop[i] = int64(ck.Loop)
-		seq[i] = int64(ck.Seq)
-		thread[i] = int64(ck.Thread)
-		lo[i] = int64(ck.Lo)
-		hi[i] = int64(ck.Hi)
-		start[i] = ck.Start
-		end[i] = ck.End
-		bookkeep[i] = ck.Bookkeep
-		c := ck.Counters
-		flat[i] = counters7{c.Accesses, c.L1Miss, c.L2Miss, c.L3Miss, c.Remote, c.Stall, c.Compute}
+		c.loop[i] = ck.Loop
+		c.seq[i] = ck.Seq
+		c.thread[i] = ck.Thread
+		c.lo[i] = ck.Lo
+		c.hi[i] = ck.Hi
+		c.start[i] = ck.Start
+		c.end[i] = ck.End
+		c.bookkeep[i] = ck.Bookkeep
+		c.ctr.set(i, &ck.Counters)
 	}
-	var e colenc.Buf
-	e.I64sVar(loop)
-	e.I64sVar(seq)
-	e.I64sVar(thread)
-	e.I64sVar(lo)
-	e.I64sVar(hi)
-	e.U64s(start)
-	e.U64s(end)
-	e.U64sVar(bookkeep)
-	counterCols(&e, n, func(i int) *counters7 { return &flat[i] })
-	return e.Bytes()
+	return c
 }
 
-func encodeV2Bookkeeps(bks []*profile.BookkeepRecord) []byte {
+func gatherBookkeeps(bks []*profile.BookkeepRecord) *v2Bookkeeps {
 	n := len(bks)
-	loop := make([]int64, n)
-	thread := make([]int64, n)
-	grabs := make([]int64, n)
-	total := make([]uint64, n)
-	for i, b := range bks {
-		loop[i] = int64(b.Loop)
-		thread[i] = int64(b.Thread)
-		grabs[i] = int64(b.Grabs)
-		total[i] = b.Total
+	c := &v2Bookkeeps{
+		loop:   make([]profile.LoopID, n),
+		thread: make([]int, n),
+		grabs:  make([]int, n),
+		total:  make([]profile.Time, n),
 	}
-	var e colenc.Buf
-	e.I64sVar(loop)
-	e.I64sVar(thread)
-	e.I64sVar(grabs)
-	e.U64sVar(total)
-	return e.Bytes()
+	for i, b := range bks {
+		c.loop[i], c.thread[i], c.grabs[i], c.total[i] = b.Loop, b.Thread, b.Grabs, b.Total
+	}
+	return c
 }
 
-// encodeV2Graph serializes the built graph's columns: node section (grain
-// dictionary + per-node attributes), counter section, and edge section
-// (edge columns + each grain's entry/exit node from FirstNode/LastNode,
-// indexed by dictionary position, -1 when absent).
-func encodeV2Graph(tr *profile.Trace, g *core.Graph, dict []string, dictIdx map[profile.GrainID]int32) (nodes, nodeCtrs, edges []byte, err error) {
-	c := g.ExportColumns()
-	nn := len(c.Kind)
-	grainRef := make([]uint32, nn)
-	for i, id := range c.Grain {
-		ref, ok := dictIdx[id]
+// gatherGraph builds the three graph sections. The store's own columns are
+// aliased, not copied; gathered beside them are the grain dictionary in
+// the canonical order (tasks, then chunks — the same order Build assigns
+// entry/exit map entries), each node's dictionary reference, the
+// transposed counters, and each dictionary grain's entry/exit node from
+// FirstNode/LastNode (-1 when absent).
+func gatherGraph(tr *profile.Trace, g *core.Graph) (*v2Nodes, *v2Counters, *v2Edges, error) {
+	dict := make([]profile.GrainID, 0, len(tr.Tasks)+len(tr.Chunks))
+	idx := make(map[profile.GrainID]uint32, cap(dict))
+	for _, t := range tr.Tasks {
+		idx[t.ID] = uint32(len(dict))
+		dict = append(dict, t.ID)
+	}
+	for _, ck := range tr.Chunks {
+		id := tr.ChunkGrainID(ck)
+		idx[id] = uint32(len(dict))
+		dict = append(dict, id)
+	}
+
+	gc := g.ExportColumns()
+	nn := len(gc.Kind)
+	nodes := &v2Nodes{dict: dict, grainRef: make([]uint32, nn), g: &gc}
+	ctrs := &v2Counters{}
+	ctrs.alloc(nn)
+	for i, id := range gc.Grain {
+		ref, ok := idx[id]
 		if !ok {
 			return nil, nil, nil, fmt.Errorf("ggp: node %d grain %q not in trace dictionary", i, id)
 		}
-		grainRef[i] = uint32(ref)
+		nodes.grainRef[i] = ref
+		ctrs.set(i, &gc.Counters[i])
 	}
-	loop := make([]int64, nn)
-	seq := make([]int64, nn)
-	coreCol := make([]int64, nn)
-	members := make([]int64, nn)
-	for i := 0; i < nn; i++ {
-		loop[i] = int64(c.Loop[i])
-		seq[i] = int64(c.Seq[i])
-		coreCol[i] = int64(c.Core[i])
-		members[i] = int64(c.Members[i])
-	}
-	var e colenc.Buf
-	e.Strs(dict)
-	e.U8s(c.Kind)
-	e.U32s(grainRef)
-	e.I64sVar(loop)
-	e.I64sVar(seq)
-	e.I64sVar(coreCol)
-	e.I64sVar(members)
-	e.Strs(c.Label)
-	e.U64s(c.Start)
-	e.U64s(c.End)
-	e.U64s(c.Weight)
-	nodes = e.Bytes()
 
-	var ec colenc.Buf
-	counterCols(&ec, nn, func(i int) *counters7 {
-		v := &c.Counters[i]
-		return &counters7{v.Accesses, v.L1Miss, v.L2Miss, v.L3Miss, v.Remote, v.Stall, v.Compute}
-	})
-	nodeCtrs = ec.Bytes()
-
-	ne := len(c.EdgeFrom)
-	from := make([]uint32, ne)
-	to := make([]uint32, ne)
-	for i := 0; i < ne; i++ {
-		from[i] = uint32(c.EdgeFrom[i])
-		to[i] = uint32(c.EdgeTo[i])
-	}
-	first := make([]int64, len(dict))
-	last := make([]int64, len(dict))
+	edges := &v2Edges{g: &gc, first: make([]core.NodeID, len(dict)), last: make([]core.NodeID, len(dict))}
 	for i := range dict {
-		first[i], last[i] = -1, -1
+		edges.first[i], edges.last[i] = -1, -1
 	}
-	for id, nd := range g.FirstNode {
-		ref, ok := dictIdx[id]
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("ggp: entry grain %q not in trace dictionary", id)
+	for _, m := range [...]struct {
+		col   []core.NodeID
+		nodes map[profile.GrainID]core.NodeID
+	}{{edges.first, g.FirstNode}, {edges.last, g.LastNode}} {
+		for id, nd := range m.nodes {
+			ref, ok := idx[id]
+			if !ok {
+				return nil, nil, nil, fmt.Errorf("ggp: entry/exit grain %q not in trace dictionary", id)
+			}
+			m.col[ref] = nd
 		}
-		first[ref] = int64(nd)
 	}
-	for id, nd := range g.LastNode {
-		ref, ok := dictIdx[id]
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("ggp: exit grain %q not in trace dictionary", id)
-		}
-		last[ref] = int64(nd)
-	}
-	var ee colenc.Buf
-	ee.U32s(from)
-	ee.U32s(to)
-	ee.U8s(c.EdgeKind)
-	ee.I64sVar(first)
-	ee.I64sVar(last)
-	edges = ee.Bytes()
-	return nodes, nodeCtrs, edges, nil
-}
-
-func encodeV2Levels(off, nodes, level []int32) []byte {
-	offU := make([]uint32, len(off))
-	for i, v := range off {
-		offU[i] = uint32(v)
-	}
-	nodesU := make([]uint32, len(nodes))
-	for i, v := range nodes {
-		nodesU[i] = uint32(v)
-	}
-	levelU := make([]uint64, len(level))
-	for i, v := range level {
-		levelU[i] = uint64(v)
-	}
-	var e colenc.Buf
-	e.U32s(offU)
-	e.U32s(nodesU)
-	e.U64sVar(levelU)
-	return e.Bytes()
+	return nodes, ctrs, edges, nil
 }

@@ -17,34 +17,42 @@ import (
 // the column structure against the graph it is attached to, so a payload
 // that slipped past the key check can not index out of bounds.
 
+// schema is the sidecar's layout: the index's own columns, in file order.
+// The per-slot columns come in two runs with the CSRs between them.
+func (ix *Index) schema() []colenc.Col {
+	return []colenc.Col{
+		colenc.SameRows(
+			colenc.Strs(&ix.ids),
+			colenc.Ivar(&ix.depth),
+			colenc.Ivar(&ix.par),
+		),
+		colenc.U32(&ix.childOff),
+		colenc.U32(&ix.childIdx),
+		colenc.U32(&ix.ownerOf),
+		colenc.U32(&ix.nodeOff),
+		colenc.U32(&ix.nodeIdx),
+		colenc.SameRows(
+			colenc.Ivar(&ix.ownWork),
+			colenc.Bool(&ix.critSelf),
+			colenc.Ivar(&ix.probSelf),
+			colenc.Ivar(&ix.subWork),
+			colenc.Ivar(&ix.subNodes),
+			colenc.Ivar(&ix.subTasks),
+			colenc.Ivar(&ix.subProbs),
+			colenc.Bool(&ix.critSub),
+			colenc.U64(&ix.startMin),
+			colenc.U64(&ix.endMax),
+		),
+	}
+}
+
 // Encode serializes the index columns.
 func (ix *Index) Encode() []byte {
-	ids := make([]string, len(ix.ids))
-	for i, id := range ix.ids {
-		ids[i] = string(id)
-	}
-	var e colenc.Buf
-	e.Strs(ids)
-	e.I64sVar(int32s(ix.depth))
-	e.I64sVar(int32s(ix.par))
-	e.U32s(uint32s(ix.childOff))
 	// Build over-allocates childIdx to numSlots; only the CSR-covered
 	// prefix carries data, so serialize exactly that.
-	e.U32s(uint32s(ix.childIdx[:ix.childOff[len(ix.childOff)-1]]))
-	e.U32s(uint32s(ix.ownerOf))
-	e.U32s(uint32s(ix.nodeOff))
-	e.U32s(uint32s(ix.nodeIdx))
-	e.I64sVar(ix.ownWork)
-	e.Bools(ix.critSelf)
-	e.I64sVar(int32s(ix.probSelf))
-	e.I64sVar(ix.subWork)
-	e.I64sVar(int32s(ix.subNodes))
-	e.I64sVar(int32s(ix.subTasks))
-	e.I64sVar(int32s(ix.subProbs))
-	e.Bools(ix.critSub)
-	e.U64s(ix.startMin)
-	e.U64s(ix.endMax)
-	return e.Bytes()
+	trimmed := *ix
+	trimmed.childIdx = ix.childIdx[:ix.childOff[len(ix.childOff)-1]]
+	return colenc.Encode(trimmed.schema()...)
 }
 
 // DecodeIndex reconstructs an index from an encoded payload and attaches
@@ -52,88 +60,20 @@ func (ix *Index) Encode() []byte {
 // violations, node ownership not covering g — yield an error; the caller
 // falls back to Build.
 func DecodeIndex(g *core.Graph, data []byte) (*Index, error) {
-	d := colenc.NewReader(data)
 	ix := &Index{g: g}
-	ids, err := d.Strs()
-	if err != nil {
-		return nil, err
+	if err := colenc.Decode(data, ix.schema()...); err != nil {
+		return nil, fmt.Errorf("lod: decode: %w", err)
 	}
-	n := len(ids)
-	ix.ids = make([]profile.GrainID, n)
+	n := len(ix.ids)
+	if len(ix.ownWork) != n {
+		return nil, fmt.Errorf("lod: decode: rollup columns have %d rows, want %d", len(ix.ownWork), n)
+	}
 	ix.slots = make(map[profile.GrainID]int32, n)
-	for i, s := range ids {
-		id := profile.GrainID(s)
-		ix.ids[i] = id
+	for i, id := range ix.ids {
 		if _, dup := ix.slots[id]; dup {
 			return nil, fmt.Errorf("lod: decode: duplicate slot id %q", id)
 		}
 		ix.slots[id] = int32(i)
-	}
-	if ix.depth, err = decI32(d); err != nil {
-		return nil, err
-	}
-	if ix.par, err = decI32(d); err != nil {
-		return nil, err
-	}
-	if ix.childOff, err = decU32I32(d); err != nil {
-		return nil, err
-	}
-	if ix.childIdx, err = decU32I32(d); err != nil {
-		return nil, err
-	}
-	if ix.ownerOf, err = decU32I32(d); err != nil {
-		return nil, err
-	}
-	if ix.nodeOff, err = decU32I32(d); err != nil {
-		return nil, err
-	}
-	if ix.nodeIdx, err = decU32I32(d); err != nil {
-		return nil, err
-	}
-	if ix.ownWork, err = d.I64sVar(); err != nil {
-		return nil, err
-	}
-	if ix.critSelf, err = d.Bools(); err != nil {
-		return nil, err
-	}
-	if ix.probSelf, err = decI32(d); err != nil {
-		return nil, err
-	}
-	if ix.subWork, err = d.I64sVar(); err != nil {
-		return nil, err
-	}
-	if ix.subNodes, err = decI32(d); err != nil {
-		return nil, err
-	}
-	if ix.subTasks, err = decI32(d); err != nil {
-		return nil, err
-	}
-	if ix.subProbs, err = decI32(d); err != nil {
-		return nil, err
-	}
-	if ix.critSub, err = d.Bools(); err != nil {
-		return nil, err
-	}
-	if ix.startMin, err = d.U64s(); err != nil {
-		return nil, err
-	}
-	if ix.endMax, err = d.U64s(); err != nil {
-		return nil, err
-	}
-	if !d.Done() {
-		return nil, fmt.Errorf("lod: decode: %d trailing bytes", d.Remaining())
-	}
-
-	for name, l := range map[string]int{
-		"depth": len(ix.depth), "par": len(ix.par), "ownWork": len(ix.ownWork),
-		"critSelf": len(ix.critSelf), "probSelf": len(ix.probSelf),
-		"subWork": len(ix.subWork), "subNodes": len(ix.subNodes),
-		"subTasks": len(ix.subTasks), "subProbs": len(ix.subProbs),
-		"critSub": len(ix.critSub), "startMin": len(ix.startMin), "endMax": len(ix.endMax),
-	} {
-		if l != n {
-			return nil, fmt.Errorf("lod: decode: column %s has %d rows, want %d", name, l, n)
-		}
 	}
 	for _, p := range ix.par {
 		if p < -1 || int(p) >= n {
@@ -175,50 +115,4 @@ func checkCSR(name string, off, idx []int32, n, bound int) error {
 		}
 	}
 	return nil
-}
-
-func int32s(v []int32) []int64 {
-	out := make([]int64, len(v))
-	for i, x := range v {
-		out[i] = int64(x)
-	}
-	return out
-}
-
-func uint32s(v []int32) []uint32 {
-	out := make([]uint32, len(v))
-	for i, x := range v {
-		out[i] = uint32(x)
-	}
-	return out
-}
-
-func decI32(d *colenc.Reader) ([]int32, error) {
-	v, err := d.I64sVar()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(v))
-	for i, x := range v {
-		if x < -(1<<31) || x >= (1<<31) {
-			return nil, fmt.Errorf("lod: decode: value %d overflows int32", x)
-		}
-		out[i] = int32(x)
-	}
-	return out, nil
-}
-
-func decU32I32(d *colenc.Reader) ([]int32, error) {
-	v, err := d.U32s()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, len(v))
-	for i, x := range v {
-		if x >= 1<<31 {
-			return nil, fmt.Errorf("lod: decode: value %d overflows int32", x)
-		}
-		out[i] = int32(x)
-	}
-	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"graingraph/internal/colenc"
+	"graingraph/internal/colenc/colenctest"
 	"graingraph/internal/export"
 	"graingraph/internal/query"
 )
@@ -59,6 +61,15 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIndexSchema runs the shared column-schema contract over the index
+// layout. The CSR columns sit outside the two per-slot row groups.
+func TestIndexSchema(t *testing.T) {
+	colenctest.Schema(t, func() (any, []colenc.Col) {
+		ix := &Index{}
+		return ix, ix.schema()
+	}, "childOff", "childIdx", "ownerOf", "nodeOff", "nodeIdx")
 }
 
 // TestIndexCodecRejectsMalformed fails closed on damaged payloads and on

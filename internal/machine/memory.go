@@ -62,7 +62,6 @@ type Memory struct {
 	policy Policy
 	next   int64   // bump allocator cursor
 	pages  []int16 // page index -> NUMA node; -1 = not yet placed
-	placed int     // pages assigned so far
 	rr     int     // next node for round-robin placement
 }
 
@@ -112,7 +111,6 @@ func (m *Memory) NodeOf(addr int64, touchingCore int) int {
 		panic(fmt.Sprintf("machine: unknown policy %v", m.policy))
 	}
 	m.pages[page] = int16(node)
-	m.placed++
 	return node
 }
 
@@ -146,15 +144,11 @@ func (m *Memory) PlacedPages() []int {
 	return counts
 }
 
-// NumPlaced returns the total number of pages assigned so far.
-func (m *Memory) NumPlaced() int { return m.placed }
-
 // Reset forgets all page placements (but not allocations), so a fresh run
 // can re-apply first-touch placement.
 func (m *Memory) Reset() {
 	for i := range m.pages {
 		m.pages[i] = -1
 	}
-	m.placed = 0
 	m.rr = 0
 }

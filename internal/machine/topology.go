@@ -79,6 +79,3 @@ func (t *Topology) CoreDistance(a, b int) int {
 	}
 	return b - a
 }
-
-// SameSocket reports whether two cores share a socket.
-func (t *Topology) SameSocket(a, b int) bool { return t.Socket(a) == t.Socket(b) }

@@ -13,24 +13,35 @@ import (
 // bit-exact and query output over a decoded table is byte-identical to
 // output over the freshly built one.
 
+// A table's layout is data: two leading scalars (row count, column
+// count), then per column its head and its rows.
+
+// head is a column's leading fields: its name, and its kind as a
+// one-element byte vector.
+func (c *Column) head(kind *[]Kind) []colenc.Col {
+	return []colenc.Col{colenc.Str(&c.Name), colenc.U8(kind)}
+}
+
+// data is the column's rows in the encoding of its kind.
+func (c *Column) data() colenc.Col {
+	switch c.Kind {
+	case Float:
+		return colenc.F64(&c.F)
+	case Int:
+		return colenc.Ivar(&c.I)
+	default:
+		return colenc.Strs(&c.S)
+	}
+}
+
 // EncodeTable serializes a table's schema and columns.
 func EncodeTable(t *Table) []byte {
-	var e colenc.Buf
-	e.Uvarint(uint64(t.rows))
-	e.Uvarint(uint64(len(t.cols)))
+	rows, ncols := int32(t.rows), int32(len(t.cols))
+	cols := []colenc.Col{colenc.Uvarint(&rows), colenc.Uvarint(&ncols)}
 	for _, c := range t.cols {
-		e.Str(c.Name)
-		e.U8s([]uint8{uint8(c.Kind)})
-		switch c.Kind {
-		case Float:
-			e.F64s(c.F)
-		case Int:
-			e.I64sVar(c.I)
-		default:
-			e.Strs(c.S)
-		}
+		cols = append(append(cols, c.head(&[]Kind{c.Kind})...), c.data())
 	}
-	return e.Bytes()
+	return colenc.Encode(cols...)
 }
 
 // DecodeTable reconstructs a table from an EncodeTable payload. Malformed
@@ -38,68 +49,41 @@ func EncodeTable(t *Table) []byte {
 // trailing bytes — yields an error, never a panic; the caller falls back
 // to rebuilding the table.
 func DecodeTable(data []byte) (*Table, error) {
-	d := colenc.NewReader(data)
-	rows, err := d.Uvarint()
+	var rows, ncols int32
+	rest, err := colenc.DecodePrefix(data, colenc.Uvarint(&rows), colenc.Uvarint(&ncols))
 	if err != nil {
 		return nil, err
 	}
-	ncols, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if rows > uint64(1)<<31 || ncols > 4096 {
+	if ncols > 4096 {
 		return nil, fmt.Errorf("query: decode: implausible table shape %d x %d", rows, ncols)
 	}
 	t := NewTable(int(rows))
-	for ci := uint64(0); ci < ncols; ci++ {
-		name, err := d.Str()
-		if err != nil {
+	for ci := int32(0); ci < ncols; ci++ {
+		c := &Column{}
+		var kind []Kind
+		if rest, err = colenc.DecodePrefix(rest, c.head(&kind)...); err != nil {
 			return nil, err
 		}
-		kindv, err := d.U8s()
-		if err != nil {
+		if len(kind) != 1 {
+			return nil, fmt.Errorf("query: decode: column %q has malformed kind", c.Name)
+		}
+		if c.Kind = kind[0]; c.Kind > Str {
+			return nil, fmt.Errorf("query: decode: column %q has unknown kind %d", c.Name, c.Kind)
+		}
+		if rest, err = colenc.DecodePrefix(rest, c.data()); err != nil {
 			return nil, err
 		}
-		if len(kindv) != 1 {
-			return nil, fmt.Errorf("query: decode: column %q has malformed kind", name)
-		}
-		if _, dup := t.byName[name]; dup {
-			return nil, fmt.Errorf("query: decode: duplicate column %q", name)
-		}
-		c := &Column{Name: name, Kind: Kind(kindv[0])}
-		switch c.Kind {
-		case Float:
-			if c.F, err = d.F64s(); err != nil {
-				return nil, err
-			}
-			if c.F == nil {
-				c.F = []float64{}
-			}
-		case Int:
-			if c.I, err = d.I64sVar(); err != nil {
-				return nil, err
-			}
-			if c.I == nil {
-				c.I = []int64{}
-			}
-		case Str:
-			if c.S, err = d.Strs(); err != nil {
-				return nil, err
-			}
-			if c.S == nil {
-				c.S = []string{}
-			}
-		default:
-			return nil, fmt.Errorf("query: decode: column %q has unknown kind %d", name, kindv[0])
+		if _, dup := t.byName[c.Name]; dup {
+			return nil, fmt.Errorf("query: decode: duplicate column %q", c.Name)
 		}
 		if c.len() != int(rows) {
-			return nil, fmt.Errorf("query: decode: column %q has %d rows, table claims %d", name, c.len(), rows)
+			return nil, fmt.Errorf("query: decode: column %q has %d rows, table claims %d", c.Name, c.len(), rows)
 		}
 		t.cols = append(t.cols, c)
-		t.byName[name] = c
+		t.byName[c.Name] = c
 	}
-	if !d.Done() {
-		return nil, fmt.Errorf("query: decode: %d trailing bytes", d.Remaining())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("query: decode: %d trailing bytes", len(rest))
 	}
 	return t, nil
 }

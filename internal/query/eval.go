@@ -24,22 +24,6 @@ func (e *Expr) EvalBool(t *Table, pool *runpool.Runner, out []bool) error {
 	return nil
 }
 
-// EvalNum evaluates e as a numeric row expression over t, filling out
-// (NumRows long) across the pool.
-func (e *Expr) EvalNum(t *Table, pool *runpool.Runner, out []float64) error {
-	isBool, isStr, err := e.root.check(t)
-	if err != nil {
-		return err
-	}
-	if isBool || isStr {
-		return errf(e.src, "expression is not numeric")
-	}
-	runpool.ParallelFor(pool, t.rows, exprChunk, func(_, lo, hi int) {
-		e.root.evalNum(t, lo, hi, out[lo:hi])
-	})
-	return nil
-}
-
 // FilterRows returns the row indices of t satisfying e, in ascending row
 // order: the predicate evaluates in fixed chunks across the pool, and the
 // per-chunk matches assemble in chunk order, so the selection is identical

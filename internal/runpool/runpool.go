@@ -56,14 +56,6 @@ func (r *Runner) SetTelemetry(t *obs.PoolTelemetry) {
 	}
 }
 
-// Telemetry returns the attached telemetry, or nil.
-func (r *Runner) Telemetry() *obs.PoolTelemetry {
-	if r == nil {
-		return nil
-	}
-	return r.tel
-}
-
 // telemetry returns r's telemetry for use inside fan-outs (nil when
 // detached or when r itself is nil).
 func telemetry(r *Runner) *obs.PoolTelemetry {
