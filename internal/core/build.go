@@ -18,6 +18,8 @@ import (
 func Build(tr *profile.Trace) *Graph {
 	g := newGraph(tr)
 	g.Reserve(estimateSize(tr))
+	nb := tr.Numbering()
+	g.FirstNode, g.LastNode = noSpans(nb.NumGrains()), noSpans(nb.NumGrains())
 
 	// boundaryNodes[taskIdx][boundaryIdx] is the fork/join node created for
 	// that boundary (loops record their fork node here).
@@ -32,19 +34,20 @@ func Build(tr *profile.Trace) *Graph {
 	for _, bk := range tr.Bookkeeps {
 		bkTotals[loopThreadKey{bk.Loop, bk.Thread}] = bk
 	}
-	chunksByLoop := make(map[profile.LoopID][]*profile.ChunkRecord)
-	for _, ck := range tr.Chunks {
-		chunksByLoop[ck.Loop] = append(chunksByLoop[ck.Loop], ck)
+	chunksByLoop := make(map[profile.LoopID][]int32) // indexes into tr.Chunks
+	for j, ck := range tr.Chunks {
+		chunksByLoop[ck.Loop] = append(chunksByLoop[ck.Loop], int32(j))
 	}
 
 	// Pass 1: nodes and intra-context edges.
 	for ti, task := range tr.Tasks {
 		var prev NodeID = -1
+		num, row := int32(ti), nb.BoundOff[ti]
 		for fi := range task.Fragments {
 			f := &task.Fragments[fi]
 			n := g.appendNode(Node{
 				Kind:     NodeFragment,
-				Grain:    task.ID,
+				GrainNum: num,
 				Seq:      fi,
 				Label:    string(task.ID) + "/" + strconv.Itoa(fi),
 				Start:    f.Start,
@@ -54,9 +57,9 @@ func Build(tr *profile.Trace) *Graph {
 				Counters: f.Counters,
 			})
 			if fi == 0 {
-				g.FirstNode[task.ID] = n
+				g.FirstNode[ti] = n
 			}
-			g.LastNode[task.ID] = n
+			g.LastNode[ti] = n
 			if prev >= 0 {
 				g.appendEdge(prev, n, EdgeContinuation)
 			}
@@ -68,32 +71,32 @@ func Build(tr *profile.Trace) *Graph {
 				switch b.Kind {
 				case profile.BoundaryFork:
 					var cost profile.Time
-					if child := tr.Task(b.Child); child != nil {
-						cost = child.CreateCost
+					if child := nb.Child[row+int32(fi)]; child >= 0 && int(child) < nb.Tasks {
+						cost = tr.Tasks[child].CreateCost
 					}
 					bn = g.appendNode(Node{
-						Kind:   NodeFork,
-						Grain:  task.ID,
-						Seq:    fi,
-						Label:  "fork",
-						Start:  b.At,
-						End:    b.At + cost,
-						Weight: cost,
-						Core:   f.Core,
+						Kind:     NodeFork,
+						GrainNum: num,
+						Seq:      fi,
+						Label:    "fork",
+						Start:    b.At,
+						End:      b.At + cost,
+						Weight:   cost,
+						Core:     f.Core,
 					})
 				case profile.BoundaryJoin:
 					bn = g.appendNode(Node{
-						Kind:   NodeJoin,
-						Grain:  task.ID,
-						Seq:    fi,
-						Label:  "join",
-						Start:  b.At,
-						End:    b.At + b.Suspended,
-						Weight: b.Wait,
-						Core:   f.Core,
+						Kind:     NodeJoin,
+						GrainNum: num,
+						Seq:      fi,
+						Label:    "join",
+						Start:    b.At,
+						End:      b.At + b.Suspended,
+						Weight:   b.Wait,
+						Core:     f.Core,
 					})
 				case profile.BoundaryLoop:
-					bn = g.expandLoop(b.Loop, task, fi, chunksByLoop[b.Loop], func(thread int) *profile.BookkeepRecord {
+					bn = g.expandLoop(b.Loop, num, fi, chunksByLoop[b.Loop], func(thread int) *profile.BookkeepRecord {
 						return bkTotals[loopThreadKey{b.Loop, thread}]
 					})
 				}
@@ -113,17 +116,16 @@ func Build(tr *profile.Trace) *Graph {
 	// Pass 2: cross-context creation and join edges.
 	for ti, task := range tr.Tasks {
 		for fi := range task.Boundaries {
-			b := &task.Boundaries[fi]
-			bn := boundaryNodes[ti][fi]
-			switch b.Kind {
+			bn, row := boundaryNodes[ti][fi], nb.BoundOff[ti]+int32(fi)
+			switch task.Boundaries[fi].Kind {
 			case profile.BoundaryFork:
-				if first, ok := g.FirstNode[b.Child]; ok {
-					g.appendEdge(bn, first, EdgeCreation)
+				if child := nb.Child[row]; child >= 0 && g.FirstNode[child] >= 0 {
+					g.appendEdge(bn, g.FirstNode[child], EdgeCreation)
 				}
 			case profile.BoundaryJoin:
-				for _, child := range b.Joined {
-					if last, ok := g.LastNode[child]; ok {
-						g.appendEdge(last, bn, EdgeJoin)
+				for _, child := range nb.JoinedOf(row) {
+					if child >= 0 && g.LastNode[child] >= 0 {
+						g.appendEdge(g.LastNode[child], bn, EdgeJoin)
 					}
 				}
 			}
@@ -170,58 +172,61 @@ func estimateSize(tr *profile.Trace) (nodes, edges int) {
 // expandLoop creates the loop's fork node, per-thread
 // bookkeeping/chunk chains, and join node; returns the fork node and
 // records the join node in g.lastLoopJoin.
-func (g *Graph) expandLoop(id profile.LoopID, master *profile.TaskRecord, fi int,
-	chunks []*profile.ChunkRecord,
+func (g *Graph) expandLoop(id profile.LoopID, master int32, fi int,
+	chunks []int32,
 	bkFor func(thread int) *profile.BookkeepRecord) NodeID {
 
 	tr := g.Trace
 	loop := tr.Loop(id)
+	firstChunk := int32(len(tr.Tasks)) // grain number of tr.Chunks[0]
 
 	fork := g.appendNode(Node{
-		Kind:    NodeFork,
-		Grain:   master.ID,
-		Loop:    id,
-		Seq:     fi,
-		Label:   fmt.Sprintf("loop %s", loop.Loc),
-		Start:   loop.Start,
-		End:     loop.Start,
-		Core:    loop.StartThread,
-		Members: len(loop.Threads), // conceptually one fork per thread chain
+		Kind:     NodeFork,
+		GrainNum: master,
+		Loop:     id,
+		Seq:      fi,
+		Label:    fmt.Sprintf("loop %s", loop.Loc),
+		Start:    loop.Start,
+		End:      loop.Start,
+		Core:     loop.StartThread,
+		Members:  len(loop.Threads), // conceptually one fork per thread chain
 	})
 	join := g.appendNode(Node{
-		Kind:  NodeJoin,
-		Grain: master.ID,
-		Loop:  id,
-		Seq:   fi,
-		Label: "loop join",
-		Start: loop.End,
-		End:   loop.End,
-		Core:  loop.StartThread,
+		Kind:     NodeJoin,
+		GrainNum: master,
+		Loop:     id,
+		Seq:      fi,
+		Label:    "loop join",
+		Start:    loop.End,
+		End:      loop.End,
+		Core:     loop.StartThread,
 	})
 
-	byThread := make(map[int][]*profile.ChunkRecord)
-	for _, ck := range chunks {
-		byThread[ck.Thread] = append(byThread[ck.Thread], ck)
+	byThread := make(map[int][]int32)
+	for _, j := range chunks {
+		th := tr.Chunks[j].Thread
+		byThread[th] = append(byThread[th], j)
 	}
 	for _, cks := range byThread {
-		sort.Slice(cks, func(i, j int) bool { return cks[i].Start < cks[j].Start })
+		sort.Slice(cks, func(i, j int) bool { return tr.Chunks[cks[i]].Start < tr.Chunks[cks[j]].Start })
 	}
 
 	for _, thread := range loop.Threads {
 		cks := byThread[thread]
 		var bkSpent profile.Time
 		prev := NodeID(-1)
-		for _, ck := range cks {
+		for _, j := range cks {
+			ck := tr.Chunks[j]
 			bk := g.appendNode(Node{
-				Kind:   NodeBookkeep,
-				Grain:  master.ID,
-				Loop:   id,
-				Seq:    ck.Seq,
-				Label:  "bk",
-				Start:  ck.Start - ck.Bookkeep,
-				End:    ck.Start,
-				Weight: ck.Bookkeep,
-				Core:   thread,
+				Kind:     NodeBookkeep,
+				GrainNum: master,
+				Loop:     id,
+				Seq:      ck.Seq,
+				Label:    "bk",
+				Start:    ck.Start - ck.Bookkeep,
+				End:      ck.Start,
+				Weight:   ck.Bookkeep,
+				Core:     thread,
 			})
 			bkSpent += ck.Bookkeep
 			if prev < 0 {
@@ -229,10 +234,10 @@ func (g *Graph) expandLoop(id profile.LoopID, master *profile.TaskRecord, fi int
 			} else {
 				g.appendEdge(prev, bk, EdgeContinuation)
 			}
-			cid := tr.ChunkGrainID(ck)
+			cid := firstChunk + j
 			cn := g.appendNode(Node{
 				Kind:     NodeChunk,
-				Grain:    cid,
+				GrainNum: cid,
 				Loop:     id,
 				Seq:      ck.Seq,
 				Label:    fmt.Sprintf("[%d,%d)", ck.Lo, ck.Hi),
@@ -253,13 +258,13 @@ func (g *Graph) expandLoop(id profile.LoopID, master *profile.TaskRecord, fi int
 			finalCost = rec.Total - bkSpent
 		}
 		fbk := g.appendNode(Node{
-			Kind:   NodeBookkeep,
-			Grain:  master.ID,
-			Loop:   id,
-			Seq:    len(cks),
-			Label:  "bk",
-			Weight: finalCost,
-			Core:   thread,
+			Kind:     NodeBookkeep,
+			GrainNum: master,
+			Loop:     id,
+			Seq:      len(cks),
+			Label:    "bk",
+			Weight:   finalCost,
+			Core:     thread,
 		})
 		if prev < 0 {
 			g.appendEdge(fork, fbk, EdgeCreation)

@@ -20,7 +20,7 @@ import (
 // writer serializes. All slices alias the store: read, don't mutate.
 type GraphColumns struct {
 	Kind     []uint8
-	Grain    []profile.GrainID
+	Grain    []int32 // grain numbers: the .ggp v2 dictionary references
 	Loop     []int32
 	Seq      []int32
 	Label    []string
@@ -60,12 +60,14 @@ func (g *Graph) ExportColumns() GraphColumns {
 // AdoptGraph assembles a Graph directly from decoded columns, taking
 // ownership of every slice. It performs the structural validation a decoder
 // needs — column lengths agree, enum values are in range, edge endpoints
-// are in bounds, entry/exit nodes exist — but does not re-run the full
+// are in bounds, grain numbers name grains of tr, entry/exit nodes exist
+// (first and last are indexed by grain number, -1 for none; nil for a
+// graph without the tables) — but does not re-run the full
 // acyclicity check; the v2 reader's per-section checksums guard against
 // corruption, exactly as the v1 stream checksum guards the event decoder.
 // Derived columns (critical flags, geometry, edge criticality) are
 // allocated zeroed; adjacency and level indexes stay lazy.
-func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last map[profile.GrainID]NodeID) (*Graph, error) {
+func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last []NodeID) (*Graph, error) {
 	n := len(c.Kind)
 	for name, l := range map[string]int{
 		"grain":    len(c.Grain),
@@ -87,9 +89,13 @@ func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last map[profile.Grain
 	if len(c.EdgeTo) != e || len(c.EdgeKind) != e {
 		return nil, fmt.Errorf("core: adopt: edge columns disagree (%d/%d/%d)", e, len(c.EdgeTo), len(c.EdgeKind))
 	}
+	grains := tr.NumGrains()
 	for i := 0; i < n; i++ {
 		if c.Kind[i] > uint8(NodeChunk) {
 			return nil, fmt.Errorf("core: adopt: node %d has invalid kind %d", i, c.Kind[i])
+		}
+		if c.Grain[i] < 0 || int(c.Grain[i]) >= grains {
+			return nil, fmt.Errorf("core: adopt: node %d grain number %d out of range [0,%d)", i, c.Grain[i], grains)
 		}
 		if c.Members[i] < 1 {
 			return nil, fmt.Errorf("core: adopt: node %d has members %d < 1", i, c.Members[i])
@@ -103,23 +109,21 @@ func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last map[profile.Grain
 			return nil, fmt.Errorf("core: adopt: edge %d has invalid kind %d", i, c.EdgeKind[i])
 		}
 	}
-	for id, nd := range first {
-		if nd < 0 || int(nd) >= n {
-			return nil, fmt.Errorf("core: adopt: first node of %q out of range", id)
+	for _, t := range [...]struct {
+		name  string
+		nodes []NodeID
+	}{{"first", first}, {"last", last}} {
+		if t.nodes != nil && len(t.nodes) != grains {
+			return nil, fmt.Errorf("core: adopt: %s-node table covers %d grains, want %d", t.name, len(t.nodes), grains)
+		}
+		for num, nd := range t.nodes {
+			if nd < -1 || int(nd) >= n {
+				return nil, fmt.Errorf("core: adopt: %s node %d of grain %d out of range [0,%d)", t.name, nd, num, n)
+			}
 		}
 	}
-	for id, nd := range last {
-		if nd < 0 || int(nd) >= n {
-			return nil, fmt.Errorf("core: adopt: last node of %q out of range", id)
-		}
-	}
-	if first == nil {
-		first = make(map[profile.GrainID]NodeID)
-	}
-	if last == nil {
-		last = make(map[profile.GrainID]NodeID)
-	}
-	g := &Graph{Trace: tr, FirstNode: first, LastNode: last}
+	g := newGraph(tr)
+	g.FirstNode, g.LastNode = first, last
 	s := &g.GraphStore
 	s.kind = c.Kind
 	s.grain = c.Grain

@@ -254,9 +254,9 @@ func BenchmarkAssembleColumnar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var s GraphStore
+		s := NewGraph(src.Trace)
 		for id := NodeID(0); id < NodeID(n); id++ {
-			s.AddNode(src.NodeAt(id))
+			s.AddNodeNum(src.NodeAt(id))
 		}
 		for j := 0; j < m; j++ {
 			e := src.EdgeAt(j)

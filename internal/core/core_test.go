@@ -88,7 +88,7 @@ func TestBuildFig3aStructure(t *testing.T) {
 func TestFragmentNodesCarryWeights(t *testing.T) {
 	tr := fig3aTrace(t, 2)
 	g := Build(tr)
-	bar := g.NodeAt(g.FirstNode["R.0"])
+	bar := g.NodeAt(g.First(g.LookupGrain("R.0")))
 	if bar.Kind != NodeFragment || bar.Weight != 4000 {
 		t.Errorf("bar node = kind %v weight %d, want fragment/4000", bar.Kind, bar.Weight)
 	}
@@ -241,7 +241,7 @@ func TestReduceFragments(t *testing.T) {
 		t.Errorf("reduced fragments = %d, want 3", kinds[NodeFragment])
 	}
 	// Aggregated weight preserved.
-	foo := rg.NodeAt(rg.FirstNode[profile.RootID])
+	foo := rg.NodeAt(rg.First(rg.LookupGrain(profile.RootID)))
 	if foo.Members != 4 {
 		t.Errorf("merged foo members = %d, want 4", foo.Members)
 	}
@@ -354,8 +354,8 @@ func TestLayoutProperties(t *testing.T) {
 		seen[p] = true
 	}
 	// bar computed 4000, baz 3000: bar's node must be at least as tall.
-	bar := g.NodeAt(g.FirstNode["R.0"])
-	baz := g.NodeAt(g.FirstNode["R.1"])
+	bar := g.NodeAt(g.First(g.LookupGrain("R.0")))
+	baz := g.NodeAt(g.First(g.LookupGrain("R.1")))
 	if bar.H < baz.H {
 		t.Errorf("bar height %f < baz height %f despite more work", bar.H, baz.H)
 	}
@@ -366,9 +366,9 @@ func TestLayoutChildrenLocalToParent(t *testing.T) {
 	g := Build(tr)
 	Layout(g)
 	// Children columns are to the right of the parent's column.
-	rootX := g.NodeAt(g.FirstNode[profile.RootID]).X
+	rootX := g.NodeAt(g.First(g.LookupGrain(profile.RootID))).X
 	for _, id := range []profile.GrainID{"R.0", "R.1"} {
-		if g.NodeAt(g.FirstNode[id]).X <= rootX {
+		if g.NodeAt(g.First(g.LookupGrain(id))).X <= rootX {
 			t.Errorf("child %s not to the right of parent", id)
 		}
 	}
@@ -455,7 +455,7 @@ func TestInlinedTasksStillInGraph(t *testing.T) {
 	// All 6 children present regardless of inlining.
 	for i := 0; i < 6; i++ {
 		id := profile.ChildID(profile.RootID, i)
-		if _, ok := g.FirstNode[id]; !ok {
+		if g.First(g.LookupGrain(id)) < 0 {
 			t.Errorf("grain %s missing from graph", id)
 		}
 	}

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"graingraph/internal/cache"
 	"graingraph/internal/profile"
@@ -72,7 +73,10 @@ type Node struct {
 
 	// Grain is the owning grain: the task a fragment belongs to (fork/join
 	// nodes belong to the task that executed them), or the chunk's ID.
-	Grain profile.GrainID
+	// GrainNum is the same grain as a number (see Graph): NodeAt fills
+	// both, AddNode resolves Grain, AddNodeNum trusts GrainNum.
+	Grain    profile.GrainID
+	GrainNum int32
 	// Loop is set for bookkeep/chunk nodes and fork/join nodes expanded
 	// from a BoundaryLoop.
 	Loop profile.LoopID
@@ -138,42 +142,174 @@ type Edge struct {
 }
 
 // Graph is the grain graph: a DAG stored columnarly in the embedded
-// GraphStore, plus an index from grain IDs to their node spans.
+// GraphStore, plus an index from grains to their node spans.
+//
+// Nodes name their grain by number. The numbers are the trace's (see
+// profile.Numbering): Tasks[i] is i, Chunks[j] is len(Tasks)+j. A graph
+// assembled by hand may name grains its trace does not record; those are
+// numbered from NumGrains() on, in the order the graph first saw them.
 type Graph struct {
 	Trace *profile.Trace
 	GraphStore
 
-	// FirstNode / LastNode map a grain to its entry and exit nodes (first
-	// and last fragment for tasks; the chunk node itself for chunks).
-	FirstNode map[profile.GrainID]NodeID
-	LastNode  map[profile.GrainID]NodeID
+	// FirstNode / LastNode give a grain's entry and exit nodes by grain
+	// number (first and last fragment for tasks; the chunk node itself for
+	// chunks), -1 for a grain without nodes. Build and AdoptGraph size them
+	// to the trace's grain count; hand-assembled graphs grow them through
+	// SetSpan, and windowed graphs leave them nil. Read through First unless
+	// the length is known.
+	FirstNode []NodeID
+	LastNode  []NodeID
+
+	// ids is the trace's id table; extra holds the IDs of the grains the
+	// trace does not record, extraNum their numbers. Only hand-assembled
+	// graphs and dangling references ever reach them; extraMu makes that
+	// rare path safe beside concurrent analyses of a shared graph.
+	ids      []profile.GrainID
+	extraMu  sync.RWMutex
+	extra    []profile.GrainID
+	extraNum map[profile.GrainID]int32
+
+	// owners caches the owner-task table (owners.go).
+	ownersMu sync.Mutex
+	owners   *Owners
 
 	// lastLoopJoin carries the most recent loop's join node between
 	// expandLoop and the builder (construction is single-goroutine).
 	lastLoopJoin NodeID
 }
 
-// newGraph allocates an empty graph bound to tr. The entry/exit maps hold
-// one entry per task and chunk grain; sizing them upfront avoids ~20
-// incremental rehashes on million-grain traces.
+// newGraph allocates an empty graph bound to tr.
 func newGraph(tr *profile.Trace) *Graph {
-	grains := len(tr.Tasks) + len(tr.Chunks)
-	return &Graph{
-		Trace:     tr,
-		FirstNode: make(map[profile.GrainID]NodeID, grains),
-		LastNode:  make(map[profile.GrainID]NodeID, grains),
+	g := &Graph{Trace: tr}
+	if tr != nil {
+		g.ids = tr.Numbering().IDs
 	}
+	return g
 }
 
 // NewGraph allocates an empty graph bound to tr, for callers that assemble
-// graphs by hand (synthetic what-if scenarios, determinism tests) rather
-// than through Build.
+// graphs by hand (synthetic what-if scenarios, determinism tests, windowed
+// views) rather than through Build.
 func NewGraph(tr *profile.Trace) *Graph { return newGraph(tr) }
 
-// AddNode appends a node (its ID field is ignored and assigned fresh) and
-// returns its ID. FirstNode/LastNode bookkeeping is the caller's
-// responsibility.
-func (g *Graph) AddNode(n Node) NodeID { return g.appendNode(n) }
+// noSpans returns an entry/exit table of n grains without nodes.
+func noSpans(n int) []NodeID {
+	t := make([]NodeID, n)
+	for i := range t {
+		t[i] = -1
+	}
+	return t
+}
+
+// NumGrainNums returns the size of the graph's grain number space: the
+// trace's grains plus the ones only this graph names.
+func (g *Graph) NumGrainNums() int {
+	g.extraMu.RLock()
+	defer g.extraMu.RUnlock()
+	return len(g.ids) + len(g.extra)
+}
+
+// GrainID returns the ID of grain number num.
+func (g *Graph) GrainID(num int32) profile.GrainID {
+	if int(num) < len(g.ids) {
+		return g.ids[num]
+	}
+	g.extraMu.RLock()
+	defer g.extraMu.RUnlock()
+	return g.extra[int(num)-len(g.ids)]
+}
+
+// Grain returns node n's owning grain ID.
+func (g *Graph) Grain(n NodeID) profile.GrainID { return g.GrainID(g.grain[n]) }
+
+// LookupGrain returns the number of the grain with the given ID, or -1
+// when neither the trace nor this graph knows it.
+func (g *Graph) LookupGrain(id profile.GrainID) int32 {
+	if g.Trace != nil {
+		if n := g.Trace.Lookup(id); n >= 0 {
+			return n
+		}
+	}
+	g.extraMu.RLock()
+	defer g.extraMu.RUnlock()
+	if n, ok := g.extraNum[id]; ok {
+		return n
+	}
+	return -1
+}
+
+// NumOf returns the number of the grain a unified-view row describes. A
+// row of this graph's own trace carries it — checked against the id table,
+// a pointer comparison when it matches; any other row is looked up by ID.
+func (g *Graph) NumOf(gr *profile.Grain) int32 {
+	if n := gr.Num; n >= 0 && int(n) < len(g.ids) && g.ids[n] == gr.ID {
+		return n
+	}
+	return g.LookupGrain(gr.ID)
+}
+
+// InternGrain is LookupGrain that numbers an unknown ID instead of
+// failing — how a hand-assembled graph names a grain no trace records.
+func (g *Graph) InternGrain(id profile.GrainID) int32 {
+	if n := g.LookupGrain(id); n >= 0 {
+		return n
+	}
+	g.extraMu.Lock()
+	defer g.extraMu.Unlock()
+	if n, ok := g.extraNum[id]; ok {
+		return n
+	}
+	n := int32(len(g.ids) + len(g.extra))
+	if g.extraNum == nil {
+		g.extraNum = make(map[profile.GrainID]int32)
+	}
+	g.extraNum[id] = n
+	g.extra = append(g.extra, id)
+	return n
+}
+
+// First returns grain num's entry node, or -1.
+func (g *Graph) First(num int32) NodeID {
+	if int(num) < len(g.FirstNode) {
+		return g.FirstNode[num]
+	}
+	return -1
+}
+
+// SetSpan records grain num's entry and exit nodes, growing the tables to
+// cover num.
+func (g *Graph) SetSpan(num int32, first, last NodeID) {
+	for int(num) >= len(g.FirstNode) {
+		g.FirstNode = append(g.FirstNode, -1)
+		g.LastNode = append(g.LastNode, -1)
+	}
+	g.FirstNode[num], g.LastNode[num] = first, last
+}
+
+// AddNode appends a node (its ID field is ignored and assigned fresh),
+// resolving its Grain ID to a number, and returns its ID.
+// FirstNode/LastNode bookkeeping is the caller's responsibility.
+func (g *Graph) AddNode(n Node) NodeID {
+	n.GrainNum = g.InternGrain(n.Grain)
+	return g.AddNodeNum(n)
+}
+
+// AddNodeNum is AddNode for a caller that knows the grain's number: it
+// trusts n.GrainNum and ignores n.Grain.
+func (g *Graph) AddNodeNum(n Node) NodeID {
+	g.owners = nil
+	return g.appendNode(n)
+}
+
+// NodeAt materializes node n as a Node value — the convenient row view
+// for cold paths (export, tests). Hot loops should read the individual
+// columns instead.
+func (g *Graph) NodeAt(n NodeID) Node {
+	nd := g.GraphStore.nodeAt(n)
+	nd.Grain = g.GrainID(nd.GrainNum)
+	return nd
+}
 
 // AddEdge appends an edge.
 func (g *Graph) AddEdge(from, to NodeID, kind EdgeKind) { g.appendEdge(from, to, kind) }
@@ -287,15 +423,15 @@ func (g *Graph) Topological() []NodeID {
 	return order
 }
 
-// CriticalGrains returns the set of grain IDs whose fragment or chunk
-// nodes lie on the marked critical path. Run metrics.CriticalPath (or
+// CriticalGrains reports, by grain number, which grains have a fragment or
+// chunk node on the marked critical path. Run metrics.CriticalPath (or
 // metrics.Analyze) first; before that no node carries the Critical flag
-// and the result is empty.
-func (g *Graph) CriticalGrains() map[profile.GrainID]bool {
-	crit := make(map[profile.GrainID]bool)
+// and every entry is false.
+func (g *Graph) CriticalGrains() []bool {
+	crit := make([]bool, g.NumGrainNums())
 	for n := NodeID(0); n < NodeID(g.NumNodes()); n++ {
 		if g.Critical(n) && (g.Kind(n) == NodeFragment || g.Kind(n) == NodeChunk) {
-			crit[g.Grain(n)] = true
+			crit[g.grain[n]] = true
 		}
 	}
 	return crit

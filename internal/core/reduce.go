@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"graingraph/internal/profile"
 )
@@ -26,7 +27,7 @@ func ReduceFragments(g *Graph) *Graph {
 	return g.reduceBy(
 		func(g *Graph, n NodeID) (string, bool) {
 			if g.Kind(n) == NodeFragment {
-				return "f:" + string(g.Grain(n)), true
+				return "f:" + strconv.Itoa(int(g.GrainNum(n))), true
 			}
 			return "", false
 		},
@@ -36,7 +37,7 @@ func ReduceFragments(g *Graph) *Graph {
 			fk := g.Kind(from)
 			return kind == EdgeContinuation &&
 				(fk == NodeFork || fk == NodeJoin) &&
-				g.Kind(to) == NodeFragment && g.Grain(from) == g.Grain(to)
+				g.Kind(to) == NodeFragment && g.GrainNum(from) == g.GrainNum(to)
 		},
 	)
 }
@@ -47,8 +48,8 @@ func ReduceFragments(g *Graph) *Graph {
 func ReduceForks(g *Graph) *Graph {
 	// Key forks by (grain, index of the next join boundary at or after the
 	// fork) using the trace's boundary lists.
-	nextJoin := make(map[profile.GrainID][]int) // boundary idx -> next join idx
-	for _, task := range g.Trace.Tasks {
+	nextJoin := make([][]int, len(g.Trace.Tasks)) // per task: boundary idx -> next join idx
+	for ti, task := range g.Trace.Tasks {
 		idx := make([]int, len(task.Boundaries))
 		next := len(task.Boundaries) // "no further join"
 		for i := len(task.Boundaries) - 1; i >= 0; i-- {
@@ -57,18 +58,18 @@ func ReduceForks(g *Graph) *Graph {
 			}
 			idx[i] = next
 		}
-		nextJoin[task.ID] = idx
+		nextJoin[ti] = idx
 	}
 	return g.reduceBy(
 		func(g *Graph, n NodeID) (string, bool) {
 			if g.Kind(n) != NodeFork {
 				return "", false
 			}
-			idx := nextJoin[g.Grain(n)]
-			if g.Seq(n) >= len(idx) {
+			num := int(g.GrainNum(n))
+			if num >= len(nextJoin) || g.Seq(n) >= len(nextJoin[num]) {
 				return "", false
 			}
-			return fmt.Sprintf("k:%s:%d", g.Grain(n), idx[g.Seq(n)]), true
+			return fmt.Sprintf("k:%d:%d", num, nextJoin[num][g.Seq(n)]), true
 		},
 		nil,
 	)
@@ -101,7 +102,12 @@ func ReduceBookkeeping(g *Graph) *Graph {
 func (g *Graph) reduceBy(groupKey func(*Graph, NodeID) (string, bool),
 	dropEdge func(g *Graph, from, to NodeID, kind EdgeKind) bool) *Graph {
 
+	// The reduced graph keeps g's grain numbering, hand-named grains
+	// included.
 	ng := newGraph(g.Trace)
+	for _, id := range g.extra {
+		ng.InternGrain(id)
+	}
 	newID := make([]NodeID, g.NumNodes())
 	groups := make(map[string]NodeID)
 
@@ -166,11 +172,15 @@ func (g *Graph) reduceBy(groupKey func(*Graph, NodeID) (string, bool),
 		ng.appendEdge(from, to, kind)
 	}
 
-	for id, nid := range g.FirstNode {
-		ng.FirstNode[id] = newID[nid]
+	remap := func(spans []NodeID) []NodeID {
+		out := noSpans(len(spans))
+		for num, nid := range spans {
+			if nid >= 0 {
+				out[num] = newID[nid]
+			}
+		}
+		return out
 	}
-	for id, nid := range g.LastNode {
-		ng.LastNode[id] = newID[nid]
-	}
+	ng.FirstNode, ng.LastNode = remap(g.FirstNode), remap(g.LastNode)
 	return ng
 }

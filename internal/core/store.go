@@ -23,7 +23,7 @@ import (
 type GraphStore struct {
 	// Node columns, indexed by NodeID.
 	kind     []uint8
-	grain    []profile.GrainID
+	grain    []int32 // owning grain's number; the Graph holds the id tables
 	loop     []int32
 	seq      []int32
 	label    []string
@@ -66,8 +66,8 @@ func (s *GraphStore) NumEdges() int { return len(s.edgeFrom) }
 // Kind returns node n's kind.
 func (s *GraphStore) Kind(n NodeID) NodeKind { return NodeKind(s.kind[n]) }
 
-// Grain returns node n's owning grain ID.
-func (s *GraphStore) Grain(n NodeID) profile.GrainID { return s.grain[n] }
+// GrainNum returns the number of node n's owning grain.
+func (s *GraphStore) GrainNum(n NodeID) int32 { return s.grain[n] }
 
 // Loop returns node n's loop ID (meaningful for bookkeep/chunk nodes and
 // loop-expanded fork/join nodes).
@@ -110,14 +110,13 @@ func (s *GraphStore) SetGeometry(n NodeID, x, y, w, h float64) {
 	s.geoX[n], s.geoY[n], s.geoW[n], s.geoH[n] = x, y, w, h
 }
 
-// NodeAt materializes node n as a Node value — the convenient row view
-// for cold paths (export, tests). Hot loops should read the individual
-// columns instead.
-func (s *GraphStore) NodeAt(n NodeID) Node {
+// nodeAt materializes node n's row without its Grain ID, which only the
+// Graph can name (Graph.NodeAt).
+func (s *GraphStore) nodeAt(n NodeID) Node {
 	return Node{
 		ID:       n,
 		Kind:     s.Kind(n),
-		Grain:    s.grain[n],
+		GrainNum: s.grain[n],
 		Loop:     s.Loop(n),
 		Seq:      s.Seq(n),
 		Label:    s.label[n],
@@ -168,8 +167,6 @@ func (s *GraphStore) Weights() []profile.Time {
 	return w
 }
 
-// appendNode appends a node row and returns its ID. A zero Members is
-// normalized to 1 (an unreduced node represents itself).
 // Reserve grows the node and edge columns to hold at least nodes and edges
 // entries without reallocating. Build calls it with its node/edge estimate
 // so million-node assembly grows each column once instead of ~20 doublings
@@ -178,7 +175,7 @@ func (s *GraphStore) Weights() []profile.Time {
 func (s *GraphStore) Reserve(nodes, edges int) {
 	if n := nodes - cap(s.kind); n > 0 {
 		s.kind = append(make([]uint8, 0, nodes), s.kind...)
-		s.grain = append(make([]profile.GrainID, 0, nodes), s.grain...)
+		s.grain = append(make([]int32, 0, nodes), s.grain...)
 		s.loop = append(make([]int32, 0, nodes), s.loop...)
 		s.seq = append(make([]int32, 0, nodes), s.seq...)
 		s.label = append(make([]string, 0, nodes), s.label...)
@@ -202,21 +199,15 @@ func (s *GraphStore) Reserve(nodes, edges int) {
 	}
 }
 
-// AddNode appends a node row (the ID field is ignored and assigned fresh)
-// and returns its ID. Graph shadows this with its own AddNode; the store
-// method serves callers assembling a bare GraphStore.
-func (s *GraphStore) AddNode(n Node) NodeID { return s.appendNode(n) }
-
-// AddEdge appends an edge row.
-func (s *GraphStore) AddEdge(from, to NodeID, kind EdgeKind) { s.appendEdge(from, to, kind) }
-
+// appendNode appends a node row and returns its ID. A zero Members is
+// normalized to 1 (an unreduced node represents itself).
 func (s *GraphStore) appendNode(n Node) NodeID {
 	id := NodeID(len(s.kind))
 	if n.Members == 0 {
 		n.Members = 1
 	}
 	s.kind = append(s.kind, uint8(n.Kind))
-	s.grain = append(s.grain, n.Grain)
+	s.grain = append(s.grain, n.GrainNum)
 	s.loop = append(s.loop, int32(n.Loop))
 	s.seq = append(s.seq, int32(n.Seq))
 	s.label = append(s.label, n.Label)
@@ -247,6 +238,9 @@ func (s *GraphStore) appendEdge(from, to NodeID, kind EdgeKind) {
 // invalidateCSR drops the adjacency and level arrays; they rebuild on next
 // use.
 func (s *GraphStore) invalidateCSR() {
+	if s.outOff == nil && s.inOff == nil && s.levelOff == nil {
+		return // nothing built yet: the common case, once per appended row
+	}
 	s.outOff, s.outIdx = nil, nil
 	s.inOff, s.inIdx = nil, nil
 	s.levelOff, s.levelNodes = nil, nil

@@ -130,7 +130,7 @@ func NodeColor(g *core.Graph, n core.Node, a *highlight.Assessment, v View,
 		if !ok || a == nil {
 			return highlight.DimColor
 		}
-		ga := a.Get(n.Grain)
+		ga := assessmentOf(g, a, n)
 		if ga == nil {
 			return highlight.DimColor
 		}
@@ -141,6 +141,18 @@ func NodeColor(g *core.Graph, n core.Node, a *highlight.Assessment, v View,
 	}
 }
 
+// assessmentOf returns a's row for node n's grain, or nil. An assessment
+// of the graph's own trace — every real rendering — shares the graph's
+// grain numbers; any other is matched by ID.
+func assessmentOf(g *core.Graph, a *highlight.Assessment, n core.Node) *highlight.GrainAssessment {
+	if a.Report.Trace == g.Trace {
+		if ga := a.Row(n.GrainNum); ga != nil {
+			return ga
+		}
+	}
+	return a.Get(n.Grain)
+}
+
 // defKeyOf returns the source-definition key of a grain node.
 func defKeyOf(g *core.Graph, n core.Node) string {
 	if n.Kind == core.NodeChunk {
@@ -149,8 +161,8 @@ func defKeyOf(g *core.Graph, n core.Node) string {
 		}
 		return fmt.Sprintf("loop:%d", n.Loop)
 	}
-	if t := g.Trace.Task(n.Grain); t != nil {
-		return t.Loc.String()
+	if int(n.GrainNum) < len(g.Trace.Tasks) {
+		return g.Trace.Tasks[n.GrainNum].Loc.String()
 	}
 	return string(n.Grain)
 }

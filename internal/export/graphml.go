@@ -92,7 +92,7 @@ func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error 
 		fmt.Fprintf(bw, `   <data key="exec">%d</data>`+"\n", n.Weight)
 		fmt.Fprintf(bw, `   <data key="corekey">%d</data>`+"\n", n.Core)
 		if a != nil && (n.Kind == core.NodeFragment || n.Kind == core.NodeChunk) {
-			if ga := a.Get(n.Grain); ga != nil {
+			if ga := assessmentOf(g, a, n); ga != nil {
 				m := ga.Metrics
 				fmt.Fprintf(bw, `   <data key="pb">%g</data>`+"\n", finiteOr(m.ParallelBenefit, 1e9))
 				fmt.Fprintf(bw, `   <data key="wd">%g</data>`+"\n", m.WorkDeviation)

@@ -173,7 +173,7 @@ func jsonNodeRow(g *core.Graph, id core.NodeID, a *highlight.Assessment) jsonNod
 		Core: n.Core, Members: n.Members, Critical: n.Critical,
 	}
 	if a != nil && (n.Kind == core.NodeFragment || n.Kind == core.NodeChunk) {
-		if ga := a.Get(n.Grain); ga != nil {
+		if ga := assessmentOf(g, a, n); ga != nil {
 			m := ga.Metrics
 			jn.Problems = ga.Mask.String()
 			jn.PB = finiteOr(m.ParallelBenefit, 1e9)

@@ -18,14 +18,15 @@ import (
 // PerfettoRun is one profiled run to include in a trace file. Trace
 // supplies the grain slices (fragments and chunks); Events supplies the
 // scheduler instants (steal/park/resume) captured by a trace.Sink, and
-// may be nil when no sink was attached. Critical flags the grains on the
-// critical path (see core.Graph.CriticalGrains); nil means unknown.
+// may be nil when no sink was attached. Critical flags, by grain number,
+// the grains on the critical path (see core.Graph.CriticalGrains); nil
+// means unknown.
 type PerfettoRun struct {
 	Label    string
 	Trace    *profile.Trace
 	Events   []trace.Event
 	Dropped  uint64 // events lost to the bounded ring buffer
-	Critical map[profile.GrainID]bool
+	Critical []bool
 }
 
 // chromeEvent is one entry of the Chrome trace-event JSON array.
@@ -97,8 +98,9 @@ func appendRun(doc *chromeTrace, pid int, r *PerfettoRun) {
 	}
 
 	// Grain slices: task fragments, then loop chunks, in record order.
-	for _, task := range tr.Tasks {
-		critical := r.Critical[task.ID]
+	critical := func(num int) bool { return num < len(r.Critical) && r.Critical[num] }
+	for ti, task := range tr.Tasks {
+		critical := critical(ti)
 		for fi := range task.Fragments {
 			f := &task.Fragments[fi]
 			ev := slice(pid, f.Core, task.Loc.String(), "task", f.Start, f.End-f.Start, critical)
@@ -120,9 +122,9 @@ func appendRun(doc *chromeTrace, pid int, r *PerfettoRun) {
 			doc.TraceEvents = append(doc.TraceEvents, ev)
 		}
 	}
-	for _, ck := range tr.Chunks {
-		id := tr.ChunkGrainID(ck)
-		critical := r.Critical[id]
+	for j, ck := range tr.Chunks {
+		id := tr.ChunkID(j)
+		critical := critical(len(tr.Tasks) + j)
 		loc := ""
 		if l := tr.Loop(ck.Loop); l != nil {
 			loc = l.Loc.String()

@@ -3,6 +3,9 @@ package expt
 import (
 	"runtime"
 	"testing"
+
+	"graingraph/internal/rts"
+	"graingraph/internal/workloads"
 )
 
 // figure1Bench regenerates Figure 1 at the given parallelism with a cold
@@ -49,5 +52,32 @@ func BenchmarkMemoizedFigure1(b *testing.B) {
 		if _, err := Figure1(nil, 48); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAnalyzeLoopHeavy analyzes loop-dominated runs (blackscholes,
+// freqmine: one task, every other grain a chunk) from a trace nothing has
+// indexed yet, the state a decode leaves it in — so each iteration pays for
+// the chunk grain IDs, which are formatted once per chunk, in the trace's id
+// table, however many passes name a chunk. Record copying is outside the
+// timer.
+func BenchmarkAnalyzeLoopHeavy(b *testing.B) {
+	for _, name := range []string{"blackscholes", "freqmine"} {
+		b.Run(name, func(b *testing.B) {
+			inst, err := workloads.Get(name, workloads.VariantDefault)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := rts.Run(rts.Config{Program: inst.Name(), Cores: 8, Seed: 1}, inst.Program())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := stringRefsOnly(tr)
+				b.StartTimer()
+				AnalyzeTraceOn(nil, fresh, nil, Config{}, nil)
+			}
+			b.ReportMetric(float64(len(tr.Chunks)), "chunks")
+		})
 	}
 }

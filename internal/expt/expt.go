@@ -63,6 +63,13 @@ func analyzeWith(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, core
 	sp := obs.Under(SelfProfiler(), parent, "analyze:"+tr.Program)
 	defer sp.End()
 
+	// Number the grains and resolve the records' string references: the one
+	// pass of an analysis that hashes grain IDs. A decoded trace paid for
+	// it at ingest (ggp reports it there) and this is a no-op.
+	isp := sp.Child("index:grains")
+	tr.Numbering()
+	isp.End()
+
 	if g == nil {
 		bsp := sp.Child("build")
 		g = core.Build(tr)
@@ -79,14 +86,15 @@ func analyzeWith(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, core
 
 // InstrumentedRun captures one simulated run's observability artifacts:
 // its profile, counter registry, captured event stream (when enabled)
-// and the critical-path grain set (for fully analyzed runs).
+// and the critical-path grain set, by grain number (for fully analyzed
+// runs).
 type InstrumentedRun struct {
 	Label    string
 	Trace    *profile.Trace
 	Metrics  *trace.Metrics
 	Events   []trace.Event
 	Dropped  uint64
-	Critical map[profile.GrainID]bool
+	Critical []bool
 }
 
 // Instrumentation makes every simulated run in this package double as a

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/xml"
 	"io"
+	"reflect"
 	"testing"
 
 	"graingraph/internal/core"
 	"graingraph/internal/export"
+	"graingraph/internal/ggp"
+	"graingraph/internal/highlight"
+	"graingraph/internal/lod"
 	"graingraph/internal/metrics"
 	"graingraph/internal/profile"
 	"graingraph/internal/rts"
@@ -205,6 +209,173 @@ func TestKdTreeGrainIDsMachineSizeInvariant(t *testing.T) {
 	for id := range a {
 		if !b[id] {
 			t.Fatalf("grain %s missing on 48 cores", id)
+		}
+	}
+}
+
+// randomTreeWithLoops is randomTree followed, in the master task, by two
+// parallel for-loops under different schedules, so the trace has chunk
+// grains and loop pseudo-parents as well as tasks.
+func randomTreeWithLoops(seed uint64) func(rts.Ctx) {
+	tree := randomTree(seed)
+	return func(c rts.Ctx) {
+		tree(c)
+		c.For(profile.Loc("rand.go", 90, "dyn"), 0, 40+int(seed%7), rts.ForOpt{Schedule: profile.ScheduleDynamic, Chunk: 3},
+			func(c rts.Ctx, lo, hi int) { c.Compute(uint64(50 * (hi - lo))) })
+		c.For(profile.Loc("rand.go", 91, "static"), 0, 16, rts.ForOpt{Schedule: profile.ScheduleStatic},
+			func(c rts.Ctx, lo, hi int) { c.Compute(uint64(70 * (hi - lo))) })
+	}
+}
+
+// stringRefsOnly copies tr record by record into a trace nothing has
+// indexed: what a test that builds a trace by hand has — IDs and string
+// references, no numbers.
+func stringRefsOnly(tr *profile.Trace) *profile.Trace {
+	cp := &profile.Trace{
+		Program: tr.Program, Cores: tr.Cores, Sockets: tr.Sockets, Scheduler: tr.Scheduler,
+		Flavor: tr.Flavor, PagePolicy: tr.PagePolicy, Start: tr.Start, End: tr.End,
+		Workers: append([]profile.WorkerStat(nil), tr.Workers...),
+	}
+	for _, t := range tr.Tasks {
+		c := *t
+		cp.Tasks = append(cp.Tasks, &c)
+	}
+	for _, l := range tr.Loops {
+		c := *l
+		cp.Loops = append(cp.Loops, &c)
+	}
+	for _, k := range tr.Chunks {
+		c := *k
+		cp.Chunks = append(cp.Chunks, &c)
+	}
+	for _, b := range tr.Bookkeeps {
+		c := *b
+		cp.Bookkeeps = append(cp.Bookkeeps, &c)
+	}
+	return cp
+}
+
+// Property: a trace's grain numbering is the record order and nothing
+// else. The live trace, a by-hand copy of it, its v1 round trip and its v2
+// round trip (whose id table is the adopted on-disk dictionary) agree on
+// every grain's number and on every resolved parent, child and joined
+// number; Lookup inverts ID; and every per-grain table downstream has one
+// entry per grain number (or its documented slot count).
+func TestGrainNumberingOnRandomTrees(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		tr := rts.Run(rts.Config{Program: "rand", Cores: int(seed*7)%48 + 1, Seed: seed},
+			randomTreeWithLoops(seed))
+		if len(tr.Chunks) == 0 || len(tr.Loops) != 2 {
+			t.Fatalf("seed %d: %d chunks in %d loops, want a loop-bearing trace", seed, len(tr.Chunks), len(tr.Loops))
+		}
+		g := core.Build(tr)
+
+		var v1 bytes.Buffer
+		if err := ggp.WriteTrace(&v1, tr); err != nil {
+			t.Fatal(err)
+		}
+		v2, err := ggp.EncodeV2(tr, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec1, err := ggp.Decode(v1.Bytes(), nil, nil)
+		if err != nil {
+			t.Fatalf("seed %d: v1: %v", seed, err)
+		}
+		dec2, err := ggp.Decode(v2, nil, nil)
+		if err != nil {
+			t.Fatalf("seed %d: v2: %v", seed, err)
+		}
+
+		nb := tr.Numbering()
+		if nb.NumGrains() != tr.NumGrains() || len(nb.IDs) != tr.NumGrains() || len(nb.Parent) != tr.NumGrains() {
+			t.Fatalf("seed %d: numbering covers %d/%d/%d grains, trace has %d",
+				seed, nb.NumGrains(), len(nb.IDs), len(nb.Parent), tr.NumGrains())
+		}
+		for n := int32(0); int(n) < tr.NumGrains(); n++ {
+			if got := tr.Lookup(tr.ID(n)); got != n {
+				t.Fatalf("seed %d: Lookup(ID(%d)) = %d", seed, n, got)
+			}
+		}
+		for i, task := range tr.Tasks {
+			if tr.ID(int32(i)) != task.ID {
+				t.Fatalf("seed %d: task %d is numbered as %q, is %q", seed, i, tr.ID(int32(i)), task.ID)
+			}
+			if p := nb.TaskParent(int32(i)); (p < 0) != (task.Parent == "") || (p >= 0 && tr.Tasks[p].ID != task.Parent) {
+				t.Fatalf("seed %d: task %q parent %q resolved to %d", seed, task.ID, task.Parent, p)
+			}
+			for bi, b := range task.Boundaries {
+				row := nb.BoundOff[i] + int32(bi)
+				if b.Kind == profile.BoundaryFork && tr.ID(nb.Child[row]) != b.Child {
+					t.Fatalf("seed %d: fork of %q resolved to %d", seed, b.Child, nb.Child[row])
+				}
+				for k, j := range nb.JoinedOf(row) {
+					if tr.ID(j) != b.Joined[k] {
+						t.Fatalf("seed %d: join of %q resolved to %d", seed, b.Joined[k], j)
+					}
+				}
+			}
+		}
+		for name, other := range map[string]*profile.Trace{
+			"by-hand copy": stringRefsOnly(tr), "v1 round trip": dec1.Trace, "v2 round trip": dec2.Trace,
+		} {
+			onb := other.Numbering()
+			for _, col := range []struct {
+				what      string
+				got, want any
+			}{
+				{"ids", onb.IDs, nb.IDs}, {"parents", onb.Parent, nb.Parent}, {"chunk loops", onb.ChunkLoop, nb.ChunkLoop},
+				{"boundary offsets", onb.BoundOff, nb.BoundOff}, {"children", onb.Child, nb.Child},
+				{"join offsets", onb.JoinOff, nb.JoinOff}, {"joined", onb.Joined, nb.Joined},
+			} {
+				if !reflect.DeepEqual(col.got, col.want) {
+					t.Errorf("seed %d: %s of the %s differ from the live trace's", seed, col.what, name)
+				}
+			}
+			for key := int32(0); int(key) < nb.NumParentKeys(); key++ {
+				if onb.NumParentKeys() != nb.NumParentKeys() || onb.ParentID(key) != nb.ParentID(key) {
+					t.Errorf("seed %d: parent key %d of the %s names another parent", seed, key, name)
+					break
+				}
+			}
+		}
+
+		// Downstream tables: one entry per grain number.
+		n := tr.NumGrains()
+		for name, gg := range map[string]*core.Graph{"built": g, "adopted": dec2.TakeGraph()} {
+			if len(gg.FirstNode) != n || len(gg.LastNode) != n || gg.NumGrainNums() != n {
+				t.Errorf("seed %d: %s graph entry/exit tables cover %d/%d of %d grains (number space %d)",
+					seed, name, len(gg.FirstNode), len(gg.LastNode), n, gg.NumGrainNums())
+			}
+			if !reflect.DeepEqual(gg.FirstNode, g.FirstNode) || !reflect.DeepEqual(gg.LastNode, g.LastNode) {
+				t.Errorf("seed %d: %s graph entry/exit tables differ from the built graph's", seed, name)
+			}
+		}
+		rep := metrics.Analyze(tr, g, nil, metrics.Options{})
+		a := highlight.Evaluate(rep, highlight.Defaults(tr.Cores, 12))
+		if len(rep.Grains) != n || len(a.Grains) != n {
+			t.Fatalf("seed %d: %d metric rows, %d assessment rows, %d grains", seed, len(rep.Grains), len(a.Grains), n)
+		}
+		for num := int32(0); int(num) < n; num++ {
+			row := rep.RowIndex(num)
+			if row < 0 || rep.Grains[row].Grain.Num != num || rep.Grains[row].Grain.ID != tr.ID(num) {
+				t.Fatalf("seed %d: metric row of grain %d is row %d", seed, num, row)
+			}
+			if ga := a.Row(num); ga == nil || ga.Metrics != rep.Grains[row] {
+				t.Fatalf("seed %d: assessment row of grain %d is not over its metric row", seed, num)
+			}
+		}
+		own := g.Owners()
+		if len(own.Of) != g.NumNodes() || len(own.Depth) != len(own.Grain) || len(own.Parent) != len(own.Grain) {
+			t.Errorf("seed %d: owner table covers %d nodes, %d/%d/%d slots", seed, len(own.Of), len(own.Grain), len(own.Depth), len(own.Parent))
+		}
+		for si, num := range own.Grain {
+			if own.Slot(num) != int32(si) {
+				t.Errorf("seed %d: slot %d owns grain %d, whose slot is %d", seed, si, num, own.Slot(num))
+			}
+		}
+		if ix := lod.Build(g, a); ix.NumTasks() != len(own.Grain) || ix.NumTasks() != len(tr.Tasks) {
+			t.Errorf("seed %d: lod index has %d slots, owner table %d, trace %d tasks", seed, ix.NumTasks(), len(own.Grain), len(tr.Tasks))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"graingraph/internal/highlight"
 	"graingraph/internal/obs"
+	"graingraph/internal/profile"
 	"graingraph/internal/query"
 	"graingraph/internal/runpool"
 )
@@ -35,12 +36,22 @@ func QueryTable(res *Result, pool *runpool.Runner) *query.Table {
 	end := make([]int64, n)
 	exec := make([]int64, n)
 	core := make([]int64, n)
+	// A run has a handful of source definitions and up to millions of
+	// grains: render each definition once and share the string.
+	locs := make(map[profile.SrcLoc]string)
+	for i, gm := range rep.Grains {
+		s, ok := locs[gm.Grain.Loc]
+		if !ok {
+			s = gm.Grain.Loc.String()
+			locs[gm.Grain.Loc] = s
+		}
+		loc[i] = s
+	}
 	runpool.ParallelFor(pool, n, queryChunk, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g := rep.Grains[i].Grain
 			id[i] = string(g.ID)
 			kind[i] = g.Kind.String()
-			loc[i] = g.Loc.String()
 			parent[i] = string(g.Parent)
 			depth[i] = int64(g.Depth)
 			start[i] = int64(g.Start)

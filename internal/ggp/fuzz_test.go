@@ -2,6 +2,7 @@ package ggp_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"graingraph/internal/cache"
@@ -46,6 +47,84 @@ func seedTrace() *profile.Trace {
 			{Loop: 5, Seq: 2, Thread: 1, Lo: 6, Hi: 8, Start: 53, End: 60, Bookkeep: 1, Counters: ctr(8)}},
 		Bookkeeps: []*profile.BookkeepRecord{{Loop: 5, Thread: 1, Grabs: 2, Total: 3}, {Loop: 5, Thread: 0, Grabs: 1, Total: 3}},
 		Workers:   []profile.WorkerStat{{Busy: 90, Overhead: 10}, {Busy: 13, Overhead: 7}},
+	}
+}
+
+// hostileTraces are seedTrace with its references bent: the artifacts a
+// buggy or malicious producer could write that are well-formed section by
+// section. Dangling Parent/Child/Joined references must decode (they
+// resolve to no grain) and analyse; a self-parent and a two-task Parent
+// cycle must be rejected, because Validate requires every task to be
+// recorded after its parent.
+func hostileTraces() (dangling, selfParent, cycle *profile.Trace) {
+	dangling = seedTrace()
+	root, child := dangling.Tasks[0], dangling.Tasks[1]
+	child.Parent = "R.9" // no such task
+	root.Boundaries[0].Child = "R.7"
+	root.Boundaries[1].Joined = []profile.GrainID{"R.8", child.ID}
+	dangling.Tasks = append(dangling.Tasks, &profile.TaskRecord{
+		ID: "R.9.1", Parent: "R.9", Depth: 2, StartTime: 70, EndTime: 80,
+		Fragments: []profile.Fragment{{Start: 70, End: 80, Core: 1}},
+	})
+
+	selfParent = seedTrace()
+	selfParent.Tasks[1].Parent = selfParent.Tasks[1].ID
+
+	cycle = seedTrace()
+	cycle.Tasks[1].Parent = "R.1"
+	cycle.Tasks = append(cycle.Tasks, &profile.TaskRecord{
+		ID: "R.1", Parent: cycle.Tasks[1].ID, Depth: 1, StartTime: 70, EndTime: 80,
+		Fragments: []profile.Fragment{{Start: 70, End: 80, Core: 1}},
+	})
+	return dangling, selfParent, cycle
+}
+
+// encodeBoth writes tr as a v1 stream and as a v2 artifact with a built
+// graph.
+func encodeBoth(t testing.TB, tr *profile.Trace) (v1, v2 []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ggp.WriteTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := ggp.EncodeV2(tr, core.Build(tr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), v2
+}
+
+// TestHostileReferences pins what the reader does with each hostile seed,
+// in both formats.
+func TestHostileReferences(t *testing.T) {
+	dangling, selfParent, cycle := hostileTraces()
+	for _, tc := range []struct {
+		name   string
+		tr     *profile.Trace
+		reject string
+	}{
+		{"dangling", dangling, ""},
+		{"self-parent", selfParent, "before its parent"},
+		{"parent cycle", cycle, "before its parent"},
+	} {
+		v1, v2 := encodeBoth(t, tc.tr)
+		for version, data := range map[string][]byte{"v1": v1, "v2": v2} {
+			dec, err := ggp.Decode(data, nil, nil)
+			switch {
+			case tc.reject == "" && err != nil:
+				t.Errorf("%s %s: rejected: %v", tc.name, version, err)
+			case tc.reject != "" && (err == nil || !strings.Contains(err.Error(), tc.reject)):
+				t.Errorf("%s %s: err = %v, want one mentioning %q", tc.name, version, err, tc.reject)
+			case tc.reject == "":
+				nb := dec.Trace.Numbering()
+				if p := nb.TaskParent(1); p != -1 {
+					t.Errorf("%s %s: dangling parent resolved to %d", tc.name, version, p)
+				}
+				if nb.Child[0] != -1 || nb.JoinedOf(1)[0] != -1 || nb.JoinedOf(1)[1] != 1 {
+					t.Errorf("%s %s: child %d joined %v, want -1 and [-1 1]", tc.name, version, nb.Child[0], nb.JoinedOf(1))
+				}
+			}
+		}
 	}
 }
 
@@ -101,6 +180,15 @@ func FuzzGGPReader(f *testing.F) {
 	v2HdrV1Body := bytes.Clone(valid)
 	v2HdrV1Body[len(ggp.Magic)] = 2 // v2 header, v1 body
 	f.Add(v2HdrV1Body)
+
+	// Hostile references, both formats: dangling ones decode, a
+	// self-parent and a Parent cycle are rejected (see hostileTraces).
+	dangling, selfParent, cycle := hostileTraces()
+	for _, tr := range []*profile.Trace{dangling, selfParent, cycle} {
+		v1, v2 := encodeBoth(f, tr)
+		f.Add(v1)
+		f.Add(v2)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ggp.ReadTrace(bytes.NewReader(data))

@@ -20,6 +20,18 @@ import (
 // any malformation — truncation, version skew, corrupted CRC, oversized or
 // undecodable sections — yields an error, never a panic.
 func ReadTrace(r io.Reader) (*profile.Trace, error) {
+	tr, err := readTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := indexAndValidate(tr, nil); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// readTrace is ReadTrace up to, not including, validation.
+func readTrace(r io.Reader) (*profile.Trace, error) {
 	var hdr [len(Magic) + 1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
@@ -109,9 +121,6 @@ func ReadTrace(r io.Reader) (*profile.Trace, error) {
 	}
 	if !sawMeta {
 		return nil, fmt.Errorf("ggp: artifact has no meta section")
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("ggp: invalid trace: %w", err)
 	}
 	return tr, nil
 }

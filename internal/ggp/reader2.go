@@ -85,9 +85,7 @@ func Decode(data []byte, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
 	}
 	switch v := data[len(Magic)]; v {
 	case Version:
-		csp := sp.Child("decode:v1stream")
-		tr, err := ReadTrace(bytes.NewReader(data))
-		csp.End()
+		tr, err := readV1(data, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -98,6 +96,21 @@ func Decode(data []byte, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
 		return nil, fmt.Errorf("%w: artifact version %d, reader supports <= %d",
 			ErrVersion, v, Version2)
 	}
+}
+
+// readV1 decodes a v1 stream, reporting the parse and the numbering as
+// separate phases under sp.
+func readV1(data []byte, sp *obs.Span) (*profile.Trace, error) {
+	csp := sp.Child("decode:v1stream")
+	tr, err := readTrace(bytes.NewReader(data))
+	csp.End()
+	if err != nil {
+		return nil, err
+	}
+	if err := indexAndValidate(tr, sp); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // DecodeFile decodes the artifact at path with Decode.
@@ -123,7 +136,7 @@ func DecodeTrace(data []byte, pool *runpool.Runner, sp *obs.Span) (*profile.Trac
 	}
 	switch v := data[len(Magic)]; v {
 	case Version:
-		return ReadTrace(bytes.NewReader(data))
+		return readV1(data, sp)
 	case Version2:
 		d, err := decodeV2(data, pool, sp, false)
 		if err != nil {
@@ -322,6 +335,17 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 	tr, err := a.assembleTrace()
 	asp.End()
 	if err != nil {
+		return nil, err
+	}
+	// The grain dictionary is the trace's id table, already in number
+	// order: hand it over rather than format every chunk ID again.
+	if full {
+		if err := checkRows("grain dictionary", len(a.nodes.dict), tr.NumGrains()); err != nil {
+			return nil, err
+		}
+		tr.AdoptIDs(a.nodes.dict)
+	}
+	if err := indexAndValidate(tr, sp); err != nil {
 		return nil, err
 	}
 	dec.Trace = tr
@@ -593,61 +617,47 @@ func (a *v2Artifact) assembleTrace() (*profile.Trace, error) {
 		}
 	}
 
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("ggp: invalid trace: %w", err)
-	}
 	return tr, nil
 }
 
-// assembleGraph adopts the decoded graph columns. What the graph sections
-// hold beyond them — the grain dictionary and references into it, the
-// transposed counters, the entry/exit columns — is resolved here; edge
+// indexAndValidate numbers tr's grains, resolving every reference the
+// records carry as strings, and validates the result, reporting both as
+// the index:grains phase under sp: it is the one pass of an ingest that
+// hashes grain IDs.
+func indexAndValidate(tr *profile.Trace, sp *obs.Span) error {
+	isp := sp.Child("index:grains")
+	defer isp.End()
+	if err := tr.Validate(); err != nil {
+		return fmt.Errorf("ggp: invalid trace: %w", err)
+	}
+	return nil
+}
+
+// assembleGraph adopts the decoded graph columns. Nothing is translated:
+// a node's dictionary reference is its grain's number and the entry/exit
+// columns are the graph's tables, so beyond the row counts only the
+// counters are transposed here; grain numbers, entry/exit nodes, edge
 // endpoints, enum values and the level index are checked by core's adopt
 // functions. hadLevels reports whether a levels sidecar was adopted; a
 // rejected one is stale or malformed, and the index rebuilds lazily.
 func (a *v2Artifact) assembleGraph(tr *profile.Trace) (g *core.Graph, hadLevels bool, err error) {
-	nc, ec, dict := &a.nodes, &a.edges, a.nodes.dict
-	nn, dictLen := len(a.graph.Kind), len(tr.Tasks)+len(tr.Chunks)
+	nn := len(a.graph.Kind)
 	for _, err := range []error{
 		checkRows("nodes", nn, int(a.meta.nNodes)),
 		checkRows("node counters", len(a.nodeCtrs[0]), nn),
 		checkRows("edges", len(a.graph.EdgeFrom), int(a.meta.nEdges)),
-		checkRows("grain dictionary", len(dict), dictLen),
-		checkRows("entry/exit columns", len(ec.first), dictLen),
+		checkRows("entry/exit columns", len(a.edges.first), tr.NumGrains()),
 	} {
 		if err != nil {
 			return nil, false, err
 		}
 	}
-
-	a.graph.Grain = make([]profile.GrainID, nn)
 	a.graph.Counters = make([]cache.Counters, nn)
-	for i, ref := range nc.grainRef {
-		if int(ref) >= dictLen {
-			return nil, false, fmt.Errorf("ggp: node %d grain ref %d out of range [0,%d)", i, ref, dictLen)
-		}
-		a.graph.Grain[i] = dict[ref]
+	for i := range a.graph.Counters {
 		a.graph.Counters[i] = a.nodeCtrs.at(i)
 	}
 
-	first := make(map[profile.GrainID]core.NodeID, dictLen)
-	last := make(map[profile.GrainID]core.NodeID, dictLen)
-	for i, id := range dict {
-		for _, m := range [...]struct {
-			dst map[profile.GrainID]core.NodeID
-			src core.NodeID
-		}{{first, ec.first[i]}, {last, ec.last[i]}} {
-			if m.src == -1 {
-				continue
-			}
-			if m.src < 0 || int(m.src) >= nn {
-				return nil, false, fmt.Errorf("ggp: entry/exit node %d out of range [0,%d)", m.src, nn)
-			}
-			m.dst[id] = m.src
-		}
-	}
-
-	g, err = core.AdoptGraph(tr, a.graph, first, last)
+	g, err = core.AdoptGraph(tr, a.graph, a.edges.first, a.edges.last)
 	if err != nil {
 		return nil, false, fmt.Errorf("ggp: %w", err)
 	}

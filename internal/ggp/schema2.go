@@ -239,11 +239,11 @@ func (b *v2Bookkeeps) schema() []colenc.Col {
 
 // v2Nodes is the grain dictionary (task IDs, then chunk grain IDs, in
 // trace order) followed by one row per graph node; a node names its grain
-// by dictionary index.
+// by dictionary index — which is the grain's number in memory, so the
+// reference column is the graph's own grain column.
 type v2Nodes struct {
-	dict     []profile.GrainID
-	grainRef []uint32
-	g        *core.GraphColumns
+	dict []profile.GrainID
+	g    *core.GraphColumns
 }
 
 func (n *v2Nodes) schema() []colenc.Col {
@@ -251,7 +251,7 @@ func (n *v2Nodes) schema() []colenc.Col {
 		colenc.Strs(&n.dict),
 		colenc.SameRows(
 			colenc.U8(&n.g.Kind),
-			colenc.U32(&n.grainRef),
+			colenc.U32(&n.g.Grain),
 			colenc.Ivar(&n.g.Loop),
 			colenc.Ivar(&n.g.Seq),
 			colenc.Ivar(&n.g.Core),
@@ -265,7 +265,8 @@ func (n *v2Nodes) schema() []colenc.Col {
 }
 
 // v2Edges has one row per edge, then one row per dictionary grain naming
-// its entry and exit node (-1 when the grain has none).
+// its entry and exit node (-1 when the grain has none) — the graph's
+// FirstNode/LastNode tables as they are.
 type v2Edges struct {
 	g           *core.GraphColumns
 	first, last []core.NodeID

@@ -83,10 +83,10 @@ func sameGraph(t *testing.T, got, want *core.Graph) {
 		}
 	}
 	if !reflect.DeepEqual(got.FirstNode, want.FirstNode) {
-		t.Errorf("FirstNode maps differ")
+		t.Errorf("FirstNode tables differ")
 	}
 	if !reflect.DeepEqual(got.LastNode, want.LastNode) {
-		t.Errorf("LastNode maps differ")
+		t.Errorf("LastNode tables differ")
 	}
 }
 

@@ -362,54 +362,26 @@ func gatherBookkeeps(bks []*profile.BookkeepRecord) *v2Bookkeeps {
 	return c
 }
 
-// gatherGraph builds the three graph sections. The store's own columns are
-// aliased, not copied; gathered beside them are the grain dictionary in
-// the canonical order (tasks, then chunks — the same order Build assigns
-// entry/exit map entries), each node's dictionary reference, the
-// transposed counters, and each dictionary grain's entry/exit node from
-// FirstNode/LastNode (-1 when absent).
+// gatherGraph builds the three graph sections. The store's own columns —
+// the grain references among them — and the entry/exit tables are aliased,
+// not copied: the grain dictionary is the trace's id table (tasks, then
+// chunks), so a node's grain number is its dictionary reference. Gathered
+// beside them are only the transposed counters.
 func gatherGraph(tr *profile.Trace, g *core.Graph) (*v2Nodes, *v2Counters, *v2Edges, error) {
-	dict := make([]profile.GrainID, 0, len(tr.Tasks)+len(tr.Chunks))
-	idx := make(map[profile.GrainID]uint32, cap(dict))
-	for _, t := range tr.Tasks {
-		idx[t.ID] = uint32(len(dict))
-		dict = append(dict, t.ID)
-	}
-	for _, ck := range tr.Chunks {
-		id := tr.ChunkGrainID(ck)
-		idx[id] = uint32(len(dict))
-		dict = append(dict, id)
-	}
-
+	dict := tr.Numbering().IDs
 	gc := g.ExportColumns()
 	nn := len(gc.Kind)
-	nodes := &v2Nodes{dict: dict, grainRef: make([]uint32, nn), g: &gc}
 	ctrs := &v2Counters{}
 	ctrs.alloc(nn)
-	for i, id := range gc.Grain {
-		ref, ok := idx[id]
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("ggp: node %d grain %q not in trace dictionary", i, id)
+	for i, num := range gc.Grain {
+		if int(num) >= len(dict) {
+			return nil, nil, nil, fmt.Errorf("ggp: node %d grain %q not in trace dictionary", i, g.Grain(core.NodeID(i)))
 		}
-		nodes.grainRef[i] = ref
 		ctrs.set(i, &gc.Counters[i])
 	}
-
-	edges := &v2Edges{g: &gc, first: make([]core.NodeID, len(dict)), last: make([]core.NodeID, len(dict))}
-	for i := range dict {
-		edges.first[i], edges.last[i] = -1, -1
+	if len(g.FirstNode) != len(dict) || len(g.LastNode) != len(dict) {
+		return nil, nil, nil, fmt.Errorf("ggp: entry/exit tables cover %d/%d grains, trace dictionary has %d",
+			len(g.FirstNode), len(g.LastNode), len(dict))
 	}
-	for _, m := range [...]struct {
-		col   []core.NodeID
-		nodes map[profile.GrainID]core.NodeID
-	}{{edges.first, g.FirstNode}, {edges.last, g.LastNode}} {
-		for id, nd := range m.nodes {
-			ref, ok := idx[id]
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("ggp: entry/exit grain %q not in trace dictionary", id)
-			}
-			m.col[ref] = nd
-		}
-	}
-	return nodes, ctrs, edges, nil
+	return &v2Nodes{dict: dict, g: &gc}, ctrs, &v2Edges{g: &gc, first: g.FirstNode, last: g.LastNode}, nil
 }

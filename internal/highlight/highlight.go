@@ -107,12 +107,12 @@ type GrainAssessment struct {
 func (a *GrainAssessment) Has(p Problem) bool { return a.Mask&p != 0 }
 
 // Assessment is the evaluation of a whole report against thresholds.
+// Grains is parallel to Report.Grains: row i assesses metric row i, which
+// is how a grain's assessment is found by number (Row).
 type Assessment struct {
 	Thresholds Thresholds
 	Report     *metrics.Report
 	Grains     []*GrainAssessment
-
-	byID map[profile.GrainID]*GrainAssessment
 }
 
 // evaluateGrain is the fixed chunk size for the threshold scan.
@@ -126,8 +126,7 @@ func Evaluate(rep *metrics.Report, th Thresholds) *Assessment {
 // EvaluateWith is Evaluate with the threshold scan sharded across pool:
 // each assessment row depends only on its own metric row, so the rows fill
 // pre-sized slots in parallel (fixed chunk boundaries, byte-identical at
-// every worker count) and only the ID index is built serially. A nil pool
-// is the strict serial schedule.
+// every worker count). A nil pool is the strict serial schedule.
 func EvaluateWith(rep *metrics.Report, th Thresholds, pool *runpool.Runner) *Assessment {
 	return EvaluateObs(rep, th, pool, nil)
 }
@@ -213,7 +212,6 @@ func EvaluateObs(rep *metrics.Report, th Thresholds, pool *runpool.Runner, paren
 		Thresholds: th,
 		Report:     rep,
 		Grains:     make([]*GrainAssessment, len(rep.Grains)),
-		byID:       make(map[profile.GrainID]*GrainAssessment, len(rep.Grains)),
 	}
 	n := len(rep.Grains)
 	t := MetricTable(rep, pool)
@@ -228,9 +226,11 @@ func EvaluateObs(rep *metrics.Report, th Thresholds, pool *runpool.Runner, paren
 			panic("highlight: problem predicate failed to bind: " + err.Error())
 		}
 	}
+	rows := make([]GrainAssessment, n)
 	runpool.ParallelFor(pool, n, evaluateGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ga := &GrainAssessment{Metrics: rep.Grains[i]}
+			ga := &rows[i]
+			ga.Metrics = rep.Grains[i]
 			for pi, p := range AllProblems {
 				if match[pi][i] {
 					ga.Mask |= p
@@ -239,14 +239,25 @@ func EvaluateObs(rep *metrics.Report, th Thresholds, pool *runpool.Runner, paren
 			a.Grains[i] = ga
 		}
 	})
-	for _, ga := range a.Grains {
-		a.byID[ga.Metrics.Grain.ID] = ga
-	}
 	return a
 }
 
+// Row returns the assessment row of grain number num (a number of the
+// report's trace), or nil.
+func (a *Assessment) Row(num int32) *GrainAssessment {
+	if i := a.Report.RowIndex(num); i >= 0 {
+		return a.Grains[i]
+	}
+	return nil
+}
+
 // Get returns the assessment row for a grain, or nil.
-func (a *Assessment) Get(id profile.GrainID) *GrainAssessment { return a.byID[id] }
+func (a *Assessment) Get(id profile.GrainID) *GrainAssessment {
+	if i := a.Report.RowIndexOf(id); i >= 0 {
+		return a.Grains[i]
+	}
+	return nil
+}
 
 // Affected returns the fraction (0..1) of grains flagged with problem p —
 // the paper's "Affected grains (%)" (Sort's optimization table).
@@ -379,10 +390,9 @@ func (a *Assessment) TopOffenders(p Problem, n int) []*GrainAssessment {
 	if n <= 0 {
 		return nil
 	}
-	var (
-		cand []*GrainAssessment
-		sev  []float64
-	)
+	flagged := a.Count(p)
+	cand := make([]*GrainAssessment, 0, flagged)
+	sev := make([]float64, 0, flagged)
 	for _, g := range a.Grains {
 		if g.Has(p) {
 			s, _ := a.Severity(g, p)
@@ -424,32 +434,42 @@ type DefinitionStats struct {
 // ByDefinition computes per-definition stats for problem p, sorted by total
 // execution time (heaviest definition first).
 func (a *Assessment) ByDefinition(p Problem) []DefinitionStats {
-	agg := map[string]*DefinitionStats{}
+	// SrcLoc is comparable: group on the struct and render each distinct
+	// definition once, for the tie-break, instead of once per grain.
+	slot := map[profile.SrcLoc]int{}
+	var out []DefinitionStats
 	for _, g := range a.Grains {
-		key := g.Metrics.Grain.Loc.String()
-		ds, ok := agg[key]
+		loc := g.Metrics.Grain.Loc
+		i, ok := slot[loc]
 		if !ok {
-			ds = &DefinitionStats{Loc: g.Metrics.Grain.Loc}
-			agg[key] = ds
+			i = len(out)
+			slot[loc] = i
+			out = append(out, DefinitionStats{Loc: loc})
 		}
+		ds := &out[i]
 		ds.Grains++
 		ds.TotalExec += g.Metrics.Grain.Exec
 		if g.Has(p) {
 			ds.Flagged++
 		}
 	}
-	out := make([]DefinitionStats, 0, len(agg))
-	for _, ds := range agg {
-		if ds.Grains > 0 {
-			ds.Prevalence = float64(ds.Flagged) / float64(ds.Grains)
-		}
-		out = append(out, *ds)
+	names := make([]string, len(out))
+	order := make([]int, len(out))
+	for i := range out {
+		out[i].Prevalence = float64(out[i].Flagged) / float64(out[i].Grains)
+		names[i] = out[i].Loc.String()
+		order[i] = i
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TotalExec != out[j].TotalExec {
-			return out[i].TotalExec > out[j].TotalExec
+	sort.Slice(order, func(i, j int) bool {
+		di, dj := &out[order[i]], &out[order[j]]
+		if di.TotalExec != dj.TotalExec {
+			return di.TotalExec > dj.TotalExec
 		}
-		return out[i].Loc.String() < out[j].Loc.String()
+		return names[order[i]] < names[order[j]]
 	})
-	return out
+	sorted := make([]DefinitionStats, len(out))
+	for i, o := range order {
+		sorted[i] = out[o]
+	}
+	return sorted
 }

@@ -5,13 +5,12 @@ import (
 
 	"graingraph/internal/colenc"
 	"graingraph/internal/core"
-	"graingraph/internal/profile"
 )
 
 // Sidecar codec for the summary index: the columnar .ggp v2 format
 // persists a built Index after first analysis so a later decode skips the
 // full Build pass. Encode/DecodeIndex serialize exactly the fields Build
-// computes — the slot interning map is rebuilt from the id column, and
+// computes — the grain-number → slot index is rebuilt from the id column, and
 // the graph handle is supplied by the caller at decode time. Staleness is
 // handled a layer down (ggp content keys); DecodeIndex still validates
 // the column structure against the graph it is attached to, so a payload
@@ -68,16 +67,14 @@ func DecodeIndex(g *core.Graph, data []byte) (*Index, error) {
 	if len(ix.ownWork) != n {
 		return nil, fmt.Errorf("lod: decode: rollup columns have %d rows, want %d", len(ix.ownWork), n)
 	}
-	ix.slots = make(map[profile.GrainID]int32, n)
-	for i, id := range ix.ids {
-		if _, dup := ix.slots[id]; dup {
-			return nil, fmt.Errorf("lod: decode: duplicate slot id %q", id)
-		}
-		ix.slots[id] = int32(i)
-	}
-	for _, p := range ix.par {
+	// A parent sits exactly one level up, as Build lays the slots out; that
+	// is also what bounds every walk up the par column.
+	for si, p := range ix.par {
 		if p < -1 || int(p) >= n {
 			return nil, fmt.Errorf("lod: decode: parent slot %d out of range", p)
+		}
+		if p >= 0 && ix.depth[p] != ix.depth[si]-1 {
+			return nil, fmt.Errorf("lod: decode: slot %d at depth %d has its parent at depth %d", si, ix.depth[si], ix.depth[p])
 		}
 	}
 	if err := checkCSR("children", ix.childOff, ix.childIdx, n, n); err != nil {
@@ -94,6 +91,28 @@ func DecodeIndex(g *core.Graph, data []byte) (*Index, error) {
 	}
 	if err := checkCSR("nodes", ix.nodeOff, ix.nodeIdx, n, nn); err != nil {
 		return nil, err
+	}
+
+	// Slot → grain number. A slot's own nodes carry the number already (a
+	// chunk node carries the chunk's, so those are skipped); only a slot
+	// that owns no task node — an ancestor interned by the parent closure —
+	// or whose ID disagrees is resolved by ID.
+	ix.grain = make([]int32, n)
+	for si, id := range ix.ids {
+		num := int32(-1)
+		for _, nd := range ix.nodeIdx[ix.nodeOff[si]:ix.nodeOff[si+1]] {
+			if g.Kind(core.NodeID(nd)) != core.NodeChunk {
+				num = g.GrainNum(core.NodeID(nd))
+				break
+			}
+		}
+		if num < 0 || g.GrainID(num) != id {
+			num = g.InternGrain(id)
+		}
+		ix.grain[si] = num
+	}
+	if dup := ix.indexSlots(); dup >= 0 {
+		return nil, fmt.Errorf("lod: decode: duplicate slot id %q", ix.ids[dup])
 	}
 	return ix, nil
 }

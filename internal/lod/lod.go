@@ -20,7 +20,6 @@ package lod
 
 import (
 	"fmt"
-	"strings"
 
 	"graingraph/internal/core"
 	"graingraph/internal/highlight"
@@ -35,10 +34,15 @@ import (
 type Index struct {
 	g *core.Graph
 
-	slots map[profile.GrainID]int32
-	ids   []profile.GrainID
-	depth []int32
-	par   []int32
+	// Slots follow the graph's owner-task table (core.Owners): grain (each
+	// slot's grain number, ids its ID), depth and par are its per-slot
+	// columns, ownerOf its per-node one; slotOf maps a grain number back to
+	// its slot (-1: none).
+	grain  []int32
+	slotOf []int32
+	ids    []profile.GrainID
+	depth  []int32
+	par    []int32
 
 	// children CSR, each parent's children sorted by descending subtree
 	// work (slot index breaks ties) — Window's top-N selection reads a
@@ -46,8 +50,7 @@ type Index struct {
 	childOff []int32
 	childIdx []int32
 
-	// ownerOf maps every node to its owning task slot (chunks through
-	// their loop's book-keeping owner); nodesOf is the inverse CSR.
+	// nodeOff/nodeIdx is the inverse CSR of ownerOf: each slot's nodes.
 	ownerOf  []int32
 	nodeOff  []int32
 	nodeIdx  []int32
@@ -67,47 +70,29 @@ type Index struct {
 
 // Build constructs the summary index. a may be nil (no problem counts).
 func Build(g *core.Graph, a *highlight.Assessment) *Index {
-	ix := &Index{g: g, slots: make(map[profile.GrainID]int32)}
+	own := g.Owners()
+	numSlots := len(own.Grain)
 	numNodes := core.NodeID(g.NumNodes())
-
-	// Loop owners first: chunk nodes attribute to the task that ran the
-	// loop, recorded on its book-keeping nodes.
-	loopOwner := make(map[profile.LoopID]profile.GrainID)
-	for n := core.NodeID(0); n < numNodes; n++ {
-		if g.Kind(n) == core.NodeBookkeep {
-			loopOwner[g.Loop(n)] = g.Grain(n)
-		}
+	ix := &Index{
+		g:        g,
+		grain:    own.Grain,
+		ids:      make([]profile.GrainID, numSlots),
+		depth:    own.Depth,
+		par:      own.Parent,
+		ownerOf:  own.Of,
+		ownWork:  make([]int64, numSlots),
+		critSelf: make([]bool, numSlots),
+		probSelf: make([]int32, numSlots),
+		startMin: make([]profile.Time, numSlots),
+		endMax:   make([]profile.Time, numSlots),
 	}
-
-	intern := func(id profile.GrainID) int32 {
-		if si, ok := ix.slots[id]; ok {
-			return si
-		}
-		si := int32(len(ix.ids))
-		ix.slots[id] = si
-		ix.ids = append(ix.ids, id)
-		ix.depth = append(ix.depth, taskDepth(id))
-		ix.ownWork = append(ix.ownWork, 0)
-		ix.critSelf = append(ix.critSelf, false)
-		ix.probSelf = append(ix.probSelf, 0)
-		ix.startMin = append(ix.startMin, 0)
-		ix.endMax = append(ix.endMax, 0)
-		return si
+	for si, num := range ix.grain {
+		ix.ids[si] = g.GrainID(num)
 	}
+	ix.indexSlots()
 
-	ix.ownerOf = make([]int32, numNodes)
-	var lastOwner profile.GrainID
-	lastSlot := int32(-1)
 	for n := core.NodeID(0); n < numNodes; n++ {
-		owner := g.Grain(n)
-		if g.Kind(n) == core.NodeChunk {
-			owner = loopOwner[g.Loop(n)]
-		}
-		if lastSlot < 0 || owner != lastOwner {
-			lastOwner, lastSlot = owner, intern(owner)
-		}
-		si := lastSlot
-		ix.ownerOf[n] = si
+		si := ix.ownerOf[n]
 		ix.ownWork[si] += int64(g.Weight(n))
 		if g.Critical(n) {
 			ix.critSelf[si] = true
@@ -121,41 +106,25 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 	}
 
 	// Problem counts: flagged task grains count against their own slot,
-	// flagged chunk grains against the owning task's slot (their recorded
-	// parent is the loop pseudo-grain, resolved through the loop's owner).
+	// flagged chunk grains against the slot of the task that ran their loop.
 	if a != nil {
-		loopParentOwner := make(map[profile.GrainID]profile.GrainID, len(loopOwner))
-		for lid, owner := range loopOwner {
-			loopParentOwner[profile.LoopParentID(lid)] = owner
-		}
+		atr := a.Report.Trace
 		for _, ga := range a.Grains {
 			if ga.Mask == 0 {
 				continue
 			}
-			id := ga.Metrics.Grain.ID
-			si, ok := ix.slots[id]
-			if !ok {
-				if owner, isLoop := loopParentOwner[ga.Metrics.Grain.Parent]; isLoop {
-					si, ok = ix.slots[owner]
+			gr := ga.Metrics.Grain
+			si := ix.slot(g.NumOf(gr))
+			if j := int(gr.Num) - len(atr.Tasks); si < 0 && gr.Kind == profile.KindChunk && j >= 0 && j < len(atr.Chunks) {
+				if owner, ok := own.LoopOwner[atr.Chunks[j].Loop]; ok {
+					si = ix.slot(owner)
 				}
 			}
-			if ok {
+			if si >= 0 {
 				ix.probSelf[si]++
 			}
 		}
 	}
-
-	// Parent closure: interning an ancestor appends a slot, and the loop
-	// bound re-reads len(ids), so ancestors that own no nodes are walked
-	// too.
-	for si := int32(0); si < int32(len(ix.ids)); si++ {
-		p := int32(-1)
-		if d := ix.depth[si]; d > 0 {
-			p = intern(ancestorAt(ix.ids[si], int(d)-1))
-		}
-		ix.par = append(ix.par, p)
-	}
-	numSlots := len(ix.ids)
 
 	// Owned-node CSR via counting sort.
 	ix.nodeOff = make([]int32, numSlots+1)
@@ -266,41 +235,36 @@ func (ix *Index) NumTasks() int { return len(ix.ids) }
 // SubtreeWork returns the aggregated work of id's spawn subtree, and
 // whether the task exists.
 func (ix *Index) SubtreeWork(id profile.GrainID) (profile.Time, bool) {
-	si, ok := ix.slots[id]
-	if !ok {
+	si := ix.slot(ix.g.LookupGrain(id))
+	if si < 0 {
 		return 0, false
 	}
 	return profile.Time(ix.subWork[si]), true
 }
 
-// taskDepth returns the spawn-tree depth of a task grain ID, or -1 for
-// non-task grains (chunk IDs, unknown owners).
-func taskDepth(id profile.GrainID) int32 {
-	if id == profile.RootID {
-		return 0
+// indexSlots builds slotOf from grain. It reports the first slot whose
+// grain an earlier slot already claimed, or -1.
+func (ix *Index) indexSlots() (dup int) {
+	ix.slotOf = make([]int32, ix.g.NumGrainNums())
+	for i := range ix.slotOf {
+		ix.slotOf[i] = -1
 	}
-	s := string(id)
-	if !strings.HasPrefix(s, string(profile.RootID)+".") {
-		return -1
+	dup = -1
+	for si, num := range ix.grain {
+		if ix.slotOf[num] >= 0 && dup < 0 {
+			dup = si
+		}
+		ix.slotOf[num] = int32(si)
 	}
-	return int32(strings.Count(s, "."))
+	return dup
 }
 
-// ancestorAt truncates a task grain ID to its ancestor at depth d; the
-// result is a substring (no allocation).
-func ancestorAt(id profile.GrainID, d int) profile.GrainID {
-	s := string(id)
-	dots := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] != '.' {
-			continue
-		}
-		if dots == d {
-			return profile.GrainID(s[:i])
-		}
-		dots++
+// slot returns the slot of grain number num, or -1.
+func (ix *Index) slot(num int32) int32 {
+	if num >= 0 && int(num) < len(ix.slotOf) {
+		return ix.slotOf[num]
 	}
-	return id
+	return -1
 }
 
 // WindowOptions selects what a windowed query shows.
@@ -350,6 +314,7 @@ type windowBuild struct {
 	opt WindowOptions
 	out *core.Graph
 
+	recorded  int32         // grain numbers below it are the trace's, shared by out
 	nodeMap   []int32       // original node -> new node + 1, 0 when not shown
 	included  []core.NodeID // original IDs of copied nodes, in emission order
 	regionRep []int32       // slot -> super-node absorbing its subtree, -1 none
@@ -368,8 +333,8 @@ func (ix *Index) Window(opt WindowOptions) (*core.Graph, WindowStats, error) {
 	if err != nil {
 		return nil, WindowStats{}, err
 	}
-	rootSlot, ok := ix.slots[opt.Root]
-	if !ok {
+	rootSlot := ix.slot(ix.g.LookupGrain(opt.Root))
+	if rootSlot < 0 {
 		return nil, WindowStats{}, fmt.Errorf("lod: unknown window root %q", opt.Root)
 	}
 
@@ -381,6 +346,7 @@ func (ix *Index) Window(opt WindowOptions) (*core.Graph, WindowStats, error) {
 		regionRep: make([]int32, len(ix.ids)),
 		loopRest:  make(map[profile.LoopID]int32),
 	}
+	b.recorded = int32(b.out.NumGrainNums()) // nothing hand-named yet
 	for i := range b.regionRep {
 		b.regionRep[i] = -1
 	}
@@ -444,13 +410,14 @@ func (b *windowBuild) expand(si int32, rel int) {
 		a.rest++
 	}
 	for _, a := range aggs {
-		nid := b.out.AddNode(core.Node{
-			Kind:    core.NodeChunk,
-			Grain:   ix.ids[si],
-			Loop:    a.loop,
-			Label:   fmt.Sprintf("%d chunks · work %d", a.rest, a.work),
-			Weight:  profile.Time(a.work),
-			Members: int(a.rest),
+		nid := b.addNode(core.Node{
+			Kind:     core.NodeChunk,
+			Grain:    ix.ids[si],
+			GrainNum: ix.grain[si],
+			Loop:     a.loop,
+			Label:    fmt.Sprintf("%d chunks · work %d", a.rest, a.work),
+			Weight:   profile.Time(a.work),
+			Members:  int(a.rest),
 		})
 		b.loopRest[a.loop] = int32(nid)
 		b.stats.SuperNodes++
@@ -512,14 +479,15 @@ func (b *windowBuild) expand(si int32, rel int) {
 		if probs > 0 {
 			label += fmt.Sprintf(" · %d problems", probs)
 		}
-		nid := b.out.AddNode(core.Node{
-			Kind:    core.NodeFragment,
-			Grain:   ix.ids[si],
-			Label:   label,
-			Start:   start,
-			End:     end,
-			Weight:  profile.Time(work),
-			Members: int(nodes),
+		nid := b.addNode(core.Node{
+			Kind:     core.NodeFragment,
+			Grain:    ix.ids[si],
+			GrainNum: ix.grain[si],
+			Label:    label,
+			Start:    start,
+			End:      end,
+			Weight:   profile.Time(work),
+			Members:  int(nodes),
 		})
 		for _, c := range rest {
 			b.regionRep[c] = int32(nid)
@@ -529,17 +497,25 @@ func (b *windowBuild) expand(si int32, rel int) {
 }
 
 // copyNode includes one original node verbatim (modulo layout, recomputed
-// later) and maintains the grain entry/exit maps of the windowed graph.
+// later). The windowed graph carries no grain entry/exit tables: nothing
+// downstream of a window reads them, and tables sized to the trace would
+// cost more than the window itself.
 func (b *windowBuild) copyNode(n core.NodeID) {
 	row := b.ix.g.NodeAt(n)
 	row.X, row.Y, row.W, row.H = 0, 0, 0, 0
-	nid := b.out.AddNode(row)
+	nid := b.addNode(row)
 	b.nodeMap[n] = int32(nid) + 1
 	b.included = append(b.included, n)
-	if _, ok := b.out.FirstNode[row.Grain]; !ok {
-		b.out.FirstNode[row.Grain] = nid
+}
+
+// addNode appends a node to the windowed graph. It shares the source
+// graph's trace, hence its numbers for every grain the trace records; a
+// grain only the source graph names is named again by ID.
+func (b *windowBuild) addNode(n core.Node) core.NodeID {
+	if n.GrainNum < b.recorded {
+		return b.out.AddNodeNum(n)
 	}
-	b.out.LastNode[row.Grain] = nid
+	return b.out.AddNode(n)
 }
 
 // rep resolves an original node to its windowed representative: itself when

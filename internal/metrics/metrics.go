@@ -119,11 +119,42 @@ type Report struct {
 	LoopLoadBalance map[profile.LoopID]float64
 	TaskLoadBalance float64
 
-	byID map[profile.GrainID]*GrainMetrics
+	// rowOf maps a grain number of Trace to the grain's row in Grains (the
+	// rows are in start order, not number order). Nil for a report put
+	// together by hand.
+	rowOf []int32
+}
+
+// RowIndex returns the position in Grains of grain number num's row, or -1.
+func (r *Report) RowIndex(num int32) int {
+	if num < 0 || int(num) >= len(r.rowOf) {
+		return -1
+	}
+	return int(r.rowOf[num])
 }
 
 // Get returns the metrics row for a grain ID, or nil.
-func (r *Report) Get(id profile.GrainID) *GrainMetrics { return r.byID[id] }
+func (r *Report) Get(id profile.GrainID) *GrainMetrics {
+	if i := r.RowIndexOf(id); i >= 0 {
+		return r.Grains[i]
+	}
+	return nil
+}
+
+// RowIndexOf returns the position in Grains of the row of the grain with
+// the given ID, or -1. A report put together by hand has no number index
+// and is scanned.
+func (r *Report) RowIndexOf(id profile.GrainID) int {
+	if r.rowOf != nil {
+		return r.RowIndex(r.Trace.Lookup(id))
+	}
+	for i, gm := range r.Grains {
+		if gm.Grain.ID == id {
+			return i
+		}
+	}
+	return -1
+}
 
 // Analyze derives every metric for tr. The grain graph g must have been
 // built from tr (pass nil to have Analyze build it). baseline, if non-nil,
@@ -139,43 +170,50 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 	rep := &Report{
 		Trace:           tr,
 		LoopLoadBalance: make(map[profile.LoopID]float64),
-		byID:            make(map[profile.GrainID]*GrainMetrics, len(grains)),
+		rowOf:           make([]int32, len(grains)),
 	}
 
 	// Per-grain local metrics (parallel benefit, memory-hierarchy
-	// utilization): every row is independent, so the rows fill their
-	// pre-sized slots across the pool; the ID index is built serially after
-	// (map writes don't shard).
+	// utilization): every row is independent, so the rows — one backing
+	// array — and the number → row index fill across the pool.
 	sp := opts.Span.Child("metric:rows")
+	rows := make([]GrainMetrics, len(grains))
 	rep.Grains = make([]*GrainMetrics, len(grains))
 	runpool.ParallelFor(opts.Pool, len(grains), metricGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			gr := grains[i]
-			rep.Grains[i] = &GrainMetrics{
+			rows[i] = GrainMetrics{
 				Grain:           gr,
 				ParallelBenefit: parallelBenefit(gr),
 				Utilization:     gr.Counters.Utilization(),
 			}
+			rep.Grains[i] = &rows[i]
+			rep.rowOf[gr.Num] = int32(i)
 		}
 	})
-	for _, gm := range rep.Grains {
-		rep.byID[gm.Grain.ID] = gm
-	}
 	sp.End()
 
-	// Work deviation against the single-core baseline: the baseline index
-	// is built once, then read-only while the division shards.
+	// Work deviation against the single-core baseline. Grain IDs are what
+	// the two runs share — the same program numbers its grains differently
+	// under another schedule — so each grain is looked up by ID in the
+	// baseline's numbering; the lookups are read-only and shard.
 	if baseline != nil {
 		sp := opts.Span.Child("metric:workdev")
-		bgrains := baseline.Grains()
-		base := make(map[profile.GrainID]profile.Time, len(bgrains))
-		for _, bg := range bgrains {
-			base[bg.ID] = bg.Exec
-		}
+		bnb := baseline.Numbering()
 		runpool.ParallelFor(opts.Pool, len(rep.Grains), metricGrain, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				gm := rep.Grains[i]
-				if b, ok := base[gm.Grain.ID]; ok && b > 0 {
+				bn := int(bnb.Lookup(gm.Grain.ID))
+				if bn < 0 {
+					continue
+				}
+				var b profile.Time
+				if bn < bnb.Tasks {
+					b = baseline.Tasks[bn].ExecTime()
+				} else {
+					b = baseline.Chunks[bn-bnb.Tasks].Duration()
+				}
+				if b > 0 {
 					gm.WorkDeviation = float64(gm.Grain.Exec) / float64(b)
 				}
 			}
@@ -201,12 +239,12 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 	if interval == 0 {
 		interval = MedianGrainLength(grains)
 	}
-	rep.IntervalSize, rep.Timeline = instParallelism(tr, grains, rep.byID, interval, opts)
+	rep.IntervalSize, rep.Timeline = instParallelism(tr, rep, interval, opts)
 	sp.End()
 
 	// Scatter per sibling set.
 	sp = opts.Span.Child("metric:scatter")
-	scatter(grains, rep.byID, tr, opts)
+	scatter(grains, rep, opts)
 	sp.End()
 
 	// Load balance.

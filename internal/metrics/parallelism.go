@@ -9,23 +9,27 @@ import (
 // interval execution spans per grain: tasks contribute each fragment,
 // chunks their whole span.
 type grainSpan struct {
-	id         profile.GrainID
+	num        int32 // grain number
 	start, end profile.Time
 }
 
 func executionSpans(tr *profile.Trace) []grainSpan {
-	var spans []grainSpan
+	n := len(tr.Chunks)
 	for _, t := range tr.Tasks {
+		n += len(t.Fragments)
+	}
+	spans := make([]grainSpan, 0, n)
+	for ti, t := range tr.Tasks {
 		for i := range t.Fragments {
 			f := &t.Fragments[i]
 			if f.End > f.Start {
-				spans = append(spans, grainSpan{t.ID, f.Start, f.End})
+				spans = append(spans, grainSpan{int32(ti), f.Start, f.End})
 			}
 		}
 	}
-	for _, c := range tr.Chunks {
+	for j, c := range tr.Chunks {
 		if c.End > c.Start {
-			spans = append(spans, grainSpan{tr.ChunkGrainID(c), c.Start, c.End})
+			spans = append(spans, grainSpan{int32(len(tr.Tasks) + j), c.Start, c.End})
 		}
 	}
 	return spans
@@ -33,11 +37,9 @@ func executionSpans(tr *profile.Trace) []grainSpan {
 
 // instParallelism computes the per-interval parallelism timeline and fills
 // each grain's InstParallelism (its minimum over overlapping intervals).
-func instParallelism(tr *profile.Trace, grains []*profile.Grain,
-	byID map[profile.GrainID]*GrainMetrics, interval profile.Time, opts Options) (profile.Time, []int) {
-
+func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts Options) (profile.Time, []int) {
 	makespan := tr.Makespan()
-	if makespan == 0 || len(grains) == 0 {
+	if makespan == 0 || len(rep.Grains) == 0 {
 		return interval, nil
 	}
 	if interval == 0 {
@@ -53,17 +55,9 @@ func instParallelism(tr *profile.Trace, grains []*profile.Grain,
 	spans := executionSpans(tr)
 	// A grain counts once per interval even if several of its fragments
 	// overlap the same interval: count per (grain, interval) via sweeping
-	// grain spans, deduping with a last-marked stamp per grain. The stamps
-	// live in a flat slice indexed by the grain's position in the (sorted)
-	// grains slice — on million-grain traces the map of per-grain mark
-	// allocations this replaces dominated the pass.
-	idx := make(map[profile.GrainID]int32, len(grains))
-	gms := make([]*GrainMetrics, len(grains))
-	for i, g := range grains {
-		idx[g.ID] = int32(i)
-		gms[i] = byID[g.ID]
-	}
-	lastSeen := make([]int32, len(grains))
+	// grain spans, deduping with a last-marked stamp per grain, indexed by
+	// grain number.
+	lastSeen := make([]int32, tr.NumGrains())
 	for i := range lastSeen {
 		lastSeen[i] = -1
 	}
@@ -86,32 +80,23 @@ func instParallelism(tr *profile.Trace, grains []*profile.Grain,
 		if last >= nIntervals {
 			last = nIntervals - 1
 		}
-		gi, known := idx[sp.id]
 		for i := first; i <= last; i++ {
-			if known && lastSeen[gi] == int32(i) {
+			if lastSeen[sp.num] == int32(i) {
 				continue // already counted this grain in this interval
 			}
 			counts[i]++
-			if known {
-				lastSeen[gi] = int32(i)
-			}
+			lastSeen[sp.num] = int32(i)
 		}
 	}
 
 	// Per-grain minimum over the intervals its *execution* overlaps (its
 	// fragments — a task suspended in taskwait is not executing, so thin
 	// intervals during its suspension do not count against it).
-	for _, gm := range gms {
-		if gm != nil {
-			gm.InstParallelism = -1
-		}
+	for _, gm := range rep.Grains {
+		gm.InstParallelism = -1
 	}
 	for _, sp := range spans {
-		gi, known := idx[sp.id]
-		if !known || gms[gi] == nil {
-			continue
-		}
-		gm := gms[gi]
+		gm := rep.Grains[rep.rowOf[sp.num]]
 		first := int(sp.start / interval)
 		last := int((sp.end - 1) / interval)
 		if last >= nIntervals {
@@ -123,8 +108,8 @@ func instParallelism(tr *profile.Trace, grains []*profile.Grain,
 			}
 		}
 	}
-	for _, gm := range gms {
-		if gm != nil && gm.InstParallelism == -1 {
+	for _, gm := range rep.Grains {
+		if gm.InstParallelism == -1 {
 			gm.InstParallelism = 0
 		}
 	}

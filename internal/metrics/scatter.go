@@ -20,7 +20,7 @@ const scatterSetGrain = 32
 // Sibling sets partition the grains, so every set's computation is
 // independent and writes disjoint metric rows: the sets run data-parallel
 // across opts.Pool, ordered by parent grain ID so the chunking is
-// deterministic, with per-worker scratch reusing the core and distance
+// deterministic (profile.Trace.SiblingSets), with per-worker scratch reusing the core and distance
 // buffers across the sets a worker processes.
 //
 // Grains whose executing core was not recorded (Core < 0) cannot
@@ -29,15 +29,9 @@ const scatterSetGrain = 32
 // "we could not measure" must stay distinguishable from "perfectly packed"
 // (scatter 0). Only children keep scatter 0: a grain with no siblings is
 // trivially unscattered.
-func scatter(grains []*profile.Grain, byID map[profile.GrainID]*GrainMetrics,
-	tr *profile.Trace, opts Options) {
-
-	bySet := profile.GrainsByParent(grains)
-	parents := make([]profile.GrainID, 0, len(bySet))
-	for p := range bySet {
-		parents = append(parents, p)
-	}
-	sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
+func scatter(grains []*profile.Grain, rep *Report, opts Options) {
+	// rep.Grains[i] is grains[i]'s row, so a set's members index both.
+	off, members := rep.Trace.SiblingSets(grains)
 
 	// Distances follow the paper's core-identifier convention
 	// (machine.Topology.CoreDistance): |core_i - core_j|.
@@ -45,23 +39,21 @@ func scatter(grains []*profile.Grain, byID map[profile.GrainID]*GrainMetrics,
 		cores []int
 		dists []int
 	}
-	runpool.ParallelForScratch(opts.Pool, len(parents), scatterSetGrain,
+	runpool.ParallelForScratch(opts.Pool, len(off)-1, scatterSetGrain,
 		func() *scratch { return &scratch{} },
 		func(_, lo, hi int, s *scratch) {
 			for si := lo; si < hi; si++ {
-				siblings := bySet[parents[si]]
+				siblings := members[off[si]:off[si+1]]
 				if len(siblings) < 2 {
-					for _, g := range siblings {
-						if gm := byID[g.ID]; gm != nil {
-							gm.Scatter = 0
-						}
+					for _, m := range siblings {
+						rep.Grains[m].Scatter = 0
 					}
 					continue
 				}
 				s.cores = s.cores[:0]
-				for _, g := range siblings {
-					if g.Core >= 0 {
-						s.cores = append(s.cores, g.Core)
+				for _, m := range siblings {
+					if c := grains[m].Core; c >= 0 {
+						s.cores = append(s.cores, c)
 					}
 				}
 				val := ScatterUnknown
@@ -71,16 +63,12 @@ func scatter(grains []*profile.Grain, byID map[profile.GrainID]*GrainMetrics,
 						subsampleCores(s.cores, opts.ScatterSample), s.dists)
 					val = med
 				}
-				for _, g := range siblings {
-					gm := byID[g.ID]
-					if gm == nil {
+				for _, m := range siblings {
+					if grains[m].Core < 0 {
+						rep.Grains[m].Scatter = ScatterUnknown
 						continue
 					}
-					if g.Core < 0 {
-						gm.Scatter = ScatterUnknown
-						continue
-					}
-					gm.Scatter = val
+					rep.Grains[m].Scatter = val
 				}
 			}
 		})

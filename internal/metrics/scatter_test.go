@@ -45,14 +45,26 @@ func TestSubsampleStrideBound(t *testing.T) {
 	}
 }
 
-// scatterFixture runs the scatter pass over hand-built grains.
+// scatterFixture runs the scatter pass over hand-built grains: each becomes
+// a one-fragment task of a trace that records only string references, so
+// the sibling sets come out of the trace's own numbering.
 func scatterFixture(t *testing.T, grains []*profile.Grain) map[profile.GrainID]*GrainMetrics {
 	t.Helper()
+	tr := &profile.Trace{}
+	for _, g := range grains {
+		tr.Tasks = append(tr.Tasks, &profile.TaskRecord{
+			ID: g.ID, Parent: g.Parent, Fragments: []profile.Fragment{{Core: g.Core}},
+		})
+	}
+	grains = tr.Grains()
+	rep := &Report{Trace: tr}
 	byID := make(map[profile.GrainID]*GrainMetrics, len(grains))
 	for _, g := range grains {
-		byID[g.ID] = &GrainMetrics{Grain: g}
+		gm := &GrainMetrics{Grain: g}
+		rep.Grains = append(rep.Grains, gm)
+		byID[g.ID] = gm
 	}
-	scatter(grains, byID, &profile.Trace{}, Options{}.withDefaults())
+	scatter(grains, rep, Options{}.withDefaults())
 	return byID
 }
 

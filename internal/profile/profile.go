@@ -281,7 +281,11 @@ type ChunkRecord struct {
 // is prepended by the Trace accessor; the record alone identifies by loop,
 // sequence and range.
 func (c *ChunkRecord) ID(startThread int) GrainID {
-	b := make([]byte, 0, 24)
+	return GrainID(c.appendID(make([]byte, 0, 24), startThread))
+}
+
+// appendID appends the chunk's grain ID to b.
+func (c *ChunkRecord) appendID(b []byte, startThread int) []byte {
 	b = append(b, 'L')
 	b = strconv.AppendInt(b, int64(c.Loop), 10)
 	b = append(b, '@', 't')
@@ -292,8 +296,7 @@ func (c *ChunkRecord) ID(startThread int) GrainID {
 	b = strconv.AppendInt(b, int64(c.Lo), 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(c.Hi), 10)
-	b = append(b, ')')
-	return GrainID(b)
+	return append(b, ')')
 }
 
 // Duration returns the chunk's execution time.
@@ -333,26 +336,25 @@ type Trace struct {
 	Bookkeeps []*BookkeepRecord
 	Workers   []WorkerStat
 
-	// Lookup indexes, built lazily under indexOnce: a finished trace is
-	// immutable and may be shared by concurrently running analyses (the
-	// experiment engine memoizes simulation runs across figures), so the
-	// build must be race-free.
-	indexOnce sync.Once
-	taskIndex map[GrainID]*TaskRecord
-	loopIndex map[LoopID]*LoopRecord
+	// The grain numbering and the loop index, built lazily under indexOnce:
+	// a finished trace is immutable and may be shared by concurrently
+	// running analyses (the experiment engine memoizes simulation runs
+	// across figures), so the build must be race-free.
+	indexOnce  sync.Once
+	numbering  *Numbering
+	loopIndex  map[LoopID]int32 // loop ID -> index in Loops
+	adoptedIDs []GrainID        // see AdoptIDs
 }
 
-// buildIndexes populates both lookup indexes exactly once.
+// buildIndexes numbers the grains and indexes the loops exactly once.
 func (tr *Trace) buildIndexes() {
 	tr.indexOnce.Do(func() {
-		tr.taskIndex = make(map[GrainID]*TaskRecord, len(tr.Tasks))
-		for _, t := range tr.Tasks {
-			tr.taskIndex[t.ID] = t
+		tr.loopIndex = make(map[LoopID]int32, len(tr.Loops))
+		for i, l := range tr.Loops {
+			tr.loopIndex[l.ID] = int32(i)
 		}
-		tr.loopIndex = make(map[LoopID]*LoopRecord, len(tr.Loops))
-		for _, l := range tr.Loops {
-			tr.loopIndex[l.ID] = l
-		}
+		tr.numbering = tr.number(tr.loopIndex)
+		tr.adoptedIDs = nil
 	})
 }
 
@@ -361,25 +363,19 @@ func (tr *Trace) Makespan() Time { return tr.End - tr.Start }
 
 // Task looks up a task record by grain ID.
 func (tr *Trace) Task(id GrainID) *TaskRecord {
-	tr.buildIndexes()
-	return tr.taskIndex[id]
+	if n := tr.Lookup(id); n >= 0 && int(n) < len(tr.Tasks) {
+		return tr.Tasks[n]
+	}
+	return nil
 }
 
 // Loop looks up a loop record by ID.
 func (tr *Trace) Loop(id LoopID) *LoopRecord {
 	tr.buildIndexes()
-	return tr.loopIndex[id]
-}
-
-// ChunkGrainID returns the full paper-style chunk grain ID using the loop's
-// starting thread.
-func (tr *Trace) ChunkGrainID(c *ChunkRecord) GrainID {
-	l := tr.Loop(c.Loop)
-	start := 0
-	if l != nil {
-		start = l.StartThread
+	if i, ok := tr.loopIndex[id]; ok {
+		return tr.Loops[i]
 	}
-	return c.ID(start)
+	return nil
 }
 
 // NumGrains returns the total grain count (tasks + chunks). The root/master

@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -122,9 +125,12 @@ func TestTraceMakespanAndCounts(t *testing.T) {
 
 func TestChunkGrainID(t *testing.T) {
 	tr := makeTestTrace()
-	id := tr.ChunkGrainID(tr.Chunks[1])
+	id := tr.ChunkID(1)
 	if id != "L0@t0#1[4,8)" {
 		t.Errorf("chunk grain ID = %q", id)
+	}
+	if n := tr.Lookup(id); n != int32(len(tr.Tasks))+1 || tr.ID(n) != id {
+		t.Errorf("chunk 1 is grain %d (%q), want %d", n, tr.ID(n), len(tr.Tasks)+1)
 	}
 }
 
@@ -171,16 +177,26 @@ func TestGrainsUnifiedView(t *testing.T) {
 func TestGrainsByParentAndLoc(t *testing.T) {
 	tr := makeTestTrace()
 	grains := tr.Grains()
-	byParent := GrainsByParent(grains)
-	if len(byParent[RootID]) != 2 {
-		t.Errorf("root has %d child grains, want 2", len(byParent[RootID]))
+	// Sets come in parent-ID order: the root's empty parent, "R", "loop:0".
+	off, members := tr.SiblingSets(grains)
+	var sets [][]GrainID
+	for s := 0; s+1 < len(off); s++ {
+		var ids []GrainID
+		for _, m := range members[off[s]:off[s+1]] {
+			if grains[m].Parent != grains[members[off[s]]].Parent {
+				t.Errorf("set %d mixes parents %q and %q", s, grains[m].Parent, grains[members[off[s]]].Parent)
+			}
+			ids = append(ids, grains[m].ID)
+		}
+		sets = append(sets, ids)
 	}
-	if len(byParent[LoopParentID(0)]) != 2 {
-		t.Errorf("loop has %d chunk grains, want 2", len(byParent[LoopParentID(0)]))
+	want := [][]GrainID{{"R"}, {"R.0", "R.1"}, {"L0@t0#0[0,4)", "L0@t0#1[4,8)"}}
+	if !reflect.DeepEqual(sets, want) {
+		t.Errorf("sibling sets = %q, want %q", sets, want)
 	}
 	byLoc := GrainsByLoc(grains)
-	if len(byLoc["main.go:10(work)"]) != 2 {
-		t.Errorf("loc grouping = %d, want 2", len(byLoc["main.go:10(work)"]))
+	if len(byLoc[Loc("main.go", 10, "work")]) != 2 {
+		t.Errorf("loc grouping = %d, want 2", len(byLoc[Loc("main.go", 10, "work")]))
 	}
 }
 
@@ -194,5 +210,96 @@ func TestKindAndScheduleStrings(t *testing.T) {
 	}
 	if ScheduleKind(9).String() == "" {
 		t.Error("unknown schedule should stringify")
+	}
+}
+
+// TestNumberingBuiltOnceUnderConcurrency: a memoized trace is analysed by
+// many goroutines at once, and whichever gets there first builds the
+// numbering; all of them must see the one finished index (run under -race).
+func TestNumberingBuiltOnceUnderConcurrency(t *testing.T) {
+	tr := makeTestTrace()
+	var wg sync.WaitGroup
+	got := make([]*Numbering, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if tr.Task("R.1") == nil || tr.Lookup("L0@t0#0[0,4)") != 3 || tr.Loop(0) == nil {
+				t.Error("lookup through a concurrently built index failed")
+			}
+			got[i] = tr.Numbering()
+		}(i)
+	}
+	wg.Wait()
+	for _, nb := range got {
+		if nb != got[0] {
+			t.Fatal("concurrent callers saw different numberings")
+		}
+	}
+}
+
+// TestNumberingResolvesReferences pins the resolved columns of the test
+// trace: the root's empty parent and an unrecorded one get their own keys
+// past the grains and loops, a dangling child resolves to -1.
+func TestNumberingResolvesReferences(t *testing.T) {
+	tr := makeTestTrace()
+	tr.Tasks[2].Parent = "R.9"
+	tr.Tasks[0].Boundaries[1].Joined = []GrainID{"R.0", "R.7", "R.1"}
+	nb := tr.Numbering()
+	if want := []int32{6, 0, 7, 5, 5}; !reflect.DeepEqual(nb.Parent, want) {
+		t.Errorf("parent keys = %v, want %v", nb.Parent, want)
+	}
+	for key, want := range map[int32]GrainID{0: "R", 3: "L0@t0#0[0,4)", 5: "loop:0", 6: "", 7: "R.9"} {
+		if got := nb.ParentID(key); got != want {
+			t.Errorf("ParentID(%d) = %q, want %q", key, got, want)
+		}
+	}
+	if nb.TaskParent(0) != -1 || nb.TaskParent(1) != 0 || nb.TaskParent(2) != -1 || nb.TaskParent(3) != -1 {
+		t.Errorf("task parents = %d %d %d %d", nb.TaskParent(0), nb.TaskParent(1), nb.TaskParent(2), nb.TaskParent(3))
+	}
+	if want := []int32{1, -1, -1}; !reflect.DeepEqual(nb.Child, want) {
+		t.Errorf("fork children = %v, want %v", nb.Child, want)
+	}
+	if got := nb.JoinedOf(nb.BoundOff[0] + 1); !reflect.DeepEqual(got, []int32{1, -1, 2}) {
+		t.Errorf("joined = %v, want [1 -1 2]", got)
+	}
+	if tr.Lookup("R.9") != -1 || tr.Lookup("") != -1 || tr.Lookup("loop:0") != -1 {
+		t.Error("Lookup resolved a parent key that is no grain")
+	}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("dangling references rejected: %v", err)
+	}
+}
+
+// TestAdoptIDs: a ready-made id table (the v2 grain dictionary) replaces
+// the one indexing would format, but only if it names every grain as its
+// record does — Validate rejects the trace otherwise, and the numbering
+// falls back on the records either way.
+func TestAdoptIDs(t *testing.T) {
+	want := makeTestTrace().Numbering().IDs
+
+	tr := makeTestTrace()
+	table := append([]GrainID(nil), want...)
+	tr.AdoptIDs(table)
+	if got := tr.Numbering().IDs; &got[0] != &table[0] || !reflect.DeepEqual(got, want) {
+		t.Errorf("adopted table not used as is: %q", got)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("Validate rejected a faithful id table: %v", err)
+	}
+
+	for name, bad := range map[string][]GrainID{
+		"misnamed task":  {"R", "R.1", "R.0", want[3], want[4]},
+		"misnamed chunk": {"R", "R.0", "R.1", want[3], "L0@t1#1[4,8)"},
+		"wrong length":   want[:4],
+	} {
+		tr := makeTestTrace()
+		tr.AdoptIDs(append([]GrainID(nil), bad...))
+		if got := tr.Numbering().IDs; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: numbering follows the bad table: %q", name, got)
+		}
+		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "id table") {
+			t.Errorf("%s: Validate returned %v", name, err)
+		}
 	}
 }

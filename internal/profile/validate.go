@@ -5,11 +5,14 @@ import "fmt"
 // Validate checks the structural invariants a trace must satisfy before the
 // graph builder may consume it: every fragment and chunk interval is
 // well-formed (End >= Start), a task's fragments are ordered and
-// non-overlapping, boundary counts match fragment counts, and every
-// boundary/chunk refers to a loop the trace records. The live runtimes
-// construct traces that hold these by design; the check matters for traces
-// read back from disk, where corruption or a buggy producer would otherwise
-// surface far away as negative-weight graph nodes or builder panics.
+// non-overlapping, boundary counts match fragment counts, every
+// boundary/chunk refers to a loop the trace records, and every task is
+// recorded after its parent. Dangling Parent/Child/Joined references are
+// accepted: they resolve to no grain (-1) and the analyses skip them. The
+// live runtimes construct traces that hold these by design; the check
+// matters for traces read back from disk, where corruption or a buggy
+// producer would otherwise surface far away as negative-weight graph nodes
+// or builder panics.
 //
 // It returns the first violation found, or nil for a well-formed trace.
 func (tr *Trace) Validate() error {
@@ -32,15 +35,24 @@ func (tr *Trace) Validate() error {
 		}
 		loops[l.ID] = true
 	}
-	seen := make(map[GrainID]bool, len(tr.Tasks))
-	for _, t := range tr.Tasks {
+	nb := tr.Numbering()
+	if nb.badID >= 0 {
+		return fmt.Errorf("profile: adopted id table misnames grain %d", nb.badID)
+	}
+	for i, t := range tr.Tasks {
 		if t.ID == "" {
 			return fmt.Errorf("profile: task with empty grain ID")
 		}
-		if seen[t.ID] {
+		if int32(i) == nb.dupTask {
 			return fmt.Errorf("profile: duplicate task record %q", t.ID)
 		}
-		seen[t.ID] = true
+		// Spawn order: every producer records a task after the task that
+		// spawned it. Requiring it here is what makes Parent chains finite —
+		// a self-parent or a Parent cycle cannot satisfy it — so ancestor
+		// walks over a validated trace terminate without a depth bound.
+		if p := nb.TaskParent(int32(i)); p >= int32(i) {
+			return fmt.Errorf("profile: task %q is recorded before its parent %q", t.ID, t.Parent)
+		}
 		if len(t.Boundaries) > len(t.Fragments) {
 			return fmt.Errorf("profile: task %q has %d boundaries for %d fragments",
 				t.ID, len(t.Boundaries), len(t.Fragments))

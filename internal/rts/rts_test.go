@@ -404,8 +404,8 @@ func checkTraceInvariants(t *testing.T, tr *profile.Trace) {
 			}
 		}
 	}
-	for _, ck := range tr.Chunks {
-		id := tr.ChunkGrainID(ck)
+	for j, ck := range tr.Chunks {
+		id := tr.ChunkID(j)
 		if seen[id] {
 			t.Errorf("duplicate chunk ID %s", id)
 		}
@@ -731,8 +731,8 @@ func TestChunkSeqIdentification(t *testing.T) {
 			func(c Ctx, lo, hi int) { c.Compute(100) })
 	})
 	ids := map[profile.GrainID]bool{}
-	for _, ck := range tr.Chunks {
-		id := tr.ChunkGrainID(ck)
+	for j := range tr.Chunks {
+		id := tr.ChunkID(j)
 		if ids[id] {
 			t.Errorf("duplicate chunk grain ID %s", id)
 		}

@@ -3,6 +3,7 @@ package whatif
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"graingraph/internal/highlight"
 	"graingraph/internal/profile"
@@ -91,7 +92,7 @@ func (e *Engine) Candidates(a *highlight.Assessment, opt RankOptions) []Hypothes
 	if a != nil {
 		// Work-inflation removal, when deviations were measured (the engine
 		// caches the >1 deviations at construction).
-		if len(e.deviation) > 0 {
+		if e.inflated {
 			hs = append(hs, ZeroInflation{All: true})
 			for _, ga := range a.TopOffenders(highlight.WorkInflation, opt.PerProblem) {
 				hs = append(hs, ZeroInflation{Grain: ga.Metrics.Grain.ID})
@@ -99,14 +100,14 @@ func (e *Engine) Candidates(a *highlight.Assessment, opt RankOptions) []Hypothes
 		}
 
 		// Scale the worst offender grains of every problem class, deduped.
-		seen := make(map[profile.GrainID]bool)
+		var seen []profile.GrainID // a handful: PerProblem per problem class
 		for _, p := range highlight.AllProblems {
 			for _, ga := range a.TopOffenders(p, opt.PerProblem) {
 				id := ga.Metrics.Grain.ID
-				if seen[id] {
+				if slices.Contains(seen, id) {
 					continue
 				}
-				seen[id] = true
+				seen = append(seen, id)
 				hs = append(hs, ScaleGrain{Grain: id, Factor: opt.ScaleFactor})
 			}
 		}

@@ -29,7 +29,6 @@ package whatif
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -109,8 +108,8 @@ type EvalStats struct {
 
 // Engine evaluates hypotheses against one recorded run. Construction
 // precomputes the baseline — work, the critical-path DP state reused by
-// every sparse evaluation, the loop-owner map and the deepest task depth —
-// and forces the graph's adjacency and level indexes, so Eval is safe to
+// every sparse evaluation, the owner-task table and the deepest task depth
+// — and forces the graph's adjacency and level indexes, so Eval is safe to
 // call concurrently from EvalAll's worker pool: every evaluation works on
 // its own sparse overlay and only reads the shared baseline.
 type Engine struct {
@@ -132,34 +131,24 @@ type Engine struct {
 	baseW  []profile.Time
 	cpBase *metrics.CPBaseline
 
-	// loopOwner maps each loop to the task that executed it, resolved from
-	// the graph's book-keeping nodes (chunk nodes carry chunk grain IDs, so
-	// subtree membership for chunks goes through their loop's owner).
-	loopOwner map[profile.LoopID]profile.GrainID
-
-	// deviation holds each grain's measured work deviation above 1, pulled
-	// from the report once — inflation hypotheses used to rebuild this map
-	// on every evaluation, which dominated their cost on million-grain
-	// reports.
-	deviation map[profile.GrainID]float64
+	// deviation holds each grain's measured work deviation above 1 by
+	// grain number (0: none measured), pulled from the report once;
+	// inflated says whether any grain has one.
+	deviation []float64
+	inflated  bool
 
 	// maxTaskDepth is the deepest spawn-tree depth among task grains,
 	// computed once here so Candidates does not re-scan the node table per
 	// Rank call.
 	maxTaskDepth int
 
-	// Interned owner-task table: collapse hypotheses touch every node, so
-	// their per-node owner resolution must be array reads, not string or
-	// map work. ownerOf maps each node to the slot of its owning task
-	// (chunks resolve through loopOwner); per slot, the table records the
-	// task's grain ID, spawn-tree depth (-1 for non-task owners), parent
-	// task slot (-1 at the root; the closure interns ancestors that own no
-	// nodes themselves) and entry fragment (-1 when the task has none).
-	ownerOf     []int32
-	ownerIDs    []profile.GrainID
-	ownerDepth  []int32
-	ownerParent []int32
-	ownerEntry  []int32
+	// The graph's owner-task table (core.Owners): collapse hypotheses touch
+	// every node, so their per-node owner resolution must be array reads.
+	// own maps each node to the slot of its owning task and links the slots
+	// into the spawn tree; ownerEntry adds each slot's entry fragment (-1
+	// when the task has none).
+	own        *core.Owners
+	ownerEntry []int32
 
 	// Scratch pools for the two node-sized per-evaluation buffers (the
 	// spilled dense weight vector and the collapse moved-work accumulator).
@@ -241,25 +230,24 @@ func New(g *core.Graph, rep *metrics.Report) *Engine {
 			e.BaseMakespan = perCore
 		}
 	}
-	e.loopOwner = make(map[profile.LoopID]profile.GrainID)
-	for n := core.NodeID(0); n < core.NodeID(g.NumNodes()); n++ {
-		if g.Kind(n) == core.NodeBookkeep {
-			e.loopOwner[g.Loop(n)] = g.Grain(n)
-		}
-	}
 	if rep != nil {
-		e.deviation = make(map[profile.GrainID]float64)
+		e.deviation = make([]float64, g.NumGrainNums())
 		for _, gm := range rep.Grains {
-			if gm.WorkDeviation > 1 {
-				e.deviation[gm.Grain.ID] = gm.WorkDeviation
+			if gm.WorkDeviation <= 1 {
+				continue
+			}
+			if num := g.NumOf(gm.Grain); num >= 0 && int(num) < len(e.deviation) {
+				e.deviation[num] = gm.WorkDeviation
+				e.inflated = true
 			}
 		}
 	}
-	e.internOwners()
+	e.own = g.Owners()
+	e.resolveEntries()
 	// The deepest populated spawn depth falls out of the slot table — owner
 	// depths cover every task grain (chunk grains are not tasks and never
 	// carry a depth).
-	for _, d := range e.ownerDepth {
+	for _, d := range e.own.Depth {
 		if int(d) > e.maxTaskDepth {
 			e.maxTaskDepth = int(d)
 		}
@@ -267,65 +255,24 @@ func New(g *core.Graph, rep *metrics.Report) *Engine {
 	return e
 }
 
-// internOwners builds the owner-task slot table. Two passes: assign every
-// node its owner slot (a run cache skips the map for consecutive nodes of
-// one task, the common layout), then close the table over parents — the
-// slice grows while the loop walks it, interning spawn-tree ancestors that
-// own no nodes — and resolve each slot's entry fragment: the grain's
-// FirstNode when recorded, else its first fragment in node order (the same
-// resolution entryNode falls back to).
-func (e *Engine) internOwners() {
+// resolveEntries fills each owner slot's entry fragment: the grain's
+// FirstNode when recorded, else its first fragment in node order.
+func (e *Engine) resolveEntries() {
 	g := e.G
-	numNodes := core.NodeID(g.NumNodes())
-	slots := make(map[profile.GrainID]int32)
-	intern := func(id profile.GrainID) int32 {
-		if si, ok := slots[id]; ok {
-			return si
-		}
-		si := int32(len(e.ownerIDs))
-		slots[id] = si
-		e.ownerIDs = append(e.ownerIDs, id)
-		d := int32(-1)
-		if td, ok := taskDepth(id); ok {
-			d = int32(td)
-		}
-		e.ownerDepth = append(e.ownerDepth, d)
-		e.ownerEntry = append(e.ownerEntry, -1)
-		return si
+	e.ownerEntry = make([]int32, len(e.own.Grain))
+	for si := range e.ownerEntry {
+		e.ownerEntry[si] = -1
 	}
-
-	e.ownerOf = make([]int32, numNodes)
-	var lastOwner profile.GrainID
-	lastSlot := int32(-1)
-	for n := core.NodeID(0); n < numNodes; n++ {
-		owner := g.Grain(n)
-		if g.Kind(n) == core.NodeChunk {
-			owner = e.loopOwner[g.Loop(n)]
-		}
-		if lastSlot < 0 || owner != lastOwner {
-			lastOwner, lastSlot = owner, intern(owner)
-		}
-		e.ownerOf[n] = lastSlot
-	}
-
-	for si := int32(0); si < int32(len(e.ownerIDs)); si++ {
-		p := int32(-1)
-		if d := e.ownerDepth[si]; d > 0 {
-			p = intern(ancestorAt(e.ownerIDs[si], int(d)-1))
-		}
-		e.ownerParent = append(e.ownerParent, p)
-	}
-
-	for n := core.NodeID(0); n < numNodes; n++ {
+	for n := core.NodeID(0); n < core.NodeID(g.NumNodes()); n++ {
 		if g.Kind(n) != core.NodeFragment {
 			continue
 		}
-		if si := e.ownerOf[n]; e.ownerEntry[si] < 0 {
+		if si := e.own.Of[n]; e.ownerEntry[si] < 0 {
 			e.ownerEntry[si] = int32(n)
 		}
 	}
-	for si, id := range e.ownerIDs {
-		if n, ok := g.FirstNode[id]; ok {
+	for si, num := range e.own.Grain {
+		if n := g.First(num); n >= 0 {
 			e.ownerEntry[si] = int32(n)
 		}
 	}
@@ -535,56 +482,30 @@ func (e *Engine) EvalAll(pool *runpool.Runner, hs []Hypothesis) []Projection {
 	return out
 }
 
-// taskDepth returns the spawn-tree depth encoded in a task grain's
-// path-enumeration ID ("R" = 0, "R.3.1" = 2); ok is false for chunk grains.
-func taskDepth(id profile.GrainID) (int, bool) {
-	if id == profile.RootID {
-		return 0, true
+// subtreeOf returns a predicate over owner slots: whether the slot's task
+// lies in the spawn subtree rooted at slot root (inclusive). Answers are
+// memoized per slot, so a pass over every node costs one parent walk per
+// task, not per node.
+func (e *Engine) subtreeOf(root int32) func(si int32) bool {
+	const unknown, in, out = 0, 1, 2
+	state := make([]int8, len(e.own.Parent))
+	if root >= 0 {
+		state[root] = in
 	}
-	s := string(id)
-	if !strings.HasPrefix(s, string(profile.RootID)+".") {
-		return 0, false
-	}
-	return strings.Count(s, "."), true
-}
-
-// inSubtree reports whether task grain id lies in the spawn subtree rooted
-// at root (inclusive).
-func inSubtree(id, root profile.GrainID) bool {
-	return id == root || strings.HasPrefix(string(id), string(root)+".")
-}
-
-// ancestorAt truncates a task grain ID to its spawn-tree ancestor at depth
-// d ("R.a.b.c" at depth 1 → "R.a"). The result is a substring of id — no
-// allocation — because path IDs place one dot per level: the ancestor at
-// depth d ends where the (d+1)-th dot begins.
-func ancestorAt(id profile.GrainID, d int) profile.GrainID {
-	s := string(id)
-	dots := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] != '.' {
-			continue
+	return func(si int32) bool {
+		cur := si
+		for cur >= 0 && state[cur] == unknown {
+			cur = e.own.Parent[cur]
 		}
-		if dots == d {
-			return profile.GrainID(s[:i])
+		verdict := int8(out)
+		if cur >= 0 {
+			verdict = state[cur]
 		}
-		dots++
-	}
-	return id
-}
-
-// entryNode returns the node that absorbs serialized work for a task grain:
-// its first fragment.
-func (e *Engine) entryNode(id profile.GrainID) (core.NodeID, bool) {
-	if n, ok := e.G.FirstNode[id]; ok {
-		return n, true
-	}
-	for n := core.NodeID(0); n < core.NodeID(e.G.NumNodes()); n++ {
-		if e.G.Grain(n) == id && e.G.Kind(n) == core.NodeFragment {
-			return n, true
+		for cur = si; cur >= 0 && state[cur] == unknown; cur = e.own.Parent[cur] {
+			state[cur] = verdict
 		}
+		return verdict == in
 	}
-	return 0, false
 }
 
 // ScaleGrain scales the execution weight of one grain — or its whole spawn
@@ -609,11 +530,22 @@ func (h ScaleGrain) Approximate() bool { return false }
 
 func (h ScaleGrain) apply(e *Engine, v *weightOverlay) bool {
 	g := e.G
+	num := g.LookupGrain(h.Grain)
+	if num < 0 {
+		return false
+	}
+	// A subtree is the tasks below the grain: a fragment belongs to it
+	// through its own task's slot, a chunk only by being the grain itself.
+	inSubtree := func(int32) bool { return false }
+	if h.Subtree {
+		inSubtree = e.subtreeOf(e.own.Slot(num))
+	}
 	for n := core.NodeID(0); n < core.NodeID(g.NumNodes()); n++ {
-		if k := g.Kind(n); k != core.NodeFragment && k != core.NodeChunk {
+		k := g.Kind(n)
+		if k != core.NodeFragment && k != core.NodeChunk {
 			continue
 		}
-		if id := g.Grain(n); id == h.Grain || (h.Subtree && inSubtree(id, h.Grain)) {
+		if g.GrainNum(n) == num || (k == core.NodeFragment && inSubtree(e.own.Of[n])) {
 			v.Set(n, profile.Time(float64(v.At(n))*h.Factor+0.5))
 		}
 	}
@@ -655,15 +587,22 @@ func (h ZeroInflation) apply(e *Engine, v *weightOverlay) bool {
 		return false
 	}
 	g := e.G
+	only := int32(-1)
+	if !h.All {
+		if only = g.LookupGrain(h.Grain); only < 0 {
+			return false
+		}
+	}
 	for n := core.NodeID(0); n < core.NodeID(g.NumNodes()); n++ {
 		if k := g.Kind(n); k != core.NodeFragment && k != core.NodeChunk {
 			continue
 		}
-		if !h.All && g.Grain(n) != h.Grain {
+		num := g.GrainNum(n)
+		if !h.All && num != only {
 			continue
 		}
-		if wd, ok := e.deviation[g.Grain(n)]; ok {
-			v.Set(n, profile.Time(float64(v.At(n))/wd+0.5))
+		if int(num) < len(e.deviation) && e.deviation[num] > 0 {
+			v.Set(n, profile.Time(float64(v.At(n))/e.deviation[num]+0.5))
 		}
 	}
 	return false
@@ -700,25 +639,18 @@ func (h CollapseSubtree) Label() string { return fmt.Sprintf("perfect cutoff at 
 func (h CollapseSubtree) Approximate() bool { return true }
 
 func (h CollapseSubtree) apply(e *Engine, v *weightOverlay) bool {
-	entry := int32(-1)
-	if en, ok := e.entryNode(h.Root); ok {
-		entry = int32(en)
+	// A root that owns no slot has no nodes and no descendants with nodes:
+	// nothing to collapse. One without an entry fragment keeps its subtree.
+	root := e.own.Slot(e.G.LookupGrain(h.Root))
+	if root < 0 || e.ownerEntry[root] < 0 {
+		return false
 	}
-	rootDepth := int32(-1)
-	if d, ok := taskDepth(h.Root); ok {
-		rootDepth = int32(d)
-	}
-	rootEntry := newRootEntryCache(len(e.ownerIDs))
-	collapseInto(e, v, rootDepth, func(si int32) int32 {
-		if r := rootEntry[si]; r != entryUnresolved {
-			return r
+	entry, inSubtree := e.ownerEntry[root], e.subtreeOf(root)
+	collapseInto(e, v, e.own.Depth[root], func(si int32) int32 {
+		if inSubtree(si) {
+			return entry
 		}
-		r := int32(-1)
-		if entry >= 0 && inSubtree(e.ownerIDs[si], h.Root) {
-			r = entry
-		}
-		rootEntry[si] = r
-		return r
+		return -1
 	})
 	return false
 }
@@ -738,14 +670,14 @@ func (h CollapseAtDepth) Approximate() bool { return true }
 
 func (h CollapseAtDepth) apply(e *Engine, v *weightOverlay) bool {
 	d := int32(h.Depth)
-	rootEntry := newRootEntryCache(len(e.ownerIDs))
+	rootEntry := newRootEntryCache(len(e.ownerEntry))
 	var resolve func(si int32) int32
 	resolve = func(si int32) int32 {
 		if r := rootEntry[si]; r != entryUnresolved {
 			return r
 		}
 		r := int32(-1)
-		switch dep := e.ownerDepth[si]; {
+		switch dep := e.own.Depth[si]; {
 		case dep < d:
 			// Above the cutoff, or not on a task path at all: untouched.
 		case dep == d:
@@ -753,7 +685,7 @@ func (h CollapseAtDepth) apply(e *Engine, v *weightOverlay) bool {
 		default:
 			// Strict descendant: its root is its ancestor's root. The parent
 			// closure guarantees the chain up to depth d exists.
-			if p := e.ownerParent[si]; p >= 0 {
+			if p := e.own.Parent[si]; p >= 0 {
 				r = resolve(p)
 			}
 		}
@@ -815,7 +747,7 @@ func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootEntryOf func
 	defer e.putMoved(moved)
 	any := false
 	for n := core.NodeID(0); n < numNodes; n++ {
-		si := e.ownerOf[n]
+		si := e.own.Of[n]
 		entry := rootEntryOf(si)
 		if entry < 0 {
 			continue
@@ -825,7 +757,7 @@ func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootEntryOf func
 			// Parallelization overhead inside the collapsed region vanishes.
 			v.Set(n, 0)
 		case core.NodeFragment:
-			if e.ownerDepth[si] != rootDepth {
+			if e.own.Depth[si] != rootDepth {
 				moved[entry] += int64(v.At(n))
 				v.Set(n, 0)
 				any = true

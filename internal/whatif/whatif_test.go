@@ -33,9 +33,9 @@ func overheadGraph() *core.Graph {
 	n4 := add(core.NodeFragment, "R.1", 10)
 	n5 := add(core.NodeJoin, "R", 40)
 	n6 := add(core.NodeFragment, "R", 5)
-	g.FirstNode["R"] = n0
-	g.FirstNode["R.0"] = n3
-	g.FirstNode["R.1"] = n4
+	g.SetSpan(g.LookupGrain("R"), n0, n6)
+	g.SetSpan(g.LookupGrain("R.0"), n3, n3)
+	g.SetSpan(g.LookupGrain("R.1"), n4, n4)
 	g.AddEdge(n0, n1, core.EdgeContinuation)
 	g.AddEdge(n1, n2, core.EdgeContinuation)
 	g.AddEdge(n1, n3, core.EdgeCreation)
@@ -382,5 +382,31 @@ func TestRankOptionValidation(t *testing.T) {
 	}
 	if _, err := e.Rank(nil, nil, RankOptions{TopN: 3, ScaleFactor: 0.5}); err != nil {
 		t.Errorf("Rank rejected valid options: %v", err)
+	}
+}
+
+// TestEngineTablesFollowNumbering: the engine's per-grain and per-slot
+// tables are sized by the graph's grain numbers and its owner table — one
+// deviation entry per grain number, one entry fragment per owner slot,
+// each slot's entry a fragment of the task that owns the slot.
+func TestEngineTablesFollowNumbering(t *testing.T) {
+	for name, s := range oracleSubjects(t) {
+		g := s.g
+		if s.rep == nil {
+			continue // the hand-assembled graph: no trace grains to number
+		}
+		e := New(g, s.rep)
+		own := g.Owners()
+		if len(e.deviation) != g.Trace.NumGrains() {
+			t.Errorf("%s: %d deviation entries for %d grains", name, len(e.deviation), g.Trace.NumGrains())
+		}
+		if len(e.ownerEntry) != len(own.Grain) {
+			t.Errorf("%s: %d entry fragments for %d owner slots", name, len(e.ownerEntry), len(own.Grain))
+		}
+		for si, n := range e.ownerEntry {
+			if n >= 0 && (own.Of[n] != int32(si) || g.GrainNum(core.NodeID(n)) != own.Grain[si]) {
+				t.Errorf("%s: slot %d enters at node %d, owned by slot %d", name, si, n, own.Of[n])
+			}
+		}
 	}
 }
