@@ -76,7 +76,19 @@ func main() {
 
 	expt.SetParallelism(*jobs)
 	if *ggpconv != "" {
-		if err := convertArtifact(*ggpconv, *ggpconvOut); err != nil {
+		if *phases {
+			expt.EnableSelfProfile(obs.New())
+		}
+		err := convertArtifact(*ggpconv, *ggpconvOut)
+		if err == nil && *phases {
+			// Decode, analysis, and the upgrade split into deriving the
+			// sidecars and streaming the file.
+			var prof *obs.Profile
+			if prof, err = expt.SelfProfile(); err == nil {
+				err = obs.WriteTable(os.Stdout, prof)
+			}
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "grainbench: %v\n", err)
 			os.Exit(1)
 		}

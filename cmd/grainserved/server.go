@@ -381,12 +381,10 @@ func (s *server) upgradeArtifact(a *analysis, key runpool.Key, sp *obs.Span) {
 		if a.hadSidecars {
 			return
 		}
-		usp := sp.Child("upgrade:ggp2")
-		defer usp.End()
-		data, err := ggp.EncodeV2(a.res.Trace, a.res.Graph, expt.Sidecars(a.res, s.pool))
-		if err == nil {
-			err = atomicWrite(s.artifactPath(key.Hex()), data)
-		}
+		// Streamed into a temp file and renamed: the request never holds
+		// the artifact as one slice, and a failed write leaves nothing in
+		// the store directory.
+		err := expt.WriteUpgraded(s.artifactPath(key.Hex()), a.res, s.pool, sp)
 		if err != nil && s.cfg.Verbose {
 			// Upgrade failures only cost future decode speed, never
 			// correctness; the original artifact stays in place.

@@ -533,6 +533,27 @@ func TestUpgradeInPlaceAndEvict(t *testing.T) {
 	if !dec.HasSidecars() {
 		t.Fatal("upgraded artifact has no fresh sidecars")
 	}
+	// The upgrade streamed through a temp file in the store directory, which
+	// must be gone: the store holds the artifact and the memo directory.
+	entries, err := os.ReadDir(s.cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != f.id+".ggp" && e.Name() != "memo" {
+			t.Errorf("upgrade left %s in the store directory", e.Name())
+		}
+	}
+	// /statsz splits the upgrade into its derivation and its write.
+	phases := map[string]any{}
+	for _, p := range s.phases.snapshot() {
+		phases[p["phase"].(string)] = p["count"]
+	}
+	for _, name := range []string{"upgrade:ggp2", "upgrade:sidecars", "upgrade:write"} {
+		if phases[name] != int64(1) {
+			t.Errorf("phase %s recorded %v times, want once", name, phases[name])
+		}
+	}
 
 	ev := do(t, s, "POST", "/debug/evict", "", nil)
 	if ev.Code != http.StatusOK {

@@ -19,6 +19,12 @@
 // numbers). String vectors store one shared blob plus monotonic end
 // offsets; decoding materializes a single Go string and slices it, so a
 // million labels cost one allocation for the backing store.
+//
+// Every column also knows, before it writes a byte, exactly how many bytes it
+// will encode to (Size). Encode therefore allocates its result once, and a
+// writer that frames sections into a stream (ggp's v2 writer) can emit a
+// section's length prefix first and then encode the section one leaf column
+// at a time (Leaves, Append) into a scratch buffer it reuses.
 package colenc
 
 import (
@@ -26,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrCorrupt is wrapped by every decode error so callers can classify
@@ -41,17 +48,60 @@ type Integer interface {
 // destination with a fresh slice (nil for zero rows) that never aliases the
 // payload.
 type Col struct {
-	enc func(b []byte) []byte
-	dec func(d *reader) (rows int, err error)
+	size    func() (int, error) // exactly the bytes enc appends
+	enc     func(b []byte) []byte
+	dec     func(d *reader) (rows int, err error)
+	members []Col // of a SameRows group; nil for a leaf
 }
 
-// Encode serializes the columns in order.
-func Encode(cols ...Col) []byte {
-	var b []byte
+// Size is the exact number of bytes the columns encode to. It fails only for
+// a column no payload can hold (a string blob over 4 GiB), which is how a
+// writer with an error path learns that before it writes anything.
+func Size(cols ...Col) (int, error) {
+	total := 0
+	for _, c := range cols {
+		n, err := c.size()
+		if err != nil {
+			return 0, err
+		}
+		total += n
+	}
+	return total, nil
+}
+
+// Append appends the columns' encoding to b, growing it by exactly
+// Size(cols...) bytes. It is for a caller that has asked Size, which is
+// where a column that cannot be encoded is refused.
+func Append(b []byte, cols ...Col) []byte {
 	for _, c := range cols {
 		b = c.enc(b)
 	}
 	return b
+}
+
+// Encode serializes the columns in order into one exactly-sized slice. It
+// panics where Size fails; a caller that can return the error asks Size first.
+func Encode(cols ...Col) []byte {
+	n, err := Size(cols...)
+	if err != nil {
+		panic(err)
+	}
+	return Append(make([]byte, 0, n), cols...)
+}
+
+// Leaves flattens the columns' row groups into the leaf columns they are
+// made of, in encoding order: appending the leaves one by one produces the
+// same bytes as appending cols.
+func Leaves(cols ...Col) []Col {
+	var out []Col
+	for _, c := range cols {
+		if c.members == nil {
+			out = append(out, c)
+		} else {
+			out = append(out, Leaves(c.members...)...)
+		}
+	}
+	return out
 }
 
 // Decode fills the columns' destinations from payload, which must hold
@@ -79,12 +129,9 @@ func DecodePrefix(payload []byte, cols ...Col) ([]byte, error) {
 // group counts as one column of that many rows.
 func SameRows(cols ...Col) Col {
 	return Col{
-		enc: func(b []byte) []byte {
-			for _, c := range cols {
-				b = c.enc(b)
-			}
-			return b
-		},
+		members: cols,
+		size:    func() (int, error) { return Size(cols...) },
+		enc:     func(b []byte) []byte { return Append(b, cols...) },
 		dec: func(d *reader) (int, error) {
 			rows, err := d.cols(cols)
 			if err != nil {
@@ -103,7 +150,8 @@ func SameRows(cols ...Col) Col {
 // Uvarint is a single unsigned varint, not a vector.
 func Uvarint[T Integer](p *T) Col {
 	return Col{
-		enc: func(b []byte) []byte { return binary.AppendUvarint(b, uint64(*p)) },
+		size: func() (int, error) { return uvarintLen(uint64(*p)), nil },
+		enc:  func(b []byte) []byte { return binary.AppendUvarint(b, uint64(*p)) },
 		dec: func(d *reader) (int, error) {
 			x, err := d.uvarint()
 			if err != nil {
@@ -121,6 +169,7 @@ func Uvarint[T Integer](p *T) Col {
 // Str is a single length-prefixed string, not a vector.
 func Str(p *string) Col {
 	return Col{
+		size: func() (int, error) { return vectorSize(len(*p), 1), nil },
 		enc: func(b []byte) []byte {
 			return append(binary.AppendUvarint(b, uint64(len(*p))), *p...)
 		},
@@ -139,8 +188,9 @@ func Str(p *string) Col {
 // U64 is a fixed-width vector of 8-byte little-endian values.
 func U64(p *[]uint64) Col {
 	return Col{
+		size: func() (int, error) { return vectorSize(len(*p), 8), nil },
 		enc: func(b []byte) []byte {
-			b = header(b, len(*p), 8)
+			b = binary.AppendUvarint(b, uint64(len(*p)))
 			for _, x := range *p {
 				b = binary.LittleEndian.AppendUint64(b, x)
 			}
@@ -161,8 +211,9 @@ func U64(p *[]uint64) Col {
 // U32 is a fixed-width vector of 4-byte little-endian values.
 func U32[T Integer](p *[]T) Col {
 	return Col{
+		size: func() (int, error) { return vectorSize(len(*p), 4), nil },
 		enc: func(b []byte) []byte {
-			b = header(b, len(*p), 4)
+			b = binary.AppendUvarint(b, uint64(len(*p)))
 			for _, x := range *p {
 				b = binary.LittleEndian.AppendUint32(b, uint32(x))
 			}
@@ -187,8 +238,9 @@ func U32[T Integer](p *[]T) Col {
 // Round-tripping preserves every bit pattern, including NaNs.
 func F64(p *[]float64) Col {
 	return Col{
+		size: func() (int, error) { return vectorSize(len(*p), 8), nil },
 		enc: func(b []byte) []byte {
-			b = header(b, len(*p), 8)
+			b = binary.AppendUvarint(b, uint64(len(*p)))
 			for _, x := range *p {
 				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 			}
@@ -210,8 +262,15 @@ func F64(p *[]float64) Col {
 // zero or small (hardware counters).
 func Uvar[T Integer](p *[]T) Col {
 	return Col{
+		size: func() (int, error) {
+			n := uvarintLen(uint64(len(*p)))
+			for _, x := range *p {
+				n += uvarintLen(uint64(x))
+			}
+			return n, nil
+		},
 		enc: func(b []byte) []byte {
-			b = header(b, len(*p), 0)
+			b = binary.AppendUvarint(b, uint64(len(*p)))
 			for _, x := range *p {
 				b = binary.AppendUvarint(b, uint64(x))
 			}
@@ -238,8 +297,16 @@ func Uvar[T Integer](p *[]T) Col {
 // Ivar is a vector of zigzag-encoded signed varints.
 func Ivar[T Integer](p *[]T) Col {
 	return Col{
+		size: func() (int, error) {
+			n := uvarintLen(uint64(len(*p)))
+			for _, x := range *p {
+				v := int64(x)
+				n += uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) // AppendVarint's zigzag
+			}
+			return n, nil
+		},
 		enc: func(b []byte) []byte {
-			b = header(b, len(*p), 0)
+			b = binary.AppendUvarint(b, uint64(len(*p)))
 			for _, x := range *p {
 				b = binary.AppendVarint(b, int64(x))
 			}
@@ -269,8 +336,9 @@ func Ivar[T Integer](p *[]T) Col {
 // element that does not fit a byte is a caller bug and encodes truncated.
 func U8[T Integer](p *[]T) Col {
 	return Col{
+		size: func() (int, error) { return vectorSize(len(*p), 1), nil },
 		enc: func(b []byte) []byte {
-			b = header(b, len(*p), 1)
+			b = binary.AppendUvarint(b, uint64(len(*p)))
 			for _, x := range *p {
 				b = append(b, byte(x))
 			}
@@ -292,8 +360,9 @@ func U8[T Integer](p *[]T) Col {
 // true.
 func Bool(p *[]bool) Col {
 	return Col{
+		size: func() (int, error) { return vectorSize(len(*p), 1), nil },
 		enc: func(b []byte) []byte {
-			b = header(b, len(*p), 1)
+			b = binary.AppendUvarint(b, uint64(len(*p)))
 			for _, x := range *p {
 				if x {
 					b = append(b, 1)
@@ -320,15 +389,18 @@ func Bool(p *[]bool) Col {
 // strings share one backing allocation.
 func Strs[T ~string](p *[]T) Col {
 	return Col{
-		enc: func(b []byte) []byte {
-			total := 0
+		size: func() (int, error) {
+			blob := 0
 			for _, s := range *p {
-				total += len(s)
+				blob += len(s)
 			}
-			if uint64(total) > math.MaxUint32 {
-				panic("colenc: string blob exceeds 4 GiB")
+			if uint64(blob) > math.MaxUint32 {
+				return 0, fmt.Errorf("colenc: string column of %d bytes exceeds the 4 GiB blob limit", blob)
 			}
-			b = grow(binary.AppendUvarint(b, uint64(len(*p))), 4*len(*p)+total)
+			return vectorSize(len(*p), 4) + blob, nil
+		},
+		enc: func(b []byte) []byte {
+			b = binary.AppendUvarint(b, uint64(len(*p)))
 			end := uint32(0)
 			for _, s := range *p {
 				end += uint32(len(s))
@@ -370,21 +442,12 @@ func fromU[T Integer](x uint64) (T, bool) {
 	return t, uint64(t) == x && t >= 0
 }
 
-// header appends a vector's element count and ensures capacity for n
-// elements of width bytes, without changing the length further.
-func header(b []byte, n, width int) []byte {
-	return grow(binary.AppendUvarint(b, uint64(n)), n*width)
-}
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// grow ensures capacity for n more bytes without changing the length.
-func grow(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b
-	}
-	nb := make([]byte, len(b), len(b)+n+len(b)/2)
-	copy(nb, b)
-	return nb
-}
+// vectorSize is the encoded size of a vector's element count followed by n
+// elements of width bytes.
+func vectorSize(n, width int) int { return uvarintLen(uint64(n)) + n*width }
 
 // reader is the decode cursor over one payload.
 type reader struct {

@@ -15,12 +15,36 @@ import (
 	"graingraph/internal/colenc"
 )
 
+// Sized checks the size contract of columns whose encoding is payload: Size
+// says exactly len(payload), and the leaves, each appending exactly its own
+// Size, concatenate to payload — so a writer that declares a section's
+// length from Size and streams it leaf by leaf frames the same bytes Encode
+// returns.
+func Sized(t testing.TB, payload []byte, cols ...colenc.Col) {
+	t.Helper()
+	if n, err := colenc.Size(cols...); err != nil || n != len(payload) {
+		t.Errorf("Size = %d, %v; the encoding is %d bytes", n, err, len(payload))
+	}
+	var stream []byte
+	for i, leaf := range colenc.Leaves(cols...) {
+		before := len(stream)
+		stream = colenc.Append(stream, leaf)
+		if n, err := colenc.Size(leaf); err != nil || n != len(stream)-before {
+			t.Errorf("leaf %d: Size = %d, %v; Append wrote %d bytes", i, n, err, len(stream)-before)
+		}
+	}
+	if !bytes.Equal(stream, payload) {
+		t.Errorf("leaf-by-leaf stream differs from the encoding:\n got %x\nwant %x", stream, payload)
+	}
+}
+
 // Schema checks one schema. newHolder returns a zero column holder and the
 // schema bound to it. The holder is filled by reflection (every slice of
 // numbers, bools or strings gets three rows, every such scalar a value),
 // then:
 //
-//   - encode → decode into a fresh holder reproduces holder and payload;
+//   - encode → decode into a fresh holder reproduces holder and payload,
+//     and the payload meets the size contract (Sized);
 //   - every strict prefix of the payload, and the payload plus one byte,
 //     fail to decode;
 //   - with any one column one row short, decode fails — except for the
@@ -59,6 +83,7 @@ func Schema(t *testing.T, newHolder func() (holder any, cols []colenc.Col), free
 	}
 
 	payload := colenc.Encode(cols...)
+	Sized(t, payload, cols...)
 	got, gotCols, err := decode(payload)
 	if err != nil {
 		t.Fatalf("round trip: %v", err)

@@ -55,17 +55,37 @@ func Sidecars(res *Result, pool *runpool.Runner) []ggp.Sidecar {
 	}
 }
 
+// WriteUpgraded streams res to dst as a columnar v2 artifact with full
+// sidecars (the write is atomic). The upgrade is one "upgrade:ggp2" span —
+// under parent, or a root of the self profile when parent is nil — split
+// into "upgrade:sidecars", deriving and encoding the lod index and the query
+// table, and "upgrade:write", gathering the columns and streaming the file,
+// so a phase table says how much of an upgrade is derivation and how much
+// is the format's own cost.
+func WriteUpgraded(dst string, res *Result, pool *runpool.Runner, parent *obs.Span) error {
+	sp := obs.Under(SelfProfiler(), parent, "upgrade:ggp2")
+	defer sp.End()
+	ssp := sp.Child("upgrade:sidecars")
+	side := Sidecars(res, pool)
+	ssp.End()
+	wsp := sp.Child("upgrade:write")
+	defer wsp.End()
+	return ggp.WriteFileV2(dst, res.Trace, res.Graph, side)
+}
+
 // UpgradeArtifact reads the artifact at src (either format), analyzes it,
 // and writes a columnar v2 artifact with full sidecars to dst (which may
-// equal src; the write is atomic). It is the ggpconv upgrade path and the
-// server's warm-restart optimization.
+// equal src; the write is atomic). It is the ggpconv upgrade path; with the
+// self profile enabled its decode, analysis and write are root phases.
 func UpgradeArtifact(src, dst string, pool *runpool.Runner) error {
-	dec, err := ggp.DecodeFile(src, pool, nil)
+	isp := SelfProfiler().Begin("ingest:artifact")
+	dec, err := ggp.DecodeFile(src, pool, isp)
+	isp.End()
 	if err != nil {
 		return fmt.Errorf("upgrade artifact: %w", err)
 	}
 	res := AnalyzeDecodedOn(pool, dec, nil, Config{}, nil)
-	if err := ggp.WriteFileV2(dst, res.Trace, res.Graph, Sidecars(res, pool)); err != nil {
+	if err := WriteUpgraded(dst, res, pool, nil); err != nil {
 		return fmt.Errorf("upgrade artifact: %w", err)
 	}
 	return nil

@@ -5,6 +5,9 @@ package ggp
 // internal/rts, and rts imports ggp for the Config.Profile sink.
 
 import (
+	"bytes"
+	"io"
+
 	"graingraph/internal/core"
 	"graingraph/internal/profile"
 )
@@ -28,7 +31,21 @@ const (
 // given (wrong) content key, simulating sidecars left behind by an older
 // version of the graph sections.
 func EncodeV2StaleForTest(tr *profile.Trace, g *core.Graph, side []Sidecar, key uint32) ([]byte, error) {
-	return encodeV2(tr, g, side, key, true)
+	var buf bytes.Buffer
+	err := writeV2(&buf, tr, g, side, &key)
+	return buf.Bytes(), err
+}
+
+// WriteV2 streams a v2 artifact to w: the writer under EncodeV2 and
+// WriteFileV2, for tests that measure it or bring their own sink.
+func WriteV2(w io.Writer, tr *profile.Trace, g *core.Graph, side []Sidecar) error {
+	return writeV2(w, tr, g, side, nil)
+}
+
+// WriteFileV2Via is WriteFileV2 with the temp file seen through sink, so a
+// test can fail the stream at a byte of its choosing.
+func WriteFileV2Via(path string, tr *profile.Trace, g *core.Graph, side []Sidecar, sink func(io.Writer) io.Writer) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return writeV2(sink(w), tr, g, side, nil) })
 }
 
 // RawSection emits an arbitrary section; the forward-compatibility tests

@@ -268,12 +268,19 @@ func WriteTrace(w io.Writer, tr *profile.Trace) error {
 // WriteFile writes tr to path atomically (temp file + rename), so a
 // concurrent reader never observes a half-written artifact.
 func WriteFile(path string, tr *profile.Trace) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return WriteTrace(w, tr) })
+}
+
+// writeFileAtomic has write stream an artifact (either version) into a temp
+// file beside path and renames it into place. When anything fails, path
+// keeps what it held and the temp file is removed.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".ggp-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := WriteTrace(tmp, tr); err != nil {
+	defer os.Remove(tmp.Name()) // nothing left to remove once renamed
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -1,11 +1,12 @@
 package ggp
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
+	"io"
 
 	"graingraph/internal/colenc"
 	"graingraph/internal/core"
@@ -48,24 +49,43 @@ type Sidecar struct {
 // (NumLevels), it is persisted as a levels sidecar; lod/query sidecars are
 // supplied by the caller, already encoded. Every sidecar is stamped with
 // the artifact's content key so a later reader can detect staleness.
+//
+// EncodeV2 is the streaming writer over an in-memory sink, for tests and
+// probes that want the bytes; anything bound for a file uses WriteFileV2,
+// which never holds the artifact whole.
 func EncodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar) ([]byte, error) {
-	return encodeV2(tr, g, side, 0, false)
+	var buf bytes.Buffer
+	if err := writeV2(&buf, tr, g, side, nil); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-// encodeV2 is EncodeV2 with an optional sidecar content-key override, a
-// test hook that simulates the "graph sections changed after the sidecars
-// were written" staleness scenario without hand-assembling an artifact.
-func encodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar, keyOverride uint32, useOverride bool) ([]byte, error) {
+// WriteFileV2 streams a v2 artifact to path atomically (temp file + rename),
+// so a concurrent reader never observes a half-written artifact.
+func WriteFileV2(path string, tr *profile.Trace, g *core.Graph, side []Sidecar) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return writeV2(w, tr, g, side, nil) })
+}
+
+// writeV2 streams the artifact to dst. A non-nil staleKey replaces the
+// content key the sidecars are stamped with, a test hook that simulates the
+// "graph sections changed after the sidecars were written" staleness
+// scenario without hand-assembling an artifact.
+func writeV2(dst io.Writer, tr *profile.Trace, g *core.Graph, side []Sidecar, staleKey *uint32) error {
 	if tr == nil || g == nil {
-		return nil, fmt.Errorf("ggp: EncodeV2 requires a trace and a built graph")
+		return fmt.Errorf("ggp: EncodeV2 requires a trace and a built graph")
 	}
-	w := &v2Writer{}
-	w.buf = append(w.buf, Magic...)
-	w.buf = append(w.buf, Version2)
+	for _, s := range side {
+		if !isV2Sidecar(byte(s.Kind)) {
+			return fmt.Errorf("ggp: invalid sidecar kind 0x%02x", byte(s.Kind))
+		}
+	}
+	w := &v2Writer{w: bufio.NewWriter(dst)}
+	w.raw(append([]byte(Magic), Version2))
 
 	// Each section's columns are gathered just before they are written
-	// and are garbage right after, so the writer's peak is the output
-	// plus one section's columns, not plus every section's.
+	// and are garbage right after, so the writer holds one section's
+	// columns plus one encoded column, never the file.
 	w.put(secV2Meta, gatherMeta(tr, g))
 	if len(tr.Workers) > 0 {
 		w.put(secV2Workers, gatherWorkers(tr.Workers))
@@ -78,7 +98,7 @@ func encodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar, keyOverride uint
 	w.put(secV2Bookkeeps, gatherBookkeeps(tr.Bookkeeps))
 	nodes, nodeCtrs, edges, err := gatherGraph(tr, g)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.put(secV2Nodes, nodes)
 	w.put(secV2NodeCounters, nodeCtrs)
@@ -86,86 +106,129 @@ func encodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar, keyOverride uint
 
 	// The content key is fixed once all content sections are written;
 	// sidecars embed it and do not feed it.
-	key := w.contentKey()
+	key := crc32.Checksum(w.crcs, castagnoli)
 	sideKey := key
-	if useOverride {
-		sideKey = keyOverride
+	if staleKey != nil {
+		sideKey = *staleKey
 	}
+	stamp := binary.LittleEndian.AppendUint32([]byte{sidecarFormatVersion}, sideKey)
 	var levels v2Levels
 	if levels.off, levels.nodes, levels.level = g.ExportLevels(); levels.off != nil {
-		w.sidecar(secV2Levels, sideKey, colenc.Encode(levels.schema()...))
+		w.columns(secV2Levels, stamp, levels.schema())
 	}
 	for _, s := range side {
-		if !isV2Sidecar(byte(s.Kind)) {
-			return nil, fmt.Errorf("ggp: invalid sidecar kind 0x%02x", byte(s.Kind))
-		}
-		w.sidecar(byte(s.Kind), sideKey, s.Data)
+		w.begin(byte(s.Kind), len(stamp)+len(s.Data))
+		w.payload(stamp)
+		w.payload(s.Data)
+		w.end()
 	}
 
-	w.section(secV2Trailer, binary.AppendUvarint(binary.LittleEndian.AppendUint32(nil, key), uint64(w.sections)))
-	return w.buf, nil
+	trailer := binary.AppendUvarint(binary.LittleEndian.AppendUint32(nil, key), uint64(w.sections))
+	w.begin(secV2Trailer, len(trailer))
+	w.payload(trailer)
+	w.end()
+	if w.err != nil {
+		return w.err
+	}
+	return w.w.Flush()
 }
 
-// WriteFileV2 encodes a v2 artifact and writes it atomically (temp file +
-// rename), so a concurrent reader never observes a half-written artifact.
-func WriteFileV2(path string, tr *profile.Trace, g *core.Graph, side []Sidecar) error {
-	data, err := EncodeV2(tr, g, side)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ggp2-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// v2Writer frames sections into one flat buffer, collecting the
-// per-section CRCs of content sections for the trailer's content key.
+// v2Writer frames sections onto a stream in the shape of the v1 Writer: a
+// section's header is written from its declared size, its payload follows
+// in pieces while the section CRC is folded over them, and the CRCs of
+// content sections are collected for the trailer's content key. The first
+// error sticks and turns every later call into a no-op.
 type v2Writer struct {
-	buf      []byte
+	w        *bufio.Writer
+	scratch  []byte // one encoded leaf column, reused
 	crcs     []byte // concatenated 4-byte LE CRCs of content sections
 	sections int
+	err      error
+
+	// The open section.
+	id   byte
+	left int // declared payload bytes not yet written
+	crc  uint32
 }
 
-func (w *v2Writer) section(id byte, payload []byte) {
-	w.buf = append(w.buf, id)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(payload)))
-	w.buf = append(w.buf, payload...)
-	sum := crc32.Checksum(payload, castagnoli)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, sum)
-	if !isV2Sidecar(id) && id != secV2Trailer {
-		w.crcs = binary.LittleEndian.AppendUint32(w.crcs, sum)
+func (w *v2Writer) raw(p []byte) {
+	if w.err == nil {
+		_, w.err = w.w.Write(p)
 	}
-	if id != secV2Trailer {
+}
+
+// begin opens a section whose payload will be exactly size bytes.
+func (w *v2Writer) begin(id byte, size int) {
+	w.raw(binary.AppendUvarint([]byte{id}, uint64(size)))
+	w.id, w.left, w.crc = id, size, 0
+}
+
+// payload writes the next piece of the open section's payload. A piece the
+// declared size has no room for is refused before it reaches the stream.
+func (w *v2Writer) payload(p []byte) {
+	if len(p) > w.left && w.err == nil {
+		w.err = fmt.Errorf("ggp: internal error: section 0x%02x overruns its declared size by %d bytes", w.id, len(p)-w.left)
+	}
+	w.raw(p)
+	w.left -= len(p)
+	w.crc = crc32.Update(w.crc, castagnoli, p)
+}
+
+// end closes the open section with its CRC.
+func (w *v2Writer) end() {
+	if w.left != 0 && w.err == nil {
+		w.err = fmt.Errorf("ggp: internal error: section 0x%02x ends %d bytes short of its declared size", w.id, w.left)
+	}
+	if w.err != nil {
+		return
+	}
+	w.raw(binary.LittleEndian.AppendUint32(nil, w.crc))
+	if !isV2Sidecar(w.id) && w.id != secV2Trailer {
+		w.crcs = binary.LittleEndian.AppendUint32(w.crcs, w.crc)
+	}
+	if w.id != secV2Trailer {
 		w.sections++
 	}
 }
 
 // put writes a content section from its gathered columns.
 func (w *v2Writer) put(id byte, cols v2Cols) {
-	w.section(id, colenc.Encode(cols.schema()...))
+	w.columns(id, nil, cols.schema())
 }
 
-func (w *v2Writer) sidecar(id byte, key uint32, data []byte) {
-	payload := make([]byte, 0, 5+len(data))
-	payload = append(payload, sidecarFormatVersion)
-	payload = binary.LittleEndian.AppendUint32(payload, key)
-	payload = append(payload, data...)
-	w.section(id, payload)
-}
-
-func (w *v2Writer) contentKey() uint32 {
-	return crc32.Checksum(w.crcs, castagnoli)
+// columns writes one section whose payload is prefix followed by the
+// schema's columns. The columns are sized first — which is where a column
+// no payload can hold fails, before the section has written a byte — and
+// then encoded one leaf at a time into the reused scratch.
+func (w *v2Writer) columns(id byte, prefix []byte, schema []colenc.Col) {
+	if w.err != nil {
+		return
+	}
+	leaves := colenc.Leaves(schema...)
+	sizes := make([]int, len(leaves))
+	total := len(prefix)
+	for i, leaf := range leaves {
+		if sizes[i], w.err = colenc.Size(leaf); w.err != nil {
+			return
+		}
+		total += sizes[i]
+	}
+	w.begin(id, total)
+	w.payload(prefix)
+	for i, leaf := range leaves {
+		if w.err != nil {
+			return
+		}
+		if cap(w.scratch) < sizes[i] {
+			w.scratch = make([]byte, 0, sizes[i])
+		}
+		w.scratch = colenc.Append(w.scratch[:0], leaf)
+		if len(w.scratch) != sizes[i] {
+			w.err = fmt.Errorf("ggp: internal error: section 0x%02x column %d encoded to %d bytes, declared %d", id, i, len(w.scratch), sizes[i])
+		}
+		w.payload(w.scratch)
+	}
+	w.end()
 }
 
 // The gather functions transpose the trace's records into one section's

@@ -24,6 +24,9 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(dec.Encode(), enc) {
 			t.Errorf("%s: decoded index re-encodes differently", name)
 		}
+		// The decoded index holds exactly the columns on the wire, so its
+		// schema must size and stream to the sidecar's bytes.
+		colenctest.Sized(t, enc, dec.schema()...)
 
 		var want, got bytes.Buffer
 		if err := query.WriteTable(&want, ix.Table()); err != nil {

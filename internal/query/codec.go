@@ -34,15 +34,18 @@ func (c *Column) data() colenc.Col {
 	}
 }
 
-// EncodeTable serializes a table's schema and columns.
-func EncodeTable(t *Table) []byte {
+// layout is the whole table as the encoder writes it.
+func (t *Table) layout() []colenc.Col {
 	rows, ncols := int32(t.rows), int32(len(t.cols))
 	cols := []colenc.Col{colenc.Uvarint(&rows), colenc.Uvarint(&ncols)}
 	for _, c := range t.cols {
 		cols = append(append(cols, c.head(&[]Kind{c.Kind})...), c.data())
 	}
-	return colenc.Encode(cols...)
+	return cols
 }
+
+// EncodeTable serializes a table's schema and columns.
+func EncodeTable(t *Table) []byte { return colenc.Encode(t.layout()...) }
 
 // DecodeTable reconstructs a table from an EncodeTable payload. Malformed
 // input — unknown column kind, row-count mismatch, duplicate names,

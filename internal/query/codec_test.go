@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"graingraph/internal/colenc/colenctest"
 )
 
 // TestTableCodecRoundTrip: encode → decode must reproduce the table
@@ -18,7 +20,9 @@ func TestTableCodecRoundTrip(t *testing.T) {
 	tab.cols[0].F[3] = math.NaN()
 	tab.cols[0].F[4] = math.Inf(-1)
 
-	dec, err := DecodeTable(EncodeTable(tab))
+	enc := EncodeTable(tab)
+	colenctest.Sized(t, enc, tab.layout()...)
+	dec, err := DecodeTable(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

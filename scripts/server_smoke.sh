@@ -108,5 +108,8 @@ ver=$(od -An -j4 -N1 -tu1 "$stored" | tr -d ' ')
 echo "   $id.ggp: version 2"
 
 echo "== statsz"
-curl -fsS "http://$addr/statsz" | head -30
+# Through a file: head closing the pipe early fails curl (and, under
+# pipefail, the script) once /statsz outgrows one write.
+curl -fsS "http://$addr/statsz" -o "$tmp/statsz.json"
+head -30 "$tmp/statsz.json"
 echo "server smoke: OK"
