@@ -33,7 +33,9 @@
 // -trace writes every simulated run of the selected figures as one
 // Chrome-trace JSON file, openable at ui.perfetto.dev: one process per
 // run, one thread track per worker, grain slices labelled
-// file:line(func), steal/park instants, critical-path grains flagged.
+// file:line(func), steal/park/resume instants, critical-path grains
+// flagged. The instants are derived from each run's profile, so a saved
+// artifact exports the same trace: grainview -trace out.json run.ggp.
 // -stats appends a runtime-metrics footer (steals, parks, cache hit
 // rates) to each figure so reproduction runs double as health reports.
 //
@@ -68,7 +70,7 @@ func main() {
 	ggpconvOut := flag.String("ggpconv-out", "", "output path for -ggpconv (default: <src>.v2.ggp)")
 	ingestPath := flag.String("ingestbench", "", "measure cold artifact-ingest time (v1 vs columnar v2 vs v2+sidecars) for the given .ggp at -j 1 and the active -j, print a table, and add the numbers to -benchjson; use -fig none to skip the figures")
 	ingestJobs := flag.String("ingest-jobs", "", "comma-separated decode worker counts for -ingestbench (overrides the default of 1 and the active -j, so the figure suite and the ingest sweep can run at different parallelism)")
-	traceOut := flag.String("trace", "", "write a Perfetto/Chrome trace of all simulated runs to this file")
+	traceOut := flag.String("trace", "", "write a Perfetto/Chrome trace of all simulated runs to this file (steal/park/resume instants are derived from the profiles; for a saved artifact use grainview -trace)")
 	stats := flag.Bool("stats", false, "print a runtime-metrics footer after each figure")
 	phases := flag.Bool("phases", false, "print the engine's own phase table (simulate/analyze/ingest breakdown) after the run")
 	selfProf := flag.String("selfprofile", "", "write a Chrome-trace profile of the benchmark run itself to this file (open at ui.perfetto.dev)")
@@ -109,10 +111,7 @@ func main() {
 		expt.EnableSelfProfile(obs.New())
 	}
 	if *traceOut != "" || *stats {
-		expt.Instr = &expt.Instrumentation{
-			CaptureEvents: *traceOut != "",
-			PrintFooter:   *stats,
-		}
+		expt.Instr = &expt.Instrumentation{PrintFooter: *stats}
 	}
 
 	type step struct {
@@ -303,8 +302,7 @@ func writeTrace(path string) error {
 	runs := make([]export.PerfettoRun, 0, len(expt.Instr.Runs))
 	for _, r := range expt.Instr.Runs {
 		runs = append(runs, export.PerfettoRun{
-			Label: r.Label, Trace: r.Trace, Events: r.Events,
-			Dropped: r.Dropped, Critical: r.Critical,
+			Label: r.Label, Trace: r.Trace, Critical: r.Critical,
 		})
 	}
 	f, err := os.Create(path)

@@ -9,6 +9,12 @@
 // exports are byte-identical to the live run that recorded it. A second
 // positional artifact supplies the 1-core baseline for work deviation.
 //
+// -trace writes a Perfetto/Chrome trace of the run (and its baseline):
+// grain slices per worker plus steal/park/resume instants, which are
+// derived from the profile's task records, so a saved artifact exports
+// the same trace as the live run. -stats needs a live run: the runtime
+// metrics registry is not stored in an artifact.
+//
 // Examples:
 //
 //	grainview -list
@@ -21,6 +27,7 @@
 //	grainview -whatif rank run.ggp base.ggp
 //	grainview -workload fib -record fib.ggp -summary
 //	                                      # save the simulated run as an artifact
+//	grainview -trace run.json run.ggp     # Perfetto trace of a saved artifact
 //	grainview -phases run.ggp             # where did the analyzer's time go?
 //	grainview -selfprofile self.json run.ggp
 //	                                      # Perfetto trace of the analysis itself
@@ -78,8 +85,8 @@ func main() {
 		out      = flag.String("o", "", "output file (default stdout)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		whatIf   = flag.String("whatif", "", "what-if analysis: \"rank\" for the auto-ranked opportunity table, or a spec list like \"cutoff:4,scale:R.0:0.5,infcores\" (see internal/whatif); projections are printed and attached to DOT/JSON exports")
-		traceOut = flag.String("trace", "", "write a Perfetto/Chrome trace of the run to this file")
-		stats    = flag.Bool("stats", false, "print the runtime scheduler/cache metrics registry")
+		traceOut = flag.String("trace", "", "write a Perfetto/Chrome trace of the run to this file (live or saved artifact; steal/park/resume instants are derived from the profile)")
+		stats    = flag.Bool("stats", false, "print the runtime scheduler/cache metrics registry (live runs only)")
 		jobs     = flag.Int("j", 1, "worker parallelism for analysis and export (1 = serial, 0 = all cores); output is byte-identical at every -j")
 		phases   = flag.Bool("phases", false, "print the analyzer's own phase table (where grainview spent its time) after the run")
 		selfProf = flag.String("selfprofile", "", "write a Chrome-trace profile of the analysis run itself to this file (open at ui.perfetto.dev)")
@@ -139,10 +146,6 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" || *stats {
-		expt.Instr = &expt.Instrumentation{CaptureEvents: *traceOut != ""}
-	}
-
 	if *list {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "workload\tvariants\tdescription")
@@ -157,9 +160,10 @@ func main() {
 	// (no simulation, byte-identical analysis); otherwise the named
 	// workload is simulated live.
 	var res *expt.Result
+	var base *profile.Trace
 	if flag.NArg() > 0 {
-		if *traceOut != "" || *stats {
-			die(fmt.Errorf("-trace/-stats need a live simulation; they are unavailable when analyzing a saved artifact"))
+		if *stats {
+			die(fmt.Errorf("-stats needs a live simulation: the runtime metrics registry is not stored in a saved artifact"))
 		}
 		if flag.NArg() > 2 {
 			die(fmt.Errorf("expected <run.ggp> [baseline.ggp], got %d arguments", flag.NArg()))
@@ -167,7 +171,6 @@ func main() {
 		isp := rootSp.Child("ingest:ggp")
 		dec, err := ggp.DecodeFile(flag.Arg(0), expt.Pool(), isp)
 		die(err)
-		var base *profile.Trace
 		if flag.NArg() == 2 {
 			base, err = ggp.DecodeTraceFile(flag.Arg(1), expt.Pool(), isp)
 			die(err)
@@ -175,6 +178,9 @@ func main() {
 		isp.End()
 		res = expt.AnalyzeDecodedOn(nil, dec, base, expt.Config{}, rootSp)
 	} else {
+		if *traceOut != "" || *stats {
+			expt.Instr = &expt.Instrumentation{}
+		}
 		inst, err := workloads.Get(*workload, workloads.Variant(*variant))
 		die(err)
 
@@ -254,7 +260,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		die(writeTrace(*traceOut))
+		die(writeTrace(*traceOut, traceRuns(res, base)))
 	}
 	if *stats {
 		printStats(res)
@@ -374,16 +380,25 @@ func main() {
 	finishProfile()
 }
 
-// writeTrace exports the instrumented runs (baseline + parallel) as one
-// Perfetto trace file.
-func writeTrace(path string) error {
-	runs := make([]export.PerfettoRun, 0, len(expt.Instr.Runs))
-	for _, r := range expt.Instr.Runs {
-		runs = append(runs, export.PerfettoRun{
-			Label: r.Label, Trace: r.Trace, Events: r.Events,
-			Dropped: r.Dropped, Critical: r.Critical,
-		})
+// traceRuns lists the runs -trace exports, baseline first: a live run's
+// instrumented runs, or the analyzed artifact after its baseline artifact
+// (if one was given).
+func traceRuns(res *expt.Result, base *profile.Trace) []export.PerfettoRun {
+	var runs []export.PerfettoRun
+	if expt.Instr != nil {
+		for _, r := range expt.Instr.Runs {
+			runs = append(runs, export.PerfettoRun{Label: r.Label, Trace: r.Trace, Critical: r.Critical})
+		}
+		return runs
 	}
+	if base != nil {
+		runs = append(runs, export.PerfettoRun{Label: base.Program + " baseline", Trace: base})
+	}
+	return append(runs, export.PerfettoRun{Trace: res.Trace, Critical: res.Graph.CriticalGrains()})
+}
+
+// writeTrace exports the runs as one Perfetto trace file.
+func writeTrace(path string, runs []export.PerfettoRun) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

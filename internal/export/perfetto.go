@@ -12,20 +12,17 @@ import (
 	"io"
 
 	"graingraph/internal/profile"
-	"graingraph/internal/trace"
 )
 
 // PerfettoRun is one profiled run to include in a trace file. Trace
-// supplies the grain slices (fragments and chunks); Events supplies the
-// scheduler instants (steal/park/resume) captured by a trace.Sink, and
-// may be nil when no sink was attached. Critical flags, by grain number,
-// the grains on the critical path (see core.Graph.CriticalGrains); nil
-// means unknown.
+// supplies the grain slices (fragments and chunks) and the scheduler
+// instants (steal/park/resume, see profile.Trace.SchedInstants), so a
+// live run and an artifact decoded from it export the same bytes.
+// Critical flags, by grain number, the grains on the critical path (see
+// core.Graph.CriticalGrains); nil means unknown.
 type PerfettoRun struct {
 	Label    string
 	Trace    *profile.Trace
-	Events   []trace.Event
-	Dropped  uint64 // events lost to the bounded ring buffer
 	Critical []bool
 }
 
@@ -58,8 +55,9 @@ const criticalCname = "terrible"
 
 // Perfetto writes the runs as one Chrome-trace JSON document. Output is
 // byte-stable for identical inputs: slices follow the deterministic
-// record order of each profile, instants follow event emission order,
-// and args maps are marshalled with sorted keys by encoding/json.
+// record order of each profile, instants the derivation's order (time,
+// worker, kind, grain), and args maps are marshalled with sorted keys by
+// encoding/json.
 func Perfetto(w io.Writer, runs []PerfettoRun) error {
 	doc := chromeTrace{
 		DisplayTimeUnit: "ns",
@@ -79,12 +77,8 @@ func appendRun(doc *chromeTrace, pid int, r *PerfettoRun) {
 	if label == "" && tr != nil {
 		label = tr.Program
 	}
-	meta := map[string]any{"name": label}
-	if r.Dropped > 0 {
-		meta["dropped_events"] = r.Dropped
-	}
 	doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: pid, Args: meta,
+		Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": label},
 	})
 	if tr == nil {
 		return
@@ -144,27 +138,15 @@ func appendRun(doc *chromeTrace, pid int, r *PerfettoRun) {
 		doc.TraceEvents = append(doc.TraceEvents, ev)
 	}
 
-	// Scheduler instants from the event stream.
-	for i := range r.Events {
-		e := &r.Events[i]
-		var name string
-		switch e.Kind {
-		case trace.KindSteal:
-			name = "steal"
-		case trace.KindPark:
-			name = "park"
-		case trace.KindResume:
-			name = "resume"
-		default:
-			continue // spans and spawn/start/end stay out of the instant tracks
-		}
+	// Scheduler instants, derived from the task records.
+	for _, in := range tr.SchedInstants() {
 		ev := chromeEvent{
-			Name: name, Cat: "sched", Ph: "i", Ts: e.At,
-			Pid: pid, Tid: e.Worker, Scope: "t",
-			Args: map[string]any{"grain": string(e.Grain)},
+			Name: in.Kind.String(), Cat: "sched", Ph: "i", Ts: in.At,
+			Pid: pid, Tid: in.Worker, Scope: "t",
+			Args: map[string]any{"grain": string(tr.Tasks[in.Grain].ID)},
 		}
-		if e.Kind == trace.KindSteal {
-			ev.Args["victim"] = e.Victim
+		if in.Kind == profile.SchedSteal {
+			ev.Args["victim"] = in.Victim
 		}
 		doc.TraceEvents = append(doc.TraceEvents, ev)
 	}

@@ -17,7 +17,6 @@ import (
 // for steals and parks, analyzes it, and bundles it as a PerfettoRun.
 func tracedRun(t *testing.T) (PerfettoRun, *trace.Metrics) {
 	t.Helper()
-	sink := trace.NewRingSink(1 << 20)
 	met := trace.NewMetrics()
 	var fib func(c rts.Ctx, n int)
 	fib = func(c rts.Ctx, n int) {
@@ -29,22 +28,16 @@ func tracedRun(t *testing.T) (PerfettoRun, *trace.Metrics) {
 		c.Spawn(profile.Loc("p.go", 1, "fib"), func(c rts.Ctx) { fib(c, n-2) })
 		c.TaskWait()
 	}
-	tr := rts.Run(rts.Config{Program: "perf", Cores: 4, Seed: 1, Trace: sink, Metrics: met},
+	tr := rts.Run(rts.Config{Program: "perf", Cores: 4, Seed: 1, Metrics: met},
 		func(c rts.Ctx) {
 			fib(c, 9)
 			c.For(profile.Loc("p.go", 2, "loop"), 0, 16,
 				rts.ForOpt{Schedule: profile.ScheduleDynamic, Chunk: 2},
 				func(c rts.Ctx, lo, hi int) { c.Compute(3000) })
 		})
-	if sink.Dropped() != 0 {
-		t.Fatalf("test sink dropped %d events", sink.Dropped())
-	}
 	g := core.Build(tr)
 	metrics.Analyze(tr, g, nil, metrics.Options{})
-	return PerfettoRun{
-		Label: "perf run", Trace: tr, Events: sink.Events(),
-		Critical: g.CriticalGrains(),
-	}, met
+	return PerfettoRun{Label: "perf run", Trace: tr, Critical: g.CriticalGrains()}, met
 }
 
 // perfEvent mirrors chromeEvent for decoding test output.
@@ -81,7 +74,7 @@ func decodePerfetto(t *testing.T, runs []PerfettoRun) ([]byte, perfDoc) {
 }
 
 // TestPerfettoRoundTrip is the end-to-end tracing check: a small rts.Run
-// with a trace sink must export to a Perfetto JSON whose slices are
+// must export to a Perfetto JSON whose slices are
 // well-nested per worker track, whose total slice duration equals the
 // profile's busy time, and whose scheduler instants match the metrics
 // registry counts.
@@ -210,22 +203,20 @@ func TestPerfettoRoundTrip(t *testing.T) {
 // still yields valid JSON with just the process metadata.
 func TestPerfettoMultiRun(t *testing.T) {
 	run, _ := tracedRun(t)
-	empty := PerfettoRun{Label: "empty", Dropped: 7}
+	empty := PerfettoRun{Label: "empty"}
 	_, doc := decodePerfetto(t, []PerfettoRun{run, empty})
 	pids := map[int]bool{}
+	var emptyEvents []perfEvent
 	for _, e := range doc.TraceEvents {
 		pids[e.Pid] = true
+		if e.Pid == 2 {
+			emptyEvents = append(emptyEvents, e)
+		}
 	}
 	if !pids[1] || !pids[2] {
 		t.Errorf("pids seen: %v, want runs under pid 1 and 2", pids)
 	}
-	var droppedMeta bool
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "M" && e.Pid == 2 && e.Name == "process_name" {
-			_, droppedMeta = e.Args["dropped_events"]
-		}
-	}
-	if !droppedMeta {
-		t.Error("dropped_events missing from the lossy run's metadata")
+	if len(emptyEvents) != 1 || emptyEvents[0].Name != "process_name" || emptyEvents[0].Args["name"] != "empty" {
+		t.Errorf("nil-trace run exported %+v, want only its process_name metadata", emptyEvents)
 	}
 }

@@ -98,25 +98,23 @@ func MemoStats() (simulated, memoized uint64) { return simMemo.Stats() }
 type simResult struct {
 	trace   *profile.Trace
 	metrics *trace.Metrics
-	events  []trace.Event
-	dropped uint64
 }
 
 // simKey content-addresses a run request, covering the workload's full
 // input configuration and every runtime knob that shapes the trace. The
 // second return is false when the request cannot be fingerprinted (workload
-// without a content key, or a caller-supplied topology/sink we cannot
+// without a content key, or a caller-supplied topology/registry we cannot
 // hash); such runs execute unconditionally.
 func simKey(inst workloads.Instance, rcfg rts.Config) (runpool.Key, bool) {
 	keyed, ok := inst.(workloads.Keyed)
-	if !ok || rcfg.Topology != nil || rcfg.Trace != nil || rcfg.Metrics != nil {
+	if !ok || rcfg.Topology != nil || rcfg.Metrics != nil {
 		return runpool.Key{}, false
 	}
 	instr := "plain"
-	if ins := Instr; ins != nil {
-		// Cached artifacts include the metrics registry and event stream, so
-		// the instrumentation mode is part of the address.
-		instr = fmt.Sprintf("instr|events=%v|cap=%d", ins.CaptureEvents, ins.Capacity)
+	if Instr != nil {
+		// Cached results include the metrics registry, so the
+		// instrumentation mode is part of the address.
+		instr = "instr"
 	}
 	cfgSig := fmt.Sprintf("%s|c%d|%v|%v|%v|t%d|s%d|%+v|%+v|%+v",
 		rcfg.Program, rcfg.Cores, rcfg.Flavor, rcfg.Scheduler, rcfg.Policy,
@@ -153,20 +151,11 @@ func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.
 		defer sp.End()
 		runCfg := rcfg
 		r := &simResult{}
-		var sink *trace.RingSink
 		if ins != nil {
 			r.metrics = trace.NewMetrics()
 			runCfg.Metrics = r.metrics
-			if ins.CaptureEvents {
-				sink = trace.NewRingSink(ins.Capacity)
-				runCfg.Trace = sink
-			}
 		}
 		r.trace = rts.Run(runCfg, inst.Program())
-		if sink != nil {
-			r.events = sink.Events()
-			r.dropped = sink.Dropped()
-		}
 		if err := inst.Verify(); err != nil {
 			return r, err
 		}
@@ -195,10 +184,7 @@ func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.
 	}
 	var irun *InstrumentedRun
 	if ins != nil {
-		irun = &InstrumentedRun{
-			Label: label, Trace: r.trace, Metrics: r.metrics,
-			Events: r.events, Dropped: r.dropped,
-		}
+		irun = &InstrumentedRun{Label: label, Trace: r.trace, Metrics: r.metrics}
 	}
 	return r.trace, irun, err
 }

@@ -85,33 +85,24 @@ func analyzeWith(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, core
 }
 
 // InstrumentedRun captures one simulated run's observability artifacts:
-// its profile, counter registry, captured event stream (when enabled)
-// and the critical-path grain set, by grain number (for fully analyzed
-// runs).
+// its profile, counter registry and the critical-path grain set, by grain
+// number (for fully analyzed runs).
 type InstrumentedRun struct {
 	Label    string
 	Trace    *profile.Trace
 	Metrics  *trace.Metrics
-	Events   []trace.Event
-	Dropped  uint64
 	Critical []bool
 }
 
 // Instrumentation makes every simulated run in this package double as a
 // runtime-health report: when Instr is non-nil, each rts.Run performed
-// by Run/Makespan attaches a metrics registry (and, with CaptureEvents,
-// a bounded ring-buffer event sink) and records the result in Runs.
-// The cmds enable it for their -trace / -stats flags.
+// by Run/Makespan attaches a metrics registry and records the result in
+// Runs. The cmds enable it for their -trace / -stats flags.
 //
 // Recording is serialized internally, but figures always append their
 // batches in request order (see runBatch), so Runs has the same contents
 // in the same order at every parallelism level.
 type Instrumentation struct {
-	// CaptureEvents attaches a trace.RingSink of Capacity events to each
-	// run (Perfetto export needs it); metrics alone are much cheaper.
-	CaptureEvents bool
-	// Capacity is the per-run ring-buffer size; <= 0 uses the default.
-	Capacity int
 	// PrintFooter makes each figure regenerator append a runtime-metrics
 	// footer covering the runs it performed.
 	PrintFooter bool

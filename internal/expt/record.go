@@ -24,7 +24,7 @@ import (
 // miss that decodes (and CRC-checks) fresh.
 //
 // Instrumented runs (Instr != nil) bypass both directions: artifacts carry
-// the trace only, not the metrics registry or event stream.
+// the trace only, not the metrics registry.
 
 var (
 	artifactDirMu sync.Mutex

@@ -141,6 +141,38 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 		t.Fatalf("GraphML exports differ (first differing line %d):\nlive:   %q\nreplay: %q",
 			d, lineAt(a.Bytes(), d), lineAt(b.Bytes(), d))
 	}
+
+	// The Perfetto export derives its scheduler instants from the profile,
+	// so the live run and its v1 and v2 (with sidecars) artifacts, decoded
+	// and analyzed the way grainview does, export the same bytes.
+	v2 := filepath.Join(t.TempDir(), "run.v2.ggp")
+	if err := WriteUpgraded(v2, live, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	perfetto := func(res *Result) []byte {
+		var buf bytes.Buffer
+		run := export.PerfettoRun{Label: "fib", Trace: res.Trace, Critical: res.Graph.CriticalGrains()}
+		if err := export.Perfetto(&buf, []export.PerfettoRun{run}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := perfetto(live)
+	if !bytes.Contains(want, []byte(`"name":"steal"`)) || !bytes.Contains(want, []byte(`"name":"resume"`)) {
+		t.Fatal("live Perfetto export has no steal or resume instants; the comparison is vacuous")
+	}
+	for _, path := range []string{filepath.Join(dir, ents[0].Name()), v2} {
+		dec, err := ggp.DecodeFile(path, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := perfetto(AnalyzeDecodedOn(nil, dec, nil, Config{}, nil))
+		if !bytes.Equal(want, got) {
+			d := diffLine(want, got)
+			t.Fatalf("Perfetto export of v%d artifact differs from the live run (first differing line %d):\nlive:     %q\nartifact: %q",
+				dec.Version, d, lineAt(want, d), lineAt(got, d))
+		}
+	}
 }
 
 // TestArtifactDecodeMemo pins the content-hash memoization of artifact

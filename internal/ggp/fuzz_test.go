@@ -2,6 +2,7 @@ package ggp_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -79,6 +80,18 @@ func hostileTraces() (dangling, selfParent, cycle *profile.Trace) {
 	return dangling, selfParent, cycle
 }
 
+// splitTraces are seedTrace with a worker whose busy plus overhead time
+// exceeds the trace span, which would make its idle time negative: once
+// by one cycle, once by an overhead that wraps the uint64 sum to a small
+// number. Both must be rejected.
+func splitTraces() (over, wrap *profile.Trace) {
+	over = seedTrace()
+	over.Workers[0].Overhead++
+	wrap = seedTrace()
+	wrap.Workers[1].Overhead = math.MaxUint64 - 5
+	return over, wrap
+}
+
 // encodeBoth writes tr as a v1 stream and as a v2 artifact with a built
 // graph.
 func encodeBoth(t testing.TB, tr *profile.Trace) (v1, v2 []byte) {
@@ -98,6 +111,7 @@ func encodeBoth(t testing.TB, tr *profile.Trace) (v1, v2 []byte) {
 // in both formats.
 func TestHostileReferences(t *testing.T) {
 	dangling, selfParent, cycle := hostileTraces()
+	over, wrap := splitTraces()
 	for _, tc := range []struct {
 		name   string
 		tr     *profile.Trace
@@ -106,6 +120,8 @@ func TestHostileReferences(t *testing.T) {
 		{"dangling", dangling, ""},
 		{"self-parent", selfParent, "before its parent"},
 		{"parent cycle", cycle, "before its parent"},
+		{"worker time split", over, "exceeds the trace span"},
+		{"worker time split wrapping", wrap, "exceeds the trace span"},
 	} {
 		v1, v2 := encodeBoth(t, tc.tr)
 		for version, data := range map[string][]byte{"v1": v1, "v2": v2} {
@@ -182,9 +198,11 @@ func FuzzGGPReader(f *testing.F) {
 	f.Add(v2HdrV1Body)
 
 	// Hostile references, both formats: dangling ones decode, a
-	// self-parent and a Parent cycle are rejected (see hostileTraces).
+	// self-parent and a Parent cycle are rejected (see hostileTraces), and
+	// so are worker time splits that overrun the span (see splitTraces).
 	dangling, selfParent, cycle := hostileTraces()
-	for _, tr := range []*profile.Trace{dangling, selfParent, cycle} {
+	over, wrap := splitTraces()
+	for _, tr := range []*profile.Trace{dangling, selfParent, cycle, over, wrap} {
 		v1, v2 := encodeBoth(f, tr)
 		f.Add(v1)
 		f.Add(v2)

@@ -7,10 +7,11 @@
 // per-worker busy/idle time, chunk counts, chunk-latency histogram, queue
 // waits and memoization hit/miss counters.
 //
-// Everything is nil-guarded like the internal/trace sinks: a nil *Profiler
-// hands out nil *Spans, a nil *Span ignores Child/End, and a nil
-// *PoolTelemetry ignores every record call, so instrumented code pays one
-// pointer test — no clock reads, no allocation — when observation is off.
+// Everything is nil-guarded like the runtime's metrics registry (a nil
+// rts.Config.Metrics): a nil *Profiler hands out nil *Spans, a nil *Span
+// ignores Child/End, and a nil *PoolTelemetry ignores every record call,
+// so instrumented code pays one pointer test — no clock reads, no
+// allocation — when observation is off.
 //
 // Snapshots are canonical: spans are ordered depth-first with root trees
 // and siblings sorted by name (creation sequence breaks ties), so the

@@ -4,7 +4,8 @@ import "fmt"
 
 // Validate checks the structural invariants a trace must satisfy before the
 // graph builder may consume it: every fragment and chunk interval is
-// well-formed (End >= Start), a task's fragments are ordered and
+// well-formed (End >= Start), every worker's busy plus overhead time fits
+// in the trace span, a task's fragments are ordered and
 // non-overlapping, boundary counts match fragment counts, every
 // boundary/chunk refers to a loop the trace records, and every task is
 // recorded after its parent. Dangling Parent/Child/Joined references are
@@ -21,6 +22,16 @@ func (tr *Trace) Validate() error {
 	}
 	if tr.Cores < 0 {
 		return fmt.Errorf("profile: negative core count %d", tr.Cores)
+	}
+	// A worker's idle time is the span minus its busy and overhead time,
+	// so the two must fit in the span. Compared by subtraction: the sum
+	// of two hostile counters can wrap.
+	span := tr.Makespan()
+	for i, ws := range tr.Workers {
+		if ws.Busy > span || ws.Overhead > span-ws.Busy {
+			return fmt.Errorf("profile: worker %d busy %d + overhead %d exceeds the trace span %d",
+				i, ws.Busy, ws.Overhead, span)
+		}
 	}
 	loops := make(map[LoopID]bool, len(tr.Loops))
 	for _, l := range tr.Loops {

@@ -33,6 +33,8 @@ func TestValidateRejections(t *testing.T) {
 		errPart string
 	}{
 		{"negative trace span", func(tr *Trace) { tr.Start, tr.End = 10, 5 }, "negative"},
+		{"worker time split", func(tr *Trace) { tr.Workers = []WorkerStat{{Busy: tr.Makespan(), Overhead: 1}} }, "exceeds the trace span"},
+		{"wrapping worker time split", func(tr *Trace) { tr.Workers = []WorkerStat{{Busy: 2, Overhead: ^Time(0)}} }, "exceeds the trace span"},
 		{"backwards fragment", func(tr *Trace) { tr.Tasks[0].Fragments[0] = Fragment{Start: 50, End: 40} }, "runs backwards"},
 		{"overlapping fragments", func(tr *Trace) { tr.Tasks[0].Fragments[1].Start = 30 }, "overlap"},
 		{"duplicate task", func(tr *Trace) { tr.Tasks = append(tr.Tasks, &TaskRecord{ID: RootID}) }, "duplicate task"},

@@ -73,7 +73,7 @@ func (s SchedulerKind) String() string {
 	if s == CentralQueueSched {
 		return "central-queue"
 	}
-	return "work-stealing"
+	return profile.SchedulerWorkStealing
 }
 
 // CostModel sets the runtime overheads in cycles. The defaults are sized so
@@ -130,11 +130,6 @@ type Config struct {
 	Costs         CostModel
 	RootLoc       profile.SrcLoc
 
-	// Trace, when non-nil, receives the structured runtime event stream
-	// (task spawn/start/steal/park/resume/end, chunk dispatch, fragment
-	// counter snapshots) in virtual-time order. Nil disables emission
-	// entirely; the engine pays only a nil check per event site.
-	Trace trace.Sink
 	// Metrics, when non-nil, is reset and filled with the run's
 	// scheduler and cache/NUMA counter registry (per worker and per
 	// grain definition). Nil disables collection.

@@ -108,7 +108,6 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 			wm.InlinedSpawns++
 		}
 	}
-	rt.emitInstant(trace.KindTaskSpawn, w.clock, w.id, -1, childID, loc)
 
 	if throttled {
 		// Undeferred execution: the child runs right now on this worker and
@@ -184,7 +183,6 @@ func (c *taskCtx) TaskWait() {
 	if rt.met != nil {
 		rt.met.W(w.id).Parks++
 	}
-	rt.emitInstant(trace.KindPark, at, w.id, -1, t.rec.ID, t.rec.Loc)
 	t.coro.Park()
 }
 

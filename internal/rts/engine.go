@@ -71,7 +71,6 @@ type runtime struct {
 
 	rng     *rand.Rand
 	trace   *profile.Trace
-	sink    trace.Sink     // nil = event emission disabled
 	met     *trace.Metrics // nil = counter registry disabled
 	root    *task
 	live    int
@@ -106,7 +105,6 @@ func Run(cfg Config, program func(Ctx)) *profile.Trace {
 	}
 	rt.mem = machine.NewMemory(rt.topo, cfg.Policy)
 	rt.hier = cache.New(cfg.Cache, rt.topo, rt.mem)
-	rt.sink = cfg.Trace
 	rt.met = cfg.Metrics
 	if rt.met != nil {
 		rt.met.Reset(cfg.Cores)
@@ -256,7 +254,6 @@ func (rt *runtime) perform(a action) {
 		if rt.met != nil {
 			rt.met.W(w.id).Resumes++
 		}
-		rt.emitInstant(trace.KindResume, a.at, w.id, -1, a.t.rec.ID, a.t.rec.Loc)
 	case actPop:
 		t, _ := w.deque.PopBottom()
 		if t != a.t {
@@ -279,7 +276,6 @@ func (rt *runtime) perform(a action) {
 		w.clock = a.at
 		rt.countOverhead(w, trace.OvSteal, rt.cfg.Costs.Steal)
 		rt.countSteal(w)
-		rt.emitInstant(trace.KindSteal, a.at, w.id, a.victim.id, a.t.rec.ID, a.t.rec.Loc)
 	case actCentral:
 		t, _ := rt.central.Dequeue()
 		if t != a.t {
@@ -310,7 +306,6 @@ func (rt *runtime) runOn(w *worker, t *task) {
 			t.defm = rt.defOf(t.rec.Loc)
 			t.defm.Grains++
 		}
-		rt.emitInstant(trace.KindTaskStart, w.clock, w.id, -1, t.rec.ID, t.rec.Loc)
 		body := t.body
 		ctx := &taskCtx{rt: rt, t: t}
 		t.coro = sim.NewCoro(func(*sim.Coro) { body(ctx) })
@@ -341,13 +336,11 @@ func (rt *runtime) endFragment(t *task, at sim.Time) {
 	})
 	w.busy += at - t.fragStart
 	rt.countGrain(t.owner, t.defm, at-t.fragStart, t.cur)
-	rt.emitSpan(trace.KindFragment, t.fragStart, at, t.owner, t.rec.ID, t.rec.Loc, t.cur)
 }
 
 func (rt *runtime) finishTask(w *worker, t *task) {
 	rt.endFragment(t, w.clock)
 	t.rec.EndTime = w.clock
-	rt.emitInstant(trace.KindTaskEnd, w.clock, w.id, -1, t.rec.ID, t.rec.Loc)
 	w.clock += rt.cfg.Costs.TaskEnd
 	w.overhead += rt.cfg.Costs.TaskEnd
 	rt.countOverhead(w, trace.OvTaskEnd, rt.cfg.Costs.TaskEnd)

@@ -1,39 +1,14 @@
 package rts
 
-// Observability hooks: every emission and counter site the engine calls
-// lives here, each guarded on a nil sink/registry so an uninstrumented
-// run (the default) pays nothing beyond a pointer test.
+// Observability hooks: every counter site the engine calls lives here,
+// each guarded on a nil registry so an uninstrumented run (the default)
+// pays nothing beyond a pointer test.
 
 import (
 	"graingraph/internal/cache"
-	"graingraph/internal/profile"
 	"graingraph/internal/sim"
 	"graingraph/internal/trace"
 )
-
-// emitInstant emits an instant event (spawn/start/steal/park/resume/end).
-func (rt *runtime) emitInstant(k trace.Kind, at sim.Time, worker, victim int,
-	grain profile.GrainID, loc profile.SrcLoc) {
-	if rt.sink == nil {
-		return
-	}
-	rt.sink.Emit(trace.Event{
-		Kind: k, Start: at, At: at,
-		Worker: worker, Victim: victim, Grain: grain, Loc: loc,
-	})
-}
-
-// emitSpan emits a fragment/chunk span with its counter snapshot.
-func (rt *runtime) emitSpan(k trace.Kind, start, end sim.Time, worker int,
-	grain profile.GrainID, loc profile.SrcLoc, cnt cache.Counters) {
-	if rt.sink == nil {
-		return
-	}
-	rt.sink.Emit(trace.Event{
-		Kind: k, Start: start, At: end,
-		Worker: worker, Victim: -1, Grain: grain, Loc: loc, Counters: cnt,
-	})
-}
 
 // countOverhead books overhead cycles against worker w under kind k.
 // Call it alongside every `w.overhead +=` so the registry reconciles

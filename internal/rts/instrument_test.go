@@ -1,6 +1,8 @@
 package rts
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"graingraph/internal/profile"
@@ -33,26 +35,57 @@ func loopyProgram(c Ctx) {
 	c.TaskWait()
 }
 
+// randomProgram is a random task tree: up to five children per task, a
+// taskwait after some spawns and at the end of every task, and, for some
+// seeds, a parallel loop and a trailing task after the tree. The shape
+// draws from one generator in execution order, so it depends on the
+// schedule as well as the seed; the run is still deterministic.
+func randomProgram(seed uint64) func(Ctx) {
+	return func(c Ctx) {
+		rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
+		var rec func(c Ctx, d int)
+		rec = func(c Ctx, d int) {
+			c.Compute(uint64(rng.IntN(3000)))
+			if d == 0 {
+				return
+			}
+			for i, kids := 0, rng.IntN(6); i < kids; i++ {
+				c.Spawn(testLoc(i, "n"), func(c Ctx) { rec(c, d-1) })
+				c.Compute(uint64(rng.IntN(500)))
+				if rng.IntN(4) == 0 {
+					c.TaskWait()
+				}
+			}
+			c.TaskWait()
+			c.Compute(uint64(rng.IntN(200)))
+		}
+		rec(c, 4)
+		c.TaskWait()
+		if rng.IntN(2) == 0 {
+			c.For(testLoc(9, "loop"), 0, 40, ForOpt{Schedule: profile.ScheduleDynamic, Chunk: 3},
+				func(c Ctx, lo, hi int) { c.Compute(uint64(200 * (hi - lo))) })
+			c.Spawn(testLoc(10, "tail"), func(c Ctx) { rec(c, 2) })
+		}
+	}
+}
+
 // instrumentedRun runs prog twice under cfg — once bare, once with a
-// sink and registry attached — and returns both traces plus the
-// instrumentation artifacts.
-func instrumentedRun(t *testing.T, cfg Config, prog func(Ctx)) (bare, inst *profile.Trace, sink *trace.RingSink, met *trace.Metrics) {
+// metrics registry attached — and returns both traces plus the registry.
+func instrumentedRun(t *testing.T, cfg Config, prog func(Ctx)) (bare, inst *profile.Trace, met *trace.Metrics) {
 	t.Helper()
 	bare = Run(cfg, prog)
-	sink = trace.NewRingSink(1 << 20)
 	met = trace.NewMetrics()
 	icfg := cfg
-	icfg.Trace = sink
 	icfg.Metrics = met
 	inst = Run(icfg, prog)
 	return
 }
 
-// TestInstrumentationDoesNotPerturb: attaching a sink and a metrics
-// registry must not change the simulation at all — same makespan, same
-// per-worker time splits, same grain count.
+// TestInstrumentationDoesNotPerturb: attaching a metrics registry must not
+// change the simulation at all — same makespan, same per-worker time
+// splits, same grain count.
 func TestInstrumentationDoesNotPerturb(t *testing.T) {
-	bare, inst, _, _ := instrumentedRun(t, smallConfig(4), fibProgram(10))
+	bare, inst, _ := instrumentedRun(t, smallConfig(4), fibProgram(10))
 	if bare.Makespan() != inst.Makespan() {
 		t.Fatalf("instrumentation changed makespan: %d vs %d", bare.Makespan(), inst.Makespan())
 	}
@@ -78,7 +111,7 @@ func TestMetricsConservation(t *testing.T) {
 		fn   func(Ctx)
 	}{{"fib", fibProgram(11)}, {"loop", loopyProgram}} {
 		t.Run(prog.name, func(t *testing.T) {
-			_, tr, _, met := instrumentedRun(t, smallConfig(4), prog.fn)
+			_, tr, met := instrumentedRun(t, smallConfig(4), prog.fn)
 			if met.Makespan != tr.Makespan() {
 				t.Fatalf("metrics makespan %d, trace %d", met.Makespan, tr.Makespan())
 			}
@@ -102,60 +135,60 @@ func TestMetricsConservation(t *testing.T) {
 	}
 }
 
-// TestEventStreamMatchesMetrics: with an undropped sink, the counted
-// events of each kind must equal the registry's counters, and span
-// events must be well-formed.
-func TestEventStreamMatchesMetrics(t *testing.T) {
-	_, tr, sink, met := instrumentedRun(t, smallConfig(4), fibProgram(10))
-	if sink.Dropped() != 0 {
-		t.Fatalf("ring dropped %d events; enlarge the test capacity", sink.Dropped())
-	}
-	counts := map[trace.Kind]uint64{}
-	var fragments int
-	for _, e := range sink.Events() {
-		counts[e.Kind]++
-		if e.Start > e.At {
-			t.Fatalf("event %v has Start %d > At %d", e.Kind, e.Start, e.At)
+// TestDerivedInstantsMatchMetrics: the steal, park and resume instants
+// derived from the profile must equal the registry's counters worker by
+// worker — steals by thief — on random programs under every flavour, both
+// schedulers and several core counts.
+func TestDerivedInstantsMatchMetrics(t *testing.T) {
+	var steals, parks, inlined uint64
+	for seed := uint64(0); seed < 6; seed++ {
+		for _, fl := range []Flavor{FlavorMIR, FlavorGCC, FlavorICC} {
+			for _, sc := range []SchedulerKind{WorkStealing, CentralQueueSched} {
+				for _, cores := range []int{1, 3, 4} {
+					cfg := Config{Program: "rand", Cores: cores, Seed: seed,
+						Flavor: fl, Scheduler: sc, ThrottleLimit: 1 + int(seed%3)}
+					name := fmt.Sprintf("seed %d %v %v p%d", seed, fl, sc, cores)
+					met := trace.NewMetrics()
+					cfg.Metrics = met
+					tr := Run(cfg, randomProgram(seed))
+					got := make([]trace.WorkerMetrics, cores)
+					for _, in := range tr.SchedInstants() {
+						if in.Worker < 0 || in.Worker >= cores {
+							t.Fatalf("%s: %v instant on out-of-range worker %d", name, in.Kind, in.Worker)
+						}
+						switch w := &got[in.Worker]; in.Kind {
+						case profile.SchedSteal:
+							w.Steals++
+						case profile.SchedPark:
+							w.Parks++
+						case profile.SchedResume:
+							w.Resumes++
+						}
+					}
+					for i := range got {
+						g, m := &got[i], met.W(i)
+						if g.Steals != m.Steals || g.Parks != m.Parks || g.Resumes != m.Resumes {
+							t.Errorf("%s worker %d: derived steals/parks/resumes %d/%d/%d, registry %d/%d/%d",
+								name, i, g.Steals, g.Parks, g.Resumes, m.Steals, m.Parks, m.Resumes)
+						}
+					}
+					steals += met.Steals()
+					parks += met.Parks()
+					inlined += met.InlinedSpawns()
+				}
+			}
 		}
-		if e.Kind == trace.KindFragment {
-			fragments++
-		}
-		if e.Worker < 0 || e.Worker >= tr.Cores {
-			t.Fatalf("event %v on out-of-range worker %d", e.Kind, e.Worker)
-		}
 	}
-	if counts[trace.KindSteal] != met.Steals() {
-		t.Errorf("steal events %d, registry %d", counts[trace.KindSteal], met.Steals())
-	}
-	if counts[trace.KindPark] != met.Parks() {
-		t.Errorf("park events %d, registry %d", counts[trace.KindPark], met.Parks())
-	}
-	if counts[trace.KindResume] != met.Resumes() {
-		t.Errorf("resume events %d, registry %d", counts[trace.KindResume], met.Resumes())
-	}
-	if counts[trace.KindTaskSpawn] != met.Spawns() {
-		t.Errorf("spawn events %d, registry %d", counts[trace.KindTaskSpawn], met.Spawns())
-	}
-	if met.Steals() == 0 {
-		t.Error("fib on 4 cores should steal at least once")
-	}
-	if met.Parks() == 0 || met.Parks() != met.Resumes() {
-		t.Errorf("parks %d / resumes %d, want equal and nonzero", met.Parks(), met.Resumes())
-	}
-	// Every profiled fragment must have produced a fragment event.
-	want := 0
-	for _, task := range tr.Tasks {
-		want += len(task.Fragments)
-	}
-	if fragments != want {
-		t.Errorf("fragment events %d, profile has %d fragments", fragments, want)
+	if steals == 0 || parks == 0 || inlined == 0 {
+		t.Errorf("steals %d, parks %d, inlined spawns %d: want all nonzero so every rule is exercised",
+			steals, parks, inlined)
 	}
 }
 
 // TestMetricsBusyMatchesGrainExec: the per-definition exec aggregate
 // must cover exactly the busy cycles of the run.
 func TestMetricsBusyMatchesGrainExec(t *testing.T) {
-	_, tr, _, met := instrumentedRun(t, smallConfig(4), loopyProgram)
+	_, tr, met := instrumentedRun(t, smallConfig(4), loopyProgram)
 	var defExec, busy profile.Time
 	for _, d := range met.SortedDefs() {
 		defExec += d.Exec
@@ -173,7 +206,7 @@ func TestMetricsBusyMatchesGrainExec(t *testing.T) {
 func TestCentralQueueMetrics(t *testing.T) {
 	cfg := smallConfig(4)
 	cfg.Scheduler = CentralQueueSched
-	_, _, _, met := instrumentedRun(t, cfg, fibProgram(9))
+	_, _, met := instrumentedRun(t, cfg, fibProgram(9))
 	if met.QueueOps() == 0 {
 		t.Error("central-queue run recorded no queue ops")
 	}

@@ -155,8 +155,6 @@ func (rt *runtime) execChunk(rec *profile.LoopRecord, th *loopThread, seq, clo, 
 		defm.Grains++
 	}
 	rt.countGrain(th.w.id, defm, ck.End-ck.Start, ck.Counters)
-	rt.emitSpan(trace.KindChunk, ck.Start, ck.End, th.w.id,
-		ck.ID(rec.StartThread), rec.Loc, ck.Counters)
 }
 
 // runStatic precomputes round-robin chunk assignment. A zero chunk size

@@ -17,6 +17,7 @@ package runpool
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -307,7 +308,9 @@ func (c *Cache[V]) evictLocked() {
 
 // Do returns the cached outcome for key, computing it via compute on first
 // use. hit reports whether the value was served from the cache (including
-// waiting on another goroutine's in-flight computation).
+// waiting on another goroutine's in-flight computation). A compute that
+// panics is not memoized: the panic propagates to this caller, goroutines
+// waiting on the key get an error naming it, and the next Do recomputes.
 func (c *Cache[V]) Do(key Key, compute func() (V, error)) (v V, err error, hit bool) {
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
@@ -324,16 +327,42 @@ func (c *Cache[V]) Do(key Key, compute func() (V, error)) (v V, err error, hit b
 	c.mu.Unlock()
 
 	c.runs.Add(1)
+	returned := false
+	defer func() {
+		if returned {
+			return
+		}
+		// compute panicked (or exited its goroutine): fail the waiters rather
+		// than leave them blocked on done, and drop the entry so a later Do
+		// computes afresh. The panic keeps propagating from here.
+		r := recover()
+		e.err = fmt.Errorf("runpool: memoized computation panicked: %v", r)
+		c.settle(e, true)
+		if r != nil {
+			panic(r)
+		}
+	}()
 	e.val, e.err = compute()
+	returned = true
+	c.settle(e, false)
+	return e.val, e.err, false
+}
+
+// settle publishes e's outcome to its waiters and marks it complete. A
+// dropped entry leaves the cache instead of being memoized.
+func (c *Cache[V]) settle(e *cacheEntry[V], drop bool) {
 	close(e.done)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e.inflight = false
-	// The insert above may have left the cache over capacity when the tail
+	if drop && c.m[e.key] == e { // not already gone with a Reset
+		c.unlink(e)
+		delete(c.m, e.key)
+	}
+	// The insert in Do may have left the cache over capacity when the tail
 	// was in flight; completing an entry is the other edge where eviction
 	// can make progress.
 	c.evictLocked()
-	c.mu.Unlock()
-	return e.val, e.err, false
 }
 
 // Forget drops key's completed entry, so the next Do recomputes. Use it to

@@ -3,6 +3,7 @@ package runpool
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,68 @@ func TestCacheCachesErrors(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("compute ran %d times, want 1 (errors are cached)", calls)
+	}
+}
+
+// TestCachePanicReleasesWaiters: a compute that panics must not strand its
+// key. The panic reaches the computing goroutine, a concurrent waiter gets
+// an error naming it, and a later Do computes afresh.
+func TestCachePanicReleasesWaiters(t *testing.T) {
+	c := NewCache[int]()
+	key, other := KeyOf("panics"), KeyOf("other")
+	c.Do(other, func() (int, error) { return 1, nil })
+
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(key, func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	c.Do(other, func() (int, error) { return 1, nil }) // other is now most recent
+
+	waited := make(chan error, 1)
+	go func() {
+		_, err, _ := c.Do(key, func() (int, error) { return 0, errors.New("waiter computed") })
+		waited <- err
+	}()
+	// The waiter has joined once its lookup made key the most recent entry.
+	deadline := time.After(5 * time.Second)
+	for joined := false; !joined; {
+		c.mu.Lock()
+		joined = c.front != nil && c.front.key == key
+		c.mu.Unlock()
+		select {
+		case <-deadline:
+			t.Fatal("waiter never joined the in-flight computation")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+
+	select {
+	case r := <-panicked:
+		if r != "boom" {
+			t.Errorf("computing goroutine recovered %v, want the panic value boom", r)
+		}
+	case <-deadline:
+		t.Fatal("the panic did not reach the computing goroutine")
+	}
+	select {
+	case err := <-waited:
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("waiter err = %v, want one naming the panic", err)
+		}
+	case <-deadline:
+		t.Fatal("waiter hangs on the panicked computation")
+	}
+	v, err, hit := c.Do(key, func() (int, error) { return 7, nil })
+	if v != 7 || err != nil || hit {
+		t.Errorf("later Do = (%d, %v, hit=%v), want a fresh (7, nil, false): the failed entry must not be memoized", v, err, hit)
 	}
 }
 

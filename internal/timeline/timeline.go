@@ -57,20 +57,6 @@ func FromTrace(tr *profile.Trace) *View {
 	return v
 }
 
-// FromMetrics builds the timeline view directly from the runtime's
-// counter registry instead of the trace reconstruction — the two must
-// agree (see CrossCheck).
-func FromMetrics(program string, m *trace.Metrics) *View {
-	v := &View{Program: program, Makespan: m.Makespan}
-	for i := range m.Workers {
-		wm := &m.Workers[i]
-		v.Rows = append(v.Rows, ThreadRow{
-			Worker: i, Busy: wm.Busy, Overhead: wm.Overhead, Idle: wm.Idle,
-		})
-	}
-	return v
-}
-
 // CrossCheck verifies the trace-reconstructed view against the runtime's
 // own metrics registry: per-worker busy and overhead must match
 // cycle-for-cycle, the registry's per-kind overhead split must sum to its

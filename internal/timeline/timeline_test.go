@@ -92,23 +92,6 @@ func instrumented(t *testing.T) (*profile.Trace, *trace.Metrics) {
 	return tr, met
 }
 
-// TestFromMetricsMatchesFromTrace: the registry-derived view and the
-// trace-reconstructed view must be identical row for row.
-func TestFromMetricsMatchesFromTrace(t *testing.T) {
-	tr, met := instrumented(t)
-	vt := FromTrace(tr)
-	vm := FromMetrics(tr.Program, met)
-	if vm.Makespan != vt.Makespan || len(vm.Rows) != len(vt.Rows) {
-		t.Fatalf("shape mismatch: makespan %d/%d, rows %d/%d",
-			vm.Makespan, vt.Makespan, len(vm.Rows), len(vt.Rows))
-	}
-	for i := range vt.Rows {
-		if vt.Rows[i] != vm.Rows[i] {
-			t.Errorf("worker %d rows differ: trace %+v, metrics %+v", i, vt.Rows[i], vm.Rows[i])
-		}
-	}
-}
-
 // TestCrossCheck: a real run passes; corrupting any conserved quantity
 // in the registry makes the check fail loudly.
 func TestCrossCheck(t *testing.T) {

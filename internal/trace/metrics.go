@@ -1,3 +1,10 @@
+// Package trace is the runtime's counter registry: Metrics, an
+// always-cheap set of scheduler and cache/NUMA counters per worker and per
+// grain definition, filled by the simulated runtime (internal/rts) when
+// rts.Config.Metrics is set. It is live-only: FailedSteals and the
+// per-kind overhead split are not stored in a profile. What the runtime
+// did at each instant (steals, parks, resumes) is not recorded here; it is
+// derived from the profile itself (profile.Trace.SchedInstants).
 package trace
 
 import (

@@ -8,64 +8,14 @@ import (
 	"graingraph/internal/profile"
 )
 
-func ev(i int) Event {
-	return Event{Kind: KindTaskSpawn, At: profile.Time(i), Start: profile.Time(i), Worker: i}
-}
-
-func TestRingSinkUnwrapped(t *testing.T) {
-	s := NewRingSink(8)
-	for i := 0; i < 5; i++ {
-		s.Emit(ev(i))
-	}
-	if s.Len() != 5 || s.Total() != 5 || s.Dropped() != 0 {
-		t.Fatalf("len/total/dropped = %d/%d/%d, want 5/5/0", s.Len(), s.Total(), s.Dropped())
-	}
-	for i, e := range s.Events() {
-		if e.Worker != i {
-			t.Errorf("event %d has worker %d, want emission order preserved", i, e.Worker)
-		}
-	}
-}
-
-func TestRingSinkWrapAround(t *testing.T) {
-	s := NewRingSink(4)
-	for i := 0; i < 10; i++ {
-		s.Emit(ev(i))
-	}
-	if s.Len() != 4 || s.Total() != 10 || s.Dropped() != 6 {
-		t.Fatalf("len/total/dropped = %d/%d/%d, want 4/10/6", s.Len(), s.Total(), s.Dropped())
-	}
-	got := s.Events()
-	for i, want := range []int{6, 7, 8, 9} {
-		if got[i].Worker != want {
-			t.Errorf("event %d has worker %d, want %d (most recent window, oldest first)",
-				i, got[i].Worker, want)
-		}
-	}
-}
-
-func TestRingSinkDefaultCapacity(t *testing.T) {
-	s := NewRingSink(0)
-	if cap(s.buf) != DefaultRingCapacity {
-		t.Errorf("default capacity = %d, want %d", cap(s.buf), DefaultRingCapacity)
-	}
-}
-
 func TestKindStrings(t *testing.T) {
-	kinds := []Kind{KindTaskSpawn, KindTaskStart, KindSteal, KindPark,
-		KindResume, KindTaskEnd, KindFragment, KindChunk}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := OverheadKind(0); k < numOverheadKinds; k++ {
 		s := k.String()
 		if s == "unknown" || seen[s] {
-			t.Errorf("kind %d has bad or duplicate name %q", k, s)
+			t.Errorf("overhead kind %d has bad or duplicate name %q", k, s)
 		}
 		seen[s] = true
-	}
-	for k := OverheadKind(0); k < numOverheadKinds; k++ {
-		if k.String() == "unknown" {
-			t.Errorf("overhead kind %d unnamed", k)
-		}
 	}
 }
 

@@ -52,6 +52,17 @@ v2diff window -window depth=2,top=8 -format dot
 v2diff query -query "$query"
 echo "   v1 -> v2 convert: analysis byte-identical"
 
+echo "== Perfetto trace of a saved artifact"
+# The scheduler instants are derived from the stored profile, so both
+# artifact versions export the same trace, with every instant kind present.
+"$tmp/grainview" -summary -trace "$tmp/trace.v1.json" "$fixture" >/dev/null 2>&1
+"$tmp/grainview" -summary -trace "$tmp/trace.v2.json" "$tmp/fixture.v2.ggp" >/dev/null 2>&1
+cmp -s "$tmp/trace.v1.json" "$tmp/trace.v2.json" || { echo "FAIL: v1 and v2 artifact traces differ" >&2; exit 1; }
+for kind in steal park resume; do
+    grep -q "\"name\":\"$kind\"" "$tmp/trace.v1.json" || { echo "FAIL: artifact trace has no $kind instants" >&2; exit 1; }
+done
+echo "   -trace on v1 and v2 artifacts: identical, steal/park/resume present"
+
 echo "== start grainserved"
 addr=127.0.0.1:18080
 "$tmp/grainserved" -listen "$addr" -store "$tmp/store" -debug 2>"$tmp/server.log" &
