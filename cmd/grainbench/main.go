@@ -38,6 +38,8 @@
 // artifact exports the same trace: grainview -trace out.json run.ggp.
 // -stats appends a runtime-metrics footer (steals, parks, cache hit
 // rates) to each figure so reproduction runs double as health reports.
+// The footers are derived from the profiles too, so -stats -replay prints
+// the live run's footers without simulating.
 //
 // A figure step that fails is reported with its figure ID and the
 // remaining steps still run; the exit code is non-zero if any failed.
@@ -71,7 +73,7 @@ func main() {
 	ingestPath := flag.String("ingestbench", "", "measure cold artifact-ingest time (v1 vs columnar v2 vs v2+sidecars) for the given .ggp at -j 1 and the active -j, print a table, and add the numbers to -benchjson; use -fig none to skip the figures")
 	ingestJobs := flag.String("ingest-jobs", "", "comma-separated decode worker counts for -ingestbench (overrides the default of 1 and the active -j, so the figure suite and the ingest sweep can run at different parallelism)")
 	traceOut := flag.String("trace", "", "write a Perfetto/Chrome trace of all simulated runs to this file (steal/park/resume instants are derived from the profiles; for a saved artifact use grainview -trace)")
-	stats := flag.Bool("stats", false, "print a runtime-metrics footer after each figure")
+	stats := flag.Bool("stats", false, "print a runtime-metrics footer after each figure (derived from the profiles, so it also works with -replay)")
 	phases := flag.Bool("phases", false, "print the engine's own phase table (simulate/analyze/ingest breakdown) after the run")
 	selfProf := flag.String("selfprofile", "", "write a Chrome-trace profile of the benchmark run itself to this file (open at ui.perfetto.dev)")
 	flag.Parse()
@@ -297,7 +299,7 @@ func writeSelfProfile(path string, prof *obs.Profile) error {
 	return nil
 }
 
-// writeTrace exports every instrumented run as one Perfetto trace file.
+// writeTrace exports every logged run as one Perfetto trace file.
 func writeTrace(path string) error {
 	runs := make([]export.PerfettoRun, 0, len(expt.Instr.Runs))
 	for _, r := range expt.Instr.Runs {

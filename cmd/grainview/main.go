@@ -4,16 +4,16 @@
 // together with a problem summary.
 //
 // Given a positional grain-profile artifact (a .ggp file recorded with
-// grainbench -record or an rts Profile sink), grainview analyzes the saved
+// grainbench -record or grainview -record), grainview analyzes the saved
 // trace instead of simulating: the graph, metrics, what-if projections and
 // exports are byte-identical to the live run that recorded it. A second
 // positional artifact supplies the 1-core baseline for work deviation.
 //
 // -trace writes a Perfetto/Chrome trace of the run (and its baseline):
-// grain slices per worker plus steal/park/resume instants, which are
-// derived from the profile's task records, so a saved artifact exports
-// the same trace as the live run. -stats needs a live run: the runtime
-// metrics registry is not stored in an artifact.
+// grain slices per worker plus steal/park/resume instants. -stats prints
+// each run's runtime stats: scheduler counts, time split, cache hit rates
+// and the heaviest definitions. Both are derived from the profile's
+// records, so a saved artifact reports exactly what the live run does.
 //
 // Examples:
 //
@@ -28,6 +28,7 @@
 //	grainview -workload fib -record fib.ggp -summary
 //	                                      # save the simulated run as an artifact
 //	grainview -trace run.json run.ggp     # Perfetto trace of a saved artifact
+//	grainview -stats run.ggp base.ggp     # runtime stats of a saved run and its baseline
 //	grainview -phases run.ggp             # where did the analyzer's time go?
 //	grainview -selfprofile self.json run.ggp
 //	                                      # Perfetto trace of the analysis itself
@@ -86,7 +87,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		whatIf   = flag.String("whatif", "", "what-if analysis: \"rank\" for the auto-ranked opportunity table, or a spec list like \"cutoff:4,scale:R.0:0.5,infcores\" (see internal/whatif); projections are printed and attached to DOT/JSON exports")
 		traceOut = flag.String("trace", "", "write a Perfetto/Chrome trace of the run to this file (live or saved artifact; steal/park/resume instants are derived from the profile)")
-		stats    = flag.Bool("stats", false, "print the runtime scheduler/cache metrics registry (live runs only)")
+		stats    = flag.Bool("stats", false, "print the runtime stats of the run (and its baseline): scheduler counts, time split, cache hit rates, heaviest definitions (live or saved artifact; derived from the profile)")
 		jobs     = flag.Int("j", 1, "worker parallelism for analysis and export (1 = serial, 0 = all cores); output is byte-identical at every -j")
 		phases   = flag.Bool("phases", false, "print the analyzer's own phase table (where grainview spent its time) after the run")
 		selfProf = flag.String("selfprofile", "", "write a Chrome-trace profile of the analysis run itself to this file (open at ui.perfetto.dev)")
@@ -162,9 +163,6 @@ func main() {
 	var res *expt.Result
 	var base *profile.Trace
 	if flag.NArg() > 0 {
-		if *stats {
-			die(fmt.Errorf("-stats needs a live simulation: the runtime metrics registry is not stored in a saved artifact"))
-		}
 		if flag.NArg() > 2 {
 			die(fmt.Errorf("expected <run.ggp> [baseline.ggp], got %d arguments", flag.NArg()))
 		}
@@ -260,10 +258,10 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		die(writeTrace(*traceOut, traceRuns(res, base)))
+		die(writeTrace(*traceOut, loggedRuns(res, base)))
 	}
 	if *stats {
-		printStats(res)
+		die(printStats(loggedRuns(res, base)))
 	}
 	if *summary {
 		ssp := rootSp.Child("summary")
@@ -380,10 +378,10 @@ func main() {
 	finishProfile()
 }
 
-// traceRuns lists the runs -trace exports, baseline first: a live run's
-// instrumented runs, or the analyzed artifact after its baseline artifact
-// (if one was given).
-func traceRuns(res *expt.Result, base *profile.Trace) []export.PerfettoRun {
+// loggedRuns lists the runs -trace and -stats report, baseline first: a
+// live run's logged runs, or the analyzed artifact after its baseline
+// artifact (if one was given).
+func loggedRuns(res *expt.Result, base *profile.Trace) []export.PerfettoRun {
 	var runs []export.PerfettoRun
 	if expt.Instr != nil {
 		for _, r := range expt.Instr.Runs {
@@ -394,7 +392,7 @@ func traceRuns(res *expt.Result, base *profile.Trace) []export.PerfettoRun {
 	if base != nil {
 		runs = append(runs, export.PerfettoRun{Label: base.Program + " baseline", Trace: base})
 	}
-	return append(runs, export.PerfettoRun{Trace: res.Trace, Critical: res.Graph.CriticalGrains()})
+	return append(runs, export.PerfettoRun{Label: res.Trace.Program, Trace: res.Trace, Critical: res.Graph.CriticalGrains()})
 }
 
 // writeTrace exports the runs as one Perfetto trace file.
@@ -412,17 +410,16 @@ func writeTrace(path string, runs []export.PerfettoRun) error {
 	return nil
 }
 
-// printStats renders each instrumented run's metrics registry and
-// cross-checks it against the trace-reconstructed timeline.
-func printStats(res *expt.Result) {
-	for _, r := range expt.Instr.Runs {
+// printStats renders each run's stats report.
+func printStats(runs []export.PerfettoRun) error {
+	for _, r := range runs {
 		fmt.Printf("runtime stats — %s\n", r.Label)
-		die(r.Metrics.Render(os.Stdout))
-		if r.Trace == res.Trace {
-			die(timeline.FromTrace(r.Trace).CrossCheck(r.Metrics))
+		if err := timeline.StatsFromTrace(r.Trace).Render(os.Stdout); err != nil {
+			return err
 		}
 		fmt.Println()
 	}
+	return nil
 }
 
 func die(err error) {

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graingraph/internal/ggp"
 	"graingraph/internal/profile"
 	"graingraph/internal/sched"
 )
@@ -42,10 +41,6 @@ type Ctx interface {
 type Config struct {
 	Program string
 	Workers int // defaults to GOMAXPROCS
-	// Profile, when non-nil, receives the finished run's records as a GGP
-	// artifact stream once the pool drains. The caller owns the writer:
-	// closing it seals the artifact and surfaces any emission error.
-	Profile *ggp.Writer
 }
 
 // task is a native task instance.
@@ -145,10 +140,6 @@ func Run(cfg Config, program func(Ctx)) *profile.Trace {
 	p.mu.Unlock()
 	for _, w := range p.workers {
 		tr.Workers = append(tr.Workers, profile.WorkerStat{Busy: w.busy.Load()})
-	}
-	if cfg.Profile != nil {
-		// Errors are sticky in the writer; the caller's Close surfaces them.
-		_ = cfg.Profile.Emit(tr)
 	}
 	return tr
 }

@@ -10,14 +10,12 @@ import (
 	"graingraph/internal/metrics"
 	"graingraph/internal/profile"
 	"graingraph/internal/rts"
-	"graingraph/internal/trace"
 )
 
-// tracedRun performs a small instrumented run with enough parallel slack
-// for steals and parks, analyzes it, and bundles it as a PerfettoRun.
-func tracedRun(t *testing.T) (PerfettoRun, *trace.Metrics) {
+// tracedRun performs a small run with enough parallel slack for steals
+// and parks, analyzes it, and bundles it as a PerfettoRun.
+func tracedRun(t *testing.T) PerfettoRun {
 	t.Helper()
-	met := trace.NewMetrics()
 	var fib func(c rts.Ctx, n int)
 	fib = func(c rts.Ctx, n int) {
 		if n < 2 {
@@ -28,7 +26,7 @@ func tracedRun(t *testing.T) (PerfettoRun, *trace.Metrics) {
 		c.Spawn(profile.Loc("p.go", 1, "fib"), func(c rts.Ctx) { fib(c, n-2) })
 		c.TaskWait()
 	}
-	tr := rts.Run(rts.Config{Program: "perf", Cores: 4, Seed: 1, Metrics: met},
+	tr := rts.Run(rts.Config{Program: "perf", Cores: 4, Seed: 1},
 		func(c rts.Ctx) {
 			fib(c, 9)
 			c.For(profile.Loc("p.go", 2, "loop"), 0, 16,
@@ -37,7 +35,7 @@ func tracedRun(t *testing.T) (PerfettoRun, *trace.Metrics) {
 		})
 	g := core.Build(tr)
 	metrics.Analyze(tr, g, nil, metrics.Options{})
-	return PerfettoRun{Label: "perf run", Trace: tr, Critical: g.CriticalGrains()}, met
+	return PerfettoRun{Label: "perf run", Trace: tr, Critical: g.CriticalGrains()}
 }
 
 // perfEvent mirrors chromeEvent for decoding test output.
@@ -76,10 +74,10 @@ func decodePerfetto(t *testing.T, runs []PerfettoRun) ([]byte, perfDoc) {
 // TestPerfettoRoundTrip is the end-to-end tracing check: a small rts.Run
 // must export to a Perfetto JSON whose slices are
 // well-nested per worker track, whose total slice duration equals the
-// profile's busy time, and whose scheduler instants match the metrics
-// registry counts.
+// profile's busy time, and whose scheduler instants match the run's
+// per-worker event counts.
 func TestPerfettoRoundTrip(t *testing.T) {
-	run, met := tracedRun(t)
+	run := tracedRun(t)
 	raw, doc := decodePerfetto(t, []PerfettoRun{run})
 
 	type track struct{ pid, tid int }
@@ -140,7 +138,7 @@ func TestPerfettoRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Total slice duration == the profile's (and registry's) busy time.
+	// Total slice duration == the profile's busy time.
 	var busy uint64
 	for i := range run.Trace.Workers {
 		busy += run.Trace.Workers[i].Busy
@@ -149,17 +147,18 @@ func TestPerfettoRoundTrip(t *testing.T) {
 		t.Errorf("total slice duration %d ≠ profile busy time %d", totalDur, busy)
 	}
 
-	// Scheduler instants match the metrics registry.
-	if instants["steal"] != met.Steals() {
-		t.Errorf("steal instants %d, Metrics.Steals %d", instants["steal"], met.Steals())
+	// Every scheduler event of the run is exported as an instant.
+	var steals, parks, resumes uint64
+	for _, w := range run.Trace.WorkerCounts() {
+		steals += w.Steals
+		parks += w.Parks
+		resumes += w.Resumes
 	}
-	if instants["park"] != met.Parks() {
-		t.Errorf("park instants %d, Metrics.Parks %d", instants["park"], met.Parks())
+	if instants["steal"] != steals || instants["park"] != parks || instants["resume"] != resumes {
+		t.Errorf("steal/park/resume instants %d/%d/%d, worker counts %d/%d/%d",
+			instants["steal"], instants["park"], instants["resume"], steals, parks, resumes)
 	}
-	if instants["resume"] != met.Resumes() {
-		t.Errorf("resume instants %d, Metrics.Resumes %d", instants["resume"], met.Resumes())
-	}
-	if met.Steals() == 0 {
+	if steals == 0 {
 		t.Error("test run produced no steals; the instant check is vacuous")
 	}
 
@@ -202,7 +201,7 @@ func TestPerfettoRoundTrip(t *testing.T) {
 // TestPerfettoMultiRun: several runs get distinct pids, and a nil trace
 // still yields valid JSON with just the process metadata.
 func TestPerfettoMultiRun(t *testing.T) {
-	run, _ := tracedRun(t)
+	run := tracedRun(t)
 	empty := PerfettoRun{Label: "empty"}
 	_, doc := decodePerfetto(t, []PerfettoRun{run, empty})
 	pids := map[int]bool{}

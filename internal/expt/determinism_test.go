@@ -36,7 +36,7 @@ func allFigures(w io.Writer) error {
 }
 
 // regenerate renders every figure at the given parallelism with a cold memo
-// cache and instrumentation footers on, returning the bytes produced and
+// cache and runtime-metrics footers on, returning the bytes produced and
 // the number of simulations that actually executed.
 func regenerate(t *testing.T, jobs int) ([]byte, uint64) {
 	t.Helper()

@@ -2,7 +2,7 @@
 // simulate(), which layers two mechanisms over rts.Run:
 //
 //   - A content-addressed memoization cache. Runs are keyed by (workload
-//     content key, machine config, runtime knobs, instrumentation mode), so
+//     content key, machine config, runtime knobs), so
 //     a run shared between figures — the default Sort/48-core/seed-1 run
 //     appears in Figure 4, Figure 5 and the §4.3.1 table — executes exactly
 //     once per process, with single-flight semantics under concurrency.
@@ -29,7 +29,6 @@ import (
 	"graingraph/internal/profile"
 	"graingraph/internal/rts"
 	"graingraph/internal/runpool"
-	"graingraph/internal/trace"
 	"graingraph/internal/workloads"
 )
 
@@ -39,7 +38,7 @@ var (
 )
 
 // simMemo caches verified simulation runs for the life of the process.
-var simMemo = runpool.NewCache[*simResult]()
+var simMemo = runpool.NewCache[*profile.Trace]()
 
 // SetParallelism bounds how many simulations run concurrently: the -j flag.
 // j == 1 is the strict serial fallback (runs execute in submission order on
@@ -94,43 +93,39 @@ func ResetMemo() { simMemo.Reset() }
 // ResetMemo.
 func MemoStats() (simulated, memoized uint64) { return simMemo.Stats() }
 
-// simResult is one verified simulation's immutable artifact set.
-type simResult struct {
-	trace   *profile.Trace
-	metrics *trace.Metrics
-}
-
 // simKey content-addresses a run request, covering the workload's full
 // input configuration and every runtime knob that shapes the trace. The
 // second return is false when the request cannot be fingerprinted (workload
-// without a content key, or a caller-supplied topology/registry we cannot
-// hash); such runs execute unconditionally.
+// without a content key, or a caller-supplied topology we cannot hash);
+// such runs execute unconditionally.
 func simKey(inst workloads.Instance, rcfg rts.Config) (runpool.Key, bool) {
 	keyed, ok := inst.(workloads.Keyed)
-	if !ok || rcfg.Topology != nil || rcfg.Metrics != nil {
+	if !ok || rcfg.Topology != nil {
 		return runpool.Key{}, false
-	}
-	instr := "plain"
-	if Instr != nil {
-		// Cached results include the metrics registry, so the
-		// instrumentation mode is part of the address.
-		instr = "instr"
 	}
 	cfgSig := fmt.Sprintf("%s|c%d|%v|%v|%v|t%d|s%d|%+v|%+v|%+v",
 		rcfg.Program, rcfg.Cores, rcfg.Flavor, rcfg.Scheduler, rcfg.Policy,
 		rcfg.ThrottleLimit, rcfg.Seed, rcfg.Cache, rcfg.Costs, rcfg.RootLoc)
-	return runpool.KeyOf(keyed.Key(), cfgSig, instr), true
+	// "plain" stays part of the address: recorded artifact names depend
+	// on it.
+	return runpool.KeyOf(keyed.Key(), cfgSig, "plain"), true
 }
 
 // simulate executes (or recalls) one verified simulation run. On a memo hit
 // the workload does not re-execute — the cached trace is identical to what
 // a rerun would produce, and verification already passed (or its error is
-// replayed). The returned InstrumentedRun (nil when instrumentation is off)
-// is a fresh per-call record carrying this call's label, so footers and
-// trace exports list every request in submission order whether or not it
-// was deduplicated.
+// replayed). The returned InstrumentedRun (nil when Instr is) is a fresh
+// per-call record carrying this call's label, so footers and trace exports
+// list every request in submission order whether it was simulated,
+// deduplicated or replayed.
 func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.Trace, *InstrumentedRun, error) {
 	ins := Instr
+	logged := func(tr *profile.Trace) *InstrumentedRun {
+		if ins == nil {
+			return nil
+		}
+		return &InstrumentedRun{Label: label, Trace: tr}
+	}
 	key, keyed := simKey(inst, rcfg)
 	recDir, repDir := artifactDirs()
 
@@ -138,55 +133,45 @@ func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.
 	// run already passed workload verification, and the reader CRC-checks
 	// and revalidates the trace, so the replayed trace analyzes
 	// byte-identically to the live path with no re-execution.
-	if keyed && ins == nil && repDir != "" {
+	if keyed && repDir != "" {
 		if tr, found, err := loadArtifact(repDir, key); err != nil {
 			return nil, nil, err
 		} else if found {
-			return tr, nil, nil
+			return tr, logged(tr), nil
 		}
 	}
 
-	compute := func() (*simResult, error) {
+	compute := func() (*profile.Trace, error) {
 		sp := SelfProfiler().Begin("simulate:" + label)
 		defer sp.End()
-		runCfg := rcfg
-		r := &simResult{}
-		if ins != nil {
-			r.metrics = trace.NewMetrics()
-			runCfg.Metrics = r.metrics
-		}
-		r.trace = rts.Run(runCfg, inst.Program())
+		tr := rts.Run(rcfg, inst.Program())
 		if err := inst.Verify(); err != nil {
-			return r, err
+			return tr, err
 		}
-		if keyed && ins == nil && recDir != "" {
+		if keyed && recDir != "" {
 			rsp := sp.Child("record:artifact")
-			werr := recordArtifact(recDir, key, r.trace)
+			werr := recordArtifact(recDir, key, tr)
 			rsp.End()
 			if werr != nil {
-				return r, werr
+				return tr, werr
 			}
 		}
-		return r, nil
+		return tr, nil
 	}
 
 	var (
-		r   *simResult
+		tr  *profile.Trace
 		err error
 	)
 	if keyed {
-		r, err, _ = simMemo.Do(key, compute)
+		tr, err, _ = simMemo.Do(key, compute)
 	} else {
-		r, err = compute()
+		tr, err = compute()
 	}
-	if r == nil {
+	if tr == nil {
 		return nil, nil, err
 	}
-	var irun *InstrumentedRun
-	if ins != nil {
-		irun = &InstrumentedRun{Label: label, Trace: r.trace, Metrics: r.metrics}
-	}
-	return r.trace, irun, err
+	return tr, logged(tr), err
 }
 
 // runReq is one simulation request in a figure's batch: a workload factory
@@ -207,7 +192,7 @@ func wrapErr(wrap string, err error) error {
 }
 
 // runBatch performs the requests' full analyses (expt.Run each) across the
-// pool. Results are ordered by request index; instrumented runs are
+// pool. Results are ordered by request index; logged runs are
 // recorded in request order after the whole batch completes, so the
 // observability stream is identical at every parallelism level. All
 // requests execute even if some fail; the returned error is the failing

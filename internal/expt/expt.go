@@ -26,7 +26,7 @@ import (
 	"graingraph/internal/query"
 	"graingraph/internal/rts"
 	"graingraph/internal/runpool"
-	"graingraph/internal/trace"
+	"graingraph/internal/timeline"
 	"graingraph/internal/workloads"
 )
 
@@ -84,27 +84,26 @@ func analyzeWith(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, core
 	return &Result{Trace: tr, Graph: g, Report: rep, Assessment: a}
 }
 
-// InstrumentedRun captures one simulated run's observability artifacts:
-// its profile, counter registry and the critical-path grain set, by grain
-// number (for fully analyzed runs).
+// InstrumentedRun is one entry of the run log: a run's label, its profile
+// and the critical-path grain set, by grain number (for fully analyzed
+// runs).
 type InstrumentedRun struct {
 	Label    string
 	Trace    *profile.Trace
-	Metrics  *trace.Metrics
 	Critical []bool
 }
 
-// Instrumentation makes every simulated run in this package double as a
-// runtime-health report: when Instr is non-nil, each rts.Run performed
-// by Run/Makespan attaches a metrics registry and records the result in
-// Runs. The cmds enable it for their -trace / -stats flags.
+// Instrumentation is the run log: when Instr is non-nil, every run that
+// Run/Makespan perform — simulated, memoized or replayed from an
+// artifact — is recorded in Runs. The cmds enable it for their -trace /
+// -stats flags; both read everything they show from the profiles.
 //
 // Recording is serialized internally, but figures always append their
 // batches in request order (see runBatch), so Runs has the same contents
 // in the same order at every parallelism level.
 type Instrumentation struct {
 	// PrintFooter makes each figure regenerator append a runtime-metrics
-	// footer covering the runs it performed.
+	// footer covering the runs it performed (timeline.Stats summaries).
 	PrintFooter bool
 
 	Runs []*InstrumentedRun
@@ -113,11 +112,11 @@ type Instrumentation struct {
 	footerMark int // Runs already covered by a previous footer
 }
 
-// Instr, when non-nil, instruments every simulated run in this package.
+// Instr, when non-nil, logs every run in this package.
 // Set it once before running figures, not while they execute.
 var Instr *Instrumentation
 
-// record appends instrumented runs to the global stream.
+// record appends runs to the run log.
 func record(iruns []*InstrumentedRun) {
 	ins := Instr
 	if ins == nil || len(iruns) == 0 {
@@ -128,7 +127,7 @@ func record(iruns []*InstrumentedRun) {
 	ins.mu.Unlock()
 }
 
-// runLabel names an instrumented run after its workload and config.
+// runLabel names a logged run after its workload and config.
 func runLabel(program string, cfg Config, cores int, suffix string) string {
 	l := fmt.Sprintf("%s p%d %s/%s seed%d", program, cores, cfg.Flavor, cfg.Scheduler, cfg.Seed)
 	if suffix != "" {
@@ -149,7 +148,7 @@ func (ins *Instrumentation) WriteFooter(w io.Writer) {
 	}
 	fmt.Fprintln(w, "runtime metrics:")
 	for _, r := range runs {
-		fmt.Fprintf(w, "  %s: %s\n", r.Label, r.Metrics.Summary())
+		fmt.Fprintf(w, "  %s: %s\n", r.Label, timeline.StatsFromTrace(r.Trace).Summary())
 	}
 }
 
@@ -243,8 +242,8 @@ func rtsConfig(inst workloads.Instance, cfg Config) rts.Config {
 	}
 }
 
-// runOne is Run without the instrumentation recording: it returns the
-// instrumented runs it produced so batch callers can record them in
+// runOne is Run without the run-log recording: it returns the logged
+// runs it produced so batch callers can record them in
 // request order after the whole batch completes. parent, when non-nil,
 // roots the analysis phase spans (see analyze).
 func runOne(inst workloads.Instance, cfg Config, parent *obs.Span) (*Result, []*InstrumentedRun, error) {
@@ -319,7 +318,7 @@ func AnalyzeTraceOn(pool *runpool.Runner, tr, baseline *profile.Trace, cfg Confi
 	return analyze(tr, baseline, cores, cfg.WorkDeviationMax, parent, pool)
 }
 
-// makespanOne is Makespan without the instrumentation recording.
+// makespanOne is Makespan without the run-log recording.
 func makespanOne(inst workloads.Instance, cfg Config) (uint64, []*InstrumentedRun, error) {
 	rcfg := rtsConfig(inst, cfg)
 	tr, irun, err := simulate(inst, rcfg, runLabel(inst.Name(), cfg, cfg.Cores, "makespan"))

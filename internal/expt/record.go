@@ -22,9 +22,6 @@ import (
 // memoized by file content hash, so the same bytes decode once per process
 // no matter how many figures share the run, and a mutated file is a cache
 // miss that decodes (and CRC-checks) fresh.
-//
-// Instrumented runs (Instr != nil) bypass both directions: artifacts carry
-// the trace only, not the metrics registry.
 
 var (
 	artifactDirMu sync.Mutex
@@ -35,7 +32,7 @@ var (
 	artifactMemo = runpool.NewCache[*profile.Trace]()
 )
 
-// SetRecordDir makes every subsequent keyed, uninstrumented simulation
+// SetRecordDir makes every subsequent keyed simulation
 // write its trace to dir as <hex(simKey)>.ggp (atomically; concurrent
 // workers recording the same key write identical bytes). Empty disables
 // recording. The directory is created on demand.
@@ -45,11 +42,11 @@ func SetRecordDir(dir string) {
 	recordDir = dir
 }
 
-// SetReplayDir makes every subsequent keyed, uninstrumented simulation
-// request load <dir>/<hex(simKey)>.ggp instead of executing the
-// simulator. Requests whose artifact is absent fall back to live
-// simulation; a present-but-corrupt artifact is an error, not a fallback.
-// Empty disables replay.
+// SetReplayDir makes every subsequent keyed simulation request load
+// <dir>/<hex(simKey)>.ggp instead of executing the simulator. Requests
+// whose artifact is absent fall back to live simulation; a
+// present-but-corrupt artifact is an error, not a fallback. Empty disables
+// replay.
 func SetReplayDir(dir string) {
 	artifactDirMu.Lock()
 	defer artifactDirMu.Unlock()

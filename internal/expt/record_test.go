@@ -11,6 +11,7 @@ import (
 	"graingraph/internal/ggp"
 	"graingraph/internal/rts"
 	"graingraph/internal/runpool"
+	"graingraph/internal/timeline"
 	"graingraph/internal/workloads"
 )
 
@@ -23,28 +24,12 @@ func resetArtifactDirs() {
 	ResetArtifactMemo()
 }
 
-// regenerateUninstrumented renders every figure at the given parallelism
-// with a cold memo cache and no instrumentation (record/replay only engage
-// for uninstrumented runs), returning the bytes produced and the number of
-// simulations that actually executed.
-func regenerateUninstrumented(t *testing.T, jobs int) ([]byte, uint64) {
-	t.Helper()
-	ResetMemo()
-	SetParallelism(jobs)
-	simBefore, _ := MemoStats()
-	var buf bytes.Buffer
-	if err := allFigures(&buf); err != nil {
-		t.Fatalf("-j %d: %v", jobs, err)
-	}
-	sim, _ := MemoStats()
-	return buf.Bytes(), sim - simBefore
-}
-
 // TestRecordReplayRoundTrip is the record/analyze split's headline
 // guarantee: a full figure pass recorded to grain-profile artifacts, then
 // replayed from those artifacts with a cold memo, produces byte-identical
-// output — at both the serial fallback and pooled parallelism — while
-// executing no keyed simulation a second time.
+// output, runtime-metrics footers included — at both the serial fallback
+// and pooled parallelism — while executing no keyed simulation a second
+// time.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure three times; skipped in -short")
@@ -55,7 +40,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
 	SetRecordDir(dir)
-	live, liveSims := regenerateUninstrumented(t, 8)
+	live, liveSims := regenerate(t, 8)
 	SetRecordDir("")
 
 	ents, err := os.ReadDir(dir)
@@ -66,10 +51,13 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		t.Fatal("record pass produced no artifacts")
 	}
 	t.Logf("recorded %d artifacts from %d simulations", len(ents), liveSims)
+	if !bytes.Contains(live, []byte("runtime metrics:\n")) {
+		t.Fatal("live pass printed no runtime-metrics footer; the comparison is vacuous")
+	}
 
 	SetReplayDir(dir)
-	replaySerial, serialSims := regenerateUninstrumented(t, 1)
-	replayParallel, parallelSims := regenerateUninstrumented(t, 8)
+	replaySerial, serialSims := regenerate(t, 1)
+	replayParallel, parallelSims := regenerate(t, 8)
 	SetReplayDir("")
 
 	if !bytes.Equal(live, replaySerial) {
@@ -93,7 +81,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 
 // TestArtifactAnalysisMatchesLive checks the single-artifact path grainview
 // uses: a run recorded to a .ggp artifact, read back with ggp.ReadFile and
-// analyzed with AnalyzeTraceOn, exports byte-identically to the live Result.
+// analyzed with AnalyzeTraceOn, exports byte-identically to the live Result,
+// and its Perfetto trace and stats report match the live run's.
 func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	defer resetArtifactDirs()
 	dir := t.TempDir()
@@ -157,20 +146,35 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := perfetto(live)
+	// So is the runtime stats report (grainview -stats).
+	stats := func(res *Result) []byte {
+		var buf bytes.Buffer
+		if err := timeline.StatsFromTrace(res.Trace).Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want, wantStats := perfetto(live), stats(live)
 	if !bytes.Contains(want, []byte(`"name":"steal"`)) || !bytes.Contains(want, []byte(`"name":"resume"`)) {
 		t.Fatal("live Perfetto export has no steal or resume instants; the comparison is vacuous")
+	}
+	if timeline.StatsFromTrace(live.Trace).Total().Steals == 0 {
+		t.Fatalf("live stats report counts no steals; the comparison is vacuous:\n%s", wantStats)
 	}
 	for _, path := range []string{filepath.Join(dir, ents[0].Name()), v2} {
 		dec, err := ggp.DecodeFile(path, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := perfetto(AnalyzeDecodedOn(nil, dec, nil, Config{}, nil))
-		if !bytes.Equal(want, got) {
+		res := AnalyzeDecodedOn(nil, dec, nil, Config{}, nil)
+		if got := perfetto(res); !bytes.Equal(want, got) {
 			d := diffLine(want, got)
 			t.Fatalf("Perfetto export of v%d artifact differs from the live run (first differing line %d):\nlive:     %q\nartifact: %q",
 				dec.Version, d, lineAt(want, d), lineAt(got, d))
+		}
+		if got := stats(res); !bytes.Equal(wantStats, got) {
+			t.Fatalf("stats report of v%d artifact differs from the live run:\nlive:\n%s\nartifact:\n%s",
+				dec.Version, wantStats, got)
 		}
 	}
 }

@@ -1,8 +1,7 @@
 package ggp
 
-// Test hooks for the external test package. The ggp tests live in
-// ggp_test (not in-package) because their sample traces come from
-// internal/rts, and rts imports ggp for the Config.Profile sink.
+// Test hooks for the external test package ggp_test, whose sample traces
+// come from internal/rts.
 
 import (
 	"bytes"

@@ -2,7 +2,9 @@ package ggp_test
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"graingraph/internal/core"
 	"graingraph/internal/ggp"
 	"graingraph/internal/profile"
+	"graingraph/internal/timeline"
 )
 
 // seedTrace is the hand-written trace behind the fuzz corpus and the
@@ -92,6 +95,38 @@ func splitTraces() (over, wrap *profile.Trace) {
 	return over, wrap
 }
 
+// workerTraces are seedTrace with worker ids that name no worker in each
+// of Fragment.Core, CreatedBy and Chunk.Thread — negative, one past the
+// last worker, and the int32 extremes — plus a trace that records no
+// worker at all. The spawned task is not inlined, so its creator also
+// pushes it and its first core steals or pops it. Validate bounds none of
+// these ids, so all of them decode, and the stats report
+// (profile.Trace.WorkerCounts) must neither index nor size its per-worker
+// table by them.
+func workerTraces() (negative, past, giant, none *profile.Trace) {
+	negative = seedTrace()
+	negative.Tasks[1].Inlined = false
+	negative.Tasks[0].Fragments[1].Core = -1
+	negative.Tasks[1].CreatedBy = -3
+	negative.Chunks[0].Thread = -2
+
+	past = seedTrace()
+	past.Tasks[1].Inlined = false
+	past.Tasks[1].CreatedBy = 2
+	past.Tasks[1].Fragments[0].Core = 2
+	past.Chunks[2].Thread = 2
+
+	giant = seedTrace()
+	giant.Tasks[1].Inlined = false
+	giant.Tasks[0].Fragments[3].Core = math.MaxInt32
+	giant.Tasks[1].CreatedBy = math.MinInt32
+	giant.Chunks[1].Thread = math.MaxInt32
+
+	none = seedTrace()
+	none.Workers = nil
+	return negative, past, giant, none
+}
+
 // encodeBoth writes tr as a v1 stream and as a v2 artifact with a built
 // graph.
 func encodeBoth(t testing.TB, tr *profile.Trace) (v1, v2 []byte) {
@@ -108,10 +143,12 @@ func encodeBoth(t testing.TB, tr *profile.Trace) (v1, v2 []byte) {
 }
 
 // TestHostileReferences pins what the reader does with each hostile seed,
-// in both formats.
+// in both formats. Every accepted one renders its stats report (grainview
+// -stats) without a panic, to the bytes the trace renders before encoding.
 func TestHostileReferences(t *testing.T) {
 	dangling, selfParent, cycle := hostileTraces()
 	over, wrap := splitTraces()
+	negative, past, giant, none := workerTraces()
 	for _, tc := range []struct {
 		name   string
 		tr     *profile.Trace
@@ -122,7 +159,17 @@ func TestHostileReferences(t *testing.T) {
 		{"parent cycle", cycle, "before its parent"},
 		{"worker time split", over, "exceeds the trace span"},
 		{"worker time split wrapping", wrap, "exceeds the trace span"},
+		{"negative worker ids", negative, ""},
+		{"worker ids past the last worker", past, ""},
+		{"int32-extreme worker ids", giant, ""},
+		{"no workers", none, ""},
 	} {
+		var want bytes.Buffer
+		if tc.reject == "" {
+			if err := timeline.StatsFromTrace(tc.tr).Render(&want); err != nil {
+				t.Fatal(err)
+			}
+		}
 		v1, v2 := encodeBoth(t, tc.tr)
 		for version, data := range map[string][]byte{"v1": v1, "v2": v2} {
 			dec, err := ggp.Decode(data, nil, nil)
@@ -132,6 +179,15 @@ func TestHostileReferences(t *testing.T) {
 			case tc.reject != "" && (err == nil || !strings.Contains(err.Error(), tc.reject)):
 				t.Errorf("%s %s: err = %v, want one mentioning %q", tc.name, version, err, tc.reject)
 			case tc.reject == "":
+				var got bytes.Buffer
+				if err := timeline.StatsFromTrace(dec.Trace).Render(&got); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("%s %s: stats report (err %v):\n%s\nwant:\n%s", tc.name, version, err, got.Bytes(), want.Bytes())
+				}
+				if got, want := dec.Trace.WorkerCounts(), tc.tr.WorkerCounts(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s: worker counts %+v, want %+v", tc.name, version, got, want)
+				}
+			}
+			if tc.tr == dangling && dec != nil {
 				nb := dec.Trace.Numbering()
 				if p := nb.TaskParent(1); p != -1 {
 					t.Errorf("%s %s: dangling parent resolved to %d", tc.name, version, p)
@@ -199,10 +255,12 @@ func FuzzGGPReader(f *testing.F) {
 
 	// Hostile references, both formats: dangling ones decode, a
 	// self-parent and a Parent cycle are rejected (see hostileTraces), and
-	// so are worker time splits that overrun the span (see splitTraces).
+	// so are worker time splits that overrun the span (see splitTraces);
+	// worker ids that name no worker decode (see workerTraces).
 	dangling, selfParent, cycle := hostileTraces()
 	over, wrap := splitTraces()
-	for _, tr := range []*profile.Trace{dangling, selfParent, cycle, over, wrap} {
+	negative, past, giant, none := workerTraces()
+	for _, tr := range []*profile.Trace{dangling, selfParent, cycle, over, wrap, negative, past, giant, none} {
 		v1, v2 := encodeBoth(f, tr)
 		f.Add(v1)
 		f.Add(v2)
@@ -229,6 +287,10 @@ func FuzzGGPReader(f *testing.F) {
 		if derr == nil {
 			if verr := dec.Trace.Validate(); verr != nil {
 				t.Fatalf("ggp.Decode accepted an invalid trace: %v", verr)
+			}
+			// What grainview -stats does with an accepted artifact.
+			if err := timeline.StatsFromTrace(dec.Trace).Render(io.Discard); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -7,8 +7,7 @@
 // per-worker busy/idle time, chunk counts, chunk-latency histogram, queue
 // waits and memoization hit/miss counters.
 //
-// Everything is nil-guarded like the runtime's metrics registry (a nil
-// rts.Config.Metrics): a nil *Profiler hands out nil *Spans, a nil *Span
+// Everything is nil-guarded: a nil *Profiler hands out nil *Spans, a nil *Span
 // ignores Child/End, and a nil *PoolTelemetry ignores every record call,
 // so instrumented code pays one pointer test — no clock reads, no
 // allocation — when observation is off.

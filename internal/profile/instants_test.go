@@ -79,3 +79,50 @@ func TestSchedKindStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestWorkerCounts(t *testing.T) {
+	counts := func(sched string, edit func(*Trace)) []WorkerCounts {
+		tr := instantsTrace()
+		tr.Scheduler = sched
+		tr.Workers = make([]WorkerStat, 2)
+		if edit != nil {
+			edit(tr)
+		}
+		return tr.WorkerCounts()
+	}
+	for _, tc := range []struct {
+		name  string
+		sched string
+		edit  func(*Trace)
+		want  []WorkerCounts
+	}{
+		{"work-stealing", SchedulerWorkStealing, nil, []WorkerCounts{
+			{Spawns: 2, Inlined: 1, Pushes: 1, Parks: 1, Resumes: 2},
+			{Steals: 1}}},
+		{"popped by its creator", SchedulerWorkStealing, func(tr *Trace) { tr.Tasks[1].CreatedBy = 1 }, []WorkerCounts{
+			{Spawns: 1, Inlined: 1, Parks: 1, Resumes: 2},
+			{Spawns: 1, Pushes: 1, Pops: 1}}},
+		{"central-queue", SchedulerCentralQueue, nil, []WorkerCounts{
+			{Spawns: 2, Inlined: 1, QueueOps: 1, Parks: 1, Resumes: 2},
+			{QueueOps: 1}}},
+		{"other scheduler", "work-stealing(native)", nil, []WorkerCounts{
+			{Spawns: 2, Inlined: 1, Parks: 1, Resumes: 2},
+			{}}},
+		// Worker ids outside the table count for nobody.
+		{"creator past the last worker", SchedulerWorkStealing, func(tr *Trace) { tr.Tasks[1].CreatedBy = 2 }, []WorkerCounts{
+			{Spawns: 1, Inlined: 1, Parks: 1, Resumes: 2},
+			{Steals: 1}}},
+		{"negative thief", SchedulerWorkStealing, func(tr *Trace) {
+			for i := range tr.Tasks[1].Fragments {
+				tr.Tasks[1].Fragments[i].Core = -1
+			}
+		}, []WorkerCounts{
+			{Spawns: 2, Inlined: 1, Pushes: 1, Parks: 1, Resumes: 2},
+			{}}},
+		{"no workers", SchedulerWorkStealing, func(tr *Trace) { tr.Workers = nil }, []WorkerCounts{}},
+	} {
+		if got := counts(tc.sched, tc.edit); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -17,10 +17,8 @@ import (
 	"fmt"
 
 	"graingraph/internal/cache"
-	"graingraph/internal/ggp"
 	"graingraph/internal/machine"
 	"graingraph/internal/profile"
-	"graingraph/internal/trace"
 )
 
 // Flavor selects the runtime-system policy personality, mirroring the three
@@ -71,7 +69,7 @@ const (
 // String returns the scheduler name used in traces and reports.
 func (s SchedulerKind) String() string {
 	if s == CentralQueueSched {
-		return "central-queue"
+		return profile.SchedulerCentralQueue
 	}
 	return profile.SchedulerWorkStealing
 }
@@ -129,16 +127,6 @@ type Config struct {
 	Seed          uint64
 	Costs         CostModel
 	RootLoc       profile.SrcLoc
-
-	// Metrics, when non-nil, is reset and filled with the run's
-	// scheduler and cache/NUMA counter registry (per worker and per
-	// grain definition). Nil disables collection.
-	Metrics *trace.Metrics
-	// Profile, when non-nil, receives the finished run's records as a GGP
-	// artifact stream at finalization (record order is spawn order, which
-	// replayed analysis depends on). The caller owns the writer: closing it
-	// seals the artifact and surfaces any emission error.
-	Profile *ggp.Writer
 }
 
 // withDefaults validates and fills zero fields.

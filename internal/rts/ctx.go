@@ -4,7 +4,6 @@ import (
 	"graingraph/internal/machine"
 	"graingraph/internal/profile"
 	"graingraph/internal/sim"
-	"graingraph/internal/trace"
 )
 
 // taskCtx is the Ctx given to task bodies (including the root/master task).
@@ -100,19 +99,13 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 	child.readyAt = w.clock
 	rt.trace.Tasks = append(rt.trace.Tasks, child.rec)
 	rt.live++
-	rt.countOverhead(w, trace.OvSpawn, spawnCost)
-	if rt.met != nil {
-		wm := rt.met.W(w.id)
-		wm.Spawns++
-		if throttled {
-			wm.InlinedSpawns++
-		}
-	}
+	w.count.Spawns++
 
 	if throttled {
 		// Undeferred execution: the child runs right now on this worker and
 		// the parent resumes once it completes.
 		child.rec.Inlined = true
+		w.count.Inlined++
 		child.notifyOnDone = t
 		w.next = child
 		t.parked = parkImmediateSpawn
@@ -125,18 +118,13 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 		done := acq + rt.cfg.Costs.QueueOp
 		rt.centralFree = done
 		w.overhead += done - w.clock
-		rt.countOverhead(w, trace.OvQueue, done-w.clock)
-		if rt.met != nil {
-			rt.met.W(w.id).QueueOps++
-		}
+		w.count.QueueOps++
 		w.clock = done
 		child.readyAt = done
 		rt.central.Enqueue(child)
 	} else {
 		w.deque.PushBottom(child)
-		if rt.met != nil {
-			rt.met.W(w.id).DequePushes++
-		}
+		w.count.Pushes++
 	}
 	rt.queued++
 	rt.beginFragment(t, w.clock)
@@ -162,7 +150,6 @@ func (c *taskCtx) TaskWait() {
 		cost := rt.cfg.Costs.JoinPerChild * uint64(len(joined))
 		w.clock += cost
 		w.overhead += cost
-		rt.countOverhead(w, trace.OvJoin, cost)
 		t.rec.Boundaries = append(t.rec.Boundaries, profile.Boundary{
 			Kind: profile.BoundaryJoin, At: at, Joined: joined, Wait: cost,
 		})
@@ -180,9 +167,7 @@ func (c *taskCtx) TaskWait() {
 	t.waiting = true
 	t.waitStart = at
 	t.parked = parkTaskWait
-	if rt.met != nil {
-		rt.met.W(w.id).Parks++
-	}
+	w.count.Parks++
 	t.coro.Park()
 }
 

@@ -9,7 +9,6 @@ import (
 	"graingraph/internal/profile"
 	"graingraph/internal/sched"
 	"graingraph/internal/sim"
-	"graingraph/internal/trace"
 )
 
 // parkReason says why a task's coroutine yielded.
@@ -43,7 +42,6 @@ type task struct {
 	started   bool
 	fragStart sim.Time
 	cur       cache.Counters
-	defm      *trace.DefMetrics // cached met.Def(rec.Loc); nil when metrics off
 }
 
 // worker is one virtual core's scheduler state.
@@ -55,6 +53,10 @@ type worker struct {
 	next     *task   // forced next task (undeferred execution)
 	busy     sim.Time
 	overhead sim.Time
+	// count tallies the scheduler events performed on this worker. Nothing
+	// in the runtime reads it: it is the reference that white-box tests
+	// hold profile.Trace.WorkerCounts to.
+	count profile.WorkerCounts
 }
 
 // runtime is the whole simulated machine + scheduler.
@@ -71,32 +73,17 @@ type runtime struct {
 
 	rng     *rand.Rand
 	trace   *profile.Trace
-	met     *trace.Metrics // nil = counter registry disabled
 	root    *task
 	live    int
 	loopSeq int
 	maxTime sim.Time
-
-	// Single-entry cache over met.Def: chunk completions arrive in long
-	// same-definition streaks, so this removes the per-chunk map lookup
-	// (and the loc.String() allocation behind it).
-	lastDefLoc profile.SrcLoc
-	lastDef    *trace.DefMetrics
-}
-
-// defOf returns the metrics aggregate for loc via the single-entry cache.
-// Callers must have checked rt.met != nil.
-func (rt *runtime) defOf(loc profile.SrcLoc) *trace.DefMetrics {
-	if rt.lastDef != nil && rt.lastDefLoc == loc {
-		return rt.lastDef
-	}
-	d := rt.met.Def(loc)
-	rt.lastDefLoc, rt.lastDef = loc, d
-	return d
 }
 
 // Run executes program under cfg and returns the recorded trace.
-func Run(cfg Config, program func(Ctx)) *profile.Trace {
+func Run(cfg Config, program func(Ctx)) *profile.Trace { return run(cfg, program).trace }
+
+// run is Run returning the whole finished runtime, for white-box tests.
+func run(cfg Config, program func(Ctx)) *runtime {
 	cfg = cfg.withDefaults()
 	rt := &runtime{
 		cfg:  cfg,
@@ -105,10 +92,6 @@ func Run(cfg Config, program func(Ctx)) *profile.Trace {
 	}
 	rt.mem = machine.NewMemory(rt.topo, cfg.Policy)
 	rt.hier = cache.New(cfg.Cache, rt.topo, rt.mem)
-	rt.met = cfg.Metrics
-	if rt.met != nil {
-		rt.met.Reset(cfg.Cores)
-	}
 	for i := 0; i < cfg.Cores; i++ {
 		rt.workers = append(rt.workers, &worker{id: i})
 	}
@@ -137,12 +120,7 @@ func Run(cfg Config, program func(Ctx)) *profile.Trace {
 
 	rt.loop()
 	rt.finalize()
-	if cfg.Profile != nil {
-		// Emission errors are sticky in the writer and surface from the
-		// caller's Close, so the engine does not alter its return for them.
-		_ = cfg.Profile.Emit(rt.trace)
-	}
-	return rt.trace
+	return rt
 }
 
 // action is one schedulable step for a worker.
@@ -250,10 +228,7 @@ func (rt *runtime) perform(a action) {
 		w.overhead += rt.cfg.Costs.Resume
 		w.clock = a.at
 		a.t.resumable = false
-		rt.countOverhead(w, trace.OvResume, rt.cfg.Costs.Resume)
-		if rt.met != nil {
-			rt.met.W(w.id).Resumes++
-		}
+		w.count.Resumes++
 	case actPop:
 		t, _ := w.deque.PopBottom()
 		if t != a.t {
@@ -262,10 +237,7 @@ func (rt *runtime) perform(a action) {
 		rt.queued--
 		w.overhead += rt.cfg.Costs.Pop
 		w.clock = a.at
-		rt.countOverhead(w, trace.OvPop, rt.cfg.Costs.Pop)
-		if rt.met != nil {
-			rt.met.W(w.id).DequePops++
-		}
+		w.count.Pops++
 	case actSteal:
 		t, _ := a.victim.deque.StealTop()
 		if t != a.t {
@@ -274,8 +246,7 @@ func (rt *runtime) perform(a action) {
 		rt.queued--
 		w.overhead += rt.cfg.Costs.Steal
 		w.clock = a.at
-		rt.countOverhead(w, trace.OvSteal, rt.cfg.Costs.Steal)
-		rt.countSteal(w)
+		w.count.Steals++
 	case actCentral:
 		t, _ := rt.central.Dequeue()
 		if t != a.t {
@@ -285,10 +256,7 @@ func (rt *runtime) perform(a action) {
 		rt.centralFree = a.at // queue busy until the op completes
 		w.overhead += rt.cfg.Costs.QueueOp
 		w.clock = a.at
-		rt.countOverhead(w, trace.OvQueue, rt.cfg.Costs.QueueOp)
-		if rt.met != nil {
-			rt.met.W(w.id).QueueOps++
-		}
+		w.count.QueueOps++
 	}
 	rt.runOn(w, a.t)
 }
@@ -299,13 +267,6 @@ func (rt *runtime) runOn(w *worker, t *task) {
 		t.started = true
 		t.owner = w.id
 		t.rec.StartTime = w.clock
-		if rt.met != nil {
-			// Cache the definition aggregate on the task: its location never
-			// changes, and resolving it per fragment would pay a map lookup
-			// plus the loc.String() allocation each time.
-			t.defm = rt.defOf(t.rec.Loc)
-			t.defm.Grains++
-		}
 		body := t.body
 		ctx := &taskCtx{rt: rt, t: t}
 		t.coro = sim.NewCoro(func(*sim.Coro) { body(ctx) })
@@ -335,7 +296,6 @@ func (rt *runtime) endFragment(t *task, at sim.Time) {
 		Start: t.fragStart, End: at, Core: t.owner, Counters: t.cur,
 	})
 	w.busy += at - t.fragStart
-	rt.countGrain(t.owner, t.defm, at-t.fragStart, t.cur)
 }
 
 func (rt *runtime) finishTask(w *worker, t *task) {
@@ -343,7 +303,6 @@ func (rt *runtime) finishTask(w *worker, t *task) {
 	t.rec.EndTime = w.clock
 	w.clock += rt.cfg.Costs.TaskEnd
 	w.overhead += rt.cfg.Costs.TaskEnd
-	rt.countOverhead(w, trace.OvTaskEnd, rt.cfg.Costs.TaskEnd)
 	rt.live--
 	if w.clock > rt.maxTime {
 		rt.maxTime = w.clock
@@ -388,5 +347,4 @@ func (rt *runtime) finalize() {
 			Busy: w.busy, Overhead: w.overhead,
 		})
 	}
-	rt.finalizeMetrics()
 }

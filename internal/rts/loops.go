@@ -7,7 +7,6 @@ import (
 	"graingraph/internal/machine"
 	"graingraph/internal/profile"
 	"graingraph/internal/sim"
-	"graingraph/internal/trace"
 )
 
 // loopThread is one worker's state while executing a parallel for-loop.
@@ -130,7 +129,6 @@ func (rt *runtime) runLoop(t *task, loc profile.SrcLoc, lo, hi int, opt ForOpt, 
 		rt.trace.Bookkeeps = append(rt.trace.Bookkeeps, &profile.BookkeepRecord{
 			Loop: id, Thread: th.w.id, Grabs: th.grabs, Total: th.bookkeep,
 		})
-		rt.countOverhead(th.w, trace.OvBookkeep, th.bookkeep)
 	}
 	if end > rt.maxTime {
 		rt.maxTime = end
@@ -149,12 +147,6 @@ func (rt *runtime) execChunk(rec *profile.LoopRecord, th *loopThread, seq, clo, 
 	ck.End = th.clock
 	th.w.busy += ck.End - ck.Start
 	rt.trace.Chunks = append(rt.trace.Chunks, ck)
-	var defm *trace.DefMetrics
-	if rt.met != nil {
-		defm = rt.defOf(rec.Loc)
-		defm.Grains++
-	}
-	rt.countGrain(th.w.id, defm, ck.End-ck.Start, ck.Counters)
 }
 
 // runStatic precomputes round-robin chunk assignment. A zero chunk size

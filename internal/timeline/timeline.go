@@ -2,7 +2,9 @@
 // offer (paper Figure 4, Intel VTune and friends): per-thread aggregate
 // time split into busy / runtime-overhead / idle. It shows load imbalance
 // but — by construction — nothing that links the imbalance to culprit
-// grains, which is exactly the gap grain graphs fill.
+// grains, which is exactly the gap grain graphs fill. Stats adds the
+// runtime's scheduler counts and cache hit rates, derived from the same
+// profile.
 package timeline
 
 import (
@@ -11,7 +13,6 @@ import (
 	"strings"
 
 	"graingraph/internal/profile"
-	"graingraph/internal/trace"
 )
 
 // ThreadRow is one worker's aggregate time split.
@@ -55,45 +56,6 @@ func FromTrace(tr *profile.Trace) *View {
 		v.Rows = append(v.Rows, row)
 	}
 	return v
-}
-
-// CrossCheck verifies the trace-reconstructed view against the runtime's
-// own metrics registry: per-worker busy and overhead must match
-// cycle-for-cycle, the registry's per-kind overhead split must sum to its
-// total, and busy+overhead+idle must equal the makespan for every worker.
-func (v *View) CrossCheck(m *trace.Metrics) error {
-	if len(v.Rows) != len(m.Workers) {
-		return fmt.Errorf("timeline: view has %d workers, metrics registry %d",
-			len(v.Rows), len(m.Workers))
-	}
-	if v.Makespan != m.Makespan {
-		return fmt.Errorf("timeline: makespan mismatch: view %d, metrics %d",
-			v.Makespan, m.Makespan)
-	}
-	for i := range v.Rows {
-		r, wm := &v.Rows[i], &m.Workers[i]
-		if r.Busy != wm.Busy {
-			return fmt.Errorf("timeline: worker %d busy mismatch: trace %d, metrics %d",
-				i, r.Busy, wm.Busy)
-		}
-		if r.Overhead != wm.Overhead {
-			return fmt.Errorf("timeline: worker %d overhead mismatch: trace %d, metrics %d",
-				i, r.Overhead, wm.Overhead)
-		}
-		if byKind := m.OverheadOf(i); byKind != wm.Overhead {
-			return fmt.Errorf("timeline: worker %d overhead split sums to %d, total says %d",
-				i, byKind, wm.Overhead)
-		}
-		if sum := r.Busy + r.Overhead + r.Idle; sum != v.Makespan {
-			return fmt.Errorf("timeline: worker %d busy+overhead+idle = %d ≠ makespan %d",
-				i, sum, v.Makespan)
-		}
-		if sum := wm.Busy + wm.Overhead + wm.Idle; sum != m.Makespan {
-			return fmt.Errorf("timeline: metrics worker %d busy+overhead+idle = %d ≠ makespan %d",
-				i, sum, m.Makespan)
-		}
-	}
-	return nil
 }
 
 // LoadImbalance is the classic thread-level statistic the paper says is

@@ -7,7 +7,6 @@ import (
 
 	"graingraph/internal/profile"
 	"graingraph/internal/rts"
-	"graingraph/internal/trace"
 )
 
 func TestFromTraceAccounting(t *testing.T) {
@@ -70,64 +69,6 @@ func TestRender(t *testing.T) {
 	}
 	if !strings.Contains(out, "load imbalance") {
 		t.Error("render missing imbalance summary")
-	}
-}
-
-// instrumented runs a steal-heavy workload with a metrics registry.
-func instrumented(t *testing.T) (*profile.Trace, *trace.Metrics) {
-	t.Helper()
-	met := trace.NewMetrics()
-	var fib func(c rts.Ctx, n int)
-	fib = func(c rts.Ctx, n int) {
-		if n < 2 {
-			c.Compute(100)
-			return
-		}
-		c.Spawn(profile.Loc("a.go", 1, "fib"), func(c rts.Ctx) { fib(c, n-1) })
-		c.Spawn(profile.Loc("a.go", 1, "fib"), func(c rts.Ctx) { fib(c, n-2) })
-		c.TaskWait()
-	}
-	tr := rts.Run(rts.Config{Program: "tl", Cores: 4, Seed: 1, Metrics: met},
-		func(c rts.Ctx) { fib(c, 10) })
-	return tr, met
-}
-
-// TestCrossCheck: a real run passes; corrupting any conserved quantity
-// in the registry makes the check fail loudly.
-func TestCrossCheck(t *testing.T) {
-	tr, met := instrumented(t)
-	v := FromTrace(tr)
-	if err := v.CrossCheck(met); err != nil {
-		t.Fatalf("cross-check of an honest run failed: %v", err)
-	}
-
-	busy := met.Workers[1].Busy
-	met.Workers[1].Busy++
-	if err := v.CrossCheck(met); err == nil {
-		t.Error("cross-check missed a corrupted busy counter")
-	}
-	met.Workers[1].Busy = busy
-
-	met.Workers[2].OverheadBy[trace.OvSteal] += 5
-	if err := v.CrossCheck(met); err == nil {
-		t.Error("cross-check missed a corrupted overhead split")
-	}
-	met.Workers[2].OverheadBy[trace.OvSteal] -= 5
-
-	met.Workers[0].Idle += 3
-	if err := v.CrossCheck(met); err == nil {
-		t.Error("cross-check missed busy+overhead+idle ≠ makespan")
-	}
-	met.Workers[0].Idle -= 3
-
-	met.Makespan++
-	if err := v.CrossCheck(met); err == nil {
-		t.Error("cross-check missed a makespan mismatch")
-	}
-	met.Makespan--
-
-	if err := v.CrossCheck(met); err != nil {
-		t.Fatalf("restored registry should pass again: %v", err)
 	}
 }
 

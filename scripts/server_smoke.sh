@@ -63,6 +63,14 @@ for kind in steal park resume; do
 done
 echo "   -trace on v1 and v2 artifacts: identical, steal/park/resume present"
 
+echo "== runtime stats of a saved artifact"
+# The stats report is derived from the stored profile too.
+"$tmp/grainview" -stats -summary "$fixture" >"$tmp/stats.v1.txt" 2>/dev/null
+"$tmp/grainview" -stats -summary "$tmp/fixture.v2.ggp" >"$tmp/stats.v2.txt" 2>/dev/null
+cmp -s "$tmp/stats.v1.txt" "$tmp/stats.v2.txt" || { echo "FAIL: v1 and v2 artifact stats differ" >&2; exit 1; }
+grep -q "^steals " "$tmp/stats.v1.txt" || { echo "FAIL: artifact stats have no steals line" >&2; exit 1; }
+echo "   -stats on v1 and v2 artifacts: identical, steals reported"
+
 echo "== start grainserved"
 addr=127.0.0.1:18080
 "$tmp/grainserved" -listen "$addr" -store "$tmp/store" -debug 2>"$tmp/server.log" &
