@@ -12,7 +12,7 @@ import (
 // memo cache, so every simulation executes for real and the serial/parallel
 // pair measures the pool itself.
 func figure1Bench(b *testing.B, jobs int) {
-	prev := Parallelism()
+	prev := parallelism()
 	SetParallelism(jobs)
 	defer SetParallelism(prev)
 	b.ResetTimer()
@@ -40,7 +40,7 @@ func BenchmarkFigure1Parallel(b *testing.B) {
 // regeneration, every run request is a memo hit and regeneration cost is
 // pure analysis.
 func BenchmarkMemoizedFigure1(b *testing.B) {
-	prev := Parallelism()
+	prev := parallelism()
 	SetParallelism(1)
 	defer SetParallelism(prev)
 	ResetMemo()

@@ -106,13 +106,13 @@ func TestAnalyzeTraceOnLeavesGlobalPoolAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := Parallelism()
+	before := parallelism()
 	pool := runpool.New(3)
 	res := AnalyzeTraceOn(pool, run.Trace, nil, Config{}, nil)
 	if res == nil || res.Assessment == nil {
 		t.Fatal("explicit-pool analysis produced no result")
 	}
-	if got := Parallelism(); got != before {
+	if got := parallelism(); got != before {
 		t.Fatalf("AnalyzeTraceOn changed global parallelism %d -> %d", before, got)
 	}
 }

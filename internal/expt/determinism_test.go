@@ -62,7 +62,7 @@ func TestFiguresDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every figure twice; skipped in -short")
 	}
-	prev := Parallelism()
+	prev := parallelism()
 	defer func() { SetParallelism(prev); ResetMemo() }()
 
 	serial, serialSims := regenerate(t, 1)
@@ -84,7 +84,7 @@ func TestFiguresDeterministicAcrossParallelism(t *testing.T) {
 // TestSingleFigureDeterministicShort keeps a fast determinism check in
 // -short runs: the Sort table at -j 1 vs -j 8.
 func TestSingleFigureDeterministicShort(t *testing.T) {
-	prev := Parallelism()
+	prev := parallelism()
 	defer func() { SetParallelism(prev); ResetMemo() }()
 
 	render := func(jobs int) []byte {

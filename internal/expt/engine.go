@@ -65,8 +65,8 @@ func SetParallelism(j int) {
 	p.SetTelemetry(selfTelemetry())
 }
 
-// Parallelism returns the current worker bound.
-func Parallelism() int {
+// parallelism returns the current worker bound.
+func parallelism() int {
 	poolMu.Lock()
 	defer poolMu.Unlock()
 	return pool.Workers()

@@ -42,7 +42,7 @@ func TestGiantSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := Parallelism()
+	prev := parallelism()
 	defer SetParallelism(prev)
 	SetParallelism(8)
 
@@ -61,7 +61,7 @@ func TestGiantSmoke(t *testing.T) {
 // parallelism, from a saved .ggp artifact.
 func artifactAnalysis(t *testing.T, path string, jobs int) []byte {
 	t.Helper()
-	prev := Parallelism()
+	prev := parallelism()
 	defer SetParallelism(prev)
 	SetParallelism(jobs)
 
@@ -235,7 +235,7 @@ func BenchmarkAnalyzeGiant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prev := Parallelism()
+	prev := parallelism()
 	defer SetParallelism(prev)
 
 	for _, bench := range []struct {

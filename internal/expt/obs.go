@@ -8,9 +8,8 @@ import (
 
 // Self-observability glue: the analysis pipeline's own phase spans and the
 // run pool's telemetry, reported through one registry (internal/obs). The
-// cmds enable it for their -phases/-selfprofile flags and for -benchjson
-// phase breakdowns; when disabled every instrumentation site costs a nil
-// test, mirroring the PR 1 trace sinks.
+// cmds enable it for their -phases/-selfprofile flags; when disabled every
+// instrumentation site costs a nil test.
 
 var (
 	selfMu   sync.Mutex
@@ -29,7 +28,7 @@ func EnableSelfProfile(p *obs.Profiler) {
 		selfProf, selfTel = nil, nil
 	} else {
 		selfProf = p
-		w := Parallelism()
+		w := parallelism()
 		if w < 1 {
 			w = 1
 		}

@@ -74,7 +74,7 @@ func normalizeSelfProfile(t *testing.T, raw []byte) []byte {
 // canonical order — is byte-identical once timings (and the inherently
 // -j-dependent worker telemetry) are zeroed out.
 func TestSelfProfileDeterministicAcrossParallelism(t *testing.T) {
-	prev := Parallelism()
+	prev := parallelism()
 	defer SetParallelism(prev)
 
 	inst, err := workloads.Get("fib", "")
@@ -108,7 +108,7 @@ func TestSelfProfileDeterministicAcrossParallelism(t *testing.T) {
 // memoization caches: a run executed twice hits the simulation memo, and
 // the counters land in the pool snapshot.
 func TestSelfProfileMemoCounters(t *testing.T) {
-	prev := Parallelism()
+	prev := parallelism()
 	defer func() { SetParallelism(prev); EnableSelfProfile(nil) }()
 
 	ResetMemo()

@@ -82,9 +82,6 @@ func IngestStats() time.Duration { return time.Duration(ingestNS.Load()) }
 // loads were served from the content-hash cache.
 func ArtifactStats() (decodes, hits uint64) { return artifactMemo.Stats() }
 
-// ArtifactCounters returns the artifact-decode cache's hit/miss counters.
-func ArtifactCounters() runpool.CacheStats { return artifactMemo.Counters() }
-
 // ResetArtifactMemo drops the decode cache (tests use it to measure
 // hit/miss behaviour from a clean slate).
 func ResetArtifactMemo() { artifactMemo.Reset() }

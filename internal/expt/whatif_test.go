@@ -10,7 +10,7 @@ import (
 // guarantee to the what-if pass: ranked hypothesis tables are byte-identical
 // whether the runs and hypothesis evaluations execute serially or pooled.
 func TestWhatIfTableDeterministicAcrossParallelism(t *testing.T) {
-	prev := Parallelism()
+	prev := parallelism()
 	defer func() { SetParallelism(prev); ResetMemo() }()
 
 	render := func(jobs int) []byte {
@@ -38,7 +38,7 @@ func TestWhatIfTableDeterministicAcrossParallelism(t *testing.T) {
 // the paper's broken-cutoff story: on a fib run whose cutoff never trips,
 // the perfect-cutoff hypothesis must project a strictly positive speedup.
 func TestWhatIfBrokenFibCutoffProjectsSpeedup(t *testing.T) {
-	prev := Parallelism()
+	prev := parallelism()
 	defer func() { SetParallelism(prev) }()
 	SetParallelism(4)
 

@@ -123,7 +123,7 @@ type Engine struct {
 
 	// Obs, when set, receives child spans for every evaluation
 	// ("whatif:eval", with "whatif:eval:fulldp" nested under full-DP
-	// evaluations), feeding the -phases/-benchjson accounting. May be nil.
+	// evaluations), feeding the -phases accounting. May be nil.
 	Obs *obs.Span
 
 	// baseW is the immutable baseline weight vector shared by all
