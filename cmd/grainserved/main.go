@@ -7,8 +7,16 @@
 //	curl -s localhost:8080/artifacts/<id>/summary
 //	curl -s localhost:8080/artifacts/<id>/highlight
 //	curl -s localhost:8080/artifacts/<id>/whatif
+//	curl -s 'localhost:8080/artifacts/<id>/whatif?spec=cutoff:4,infcores'
 //	curl -s 'localhost:8080/artifacts/<id>/window?depth=2&top=8&format=dot'
+//	curl -s -G --data-urlencode 'q=filter benefit < 1 | topk 5' localhost:8080/artifacts/<id>/query
+//	curl -s localhost:8080/artifacts/<id>/stats
+//	curl -s localhost:8080/artifacts/<id>/trace > run.json
 //	curl -s localhost:8080/statsz
+//
+// Each GET /artifacts/<id>/<view> route is a row of the view table
+// (expt.Views): it checks the parameters before admission (a malformed one
+// is a structured 400) and renders the bytes grainview prints.
 //
 // Uploads are stored under their content address (sha-256 of the bytes), so
 // re-uploading an artifact — or two tenants uploading the same run — never

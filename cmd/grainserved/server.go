@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -11,20 +10,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
-	"graingraph/internal/core"
 	"graingraph/internal/export"
 	"graingraph/internal/expt"
 	"graingraph/internal/ggp"
-	"graingraph/internal/lod"
 	"graingraph/internal/obs"
-	"graingraph/internal/profile"
 	"graingraph/internal/query"
 	"graingraph/internal/runpool"
-	"graingraph/internal/whatif"
 )
 
 // maxUploadBytes bounds one artifact upload; the ggp reader additionally
@@ -46,34 +40,10 @@ type serverConfig struct {
 	// count); <= 0 selects Workers.
 	Admit   int
 	Verbose bool
-	// Debug exposes the test-only /debug/evict endpoint (grainload -cold
-	// uses it to measure cold-path latency). Off by default: eviction is
-	// not something production clients should reach.
+	// Debug exposes the test-only /debug/evict endpoint (the benchmark's
+	// serve workload uses it to measure cold-path latency). Off by
+	// default: eviction is not something production clients should reach.
 	Debug bool
-}
-
-// analysis is one artifact's fully derived state: the analyzed result
-// plus lazily built, shared views over it (the lod index for windowed
-// queries, the ranked what-if projections). All fields are immutable after
-// their sync.Once completes, so concurrent requests share them freely.
-type analysis struct {
-	res *expt.Result
-
-	// hadSidecars records whether the decoded artifact already carried
-	// fresh derived sidecars; when it did not, upgradeOnce rewrites the
-	// stored artifact as columnar v2 with sidecars after first analysis.
-	hadSidecars bool
-	upgradeOnce sync.Once
-
-	rankOnce sync.Once
-	rank     []whatif.Projection
-	rankErr  error
-}
-
-// lod returns the shared level-of-detail index (adopted from the
-// artifact's sidecar when present, built on first use otherwise).
-func (a *analysis) lod() *lod.Index {
-	return a.res.Lod()
 }
 
 // server is the grain-graph artifact service: a content-addressed store of
@@ -88,17 +58,17 @@ type server struct {
 
 	// Cache tiers, all content-addressed and single-flight: decodes
 	// memoizes artifact decodes (either format; columnar v2 arrives
-	// analysis-ready), analyses the full metric derivation, renders the
-	// final response bytes per (artifact, endpoint, params). The render
-	// tier is backed by an on-disk memo (Dir/memo), so a hot artifact
-	// serves without re-analysis even across restarts or after in-memory
-	// eviction.
+	// analysis-ready), analyses the full metric derivation — the subject
+	// every view renders — and renders the final response bytes per
+	// (artifact, view, params). The render tier is backed by an on-disk
+	// memo (Dir/memo), so a hot artifact serves without re-analysis even
+	// across restarts or after in-memory eviction.
 	decodes  *runpool.Cache[*ggp.Decoded]
-	analyses *runpool.Cache[*analysis]
+	analyses *runpool.Cache[*expt.Subject]
 	renders  *runpool.Cache[[]byte]
 
-	phases   *phaseStats
-	requests *requestStats
+	phases   *tally // per span name: spans, wall ns
+	requests *tally // per route: requests, errors
 	start    time.Time
 }
 
@@ -116,10 +86,10 @@ func newServer(cfg serverConfig) (*server, error) {
 		gate:     newFairGate(admit),
 		mux:      http.NewServeMux(),
 		decodes:  runpool.NewCache[*ggp.Decoded](),
-		analyses: runpool.NewCache[*analysis](),
+		analyses: runpool.NewCache[*expt.Subject](),
 		renders:  runpool.NewCache[[]byte](),
-		phases:   newPhaseStats(),
-		requests: newRequestStats(),
+		phases:   newTally(),
+		requests: newTally(),
 		start:    time.Now(),
 	}
 	if cfg.AnalysisCap > 0 {
@@ -130,11 +100,9 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.renders.SetCapacity(8 * cfg.AnalysisCap)
 	}
 	s.mux.HandleFunc("POST /artifacts", s.instrument("POST /artifacts", s.handleUpload))
-	s.mux.HandleFunc("GET /artifacts/{id}/summary", s.instrument("GET summary", s.query("summary")))
-	s.mux.HandleFunc("GET /artifacts/{id}/highlight", s.instrument("GET highlight", s.query("highlight")))
-	s.mux.HandleFunc("GET /artifacts/{id}/whatif", s.instrument("GET whatif", s.query("whatif")))
-	s.mux.HandleFunc("GET /artifacts/{id}/window", s.instrument("GET window", s.query("window")))
-	s.mux.HandleFunc("GET /artifacts/{id}/query", s.instrument("GET query", s.query("query")))
+	for _, v := range expt.Views {
+		s.route(v)
+	}
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	if cfg.Debug {
 		s.mux.HandleFunc("POST /debug/evict", s.handleEvict)
@@ -146,6 +114,11 @@ func newServer(cfg serverConfig) (*server, error) {
 }
 
 func (s *server) Handler() http.Handler { return s.mux }
+
+// route serves view v at GET /artifacts/{id}/<name>.
+func (s *server) route(v expt.View) {
+	s.mux.HandleFunc("GET /artifacts/{id}/"+v.Name, s.instrument("GET "+v.Name, s.view(v)))
+}
 
 // httpError is a handler failure with a status code and a structured body.
 type httpError struct {
@@ -162,14 +135,16 @@ func errf(status int, format string, args ...any) *httpError {
 // writeErr renders err as a JSON error response. *httpError carries its own
 // status and fields; *export.HugeGraphError maps to 413 with the
 // structured "use a window" shape; *query.Error (a malformed or unbindable
-// query string) maps to 400 with the offending fragment — the client's
-// query is at fault, never the server, so it must not surface as a 500;
-// anything else is a 500.
+// query string) maps to 400 with the offending fragment, and
+// *expt.ParamError (any other rejected view parameter) to 400 naming the
+// view — the client's request is at fault, never the server, so neither
+// may surface as a 500; anything else is a 500.
 func writeErr(w http.ResponseWriter, err error) {
 	var (
 		he   *httpError
 		huge *export.HugeGraphError
 		qe   *query.Error
+		pe   *expt.ParamError
 	)
 	switch {
 	case errors.As(err, &he):
@@ -187,14 +162,25 @@ func writeErr(w http.ResponseWriter, err error) {
 			"detail": qe.Msg,
 			"hint":   "grammar: [from grains|tasks |] filter <expr> | groupby <cols> | agg <calls> | sort <col> [asc|desc] | topk <n> [by <col> [asc|desc]] | select <cols>",
 		}}
+	case errors.As(err, &pe):
+		he = &httpError{status: http.StatusBadRequest, body: map[string]any{
+			"error":  "bad-params",
+			"view":   pe.View,
+			"detail": pe.Err.Error(),
+		}}
 	default:
 		he = errf(http.StatusInternalServerError, "%v", err)
 	}
+	writeJSON(w, he.status, he.body)
+}
+
+// writeJSON writes v as an indented JSON response with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(he.status)
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	enc.Encode(he.body)
+	return enc.Encode(v)
 }
 
 // tenantOf extracts the declared tenant for fair admission.
@@ -205,19 +191,39 @@ func tenantOf(r *http.Request) string {
 	return "anonymous"
 }
 
+// handler is one route's body; a returned error becomes the JSON error
+// response.
+type handler func(*obs.Span, http.ResponseWriter, *http.Request) error
+
 // instrument wraps a handler with the per-request observability envelope:
 // one obs.Profiler per request, a root span named after the route, phase
 // aggregation into /statsz, and the verbose access log.
-func (s *server) instrument(route string, h func(*obs.Span, http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+func (s *server) instrument(route string, h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		prof := obs.New()
 		prof.TrackMem = false // MemStats reads are too hot for a server loop
 		root := prof.Begin(route)
-		err := h(root, w, r)
+		err := func() (err error) {
+			// A panic, also one re-raised from a pool worker, fails only
+			// this request, as a 500: the server keeps serving, and the
+			// cache tiers drop the computation that panicked.
+			defer func() {
+				if v := recover(); v != nil {
+					err = fmt.Errorf("internal error: %v", v)
+				}
+			}()
+			return h(root, w, r)
+		}()
 		root.End()
-		s.requests.record(route, err == nil)
+		failed := int64(0)
+		if err != nil {
+			failed = 1
+		}
+		s.requests.add(route, 1, failed)
 		if spans, serr := prof.Snapshot(); serr == nil {
-			s.phases.record(spans)
+			for _, sp := range spans {
+				s.phases.add(sp.Name, 1, int64(sp.Dur))
+			}
 		}
 		if err != nil {
 			writeErr(w, err)
@@ -308,13 +314,11 @@ func (s *server) handleUpload(sp *obs.Span, w http.ResponseWriter, r *http.Reque
 		existed = false
 	}
 
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if !existed {
-		w.WriteHeader(http.StatusCreated)
+		status = http.StatusCreated
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(map[string]any{
+	return writeJSON(w, status, map[string]any{
 		"id":       id,
 		"program":  tr.Program,
 		"cores":    tr.Cores,
@@ -349,112 +353,66 @@ func (s *server) loadDecoded(key runpool.Key, sp *obs.Span) (*ggp.Decoded, error
 // analysisOf returns the cached full analysis for key, computing it at most
 // once per process (single-flight) and evicting by LRU past the capacity
 // bound. The analysis runs on the server's own pool via the re-entrant
-// expt.AnalyzeDecodedOn — never through the package-global pool. After the
-// first analysis of an artifact that lacked derived sidecars, the stored
-// artifact is upgraded in place to columnar v2 with sidecars, so the next
-// cold decode is analysis-ready without rebuilding anything.
-func (s *server) analysisOf(key runpool.Key, sp *obs.Span) (*analysis, error) {
-	a, err, _ := s.analyses.Do(key, func() (*analysis, error) {
+// expt.AnalyzeDecodedOn — never through the package-global pool. An
+// artifact that lacked derived sidecars is then upgraded in place to
+// columnar v2 with sidecars, so the next cold decode is analysis-ready
+// without rebuilding anything.
+func (s *server) analysisOf(key runpool.Key, sp *obs.Span) (*expt.Subject, error) {
+	a, err, _ := s.analyses.Do(key, func() (*expt.Subject, error) {
 		dec, err := s.loadDecoded(key, sp)
 		if err != nil {
 			return nil, err
 		}
 		res := expt.AnalyzeDecodedOn(s.pool, dec, nil, expt.Config{}, sp)
-		return &analysis{res: res, hadSidecars: dec.HasSidecars()}, nil
+		if !dec.HasSidecars() {
+			s.upgradeArtifact(res, key, sp)
+		}
+		return &expt.Subject{Res: res}, nil
 	})
 	if err != nil {
 		s.analyses.Forget(key)
-		return a, err
 	}
-	s.upgradeArtifact(a, key, sp)
-	return a, nil
+	return a, err
 }
 
 // upgradeArtifact rewrites the stored artifact as columnar v2 with full
-// derived sidecars, once per analysis lifetime, when the decoded form
-// lacked them. The artifact keeps its id: ids are content addresses of
-// the uploaded bytes (that is what clients hold), and the upgraded file
+// derived sidecars. The artifact keeps its id: ids are content addresses
+// of the uploaded bytes (that is what clients hold), and the upgraded file
 // decodes to the same trace and graph — re-uploading the original bytes
 // still maps to the same id, it just decodes slower than the stored form.
-func (s *server) upgradeArtifact(a *analysis, key runpool.Key, sp *obs.Span) {
-	a.upgradeOnce.Do(func() {
-		if a.hadSidecars {
-			return
-		}
-		// Streamed into a temp file and renamed: the request never holds
-		// the artifact as one slice, and a failed write leaves nothing in
-		// the store directory.
-		err := expt.WriteUpgraded(s.artifactPath(key.Hex()), a.res, s.pool, sp)
-		if err != nil && s.cfg.Verbose {
-			// Upgrade failures only cost future decode speed, never
-			// correctness; the original artifact stays in place.
-			fmt.Fprintf(os.Stderr, "grainserved: upgrade %s: %v\n", key.Hex(), err)
-		}
-	})
-}
-
-// rankOf returns the artifact's ranked what-if projections, computed once
-// and shared.
-func (a *analysis) rankOf(pool *runpool.Runner, sp *obs.Span) ([]whatif.Projection, error) {
-	a.rankOnce.Do(func() {
-		a.rank, a.rankErr = expt.WhatIfRank(a.res, pool, sp)
-	})
-	return a.rank, a.rankErr
-}
-
-// windowParams extracts ?root=&depth=&top= into lod.WindowOptions.
-func windowParams(r *http.Request) (lod.WindowOptions, error) {
-	var o lod.WindowOptions
-	q := r.URL.Query()
-	o.Root = profile.GrainID(q.Get("root"))
-	if v := q.Get("depth"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return o, errf(http.StatusBadRequest, "window depth %q: not a number", v)
-		}
-		o.Depth = n
+// The file is streamed into a temp file and renamed: the request never
+// holds the artifact as one slice, and a failed write leaves nothing in
+// the store directory.
+func (s *server) upgradeArtifact(res *expt.Result, key runpool.Key, sp *obs.Span) {
+	err := expt.WriteUpgraded(s.artifactPath(key.Hex()), res, s.pool, sp)
+	if err != nil && s.cfg.Verbose {
+		// Upgrade failures only cost future decode speed, never
+		// correctness; the original artifact stays in place.
+		fmt.Fprintf(os.Stderr, "grainserved: upgrade %s: %v\n", key.Hex(), err)
 	}
-	if v := q.Get("top"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return o, errf(http.StatusBadRequest, "window top %q: not a number", v)
-		}
-		o.Top = n
-	}
-	return o, nil
 }
 
-// query builds the handler for one read endpoint. Responses are rendered
-// through the same expt/export writers grainview uses — byte-identical to
-// the CLI for the same artifact — and memoized per (artifact, endpoint,
-// params) in memory and on disk, so a hot artifact costs a cache lookup.
-func (s *server) query(kind string) func(*obs.Span, http.ResponseWriter, *http.Request) error {
+// view builds the handler for one row of the view table. Responses are
+// rendered by the row — the bytes grainview prints for the same artifact —
+// and memoized per (artifact, view, params) in memory and on disk, so a hot
+// artifact costs a cache lookup.
+func (s *server) view(v expt.View) handler {
 	return func(sp *obs.Span, w http.ResponseWriter, r *http.Request) error {
 		id := r.PathValue("id")
 		key, err := parseID(id)
 		if err != nil {
 			return err
 		}
-		params := ""
-		switch kind {
-		case "window":
-			// Canonical param string: part of the render address, so the
-			// same window always hits the same memo entry.
-			q := r.URL.Query()
-			params = fmt.Sprintf("root=%s,depth=%s,top=%s,format=%s",
-				q.Get("root"), q.Get("depth"), q.Get("top"), q.Get("format"))
-		case "query":
-			// Parse up front: a malformed query fails 400 here, before
-			// cache admission or analysis, and never enters the memo.
-			params = "q=" + r.URL.Query().Get("q")
-			if _, err := query.Parse(r.URL.Query().Get("q")); err != nil {
-				return err
-			}
+		// Parse and range-check first: a malformed request fails 400 here,
+		// before cache admission or analysis, and never enters the memo.
+		p, err := v.Parse(r.URL.Query())
+		if err != nil {
+			return err
 		}
 
-		rkey := runpool.KeyOf(id, kind, params)
+		rkey := runpool.KeyOf(id, v.Name, p.Key)
 		body, err, _ := s.renders.Do(rkey, func() ([]byte, error) {
-			memoPath := s.memoPath(id, kind, params)
+			memoPath := s.memoPath(id, v.Name, p.Key)
 			if b, err := os.ReadFile(memoPath); err == nil {
 				sp.Child("render:diskmemo").End()
 				return b, nil
@@ -467,8 +425,8 @@ func (s *server) query(kind string) func(*obs.Span, http.ResponseWriter, *http.R
 			if err != nil {
 				return nil, err
 			}
-			rsp := sp.Child("render:" + kind)
-			b, err := s.render(a, kind, r, sp)
+			rsp := sp.Child("render:" + v.Name)
+			b, err := v.Render(a, p, s.pool, rsp)
 			rsp.End()
 			if err != nil {
 				return nil, err
@@ -484,118 +442,20 @@ func (s *server) query(kind string) func(*obs.Span, http.ResponseWriter, *http.R
 			s.renders.Forget(rkey)
 			return err
 		}
-		w.Header().Set("Content-Type", contentTypeOf(kind, r))
+		w.Header().Set("Content-Type", p.ContentType)
 		_, werr := w.Write(body)
 		return werr
 	}
 }
 
-// memoPath names the on-disk render memo for one (artifact, endpoint,
-// params) triple.
-func (s *server) memoPath(id, kind, params string) string {
-	name := id + "." + kind
+// memoPath names the on-disk render memo for one (artifact, view, params)
+// triple.
+func (s *server) memoPath(id, view, params string) string {
+	name := id + "." + view
 	if params != "" {
 		name += "-" + runpool.KeyOf(params).Hex()[:16]
 	}
 	return filepath.Join(s.cfg.Dir, "memo", name)
-}
-
-func contentTypeOf(kind string, r *http.Request) string {
-	if kind == "window" {
-		switch r.URL.Query().Get("format") {
-		case "json":
-			return "application/json"
-		case "graphml":
-			return "application/xml"
-		}
-		return "text/vnd.graphviz; charset=utf-8"
-	}
-	return "text/plain; charset=utf-8"
-}
-
-// render produces the response body for one endpoint, through exactly the
-// code paths grainview's flags drive.
-func (s *server) render(a *analysis, kind string, r *http.Request, sp *obs.Span) ([]byte, error) {
-	var buf bytes.Buffer
-	switch kind {
-	case "summary":
-		if err := expt.WriteSummary(&buf, a.res); err != nil {
-			return nil, err
-		}
-	case "highlight":
-		if err := expt.WriteHighlight(&buf, a.res); err != nil {
-			return nil, err
-		}
-	case "whatif":
-		wsp := sp.Child("whatif")
-		ps, err := a.rankOf(s.pool, wsp)
-		wsp.End()
-		if err != nil {
-			return nil, err
-		}
-		if err := expt.WriteWhatIfTable(&buf, a.res, ps); err != nil {
-			return nil, err
-		}
-	case "query":
-		plan, err := query.Parse(r.URL.Query().Get("q"))
-		if err != nil {
-			return nil, err
-		}
-		// Both sources read shared per-analysis state (adopted from the
-		// artifact's sidecars when present, built once otherwise).
-		var t *query.Table
-		if plan.Source() == "tasks" {
-			isp := sp.Child("lod:index")
-			t = a.lod().Table()
-			isp.End()
-		} else {
-			tsp := sp.Child("query:table")
-			t = a.res.GrainTable(s.pool)
-			tsp.End()
-		}
-		qsp := sp.Child("query:run")
-		out, err := plan.Run(t, s.pool)
-		qsp.End()
-		if err != nil {
-			return nil, err
-		}
-		if err := query.WriteTable(&buf, out); err != nil {
-			return nil, err
-		}
-	case "window":
-		opt, err := windowParams(r)
-		if err != nil {
-			return nil, err
-		}
-		isp := sp.Child("lod:index")
-		ix := a.lod()
-		isp.End()
-		qsp := sp.Child("lod:window")
-		wg, _, err := ix.Window(opt)
-		qsp.End()
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "%v", err)
-		}
-		core.Layout(wg)
-		esp := sp.Child("export")
-		defer esp.End()
-		switch format := r.URL.Query().Get("format"); format {
-		case "", "dot":
-			err = export.DOTWithWhatIfPool(&buf, wg, a.res.Assessment, export.ViewStructure, nil, s.pool)
-		case "json":
-			err = export.JSONWithWhatIfPool(&buf, wg, a.res.Assessment, nil, s.pool)
-		case "graphml":
-			err = export.GraphML(&buf, wg, a.res.Assessment, export.ViewStructure)
-		default:
-			err = errf(http.StatusBadRequest, "unknown window format %q (want dot, json or graphml)", format)
-		}
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, errf(http.StatusNotFound, "unknown endpoint %q", kind)
-	}
-	return buf.Bytes(), nil
 }
 
 // handleStatsz reports the server's own health: request counts, cache tier
@@ -603,9 +463,9 @@ func (s *server) render(a *analysis, kind string, r *http.Request, sp *obs.Span)
 // queue pressure — the analyzer's self-observability turned on itself.
 func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	waits, waited := s.gate.queueStats()
-	out := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_ms": time.Since(s.start).Milliseconds(),
-		"requests":  s.requests.snapshot(),
+		"requests":  s.requests.requestRows(),
 		"caches": map[string]runpool.CacheStats{
 			"decode":   s.decodes.Counters(),
 			"analysis": s.analyses.Counters(),
@@ -620,19 +480,15 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"waits":   waits,
 			"wait_ms": waited.Milliseconds(),
 		},
-		"phases": s.phases.snapshot(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(out)
+		"phases": s.phases.phaseRows(),
+	})
 }
 
 // handleEvict (POST /debug/evict, only registered with -debug) drops
 // every warm tier: the in-memory decode/analysis/render caches and the
-// on-disk render memo. Stored artifacts stay. grainload -cold calls it
-// before each measured request so the request exercises the cold path —
-// disk read, decode, analysis — instead of a cache lookup.
+// on-disk render memo. Stored artifacts stay. The benchmark calls it before
+// each cold session so its requests exercise the cold path — disk read,
+// decode, analysis — instead of a cache lookup.
 func (s *server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	s.decodes.Reset()
 	s.analyses.Reset()
@@ -649,100 +505,65 @@ func (s *server) handleEvict(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\n \"evicted\": true,\n \"memo_files_removed\": %d\n}\n", removed)
+	writeJSON(w, http.StatusOK, map[string]any{"evicted": true, "memo_files_removed": removed})
 }
 
-// phaseStats aggregates span wall time by name across all requests.
-type phaseStats struct {
+// tally sums two counters per name for /statsz: requests and errors per
+// route, spans and wall nanoseconds per phase.
+type tally struct {
 	mu sync.Mutex
-	m  map[string]*phaseAgg
+	m  map[string]*[2]int64
 }
 
-type phaseAgg struct {
-	Count int64 `json:"count"`
-	MS    int64 `json:"total_ms"`
-	ns    int64
+func newTally() *tally { return &tally{m: make(map[string]*[2]int64)} }
+
+func (t *tally) add(name string, a, b int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.m[name]
+	if c == nil {
+		c = new([2]int64)
+		t.m[name] = c
+	}
+	c[0] += a
+	c[1] += b
 }
 
-func newPhaseStats() *phaseStats { return &phaseStats{m: make(map[string]*phaseAgg)} }
-
-func (p *phaseStats) record(spans []obs.SpanRecord) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, sp := range spans {
-		agg := p.m[sp.Name]
-		if agg == nil {
-			agg = &phaseAgg{}
-			p.m[sp.Name] = agg
+// phaseRows reports a phase tally as rows sorted by total time,
+// descending.
+func (t *tally) phaseRows() []map[string]any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	names := make([]string, 0, len(t.m))
+	for name := range t.m {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if a, b := t.m[names[i]][1], t.m[names[j]][1]; a != b {
+			return a > b
 		}
-		agg.Count++
-		agg.ns += int64(sp.Dur)
-	}
-}
-
-// snapshot returns the aggregates sorted by total time, descending.
-func (p *phaseStats) snapshot() []map[string]any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	type row struct {
-		name string
-		agg  phaseAgg
-	}
-	rows := make([]row, 0, len(p.m))
-	for name, agg := range p.m {
-		rows = append(rows, row{name, *agg})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].agg.ns != rows[j].agg.ns {
-			return rows[i].agg.ns > rows[j].agg.ns
-		}
-		return rows[i].name < rows[j].name
+		return names[i] < names[j]
 	})
-	out := make([]map[string]any, len(rows))
-	for i, r := range rows {
-		out[i] = map[string]any{
-			"phase":    r.name,
-			"count":    r.agg.Count,
-			"total_ms": time.Duration(r.agg.ns).Milliseconds(),
-		}
+	out := make([]map[string]any, len(names))
+	for i, name := range names {
+		c := t.m[name]
+		out[i] = map[string]any{"phase": name, "count": c[0], "total_ms": time.Duration(c[1]).Milliseconds()}
 	}
 	return out
 }
 
-// requestStats counts requests and failures per route.
-type requestStats struct {
-	mu sync.Mutex
-	m  map[string]*reqAgg
+// requestRows reports a request tally per route.
+func (t *tally) requestRows() map[string]reqAgg {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[string]reqAgg, len(t.m))
+	for route, c := range t.m {
+		out[route] = reqAgg{Total: c[0], Errors: c[1]}
+	}
+	return out
 }
 
 type reqAgg struct {
 	Total  int64 `json:"total"`
 	Errors int64 `json:"errors"`
-}
-
-func newRequestStats() *requestStats { return &requestStats{m: make(map[string]*reqAgg)} }
-
-func (rs *requestStats) record(route string, ok bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	agg := rs.m[route]
-	if agg == nil {
-		agg = &reqAgg{}
-		rs.m[route] = agg
-	}
-	agg.Total++
-	if !ok {
-		agg.Errors++
-	}
-}
-
-func (rs *requestStats) snapshot() map[string]reqAgg {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make(map[string]reqAgg, len(rs.m))
-	for k, v := range rs.m {
-		out[k] = *v
-	}
-	return out
 }

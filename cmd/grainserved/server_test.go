@@ -546,7 +546,7 @@ func TestUpgradeInPlaceAndEvict(t *testing.T) {
 	}
 	// /statsz splits the upgrade into its derivation and its write.
 	phases := map[string]any{}
-	for _, p := range s.phases.snapshot() {
+	for _, p := range s.phases.phaseRows() {
 		phases[p["phase"].(string)] = p["count"]
 	}
 	for _, name := range []string{"upgrade:ggp2", "upgrade:sidecars", "upgrade:write"} {

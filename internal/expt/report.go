@@ -5,6 +5,9 @@ import (
 	"io"
 	"strings"
 
+	"graingraph/internal/core"
+	"graingraph/internal/export"
+	"graingraph/internal/lod"
 	"graingraph/internal/obs"
 	"graingraph/internal/runpool"
 	"graingraph/internal/timeline"
@@ -12,9 +15,9 @@ import (
 )
 
 // Report writers shared by grainview and grainserved: both surfaces render
-// an analyzed artifact through these exact functions, which is what makes
-// the server's summary/highlight/what-if payloads byte-identical to the
-// CLI's output for the same artifact — the CI smoke test diffs them.
+// an analyzed artifact through these exact functions (the view table in
+// views.go is built from them), which is what makes the server's payloads
+// byte-identical to the CLI's output for the same artifact.
 
 // WriteSummary renders the problem summary and thread timeline for an
 // analyzed run: the program header, critical-path share, per-problem grain
@@ -118,4 +121,42 @@ func WhatIfRank(res *Result, pool *runpool.Runner, parent *obs.Span) ([]whatif.P
 func WriteWhatIfTable(w io.Writer, res *Result, ps []whatif.Projection) error {
 	title := fmt.Sprintf("what-if: %s (%d cores)", res.Trace.Program, res.Trace.Cores)
 	return whatif.WriteTable(w, title, ps)
+}
+
+// Window cuts the level-of-detail window opt out of res's graph, building
+// or adopting the index on first use. A root that names no task is the
+// request's fault, a *ParamError.
+func Window(res *Result, opt lod.WindowOptions, sp *obs.Span) (*core.Graph, lod.WindowStats, error) {
+	isp := sp.Child("lod:index")
+	ix := res.Lod()
+	isp.End()
+	wsp := sp.Child("lod:window")
+	defer wsp.End()
+	g, st, err := ix.Window(opt)
+	if err != nil {
+		return nil, st, &ParamError{"window", err}
+	}
+	return g, st, nil
+}
+
+// WriteGraph exports g, a graph of res, as graphml, dot or json, coloured
+// by view v and annotated with the projections ps (dot and json). full
+// lifts the export size gate.
+func WriteGraph(w io.Writer, g *core.Graph, res *Result, format string, v export.View, ps []whatif.Projection, full bool, pool *runpool.Runner) error {
+	a := res.Assessment
+	switch {
+	case format == "graphml" && full:
+		return export.FullGraphML(w, g, a, v)
+	case format == "graphml":
+		return export.GraphML(w, g, a, v)
+	case format == "dot" && full:
+		return export.FullDOT(w, g, a, v, ps, pool)
+	case format == "dot":
+		return export.DOTWithWhatIfPool(w, g, a, v, ps, pool)
+	case format == "json" && full:
+		return export.FullJSON(w, g, a, ps, pool)
+	case format == "json":
+		return export.JSONWithWhatIfPool(w, g, a, ps, pool)
+	}
+	return fmt.Errorf("unknown format %q", format)
 }

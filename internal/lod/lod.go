@@ -280,7 +280,10 @@ type WindowOptions struct {
 	Top int
 }
 
-func (o WindowOptions) withDefaults() (WindowOptions, error) {
+// WithDefaults fills the zero fields with the defaults above and rejects
+// negative limits: the range check Window applies, available to callers
+// that validate a request before they have an index to run it on.
+func (o WindowOptions) WithDefaults() (WindowOptions, error) {
 	if o.Root == "" {
 		o.Root = profile.RootID
 	}
@@ -329,7 +332,7 @@ type windowBuild struct {
 // child order comes from the index, node and edge emission follow original
 // node order, and no map iteration reaches the output.
 func (ix *Index) Window(opt WindowOptions) (*core.Graph, WindowStats, error) {
-	opt, err := opt.withDefaults()
+	opt, err := opt.WithDefaults()
 	if err != nil {
 		return nil, WindowStats{}, err
 	}

@@ -8,10 +8,9 @@ import (
 	"graingraph/internal/profile"
 )
 
-// ParseWindow parses the "root=R.3,depth=2,top=8" window spec shared by
-// grainview's -window flag and grainserved's window endpoint into
-// WindowOptions. Every key is optional and order-free; Window supplies the
-// defaults for whatever is missing.
+// ParseWindow parses the "root=R.3,depth=2,top=8" window spec of
+// grainview's -window flag into WindowOptions. Every key is optional and
+// order-free; Window supplies the defaults for whatever is missing.
 func ParseWindow(s string) (WindowOptions, error) {
 	var o WindowOptions
 	for _, part := range strings.Split(s, ",") {
@@ -23,24 +22,31 @@ func ParseWindow(s string) (WindowOptions, error) {
 		if !ok {
 			return o, fmt.Errorf("window: %q is not key=value (want root=..,depth=..,top=..)", part)
 		}
-		switch k {
-		case "root":
-			o.Root = profile.GrainID(v)
-		case "depth":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return o, fmt.Errorf("window depth %q: not a number", v)
-			}
-			o.Depth = n
-		case "top":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return o, fmt.Errorf("window top %q: not a number", v)
-			}
-			o.Top = n
-		default:
-			return o, fmt.Errorf("unknown window key %q (want root, depth, top)", k)
+		if err := o.Set(k, v); err != nil {
+			return o, err
 		}
 	}
 	return o, nil
+}
+
+// Set assigns one window key (root, depth or top) from its text: the key
+// grammar ParseWindow and grainserved's window parameters share.
+func (o *WindowOptions) Set(key, value string) error {
+	switch key {
+	case "root":
+		o.Root = profile.GrainID(value)
+	case "depth", "top":
+		n, err := strconv.Atoi(value)
+		if err != nil {
+			return fmt.Errorf("window %s %q: not a number", key, value)
+		}
+		if key == "depth" {
+			o.Depth = n
+		} else {
+			o.Top = n
+		}
+	default:
+		return fmt.Errorf("unknown window key %q (want root, depth, top)", key)
+	}
+	return nil
 }

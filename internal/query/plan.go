@@ -769,7 +769,7 @@ func (op aggOp) emit(t *Table, keyCols, aggCols []*Column, merged *chunkGroups) 
 }
 
 // quantileInt is the nearest-rank quantile over a sorted slice (the same
-// rule grainload uses for its latency percentiles): rank ceil(q·n),
+// rule the benchmark uses for its latency percentiles): rank ceil(q·n),
 // clamped to [1, n]; 0 on empty input.
 func quantileInt(sorted []int64, q float64) int64 {
 	if len(sorted) == 0 {

@@ -50,6 +50,8 @@ func chunkBounds(c, n, grain int) (lo, hi int) {
 // goroutines claiming chunks from an atomic counter. body must confine its
 // writes to chunk-indexed (or range-indexed) slots; the chunk assignment to
 // workers is scheduling-dependent even though the chunks themselves are not.
+// A panicking chunk stops its worker, the others drain the remaining
+// chunks, and the panic is re-raised on the calling goroutine.
 func forChunks(r *Runner, chunks int, body func(chunk int)) {
 	if chunks <= 0 {
 		return
@@ -78,14 +80,17 @@ func forChunks(r *Runner, chunks int, body func(chunk int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var p panicked
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			defer p.catch()
 			workerChunks(tel, w, issued, &next, chunks, body)
 		}(w)
 	}
 	wg.Wait()
+	p.reraise()
 }
 
 // serialChunks is the instrumented serial fallback: every chunk runs on the
@@ -138,7 +143,8 @@ func workerChunks(tel *obs.PoolTelemetry, w int, issued time.Time, next *atomic.
 // ParallelFor runs body over [0, n) in fixed chunks of size grain across
 // the pool. body receives the chunk index and its half-open range
 // [lo, hi); with a nil or single-worker pool, chunks run sequentially in
-// ascending index order on the calling goroutine.
+// ascending index order on the calling goroutine. A panicking body reaches
+// the caller as a panic on the calling goroutine, whatever the pool.
 func ParallelFor(r *Runner, n, grain int, body func(chunk, lo, hi int)) {
 	if grain <= 0 {
 		grain = 1
@@ -155,7 +161,8 @@ func ParallelFor(r *Runner, n, grain int, body func(chunk, lo, hi int)) {
 // Kernels needing a temporary buffer per chunk (subsample arrays, pairwise
 // distance heaps) allocate it once per worker instead of once per chunk.
 // Scratch contents must not flow between chunks in any result-affecting
-// way: which chunks share a scratch is scheduling-dependent.
+// way: which chunks share a scratch is scheduling-dependent. Panics reach
+// the caller as in ParallelFor.
 func ParallelForScratch[S any](r *Runner, n, grain int, newScratch func() S, body func(chunk, lo, hi int, scratch S)) {
 	if grain <= 0 {
 		grain = 1
@@ -193,10 +200,12 @@ func ParallelForScratch[S any](r *Runner, n, grain int, newScratch func() S, bod
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var p panicked
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			defer p.catch()
 			scratch := newScratch()
 			workerChunks(tel, w, issued, &next, chunks, func(c int) {
 				lo, hi := chunkBounds(c, n, grain)
@@ -205,6 +214,7 @@ func ParallelForScratch[S any](r *Runner, n, grain int, newScratch func() S, bod
 		}(w)
 	}
 	wg.Wait()
+	p.reraise()
 }
 
 // ParallelReduce folds body's per-chunk partials into one value. Each chunk

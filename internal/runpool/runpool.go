@@ -72,7 +72,8 @@ func telemetry(r *Runner) *obs.PoolTelemetry {
 // behaviour, not a degenerate concurrent schedule. All jobs run to
 // completion even when some fail; the returned error is the non-nil error
 // with the lowest index, so which failure is reported does not depend on
-// scheduling.
+// scheduling. A job that panics stops its worker; the others drain the
+// remaining jobs, and the panic is re-raised on the calling goroutine.
 func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -105,10 +106,12 @@ func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 		var next atomic.Int64
 		var wg sync.WaitGroup
+		var p panicked
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func(w int) {
 				defer wg.Done()
+				defer p.catch()
 				var wstart time.Time
 				if tel != nil {
 					wstart = time.Now()
@@ -138,6 +141,7 @@ func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 			}(w)
 		}
 		wg.Wait()
+		p.reraise()
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -145,6 +149,32 @@ func Map[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// panicked holds the first panic of a fan-out's worker goroutines. A
+// worker defers catch; after the wait, the caller's reraise repeats the
+// panic on its own goroutine, where it can be recovered, instead of letting
+// it kill the process from a goroutine nobody can recover on.
+type panicked struct {
+	mu  sync.Mutex
+	val any
+	hit bool
+}
+
+func (p *panicked) catch() {
+	if v := recover(); v != nil {
+		p.mu.Lock()
+		if !p.hit {
+			p.val, p.hit = v, true
+		}
+		p.mu.Unlock()
+	}
+}
+
+func (p *panicked) reraise() {
+	if p.hit {
+		panic(p.val)
+	}
 }
 
 // Key is a content address: the SHA-256 of its parts. Fixed-size and

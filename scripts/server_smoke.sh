@@ -2,7 +2,9 @@
 # Smoke test for the grainserved artifact server: build everything, record a
 # real fixture artifact, start a server, upload the fixture, and verify every
 # endpoint serves bytes identical to the grainview CLI's output for the same
-# artifact. Finishes with a short grainload run against the live server.
+# artifact. Finishes with the benchmark's serve workload at smoke size, a
+# closed-loop run against its own server that evicts every warm tier before
+# the cold session and verifies every served body.
 #
 # Usage: scripts/server_smoke.sh   (from the repo root)
 set -euo pipefail
@@ -18,7 +20,6 @@ trap cleanup EXIT
 echo "== build"
 go build -o "$tmp/grainview" ./cmd/grainview
 go build -o "$tmp/grainserved" ./cmd/grainserved
-go build -o "$tmp/grainload" ./cmd/grainload
 go build -o "$tmp/grainbench" ./cmd/grainbench
 
 echo "== record fixture artifact"
@@ -33,6 +34,11 @@ echo "== reference renderings via grainview"
 "$tmp/grainview" -window depth=2,top=8 -format dot "$fixture" >"$tmp/window.cli" 2>/dev/null
 query='from grains | filter exec > 0 | groupby loc | agg count, sum(exec), mean(benefit) | sort sum_exec desc | topk 5'
 "$tmp/grainview" -query "$query" "$fixture" >"$tmp/query.cli"
+# -stats prints the stats block before the summary. The server's stats view
+# is the block alone, so the diff loop below compares this output with the
+# server's stats followed by the server's summary.
+"$tmp/grainview" -stats -summary "$fixture" >"$tmp/stats-summary.cli"
+"$tmp/grainview" -summary -trace "$tmp/trace.cli" "$fixture" >/dev/null 2>&1
 
 echo "== columnar v2: convert and diff against v1 analysis"
 "$tmp/grainbench" -ggpconv "$fixture" -ggpconv-out "$tmp/fixture.v2.ggp" 2>/dev/null
@@ -55,20 +61,18 @@ echo "   v1 -> v2 convert: analysis byte-identical"
 echo "== Perfetto trace of a saved artifact"
 # The scheduler instants are derived from the stored profile, so both
 # artifact versions export the same trace, with every instant kind present.
-"$tmp/grainview" -summary -trace "$tmp/trace.v1.json" "$fixture" >/dev/null 2>&1
 "$tmp/grainview" -summary -trace "$tmp/trace.v2.json" "$tmp/fixture.v2.ggp" >/dev/null 2>&1
-cmp -s "$tmp/trace.v1.json" "$tmp/trace.v2.json" || { echo "FAIL: v1 and v2 artifact traces differ" >&2; exit 1; }
+cmp -s "$tmp/trace.cli" "$tmp/trace.v2.json" || { echo "FAIL: v1 and v2 artifact traces differ" >&2; exit 1; }
 for kind in steal park resume; do
-    grep -q "\"name\":\"$kind\"" "$tmp/trace.v1.json" || { echo "FAIL: artifact trace has no $kind instants" >&2; exit 1; }
+    grep -q "\"name\":\"$kind\"" "$tmp/trace.cli" || { echo "FAIL: artifact trace has no $kind instants" >&2; exit 1; }
 done
 echo "   -trace on v1 and v2 artifacts: identical, steal/park/resume present"
 
 echo "== runtime stats of a saved artifact"
 # The stats report is derived from the stored profile too.
-"$tmp/grainview" -stats -summary "$fixture" >"$tmp/stats.v1.txt" 2>/dev/null
 "$tmp/grainview" -stats -summary "$tmp/fixture.v2.ggp" >"$tmp/stats.v2.txt" 2>/dev/null
-cmp -s "$tmp/stats.v1.txt" "$tmp/stats.v2.txt" || { echo "FAIL: v1 and v2 artifact stats differ" >&2; exit 1; }
-grep -q "^steals " "$tmp/stats.v1.txt" || { echo "FAIL: artifact stats have no steals line" >&2; exit 1; }
+cmp -s "$tmp/stats-summary.cli" "$tmp/stats.v2.txt" || { echo "FAIL: v1 and v2 artifact stats differ" >&2; exit 1; }
+grep -q "^steals " "$tmp/stats-summary.cli" || { echo "FAIL: artifact stats have no steals line" >&2; exit 1; }
 echo "   -stats on v1 and v2 artifacts: identical, steals reported"
 
 echo "== start grainserved"
@@ -93,7 +97,10 @@ curl -fsS "http://$addr/artifacts/$id/highlight" >"$tmp/highlight.srv"
 curl -fsS "http://$addr/artifacts/$id/whatif" >"$tmp/whatif.srv"
 curl -fsS "http://$addr/artifacts/$id/window?depth=2&top=8&format=dot" >"$tmp/window.srv"
 curl -fsS --get --data-urlencode "q=$query" "http://$addr/artifacts/$id/query" >"$tmp/query.srv"
-for ep in summary highlight whatif window query; do
+curl -fsS "http://$addr/artifacts/$id/stats" >"$tmp/stats.srv"
+cat "$tmp/stats.srv" "$tmp/summary.srv" >"$tmp/stats-summary.srv"
+curl -fsS "http://$addr/artifacts/$id/trace" >"$tmp/trace.srv"
+for ep in summary highlight whatif window query stats-summary trace; do
     if ! diff -q "$tmp/$ep.cli" "$tmp/$ep.srv" >/dev/null; then
         echo "FAIL: $ep endpoint differs from grainview output:" >&2
         diff "$tmp/$ep.cli" "$tmp/$ep.srv" | head -20 >&2
@@ -112,13 +119,11 @@ echo "== repeated upload is a memo hit"
 second=$(curl -fsS -X POST --data-binary @"$fixture" "http://$addr/artifacts")
 echo "$second" | grep -q '"existed": *true' || { echo "FAIL: re-upload not recognized: $second" >&2; exit 1; }
 
-echo "== grainload smoke (2s at 50 req/s)"
-"$tmp/grainload" -server "http://$addr" -artifact "$fixture" \
-    -rate 50 -duration 2s -c 4 -tenants 2
-
-echo "== grainload cold-path smoke (2s, serialized, evict before each request)"
-"$tmp/grainload" -server "http://$addr" -artifact "$fixture" \
-    -cold -duration 2s -tenants 2
+echo "== malformed window parameters are a structured 400"
+code=$(curl -s -o "$tmp/badw.json" -w '%{http_code}' "http://$addr/artifacts/$id/window?format=bogus")
+[ "$code" = 400 ] || { echo "FAIL: bad window format returned $code, want 400" >&2; exit 1; }
+grep -q '"error": *"bad-params"' "$tmp/badw.json" || { echo "FAIL: 400 body not structured: $(cat "$tmp/badw.json")" >&2; exit 1; }
+echo "   window 400: structured"
 
 echo "== stored artifact upgraded in place to columnar v2"
 stored="$tmp/store/$id.ggp"
@@ -131,4 +136,7 @@ echo "== statsz"
 # pipefail, the script) once /statsz outgrows one write.
 curl -fsS "http://$addr/statsz" -o "$tmp/statsz.json"
 head -30 "$tmp/statsz.json"
+
+echo "== benchmark serve workload at smoke size (its own server; cold session after /debug/evict)"
+go run ./bench run serve -smoke
 echo "server smoke: OK"
