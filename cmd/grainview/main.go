@@ -66,7 +66,7 @@ import (
 const (
 	queryUsage  = `-query "[from grains|tasks |] filter <expr> | groupby <cols> | agg <calls> | sort <col> [asc|desc] | topk <n> [by <col> [asc|desc]] | select <cols>"`
 	windowUsage = `-window "root=<task>,depth=<n>,top=<n>" (keys optional, order-free)`
-	whatifUsage = `-whatif rank | -whatif "cutoff:<depth>,scale:<grain>:<factor>,infcores,noinflate[:<grain>]"`
+	whatifUsage = `-whatif rank | -whatif "<spec>[,<spec>...]", each <spec> one of: cutoff:<depth> scale:<grain>:<factor> scale-subtree:<grain>:<factor> collapse:<grain> infcores deinflate:<grain|all>`
 )
 
 // The values of the enumerated flags, by name.

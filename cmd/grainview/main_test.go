@@ -11,7 +11,9 @@ import (
 
 	"graingraph/internal/expt"
 	"graingraph/internal/ggp"
+	"graingraph/internal/profile"
 	"graingraph/internal/runpool"
+	"graingraph/internal/whatif"
 	"graingraph/internal/workloads"
 )
 
@@ -174,5 +176,47 @@ func TestRunUsageErrors(t *testing.T) {
 		if c.usage != "" && !strings.Contains(stderr.String(), "usage: grainview "+c.usage) {
 			t.Errorf("grainview %v: stderr has no %s usage line: %s", c.args, c.usage, stderr.String())
 		}
+	}
+}
+
+// TestWhatifUsageParses: every spec form the -whatif usage line names, with
+// its placeholders filled in, is accepted by the grammar, alone and as one
+// list, and the line names every form the grammar accepts.
+func TestWhatifUsageParses(t *testing.T) {
+	_, list, ok := strings.Cut(whatifUsage, "one of: ")
+	if !ok {
+		t.Fatalf("usage line %q lists no spec forms", whatifUsage)
+	}
+	grain := string(profile.ChildID(profile.RootID, 0))
+	fill := strings.NewReplacer("<depth>", "3", "<grain>", grain, "<factor>", "0.5")
+	var specs []string
+	kinds := map[string]bool{}
+	for _, form := range strings.Fields(list) {
+		kinds[strings.SplitN(form, ":", 2)[0]] = true
+		alts := []string{form}
+		if strings.Contains(form, "<grain|all>") {
+			alts = []string{strings.ReplaceAll(form, "<grain|all>", grain), strings.ReplaceAll(form, "<grain|all>", "all")}
+		}
+		for _, a := range alts {
+			spec := fill.Replace(a)
+			if strings.ContainsAny(spec, "<>[]|") {
+				t.Fatalf("form %q: placeholder left in %q", form, spec)
+			}
+			if _, err := whatif.ParseSpecs(spec); err != nil {
+				t.Errorf("usage form %q (as %q) is rejected: %v", form, spec, err)
+			}
+			specs = append(specs, spec)
+		}
+	}
+	if _, err := whatif.ParseSpecs(strings.Join(specs, ",")); err != nil {
+		t.Errorf("the forms as one list %q are rejected: %v", strings.Join(specs, ","), err)
+	}
+	for _, k := range []string{"cutoff", "scale", "scale-subtree", "collapse", "infcores", "deinflate"} {
+		if !kinds[k] {
+			t.Errorf("usage line names no %s form", k)
+		}
+	}
+	if _, err := expt.LookupView("whatif").Parse(url.Values{"spec": {"rank"}}); err != nil {
+		t.Errorf("-whatif rank is rejected: %v", err)
 	}
 }

@@ -79,3 +79,23 @@ func BenchmarkVersionLookup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAccessRangeStream is Sort's pattern at full width: the 48 cores
+// in turn stream 16 MiB scans over a shared 64 MiB array, alternately
+// reading and writing, so every level misses, L3s evict and lines migrate
+// between sockets. One op is one 16 MiB scan.
+func BenchmarkAccessRangeStream(b *testing.B) {
+	h := benchHierarchy()
+	const cores, scan, slices = 48, 16 << 20, 4
+	base := h.mem.Alloc("array", slices*scan).Base
+	var c Counters
+	now := uint64(0)
+	b.ReportAllocs()
+	b.SetBytes(scan)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core := i % cores
+		off := base + int64((i*7)%slices)*scan
+		now += h.AccessRange(core, off, scan, i%2 == 1, now, &c)
+	}
+}

@@ -7,10 +7,14 @@
 // The model is deliberately simple but directionally faithful:
 //
 //   - L1 and L2 are private per core; L3 is shared per socket. All levels are
-//     set-associative with LRU replacement.
+//     set-associative with LRU replacement. A set is a recency-ordered run of
+//     packed line<<32 | version words, so LRU needs no timestamps.
 //   - Coherence uses a per-line version number: every write bumps the line's
 //     version, so copies cached by other cores become stale and their next
 //     access misses all the way to memory (a coherence miss).
+//   - A per-line bitmask records which sockets' L3s hold the line's current
+//     version, so a local-L3 miss finds a remote copy without probing every
+//     other socket.
 //   - A memory access pays a latency scaled by the NUMA distance between the
 //     accessing core's socket and the node owning the page, so page placement
 //     policies (first-touch vs round-robin) change observed stall cycles.
@@ -18,6 +22,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"graingraph/internal/machine"
 )
@@ -108,19 +113,33 @@ func (c *Counters) Utilization() float64 {
 	return float64(c.Compute) / float64(c.Stall)
 }
 
-// level is one set-associative cache. Ways of a set are stored contiguously
-// in flat arrays; the set index is computed with a precomputed mask when the
-// set count is a power of two (it always is under DefaultConfig), falling
-// back to a modulo only for exotic geometries.
+// level is one set-associative LRU cache. A set is a run of ways words, each
+// a packed line<<32 | version, kept in recency order: the most recently
+// touched way first, invalid ways trailing. A hit moves its way to the
+// front; a fill into a full set drops the last way, which is the least
+// recently touched one, so no per-way timestamps are needed. The set index
+// is computed with a precomputed mask when the set count is a power of two
+// (it always is under DefaultConfig), falling back to a modulo only for
+// exotic geometries.
 type level struct {
 	sets int64
 	mask int64 // sets-1 when sets is a power of two, else -1
 	ways int
-	tags []int64 // line address, -1 = invalid
-	vers []uint32
-	tick []uint64 // LRU stamps
-	now  uint64
+	ent  []uint64
 }
+
+// invalid marks an empty way. No packed line equals it, because line
+// numbers stay below maxLine.
+const invalid = ^uint64(0)
+
+// maxLine bounds line numbers: a line must fit the upper 32 bits of a packed
+// way and stay clear of the invalid sentinel.
+const maxLine = 1<<32 - 1
+
+// maxSockets is the number of sockets the L3 holder bitmask can name.
+const maxSockets = 8
+
+func pack(line int64, ver uint32) uint64 { return uint64(line)<<32 | uint64(ver) }
 
 func newLevel(size int64, ways int, lineSize int64) *level {
 	if size <= 0 || ways <= 0 {
@@ -134,74 +153,57 @@ func newLevel(size int64, ways int, lineSize int64) *level {
 	if sets&(sets-1) == 0 {
 		mask = sets - 1
 	}
-	n := sets * int64(ways)
-	l := &level{sets: sets, mask: mask, ways: ways,
-		tags: make([]int64, n), vers: make([]uint32, n), tick: make([]uint64, n)}
-	for i := range l.tags {
-		l.tags[i] = -1
-	}
+	l := &level{sets: sets, mask: mask, ways: ways, ent: make([]uint64, sets*int64(ways))}
+	l.reset()
 	return l
 }
 
-// setBase returns the flat-array offset of line's set.
-func (l *level) setBase(line int64) int64 {
-	if l.mask >= 0 {
-		return (line & l.mask) * int64(l.ways)
+// set returns the ways of line's set.
+func (l *level) set(line int64) []uint64 {
+	s := line & l.mask
+	if l.mask < 0 {
+		s = line % l.sets
 	}
-	return (line % l.sets) * int64(l.ways)
+	base := s * int64(l.ways)
+	return l.ent[base : base+int64(l.ways)]
 }
 
-// lookup reports whether line is present with the given version, updating
-// LRU on hit.
-func (l *level) lookup(line int64, version uint32) bool {
-	base := l.setBase(line)
-	l.now++
-	tags := l.tags[base : base+int64(l.ways)]
-	for i := range tags {
-		if tags[i] == line && l.vers[base+int64(i)] == version {
-			l.tick[base+int64(i)] = l.now
-			return true
+// probe looks line up at version ver. A hit moves the way to the front. A
+// miss changes nothing and returns the position a fill of line takes: the
+// line's own (stale) way if the set holds one, else the first invalid way,
+// else the last, least recently used, way.
+func (l *level) probe(line int64, ver uint32) (hit bool, pos int) {
+	set := l.set(line)
+	key := pack(line, ver)
+	for i, e := range set {
+		if e == key {
+			for ; i > 0; i-- {
+				set[i] = set[i-1]
+			}
+			set[0] = key
+			return true, 0
+		}
+		if e>>32 == uint64(line) || e == invalid {
+			return false, i
 		}
 	}
-	return false
+	return false, len(set) - 1
 }
 
-// fill inserts line with version, evicting the LRU way of its set.
-func (l *level) fill(line int64, version uint32) {
-	base := l.setBase(line)
-	l.now++
-	tags := l.tags[base : base+int64(l.ways)]
-	tick := l.tick[base : base+int64(l.ways)]
-	victim := 0
-	oldest := tick[0]
-	for i := range tags {
-		if tags[i] == line { // update in place (stale version refresh)
-			l.vers[base+int64(i)] = version
-			tick[i] = l.now
-			return
-		}
-		if tags[i] == -1 {
-			victim = i
-			oldest = 0
-			break
-		}
-		if tick[i] < oldest {
-			oldest = tick[i]
-			victim = i
-		}
-	}
-	tags[victim] = line
-	l.vers[base+int64(victim)] = version
-	tick[victim] = l.now
+// fillAt puts line at version ver at the front of its set, dropping the way
+// at pos (as probe returned it), and returns the dropped word.
+func (l *level) fillAt(line int64, ver uint32, pos int) (dropped uint64) {
+	set := l.set(line)
+	dropped = set[pos]
+	copy(set[1:pos+1], set[:pos])
+	set[0] = pack(line, ver)
+	return dropped
 }
 
 func (l *level) reset() {
-	for i := range l.tags {
-		l.tags[i] = -1
-		l.vers[i] = 0
-		l.tick[i] = 0
+	for i := range l.ent {
+		l.ent[i] = invalid
 	}
-	l.now = 0
 }
 
 // Hierarchy is the full machine cache system: private L1/L2 per core and a
@@ -215,10 +217,14 @@ type Hierarchy struct {
 	// version is the per-line write-version table, indexed by line number.
 	// Simulated memory is a bump allocator from address zero, so lines are
 	// dense and a flat array beats the map it replaced (which dominated CPU
-	// profiles at ~1/3 of total simulation time); lines beyond the slice are
-	// at version 0. Grown on write only.
+	// profiles at ~1/3 of total simulation time). Grown to cover every line
+	// accessed; a line starts at version 0.
 	version []uint32
-	// socketOf caches topo.Socket per core (probed on every access).
+	// holders[line] has bit s set exactly when socket s's L3 holds line at
+	// version[line]: the directory a local-L3 miss consults instead of
+	// probing every other socket's L3. Same length as version.
+	holders []uint8
+	// socketOf caches topo.Socket per core.
 	socketOf []int
 	// nodeDemand[n] accumulates the service cycles requested from node n's
 	// memory channel; demand/time gives the channel utilization that drives
@@ -230,6 +236,9 @@ type Hierarchy struct {
 
 // New builds a hierarchy for the topology, backed by mem for page placement.
 func New(cfg Config, topo *machine.Topology, mem *machine.Memory) *Hierarchy {
+	if n := topo.NumSockets(); n > maxSockets {
+		panic(fmt.Sprintf("cache: %d sockets, but the L3 holder mask has %d bits", n, maxSockets))
+	}
 	h := &Hierarchy{cfg: cfg, topo: topo, mem: mem}
 	for i := 0; i < topo.NumCores(); i++ {
 		h.l1 = append(h.l1, newLevel(cfg.L1Size, cfg.L1Ways, cfg.LineSize))
@@ -246,11 +255,23 @@ func New(cfg Config, topo *machine.Topology, mem *machine.Memory) *Hierarchy {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
+// path is one core's view of the hierarchy, resolved once per call.
+type path struct {
+	core, socket int
+	l1, l2, l3   *level
+}
+
+func (h *Hierarchy) pathOf(core int) path {
+	s := h.socketOf[core]
+	return path{core: core, socket: s, l1: h.l1[core], l2: h.l2[core], l3: h.l3[s]}
+}
+
 // Access simulates one access by core to addr at virtual time now and
 // returns the cycles it costs (including any memory-channel queueing).
 // Counters (may be nil) receive the access/miss/stall accounting.
 func (h *Hierarchy) Access(core int, addr int64, write bool, now uint64, c *Counters) uint64 {
-	return h.access(core, addr, write, now, false, c)
+	p := h.pathOf(core)
+	return h.access(&p, addr/h.cfg.LineSize, write, now, false, c)
 }
 
 // access adds the streamed flag: lines fetched in the body of a detected
@@ -258,20 +279,30 @@ func (h *Hierarchy) Access(core int, addr int64, write bool, now uint64, c *Coun
 // only the bandwidth cost (queueing + channel occupancy), not the full
 // memory round trip. Scans with sub-line strides stream too (see
 // AccessStrided); wider strides and random accesses never do.
-func (h *Hierarchy) access(core int, addr int64, write bool, now uint64, streamed bool, c *Counters) uint64 {
-	line := addr / h.cfg.LineSize
-	var ver uint32
-	if line < int64(len(h.version)) {
-		ver = h.version[line]
+func (h *Hierarchy) access(p *path, line int64, write bool, now uint64, streamed bool, c *Counters) uint64 {
+	if line >= int64(len(h.version)) {
+		h.growLines(line)
 	}
+	// A write looks up the line at its pre-bump version: hitting your own
+	// latest copy is cheap; a line last written by another core (or never
+	// cached here) misses and pays the read-for-ownership path to wherever
+	// the line lives — that is the coherence/NUMA cost of writes.
+	ver := h.version[line]
+	lat, l1m, l2m, l3m, remote := h.probeAndFill(p, line, ver, now)
 	if write {
+		// The writer's caches now hold the new version; every other copy
+		// is stale. No cache holds the new version yet, so each probe
+		// misses and yields the way the fill takes.
 		ver++
-		if line >= int64(len(h.version)) {
-			h.growVersion(line)
-		}
 		h.version[line] = ver
+		h.holders[line] = 0
+		_, pos := p.l1.probe(line, ver)
+		p.l1.fillAt(line, ver, pos)
+		_, pos = p.l2.probe(line, ver)
+		p.l2.fillAt(line, ver, pos)
+		_, pos = p.l3.probe(line, ver)
+		h.fillL3(p.socket, line, ver, pos)
 	}
-	lat, l1m, l2m, l3m, remote := h.accessLine(core, line, ver, write, now)
 	if streamed && l1m {
 		// Prefetch-covered: the latency component collapses to the channel
 		// occupancy; queueing (already folded into lat beyond the base
@@ -299,62 +330,48 @@ func (h *Hierarchy) access(core int, addr int64, write bool, now uint64, streame
 	return lat
 }
 
-func (h *Hierarchy) accessLine(core int, line int64, ver uint32, write bool, now uint64) (lat uint64, l1m, l2m, l3m, remote bool) {
-	socket := h.socketOf[core]
-	// A write looks up the line at its pre-bump version: hitting your own
-	// latest copy is cheap; a line last written by another core (or never
-	// cached here) misses and pays the read-for-ownership path to wherever
-	// the line lives — that is the coherence/NUMA cost of writes.
-	lookupVer := ver
-	if write {
-		lookupVer = ver - 1
-	}
-	lat, l1m, l2m, l3m, remote = h.probeAndFill(core, socket, line, lookupVer, now)
-	if write {
-		// The writer's caches now hold the new version.
-		h.l1[core].fill(line, ver)
-		h.l2[core].fill(line, ver)
-		h.l3[socket].fill(line, ver)
-	}
-	return lat, l1m, l2m, l3m, remote
-}
-
-// probeAndFill walks the hierarchy for line at lookupVer, filling the levels
-// between the serving level and the accessing core on the way back.
-func (h *Hierarchy) probeAndFill(core, socket int, line int64, lookupVer uint32, now uint64) (lat uint64, l1m, l2m, l3m, remote bool) {
-	if h.l1[core].lookup(line, lookupVer) {
+// probeAndFill walks the hierarchy for line at ver, filling the levels
+// between the serving level and the accessing core on the way back. Each
+// level's set is scanned once: a miss's probe yields the position its fill
+// takes.
+func (h *Hierarchy) probeAndFill(p *path, line int64, ver uint32, now uint64) (lat uint64, l1m, l2m, l3m, remote bool) {
+	hit, pos1 := p.l1.probe(line, ver)
+	if hit {
 		return h.cfg.L1Lat, false, false, false, false
 	}
 	l1m = true
-	if h.l2[core].lookup(line, lookupVer) {
-		h.l1[core].fill(line, lookupVer)
+	hit, pos2 := p.l2.probe(line, ver)
+	if hit {
+		p.l1.fillAt(line, ver, pos1)
 		return h.cfg.L2Lat, l1m, false, false, false
 	}
 	l2m = true
-	if h.l3[socket].lookup(line, lookupVer) {
-		h.l2[core].fill(line, lookupVer)
-		h.l1[core].fill(line, lookupVer)
+	hit, pos3 := p.l3.probe(line, ver)
+	if hit {
+		p.l2.fillAt(line, ver, pos2)
+		p.l1.fillAt(line, ver, pos1)
 		return h.cfg.L3Lat, l1m, l2m, false, false
 	}
-	// Probe the other sockets' L3s: a hit there is a cache-to-cache
+	// Another socket's L3 holding the line serves it by a cache-to-cache
 	// transfer over the interconnect — slower than local L3, cheaper than
-	// memory, and it does not occupy a memory channel.
-	for s2 := range h.l3 {
-		if s2 == socket {
-			continue
+	// memory, and it does not occupy a memory channel. The lowest-numbered
+	// holder serves; the local socket is not among them, since its probe
+	// missed.
+	if m := h.holders[line]; m != 0 {
+		s2 := bits.TrailingZeros8(m)
+		if hit, _ := h.l3[s2].probe(line, ver); !hit {
+			panic(fmt.Sprintf("cache: holder mask names socket %d for line %d, but its L3 misses", s2, line))
 		}
-		if h.l3[s2].lookup(line, lookupVer) {
-			dist := uint64(h.topo.NodeDistance(socket, s2))
-			lat = h.cfg.L3Lat + h.cfg.MemLat*dist/20
-			h.l3[socket].fill(line, lookupVer)
-			h.l2[core].fill(line, lookupVer)
-			h.l1[core].fill(line, lookupVer)
-			return lat, l1m, l2m, false, true
-		}
+		dist := uint64(h.topo.NodeDistance(p.socket, s2))
+		lat = h.cfg.L3Lat + h.cfg.MemLat*dist/20
+		h.fillL3(p.socket, line, ver, pos3)
+		p.l2.fillAt(line, ver, pos2)
+		p.l1.fillAt(line, ver, pos1)
+		return lat, l1m, l2m, false, true
 	}
 	l3m = true
-	node := h.mem.NodeOf(line*h.cfg.LineSize, core)
-	dist := uint64(h.topo.NodeDistance(socket, node))
+	node := h.mem.NodeOf(line*h.cfg.LineSize, p.core)
+	dist := uint64(h.topo.NodeDistance(p.socket, node))
 	lat = h.cfg.MemLat * dist / 10
 	if h.cfg.MemServiceCycles > 0 {
 		h.nodeDemand[node] += h.cfg.MemServiceCycles
@@ -373,11 +390,21 @@ func (h *Hierarchy) probeAndFill(core, socket int, line int64, lookupVer uint32,
 			lat += queue
 		}
 	}
-	remote = node != socket
-	h.l3[socket].fill(line, lookupVer)
-	h.l2[core].fill(line, lookupVer)
-	h.l1[core].fill(line, lookupVer)
+	remote = node != p.socket
+	h.fillL3(p.socket, line, ver, pos3)
+	p.l2.fillAt(line, ver, pos2)
+	p.l1.fillAt(line, ver, pos1)
 	return lat, l1m, l2m, l3m, remote
+}
+
+// fillL3 fills socket s's L3 with line at its current version ver, at pos,
+// and keeps the holder mask in step: a set holds each line at most once, so
+// the line it drops leaves s's holders, and line joins them.
+func (h *Hierarchy) fillL3(s int, line int64, ver uint32, pos int) {
+	if e := h.l3[s].fillAt(line, ver, pos); e != invalid && int64(e>>32) != line {
+		h.holders[e>>32] &^= 1 << s
+	}
+	h.holders[line] |= 1 << s
 }
 
 // AccessRange simulates a sequential scan of length bytes starting at addr
@@ -387,13 +414,14 @@ func (h *Hierarchy) AccessRange(core int, addr, length int64, write bool, now ui
 	if length <= 0 {
 		return 0
 	}
+	p := h.pathOf(core)
 	first := addr / h.cfg.LineSize
 	last := (addr + length - 1) / h.cfg.LineSize
 	var total uint64
 	for line := first; line <= last; line++ {
 		// The first line of a scan pays full latency; the prefetcher covers
 		// the rest.
-		total += h.access(core, line*h.cfg.LineSize, write, now+total, line != first, c)
+		total += h.access(&p, line, write, now+total, line != first, c)
 	}
 	return total
 }
@@ -425,11 +453,12 @@ func (h *Hierarchy) streamedCost(wentToMemory bool, lat uint64) uint64 {
 // prefetch-covered. Wider (or backward) strides defeat the stream detector
 // and pay full latency per access.
 func (h *Hierarchy) AccessStrided(core int, addr int64, count int, stride int64, write bool, now uint64, c *Counters) uint64 {
+	p := h.pathOf(core)
 	sequential := stride > 0 && stride <= h.cfg.LineSize
 	var total uint64
 	for i := 0; i < count; i++ {
 		streamed := sequential && i != 0
-		total += h.access(core, addr+int64(i)*stride, write, now+total, streamed, c)
+		total += h.access(&p, (addr+int64(i)*stride)/h.cfg.LineSize, write, now+total, streamed, c)
 	}
 	return total
 }
@@ -447,14 +476,19 @@ func (h *Hierarchy) Flush() {
 		l.reset()
 	}
 	clear(h.version)
+	clear(h.holders)
 	for i := range h.nodeDemand {
 		h.nodeDemand[i] = 0
 	}
 }
 
-// growVersion extends the version table to cover line (power-of-two sizing
-// to amortize growth over the bump allocator's monotone address space).
-func (h *Hierarchy) growVersion(line int64) {
+// growLines extends the version and holder tables to cover line
+// (power-of-two sizing to amortize growth over the bump allocator's
+// monotone address space).
+func (h *Hierarchy) growLines(line int64) {
+	if line >= maxLine {
+		panic(fmt.Sprintf("cache: line %d does not fit a packed way (line numbers must stay below %d)", line, int64(maxLine)))
+	}
 	n := int64(len(h.version))
 	if n == 0 {
 		n = 1 << 10
@@ -462,7 +496,11 @@ func (h *Hierarchy) growVersion(line int64) {
 	for n <= line {
 		n *= 2
 	}
+	n = min(n, maxLine)
 	nv := make([]uint32, n)
 	copy(nv, h.version)
 	h.version = nv
+	nh := make([]uint8, n)
+	copy(nh, h.holders)
+	h.holders = nh
 }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -266,4 +268,35 @@ func BenchmarkAccessRangeScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.AccessRange(0, r.Base, size, false, 0, &c)
 	}
+}
+
+// TestPackingGuards: a line number that would not fit a packed way, or a
+// topology with more sockets than the L3 holder mask has bits, is refused
+// with a message naming the limit rather than silently aliasing.
+func TestPackingGuards(t *testing.T) {
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Fatalf("%s panicked with %q, want it to mention %q", name, msg, want)
+			}
+		}()
+		f()
+	}
+	mustPanic("nine sockets", "holder mask has 8 bits", func() {
+		topo := machine.New(9, 1)
+		New(DefaultConfig(), topo, machine.NewMemory(topo, machine.FirstTouch))
+	})
+	topo := machine.New(maxSockets, 1)
+	New(DefaultConfig(), topo, machine.NewMemory(topo, machine.FirstTouch)) // the widest topology that fits
+
+	h, _, _ := newTestHierarchy(machine.FirstTouch)
+	line := h.cfg.LineSize
+	mustPanic("Access", "must stay below", func() { h.Access(0, maxLine*line, false, 0, nil) })
+	mustPanic("AccessRange", "must stay below", func() { h.AccessRange(5, (maxLine+3)*line, 2*line, true, 0, nil) })
+	mustPanic("AccessStrided", "must stay below", func() { h.AccessStrided(47, (maxLine+1)*line, 4, 8, false, 0, nil) })
 }

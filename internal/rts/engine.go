@@ -71,7 +71,15 @@ type runtime struct {
 	centralFree sim.Time // central queue availability (lock serialization)
 	queued      int      // tasks currently in queues (GCC throttle)
 
-	rng     *rand.Rand
+	rng *rand.Rand
+	pcg *rand.PCG // rng's source, so tests can snapshot and restore it
+	// pool carries the task bodies' coroutines; at most one idle carrier
+	// per core is kept.
+	pool *sim.Pool
+	// stealable lists, in worker order, the workers whose deques are
+	// non-empty at the current step (work-stealing only).
+	stealable []*worker
+
 	trace   *profile.Trace
 	root    *task
 	live    int
@@ -84,12 +92,23 @@ func Run(cfg Config, program func(Ctx)) *profile.Trace { return run(cfg, program
 
 // run is Run returning the whole finished runtime, for white-box tests.
 func run(cfg Config, program func(Ctx)) *runtime {
+	rt := newRuntime(cfg, program)
+	defer rt.pool.Close()
+	rt.loop()
+	rt.finalize()
+	return rt
+}
+
+// newRuntime sets up a run of program, ready for its first step.
+func newRuntime(cfg Config, program func(Ctx)) *runtime {
 	cfg = cfg.withDefaults()
 	rt := &runtime{
 		cfg:  cfg,
 		topo: cfg.Topology,
-		rng:  rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
+		pcg:  rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15),
+		pool: sim.NewPool(cfg.Cores),
 	}
+	rt.rng = rand.New(rt.pcg)
 	rt.mem = machine.NewMemory(rt.topo, cfg.Policy)
 	rt.hier = cache.New(cfg.Cache, rt.topo, rt.mem)
 	for i := 0; i < cfg.Cores; i++ {
@@ -117,9 +136,6 @@ func run(cfg Config, program func(Ctx)) *runtime {
 	rt.live = 1
 	rt.root.readyAt = 0
 	rt.workers[0].next = rt.root
-
-	rt.loop()
-	rt.finalize()
 	return rt
 }
 
@@ -158,6 +174,13 @@ func (rt *runtime) loop() {
 // deterministic) — this models random victim selection for steals and
 // contention on the central queue, both of which decide which core a grain
 // lands on and therefore the scatter metric.
+//
+// Candidates are considered in worker order, and each exact tie draws from
+// the generator, so the order and the set of tied candidates are part of
+// the result. An idle worker's steal candidates are the tops of the
+// stealable deques, collected once per step; the worker skips them all when
+// even the earliest top could not beat or tie the best candidate so far —
+// exactly the candidates consider would reject without drawing.
 func (rt *runtime) bestAction() (action, bool) {
 	best := action{}
 	found := false
@@ -174,6 +197,19 @@ func (rt *runtime) bestAction() (action, bool) {
 			ties++
 			if rt.rng.IntN(ties) == 0 {
 				best = cand
+			}
+		}
+	}
+
+	minTop := sim.Time(0)
+	if rt.cfg.Scheduler != CentralQueueSched {
+		rt.stealable = rt.stealable[:0]
+		for _, v := range rt.workers {
+			if t, ok := v.deque.PeekTop(); ok {
+				if len(rt.stealable) == 0 || t.readyAt < minTop {
+					minTop = t.readyAt
+				}
+				rt.stealable = append(rt.stealable, v)
 			}
 		}
 	}
@@ -199,17 +235,17 @@ func (rt *runtime) bestAction() (action, bool) {
 					rt.cfg.Costs.QueueOp
 				consider(action{w: w, t: t, kind: actCentral, at: at})
 			}
-		} else if w.deque.Len() == 0 {
-			// Steal candidates: earliest-available victim top; among ties the
-			// victim is randomized at perform time.
-			for _, v := range rt.workers {
-				if v == w {
-					continue
-				}
-				if t, ok := v.deque.PeekTop(); ok {
-					consider(action{w: w, t: t, victim: v, kind: actSteal,
-						at: sim.MaxTime(w.clock, t.readyAt) + rt.cfg.Costs.Steal})
-				}
+		} else if w.deque.Len() == 0 && len(rt.stealable) > 0 {
+			// Steal candidates: every stealable victim's top, in worker
+			// order, unless none can win or tie.
+			if earliest := sim.MaxTime(w.clock, minTop) + rt.cfg.Costs.Steal; found &&
+				(earliest > best.at || earliest == best.at && best.kind < actSteal) {
+				continue
+			}
+			for _, v := range rt.stealable {
+				t, _ := v.deque.PeekTop()
+				consider(action{w: w, t: t, victim: v, kind: actSteal,
+					at: sim.MaxTime(w.clock, t.readyAt) + rt.cfg.Costs.Steal})
 			}
 		}
 	}
@@ -269,7 +305,7 @@ func (rt *runtime) runOn(w *worker, t *task) {
 		t.rec.StartTime = w.clock
 		body := t.body
 		ctx := &taskCtx{rt: rt, t: t}
-		t.coro = sim.NewCoro(func(*sim.Coro) { body(ctx) })
+		t.coro = rt.pool.New(func(*sim.Coro) { body(ctx) })
 	} else if t.parked == parkTaskWait {
 		// Finalize the join boundary recorded at suspension.
 		b := &t.rec.Boundaries[len(t.rec.Boundaries)-1]

@@ -3,11 +3,15 @@
 //
 // Task bodies are ordinary Go closures, but the simulator must suspend them
 // at synchronization points (taskwait) and resume them later in virtual-time
-// order. Each task body therefore runs on its own goroutine, coordinated
-// with the engine through channel handoff so that exactly one goroutine —
-// the engine's or one coroutine's — runs at any moment. All parallelism in
-// the simulation is virtual.
+// order. A body therefore runs as a coroutine on a carrier: a goroutine
+// driven through iter.Pull, so that resuming and parking are direct runtime
+// coroutine switches and exactly one goroutine — the engine's or one
+// carrier's — runs at any moment. A Pool keeps finished carriers and hands
+// them to the next body, so a carrier's grown stack is reused rather than
+// grown again for every task. All parallelism in the simulation is virtual.
 package sim
+
+import "iter"
 
 // Time is virtual time in cycles.
 type Time = uint64
@@ -25,55 +29,98 @@ const (
 // killed is the sentinel panic value used to unwind an abandoned coroutine.
 type killed struct{}
 
+// Pool runs coroutines on reusable carriers. It keeps at most maxIdle
+// finished carriers for later coroutines; a carrier finishing beyond that
+// exits. A Pool is not safe for concurrent use: one simulated run owns it,
+// and Close ends every carrier it started, parked coroutines included.
+type Pool struct {
+	idle    []*carrier
+	maxIdle int
+	// busy holds the carriers running a coroutine that has not finished,
+	// each at its slot, so that Close can unwind them.
+	busy []*carrier
+}
+
+// carrier is one goroutine that runs coroutine bodies in turn.
+type carrier struct {
+	next  func() (Status, bool)
+	stop  func()
+	yield func(Status) bool
+	job   *Coro // the coroutine the carrier runs next or is running
+	slot  int   // index in Pool.busy while running a coroutine
+}
+
+// NewPool returns a pool that keeps at most maxIdle idle carriers.
+func NewPool(maxIdle int) *Pool { return &Pool{maxIdle: maxIdle} }
+
 // Coro is a one-shot coroutine. The engine drives it with Resume; the
 // coroutine's function yields with Park. A Coro must be finished (run to
-// Done) or Killed, otherwise its goroutine leaks.
+// Done), Killed, or left to its Pool's Close.
 type Coro struct {
-	resume   chan struct{}
-	yield    chan Status
+	pool     *Pool
+	fn       func(c *Coro)
+	car      *carrier // nil until the first Resume and after Done or Kill
 	done     bool
 	dead     bool
 	panicked bool
 	panicVal any
 }
 
-// NewCoro creates a coroutine around fn. The goroutine starts immediately
-// but blocks until the first Resume.
-func NewCoro(fn func(c *Coro)) *Coro {
-	c := &Coro{resume: make(chan struct{}), yield: make(chan Status)}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killed); ok {
-					return // unwound by Kill; exit silently
-				}
-				// Propagate the panic to the resumer instead of crashing
-				// this goroutine (and the process).
-				c.panicked = true
-				c.panicVal = r
-				c.yield <- Done
-			}
-		}()
-		_, ok := <-c.resume
-		if !ok {
-			panic(killed{})
+// New creates a coroutine around fn. It takes a carrier at its first
+// Resume, so a coroutine killed before it starts costs no goroutine.
+func (p *Pool) New(fn func(c *Coro)) *Coro { return &Coro{pool: p, fn: fn} }
+
+// run is a carrier's body: run each coroutine it is handed to completion,
+// report Done, and wait for the next, until it is stopped. A carrier whose
+// coroutine is killed exits with it.
+func (car *carrier) run(yield func(Status) bool) {
+	car.yield = yield
+	for {
+		if car.job.runBody() {
+			return // killed: the carrier was stopped while parked
 		}
-		fn(c)
-		c.yield <- Done
+		if !yield(Done) {
+			return // stopped while idle
+		}
+	}
+}
+
+// runBody runs the coroutine's function and reports whether Kill unwound
+// it. Any other panic is recorded for Resume to raise in the resumer, so
+// the carrier survives it.
+func (c *Coro) runBody() (wasKilled bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); ok {
+				wasKilled = true
+				return
+			}
+			c.panicked, c.panicVal = true, r
+		}
 	}()
-	return c
+	c.fn(c)
+	return false
 }
 
 // Resume transfers control to the coroutine until it parks or finishes and
-// reports which happened. Resuming a Done or Killed coroutine panics.
+// reports which happened. Resuming a Done or Killed coroutine panics. A
+// panic in the coroutine's function propagates to the caller of Resume and
+// leaves the coroutine finished.
 func (c *Coro) Resume() Status {
 	if c.done || c.dead {
 		panic("sim: Resume on finished or killed coroutine")
 	}
-	c.resume <- struct{}{}
-	st := <-c.yield
+	if c.car == nil {
+		c.car = c.pool.take(c)
+	}
+	car := c.car
+	// A carrier stops only once its coroutine is done or dead, so next
+	// always yields here.
+	st, _ := car.next()
 	if st == Done {
 		c.done = true
+		c.car = nil
+		c.pool.release(car)
 		if c.panicked {
 			panic(c.panicVal)
 		}
@@ -82,12 +129,10 @@ func (c *Coro) Resume() Status {
 }
 
 // Park suspends the coroutine, returning control to the resumer. It must be
-// called from inside the coroutine's function. If the coroutine has been
-// killed while parked, Park unwinds the goroutine via panic(killed{}).
+// called from inside the coroutine's function. If the coroutine is killed
+// while parked, Park unwinds the function via panic(killed{}).
 func (c *Coro) Park() {
-	c.yield <- Suspended
-	_, ok := <-c.resume
-	if !ok {
+	if !c.car.yield(Suspended) {
 		panic(killed{})
 	}
 }
@@ -96,7 +141,7 @@ func (c *Coro) Park() {
 func (c *Coro) Done() bool { return c.done }
 
 // Kill abandons a parked (or never-started) coroutine, unwinding its
-// goroutine so it does not leak. Killing a Done coroutine is a no-op;
+// function so that its carrier exits. Killing a Done coroutine is a no-op;
 // killing a running coroutine is impossible by construction (only one
 // goroutine runs at a time).
 func (c *Coro) Kill() {
@@ -104,10 +149,60 @@ func (c *Coro) Kill() {
 		return
 	}
 	c.dead = true
-	close(c.resume)
-	// Drain the final yield if the goroutine reaches one while unwinding.
-	// Unwinding via panic(killed{}) never sends, so nothing to drain; the
-	// close wakes the receive in Park or the initial receive.
+	if car := c.car; car != nil {
+		c.car = nil
+		c.pool.unbusy(car)
+		car.stop()
+	}
+}
+
+// Close ends every carrier the pool started: idle carriers exit and parked
+// coroutines are killed. The pool must not be used afterwards.
+func (p *Pool) Close() {
+	for _, car := range p.idle {
+		car.stop()
+	}
+	p.idle = nil
+	for len(p.busy) > 0 {
+		car := p.busy[len(p.busy)-1]
+		car.job.Kill()
+	}
+}
+
+// take returns a carrier for c: an idle one, or a new goroutine.
+func (p *Pool) take(c *Coro) *carrier {
+	var car *carrier
+	if n := len(p.idle); n > 0 {
+		car = p.idle[n-1]
+		p.idle = p.idle[:n-1]
+	} else {
+		car = &carrier{}
+		car.next, car.stop = iter.Pull(iter.Seq[Status](car.run))
+	}
+	car.job = c
+	car.slot = len(p.busy)
+	p.busy = append(p.busy, car)
+	return car
+}
+
+// release takes back the carrier of a finished coroutine, or stops it when
+// the pool already holds maxIdle idle carriers.
+func (p *Pool) release(car *carrier) {
+	p.unbusy(car)
+	car.job = nil
+	if len(p.idle) >= p.maxIdle {
+		car.stop()
+		return
+	}
+	p.idle = append(p.idle, car)
+}
+
+// unbusy removes car from the busy set.
+func (p *Pool) unbusy(car *carrier) {
+	last := p.busy[len(p.busy)-1]
+	p.busy[car.slot] = last
+	last.slot = car.slot
+	p.busy = p.busy[:len(p.busy)-1]
 }
 
 // MaxTime returns the larger of two times.
