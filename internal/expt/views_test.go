@@ -3,12 +3,16 @@ package expt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 
+	"graingraph/internal/ggp"
 	"graingraph/internal/query"
 	"graingraph/internal/runpool"
+	"graingraph/internal/whatif"
 	"graingraph/internal/workloads"
 )
 
@@ -96,6 +100,79 @@ func FuzzViewParams(f *testing.F) {
 		}
 		if !bytes.Equal(out[0], out[1]) {
 			t.Fatalf("%s?%s: -j 1 and -j 4 renders differ", view, raw)
+		}
+	})
+}
+
+// acceptedRows are the view rows FuzzAnalyzeAccepted renders for every
+// artifact the reader accepts.
+var acceptedRows = [][2]string{
+	{"summary", ""},
+	{"highlight", ""},
+	{"whatif", ""},
+	{"window", "depth=2&top=8&format=dot"},
+	{"query", "q=" + url.QueryEscape("from grains | filter exec > 0 | groupby loc | agg count, sum(exec) | sort sum_exec desc | topk 5")},
+}
+
+// FuzzAnalyzeAccepted: an artifact the reader accepts is one the analysis
+// stack can take. Whatever ggp.Decode accepts is analyzed and rendered as
+// the summary, highlight, what-if, window and query rows without
+// panicking, with identical bytes on a 1-worker and a 4-worker pool, and
+// every perfect-cutoff candidate evaluates to the oracle's projection.
+func FuzzAnalyzeAccepted(f *testing.F) {
+	subs, err := viewFixture()
+	if err != nil {
+		f.Fatal(err)
+	}
+	res := subs[0].Res
+	var v1 bytes.Buffer
+	if err := ggp.WriteTrace(&v1, res.Trace); err != nil {
+		f.Fatal(err)
+	}
+	v2, err := ggp.EncodeV2(res.Trace, res.Graph, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range [][]byte{v1.Bytes(), v2} {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(b[:len(b)-1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out [2][]byte
+		for i, pool := range viewPools {
+			dec, err := ggp.Decode(data, pool, nil)
+			if err != nil {
+				out[i] = []byte("rejected: " + err.Error())
+				continue
+			}
+			sub := &Subject{Res: AnalyzeDecodedOn(pool, dec, nil, Config{}, nil)}
+			for _, row := range acceptedRows {
+				v := LookupView(row[0])
+				q, _ := url.ParseQuery(row[1])
+				p, err := v.Parse(q)
+				if err != nil {
+					t.Fatalf("%s?%s: %v", row[0], row[1], err)
+				}
+				b, err := v.Render(sub, p, pool, nil)
+				out[i] = fmt.Appendf(append(out[i], b...), "%s: %v\n", row[0], err)
+			}
+			if i > 0 {
+				continue
+			}
+			e := whatif.New(sub.Res.Graph, sub.Res.Report)
+			for _, h := range e.Candidates(sub.Res.Assessment, whatif.RankOptions{}) {
+				if _, ok := h.(whatif.CollapseAtDepth); !ok {
+					continue
+				}
+				if got, want := e.Eval(h), e.EvalFull(h); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Eval %+v, EvalFull %+v", h.Label(), got, want)
+				}
+			}
+		}
+		if !bytes.Equal(out[0], out[1]) {
+			d := diffLine(out[0], out[1])
+			t.Fatalf("-j 1 and -j 4 differ at line %d:\n-j 1: %q\n-j 4: %q", d, lineAt(out[0], d), lineAt(out[1], d))
 		}
 	})
 }

@@ -14,8 +14,10 @@
 // critical-path DP (metrics.CriticalPathDelta) that relaxes only the edited
 // nodes' downstream cone against the baseline distances. Hypotheses whose
 // edit set or dirty cone covers too much of the graph spill to a dense
-// vector and take the exact full DP — the same path EvalFull always takes,
-// kept as the bit-exact oracle the sparse path is tested against.
+// vector and take an exact full DP. Perfect cutoffs at a spawn depth are
+// evaluated on the graph contracted at that depth (contract.go). EvalFull
+// always materializes the edited vector and runs metrics.CriticalSpanOver:
+// it is the bit-exact oracle both fast paths are tested against.
 //
 // Soundness: weight transformations (ScaleGrain, ZeroInflation) are exact
 // with respect to the model — the graph's structure is unchanged, so the
@@ -98,7 +100,10 @@ const (
 type EvalStats struct {
 	// Sparse evaluations completed on the delta DP alone.
 	Sparse uint64
-	// Full evaluations that ran the dense full DP (EvalFull calls plus
+	// Contracted perfect-cutoff evaluations completed on the graph
+	// contracted at their depth.
+	Contracted uint64
+	// Full evaluations that ran a dense full DP (EvalFull calls plus
 	// sparse fallbacks).
 	Full uint64
 	// Fallback counts the subset of Full where Eval started sparse but the
@@ -150,48 +155,41 @@ type Engine struct {
 	own        *core.Owners
 	ownerEntry []int32
 
-	// Scratch pools for the two node-sized per-evaluation buffers (the
-	// spilled dense weight vector and the collapse moved-work accumulator).
-	// A ranking pass runs ~20 dense evaluations back to back; without
-	// reuse each one allocates tens of MB that the collector has to chase.
-	densePool sync.Pool
-	movedPool sync.Pool
+	// The perfect-cutoff index (contract.go), built on first use; the
+	// dense DP runs on its numbering and predecessor lists, which dagOnce
+	// builds, while cutOnce completes the rest.
+	dagOnce, cutOnce sync.Once
+	cut              *cutIndex
 
-	sparseEvals, fullEvals, fallbackEvals atomic.Uint64
+	// scratch is a free list of node-sized buffers: dense weight vectors,
+	// DP finish times, the collapse accumulator and the cutoff index's
+	// build tables. Without reuse each dense evaluation allocates tens of
+	// MB that the collector has to chase. A plain list, unlike a
+	// sync.Pool, hands a buffer one worker returned to the next worker
+	// that asks.
+	scratchMu sync.Mutex
+	scratch   [][]profile.Time
+
+	sparseEvals, contractedEvals, fullEvals, fallbackEvals atomic.Uint64
 }
 
-// getDense returns a node-sized weight buffer with arbitrary contents
-// (spill overwrites every element); putDense recycles it.
+// getDense returns a node-sized buffer with arbitrary contents; putDense
+// recycles it.
 func (e *Engine) getDense() []profile.Time {
-	if b, ok := e.densePool.Get().(*[]profile.Time); ok && len(*b) == e.G.NumNodes() {
-		return *b
+	e.scratchMu.Lock()
+	defer e.scratchMu.Unlock()
+	if k := len(e.scratch); k > 0 {
+		b := e.scratch[k-1]
+		e.scratch = e.scratch[:k-1]
+		return b
 	}
 	return make([]profile.Time, e.G.NumNodes())
 }
 
 func (e *Engine) putDense(b []profile.Time) {
-	if len(b) == e.G.NumNodes() {
-		e.densePool.Put(&b)
-	}
-}
-
-// getMoved returns a zeroed node-sized accumulator; putMoved recycles it
-// (clearing on get keeps the put path free even on error exits).
-func (e *Engine) getMoved() []int64 {
-	if b, ok := e.movedPool.Get().(*[]int64); ok && len(*b) == e.G.NumNodes() {
-		m := *b
-		for i := range m {
-			m[i] = 0
-		}
-		return m
-	}
-	return make([]int64, e.G.NumNodes())
-}
-
-func (e *Engine) putMoved(b []int64) {
-	if len(b) == e.G.NumNodes() {
-		e.movedPool.Put(&b)
-	}
+	e.scratchMu.Lock()
+	e.scratch = append(e.scratch, b)
+	e.scratchMu.Unlock()
 }
 
 // New builds an engine over a grain graph and its (optional) metric report.
@@ -282,9 +280,10 @@ func (e *Engine) resolveEntries() {
 // engine was built. Safe to call concurrently with evaluations.
 func (e *Engine) Stats() EvalStats {
 	return EvalStats{
-		Sparse:   e.sparseEvals.Load(),
-		Full:     e.fullEvals.Load(),
-		Fallback: e.fallbackEvals.Load(),
+		Sparse:     e.sparseEvals.Load(),
+		Contracted: e.contractedEvals.Load(),
+		Full:       e.fullEvals.Load(),
+		Fallback:   e.fallbackEvals.Load(),
 	}
 }
 
@@ -362,11 +361,13 @@ func (v *weightOverlay) spill() {
 // edits into a sparse overlay, projected work is BaseWork + Δ, and the
 // projected span comes from the delta-aware critical-path DP seeded at the
 // edited nodes. When the edit set spills or the dirty cone exceeds the
-// fallback fraction, the evaluation completes on the exact full DP instead
-// — the result is identical either way (see the oracle tests), only the
-// cost differs. The makespan model is unchanged: max(new span, observed
-// makespan minus the removed work spread evenly over the cores); infinite-
-// core hypotheses collapse to the span.
+// fallback fraction, the evaluation completes on the exact full DP instead.
+// A perfect cutoff at a depth whose regions contract exactly skips the
+// overlay and runs on the contracted graph. The result is identical on
+// every path (see the oracle tests), only the cost differs. The makespan
+// model is unchanged: max(new span, observed makespan minus the removed
+// work spread evenly over the cores); infinite-core hypotheses collapse to
+// the span.
 func (e *Engine) Eval(h Hypothesis) Projection {
 	return e.eval(h, false)
 }
@@ -383,6 +384,13 @@ func (e *Engine) eval(h Hypothesis, forceFull bool) Projection {
 	sp := e.Obs.Child("whatif:eval")
 	defer sp.End()
 
+	if c, ok := h.(CollapseAtDepth); ok && !forceFull {
+		if work, span, ok := e.cuts(nil).collapse(e, e.cutDepth(c.Depth)); ok {
+			e.contractedEvals.Add(1)
+			return e.project(h, work, span, false)
+		}
+	}
+
 	n := e.G.NumNodes()
 	spillAt := n / spillFraction
 	if spillAt < spillMinEdits {
@@ -398,7 +406,7 @@ func (e *Engine) eval(h Hypothesis, forceFull bool) Projection {
 	if forceFull {
 		v.spill()
 	}
-	if dh, ok := h.(denseHint); ok && dh.likelyDense(e) {
+	if z, ok := h.(ZeroInflation); ok && z.likelyDense(e) {
 		v.spill()
 	}
 	inf := h.apply(e, v)
@@ -428,7 +436,11 @@ func (e *Engine) eval(h Hypothesis, forceFull bool) Projection {
 			work = profile.Time(int64(e.BaseWork) + v.delta)
 		}
 		dist := e.getDense()
-		span = metrics.CriticalSpanOver(e.G, v.dense, dist, nil)
+		if forceFull {
+			span = metrics.CriticalSpanOver(e.G, v.dense, dist, nil)
+		} else {
+			span = e.dag(nil).finish(v.dense, noCut, dist)
+		}
 		e.putDense(dist)
 		fsp.End()
 		e.fullEvals.Add(1)
@@ -440,7 +452,11 @@ func (e *Engine) eval(h Hypothesis, forceFull bool) Projection {
 		e.putDense(v.dense)
 		v.dense = nil
 	}
+	return e.project(h, work, span, inf)
+}
 
+// project completes a projection from the hypothesis's work and span.
+func (e *Engine) project(h Hypothesis, work, span profile.Time, inf bool) Projection {
 	cores := int64(e.Cores)
 	if cores < 1 {
 		cores = 1
@@ -474,10 +490,31 @@ func (e *Engine) eval(h Hypothesis, forceFull bool) Projection {
 // EvalAll evaluates independent hypotheses across the pool (nil or
 // single-worker pools run serially) and returns projections in hypothesis
 // order — never completion order — so output is deterministic at every
-// parallelism level.
+// parallelism level. The perfect-cutoff family is one job, issued first:
+// it builds the index its members share, and the other candidates overlap
+// it.
 func (e *Engine) EvalAll(pool *runpool.Runner, hs []Hypothesis) []Projection {
-	out, _ := runpool.Map(pool, len(hs), func(i int) (Projection, error) {
-		return e.Eval(hs[i]), nil
+	var family []int
+	var jobs [][]int
+	for i, h := range hs {
+		if _, ok := h.(CollapseAtDepth); ok {
+			family = append(family, i)
+		} else {
+			jobs = append(jobs, []int{i})
+		}
+	}
+	if family != nil {
+		jobs = append([][]int{family}, jobs...)
+	}
+	out := make([]Projection, len(hs))
+	runpool.Map(pool, len(jobs), func(j int) (struct{}, error) {
+		if j == 0 && family != nil {
+			e.cuts(pool) // the family's index, built across the pool
+		}
+		for _, i := range jobs[j] {
+			out[i] = e.Eval(hs[i])
+		}
+		return struct{}{}, nil
 	})
 	return out
 }
@@ -577,7 +614,10 @@ func (h ZeroInflation) Label() string {
 func (h ZeroInflation) Approximate() bool { return false }
 
 // likelyDense reports that whole-report de-inflation on a large graph edits
-// most weighted nodes; single-grain de-inflation stays sparse.
+// most weighted nodes, so evaluation materializes the dense vector up front
+// instead of churning the sparse map until it spills; single-grain
+// de-inflation stays sparse. Purely a cost hint: a wrong guess costs time,
+// never correctness.
 func (h ZeroInflation) likelyDense(e *Engine) bool {
 	return h.All && e.G.NumNodes() > 8*spillMinEdits
 }
@@ -669,7 +709,7 @@ func (h CollapseAtDepth) Label() string { return fmt.Sprintf("perfect cutoff at 
 func (h CollapseAtDepth) Approximate() bool { return true }
 
 func (h CollapseAtDepth) apply(e *Engine, v *weightOverlay) bool {
-	d := int32(h.Depth)
+	d := e.cutDepth(h.Depth)
 	rootEntry := newRootEntryCache(len(e.ownerEntry))
 	var resolve func(si int32) int32
 	resolve = func(si int32) int32 {
@@ -696,21 +736,17 @@ func (h CollapseAtDepth) apply(e *Engine, v *weightOverlay) bool {
 	return false
 }
 
-// denseHint lets a hypothesis declare up front that its edit set will cover
-// a large fraction of the graph, so evaluation materializes the dense
-// vector immediately instead of churning the sparse map until it spills.
-// Purely a cost hint: the dense path computes the exact full DP either way,
-// so a wrong guess costs time, never correctness.
-type denseHint interface {
-	likelyDense(e *Engine) bool
-}
-
-// likelyDense reports that cutoff collapses on large graphs edit most of
-// the node table: every candidate the ranking pass generates on the giant
-// artifact spills regardless of depth, so skip the map phase entirely.
-// Small graphs stay sparse, keeping the delta DP exercised by tests.
-func (h CollapseAtDepth) likelyDense(e *Engine) bool {
-	return e.G.NumNodes() > 8*spillMinEdits
+// cutDepth narrows a cutoff depth to the slot tables' int32. Every depth
+// past the deepest task collapses nothing, and neither does one below -1
+// (the depth of owners that are no task), so each range maps to one value.
+func (e *Engine) cutDepth(depth int) int32 {
+	switch {
+	case depth > e.maxTaskDepth:
+		return int32(e.maxTaskDepth) + 1
+	case depth < -1:
+		return -2
+	}
+	return int32(depth)
 }
 
 // entryUnresolved marks a rootEntry cache slot whose collapse root has not
@@ -743,8 +779,9 @@ func newRootEntryCache(n int) []int32 {
 func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootEntryOf func(si int32) int32) {
 	g := e.G
 	numNodes := core.NodeID(g.NumNodes())
-	moved := e.getMoved()
-	defer e.putMoved(moved)
+	moved := e.getDense()
+	clear(moved)
+	defer e.putDense(moved)
 	any := false
 	for n := core.NodeID(0); n < numNodes; n++ {
 		si := e.own.Of[n]
@@ -758,12 +795,12 @@ func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootEntryOf func
 			v.Set(n, 0)
 		case core.NodeFragment:
 			if e.own.Depth[si] != rootDepth {
-				moved[entry] += int64(v.At(n))
+				moved[entry] += v.At(n)
 				v.Set(n, 0)
 				any = true
 			}
 		case core.NodeChunk:
-			moved[entry] += int64(v.At(n))
+			moved[entry] += v.At(n)
 			v.Set(n, 0)
 			any = true
 		}
@@ -773,7 +810,7 @@ func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootEntryOf func
 	}
 	for n := core.NodeID(0); n < numNodes; n++ {
 		if m := moved[n]; m != 0 {
-			v.Set(n, v.At(n)+profile.Time(m))
+			v.Set(n, v.At(n)+m)
 		}
 	}
 }
