@@ -186,6 +186,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "grainbench: %v\n", err)
 			failed = append(failed, "phases")
 		}
+		simulated, memoized := expt.MemoStats()
+		recorded, replayed := expt.FactStats()
+		fmt.Fprintf(w, "  runs: %d simulated / %d memoized; input facts: %d recorded / %d replayed\n",
+			simulated, memoized, recorded, replayed)
 	}
 	if *selfProf != "" && selfProfile != nil {
 		if err := writeSelfProfile(stderr, *selfProf, selfProfile); err != nil {

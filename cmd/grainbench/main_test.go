@@ -36,7 +36,7 @@ func TestRunFigure2Phases(t *testing.T) {
 		t.Fatalf("exit %d, want 0; stderr:\n%s", got, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"Figure 2: 376.kdtree", "memo simulate:"} {
+	for _, want := range []string{"Figure 2: 376.kdtree", "memo simulate:", "input facts: 0 recorded / 0 replayed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, out)
 		}

@@ -1,5 +1,5 @@
 // The experiment engine: every simulated run in this package flows through
-// simulate(), which layers two mechanisms over rts.Run:
+// simulate(), which layers three mechanisms over rts.Run:
 //
 //   - A content-addressed memoization cache. Runs are keyed by (workload
 //     content key, machine config, runtime knobs), so
@@ -8,6 +8,12 @@
 //     once per process, with single-flight semantics under concurrency.
 //     The simulator is deterministic, so a cached trace is bit-identical to
 //     the rerun it replaces.
+//
+//   - An input-facts store (workloads.FactStore). A run that misses the
+//     memo but shares its input with an earlier verified run — Sort across
+//     Figure 1's flavours and page policies — replays what the input
+//     determined (Sort's comparison counts and merge splits) instead of
+//     redoing the real work. The trace is identical either way.
 //
 //   - A bounded worker pool (internal/runpool). Figures batch their
 //     independent runs through runBatch/makespanBatch, which fan out across
@@ -39,6 +45,12 @@ var (
 
 // simMemo caches verified simulation runs for the life of the process.
 var simMemo = runpool.NewCache[*profile.Trace]()
+
+// inputFacts holds what verified live runs determined about their inputs
+// (workloads.FactStore), so a simulation that misses simMemo but shares
+// its input with an earlier run replays the input's facts instead of
+// redoing the real work. It lives and resets with simMemo.
+var inputFacts = workloads.NewFactStore()
 
 // SetParallelism bounds how many simulations run concurrently: the -j flag.
 // j == 1 is the strict serial fallback (runs execute in submission order on
@@ -83,15 +95,24 @@ func currentPool() *runpool.Runner {
 // export) at the same -j the analyses ran with.
 func Pool() *runpool.Runner { return currentPool() }
 
-// ResetMemo drops every cached simulation. Benchmarks use it so that
-// repeated regenerations measure real work, and the determinism tests use
-// it so both sides of a -j comparison execute their runs for real.
-func ResetMemo() { simMemo.Reset() }
+// ResetMemo drops every cached simulation and every recorded input fact.
+// Benchmarks use it so that repeated regenerations measure real work, and
+// the determinism tests use it so both sides of a -j comparison execute
+// their runs for real.
+func ResetMemo() {
+	simMemo.Reset()
+	inputFacts.Reset()
+}
 
 // MemoStats reports how many simulations actually executed and how many
 // requests were served from the cache since process start or the last
 // ResetMemo.
 func MemoStats() (simulated, memoized uint64) { return simMemo.Stats() }
+
+// FactStats reports how many inputs' facts simulations recorded and how
+// many simulations replayed them instead of doing the real work, since
+// process start or the last ResetMemo.
+func FactStats() (recorded, replayed uint64) { return inputFacts.Stats() }
 
 // simKey content-addresses a run request, covering the workload's full
 // input configuration and every runtime knob that shapes the trace. The
@@ -144,6 +165,9 @@ func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.
 	compute := func() (*profile.Trace, error) {
 		sp := SelfProfiler().Begin("simulate:" + label)
 		defer sp.End()
+		if fu, ok := inst.(workloads.FactUser); ok {
+			fu.UseFacts(inputFacts)
+		}
 		tr := rts.Run(rcfg, inst.Program())
 		if err := inst.Verify(); err != nil {
 			return tr, err

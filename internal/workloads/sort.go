@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 
 	"graingraph/internal/machine"
 	"graingraph/internal/profile"
@@ -33,17 +34,19 @@ func DefaultSortParams() SortParams {
 	return SortParams{N: 1 << 22, SeqCutoff: 16384, MergeCutoff: 65536, InsertionCutoff: 20, Seed: 11}
 }
 
-// SortInstance is a runnable Sort workload.
+// SortInstance is a runnable Sort workload. Its two arrays are allocated
+// by the first live run, so an instance whose runs all replay facts (or
+// are memo hits) never holds them.
 type SortInstance struct {
-	P    SortParams
-	data []int32
-	tmp  []int32
+	P     SortParams
+	data  []int32
+	tmp   []int32
+	store *FactStore
+	last  *sortRun
 }
 
 // NewSort creates a Sort instance.
-func NewSort(p SortParams) *SortInstance {
-	return &SortInstance{P: p, data: make([]int32, p.N), tmp: make([]int32, p.N)}
-}
+func NewSort(p SortParams) *SortInstance { return &SortInstance{P: p} }
 
 // Name implements Instance.
 func (s *SortInstance) Name() string { return fmt.Sprintf("sort-n%d-cut%d", s.P.N, s.P.SeqCutoff) }
@@ -51,8 +54,57 @@ func (s *SortInstance) Name() string { return fmt.Sprintf("sort-n%d-cut%d", s.P.
 // Key implements Keyed: the content address covers every parameter.
 func (s *SortInstance) Key() string { return paramKey("sort", s.P) }
 
+// UseFacts implements FactUser: a run whose input has facts in store
+// replays them, moving no data; any other run sorts live, records, and
+// publishes its facts once Verify passes.
+func (s *SortInstance) UseFacts(store *FactStore) { s.store = store }
+
+// newRun starts one execution: a replay when the store has this input's
+// facts, else a live run over freshly generated data.
+func (s *SortInstance) newRun() *sortRun {
+	r := &sortRun{}
+	if s.store != nil {
+		if r.facts = s.store.lookupSort(s.Key()); r.facts != nil {
+			r.usedLeaves = make([]bool, len(r.facts.leaves))
+			r.usedSplit = make([]bool, len(r.facts.splits))
+		} else if s.P.N <= math.MaxInt32 { // mergeKey holds int32 positions
+			r.rec = &sortFacts{}
+		}
+	}
+	if r.live() {
+		if s.data == nil {
+			s.data, s.tmp = make([]int32, s.P.N), make([]int32, s.P.N)
+		}
+		rng := newRNG(s.P.Seed)
+		for i := range s.data {
+			v := int32(rng.Int32())
+			s.data[i] = v
+			r.sum += fingerprint(v)
+		}
+	}
+	s.last = r
+	return r
+}
+
+// fingerprint hashes one element; the wrapping sum of fingerprints over
+// an array is a multiset checksum that any lost, duplicated or altered
+// element changes (with overwhelming probability).
+func fingerprint(v int32) uint64 {
+	x := uint64(uint32(v)) + 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 // Program implements Instance: the master initializes the array
 // (first-touching every page), then sorts it with recursive tasks.
+//
+// A live run really sorts. A replay issues the same Compute/Load/Store
+// charges and the same Spawn/TaskWait sequence with the input-determined
+// values read from the facts. Both check task ordering the same way: each
+// msort node counts the elements its leaves and merges completed, its
+// halves must be complete when it starts merging, and the root must reach
+// N.
 func (s *SortInstance) Program() func(rts.Ctx) {
 	return func(c rts.Ctx) {
 		n := s.P.N
@@ -62,10 +114,7 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 		// Sequential initialization by the master: under first-touch
 		// placement every page lands on node 0 — the root cause of the
 		// work inflation the paper fixes with round-robin placement.
-		rng := newRNG(s.P.Seed)
-		for i := range s.data {
-			s.data[i] = int32(rng.Int32())
-		}
+		r := s.newRun()
 		c.Store(arr, 0, int64(n)*4)
 		c.Store(tmp, 0, int64(n)*4)
 		c.Compute(uint64(n) * costArith)
@@ -76,15 +125,19 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 		}
 
 		// buf abstracts the two ping-pong buffers (BOTS cilksort alternates
-		// merge direction between levels instead of copying back).
+		// merge direction between levels instead of copying back). A buffer
+		// is told apart by its region, since a replay's d is nil.
 		type buf struct {
 			d []int32
 			r *machine.Region
 		}
 		bufA := buf{s.data, arr}
 		bufB := buf{s.tmp, tmp}
+		if !r.live() {
+			bufA.d, bufB.d = nil, nil
+		}
 		other := func(b buf) buf {
-			if &b.d[0] == &s.data[0] {
+			if b.r == arr {
 				return bufB
 			}
 			return bufA
@@ -93,105 +146,120 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 		// pmerge merges the sorted runs src[alo:ahi] and src[blo:bhi] into
 		// dst[out:...], splitting recursively like BOTS/cilkmerge: take the
 		// midpoint of the larger run, binary-search its value in the other,
-		// and merge the two halves as independent tasks.
-		var pmerge func(c rts.Ctx, src, dst buf, alo, ahi, blo, bhi, out int)
-		pmerge = func(c rts.Ctx, src, dst buf, alo, ahi, blo, bhi, out int) {
+		// and merge the two halves as independent tasks. Each sequential
+		// merge adds its output size to *done.
+		var pmerge func(c rts.Ctx, src, dst buf, alo, ahi, blo, bhi, out int, done *int)
+		pmerge = func(c rts.Ctx, src, dst buf, alo, ahi, blo, bhi, out int, done *int) {
 			an, bn := ahi-alo, bhi-blo
 			if an < bn {
 				alo, ahi, blo, bhi = blo, bhi, alo, ahi
 				an, bn = bn, an
 			}
 			if an+bn <= mergeCutoff || bn == 0 {
-				s.seqMerge(c, src.d, dst.d, src.r, dst.r, alo, ahi, blo, bhi, out)
+				if r.live() {
+					merge(src.d, dst.d, alo, ahi, blo, bhi, out)
+				}
+				c.Load(src.r, int64(alo)*4, int64(an)*4)
+				c.Load(src.r, int64(blo)*4, int64(bn)*4)
+				c.Store(dst.r, int64(out)*4, int64(an+bn)*4)
+				c.Compute(uint64(an+bn) * 3 * costCompare)
+				*done += an + bn
 				return
 			}
 			amid := alo + an/2
-			pivot := src.d[amid]
-			lo2, hi2 := blo, bhi
-			for lo2 < hi2 {
-				m := (lo2 + hi2) / 2
-				if src.d[m] < pivot {
-					lo2 = m + 1
-				} else {
-					hi2 = m
+			bmid := r.split(alo, ahi, blo, bhi, out, func() int {
+				pivot := src.d[amid]
+				lo2, hi2 := blo, bhi
+				for lo2 < hi2 {
+					m := (lo2 + hi2) / 2
+					if src.d[m] < pivot {
+						lo2 = m + 1
+					} else {
+						hi2 = m
+					}
 				}
-			}
-			bmid := lo2
+				return lo2
+			})
 			c.Compute(uint64(16) * costCompare) // binary search
 			left := (amid - alo) + (bmid - blo)
 			c.Spawn(profile.Loc("sort.go", 61, "pmerge"), func(c rts.Ctx) {
-				pmerge(c, src, dst, alo, amid, blo, bmid, out)
+				pmerge(c, src, dst, alo, amid, blo, bmid, out, done)
 			})
 			c.Spawn(profile.Loc("sort.go", 62, "pmerge"), func(c rts.Ctx) {
-				pmerge(c, src, dst, amid, ahi, bmid, bhi, out+left)
+				pmerge(c, src, dst, amid, ahi, bmid, bhi, out+left, done)
 			})
 			c.TaskWait()
 		}
 
 		// msort sorts [lo,hi) leaving the result in dst; recursion sorts the
-		// halves into the other buffer and merges across.
-		var msort func(c rts.Ctx, dst buf, lo, hi int)
-		msort = func(c rts.Ctx, dst buf, lo, hi int) {
+		// halves into the other buffer and merges across. It adds to *done
+		// the elements its leaf or merge completed by the time it returns,
+		// so a merge still running then leaves its parent's count short.
+		var msort func(c rts.Ctx, dst buf, lo, hi int, done *int)
+		msort = func(c rts.Ctx, dst buf, lo, hi int, done *int) {
 			size := hi - lo
 			if size <= s.P.SeqCutoff {
-				s.seqSortInto(c, dst.d, dst.r, lo, hi)
+				comps := r.leaf(lo, func() uint64 {
+					// Input values always originate in s.data; when dst is
+					// the other buffer they are copied across first, as the
+					// real alternating-buffer cilksort does.
+					if dst.r != arr {
+						copy(dst.d[lo:hi], s.data[lo:hi])
+					}
+					return s.quicksort(dst.d, lo, hi-1)
+				})
+				c.Load(dst.r, int64(lo)*4, int64(size)*4)
+				c.Store(dst.r, int64(lo)*4, int64(size)*4)
+				c.Compute(comps * costCompare)
+				*done += size
 				return
 			}
 			mid := lo + size/2
 			src := other(dst)
-			c.Spawn(profile.Loc("sort.go", 42, "msort"), func(c rts.Ctx) { msort(c, src, lo, mid) })
-			c.Spawn(profile.Loc("sort.go", 43, "msort"), func(c rts.Ctx) { msort(c, src, mid, hi) })
+			var halves, merged int
+			c.Spawn(profile.Loc("sort.go", 42, "msort"), func(c rts.Ctx) { msort(c, src, lo, mid, &halves) })
+			c.Spawn(profile.Loc("sort.go", 43, "msort"), func(c rts.Ctx) { msort(c, src, mid, hi, &halves) })
 			c.TaskWait()
-			pmerge(c, src, dst, lo, mid, mid, hi, lo)
+			if halves != size {
+				r.fail("merge of [%d,%d) started with %d of %d elements sorted", lo, hi, halves, size)
+			}
+			pmerge(c, src, dst, lo, mid, mid, hi, lo, &merged)
 			c.TaskWait()
+			*done += merged
 		}
-		msort(c, bufA, 0, n)
+		var sorted int
+		msort(c, bufA, 0, n, &sorted)
 		c.TaskWait()
-	}
-}
-
-// seqMerge really merges two sorted runs of src into dst[out:] and charges
-// the scan cost.
-func (s *SortInstance) seqMerge(c rts.Ctx, d, t []int32, srcReg, dstReg *machine.Region, alo, ahi, blo, bhi, out int) {
-	i, j, k := alo, blo, out
-	for i < ahi && j < bhi {
-		if d[i] <= d[j] {
-			t[k] = d[i]
-			i++
-		} else {
-			t[k] = d[j]
-			j++
+		if sorted != n {
+			r.fail("finished with %d of %d elements sorted", sorted, n)
 		}
-		k++
 	}
-	for ; i < ahi; i++ {
-		t[k] = d[i]
-		k++
-	}
-	for ; j < bhi; j++ {
-		t[k] = d[j]
-		k++
-	}
-	size := int64(k - out)
-	c.Load(srcReg, int64(alo)*4, int64(ahi-alo)*4)
-	c.Load(srcReg, int64(blo)*4, int64(bhi-blo)*4)
-	c.Store(dstReg, int64(out)*4, size*4)
-	c.Compute(uint64(size) * 3 * costCompare)
 }
 
-// seqSortInto really quick-sorts the input values of [lo,hi) into dst
-// (with insertion sort below the cutoff) and charges the equivalent
-// simulated cost. Input values always originate in s.data; when dst is the
-// other buffer they are copied across first, as the real alternating-buffer
-// cilksort does.
-func (s *SortInstance) seqSortInto(c rts.Ctx, dst []int32, dstReg *machine.Region, lo, hi int) {
-	if &dst[0] != &s.data[0] {
-		copy(dst[lo:hi], s.data[lo:hi])
+// merge merges the sorted runs d[alo:ahi] and d[blo:bhi] into t[out:].
+// The loop selects instead of branching, so the unpredictable comparison
+// costs no mispredictions; on ties it takes from the a run.
+func merge(d, t []int32, alo, ahi, blo, bhi, out int) {
+	a, b := d[alo:ahi], d[blo:bhi]
+	o := t[out : out+len(a)+len(b)]
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		lt := 0
+		if y < x {
+			lt = 1
+		}
+		v := x
+		if lt == 1 {
+			v = y
+		}
+		o[k] = v
+		i += 1 - lt
+		j += lt
+		k++
 	}
-	comparisons := s.quicksort(dst, lo, hi-1)
-	c.Load(dstReg, int64(lo)*4, int64(hi-lo)*4)
-	c.Store(dstReg, int64(lo)*4, int64(hi-lo)*4)
-	c.Compute(uint64(comparisons) * costCompare)
+	k += copy(o[k:], a[i:])
+	copy(o[k:], b[j:])
 }
 
 // quicksort sorts d[lo..hi] inclusive and returns the comparison count.
@@ -265,13 +333,41 @@ func (s *SortInstance) insertion(d []int32, lo, hi int) uint64 {
 	return comps
 }
 
-// Verify implements Instance.
+// Verify implements Instance. A live run's array must be sorted and hold
+// the input's multiset; a replay must have used every fact exactly once.
+// Both must have passed the ordering checks. A live run with a store
+// publishes its facts here, once they are known to come from a verified
+// run.
 func (s *SortInstance) Verify() error {
-	for i := 1; i < len(s.data); i++ {
-		if s.data[i-1] > s.data[i] {
-			return fmt.Errorf("sort: data[%d]=%d > data[%d]=%d", i-1, s.data[i-1], i, s.data[i])
-		}
+	r := s.last
+	if r == nil {
+		return fmt.Errorf("sort: no run to verify")
 	}
-	// Checksum invariance is checked by tests regenerating the input.
+	if !r.live() {
+		return r.verifyReplay()
+	}
+	if r.err != nil {
+		return r.err
+	}
+	var sum uint64
+	for i, v := range s.data {
+		if i > 0 && s.data[i-1] > v {
+			return fmt.Errorf("sort: data[%d]=%d > data[%d]=%d", i-1, s.data[i-1], i, v)
+		}
+		sum += fingerprint(v)
+	}
+	if sum != r.sum {
+		return fmt.Errorf("sort: the sorted array is not a permutation of the input")
+	}
+	if r.rec != nil {
+		if err := r.rec.seal(); err != nil {
+			return err
+		}
+		got := s.store.publishSort(s.Key(), r.rec)
+		if !got.equal(r.rec) {
+			return fmt.Errorf("sort: this run's facts differ from an earlier run of the same input")
+		}
+		r.rec = nil // published: immutable from here on
+	}
 	return nil
 }

@@ -11,6 +11,11 @@
 // including the bugs: kdtree's missing depth increment, Strassen's
 // hard-coded cutoff, SparseLU's cache-hostile bmod loop, Freqmine's
 // irregular grain sizes.
+//
+// Sort, handed a FactStore, does its real work once per input: later runs
+// of the same input replay what the first verified run recorded, with the
+// same simulated charges and spawns and an ordering check in place of the
+// data (facts.go).
 package workloads
 
 import (
