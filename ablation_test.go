@@ -82,12 +82,12 @@ func BenchmarkAblationSpawnCost(b *testing.B) {
 				}
 				rep := metrics.Analyze(tr, nil, nil, metrics.Options{})
 				low := 0
-				for _, gm := range rep.Grains {
-					if gm.ParallelBenefit < 1 {
+				for _, v := range rep.Benefit {
+					if v < 1 {
 						low++
 					}
 				}
-				b.ReportMetric(100*float64(low)/float64(len(rep.Grains)), "lowPB_pct")
+				b.ReportMetric(100*float64(low)/float64(rep.Len()), "lowPB_pct")
 			}
 		})
 	}
@@ -163,25 +163,25 @@ func BenchmarkAblationIPInterval(b *testing.B) {
 	if err := inst.Verify(); err != nil {
 		b.Fatal(err)
 	}
-	grains := tr.Grains()
+	exec := metrics.Analyze(tr, nil, nil, metrics.Options{}).Exec
 	choices := []struct {
 		name     string
 		interval profile.Time
 	}{
-		{"median_grain", metrics.MedianGrainLength(grains)},
-		{"min_grain", metrics.MinGrainLength(grains)},
+		{"median_grain", metrics.MedianGrainLength(exec)},
+		{"min_grain", metrics.MinGrainLength(exec)},
 	}
 	for _, ch := range choices {
 		b.Run(ch.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep := metrics.Analyze(tr, nil, nil, metrics.Options{Interval: ch.interval})
 				low := 0
-				for _, gm := range rep.Grains {
-					if gm.InstParallelism < 48 {
+				for _, ip := range rep.Parallelism {
+					if ip < 48 {
 						low++
 					}
 				}
-				b.ReportMetric(100*float64(low)/float64(len(rep.Grains)), "lowIP_pct")
+				b.ReportMetric(100*float64(low)/float64(rep.Len()), "lowIP_pct")
 				b.ReportMetric(float64(rep.IntervalSize), "interval_cycles")
 			}
 		})

@@ -68,8 +68,8 @@ func main() {
 		100*float64(rep.CriticalPathLength)/float64(trace.Makespan()))
 
 	lowPB := 0
-	for _, gm := range rep.Grains {
-		if gm.ParallelBenefit < 1 {
+	for _, b := range rep.Benefit {
+		if b < 1 {
 			lowPB++
 		}
 	}

@@ -50,7 +50,7 @@ func main() {
 	// 3. Build the grain graph and derive the metrics.
 	graph := core.Build(trace)
 	report := metrics.Analyze(trace, graph, baseline, metrics.Options{})
-	assessment := highlight.Evaluate(report, highlight.Defaults(48, 12))
+	assessment := highlight.EvaluateWith(report, highlight.Defaults(48, 12), nil)
 
 	for _, row := range assessment.Summarize().Rows {
 		fmt.Printf("%-36s %4d grains (%.1f%%)\n", row.Problem, row.Count, 100*row.Affected)

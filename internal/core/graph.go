@@ -239,16 +239,6 @@ func (g *Graph) LookupGrain(id profile.GrainID) int32 {
 	return -1
 }
 
-// NumOf returns the number of the grain a unified-view row describes. A
-// row of this graph's own trace carries it — checked against the id table,
-// a pointer comparison when it matches; any other row is looked up by ID.
-func (g *Graph) NumOf(gr *profile.Grain) int32 {
-	if n := gr.Num; n >= 0 && int(n) < len(g.ids) && g.ids[n] == gr.ID {
-		return n
-	}
-	return g.LookupGrain(gr.ID)
-}
-
 // InternGrain is LookupGrain that numbers an unknown ID instead of
 // failing — how a hand-assembled graph names a grain no trace records.
 func (g *Graph) InternGrain(id profile.GrainID) int32 {
@@ -424,7 +414,7 @@ func (g *Graph) Topological() []NodeID {
 }
 
 // CriticalGrains reports, by grain number, which grains have a fragment or
-// chunk node on the marked critical path. Run metrics.CriticalPath (or
+// chunk node on the marked critical path. Run metrics.CriticalPathPool (or
 // metrics.Analyze) first; before that no node carries the Critical flag
 // and every entry is false.
 func (g *Graph) CriticalGrains() []bool {

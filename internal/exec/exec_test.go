@@ -139,8 +139,8 @@ func TestGrainGraphFromNativeTrace(t *testing.T) {
 	if rep.CriticalPathLength == 0 {
 		t.Error("no critical path")
 	}
-	if len(rep.Grains) != 9 {
-		t.Errorf("grains = %d, want 9", len(rep.Grains))
+	if rep.Len() != 9 {
+		t.Errorf("grains = %d, want 9", rep.Len())
 	}
 }
 
@@ -155,8 +155,8 @@ func TestWorkDeviationAcrossWorkerCounts(t *testing.T) {
 	par := Run(Config{Workers: 4}, prog)
 	rep := metrics.Analyze(par, nil, base, metrics.Options{})
 	matched := 0
-	for _, gm := range rep.Grains {
-		if gm.WorkDeviation > 0 {
+	for _, wd := range rep.WorkDev {
+		if wd > 0 {
 			matched++
 		}
 	}

@@ -12,26 +12,13 @@ import (
 	"graingraph/internal/runpool"
 )
 
-// DOT writes the graph in Graphviz format with the same colour encoding as
-// GraphML — handy for quick `dot -Tsvg` rendering without yEd.
-func DOT(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error {
-	return DOTPool(w, g, a, v, nil)
-}
-
-// DOTPool is DOT with node and edge emission sharded across the pool: every
-// line of the body depends only on its own node or edge row, so fixed
-// chunks render into per-worker buffers concurrently and are assembled in
-// chunk order — byte-identical output at every worker count, including the
-// nil (serial) pool. Graphs past MaxExportNodes are refused with a
-// *HugeGraphError; FullDOT is the explicit opt-in.
-func DOTPool(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, pool *runpool.Runner) error {
-	if err := SizeGate(g, false); err != nil {
-		return err
-	}
-	return dotPool(w, g, a, v, pool)
-}
-
-// dotPool is the ungated DOT body emitter.
+// dotPool writes the graph in Graphviz format with the same colour
+// encoding as GraphML — handy for quick `dot -Tsvg` rendering without yEd.
+// It is ungated (see DOTWithWhatIfPool and FullDOT). Node and edge
+// emission shard across the pool: every line of the body depends only on
+// its own node or edge row, so fixed chunks render into per-worker buffers
+// concurrently and are assembled in chunk order — byte-identical output at
+// every worker count, including the nil (serial) pool.
 func dotPool(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, pool *runpool.Runner) error {
 	bw := bufio.NewWriter(w)
 	defColors := DefinitionColors(g)

@@ -130,24 +130,24 @@ func NodeColor(g *core.Graph, n core.Node, a *highlight.Assessment, v View,
 		if !ok || a == nil {
 			return highlight.DimColor
 		}
-		ga := assessmentOf(g, a, n)
-		if ga == nil {
+		row := assessmentOf(g, a, n)
+		if row < 0 {
 			return highlight.DimColor
 		}
-		if sev, flagged := a.Severity(ga, p); flagged {
+		if sev, flagged := a.Severity(row, p); flagged {
 			return highlight.HeatColor(sev)
 		}
 		return highlight.DimColor
 	}
 }
 
-// assessmentOf returns a's row for node n's grain, or nil. An assessment
+// assessmentOf returns a's row for node n's grain, or -1. An assessment
 // of the graph's own trace — every real rendering — shares the graph's
 // grain numbers; any other is matched by ID.
-func assessmentOf(g *core.Graph, a *highlight.Assessment, n core.Node) *highlight.GrainAssessment {
+func assessmentOf(g *core.Graph, a *highlight.Assessment, n core.Node) int {
 	if a.Report.Trace == g.Trace {
-		if ga := a.Row(n.GrainNum); ga != nil {
-			return ga
+		if row := a.Row(n.GrainNum); row >= 0 {
+			return row
 		}
 	}
 	return a.Get(n.Grain)

@@ -26,7 +26,7 @@ func testGraph(t *testing.T) (*core.Graph, *highlight.Assessment) {
 	})
 	g := core.Build(tr)
 	rep := metrics.Analyze(tr, g, nil, metrics.Options{})
-	a := highlight.Evaluate(rep, highlight.Defaults(2, 12))
+	a := highlight.EvaluateWith(rep, highlight.Defaults(2, 12), nil)
 	core.Layout(g)
 	return g, a
 }
@@ -124,7 +124,7 @@ func parseAllXML(b []byte) (int, error) {
 func TestDOTOutput(t *testing.T) {
 	g, a := testGraph(t)
 	var buf bytes.Buffer
-	if err := DOT(&buf, g, a, ViewStructure); err != nil {
+	if err := DOTWithWhatIfPool(&buf, g, a, ViewStructure, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
@@ -139,7 +139,7 @@ func TestDOTOutput(t *testing.T) {
 func TestJSONRoundTrips(t *testing.T) {
 	g, a := testGraph(t)
 	var buf bytes.Buffer
-	if err := JSON(&buf, g, a); err != nil {
+	if err := JSONWithWhatIfPool(&buf, g, a, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -257,8 +257,8 @@ func TestExportersByteStable(t *testing.T) {
 	g, a := testGraph(t)
 	formats := map[string]func(*bytes.Buffer) error{
 		"graphml": func(b *bytes.Buffer) error { return GraphML(b, g, a, ViewParallelBenefit) },
-		"dot":     func(b *bytes.Buffer) error { return DOT(b, g, a, ViewParallelism) },
-		"json":    func(b *bytes.Buffer) error { return JSON(b, g, a) },
+		"dot":     func(b *bytes.Buffer) error { return DOTWithWhatIfPool(b, g, a, ViewParallelism, nil, nil) },
+		"json":    func(b *bytes.Buffer) error { return JSONWithWhatIfPool(b, g, a, nil, nil) },
 	}
 	for name, f := range formats {
 		var b1, b2 bytes.Buffer

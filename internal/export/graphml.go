@@ -92,13 +92,13 @@ func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error 
 		fmt.Fprintf(bw, `   <data key="exec">%d</data>`+"\n", n.Weight)
 		fmt.Fprintf(bw, `   <data key="corekey">%d</data>`+"\n", n.Core)
 		if a != nil && (n.Kind == core.NodeFragment || n.Kind == core.NodeChunk) {
-			if ga := assessmentOf(g, a, n); ga != nil {
-				m := ga.Metrics
-				fmt.Fprintf(bw, `   <data key="pb">%g</data>`+"\n", finiteOr(m.ParallelBenefit, 1e9))
-				fmt.Fprintf(bw, `   <data key="wd">%g</data>`+"\n", m.WorkDeviation)
-				fmt.Fprintf(bw, `   <data key="ip">%d</data>`+"\n", m.InstParallelism)
-				fmt.Fprintf(bw, `   <data key="sc">%d</data>`+"\n", m.Scatter)
-				fmt.Fprintf(bw, `   <data key="mhu">%g</data>`+"\n", finiteOr(m.Utilization, 1e9))
+			if row := assessmentOf(g, a, n); row >= 0 {
+				rep := a.Report
+				fmt.Fprintf(bw, `   <data key="pb">%g</data>`+"\n", finiteOr(rep.Benefit[row], 1e9))
+				fmt.Fprintf(bw, `   <data key="wd">%g</data>`+"\n", rep.WorkDev[row])
+				fmt.Fprintf(bw, `   <data key="ip">%d</data>`+"\n", rep.Parallelism[row])
+				fmt.Fprintf(bw, `   <data key="sc">%d</data>`+"\n", rep.Scatter[row])
+				fmt.Fprintf(bw, `   <data key="mhu">%g</data>`+"\n", finiteOr(rep.Util[row], 1e9))
 			}
 		}
 		fmt.Fprintln(bw, `  </node>`)

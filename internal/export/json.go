@@ -52,27 +52,6 @@ type jsonEdge struct {
 	Critical bool   `json:"critical"`
 }
 
-// JSON writes the graph (with per-grain metrics and problem flags when an
-// assessment is supplied) as indented JSON.
-func JSON(w io.Writer, g *core.Graph, a *highlight.Assessment) error {
-	return JSONPool(w, g, a, nil)
-}
-
-// JSONPool is JSON with the node and edge arrays sharded across the pool.
-// Reflection-based marshalling of millions of rows is by far the most
-// expensive step of the whole artifact-serving path, and every row depends
-// only on its own graph columns, so fixed chunks marshal concurrently into
-// per-worker buffers and assemble in chunk order — byte-identical at every
-// worker count.
-// Graphs past MaxExportNodes are refused with a *HugeGraphError; FullJSON
-// is the explicit opt-in.
-func JSONPool(w io.Writer, g *core.Graph, a *highlight.Assessment, pool *runpool.Runner) error {
-	if err := SizeGate(g, false); err != nil {
-		return err
-	}
-	return jsonDump(w, g, a, nil, pool)
-}
-
 // jsonElem renders one array element exactly as the document encoder
 // would: the element object of an array nested one level deep, indented by
 // one space per level.
@@ -173,14 +152,14 @@ func jsonNodeRow(g *core.Graph, id core.NodeID, a *highlight.Assessment) jsonNod
 		Core: n.Core, Members: n.Members, Critical: n.Critical,
 	}
 	if a != nil && (n.Kind == core.NodeFragment || n.Kind == core.NodeChunk) {
-		if ga := assessmentOf(g, a, n); ga != nil {
-			m := ga.Metrics
-			jn.Problems = ga.Mask.String()
-			jn.PB = finiteOr(m.ParallelBenefit, 1e9)
-			jn.WD = m.WorkDeviation
-			jn.IP = m.InstParallelism
-			jn.Scatter = m.Scatter
-			jn.MHU = finiteOr(m.Utilization, 1e9)
+		if row := assessmentOf(g, a, n); row >= 0 {
+			rep := a.Report
+			jn.Problems = a.Mask[row].String()
+			jn.PB = finiteOr(rep.Benefit[row], 1e9)
+			jn.WD = rep.WorkDev[row]
+			jn.IP = int(rep.Parallelism[row])
+			jn.Scatter = int(rep.Scatter[row])
+			jn.MHU = finiteOr(rep.Util[row], 1e9)
 		}
 	}
 	return jn

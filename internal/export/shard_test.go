@@ -38,7 +38,7 @@ func TestJSONMatchesEncoder(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	if err := JSON(&got, g, a); err != nil {
+	if err := JSONWithWhatIfPool(&got, g, a, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -54,20 +54,20 @@ func TestExportPoolByteIdentical(t *testing.T) {
 	g, a := testGraph(t)
 
 	var serialDOT, serialJSON bytes.Buffer
-	if err := DOT(&serialDOT, g, a, ViewParallelBenefit); err != nil {
+	if err := DOTWithWhatIfPool(&serialDOT, g, a, ViewParallelBenefit, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := JSON(&serialJSON, g, a); err != nil {
+	if err := JSONWithWhatIfPool(&serialJSON, g, a, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
 		pool := runpool.New(workers)
 		var dotBuf, jsonBuf bytes.Buffer
-		if err := DOTPool(&dotBuf, g, a, ViewParallelBenefit, pool); err != nil {
+		if err := DOTWithWhatIfPool(&dotBuf, g, a, ViewParallelBenefit, nil, pool); err != nil {
 			t.Fatal(err)
 		}
-		if err := JSONPool(&jsonBuf, g, a, pool); err != nil {
+		if err := JSONWithWhatIfPool(&jsonBuf, g, a, nil, pool); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(dotBuf.Bytes(), serialDOT.Bytes()) {

@@ -23,15 +23,15 @@ type jsonWhatIf struct {
 	Approximate bool    `json:"approximate"`
 }
 
-// JSONWithWhatIf writes the JSON dump with a ranked what-if section
-// appended. ps may be nil, which yields the plain dump.
-func JSONWithWhatIf(w io.Writer, g *core.Graph, a *highlight.Assessment, ps []whatif.Projection) error {
-	return JSONWithWhatIfPool(w, g, a, ps, nil)
-}
-
-// JSONWithWhatIfPool is JSONWithWhatIf with node/edge emission sharded
-// across the pool (see JSONPool). Graphs past MaxExportNodes are refused
-// with a *HugeGraphError; FullJSON is the explicit opt-in.
+// JSONWithWhatIfPool writes the graph (with per-grain metrics and problem
+// flags when an assessment is supplied) as indented JSON, with a ranked
+// what-if section appended; ps may be nil, which yields the plain dump.
+// Reflection-based marshalling of millions of rows is by far the most
+// expensive step of the whole artifact-serving path, and every row depends
+// only on its own graph columns, so the node and edge arrays shard across
+// the pool into per-worker buffers and assemble in chunk order —
+// byte-identical at every worker count. Graphs past MaxExportNodes are
+// refused with a *HugeGraphError; FullJSON is the explicit opt-in.
 func JSONWithWhatIfPool(w io.Writer, g *core.Graph, a *highlight.Assessment, ps []whatif.Projection, pool *runpool.Runner) error {
 	if err := SizeGate(g, false); err != nil {
 		return err
@@ -46,17 +46,11 @@ func FullJSON(w io.Writer, g *core.Graph, a *highlight.Assessment, ps []whatif.P
 	return jsonDump(w, g, a, whatIfAnnotations(ps), pool)
 }
 
-// DOTWithWhatIf writes the DOT rendering with the ranked what-if
-// projections as leading comment lines, so a `dot`-rendered file still
-// carries the analysis that motivated it. ps may be nil.
-func DOTWithWhatIf(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, ps []whatif.Projection) error {
-	return DOTWithWhatIfPool(w, g, a, v, ps, nil)
-}
-
-// DOTWithWhatIfPool is DOTWithWhatIf with body emission sharded across the
-// pool (see DOTPool). Graphs past MaxExportNodes are refused with a
-// *HugeGraphError before anything is written; FullDOT is the explicit
-// opt-in.
+// DOTWithWhatIfPool writes the DOT rendering (see dotPool) with the
+// ranked what-if projections as leading comment lines, so a `dot`-rendered
+// file still carries the analysis that motivated it; ps may be nil. Graphs
+// past MaxExportNodes are refused with a *HugeGraphError before anything
+// is written; FullDOT is the explicit opt-in.
 func DOTWithWhatIfPool(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, ps []whatif.Projection, pool *runpool.Runner) error {
 	if err := SizeGate(g, false); err != nil {
 		return err

@@ -26,7 +26,7 @@ func TestJSONWithWhatIfSection(t *testing.T) {
 	g, a := testGraph(t)
 	ps := testProjections(t)
 	var buf bytes.Buffer
-	if err := JSONWithWhatIf(&buf, g, a, ps); err != nil {
+	if err := JSONWithWhatIfPool(&buf, g, a, ps, nil); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -49,15 +49,8 @@ func TestJSONWithWhatIfSection(t *testing.T) {
 
 	// Nil projections must keep the plain schema: no whatif key at all.
 	var plain bytes.Buffer
-	if err := JSONWithWhatIf(&plain, g, a, nil); err != nil {
+	if err := JSONWithWhatIfPool(&plain, g, a, nil, nil); err != nil {
 		t.Fatal(err)
-	}
-	var viaJSON bytes.Buffer
-	if err := JSON(&viaJSON, g, a); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), viaJSON.Bytes()) {
-		t.Error("JSONWithWhatIf(nil) differs from JSON()")
 	}
 	if strings.Contains(plain.String(), `"whatif"`) {
 		t.Error("plain dump contains a whatif key")
@@ -68,7 +61,7 @@ func TestDOTWithWhatIfComments(t *testing.T) {
 	g, a := testGraph(t)
 	ps := testProjections(t)
 	var buf bytes.Buffer
-	if err := DOTWithWhatIf(&buf, g, a, ViewParallelBenefit, ps); err != nil {
+	if err := DOTWithWhatIfPool(&buf, g, a, ViewParallelBenefit, ps, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -82,7 +75,7 @@ func TestDOTWithWhatIfComments(t *testing.T) {
 	}
 	// The graph body must be untouched by the annotations.
 	var plain bytes.Buffer
-	if err := DOT(&plain, g, a, ViewParallelBenefit); err != nil {
+	if err := DOTWithWhatIfPool(&plain, g, a, ViewParallelBenefit, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(out, plain.String()) {

@@ -207,7 +207,7 @@ func (res *Result) Lod() *lod.Index {
 func (res *Result) GrainTable(pool *runpool.Runner) *query.Table {
 	res.qtOnce.Do(func() {
 		if res.sidecarQuery != nil {
-			if t, err := query.DecodeTable(res.sidecarQuery); err == nil && t.NumRows() == len(res.Report.Grains) {
+			if t, err := query.DecodeTable(res.sidecarQuery); err == nil && t.NumRows() == res.Report.Len() {
 				res.qt = t
 				return
 			}

@@ -55,9 +55,10 @@ func Figure6(w io.Writer) (*Fig6Result, error) {
 		n   int
 	}
 	counts := map[string]int{}
-	for _, ga := range before.Assessment.Grains {
-		if ga.Has(workInflationProblem()) {
-			counts[ga.Metrics.Grain.Loc.String()]++
+	rep := before.Report
+	for row, m := range before.Assessment.Mask {
+		if m&workInflationProblem() != 0 {
+			counts[rep.Trace.GrainLoc(rep.Num[row]).String()]++
 		}
 	}
 	var dcs []defCount

@@ -193,9 +193,10 @@ func BenchmarkEvalSparse(b *testing.B) {
 	eng := whatif.New(res.Graph, res.Report)
 	var deep profile.GrainID
 	depth := -1
-	for _, gm := range res.Report.Grains {
-		if d := strings.Count(string(gm.Grain.ID), "."); d > depth && strings.HasPrefix(string(gm.Grain.ID), "R") {
-			deep, depth = gm.Grain.ID, d
+	for row := range res.Report.Num {
+		id := res.Report.ID(row)
+		if d := strings.Count(string(id), "."); d > depth && strings.HasPrefix(string(id), "R") {
+			deep, depth = id, d
 		}
 	}
 	h := whatif.ScaleGrain{Grain: deep, Factor: 0.5}

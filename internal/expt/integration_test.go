@@ -78,10 +78,8 @@ func TestPipelineInvariantsOnRandomTrees(t *testing.T) {
 		// Critical path: at least the heaviest grain, at most the makespan.
 		rep := metrics.Analyze(tr, g, nil, metrics.Options{})
 		var maxExec uint64
-		for _, gr := range tr.Grains() {
-			if gr.Exec > maxExec {
-				maxExec = gr.Exec
-			}
+		for num := int32(0); int(num) < tr.NumGrains(); num++ {
+			maxExec = max(maxExec, tr.GrainExec(num))
 		}
 		if rep.CriticalPathLength < maxExec {
 			t.Errorf("seed %d: critical path %d below heaviest grain %d",
@@ -178,13 +176,9 @@ func TestWorkDeviationComputeOnlyIsOne(t *testing.T) {
 	base := rts.Run(rts.Config{Program: "w", Cores: 1, Seed: 2}, prog)
 	par := rts.Run(rts.Config{Program: "w", Cores: 48, Seed: 2}, prog)
 	rep := metrics.Analyze(par, nil, base, metrics.Options{})
-	for _, gm := range rep.Grains {
-		if gm.Grain.ID == profile.RootID {
-			continue
-		}
-		if gm.WorkDeviation != 1 {
-			t.Errorf("grain %s: compute-only deviation = %f, want exactly 1",
-				gm.Grain.ID, gm.WorkDeviation)
+	for row, wd := range rep.WorkDev {
+		if id := rep.ID(row); id != profile.RootID && wd != 1 {
+			t.Errorf("grain %s: compute-only deviation = %f, want exactly 1", id, wd)
 		}
 	}
 }
@@ -352,17 +346,38 @@ func TestGrainNumberingOnRandomTrees(t *testing.T) {
 			}
 		}
 		rep := metrics.Analyze(tr, g, nil, metrics.Options{})
-		a := highlight.Evaluate(rep, highlight.Defaults(tr.Cores, 12))
-		if len(rep.Grains) != n || len(a.Grains) != n {
-			t.Fatalf("seed %d: %d metric rows, %d assessment rows, %d grains", seed, len(rep.Grains), len(a.Grains), n)
+		a := highlight.EvaluateWith(rep, highlight.Defaults(tr.Cores, 12), nil)
+		// The report is one table: every column has a row per grain, Num
+		// lists the grain numbers in (start, ID) order, and RowIndex — as
+		// the assessment's Row and Get — inverts it.
+		for name, rows := range map[string]int{
+			"Num": len(rep.Num), "Exec": len(rep.Exec), "Benefit": len(rep.Benefit),
+			"WorkDev": len(rep.WorkDev), "Parallelism": len(rep.Parallelism),
+			"Scatter": len(rep.Scatter), "Util": len(rep.Util), "Stall": len(rep.Stall),
+			"Mask": len(a.Mask),
+		} {
+			if rows != n {
+				t.Fatalf("seed %d: column %s has %d rows for %d grains", seed, name, rows, n)
+			}
+		}
+		for row := 1; row < n; row++ {
+			prev, cur := rep.Num[row-1], rep.Num[row]
+			ps, _ := tr.GrainSpan(prev)
+			cs, _ := tr.GrainSpan(cur)
+			if ps > cs || (ps == cs && tr.ID(prev) >= tr.ID(cur)) {
+				t.Fatalf("seed %d: rows %d and %d (grains %d, %d) are not in (start, ID) order", seed, row-1, row, prev, cur)
+			}
 		}
 		for num := int32(0); int(num) < n; num++ {
 			row := rep.RowIndex(num)
-			if row < 0 || rep.Grains[row].Grain.Num != num || rep.Grains[row].Grain.ID != tr.ID(num) {
+			if row < 0 || rep.Num[row] != num || rep.ID(row) != tr.ID(num) {
 				t.Fatalf("seed %d: metric row of grain %d is row %d", seed, num, row)
 			}
-			if ga := a.Row(num); ga == nil || ga.Metrics != rep.Grains[row] {
-				t.Fatalf("seed %d: assessment row of grain %d is not over its metric row", seed, num)
+			if a.Row(num) != row || a.Get(tr.ID(num)) != row {
+				t.Fatalf("seed %d: assessment row of grain %d is not its metric row %d", seed, num, row)
+			}
+			if rep.Exec[row] != int64(tr.GrainExec(num)) {
+				t.Fatalf("seed %d: exec of row %d is not grain %d's", seed, row, num)
 			}
 		}
 		own := g.Owners()

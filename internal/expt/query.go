@@ -14,9 +14,10 @@ import (
 const queryChunk = 1024
 
 // QueryTable builds the "from grains" source of the query grammar for an
-// analyzed run: one row per grain, identity and timing columns first, then
-// the metric columns the highlight thresholds read (same names, same
-// values — ProblemQuery predicates run unchanged over this table):
+// analyzed run: the report's per-grain table, one row per grain in report
+// order, with identity and timing columns first, then the metric columns
+// the highlight thresholds read (same names, same values — ProblemQuery
+// predicates run unchanged over this table):
 //
 //	id, kind, loc, parent  string  grain identity and source definition
 //	depth                  int     spawn depth
@@ -24,9 +25,14 @@ const queryChunk = 1024
 //	core                   int     core of the first fragment
 //	benefit, workdev, util float   highlight metric ratios
 //	parallelism, scatter, stall    int highlight metric counts
+//
+// exec and the metric columns are the report's own slices, adopted without
+// copying (highlight.MetricTable); only the identity columns are built, read
+// from the trace by grain number.
 func QueryTable(res *Result, pool *runpool.Runner) *query.Table {
 	rep := res.Report
-	n := len(rep.Grains)
+	tr := rep.Trace
+	n := rep.Len()
 	id := make([]string, n)
 	kind := make([]string, n)
 	loc := make([]string, n)
@@ -34,30 +40,38 @@ func QueryTable(res *Result, pool *runpool.Runner) *query.Table {
 	depth := make([]int64, n)
 	start := make([]int64, n)
 	end := make([]int64, n)
-	exec := make([]int64, n)
 	core := make([]int64, n)
 	// A run has a handful of source definitions and up to millions of
 	// grains: render each definition once and share the string.
+	// Rows of one definition tend to run together, so the previous row's
+	// string is tried before the map.
 	locs := make(map[profile.SrcLoc]string)
-	for i, gm := range rep.Grains {
-		s, ok := locs[gm.Grain.Loc]
-		if !ok {
-			s = gm.Grain.Loc.String()
-			locs[gm.Grain.Loc] = s
+	var prev profile.SrcLoc
+	for i, num := range rep.Num {
+		l := tr.GrainLoc(num)
+		if i > 0 && l == prev {
+			loc[i] = loc[i-1]
+			continue
 		}
-		loc[i] = s
+		s, ok := locs[l]
+		if !ok {
+			s = l.String()
+			locs[l] = s
+		}
+		loc[i], prev = s, l
 	}
+	ids := tr.Numbering().IDs
 	runpool.ParallelFor(pool, n, queryChunk, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			g := rep.Grains[i].Grain
-			id[i] = string(g.ID)
-			kind[i] = g.Kind.String()
-			parent[i] = string(g.Parent)
-			depth[i] = int64(g.Depth)
-			start[i] = int64(g.Start)
-			end[i] = int64(g.End)
-			exec[i] = int64(g.Exec)
-			core[i] = int64(g.Core)
+			num := rep.Num[i]
+			s, e := tr.GrainSpan(num)
+			id[i] = string(ids[num])
+			kind[i] = tr.GrainKind(num).String()
+			parent[i] = string(tr.GrainParent(num))
+			depth[i] = int64(tr.GrainDepth(num))
+			start[i] = int64(s)
+			end[i] = int64(e)
+			core[i] = int64(tr.GrainCore(num))
 		}
 	})
 	t := query.NewTable(n).
@@ -68,9 +82,9 @@ func QueryTable(res *Result, pool *runpool.Runner) *query.Table {
 		AddInt("depth", depth).
 		AddInt("start", start).
 		AddInt("end", end).
-		AddInt("exec", exec).
+		AddInt("exec", rep.Exec).
 		AddInt("core", core)
-	for _, c := range highlight.MetricTable(rep, pool).Columns() {
+	for _, c := range highlight.MetricTable(rep).Columns() {
 		switch c.Kind {
 		case query.Float:
 			t.AddFloat(c.Name, c.F)

@@ -68,9 +68,9 @@ func WriteHighlight(w io.Writer, res *Result) error {
 		offenders := "-"
 		if row.Count > 0 {
 			var parts []string
-			for _, g := range a.TopOffenders(row.Problem, highlightOffenders) {
-				sev, _ := a.Severity(g, row.Problem)
-				parts = append(parts, fmt.Sprintf("%s(%.2f)", g.Metrics.Grain.ID, sev))
+			for _, r := range a.TopOffenders(row.Problem, highlightOffenders) {
+				sev, _ := a.Severity(r, row.Problem)
+				parts = append(parts, fmt.Sprintf("%s(%.2f)", a.Report.ID(r), sev))
 			}
 			offenders = strings.Join(parts, " ")
 		}

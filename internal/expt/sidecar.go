@@ -15,18 +15,13 @@ import (
 // sidecars), plus the writer side — turning a finished analysis back into
 // the sidecars a v2 artifact persists so the next decode skips the builds.
 
-// AnalyzeDecoded analyzes a decoded artifact. When the decode carried a
-// materialized graph (columnar v2), the build phase is skipped; sidecar
-// payloads riding along are threaded into the result for Lod/GrainTable.
-// baseline may be nil, exactly as with AnalyzeTraceOn. cfg.Cores <= 0
-// takes the core count from the trace.
-func AnalyzeDecoded(dec *ggp.Decoded, baseline *profile.Trace, cfg Config) *Result {
-	return AnalyzeDecodedOn(nil, dec, baseline, cfg, nil)
-}
-
-// AnalyzeDecodedOn is AnalyzeDecoded running its parallel kernels on an
-// explicit pool (nil selects the shared pool, as with AnalyzeTraceOn) with
-// the phase spans rooted under parent (nil: their own tree).
+// AnalyzeDecodedOn analyzes a decoded artifact, running its parallel
+// kernels on an explicit pool (nil selects the shared pool, as with
+// AnalyzeTraceOn) with the phase spans rooted under parent (nil: their own
+// tree). When the decode carried a materialized graph (columnar v2), the
+// build phase is skipped; sidecar payloads riding along are threaded into
+// the result for Lod/GrainTable. baseline may be nil, exactly as with
+// AnalyzeTraceOn. cfg.Cores <= 0 takes the core count from the trace.
 // The graph is taken from the decode result at most once — a second
 // analysis of the same Decoded rebuilds from the trace, which produces
 // the same graph.

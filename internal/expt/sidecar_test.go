@@ -38,7 +38,7 @@ func analysisOutputs(t *testing.T, res *Result, pool *runpool.Runner) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := export.DOT(&buf, wg, res.Assessment, export.ViewStructure); err != nil {
+	if err := export.DOTWithWhatIfPool(&buf, wg, res.Assessment, export.ViewStructure, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, src := range []string{
@@ -161,8 +161,8 @@ func TestRecordV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analysisOutputs(t, AnalyzeDecoded(d1, nil, Config{}), nil)
-	b := analysisOutputs(t, AnalyzeDecoded(d2, nil, Config{}), nil)
+	a := analysisOutputs(t, AnalyzeDecodedOn(nil, d1, nil, Config{}, nil), nil)
+	b := analysisOutputs(t, AnalyzeDecodedOn(nil, d2, nil, Config{}, nil), nil)
 	if !bytes.Equal(a, b) {
 		d := diffLine(a, b)
 		t.Fatalf("v1/v2 recorded analysis differs (line %d):\nv1: %q\nv2: %q", d, lineAt(a, d), lineAt(b, d))

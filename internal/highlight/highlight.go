@@ -97,36 +97,24 @@ func Defaults(cores, coresPerSocket int) Thresholds {
 	}
 }
 
-// GrainAssessment is one grain's problem evaluation.
-type GrainAssessment struct {
-	Metrics *metrics.GrainMetrics
-	Mask    Problem
-}
-
-// Has reports whether the grain has the given problem.
-func (a *GrainAssessment) Has(p Problem) bool { return a.Mask&p != 0 }
-
-// Assessment is the evaluation of a whole report against thresholds.
-// Grains is parallel to Report.Grains: row i assesses metric row i, which
-// is how a grain's assessment is found by number (Row).
+// Assessment is the evaluation of a whole report against thresholds: one
+// problem mask per report row, in report-row order. A grain's assessment
+// is found by number (Row) or ID (Get) as a row index into Mask and into
+// the report's columns.
 type Assessment struct {
 	Thresholds Thresholds
 	Report     *metrics.Report
-	Grains     []*GrainAssessment
+	Mask       []Problem
 }
 
 // evaluateGrain is the fixed chunk size for the threshold scan.
 const evaluateGrain = 1024
 
-// Evaluate flags every grain in rep against th.
-func Evaluate(rep *metrics.Report, th Thresholds) *Assessment {
-	return EvaluateWith(rep, th, nil)
-}
-
-// EvaluateWith is Evaluate with the threshold scan sharded across pool:
-// each assessment row depends only on its own metric row, so the rows fill
-// pre-sized slots in parallel (fixed chunk boundaries, byte-identical at
-// every worker count). A nil pool is the strict serial schedule.
+// EvaluateWith flags every grain in rep against th, with the threshold
+// scan sharded across pool: each mask depends only on its own report row,
+// so the masks fill pre-sized slots in parallel (fixed chunk boundaries,
+// byte-identical at every worker count). A nil pool is the strict serial
+// schedule.
 func EvaluateWith(rep *metrics.Report, th Thresholds, pool *runpool.Runner) *Assessment {
 	return EvaluateObs(rep, th, pool, nil)
 }
@@ -161,60 +149,37 @@ func ProblemQuery(p Problem, th Thresholds) string {
 	}
 }
 
-// MetricTable exposes rep's per-grain metric rows as a columnar query
-// table: benefit, workdev, parallelism, scatter, util, stall, one row per
-// grain in report order. The columns are filled across the pool in fixed
-// chunks. This is the table the threshold scan runs its problem predicates
-// over; expt builds a superset of it (adding identity columns) for ad-hoc
-// -query plans.
-func MetricTable(rep *metrics.Report, pool *runpool.Runner) *query.Table {
-	n := len(rep.Grains)
-	benefit := make([]float64, n)
-	workdev := make([]float64, n)
-	parallelism := make([]int64, n)
-	scatter := make([]int64, n)
-	util := make([]float64, n)
-	stall := make([]int64, n)
-	runpool.ParallelFor(pool, n, evaluateGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gm := rep.Grains[i]
-			benefit[i] = gm.ParallelBenefit
-			workdev[i] = gm.WorkDeviation
-			parallelism[i] = int64(gm.InstParallelism)
-			scatter[i] = int64(gm.Scatter)
-			util[i] = gm.Utilization
-			stall[i] = int64(gm.Grain.Counters.Stall)
-		}
-	})
-	return query.NewTable(n).
-		AddFloat("benefit", benefit).
-		AddFloat("workdev", workdev).
-		AddInt("parallelism", parallelism).
-		AddInt("scatter", scatter).
-		AddFloat("util", util).
-		AddInt("stall", stall)
+// MetricTable exposes rep's per-grain metric columns as a query table:
+// benefit, workdev, parallelism, scatter, util, stall, one row per grain
+// in report order. The columns are the report's own slices, adopted
+// without copying. This is the table the threshold scan runs its problem
+// predicates over; expt's "from grains" table adopts the same columns.
+func MetricTable(rep *metrics.Report) *query.Table {
+	return query.NewTable(rep.Len()).
+		AddFloat("benefit", rep.Benefit).
+		AddFloat("workdev", rep.WorkDev).
+		AddInt("parallelism", rep.Parallelism).
+		AddInt("scatter", rep.Scatter).
+		AddFloat("util", rep.Util).
+		AddInt("stall", rep.Stall)
 }
 
 // EvaluateObs is EvaluateWith reporting its threshold scan as a phase span
 // under parent (internal/obs). A nil parent is exactly EvaluateWith.
 //
-// The scan executes through the query engine: the metric rows become a
-// columnar table (MetricTable), each problem's definition compiles from
-// its ProblemQuery predicate, and the five predicates evaluate as
-// vectorized chunked kernels before one final chunked pass folds the match
-// vectors into assessment masks. Chunk boundaries depend only on the grain
-// count, so the assessment is byte-identical at every worker count — and
-// identical to the hand-rolled per-grain scan this replaced.
+// The scan executes through the query engine: the metric columns form a
+// query table (MetricTable), each problem's definition compiles from its
+// ProblemQuery predicate, and the five predicates evaluate as vectorized
+// chunked kernels before one final chunked pass folds the match vectors
+// into the masks. Chunk boundaries depend only on the grain count, so the
+// assessment is byte-identical at every worker count — and identical to
+// the hand-rolled per-grain scan this replaced.
 func EvaluateObs(rep *metrics.Report, th Thresholds, pool *runpool.Runner, parent *obs.Span) *Assessment {
 	sp := parent.Child("highlight")
 	defer sp.End()
-	a := &Assessment{
-		Thresholds: th,
-		Report:     rep,
-		Grains:     make([]*GrainAssessment, len(rep.Grains)),
-	}
-	n := len(rep.Grains)
-	t := MetricTable(rep, pool)
+	n := rep.Len()
+	a := &Assessment{Thresholds: th, Report: rep, Mask: make([]Problem, n)}
+	t := MetricTable(rep)
 	match := make([][]bool, len(AllProblems))
 	for pi, p := range AllProblems {
 		e, err := query.ParseExpr(ProblemQuery(p, th))
@@ -226,87 +191,67 @@ func EvaluateObs(rep *metrics.Report, th Thresholds, pool *runpool.Runner, paren
 			panic("highlight: problem predicate failed to bind: " + err.Error())
 		}
 	}
-	rows := make([]GrainAssessment, n)
 	runpool.ParallelFor(pool, n, evaluateGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ga := &rows[i]
-			ga.Metrics = rep.Grains[i]
 			for pi, p := range AllProblems {
 				if match[pi][i] {
-					ga.Mask |= p
+					a.Mask[i] |= p
 				}
 			}
-			a.Grains[i] = ga
 		}
 	})
 	return a
 }
 
-// Row returns the assessment row of grain number num (a number of the
-// report's trace), or nil.
-func (a *Assessment) Row(num int32) *GrainAssessment {
-	if i := a.Report.RowIndex(num); i >= 0 {
-		return a.Grains[i]
-	}
-	return nil
-}
+// Row returns the row of grain number num (a number of the report's
+// trace), or -1.
+func (a *Assessment) Row(num int32) int { return a.Report.RowIndex(num) }
 
-// Get returns the assessment row for a grain, or nil.
-func (a *Assessment) Get(id profile.GrainID) *GrainAssessment {
-	if i := a.Report.RowIndexOf(id); i >= 0 {
-		return a.Grains[i]
-	}
-	return nil
-}
+// Get returns the row of the grain with the given ID, or -1.
+func (a *Assessment) Get(id profile.GrainID) int { return a.Report.RowIndexOf(id) }
 
 // Affected returns the fraction (0..1) of grains flagged with problem p —
 // the paper's "Affected grains (%)" (Sort's optimization table).
 func (a *Assessment) Affected(p Problem) float64 {
-	if len(a.Grains) == 0 {
+	if len(a.Mask) == 0 {
 		return 0
 	}
-	n := 0
-	for _, g := range a.Grains {
-		if g.Has(p) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(a.Grains))
+	return float64(a.Count(p)) / float64(len(a.Mask))
 }
 
 // Count returns how many grains carry problem p.
 func (a *Assessment) Count(p Problem) int {
 	n := 0
-	for _, g := range a.Grains {
-		if g.Has(p) {
+	for _, m := range a.Mask {
+		if m&p != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// Severity maps a grain's metric distance past the threshold into [0,1]
-// (1 = worst) for the given problem view; ok=false when the grain is not
-// problematic in this view.
-func (a *Assessment) Severity(ga *GrainAssessment, p Problem) (float64, bool) {
-	if !ga.Has(p) {
+// Severity maps a row's metric distance past the threshold into [0,1]
+// (1 = worst) for the given problem view; ok=false when the row's grain is
+// not problematic in this view.
+func (a *Assessment) Severity(row int, p Problem) (float64, bool) {
+	if a.Mask[row]&p == 0 {
 		return 0, false
 	}
 	th := a.Thresholds
-	gm := ga.Metrics
+	rep := a.Report
 	switch p {
 	case LowParallelBenefit:
 		// 0 benefit = severity 1; at threshold = 0.
-		return clamp01(1 - gm.ParallelBenefit/th.ParallelBenefitMin), true
+		return clamp01(1 - rep.Benefit[row]/th.ParallelBenefitMin), true
 	case WorkInflation:
 		// Saturates at 3x the threshold.
-		return clamp01((gm.WorkDeviation - th.WorkDeviationMax) / (2 * th.WorkDeviationMax)), true
+		return clamp01((rep.WorkDev[row] - th.WorkDeviationMax) / (2 * th.WorkDeviationMax)), true
 	case LowParallelism:
-		return clamp01(1 - float64(gm.InstParallelism)/float64(th.ParallelismMin)), true
+		return clamp01(1 - float64(rep.Parallelism[row])/float64(th.ParallelismMin)), true
 	case HighScatter:
-		return clamp01(float64(gm.Scatter-th.ScatterMax) / float64(3*th.ScatterMax)), true
+		return clamp01(float64(rep.Scatter[row]-int64(th.ScatterMax)) / float64(3*th.ScatterMax)), true
 	case PoorUtilization:
-		return clamp01(1 - gm.Utilization/th.UtilizationMin), true
+		return clamp01(1 - rep.Util[row]/th.UtilizationMin), true
 	default:
 		return 0, false
 	}
@@ -358,7 +303,7 @@ func (a *Assessment) Summarize() Summary {
 	s := Summary{
 		Program:     a.Report.Trace.Program,
 		Cores:       a.Report.Trace.Cores,
-		TotalGrains: len(a.Grains),
+		TotalGrains: len(a.Mask),
 		Makespan:    a.Report.Trace.Makespan(),
 		CriticalLen: a.Report.CriticalPathLength,
 	}
@@ -376,9 +321,10 @@ func (a *Assessment) Summarize() Summary {
 	return s
 }
 
-// TopOffenders returns the worst n grains for problem p, ranked by
-// severity then execution time — the paper's "sorting task definitions by
-// creation count and work inflation" workflow uses rankings like this.
+// TopOffenders returns the rows of the worst n grains for problem p,
+// ranked by severity then execution time — the paper's "sorting task
+// definitions by creation count and work inflation" workflow uses rankings
+// like this.
 //
 // Selection runs through query.TopK (one bounded-selection pass, the same
 // kernel behind the query grammar's topk verb) with severities computed
@@ -386,34 +332,35 @@ func (a *Assessment) Summarize() Summary {
 // every grain of a million-grain report, and sorting them all (recomputing
 // severity inside the comparator) to keep the top handful used to dominate
 // what-if candidate generation.
-func (a *Assessment) TopOffenders(p Problem, n int) []*GrainAssessment {
+func (a *Assessment) TopOffenders(p Problem, n int) []int {
 	if n <= 0 {
 		return nil
 	}
 	flagged := a.Count(p)
-	cand := make([]*GrainAssessment, 0, flagged)
+	cand := make([]int, 0, flagged)
 	sev := make([]float64, 0, flagged)
-	for _, g := range a.Grains {
-		if g.Has(p) {
-			s, _ := a.Severity(g, p)
-			cand = append(cand, g)
+	for row, m := range a.Mask {
+		if m&p != 0 {
+			s, _ := a.Severity(row, p)
+			cand = append(cand, row)
 			sev = append(sev, s)
 		}
 	}
 	// Higher severity, then longer execution, then lower grain ID — a
 	// total order, so the bounded selection returns exactly what a full
 	// sort-and-truncate would.
+	rep := a.Report
 	top := query.TopK(len(cand), n, func(i, j int) bool {
 		if sev[i] != sev[j] {
 			return sev[i] > sev[j]
 		}
-		gi, gj := cand[i].Metrics.Grain, cand[j].Metrics.Grain
-		if gi.Exec != gj.Exec {
-			return gi.Exec > gj.Exec
+		ri, rj := cand[i], cand[j]
+		if ei, ej := profile.Time(rep.Exec[ri]), profile.Time(rep.Exec[rj]); ei != ej {
+			return ei > ej
 		}
-		return gi.ID < gj.ID
+		return rep.ID(ri) < rep.ID(rj)
 	})
-	out := make([]*GrainAssessment, len(top))
+	out := make([]int, len(top))
 	for i, r := range top {
 		out[i] = cand[r]
 	}
@@ -438,8 +385,9 @@ func (a *Assessment) ByDefinition(p Problem) []DefinitionStats {
 	// definition once, for the tie-break, instead of once per grain.
 	slot := map[profile.SrcLoc]int{}
 	var out []DefinitionStats
-	for _, g := range a.Grains {
-		loc := g.Metrics.Grain.Loc
+	rep := a.Report
+	for row, m := range a.Mask {
+		loc := rep.Trace.GrainLoc(rep.Num[row])
 		i, ok := slot[loc]
 		if !ok {
 			i = len(out)
@@ -448,8 +396,8 @@ func (a *Assessment) ByDefinition(p Problem) []DefinitionStats {
 		}
 		ds := &out[i]
 		ds.Grains++
-		ds.TotalExec += g.Metrics.Grain.Exec
-		if g.Has(p) {
+		ds.TotalExec += profile.Time(rep.Exec[row])
+		if m&p != 0 {
 			ds.Flagged++
 		}
 	}

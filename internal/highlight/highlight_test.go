@@ -16,6 +16,31 @@ func analyzed(cores int, prog func(rts.Ctx)) *metrics.Report {
 	return metrics.Analyze(tr, nil, nil, metrics.Options{})
 }
 
+func evaluate(rep *metrics.Report, th Thresholds) *Assessment { return EvaluateWith(rep, th, nil) }
+
+// has reports whether the grain with the given ID carries problem p.
+func has(a *Assessment, id profile.GrainID, p Problem) bool { return a.Mask[a.Get(id)]&p != 0 }
+
+// handReport is a report put together by hand: one task grain per ID, each
+// with benign metrics until the caller sets them.
+func handReport(ids ...profile.GrainID) *metrics.Report {
+	n := len(ids)
+	tr := &profile.Trace{}
+	rep := &metrics.Report{
+		Trace: tr, Num: make([]int32, n), Exec: make([]int64, n),
+		Benefit: make([]float64, n), WorkDev: make([]float64, n),
+		Parallelism: make([]int64, n), Scatter: make([]int64, n), Util: make([]float64, n),
+		Stall: make([]int64, n),
+	}
+	for i, id := range ids {
+		tr.Tasks = append(tr.Tasks, &profile.TaskRecord{ID: id})
+		rep.Num[i] = int32(i)
+		rep.Benefit[i] = 10
+		rep.Parallelism[i] = 100
+	}
+	return rep
+}
+
 func TestDefaults(t *testing.T) {
 	th := Defaults(48, 12)
 	if th.ParallelBenefitMin != 1 || th.WorkDeviationMax != 2 ||
@@ -31,11 +56,11 @@ func TestLowParallelBenefitFlagged(t *testing.T) {
 		c.Spawn(loc(2, "big"), func(c rts.Ctx) { c.Compute(1_000_000) })
 		c.TaskWait()
 	})
-	a := Evaluate(rep, Defaults(2, 12))
-	if !a.Get("R.0").Has(LowParallelBenefit) {
+	a := evaluate(rep, Defaults(2, 12))
+	if !has(a, "R.0", LowParallelBenefit) {
 		t.Error("tiny grain not flagged for low parallel benefit")
 	}
-	if a.Get("R.1").Has(LowParallelBenefit) {
+	if has(a, "R.1", LowParallelBenefit) {
 		t.Error("big grain wrongly flagged")
 	}
 }
@@ -46,7 +71,7 @@ func TestSeverityOrderingAndColors(t *testing.T) {
 		c.Spawn(loc(2, "borderline"), func(c rts.Ctx) { c.Compute(1000) })
 		c.TaskWait()
 	})
-	a := Evaluate(rep, Defaults(2, 12))
+	a := evaluate(rep, Defaults(2, 12))
 	sw, okw := a.Severity(a.Get("R.0"), LowParallelBenefit)
 	sb, okb := a.Severity(a.Get("R.1"), LowParallelBenefit)
 	if !okw {
@@ -72,7 +97,7 @@ func TestSeverityFalseWhenNotFlagged(t *testing.T) {
 		c.Spawn(loc(1, "big"), func(c rts.Ctx) { c.Compute(1_000_000) })
 		c.TaskWait()
 	})
-	a := Evaluate(rep, Defaults(2, 12))
+	a := evaluate(rep, Defaults(2, 12))
 	if _, ok := a.Severity(a.Get("R.0"), LowParallelBenefit); ok {
 		t.Error("severity reported for unflagged problem")
 	}
@@ -88,11 +113,11 @@ func TestPoorUtilizationRequiresStalls(t *testing.T) {
 		})
 		c.TaskWait()
 	})
-	a := Evaluate(rep, Defaults(2, 12))
-	if a.Get("R.0").Has(PoorUtilization) {
+	a := evaluate(rep, Defaults(2, 12))
+	if has(a, "R.0", PoorUtilization) {
 		t.Error("stall-free grain flagged for poor utilization")
 	}
-	if !a.Get("R.1").Has(PoorUtilization) {
+	if !has(a, "R.1", PoorUtilization) {
 		t.Error("memory-bound grain not flagged")
 	}
 }
@@ -111,7 +136,7 @@ func TestLowParallelismFlagged(t *testing.T) {
 		}
 		rec(c, 5)
 	})
-	a := Evaluate(rep, Defaults(4, 12))
+	a := evaluate(rep, Defaults(4, 12))
 	if got := a.Affected(LowParallelism); got < 0.9 {
 		t.Errorf("low-parallelism affected fraction = %.2f, want ~1", got)
 	}
@@ -124,9 +149,9 @@ func TestAffectedAndCountConsistent(t *testing.T) {
 		}
 		c.TaskWait()
 	})
-	a := Evaluate(rep, Defaults(2, 12))
+	a := evaluate(rep, Defaults(2, 12))
 	for _, p := range AllProblems {
-		want := float64(a.Count(p)) / float64(len(a.Grains))
+		want := float64(a.Count(p)) / float64(len(a.Mask))
 		if got := a.Affected(p); got != want {
 			t.Errorf("Affected(%v) = %f, want %f", p, got, want)
 		}
@@ -138,7 +163,7 @@ func TestSummarize(t *testing.T) {
 		c.Spawn(loc(1, "t"), func(c rts.Ctx) { c.Compute(10) })
 		c.TaskWait()
 	})
-	a := Evaluate(rep, Defaults(2, 12))
+	a := evaluate(rep, Defaults(2, 12))
 	s := a.Summarize()
 	if s.TotalGrains != 2 || s.Cores != 2 || s.Program != "h" {
 		t.Errorf("summary header = %+v", s)
@@ -158,7 +183,7 @@ func TestTopOffenders(t *testing.T) {
 		c.Spawn(loc(3, "c"), func(c rts.Ctx) { c.Compute(900_000) })
 		c.TaskWait()
 	})
-	a := Evaluate(rep, Defaults(2, 12))
+	a := evaluate(rep, Defaults(2, 12))
 	top := a.TopOffenders(LowParallelBenefit, 10)
 	if len(top) < 2 {
 		t.Fatalf("offenders = %d, want >= 2", len(top))
@@ -184,7 +209,7 @@ func TestByDefinitionGrouping(t *testing.T) {
 		}
 		c.TaskWait()
 	})
-	a := Evaluate(rep, Defaults(2, 12))
+	a := evaluate(rep, Defaults(2, 12))
 	defs := a.ByDefinition(LowParallelBenefit)
 	if len(defs) != 3 { // tiny, big, root
 		t.Fatalf("definitions = %d, want 3", len(defs))
@@ -218,14 +243,14 @@ func TestProblemString(t *testing.T) {
 func TestRefinedThreshold(t *testing.T) {
 	// The paper lowers work deviation to 1.2 for botsspar; verify the
 	// threshold is honoured.
-	gm := &metrics.GrainMetrics{Grain: &profile.Grain{ID: "x"}, WorkDeviation: 1.5, ParallelBenefit: 10, InstParallelism: 100}
-	rep := &metrics.Report{Grains: []*metrics.GrainMetrics{gm}, Trace: &profile.Trace{}}
-	loose := Evaluate(rep, Thresholds{WorkDeviationMax: 2, ParallelismMin: 1, ParallelBenefitMin: 1})
-	tight := Evaluate(rep, Thresholds{WorkDeviationMax: 1.2, ParallelismMin: 1, ParallelBenefitMin: 1})
-	if loose.Grains[0].Has(WorkInflation) {
+	rep := handReport("x")
+	rep.WorkDev[0] = 1.5
+	loose := evaluate(rep, Thresholds{WorkDeviationMax: 2, ParallelismMin: 1, ParallelBenefitMin: 1})
+	tight := evaluate(rep, Thresholds{WorkDeviationMax: 1.2, ParallelismMin: 1, ParallelBenefitMin: 1})
+	if loose.Mask[0]&WorkInflation != 0 {
 		t.Error("1.5 deviation flagged at threshold 2")
 	}
-	if !tight.Grains[0].Has(WorkInflation) {
+	if tight.Mask[0]&WorkInflation == 0 {
 		t.Error("1.5 deviation not flagged at threshold 1.2")
 	}
 }
@@ -234,20 +259,14 @@ func TestUnknownScatterNotFlagged(t *testing.T) {
 	// ScatterUnknown (-1) means "could not measure", not "packed" and not
 	// "scattered": the highlight pass must skip it even when the threshold
 	// is negative enough that a naive comparison would flag it.
-	unknown := &metrics.GrainMetrics{
-		Grain: &profile.Grain{ID: "u"}, Scatter: metrics.ScatterUnknown,
-		ParallelBenefit: 10, InstParallelism: 100,
-	}
-	scattered := &metrics.GrainMetrics{
-		Grain: &profile.Grain{ID: "s"}, Scatter: 30,
-		ParallelBenefit: 10, InstParallelism: 100,
-	}
-	rep := &metrics.Report{Grains: []*metrics.GrainMetrics{unknown, scattered}, Trace: &profile.Trace{}}
-	a := Evaluate(rep, Thresholds{ScatterMax: 12, ParallelismMin: 1, ParallelBenefitMin: 1, WorkDeviationMax: 2})
-	if a.Get("u").Has(HighScatter) {
+	rep := handReport("u", "s")
+	rep.Scatter[0] = metrics.ScatterUnknown
+	rep.Scatter[1] = 30
+	a := evaluate(rep, Thresholds{ScatterMax: 12, ParallelismMin: 1, ParallelBenefitMin: 1, WorkDeviationMax: 2})
+	if has(a, "u", HighScatter) {
 		t.Error("unknown scatter flagged as high scatter")
 	}
-	if !a.Get("s").Has(HighScatter) {
+	if !has(a, "s", HighScatter) {
 		t.Error("genuinely scattered grain not flagged")
 	}
 }

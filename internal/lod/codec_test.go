@@ -53,10 +53,10 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 			}
 			want.Reset()
 			got.Reset()
-			if err := export.DOT(&want, wg, s.a, export.ViewStructure); err != nil {
+			if err := export.DOTWithWhatIfPool(&want, wg, s.a, export.ViewStructure, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := export.DOT(&got, gg, s.a, export.ViewStructure); err != nil {
+			if err := export.DOTWithWhatIfPool(&got, gg, s.a, export.ViewStructure, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if want.String() != got.String() {

@@ -108,14 +108,19 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 	// Problem counts: flagged task grains count against their own slot,
 	// flagged chunk grains against the slot of the task that ran their loop.
 	if a != nil {
-		atr := a.Report.Trace
-		for _, ga := range a.Grains {
-			if ga.Mask == 0 {
+		rep := a.Report
+		atr := rep.Trace
+		for row, m := range a.Mask {
+			if m == 0 {
 				continue
 			}
-			gr := ga.Metrics.Grain
-			si := ix.slot(g.NumOf(gr))
-			if j := int(gr.Num) - len(atr.Tasks); si < 0 && gr.Kind == profile.KindChunk && j >= 0 && j < len(atr.Chunks) {
+			num := rep.Num[row]
+			gnum := num
+			if atr != g.Trace {
+				gnum = g.LookupGrain(atr.ID(num))
+			}
+			si := ix.slot(gnum)
+			if j := int(num) - len(atr.Tasks); si < 0 && j >= 0 && j < len(atr.Chunks) {
 				if owner, ok := own.LoopOwner[atr.Chunks[j].Loop]; ok {
 					si = ix.slot(owner)
 				}

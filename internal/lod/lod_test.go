@@ -26,7 +26,7 @@ func subjects(t *testing.T) map[string]subject {
 	add := func(name string, tr *profile.Trace) {
 		g := core.Build(tr)
 		rep := metrics.Analyze(tr, g, nil, metrics.Options{})
-		a := highlight.Evaluate(rep, highlight.Defaults(tr.Cores, 4))
+		a := highlight.EvaluateWith(rep, highlight.Defaults(tr.Cores, 4), nil)
 		out[name] = subject{g, a}
 	}
 
@@ -217,7 +217,7 @@ func TestWindowDeterministic(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			var buf bytes.Buffer
-			if err := export.DOT(&buf, wg, s.a, export.ViewStructure); err != nil {
+			if err := export.DOTWithWhatIfPool(&buf, wg, s.a, export.ViewStructure, nil, nil); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			return buf.Bytes()

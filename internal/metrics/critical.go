@@ -12,21 +12,6 @@ import (
 // every worker count.
 const criticalGrain = 2048
 
-// CriticalPathOver computes the heaviest path through the grain graph under
-// a hypothetical weight vector, without touching the graph's Critical flags.
-// weights[i] substitutes the graph's recorded weight for node i; pass nil to
-// use the recorded weight column. The what-if engine calls this with
-// modified vectors to project the effect of optimizations without re-running
-// the simulation, so it must be safe for concurrent use on a shared graph
-// whose adjacency and level indexes have already been built (force them with
-// g.NumLevels() and g.In(0), or construct the engine via whatif.New).
-//
-// It is CriticalPathOverPool with a nil pool: the serial fallback of the
-// level-synchronous DP below.
-func CriticalPathOver(g *core.Graph, weights []profile.Time) (profile.Time, []core.NodeID) {
-	return CriticalPathOverPool(g, weights, nil)
-}
-
 // CriticalSpanOver is the span-only variant of CriticalPathOverPool for
 // callers that discard the path: no predecessor tracking (dropping both the
 // 8-bytes-per-node pred array and the tie-break branch in the inner loop)
@@ -173,18 +158,14 @@ func CriticalPathOverPool(g *core.Graph, weights []profile.Time, pool *runpool.R
 	return win.best, path
 }
 
-// CriticalPath computes the heaviest path through the grain graph, weighting
-// each node by its time contribution (execution time for grains, creation/
-// synchronization overhead for fork/join nodes, delivery cost for
+// CriticalPathPool computes the heaviest path through the grain graph,
+// weighting each node by its time contribution (execution time for grains,
+// creation/synchronization overhead for fork/join nodes, delivery cost for
 // book-keeping nodes). It marks the nodes and edges on the path via their
 // Critical flags and returns the path length and node sequence. When every
-// node weight is zero no path exists and nothing is marked.
-func CriticalPath(g *core.Graph) (profile.Time, []core.NodeID) {
-	return CriticalPathPool(g, nil)
-}
-
-// CriticalPathPool is CriticalPath running its DP and edge-marking scan
-// across the pool (nil runs serially), with identical output.
+// node weight is zero no path exists and nothing is marked. The DP and the
+// edge-marking scan run across the pool (nil runs serially), with
+// identical output.
 func CriticalPathPool(g *core.Graph, pool *runpool.Runner) (profile.Time, []core.NodeID) {
 	best, path := CriticalPathOverPool(g, nil, pool)
 	for _, n := range path {

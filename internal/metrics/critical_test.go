@@ -34,8 +34,8 @@ func TestCriticalPathTieBreakDeterministic(t *testing.T) {
 
 	gA := tiedGraph(forward)
 	gB := tiedGraph(shuffled)
-	lenA, pathA := CriticalPath(gA)
-	lenB, pathB := CriticalPath(gB)
+	lenA, pathA := CriticalPathPool(gA, nil)
+	lenB, pathB := CriticalPathPool(gB, nil)
 
 	if lenA != lenB {
 		t.Fatalf("path lengths differ: %d vs %d", lenA, lenB)
@@ -76,7 +76,7 @@ func TestCriticalPathTiedSinksLowestID(t *testing.T) {
 	// Chains 0→1 and 2→3, both length 14; sinks 1 and 3 tie.
 	g.AddEdge(0, 1, core.EdgeContinuation)
 	g.AddEdge(2, 3, core.EdgeContinuation)
-	_, path := CriticalPath(g)
+	_, path := CriticalPathPool(g, nil)
 	if len(path) == 0 || path[len(path)-1] != 1 {
 		t.Fatalf("path = %v, want endpoint 1 (lowest tied sink)", path)
 	}
@@ -91,7 +91,7 @@ func TestCriticalPathAllZeroWeights(t *testing.T) {
 	}
 	g.AddEdge(0, 1, core.EdgeContinuation)
 	g.AddEdge(1, 2, core.EdgeContinuation)
-	length, path := CriticalPath(g)
+	length, path := CriticalPathPool(g, nil)
 	if length != 0 || path != nil {
 		t.Fatalf("zero-weight graph: length %d path %v, want 0 and nil", length, path)
 	}
@@ -107,12 +107,12 @@ func TestCriticalPathAllZeroWeights(t *testing.T) {
 	}
 }
 
-// TestCriticalPathOverWeightVector: CriticalPathOver projects a
+// TestCriticalPathOverWeightVector: CriticalPathOverPool projects a
 // hypothetical weight vector without touching the recorded weights or the
 // Critical flags — the contract the what-if engine relies on.
 func TestCriticalPathOverWeightVector(t *testing.T) {
 	g := tiedGraph([][2]core.NodeID{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	base, _ := CriticalPathOver(g, nil)
+	base, _ := CriticalPathOverPool(g, nil, nil)
 	if base != 18 {
 		t.Fatalf("baseline length = %d, want 18", base)
 	}
@@ -120,7 +120,7 @@ func TestCriticalPathOverWeightVector(t *testing.T) {
 	w := g.Weights()
 	w[1] = 2
 	w[2] = 40
-	length, path := CriticalPathOver(g, w)
+	length, path := CriticalPathOverPool(g, w, nil)
 	if length != 48 { // 5 + 40 + 3
 		t.Fatalf("projected length = %d, want 48", length)
 	}
@@ -129,10 +129,10 @@ func TestCriticalPathOverWeightVector(t *testing.T) {
 	}
 	for n := core.NodeID(0); n < core.NodeID(g.NumNodes()); n++ {
 		if g.Critical(n) {
-			t.Fatal("CriticalPathOver mutated Critical flags")
+			t.Fatal("CriticalPathOverPool mutated Critical flags")
 		}
 		if n == 1 && g.Weight(n) != 10 {
-			t.Fatal("CriticalPathOver mutated recorded weights")
+			t.Fatal("CriticalPathOverPool mutated recorded weights")
 		}
 	}
 }

@@ -112,7 +112,7 @@ func NewCPBaseline(g *core.Graph, weights []profile.Time, pool *runpool.Runner) 
 }
 
 // Span returns the baseline critical-path length (0 for an all-zero or
-// empty graph, exactly as CriticalPathOver reports it).
+// empty graph, exactly as CriticalPathOverPool reports it).
 func (b *CPBaseline) Span() profile.Time { return b.span }
 
 // Weights returns the baseline weight vector. The slice is shared with the

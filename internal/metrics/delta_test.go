@@ -38,7 +38,7 @@ func randomDAGTrace(t *testing.T, seed int64, depth int) *core.Graph {
 // TestCriticalPathDeltaMatchesFullDP is the delta DP's oracle property: for
 // random graphs and random sparse edits — including zeroings, inflations and
 // edits on the critical path itself — CriticalPathDelta over the baseline
-// must equal CriticalPathOver of the fully edited weight vector.
+// must equal CriticalPathOverPool of the fully edited weight vector.
 func TestCriticalPathDeltaMatchesFullDP(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randomDAGTrace(t, seed, 4)
@@ -66,7 +66,7 @@ func TestCriticalPathDeltaMatchesFullDP(t *testing.T) {
 			for nd, w := range edits {
 				full[nd] = w
 			}
-			want, _ := CriticalPathOver(g, full)
+			want, _ := CriticalPathOverPool(g, full, nil)
 
 			got, ok := CriticalPathDelta(b, edits, n+1)
 			if !ok {
@@ -112,7 +112,7 @@ func TestCriticalPathDeltaFallback(t *testing.T) {
 // itself against the reference DP.
 func TestNewCPBaselineMatchesCriticalPathOver(t *testing.T) {
 	g := randomDAGTrace(t, 3, 4)
-	want, _ := CriticalPath(g)
+	want, _ := CriticalPathPool(g, nil)
 	b := NewCPBaseline(g, nil, nil)
 	if b.Span() != want {
 		t.Errorf("baseline span %d, want %d", b.Span(), want)

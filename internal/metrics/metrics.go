@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"graingraph/internal/core"
@@ -18,36 +19,6 @@ import (
 // Chunk boundaries depend only on the grain count, never the worker count,
 // so every kernel below is byte-identical at every parallelism level.
 const metricGrain = 1024
-
-// GrainMetrics bundles the derived metrics of one grain.
-type GrainMetrics struct {
-	Grain *profile.Grain
-
-	// ParallelBenefit is execution time divided by parallelization cost
-	// (creation + share of the parent's synchronization overhead; chunks use
-	// book-keeping cost). +Inf when the grain has no parallelization cost
-	// (the root). Problematic below 1.
-	ParallelBenefit float64
-
-	// WorkDeviation is execution time on this run divided by the same
-	// grain's execution time on a single core; 0 when no baseline grain
-	// matched. Problematic ("work inflation") above threshold.
-	WorkDeviation float64
-
-	// InstParallelism is the smallest instantaneous parallelism among the
-	// intervals overlapping this grain (optimistic flavour unless
-	// configured otherwise). Problematic below the core count.
-	InstParallelism int
-
-	// Scatter is the median pairwise core distance among the grain's
-	// sibling set; 0 for only children, ScatterUnknown when the grain's
-	// core (or all but one sibling core) went unrecorded. Problematic
-	// beyond a socket.
-	Scatter int
-
-	// Utilization is compute cycles per stall cycle. Problematic below 2.
-	Utilization float64
-}
 
 // ScatterUnknown is the sentinel Scatter value for grains whose placement
 // could not be measured: the grain's own core was unrecorded (Core < 0), or
@@ -99,10 +70,43 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Report is the full derived-metric set for one trace.
+// Report is the full derived-metric set for one trace. Its per-grain part
+// is one table: a row per grain of Trace, ordered by start time (ties by
+// grain ID). Num is each row's grain number — the grain's identity, span,
+// core and counters are read from Trace by it — and every other per-grain
+// column is parallel to Num and named like its "from grains" query
+// column. The highlight pass and the query table adopt the metric columns
+// as they are; nothing copies them.
 type Report struct {
-	Trace  *profile.Trace
-	Grains []*GrainMetrics
+	Trace *profile.Trace
+
+	Num []int32
+	// Exec is the grain's execution time excluding suspension.
+	Exec []int64
+	// Benefit is the parallel benefit: execution time divided by
+	// parallelization cost (creation + share of the parent's
+	// synchronization overhead; chunks use book-keeping cost). +Inf when
+	// the grain has no parallelization cost (the root). Problematic below 1.
+	Benefit []float64
+	// WorkDev is the work deviation: execution time on this run divided by
+	// the same grain's execution time on a single core; 0 when no baseline
+	// grain matched. Problematic ("work inflation") above threshold.
+	WorkDev []float64
+	// Parallelism is the smallest instantaneous parallelism among the
+	// intervals overlapping the grain (optimistic flavour unless configured
+	// otherwise). Problematic below the core count.
+	Parallelism []int64
+	// Scatter is the median pairwise core distance among the grain's
+	// sibling set; 0 for only children, ScatterUnknown when the grain's
+	// core (or all but one sibling core) went unrecorded. Problematic
+	// beyond a socket.
+	Scatter []int64
+	// Util is the memory-hierarchy utilization, compute cycles per stall
+	// cycle. Problematic below 2.
+	Util []float64
+	// Stall is the grain's stall cycles, which decide whether a low Util
+	// is a memory problem at all.
+	Stall []int64
 
 	// CriticalPathLength is the weight of the heaviest path through the
 	// grain graph; CriticalNodes lists its nodes in order.
@@ -119,39 +123,32 @@ type Report struct {
 	LoopLoadBalance map[profile.LoopID]float64
 	TaskLoadBalance float64
 
-	// rowOf maps a grain number of Trace to the grain's row in Grains (the
-	// rows are in start order, not number order). Nil for a report put
-	// together by hand.
+	// rowOf inverts Num: the row of each grain number of Trace. Nil for a
+	// report put together by hand, which RowIndex scans instead.
 	rowOf []int32
 }
 
-// RowIndex returns the position in Grains of grain number num's row, or -1.
+// Len returns the number of rows.
+func (r *Report) Len() int { return len(r.Num) }
+
+// RowIndex returns the row of grain number num, or -1.
 func (r *Report) RowIndex(num int32) int {
+	if r.rowOf == nil {
+		return slices.Index(r.Num, num)
+	}
 	if num < 0 || int(num) >= len(r.rowOf) {
 		return -1
 	}
 	return int(r.rowOf[num])
 }
 
-// Get returns the metrics row for a grain ID, or nil.
-func (r *Report) Get(id profile.GrainID) *GrainMetrics {
-	if i := r.RowIndexOf(id); i >= 0 {
-		return r.Grains[i]
-	}
-	return nil
-}
+// ID returns the ID of row's grain.
+func (r *Report) ID(row int) profile.GrainID { return r.Trace.ID(r.Num[row]) }
 
-// RowIndexOf returns the position in Grains of the row of the grain with
-// the given ID, or -1. A report put together by hand has no number index
-// and is scanned.
+// RowIndexOf returns the row of the grain with the given ID, or -1.
 func (r *Report) RowIndexOf(id profile.GrainID) int {
-	if r.rowOf != nil {
-		return r.RowIndex(r.Trace.Lookup(id))
-	}
-	for i, gm := range r.Grains {
-		if gm.Grain.ID == id {
-			return i
-		}
+	if n := r.Trace.Lookup(id); n >= 0 {
+		return r.RowIndex(n)
 	}
 	return -1
 }
@@ -166,29 +163,37 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 		g = core.Build(tr)
 		sp.End()
 	}
-	grains := tr.Grains()
+	num := startOrder(tr)
+	n := len(num)
 	rep := &Report{
 		Trace:           tr,
+		Num:             num,
+		Exec:            make([]int64, n),
+		Benefit:         make([]float64, n),
+		WorkDev:         make([]float64, n),
+		Parallelism:     make([]int64, n),
+		Scatter:         make([]int64, n),
+		Util:            make([]float64, n),
+		Stall:           make([]int64, n),
 		LoopLoadBalance: make(map[profile.LoopID]float64),
-		rowOf:           make([]int32, len(grains)),
+		rowOf:           make([]int32, n),
 	}
 
 	// Per-grain local metrics (parallel benefit, memory-hierarchy
-	// utilization): every row is independent, so the rows — one backing
-	// array — and the number → row index fill across the pool.
+	// utilization, stalls): every row is independent, so the columns and the
+	// number → row index fill across the pool.
 	sp := opts.Span.Child("metric:rows")
-	rows := make([]GrainMetrics, len(grains))
-	rep.Grains = make([]*GrainMetrics, len(grains))
-	runpool.ParallelFor(opts.Pool, len(grains), metricGrain, func(_, lo, hi int) {
+	syncShare := tr.SyncShares()
+	runpool.ParallelFor(opts.Pool, n, metricGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			gr := grains[i]
-			rows[i] = GrainMetrics{
-				Grain:           gr,
-				ParallelBenefit: parallelBenefit(gr),
-				Utilization:     gr.Counters.Utilization(),
-			}
-			rep.Grains[i] = &rows[i]
-			rep.rowOf[gr.Num] = int32(i)
+			gn := num[i]
+			exec := tr.GrainExec(gn)
+			rep.Exec[i] = int64(exec)
+			rep.Benefit[i] = parallelBenefit(exec, tr.GrainCreateCost(gn)+syncShare[gn])
+			c := tr.GrainCounters(gn)
+			rep.Util[i] = c.Utilization()
+			rep.Stall[i] = int64(c.Stall)
+			rep.rowOf[gn] = int32(i)
 		}
 	})
 	sp.End()
@@ -200,21 +205,14 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 	if baseline != nil {
 		sp := opts.Span.Child("metric:workdev")
 		bnb := baseline.Numbering()
-		runpool.ParallelFor(opts.Pool, len(rep.Grains), metricGrain, func(_, lo, hi int) {
+		runpool.ParallelFor(opts.Pool, n, metricGrain, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				gm := rep.Grains[i]
-				bn := int(bnb.Lookup(gm.Grain.ID))
+				bn := bnb.Lookup(tr.ID(num[i]))
 				if bn < 0 {
 					continue
 				}
-				var b profile.Time
-				if bn < bnb.Tasks {
-					b = baseline.Tasks[bn].ExecTime()
-				} else {
-					b = baseline.Chunks[bn-bnb.Tasks].Duration()
-				}
-				if b > 0 {
-					gm.WorkDeviation = float64(gm.Grain.Exec) / float64(b)
+				if b := baseline.GrainExec(bn); b > 0 {
+					rep.WorkDev[i] = float64(profile.Time(rep.Exec[i])) / float64(b)
 				}
 			}
 		})
@@ -227,8 +225,10 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 	// construction cost from the relaxation itself.
 	sp = opts.Span.Child("metric:critical")
 	lv := sp.Child("levels")
-	g.NumLevels()
-	g.In(0)
+	if g.NumNodes() > 0 { // an accepted trace may record no grain at all
+		g.NumLevels()
+		g.In(0)
+	}
 	lv.End()
 	rep.CriticalPathLength, rep.CriticalNodes = CriticalPathPool(g, opts.Pool)
 	sp.End()
@@ -237,14 +237,14 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 	sp = opts.Span.Child("metric:parallelism")
 	interval := opts.Interval
 	if interval == 0 {
-		interval = MedianGrainLength(grains)
+		interval = MedianGrainLength(rep.Exec)
 	}
 	rep.IntervalSize, rep.Timeline = instParallelism(tr, rep, interval, opts)
 	sp.End()
 
 	// Scatter per sibling set.
 	sp = opts.Span.Child("metric:scatter")
-	scatter(grains, rep, opts)
+	scatter(rep, opts)
 	sp.End()
 
 	// Load balance.
@@ -258,42 +258,58 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 	return rep
 }
 
+// startOrder returns every grain number of tr sorted by start time, ties
+// broken by ID for determinism: the report's row order.
+func startOrder(tr *profile.Trace) []int32 {
+	nb := tr.Numbering()
+	start := make([]profile.Time, nb.NumGrains())
+	order := make([]int32, len(start))
+	for n := range start {
+		start[n], _ = tr.GrainSpan(int32(n))
+		order[n] = int32(n)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if start[a] != start[b] {
+			return start[a] < start[b]
+		}
+		return nb.IDs[a] < nb.IDs[b]
+	})
+	return order
+}
+
 // parallelBenefit implements the paper's definition: grain execution time
 // over the parallelization cost its parent paid for it.
-func parallelBenefit(g *profile.Grain) float64 {
-	cost := g.ParallelizationCost()
+func parallelBenefit(exec, cost profile.Time) float64 {
 	if cost == 0 {
 		return math.Inf(1)
 	}
-	return float64(g.Exec) / float64(cost)
+	return float64(exec) / float64(cost)
 }
 
-// MedianGrainLength returns the median execution time of the grains — the
-// paper's default instantaneous-parallelism interval.
-func MedianGrainLength(grains []*profile.Grain) profile.Time {
-	if len(grains) == 0 {
-		return 1
-	}
-	ls := make([]profile.Time, 0, len(grains))
-	for _, g := range grains {
-		if g.Exec > 0 {
-			ls = append(ls, g.Exec)
+// MedianGrainLength returns the median of the grain execution times exec
+// — the paper's default instantaneous-parallelism interval.
+func MedianGrainLength(exec []int64) profile.Time {
+	ls := make([]profile.Time, 0, len(exec))
+	for _, e := range exec {
+		if e != 0 {
+			ls = append(ls, profile.Time(e))
 		}
 	}
 	if len(ls) == 0 {
 		return 1
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	return ls[len(ls)/2]
 }
 
-// MinGrainLength returns the smallest positive grain execution time — the
-// paper's alternative interval choice.
-func MinGrainLength(grains []*profile.Grain) profile.Time {
+// MinGrainLength returns the smallest positive grain execution time in
+// exec — the paper's alternative interval choice.
+func MinGrainLength(exec []int64) profile.Time {
 	min := profile.Time(0)
-	for _, g := range grains {
-		if g.Exec > 0 && (min == 0 || g.Exec < min) {
-			min = g.Exec
+	for _, e := range exec {
+		if t := profile.Time(e); t > 0 && (min == 0 || t < min) {
+			min = t
 		}
 	}
 	if min == 0 {

@@ -22,20 +22,20 @@ func TestParallelBenefitSeparatesCoarseAndFine(t *testing.T) {
 		c.TaskWait()
 	})
 	rep := Analyze(tr, nil, nil, Options{})
-	tiny := rep.Get("R.0")
-	big := rep.Get("R.1")
-	if tiny == nil || big == nil {
+	tiny := rep.RowIndexOf("R.0")
+	big := rep.RowIndexOf("R.1")
+	if tiny < 0 || big < 0 {
 		t.Fatal("grains missing from report")
 	}
-	if tiny.ParallelBenefit >= 1 {
-		t.Errorf("tiny grain parallel benefit = %f, want < 1", tiny.ParallelBenefit)
+	if b := rep.Benefit[tiny]; b >= 1 {
+		t.Errorf("tiny grain parallel benefit = %f, want < 1", b)
 	}
-	if big.ParallelBenefit <= 1 {
-		t.Errorf("big grain parallel benefit = %f, want > 1", big.ParallelBenefit)
+	if b := rep.Benefit[big]; b <= 1 {
+		t.Errorf("big grain parallel benefit = %f, want > 1", b)
 	}
 	// The root has no parallelization cost.
-	if !math.IsInf(rep.Get(profile.RootID).ParallelBenefit, 1) {
-		t.Errorf("root parallel benefit = %f, want +Inf", rep.Get(profile.RootID).ParallelBenefit)
+	if b := rep.Benefit[rep.RowIndexOf(profile.RootID)]; !math.IsInf(b, 1) {
+		t.Errorf("root parallel benefit = %f, want +Inf", b)
 	}
 }
 
@@ -100,8 +100,8 @@ func TestWorkDeviationAgainstBaseline(t *testing.T) {
 	par := run(8, 1, prog)
 	rep := Analyze(par, nil, base, Options{})
 	matched := 0
-	for _, gm := range rep.Grains {
-		if gm.WorkDeviation > 0 {
+	for _, wd := range rep.WorkDev {
+		if wd > 0 {
 			matched++
 		}
 	}
@@ -131,8 +131,8 @@ func TestWorkDeviationDetectsRemoteInflation(t *testing.T) {
 	par := run(48, 1, prog)
 	rep := Analyze(par, nil, base, Options{})
 	inflated := 0
-	for _, gm := range rep.Grains {
-		if gm.Grain.Loc.Func == "scan" && gm.WorkDeviation > 1.05 {
+	for row, num := range rep.Num {
+		if par.GrainLoc(num).Func == "scan" && rep.WorkDev[row] > 1.05 {
 			inflated++
 		}
 	}
@@ -226,9 +226,9 @@ func TestScatterSiblingsNearWithWorkStealing(t *testing.T) {
 	tr := rts.Run(rts.Config{Program: "m", Cores: 48, Seed: 1}, prog)
 	rep := Analyze(tr, nil, nil, Options{})
 	var wsSum, wsN float64
-	for _, gm := range rep.Grains {
-		if gm.Grain.ID != profile.RootID {
-			wsSum += float64(gm.Scatter)
+	for row := range rep.Num {
+		if rep.ID(row) != profile.RootID {
+			wsSum += float64(rep.Scatter[row])
 			wsN++
 		}
 	}
@@ -236,9 +236,9 @@ func TestScatterSiblingsNearWithWorkStealing(t *testing.T) {
 	trC := rts.Run(cfg, prog)
 	repC := Analyze(trC, nil, nil, Options{})
 	var cqSum, cqN float64
-	for _, gm := range repC.Grains {
-		if gm.Grain.ID != profile.RootID {
-			cqSum += float64(gm.Scatter)
+	for row := range repC.Num {
+		if repC.ID(row) != profile.RootID {
+			cqSum += float64(repC.Scatter[row])
 			cqN++
 		}
 	}
@@ -302,20 +302,18 @@ func TestUtilizationReflectsMemoryBehaviour(t *testing.T) {
 		c.TaskWait()
 	})
 	rep := Analyze(tr, nil, nil, Options{})
-	computey := rep.Get("R.0")
-	memory := rep.Get("R.1")
-	if computey.Utilization < 2 {
-		t.Errorf("compute-bound grain utilization = %.2f, want >= 2", computey.Utilization)
+	computey := rep.Util[rep.RowIndexOf("R.0")]
+	memory := rep.Util[rep.RowIndexOf("R.1")]
+	if computey < 2 {
+		t.Errorf("compute-bound grain utilization = %.2f, want >= 2", computey)
 	}
-	if memory.Utilization >= 2 {
-		t.Errorf("memory-bound grain utilization = %.2f, want < 2", memory.Utilization)
+	if memory >= 2 {
+		t.Errorf("memory-bound grain utilization = %.2f, want < 2", memory)
 	}
 }
 
 func TestMedianAndMinGrainLength(t *testing.T) {
-	grains := []*profile.Grain{
-		{Exec: 10}, {Exec: 30}, {Exec: 20}, {Exec: 0},
-	}
+	grains := []int64{10, 30, 20, 0}
 	if got := MedianGrainLength(grains); got != 20 {
 		t.Errorf("median = %d, want 20", got)
 	}

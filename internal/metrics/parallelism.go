@@ -36,10 +36,11 @@ func executionSpans(tr *profile.Trace) []grainSpan {
 }
 
 // instParallelism computes the per-interval parallelism timeline and fills
-// each grain's InstParallelism (its minimum over overlapping intervals).
+// the report's Parallelism column (each grain's minimum over overlapping
+// intervals).
 func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts Options) (profile.Time, []int) {
 	makespan := tr.Makespan()
-	if makespan == 0 || len(rep.Grains) == 0 {
+	if makespan == 0 || rep.Len() == 0 {
 		return interval, nil
 	}
 	if interval == 0 {
@@ -92,25 +93,26 @@ func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts
 	// Per-grain minimum over the intervals its *execution* overlaps (its
 	// fragments — a task suspended in taskwait is not executing, so thin
 	// intervals during its suspension do not count against it).
-	for _, gm := range rep.Grains {
-		gm.InstParallelism = -1
+	ip := rep.Parallelism
+	for i := range ip {
+		ip[i] = -1
 	}
 	for _, sp := range spans {
-		gm := rep.Grains[rep.rowOf[sp.num]]
+		row := rep.rowOf[sp.num]
 		first := int(sp.start / interval)
 		last := int((sp.end - 1) / interval)
 		if last >= nIntervals {
 			last = nIntervals - 1
 		}
 		for i := first; i <= last; i++ {
-			if gm.InstParallelism == -1 || counts[i] < gm.InstParallelism {
-				gm.InstParallelism = counts[i]
+			if c := int64(counts[i]); ip[row] == -1 || c < ip[row] {
+				ip[row] = c
 			}
 		}
 	}
-	for _, gm := range rep.Grains {
-		if gm.InstParallelism == -1 {
-			gm.InstParallelism = 0
+	for i := range ip {
+		if ip[i] == -1 {
+			ip[i] = 0
 		}
 	}
 	return interval, counts

@@ -3,7 +3,6 @@ package metrics
 import (
 	"sort"
 
-	"graingraph/internal/profile"
 	"graingraph/internal/runpool"
 )
 
@@ -18,10 +17,10 @@ const scatterSetGrain = 32
 // pairwise computation.
 //
 // Sibling sets partition the grains, so every set's computation is
-// independent and writes disjoint metric rows: the sets run data-parallel
+// independent and writes disjoint report rows: the sets run data-parallel
 // across opts.Pool, ordered by parent grain ID so the chunking is
-// deterministic (profile.Trace.SiblingSets), with per-worker scratch reusing the core and distance
-// buffers across the sets a worker processes.
+// deterministic (profile.Trace.SiblingSets), with per-worker scratch
+// reusing the core and distance buffers across the sets a worker processes.
 //
 // Grains whose executing core was not recorded (Core < 0) cannot
 // participate in the distance computation and receive ScatterUnknown, as
@@ -29,9 +28,10 @@ const scatterSetGrain = 32
 // "we could not measure" must stay distinguishable from "perfectly packed"
 // (scatter 0). Only children keep scatter 0: a grain with no siblings is
 // trivially unscattered.
-func scatter(grains []*profile.Grain, rep *Report, opts Options) {
-	// rep.Grains[i] is grains[i]'s row, so a set's members index both.
-	off, members := rep.Trace.SiblingSets(grains)
+func scatter(rep *Report, opts Options) {
+	// A set's members are report rows.
+	tr := rep.Trace
+	off, members := tr.SiblingSets(rep.Num)
 
 	// Distances follow the paper's core-identifier convention
 	// (machine.Topology.CoreDistance): |core_i - core_j|.
@@ -46,29 +46,29 @@ func scatter(grains []*profile.Grain, rep *Report, opts Options) {
 				siblings := members[off[si]:off[si+1]]
 				if len(siblings) < 2 {
 					for _, m := range siblings {
-						rep.Grains[m].Scatter = 0
+						rep.Scatter[m] = 0
 					}
 					continue
 				}
 				s.cores = s.cores[:0]
 				for _, m := range siblings {
-					if c := grains[m].Core; c >= 0 {
+					if c := tr.GrainCore(rep.Num[m]); c >= 0 {
 						s.cores = append(s.cores, c)
 					}
 				}
-				val := ScatterUnknown
+				val := int64(ScatterUnknown)
 				if len(s.cores) >= 2 {
 					var med int
 					med, s.dists = medianPairwiseDistanceBuf(
 						subsampleCores(s.cores, opts.ScatterSample), s.dists)
-					val = med
+					val = int64(med)
 				}
 				for _, m := range siblings {
-					if grains[m].Core < 0 {
-						rep.Grains[m].Scatter = ScatterUnknown
+					if tr.GrainCore(rep.Num[m]) < 0 {
+						rep.Scatter[m] = ScatterUnknown
 						continue
 					}
-					rep.Grains[m].Scatter = val
+					rep.Scatter[m] = val
 				}
 			}
 		})

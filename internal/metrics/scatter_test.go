@@ -45,26 +45,31 @@ func TestSubsampleStrideBound(t *testing.T) {
 	}
 }
 
+// fixtureGrain is one hand-built grain of a scatter fixture.
+type fixtureGrain struct {
+	id, parent profile.GrainID
+	core       int
+}
+
 // scatterFixture runs the scatter pass over hand-built grains: each becomes
 // a one-fragment task of a trace that records only string references, so
-// the sibling sets come out of the trace's own numbering.
-func scatterFixture(t *testing.T, grains []*profile.Grain) map[profile.GrainID]*GrainMetrics {
+// the sibling sets come out of the trace's own numbering. It returns each
+// grain's scatter by ID.
+func scatterFixture(t *testing.T, grains []fixtureGrain) map[profile.GrainID]int64 {
 	t.Helper()
 	tr := &profile.Trace{}
 	for _, g := range grains {
 		tr.Tasks = append(tr.Tasks, &profile.TaskRecord{
-			ID: g.ID, Parent: g.Parent, Fragments: []profile.Fragment{{Core: g.Core}},
+			ID: g.id, Parent: g.parent, Fragments: []profile.Fragment{{Core: g.core}},
 		})
 	}
-	grains = tr.Grains()
-	rep := &Report{Trace: tr}
-	byID := make(map[profile.GrainID]*GrainMetrics, len(grains))
-	for _, g := range grains {
-		gm := &GrainMetrics{Grain: g}
-		rep.Grains = append(rep.Grains, gm)
-		byID[g.ID] = gm
+	num := startOrder(tr)
+	rep := &Report{Trace: tr, Num: num, Scatter: make([]int64, len(num))}
+	scatter(rep, Options{}.withDefaults())
+	byID := make(map[profile.GrainID]int64, len(num))
+	for row := range num {
+		byID[rep.ID(row)] = rep.Scatter[row]
 	}
-	scatter(grains, rep, Options{}.withDefaults())
 	return byID
 }
 
@@ -72,18 +77,18 @@ func scatterFixture(t *testing.T, grains []*profile.Grain) map[profile.GrainID]*
 // inherit its siblings' median — it gets the ScatterUnknown sentinel, while
 // siblings with recorded cores still get the median over recorded cores.
 func TestScatterUnknownCoreSentinel(t *testing.T) {
-	byID := scatterFixture(t, []*profile.Grain{
-		{ID: "R.0", Parent: "R", Core: 0},
-		{ID: "R.1", Parent: "R", Core: 24},
-		{ID: "R.2", Parent: "R", Core: -1},
+	byID := scatterFixture(t, []fixtureGrain{
+		{"R.0", "R", 0},
+		{"R.1", "R", 24},
+		{"R.2", "R", -1},
 	})
-	if got := byID["R.2"].Scatter; got != ScatterUnknown {
+	if got := byID["R.2"]; got != ScatterUnknown {
 		t.Errorf("unrecorded-core grain scatter = %d, want ScatterUnknown (%d)", got, ScatterUnknown)
 	}
-	if got := byID["R.0"].Scatter; got != 24 {
+	if got := byID["R.0"]; got != 24 {
 		t.Errorf("recorded-core grain scatter = %d, want 24", got)
 	}
-	if got := byID["R.1"].Scatter; got != 24 {
+	if got := byID["R.1"]; got != 24 {
 		t.Errorf("recorded-core grain scatter = %d, want 24", got)
 	}
 }
@@ -92,13 +97,13 @@ func TestScatterUnknownCoreSentinel(t *testing.T) {
 // recorded cores cannot report a distance; every member gets the sentinel,
 // not a silent 0 indistinguishable from "perfectly packed".
 func TestScatterTooFewRecordedCores(t *testing.T) {
-	byID := scatterFixture(t, []*profile.Grain{
-		{ID: "R.0", Parent: "R", Core: 5},
-		{ID: "R.1", Parent: "R", Core: -1},
-		{ID: "R.2", Parent: "R", Core: -1},
+	byID := scatterFixture(t, []fixtureGrain{
+		{"R.0", "R", 5},
+		{"R.1", "R", -1},
+		{"R.2", "R", -1},
 	})
 	for _, id := range []profile.GrainID{"R.0", "R.1", "R.2"} {
-		if got := byID[id].Scatter; got != ScatterUnknown {
+		if got := byID[id]; got != ScatterUnknown {
 			t.Errorf("%s scatter = %d, want ScatterUnknown", id, got)
 		}
 	}
@@ -107,10 +112,10 @@ func TestScatterTooFewRecordedCores(t *testing.T) {
 // TestScatterOnlyChildStaysZero: an only child is trivially unscattered —
 // scatter 0, even when its core went unrecorded.
 func TestScatterOnlyChildStaysZero(t *testing.T) {
-	byID := scatterFixture(t, []*profile.Grain{
-		{ID: "R", Parent: "", Core: -1},
+	byID := scatterFixture(t, []fixtureGrain{
+		{"R", "", -1},
 	})
-	if got := byID["R"].Scatter; got != 0 {
+	if got := byID["R"]; got != 0 {
 		t.Errorf("only-child scatter = %d, want 0", got)
 	}
 }

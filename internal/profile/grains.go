@@ -7,56 +7,101 @@ import (
 	"graingraph/internal/cache"
 )
 
-// Grain is the unified per-grain view used by the metric derivations: one
-// row per task instance or chunk instance with everything the paper's
-// metrics need.
-type Grain struct {
-	ID     GrainID
-	Kind   Kind
-	Loc    SrcLoc
-	Parent GrainID // task parent, or the loop pseudo-parent for chunks
-	Depth  int
+// Per-grain fields by grain number (see Numbering): grain n is Tasks[n]
+// when n < len(Tasks) and Chunks[n-len(Tasks)] otherwise. These are what
+// the per-grain analysis table reads a grain's identity, timing and
+// counters from; nothing materializes a row per grain.
 
-	// Num is the grain's number in its trace and ParentKey the key of its
-	// Parent string (see Numbering); both are what analyses index by.
-	Num       int32
-	ParentKey int32
-
-	Start, End Time // wall-clock span (first fragment start .. last end)
-	Exec       Time // execution time excluding suspension
-
-	Core     int // core of the first fragment / the chunk's core
-	Counters cache.Counters
-
-	// Parallelization cost components (paper §3.2, "parallel benefit"):
-	// CreateCost is the creation cost borne by the parent (book-keeping cost
-	// for chunks); SyncShare is the grain's share of the parent's
-	// synchronization wait.
-	CreateCost Time
-	SyncShare  Time
-
-	// Inlined marks runtime-throttled tasks.
-	Inlined bool
+// GrainKind returns grain n's kind.
+func (tr *Trace) GrainKind(n int32) Kind {
+	if int(n) < len(tr.Tasks) {
+		return KindTask
+	}
+	return KindChunk
 }
 
-// ParallelizationCost returns CreateCost + SyncShare.
-func (g *Grain) ParallelizationCost() Time { return g.CreateCost + g.SyncShare }
-
-// LoopParentID is the pseudo-parent grain ID shared by all chunks of a loop,
-// making them siblings for the scatter metric.
-func LoopParentID(id LoopID) GrainID {
-	return GrainID("loop:" + strconv.Itoa(int(id)))
+// GrainLoc returns grain n's source definition: a chunk's is its loop's
+// (zero when the trace records no such loop).
+func (tr *Trace) GrainLoc(n int32) SrcLoc {
+	if int(n) < len(tr.Tasks) {
+		return tr.Tasks[n].Loc
+	}
+	if li := tr.Numbering().ChunkLoop[int(n)-len(tr.Tasks)]; li >= 0 {
+		return tr.Loops[li].Loc
+	}
+	return SrcLoc{}
 }
 
-// Grains flattens the trace into the unified grain view, sorted by start
-// time (ties broken by ID for determinism).
-func (tr *Trace) Grains() []*Grain {
+// GrainParent returns grain n's parent ID: a task's recorded parent, or a
+// chunk's loop pseudo-parent.
+func (tr *Trace) GrainParent(n int32) GrainID {
+	if int(n) < len(tr.Tasks) {
+		return tr.Tasks[n].Parent
+	}
 	nb := tr.Numbering()
-	nT := len(tr.Tasks)
+	return nb.ParentID(nb.Parent[n])
+}
 
-	// Distribute each task's join waits over the children synchronized at
-	// that join: child's SyncShare = wait / #joined.
-	syncShare := make([]Time, nb.NumGrains())
+// GrainDepth returns grain n's spawn depth; chunks sit at depth 1.
+func (tr *Trace) GrainDepth(n int32) int {
+	if int(n) < len(tr.Tasks) {
+		return tr.Tasks[n].Depth
+	}
+	return 1
+}
+
+// GrainSpan returns grain n's wall-clock span (first fragment start .. last
+// end).
+func (tr *Trace) GrainSpan(n int32) (start, end Time) {
+	if int(n) < len(tr.Tasks) {
+		t := tr.Tasks[n]
+		return t.StartTime, t.EndTime
+	}
+	c := tr.Chunks[int(n)-len(tr.Tasks)]
+	return c.Start, c.End
+}
+
+// GrainExec returns grain n's execution time, suspension excluded.
+func (tr *Trace) GrainExec(n int32) Time {
+	if int(n) < len(tr.Tasks) {
+		return tr.Tasks[n].ExecTime()
+	}
+	return tr.Chunks[int(n)-len(tr.Tasks)].Duration()
+}
+
+// GrainCore returns the core of grain n's first fragment (a chunk's
+// core), -1 when unrecorded.
+func (tr *Trace) GrainCore(n int32) int {
+	if int(n) < len(tr.Tasks) {
+		return tr.Tasks[n].FirstCore()
+	}
+	return tr.Chunks[int(n)-len(tr.Tasks)].Thread
+}
+
+// GrainCounters returns grain n's cache counters.
+func (tr *Trace) GrainCounters(n int32) cache.Counters {
+	if int(n) < len(tr.Tasks) {
+		return tr.Tasks[n].TotalCounters()
+	}
+	return tr.Chunks[int(n)-len(tr.Tasks)].Counters
+}
+
+// GrainCreateCost returns the creation cost grain n's parent paid for it
+// (book-keeping cost for chunks): the first half of its parallelization
+// cost (paper §3.2, "parallel benefit").
+func (tr *Trace) GrainCreateCost(n int32) Time {
+	if int(n) < len(tr.Tasks) {
+		return tr.Tasks[n].CreateCost
+	}
+	return tr.Chunks[int(n)-len(tr.Tasks)].Bookkeep
+}
+
+// SyncShares returns each grain's share of its parent's synchronization
+// wait, by grain number — the second half of its parallelization cost. A
+// join's wait is spread evenly over the children synchronized there.
+func (tr *Trace) SyncShares() []Time {
+	nb := tr.Numbering()
+	share := make([]Time, nb.NumGrains())
 	for ti, t := range tr.Tasks {
 		row := nb.BoundOff[ti]
 		for i := range t.Boundaries {
@@ -64,82 +109,32 @@ func (tr *Trace) Grains() []*Grain {
 			if b.Kind != BoundaryJoin || len(b.Joined) == 0 {
 				continue
 			}
-			share := b.Wait / Time(len(b.Joined))
+			s := b.Wait / Time(len(b.Joined))
 			for _, child := range nb.JoinedOf(row + int32(i)) {
 				if child >= 0 {
-					syncShare[child] += share
+					share[child] += s
 				}
 			}
 		}
 	}
+	return share
+}
 
-	// One backing array for all rows: the view is built and dropped as a
-	// whole, and a million separate rows are a million objects to trace.
-	rows := make([]Grain, nb.NumGrains())
-	grains := make([]*Grain, len(rows))
-	for i, t := range tr.Tasks {
-		rows[i] = Grain{
-			ID:         t.ID,
-			Num:        int32(i),
-			Kind:       KindTask,
-			Loc:        t.Loc,
-			Parent:     t.Parent,
-			ParentKey:  nb.Parent[i],
-			Depth:      t.Depth,
-			Start:      t.StartTime,
-			End:        t.EndTime,
-			Exec:       t.ExecTime(),
-			Core:       t.FirstCore(),
-			Counters:   t.TotalCounters(),
-			CreateCost: t.CreateCost,
-			SyncShare:  syncShare[i],
-			Inlined:    t.Inlined,
-		}
-	}
-	for j, c := range tr.Chunks {
-		n := nT + j
-		loc := SrcLoc{}
-		if li := nb.ChunkLoop[j]; li >= 0 {
-			loc = tr.Loops[li].Loc
-		}
-		rows[n] = Grain{
-			ID:         nb.IDs[n],
-			Num:        int32(n),
-			Kind:       KindChunk,
-			Loc:        loc,
-			Parent:     nb.ParentID(nb.Parent[n]),
-			ParentKey:  nb.Parent[n],
-			Depth:      1,
-			Start:      c.Start,
-			End:        c.End,
-			Exec:       c.Duration(),
-			Core:       c.Thread,
-			Counters:   c.Counters,
-			CreateCost: c.Bookkeep,
-		}
-	}
-	for i := range rows {
-		grains[i] = &rows[i]
-	}
-
-	sort.Slice(grains, func(i, j int) bool {
-		if grains[i].Start != grains[j].Start {
-			return grains[i].Start < grains[j].Start
-		}
-		return grains[i].ID < grains[j].ID
-	})
-	return grains
+// LoopParentID is the pseudo-parent grain ID shared by all chunks of a loop,
+// making them siblings for the scatter metric.
+func LoopParentID(id LoopID) GrainID {
+	return GrainID("loop:" + strconv.Itoa(int(id)))
 }
 
 // SiblingSets groups grains into sibling sets — the grains that share a
 // parent — as a CSR over the parent keys: set s is
-// members[off[s]:off[s+1]], positions in grains in their given order. Sets
-// are ordered by parent ID string.
-func (tr *Trace) SiblingSets(grains []*Grain) (off, members []int32) {
+// members[off[s]:off[s+1]], positions in nums (grain numbers) in their
+// given order. Sets are ordered by parent ID string.
+func (tr *Trace) SiblingSets(nums []int32) (off, members []int32) {
 	nb := tr.Numbering()
 	count := make([]int32, nb.NumParentKeys()+1)
-	for _, g := range grains {
-		count[g.ParentKey+1]++
+	for _, n := range nums {
+		count[nb.Parent[n]+1]++
 	}
 	var keys []int32
 	for k, c := range count[1:] {
@@ -155,21 +150,11 @@ func (tr *Trace) SiblingSets(grains []*Grain) (off, members []int32) {
 		off[s+1] = off[s] + count[k+1]
 		count[k+1] = off[s]
 	}
-	members = make([]int32, len(grains))
-	for i, g := range grains {
-		members[count[g.ParentKey+1]] = int32(i)
-		count[g.ParentKey+1]++
+	members = make([]int32, len(nums))
+	for i, n := range nums {
+		p := nb.Parent[n]
+		members[count[p+1]] = int32(i)
+		count[p+1]++
 	}
 	return off, members
-}
-
-// GrainsByLoc groups grains by their source definition, the grouping
-// Figure 7 of the paper uses ("performance grouped by definition in source
-// files").
-func GrainsByLoc(grains []*Grain) map[SrcLoc][]*Grain {
-	m := make(map[SrcLoc][]*Grain)
-	for _, g := range grains {
-		m[g.Loc] = append(m[g.Loc], g)
-	}
-	return m
 }

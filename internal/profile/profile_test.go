@@ -134,69 +134,74 @@ func TestChunkGrainID(t *testing.T) {
 	}
 }
 
+// TestGrainsUnifiedView reads tasks and chunks through the one set of
+// per-number accessors the analysis table uses.
 func TestGrainsUnifiedView(t *testing.T) {
 	tr := makeTestTrace()
-	grains := tr.Grains()
-	if len(grains) != 5 {
-		t.Fatalf("Grains len = %d, want 5", len(grains))
+	if tr.NumGrains() != 5 {
+		t.Fatalf("NumGrains = %d, want 5", tr.NumGrains())
 	}
-	byID := make(map[GrainID]*Grain)
-	for _, g := range grains {
-		byID[g.ID] = g
-	}
-	r0 := byID["R.0"]
-	if r0 == nil {
+	r0 := tr.Lookup("R.0")
+	if r0 < 0 {
 		t.Fatal("R.0 grain missing")
 	}
-	if r0.Exec != 100 || r0.CreateCost != 50 {
-		t.Errorf("R.0 grain = %+v", r0)
+	if tr.GrainKind(r0) != KindTask || tr.GrainExec(r0) != 100 || tr.GrainCreateCost(r0) != 50 {
+		t.Errorf("R.0: kind %v exec %d create %d", tr.GrainKind(r0), tr.GrainExec(r0), tr.GrainCreateCost(r0))
 	}
 	// The root's join waited 100 over two joined children: 50 each.
-	if r0.SyncShare != 50 {
-		t.Errorf("R.0 SyncShare = %d, want 50", r0.SyncShare)
-	}
-	if r0.ParallelizationCost() != 100 {
-		t.Errorf("R.0 ParallelizationCost = %d, want 100", r0.ParallelizationCost())
+	if share := tr.SyncShares(); share[r0] != 50 {
+		t.Errorf("R.0 sync share = %d, want 50", share[r0])
 	}
 	// Chunks carry bookkeeping as creation cost and the loop pseudo-parent.
-	ch := byID["L0@t0#0[0,4)"]
-	if ch == nil {
+	ch := tr.Lookup("L0@t0#0[0,4)")
+	if ch < 0 {
 		t.Fatal("chunk grain missing")
 	}
-	if ch.Kind != KindChunk || ch.CreateCost != 10 || ch.Parent != LoopParentID(0) {
-		t.Errorf("chunk grain = %+v", ch)
+	if tr.GrainKind(ch) != KindChunk || tr.GrainCreateCost(ch) != 10 || tr.GrainParent(ch) != LoopParentID(0) || tr.GrainDepth(ch) != 1 {
+		t.Errorf("chunk: kind %v create %d parent %q depth %d",
+			tr.GrainKind(ch), tr.GrainCreateCost(ch), tr.GrainParent(ch), tr.GrainDepth(ch))
 	}
-	// Sorted by start time.
-	for i := 1; i < len(grains); i++ {
-		if grains[i-1].Start > grains[i].Start {
-			t.Errorf("grains not sorted by start: %v then %v", grains[i-1].Start, grains[i].Start)
-		}
+	c := tr.Chunks[0]
+	if s, e := tr.GrainSpan(ch); s != c.Start || e != c.End || tr.GrainExec(ch) != c.Duration() || tr.GrainCore(ch) != c.Thread {
+		t.Errorf("chunk span %d..%d exec %d core %d, want the record's", s, e, tr.GrainExec(ch), tr.GrainCore(ch))
+	}
+	if tr.GrainLoc(ch) != tr.Loops[0].Loc || tr.GrainCounters(ch) != c.Counters {
+		t.Errorf("chunk loc %v, want its loop's %v", tr.GrainLoc(ch), tr.Loops[0].Loc)
 	}
 }
 
 func TestGrainsByParentAndLoc(t *testing.T) {
 	tr := makeTestTrace()
-	grains := tr.Grains()
+	nums := make([]int32, tr.NumGrains())
+	for i := range nums {
+		nums[i] = int32(len(nums) - 1 - i) // any order: members are positions in it
+	}
 	// Sets come in parent-ID order: the root's empty parent, "R", "loop:0".
-	off, members := tr.SiblingSets(grains)
+	off, members := tr.SiblingSets(nums)
 	var sets [][]GrainID
 	for s := 0; s+1 < len(off); s++ {
 		var ids []GrainID
+		first := tr.GrainParent(nums[members[off[s]]])
 		for _, m := range members[off[s]:off[s+1]] {
-			if grains[m].Parent != grains[members[off[s]]].Parent {
-				t.Errorf("set %d mixes parents %q and %q", s, grains[m].Parent, grains[members[off[s]]].Parent)
+			if p := tr.GrainParent(nums[m]); p != first {
+				t.Errorf("set %d mixes parents %q and %q", s, p, first)
 			}
-			ids = append(ids, grains[m].ID)
+			ids = append(ids, tr.ID(nums[m]))
 		}
 		sets = append(sets, ids)
 	}
-	want := [][]GrainID{{"R"}, {"R.0", "R.1"}, {"L0@t0#0[0,4)", "L0@t0#1[4,8)"}}
+	want := [][]GrainID{{"R"}, {"R.1", "R.0"}, {"L0@t0#1[4,8)", "L0@t0#0[0,4)"}}
 	if !reflect.DeepEqual(sets, want) {
 		t.Errorf("sibling sets = %q, want %q", sets, want)
 	}
-	byLoc := GrainsByLoc(grains)
-	if len(byLoc[Loc("main.go", 10, "work")]) != 2 {
-		t.Errorf("loc grouping = %d, want 2", len(byLoc[Loc("main.go", 10, "work")]))
+	work := 0
+	for n := int32(0); int(n) < tr.NumGrains(); n++ {
+		if tr.GrainLoc(n) == Loc("main.go", 10, "work") {
+			work++
+		}
+	}
+	if work != 2 {
+		t.Errorf("loc grouping = %d, want 2", work)
 	}
 }
 

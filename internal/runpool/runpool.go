@@ -275,13 +275,6 @@ func (c *Cache[V]) SetCapacity(n int) {
 	c.evictLocked()
 }
 
-// Capacity returns the entry bound (0 = unbounded).
-func (c *Cache[V]) Capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cap
-}
-
 // pushFront links e as the most recently used entry.
 func (c *Cache[V]) pushFront(e *cacheEntry[V]) {
 	e.prev = nil

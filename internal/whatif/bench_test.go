@@ -20,7 +20,7 @@ func BenchmarkRankGiant(b *testing.B) {
 		workloads.NewGiant(workloads.SmokeGiantParams()).Program())
 	g := core.Build(tr)
 	rep := metrics.Analyze(tr, g, nil, metrics.Options{})
-	a := highlight.Evaluate(rep, highlight.Defaults(tr.Cores, 4))
+	a := highlight.EvaluateWith(rep, highlight.Defaults(tr.Cores, 4), nil)
 	pool := runpool.New(2)
 	b.ReportAllocs()
 	b.ResetTimer()

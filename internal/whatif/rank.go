@@ -94,16 +94,16 @@ func (e *Engine) Candidates(a *highlight.Assessment, opt RankOptions) []Hypothes
 		// caches the >1 deviations at construction).
 		if e.inflated {
 			hs = append(hs, ZeroInflation{All: true})
-			for _, ga := range a.TopOffenders(highlight.WorkInflation, opt.PerProblem) {
-				hs = append(hs, ZeroInflation{Grain: ga.Metrics.Grain.ID})
+			for _, row := range a.TopOffenders(highlight.WorkInflation, opt.PerProblem) {
+				hs = append(hs, ZeroInflation{Grain: a.Report.ID(row)})
 			}
 		}
 
 		// Scale the worst offender grains of every problem class, deduped.
 		var seen []profile.GrainID // a handful: PerProblem per problem class
 		for _, p := range highlight.AllProblems {
-			for _, ga := range a.TopOffenders(p, opt.PerProblem) {
-				id := ga.Metrics.Grain.ID
+			for _, row := range a.TopOffenders(p, opt.PerProblem) {
+				id := a.Report.ID(row)
 				if slices.Contains(seen, id) {
 					continue
 				}

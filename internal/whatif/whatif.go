@@ -230,12 +230,16 @@ func New(g *core.Graph, rep *metrics.Report) *Engine {
 	}
 	if rep != nil {
 		e.deviation = make([]float64, g.NumGrainNums())
-		for _, gm := range rep.Grains {
-			if gm.WorkDeviation <= 1 {
+		for row, wd := range rep.WorkDev {
+			if wd <= 1 {
 				continue
 			}
-			if num := g.NumOf(gm.Grain); num >= 0 && int(num) < len(e.deviation) {
-				e.deviation[num] = gm.WorkDeviation
+			num := rep.Num[row]
+			if rep.Trace != g.Trace {
+				num = g.LookupGrain(rep.ID(row))
+			}
+			if num >= 0 && int(num) < len(e.deviation) {
+				e.deviation[num] = wd
 				e.inflated = true
 			}
 		}

@@ -125,13 +125,10 @@ func TestInfiniteCoresProjectsSpan(t *testing.T) {
 
 func TestZeroInflationUsesDeviation(t *testing.T) {
 	g := overheadGraph()
-	rep := &metrics.Report{
-		Trace: g.Trace,
-		Grains: []*metrics.GrainMetrics{
-			{Grain: &profile.Grain{ID: "R.0"}, WorkDeviation: 2.0},
-			{Grain: &profile.Grain{ID: "R.1"}, WorkDeviation: 0.9},
-		},
-	}
+	// A report of another trace naming the same grains: its rows reach the
+	// graph by ID.
+	tr := &profile.Trace{Tasks: []*profile.TaskRecord{{ID: "R.0"}, {ID: "R.1"}}}
+	rep := &metrics.Report{Trace: tr, Num: []int32{0, 1}, WorkDev: []float64{2.0, 0.9}}
 	e := New(g, rep)
 	p := e.Eval(ZeroInflation{Grain: "R.0"})
 	// R.0's 10 cycles deflate to 5; R.1 (deviation < 1) is untouched.
@@ -200,7 +197,7 @@ func TestBrokenCutoffFibShapeProjectsPositiveSpeedup(t *testing.T) {
 	})
 	g := core.Build(tr)
 	rep := metrics.Analyze(tr, g, nil, metrics.Options{})
-	a := highlight.Evaluate(rep, highlight.Defaults(tr.Cores, 4))
+	a := highlight.EvaluateWith(rep, highlight.Defaults(tr.Cores, 4), nil)
 	e := New(g, rep)
 	ps, err := e.Rank(a, runpool.New(4), RankOptions{})
 	if err != nil {
@@ -282,7 +279,7 @@ func oracleSubjects(t *testing.T) map[string]struct {
 	add := func(name string, tr *profile.Trace) {
 		g := core.Build(tr)
 		rep := metrics.Analyze(tr, g, nil, metrics.Options{})
-		a := highlight.Evaluate(rep, highlight.Defaults(tr.Cores, 4))
+		a := highlight.EvaluateWith(rep, highlight.Defaults(tr.Cores, 4), nil)
 		subjects[name] = struct {
 			g   *core.Graph
 			rep *metrics.Report
