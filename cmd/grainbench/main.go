@@ -20,18 +20,24 @@
 //	grainbench -fig sort -trace sort.json -stats
 //	                         # + Perfetto trace and runtime-metrics footers
 //	grainbench -record runs/ # additionally save every simulation as a
-//	                         # .ggp artifact named by its content key
+//	                         # v1 .ggp artifact named by its content key
+//	grainbench -ggpconv runs/<key>.ggp
+//	                         # upgrade one artifact to columnar v2 with
+//	                         # derived sidecars
 //	grainbench -replay runs/ # analyze saved artifacts instead of
 //	                         # simulating (byte-identical output)
 //
 // Figure IDs: 1, 2, 4, 5, 6, 7, 8, 9 (covers 9/10 + Table 1), 11,
-// "sort" (the §4.3.1 table), "others" (§4.3.6).
+// "sort" (the §4.3.1 table), "others" (§4.3.6) — the steps of
+// expt.Figures, in their order.
 //
 // Simulation runs are deterministic, memoized and independent, so figures
 // fan their runs across -j workers (default: all CPUs) and the printed
 // tables are byte-identical at every -j, including -j 1.
 //
-// -trace writes every simulated run of the selected figures as one
+// Each figure returns the runs it requested — simulated, memoized or
+// replayed — in request order, and -trace and -stats read only those.
+// -trace writes the runs of the selected figures as one
 // Chrome-trace JSON file, openable at ui.perfetto.dev: one process per
 // run, one thread track per worker, grain slices labelled
 // file:line(func), steal/park/resume instants, critical-path grains
@@ -58,6 +64,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"graingraph/internal/export"
@@ -78,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", 0, "max simulations in flight; 1 = serial, <=0 = all CPUs")
 	record := fs.String("record", "", "write every keyed simulation of the selected figures as a grain-profile artifact (<hex key>.ggp) into this directory")
 	replay := fs.String("replay", "", "load simulations from grain-profile artifacts in this directory instead of executing them (missing artifacts simulate live)")
-	ggpV2 := fs.Bool("ggp-v2", false, "record artifacts in the columnar v2 format (decodes to an analysis-ready graph without event parsing; use with -record)")
 	ggpconv := fs.String("ggpconv", "", "convert the given .ggp artifact (either version) to columnar v2 with derived sidecars and exit")
 	ggpconvOut := fs.String("ggpconv-out", "", "output path for -ggpconv (default: <src>.v2.ggp)")
 	traceOut := fs.String("trace", "", "write a Perfetto/Chrome trace of all simulated runs to this file (steal/park/resume instants are derived from the profiles; for a saved artifact use grainview -trace)")
@@ -112,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	expt.SetRecordV2(*ggpV2)
 	if *record != "" {
 		expt.SetRecordDir(*record)
 	}
@@ -125,45 +130,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if profiling {
 		expt.EnableSelfProfile(obs.New())
 	}
-	if *traceOut != "" || *stats {
-		expt.Instr = &expt.Instrumentation{PrintFooter: *stats}
-	}
 
-	type step struct {
-		id  string
-		run func() error
-	}
 	w := stdout
-	steps := []step{
-		{"1", func() error { _, err := expt.Figure1(w, *cores); return err }},
-		{"2", func() error { _, err := expt.Figure2(w); return err }},
-		{"4", func() error { _, err := expt.Figure4(w); return err }},
-		{"5", func() error { _, err := expt.Figure5(w); return err }},
-		{"sort", func() error { _, err := expt.SortPageTable(w); return err }},
-		{"6", func() error { _, err := expt.Figure6(w); return err }},
-		{"7", func() error { _, err := expt.Figure7(w); return err }},
-		{"8", func() error { _, err := expt.Figure8(w); return err }},
-		{"9", func() error { _, err := expt.Figure9Table1(w); return err }},
-		{"11", func() error { _, err := expt.Figure11(w); return err }},
-		{"others", func() error { _, err := expt.OtherBenchmarks(w); return err }},
-		{"whatif", func() error { _, err := expt.WhatIfTable(w); return err }},
-	}
+	steps := append(slices.Clone(expt.Figures), expt.WhatIfFigure)
 	ran := false
 	var failed []string
+	var traced []export.PerfettoRun
 	for _, s := range steps {
 		// The what-if pass is opt-in: it runs for -fig whatif, or rides along
 		// a full regeneration when -whatif is set.
-		if s.id == "whatif" && *fig != "whatif" && !(*whatIf && *fig == "all") {
+		if s.ID == "whatif" && *fig != "whatif" && !(*whatIf && *fig == "all") {
 			continue
 		}
-		if *fig != "all" && *fig != s.id {
+		if *fig != "all" && *fig != s.ID {
 			continue
 		}
 		ran = true
-		if err := s.run(); err != nil {
-			fmt.Fprintf(stderr, "grainbench: figure %s: %v\n", s.id, err)
-			failed = append(failed, s.id)
+		runs, err := s.Run(w, *cores)
+		if err != nil {
+			fmt.Fprintf(stderr, "grainbench: figure %s: %v\n", s.ID, err)
+			failed = append(failed, s.ID)
 			continue
+		}
+		if *stats {
+			expt.WriteFooter(w, runs)
+		}
+		if *traceOut != "" {
+			traced = append(traced, expt.PerfettoRuns(runs)...)
 		}
 		fmt.Fprintln(w)
 	}
@@ -198,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(stderr, *traceOut); err != nil {
+		if err := writeTrace(stderr, *traceOut, traced); err != nil {
 			fmt.Fprintf(stderr, "grainbench: %v\n", err)
 			failed = append(failed, "trace")
 		}
@@ -241,14 +234,8 @@ func writeSelfProfile(stderr io.Writer, path string, prof *obs.Profile) error {
 	return nil
 }
 
-// writeTrace exports every logged run as one Perfetto trace file.
-func writeTrace(stderr io.Writer, path string) error {
-	runs := make([]export.PerfettoRun, 0, len(expt.Instr.Runs))
-	for _, r := range expt.Instr.Runs {
-		runs = append(runs, export.PerfettoRun{
-			Label: r.Label, Trace: r.Trace, Critical: r.Critical,
-		})
-	}
+// writeTrace exports the figures' runs as one Perfetto trace file.
+func writeTrace(stderr io.Writer, path string, runs []export.PerfettoRun) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -56,7 +56,7 @@ var fixture = sync.OnceValues(func() (*fixtureData, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := expt.AnalyzeTraceOn(pool, tr, nil, expt.Config{}, nil)
+	res := expt.AnalyzeDecodedOn(pool, &ggp.Decoded{Trace: tr}, nil, expt.Config{}, nil)
 
 	var w bytes.Buffer
 	if err := expt.WriteSummary(&w, res); err != nil {
@@ -446,7 +446,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := expt.AnalyzeTraceOn(pool, tr, nil, expt.Config{}, nil)
+	res := expt.AnalyzeDecodedOn(pool, &ggp.Decoded{Trace: tr}, nil, expt.Config{}, nil)
 
 	queries := []string{
 		"from grains | filter exec > 0 | groupby loc | agg count, sum(exec), mean(benefit) | sort sum_exec desc | topk 5",

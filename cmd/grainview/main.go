@@ -222,11 +222,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		isp.End()
 		sub.Res = expt.AnalyzeDecodedOn(nil, dec, sub.Baseline, expt.Config{}, rootSp)
 	} else {
-		// -trace and -stats report the live run's log.
-		expt.Instr = nil
-		if *traceOut != "" || *stats {
-			expt.Instr = &expt.Instrumentation{}
-		}
+		// -trace and -stats report the live run's own runs.
 		inst, err := workloads.Get(*workload, workloads.Variant(*variant))
 		die(err)
 		cfg := expt.Config{Cores: *cores, Seed: *seed, Baseline: *baseline}
@@ -242,9 +238,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sub.Res, err = expt.RunSpan(inst, cfg, rsp)
 		rsp.End()
 		die(err)
-		if expt.Instr != nil {
-			sub.Log = expt.Instr.Runs
-		}
 	}
 	res := sub.Res
 	// render renders one view of the subject.

@@ -2,11 +2,15 @@ package expt
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"graingraph/internal/core"
 	"graingraph/internal/export"
+	"graingraph/internal/ggp"
 	"graingraph/internal/lod"
 	"graingraph/internal/runpool"
 	"graingraph/internal/workloads"
@@ -60,7 +64,7 @@ func TestConcurrentAnalysisDeterministic(t *testing.T) {
 
 	// Serial reference: one worker, no concurrency anywhere.
 	serialPool := runpool.New(1)
-	serialRes := AnalyzeTraceOn(serialPool, tr, nil, Config{}, nil)
+	serialRes := analyze(serialPool, tr, nil, nil, Config{}, nil)
 	want, err := renderAll(serialRes, serialPool)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +82,7 @@ func TestConcurrentAnalysisDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res := AnalyzeTraceOn(shared, tr, nil, Config{}, nil)
+			res := analyze(shared, tr, nil, nil, Config{}, nil)
 			outs[i], errs[i] = renderAll(res, shared)
 		}(i)
 	}
@@ -94,10 +98,10 @@ func TestConcurrentAnalysisDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTraceOnLeavesGlobalPoolAlone pins the satellite fix: analyses
-// on an explicit pool must not consult or mutate the package-global
-// parallelism, so a CLI-configured global and server pools coexist.
-func TestAnalyzeTraceOnLeavesGlobalPoolAlone(t *testing.T) {
+// TestAnalyzeDecodedOnLeavesGlobalPoolAlone pins that analyses on an
+// explicit pool do not consult or mutate the package-global parallelism,
+// so a CLI-configured global and server pools coexist.
+func TestAnalyzeDecodedOnLeavesGlobalPoolAlone(t *testing.T) {
 	inst, err := workloads.Get("fib", workloads.VariantDefault)
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +112,79 @@ func TestAnalyzeTraceOnLeavesGlobalPoolAlone(t *testing.T) {
 	}
 	before := parallelism()
 	pool := runpool.New(3)
-	res := AnalyzeTraceOn(pool, run.Trace, nil, Config{}, nil)
+	res := AnalyzeDecodedOn(pool, &ggp.Decoded{Trace: run.Trace}, nil, Config{}, nil)
 	if res == nil || res.Assessment == nil {
 		t.Fatal("explicit-pool analysis produced no result")
 	}
 	if got := parallelism(); got != before {
-		t.Fatalf("AnalyzeTraceOn changed global parallelism %d -> %d", before, got)
+		t.Fatalf("AnalyzeDecodedOn changed global parallelism %d -> %d", before, got)
 	}
+}
+
+// TestConcurrentFiguresKeepTheirOwnRuns pins that a figure's run log is
+// its own value: two figures regenerated at the same time on one -j 4 pool
+// each return exactly the runs they requested, in submission order — the
+// same log each returns when it runs alone.
+func TestConcurrentFiguresKeepTheirOwnRuns(t *testing.T) {
+	prev := parallelism()
+	defer func() { SetParallelism(prev); ResetMemo() }()
+	SetParallelism(4)
+
+	figs := []Figure{figureByID(t, "2"), figureByID(t, "6")}
+	entries := func(runs []*LoggedRun) []string {
+		out := make([]string, len(runs))
+		for i, r := range runs {
+			out[i] = fmt.Sprintf("%s makespan %d", r.Label, r.Trace.Makespan())
+		}
+		return out
+	}
+	want := make([][]string, len(figs))
+	for i, f := range figs {
+		ResetMemo()
+		runs, err := f.Run(nil, 48)
+		if err != nil {
+			t.Fatalf("figure %s alone: %v", f.ID, err)
+		}
+		want[i] = entries(runs)
+	}
+	// Figure 2 requests two analyses; Figure 6 requests two analyses with
+	// baselines, each baseline logged before its run.
+	if len(want[0]) != 2 || len(want[1]) != 4 ||
+		!strings.Contains(want[1][0], " p1 ") || !strings.Contains(want[1][1], " p48 ") {
+		t.Fatalf("unexpected solo logs:\n%q\n%q", want[0], want[1])
+	}
+
+	ResetMemo()
+	got := make([][]string, len(figs))
+	errs := make([]error, len(figs))
+	var wg sync.WaitGroup
+	for i, f := range figs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs, err := f.Run(nil, 48)
+			got[i], errs[i] = entries(runs), err
+		}()
+	}
+	wg.Wait()
+	for i, f := range figs {
+		if errs[i] != nil {
+			t.Fatalf("figure %s: %v", f.ID, errs[i])
+		}
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("figure %s run log differs when run concurrently:\ngot:  %q\nwant: %q", f.ID, got[i], want[i])
+		}
+	}
+}
+
+// figureByID returns the Figures row with the given ID.
+func figureByID(t *testing.T, id string) Figure {
+	t.Helper()
+	for _, f := range Figures {
+		if f.ID == id {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q", id)
+	return Figure{}
 }

@@ -8,28 +8,14 @@ import (
 )
 
 // allFigures regenerates every figure and table into w, in the grainbench
-// step order.
+// step order, each followed by its runtime-metrics footer.
 func allFigures(w io.Writer) error {
-	steps := []struct {
-		id  string
-		run func(io.Writer) error
-	}{
-		{"1", func(w io.Writer) error { _, err := Figure1(w, 48); return err }},
-		{"2", func(w io.Writer) error { _, err := Figure2(w); return err }},
-		{"4", func(w io.Writer) error { _, err := Figure4(w); return err }},
-		{"5", func(w io.Writer) error { _, err := Figure5(w); return err }},
-		{"sort", func(w io.Writer) error { _, err := SortPageTable(w); return err }},
-		{"6", func(w io.Writer) error { _, err := Figure6(w); return err }},
-		{"7", func(w io.Writer) error { _, err := Figure7(w); return err }},
-		{"8", func(w io.Writer) error { _, err := Figure8(w); return err }},
-		{"9", func(w io.Writer) error { _, err := Figure9Table1(w); return err }},
-		{"11", func(w io.Writer) error { _, err := Figure11(w); return err }},
-		{"others", func(w io.Writer) error { _, err := OtherBenchmarks(w); return err }},
-	}
-	for _, s := range steps {
-		if err := s.run(w); err != nil {
-			return fmt.Errorf("figure %s: %w", s.id, err)
+	for _, f := range Figures {
+		runs, err := f.Run(w, 48)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", f.ID, err)
 		}
+		WriteFooter(w, runs)
 		fmt.Fprintln(w)
 	}
 	return nil
@@ -42,8 +28,6 @@ func regenerate(t *testing.T, jobs int) ([]byte, uint64) {
 	t.Helper()
 	ResetMemo()
 	SetParallelism(jobs)
-	Instr = &Instrumentation{PrintFooter: true}
-	defer func() { Instr = nil }()
 	simBefore, _ := MemoStats()
 	var buf bytes.Buffer
 	if err := allFigures(&buf); err != nil {

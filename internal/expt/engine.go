@@ -16,10 +16,10 @@
 //     redoing the real work. The trace is identical either way.
 //
 //   - A bounded worker pool (internal/runpool). Figures batch their
-//     independent runs through runBatch/makespanBatch, which fan out across
-//     SetParallelism workers and assemble results strictly by submission
-//     index — never by completion order — so figure output is byte-identical
-//     for every -j, including the serial fallback -j 1.
+//     independent run requests through runAll, which fans them out across
+//     SetParallelism workers and assembles results and run logs strictly by
+//     submission index — never by completion order — so figure output is
+//     byte-identical for every -j, including the serial fallback -j 1.
 //
 // Each simulation is fully self-contained: rts.Run builds a private
 // topology, memory, cache hierarchy and RNG per run, workload instances are
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"sync"
 
+	"graingraph/internal/obs"
 	"graingraph/internal/profile"
 	"graingraph/internal/rts"
 	"graingraph/internal/runpool"
@@ -60,7 +61,7 @@ var inputFacts = workloads.NewFactStore()
 // package-level pool, so it must run once at startup, before regenerating
 // figures — never concurrently with analyses. Concurrent callers (servers,
 // parallel tests) must not touch it; they pass an explicit pool to
-// AnalyzeTraceOn (and to the pool-taking what-if/export entry points)
+// AnalyzeDecodedOn (and to the pool-taking what-if/export entry points)
 // instead, which leaves the shared pool alone. A call racing with in-flight
 // work would strand chunked kernels mid-fan-out on the swapped-out pool.
 func SetParallelism(j int) {
@@ -135,18 +136,8 @@ func simKey(inst workloads.Instance, rcfg rts.Config) (runpool.Key, bool) {
 // simulate executes (or recalls) one verified simulation run. On a memo hit
 // the workload does not re-execute — the cached trace is identical to what
 // a rerun would produce, and verification already passed (or its error is
-// replayed). The returned InstrumentedRun (nil when Instr is) is a fresh
-// per-call record carrying this call's label, so footers and trace exports
-// list every request in submission order whether it was simulated,
-// deduplicated or replayed.
-func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.Trace, *InstrumentedRun, error) {
-	ins := Instr
-	logged := func(tr *profile.Trace) *InstrumentedRun {
-		if ins == nil {
-			return nil
-		}
-		return &InstrumentedRun{Label: label, Trace: tr}
-	}
+// replayed). label names the run's simulate span.
+func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.Trace, error) {
 	key, keyed := simKey(inst, rcfg)
 	recDir, repDir := artifactDirs()
 
@@ -156,9 +147,9 @@ func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.
 	// byte-identically to the live path with no re-execution.
 	if keyed && repDir != "" {
 		if tr, found, err := loadArtifact(repDir, key); err != nil {
-			return nil, nil, err
+			return nil, err
 		} else if found {
-			return tr, logged(tr), nil
+			return tr, nil
 		}
 	}
 
@@ -192,68 +183,80 @@ func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.
 	} else {
 		tr, err = compute()
 	}
-	if tr == nil {
-		return nil, nil, err
-	}
-	return tr, logged(tr), err
+	return tr, err
 }
 
-// runReq is one simulation request in a figure's batch: a workload factory
-// (the instance is constructed inside the worker that runs it, keeping
-// mutable workload state goroutine-local), a run configuration, and an
-// error-context prefix.
+// runReq is one run request: a workload factory (the instance is
+// constructed inside the worker that runs it, keeping mutable workload
+// state goroutine-local), a run configuration, an error-context prefix,
+// and whether it only measures the makespan — a makespan request wants
+// the trace but neither the baseline nor the analysis.
 type runReq struct {
-	mk   func() workloads.Instance
-	cfg  Config
-	wrap string
+	mk       func() workloads.Instance
+	cfg      Config
+	wrap     string
+	makespan bool
+}
+
+// do performs one request: the 1-core baseline when the config asks for
+// one, the run itself, and the analysis, whose phase spans are rooted
+// under parent (see analyze). The Result carries the runs performed, in
+// order; a makespan request's Result holds only the trace and its run.
+func (q runReq) do(parent *obs.Span) (*Result, error) {
+	inst := q.mk()
+	rcfg := rtsConfig(inst, q.cfg)
+	var runs []*LoggedRun
+	run := func(rc rts.Config, suffix string) (*profile.Trace, error) {
+		label := runLabel(inst.Name(), q.cfg, rc.Cores, suffix)
+		tr, err := simulate(inst, rc, label)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, &LoggedRun{Label: label, Trace: tr})
+		return tr, nil
+	}
+
+	if q.makespan {
+		tr, err := run(rcfg, "makespan")
+		if err != nil {
+			return nil, wrapErr(q.wrap, err)
+		}
+		return &Result{Trace: tr, RunLog: RunLog{runs}}, nil
+	}
+	var baseline *profile.Trace
+	if q.cfg.Baseline {
+		bcfg := rcfg
+		bcfg.Cores = 1
+		tr, err := run(bcfg, "baseline")
+		if err != nil {
+			return nil, wrapErr(q.wrap, fmt.Errorf("baseline run: %w", err))
+		}
+		baseline = tr
+	}
+	tr, err := run(rcfg, "")
+	if err != nil {
+		return nil, wrapErr(q.wrap, fmt.Errorf("parallel run: %w", err))
+	}
+	res := analyze(nil, tr, nil, baseline, q.cfg, parent)
+	runs[len(runs)-1].graph = res.Graph
+	res.Runs = runs
+	return res, nil
 }
 
 func wrapErr(wrap string, err error) error {
-	if err == nil || wrap == "" {
+	if wrap == "" {
 		return err
 	}
 	return fmt.Errorf("%s: %w", wrap, err)
 }
 
-// runBatch performs the requests' full analyses (expt.Run each) across the
-// pool. Results are ordered by request index; logged runs are
-// recorded in request order after the whole batch completes, so the
-// observability stream is identical at every parallelism level. All
-// requests execute even if some fail; the returned error is the failing
-// request with the lowest index.
-func runBatch(reqs []runReq) ([]*Result, error) {
-	type out struct {
-		res   *Result
-		iruns []*InstrumentedRun
-	}
-	outs, err := runpool.Map(currentPool(), len(reqs), func(i int) (out, error) {
-		res, iruns, rerr := runOne(reqs[i].mk(), reqs[i].cfg, nil)
-		return out{res, iruns}, wrapErr(reqs[i].wrap, rerr)
+// runAll performs a figure's batch of requests across the pool. Results
+// are ordered by request index — never by completion order — so figure
+// output and run logs are byte-identical at every -j. All requests
+// execute even if some fail; the returned error is the failing request
+// with the lowest index.
+func runAll(reqs []runReq) ([]*Result, error) {
+	return runpool.Map(currentPool(), len(reqs), func(i int) (*Result, error) {
+		return reqs[i].do(nil)
 	})
-	results := make([]*Result, len(outs))
-	for i, o := range outs {
-		record(o.iruns)
-		results[i] = o.res
-	}
-	return results, err
-}
-
-// makespanBatch performs the requests as makespan measurements (expt.
-// Makespan each) across the pool, with the same ordering guarantees as
-// runBatch.
-func makespanBatch(reqs []runReq) ([]uint64, error) {
-	type out struct {
-		mk    uint64
-		iruns []*InstrumentedRun
-	}
-	outs, err := runpool.Map(currentPool(), len(reqs), func(i int) (out, error) {
-		mk, iruns, rerr := makespanOne(reqs[i].mk(), reqs[i].cfg)
-		return out{mk, iruns}, wrapErr(reqs[i].wrap, rerr)
-	})
-	makespans := make([]uint64, len(outs))
-	for i, o := range outs {
-		record(o.iruns)
-		makespans[i] = o.mk
-	}
-	return makespans, err
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"graingraph/internal/core"
+	"graingraph/internal/export"
 	"graingraph/internal/highlight"
 	"graingraph/internal/lod"
 	"graingraph/internal/machine"
@@ -39,26 +40,26 @@ var analyzeNS atomic.Int64
 // AnalyzeStats returns the accumulated analysis-phase wall time.
 func AnalyzeStats() time.Duration { return time.Duration(analyzeNS.Load()) }
 
-// analyze is the shared analysis half of runOne and AnalyzeTraceOn: graph
-// build, metric derivation and highlighting, with the per-grain kernels
-// running on pool (nil selects the shared experiment pool, the CLI
-// default). It feeds the analyze-phase timer and, when self-observability
-// is enabled, reports one phase-span tree per analysis — rooted under
-// parent when the caller threaded one through, or as its own root (the
-// batch case, where analyses run on pool workers).
-func analyze(tr, baseline *profile.Trace, cores int, wdMax float64, parent *obs.Span, pool *runpool.Runner) *Result {
-	return analyzeWith(tr, nil, baseline, cores, wdMax, parent, pool)
-}
-
-// analyzeWith is analyze accepting an already-materialized graph (the
-// columnar v2 decode path hands one over); g == nil builds it from the
-// trace exactly as before. The rest of the pipeline is shared, so a
-// decoded graph analyzes byte-identically to a freshly built one.
-func analyzeWith(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, cores int, wdMax float64, parent *obs.Span, pool *runpool.Runner) *Result {
+// analyze derives the full metric set of a recorded run: graph build,
+// metric derivation and highlighting, with the per-grain kernels running
+// on pool (nil selects the shared experiment pool, the CLI default). g,
+// when non-nil, is an already-materialized graph of tr (the columnar v2
+// decode hands one over); nil builds it from the trace, and either way the
+// analysis is byte-identical. baseline may be nil, in which case work
+// deviation is unavailable. cfg.Cores <= 0 takes the core count from the
+// trace. It feeds the analyze-phase timer and, when self-observability is
+// enabled, reports one phase-span tree per analysis — rooted under parent
+// when the caller threaded one through, or as its own root (the batch
+// case, where analyses run on pool workers).
+func analyze(pool *runpool.Runner, tr *profile.Trace, g *core.Graph, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
 	start := time.Now()
 	defer func() { analyzeNS.Add(int64(time.Since(start))) }()
 	if pool == nil {
 		pool = currentPool()
+	}
+	cores := cfg.Cores
+	if cores <= 0 {
+		cores = tr.Cores
 	}
 	sp := obs.Under(SelfProfiler(), parent, "analyze:"+tr.Program)
 	defer sp.End()
@@ -77,54 +78,52 @@ func analyzeWith(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, core
 	}
 	rep := metrics.Analyze(tr, g, baseline, metrics.Options{Pool: pool, Span: sp})
 	th := highlight.Defaults(cores, 12)
-	if wdMax > 0 {
-		th.WorkDeviationMax = wdMax
+	if cfg.WorkDeviationMax > 0 {
+		th.WorkDeviationMax = cfg.WorkDeviationMax
 	}
 	a := highlight.EvaluateObs(rep, th, pool, sp)
 	return &Result{Trace: tr, Graph: g, Report: rep, Assessment: a}
 }
 
-// InstrumentedRun is one entry of the run log: a run's label, its profile
-// and the critical-path grain set, by grain number (for fully analyzed
-// runs).
-type InstrumentedRun struct {
-	Label    string
-	Trace    *profile.Trace
-	Critical []bool
+// LoggedRun is one entry of a run log: a run's label and its profile. A
+// fully analyzed run also keeps its graph, which Critical reads.
+type LoggedRun struct {
+	Label string
+	Trace *profile.Trace
+	graph *core.Graph
 }
 
-// Instrumentation is the run log: when Instr is non-nil, every run that
-// Run/Makespan perform — simulated, memoized or replayed from an
-// artifact — is recorded in Runs. The cmds enable it for their -trace /
-// -stats flags; both read everything they show from the profiles.
-//
-// Recording is serialized internally, but figures always append their
-// batches in request order (see runBatch), so Runs has the same contents
-// in the same order at every parallelism level.
-type Instrumentation struct {
-	// PrintFooter makes each figure regenerator append a runtime-metrics
-	// footer covering the runs it performed (timeline.Stats summaries).
-	PrintFooter bool
-
-	Runs []*InstrumentedRun
-
-	mu         sync.Mutex
-	footerMark int // Runs already covered by a previous footer
-}
-
-// Instr, when non-nil, logs every run in this package.
-// Set it once before running figures, not while they execute.
-var Instr *Instrumentation
-
-// record appends runs to the run log.
-func record(iruns []*InstrumentedRun) {
-	ins := Instr
-	if ins == nil || len(iruns) == 0 {
-		return
+// Critical returns the run's critical-path grain set, by grain number, or
+// nil for a run that was not analyzed (a baseline or a makespan run). It
+// is derived on each call, so a log entry costs nothing until a trace
+// export reads it.
+func (r *LoggedRun) Critical() []bool {
+	if r.graph == nil {
+		return nil
 	}
-	ins.mu.Lock()
-	ins.Runs = append(ins.Runs, iruns...)
-	ins.mu.Unlock()
+	return r.graph.CriticalGrains()
+}
+
+// RunLog is what a run or a figure returns beside its data: every run it
+// requested — simulated, memoized or replayed from an artifact — in
+// request order, so it has the same contents at every parallelism level.
+// The cmds' -trace and -stats read everything they show from it.
+type RunLog struct {
+	Runs []*LoggedRun
+}
+
+// log lets runsOf read the runs of any result that embeds a RunLog.
+func (l *RunLog) log() []*LoggedRun { return l.Runs }
+
+// logOf concatenates the run logs of batches of results, in order.
+func logOf(batches ...[]*Result) RunLog {
+	var l RunLog
+	for _, results := range batches {
+		for _, r := range results {
+			l.Runs = append(l.Runs, r.Runs...)
+		}
+	}
+	return l
 }
 
 // runLabel names a logged run after its workload and config.
@@ -136,13 +135,9 @@ func runLabel(program string, cfg Config, cores int, suffix string) string {
 	return l
 }
 
-// WriteFooter prints a one-line runtime-metrics summary for every run
-// recorded since the previous footer, then advances the mark.
-func (ins *Instrumentation) WriteFooter(w io.Writer) {
-	ins.mu.Lock()
-	defer ins.mu.Unlock()
-	runs := ins.Runs[ins.footerMark:]
-	ins.footerMark = len(ins.Runs)
+// WriteFooter prints the runtime-metrics footer of runs: one summary line
+// per run, derived from its profile. No runs print nothing.
+func WriteFooter(w io.Writer, runs []*LoggedRun) {
 	if len(runs) == 0 {
 		return
 	}
@@ -152,21 +147,54 @@ func (ins *Instrumentation) WriteFooter(w io.Writer) {
 	}
 }
 
-// footer appends the runtime-metrics footer to a figure's output when
-// instrumentation with footers is enabled.
-func footer(w io.Writer) {
-	if w == nil || Instr == nil || !Instr.PrintFooter {
-		return
+// PerfettoRuns lists runs for a trace export, with their critical paths.
+func PerfettoRuns(runs []*LoggedRun) []export.PerfettoRun {
+	out := make([]export.PerfettoRun, len(runs))
+	for i, r := range runs {
+		out[i] = export.PerfettoRun{Label: r.Label, Trace: r.Trace, Critical: r.Critical()}
 	}
-	Instr.WriteFooter(w)
+	return out
 }
 
-// Result bundles a fully analyzed run.
+// Figure is one step of the figure suite: its grainbench -fig ID and its
+// regenerator, which prints to w and returns the runs it requested. cores
+// is Figure 1's core count (0 selects 48); the other figures ignore it.
+type Figure struct {
+	ID  string
+	Run func(w io.Writer, cores int) ([]*LoggedRun, error)
+}
+
+// Figures is the figure suite, in grainbench's -fig all order.
+var Figures = []Figure{
+	{"1", func(w io.Writer, cores int) ([]*LoggedRun, error) { return runsOf(Figure1(w, cores)) }},
+	{"2", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(Figure2(w)) }},
+	{"4", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(Figure4(w)) }},
+	{"5", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(Figure5(w)) }},
+	{"sort", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(SortPageTable(w)) }},
+	{"6", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(Figure6(w)) }},
+	{"7", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(Figure7(w)) }},
+	{"8", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(Figure8(w)) }},
+	{"9", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(Figure9Table1(w)) }},
+	{"11", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(Figure11(w)) }},
+	{"others", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(OtherBenchmarks(w)) }},
+}
+
+// runsOf returns a figure's run log, or its error.
+func runsOf[R interface{ log() []*LoggedRun }](r R, err error) ([]*LoggedRun, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r.log(), nil
+}
+
+// Result bundles a fully analyzed run. A live run's Result also carries
+// the runs it performed (the baseline first); an artifact's carries none.
 type Result struct {
 	Trace      *profile.Trace
 	Graph      *core.Graph
 	Report     *metrics.Report
 	Assessment *highlight.Assessment
+	RunLog
 
 	// sidecarLod/sidecarQuery hold the raw derived-artifact payloads a
 	// columnar v2 decode carried (nil otherwise). Lod and GrainTable
@@ -242,41 +270,6 @@ func rtsConfig(inst workloads.Instance, cfg Config) rts.Config {
 	}
 }
 
-// runOne is Run without the run-log recording: it returns the logged
-// runs it produced so batch callers can record them in
-// request order after the whole batch completes. parent, when non-nil,
-// roots the analysis phase spans (see analyze).
-func runOne(inst workloads.Instance, cfg Config, parent *obs.Span) (*Result, []*InstrumentedRun, error) {
-	rcfg := rtsConfig(inst, cfg)
-
-	var iruns []*InstrumentedRun
-	var baseline *profile.Trace
-	if cfg.Baseline {
-		bcfg := rcfg
-		bcfg.Cores = 1
-		tr, irun, err := simulate(inst, bcfg, runLabel(inst.Name(), cfg, 1, "baseline"))
-		if irun != nil {
-			iruns = append(iruns, irun)
-		}
-		if err != nil {
-			return nil, iruns, fmt.Errorf("baseline run: %w", err)
-		}
-		baseline = tr
-	}
-	tr, irun, err := simulate(inst, rcfg, runLabel(inst.Name(), cfg, cfg.Cores, ""))
-	if irun != nil {
-		iruns = append(iruns, irun)
-	}
-	if err != nil {
-		return nil, iruns, fmt.Errorf("parallel run: %w", err)
-	}
-	res := analyze(tr, baseline, cfg.Cores, cfg.WorkDeviationMax, parent, nil)
-	if irun != nil {
-		irun.Critical = res.Graph.CriticalGrains()
-	}
-	return res, iruns, nil
-}
-
 // Run executes inst under cfg, verifies its computational result, and
 // derives the full metric set.
 func Run(inst workloads.Instance, cfg Config) (*Result, error) {
@@ -286,77 +279,28 @@ func Run(inst workloads.Instance, cfg Config) (*Result, error) {
 // RunSpan is Run with the analysis phase spans rooted under parent — the
 // cmds pass their top-level span so a live run's whole pipeline lands in
 // one tree. A nil parent (or disabled self-observability) is exactly Run.
+// Like every single request, it runs on the calling goroutine.
 func RunSpan(inst workloads.Instance, cfg Config, parent *obs.Span) (*Result, error) {
-	res, iruns, err := runOne(inst, cfg, parent)
-	record(iruns)
-	return res, err
-}
-
-// AnalyzeTraceOn derives the full metric set from an already-recorded
-// trace (typically a grain-profile artifact loaded with ggp.ReadFile)
-// without executing the simulator. baseline may be nil, in which case work
-// deviation is unavailable, exactly as with Config.Baseline off. The
-// pipeline is runOne's analysis half verbatim — graph build, metrics,
-// highlighting — so a saved artifact analyzes byte-identically to the live
-// run it recorded. cfg.Cores <= 0 takes the core count from the trace.
-// The phase spans are rooted under parent (nil reports them as their own
-// tree).
-//
-// The parallel kernels run on pool, not on the shared package-level one
-// set by SetParallelism, which makes this the re-entrant entry point for
-// concurrent callers (the grainserved artifact server analyzes independent
-// requests on pools it owns): the analysis touches no package-level pool
-// state, so concurrent AnalyzeTraceOn calls never race with each other or
-// with a CLI-style SetParallelism elsewhere in the process. A nil pool
-// selects the shared pool, which is only safe when nothing mutates it
-// concurrently. The output is byte-identical at every pool width.
-func AnalyzeTraceOn(pool *runpool.Runner, tr, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
-	cores := cfg.Cores
-	if cores <= 0 {
-		cores = tr.Cores
-	}
-	return analyze(tr, baseline, cores, cfg.WorkDeviationMax, parent, pool)
-}
-
-// makespanOne is Makespan without the run-log recording.
-func makespanOne(inst workloads.Instance, cfg Config) (uint64, []*InstrumentedRun, error) {
-	rcfg := rtsConfig(inst, cfg)
-	tr, irun, err := simulate(inst, rcfg, runLabel(inst.Name(), cfg, cfg.Cores, "makespan"))
-	var iruns []*InstrumentedRun
-	if irun != nil {
-		iruns = append(iruns, irun)
-	}
-	if err != nil {
-		return 0, iruns, err
-	}
-	return tr.Makespan(), iruns, nil
+	return runReq{mk: func() workloads.Instance { return inst }, cfg: cfg}.do(parent)
 }
 
 // Makespan runs inst and returns its virtual makespan (verifying results).
 func Makespan(inst workloads.Instance, cfg Config) (uint64, error) {
-	mk, iruns, err := makespanOne(inst, cfg)
-	record(iruns)
-	return mk, err
-}
-
-// Speedup returns makespan(1 core) / makespan(cores). The two runs are
-// independent and execute through the pool.
-func Speedup(mk func() workloads.Instance, cfg Config) (float64, error) {
-	one := cfg
-	one.Cores = 1
-	mks, err := makespanBatch([]runReq{
-		{mk: mk, cfg: one},
-		{mk: mk, cfg: cfg},
-	})
+	res, err := runReq{mk: func() workloads.Instance { return inst }, cfg: cfg, makespan: true}.do(nil)
 	if err != nil {
 		return 0, err
 	}
-	return float64(mks[0]) / float64(mks[1]), nil
+	return res.Trace.Makespan(), nil
 }
 
 // table starts a tabwriter for aligned console tables.
 func table(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+}
+
+// speedup is the ratio of a 1-core run's makespan to a parallel run's.
+func speedup(one, par *Result) float64 {
+	return float64(one.Trace.Makespan()) / float64(par.Trace.Makespan())
 }
 
 // pct formats a 0..1 fraction as a percentage.

@@ -24,10 +24,15 @@ func TestRunVerifiesAndAnalyzes(t *testing.T) {
 
 func TestSpeedupSanity(t *testing.T) {
 	mk := func() workloads.Instance { return workloads.NewFib(workloads.FibParams{N: 22, Cutoff: 7}) }
-	sp, err := Speedup(mk, Config{Cores: 8, Seed: 1})
+	t1, err := Makespan(mk(), Config{Cores: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t8, err := Makespan(mk(), Config{Cores: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := float64(t1) / float64(t8)
 	if sp < 2 || sp > 8 {
 		t.Errorf("fib 8-core speedup = %.2f, want within (2,8]", sp)
 	}

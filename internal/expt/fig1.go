@@ -22,6 +22,7 @@ type Fig1Row struct {
 // Fig1Result is the data behind Figure 1.
 type Fig1Result struct {
 	Rows []Fig1Row
+	RunLog
 }
 
 // Get returns the speedup for (program, variant, flavour).
@@ -106,9 +107,10 @@ func Figure1(w io.Writer, cores int) (*Fig1Result, error) {
 		}
 		basePrograms = append(basePrograms, cs.program)
 		reqs = append(reqs, runReq{
-			mk:   cs.mk,
-			cfg:  Config{Cores: 1, Policy: cs.policy, Seed: 1},
-			wrap: fmt.Sprintf("figure 1 baseline %s", cs.program),
+			mk:       cs.mk,
+			cfg:      Config{Cores: 1, Policy: cs.policy, Seed: 1},
+			wrap:     fmt.Sprintf("figure 1 baseline %s", cs.program),
+			makespan: true,
 		})
 	}
 	type runIdx struct {
@@ -120,22 +122,24 @@ func Figure1(w io.Writer, cores int) (*Fig1Result, error) {
 		for _, fl := range flavors {
 			runs = append(runs, runIdx{cs, fl})
 			reqs = append(reqs, runReq{
-				mk:   cs.mk,
-				cfg:  Config{Cores: cores, Flavor: fl, Policy: cs.policy, Seed: 1},
-				wrap: fmt.Sprintf("figure 1 %s/%s/%v", cs.program, cs.variant, fl),
+				mk:       cs.mk,
+				cfg:      Config{Cores: cores, Flavor: fl, Policy: cs.policy, Seed: 1},
+				wrap:     fmt.Sprintf("figure 1 %s/%s/%v", cs.program, cs.variant, fl),
+				makespan: true,
 			})
 		}
 	}
-	mks, err := makespanBatch(reqs)
+	results, err := runAll(reqs)
 	if err != nil {
 		return nil, err
 	}
+	res.RunLog = logOf(results)
 	baseT1 := map[string]uint64{}
 	for i, program := range basePrograms {
-		baseT1[program] = mks[i]
+		baseT1[program] = results[i].Trace.Makespan()
 	}
 	for i, r := range runs {
-		tp := mks[len(basePrograms)+i]
+		tp := results[len(basePrograms)+i].Trace.Makespan()
 		res.Rows = append(res.Rows, Fig1Row{
 			Program: r.cs.program, Variant: r.cs.variant, Flavor: r.fl,
 			Cores: cores, Speedup: float64(baseT1[r.cs.program]) / float64(tp),
@@ -155,6 +159,5 @@ func Figure1(w io.Writer, cores int) (*Fig1Result, error) {
 		}
 		tw.Flush()
 	}
-	footer(w)
 	return res, nil
 }

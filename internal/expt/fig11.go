@@ -22,6 +22,7 @@ type Fig11Result struct {
 	ScatterWS, ScatterCQ   float64 // affected fraction (beyond one socket)
 	SpeedupWS, SpeedupCQ   float64
 	Buggy, Fixed, CQResult *Result
+	RunLog
 }
 
 // Figure11 regenerates Figure 11.
@@ -40,7 +41,7 @@ func Figure11(w io.Writer) (*Fig11Result, error) {
 
 	// (a) buggy at two SC values, (b) fixed, (d) fixed on the central
 	// queue — four independent analyses, one batch.
-	results, err := runBatch([]runReq{
+	results, err := runAll([]runReq{
 		{mk: func() workloads.Instance { return workloads.NewStrassen(pHigh) },
 			cfg: wsCfg, wrap: "figure 11a high SC"},
 		{mk: func() workloads.Instance { return workloads.NewStrassen(pLow) },
@@ -67,17 +68,18 @@ func Figure11(w io.Writer) (*Fig11Result, error) {
 	// above; only the 1-core references execute.
 	oneWS, oneCQ := wsCfg, cqCfg
 	oneWS.Cores, oneCQ.Cores = 1, 1
-	mks, err := makespanBatch([]runReq{
-		{mk: mkFixed, cfg: oneWS, wrap: "figure 11c"},
-		{mk: mkFixed, cfg: wsCfg, wrap: "figure 11c"},
-		{mk: mkFixed, cfg: oneCQ, wrap: "figure 11d speedup"},
-		{mk: mkFixed, cfg: cqCfg, wrap: "figure 11d speedup"},
+	mks, err := runAll([]runReq{
+		{mk: mkFixed, cfg: oneWS, wrap: "figure 11c", makespan: true},
+		{mk: mkFixed, cfg: wsCfg, wrap: "figure 11c", makespan: true},
+		{mk: mkFixed, cfg: oneCQ, wrap: "figure 11d speedup", makespan: true},
+		{mk: mkFixed, cfg: cqCfg, wrap: "figure 11d speedup", makespan: true},
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.SpeedupWS = float64(mks[0]) / float64(mks[1])
-	res.SpeedupCQ = float64(mks[2]) / float64(mks[3])
+	res.SpeedupWS = speedup(mks[0], mks[1])
+	res.SpeedupCQ = speedup(mks[2], mks[3])
+	res.RunLog = logOf(results, mks)
 
 	if w != nil {
 		tw := table(w)
@@ -90,6 +92,5 @@ func Figure11(w io.Writer) (*Fig11Result, error) {
 		fmt.Fprintf(tw, "(d) scattered grains, central queue\t%s\t(speedup %.1f)\n", pct(res.ScatterCQ), res.SpeedupCQ)
 		tw.Flush()
 	}
-	footer(w)
 	return res, nil
 }

@@ -17,13 +17,14 @@ type Fig2Result struct {
 	FixedDepth  int
 	// BuggyResult/FixedResult carry the full analyses for export.
 	Buggy, Fixed *Result
+	RunLog
 }
 
 // Figure2 regenerates Figure 2: the 376.kdtree grain graph for the small
 // input (tree size 200, radius, cutoff 2), before and after the missing
 // depth increment is fixed.
 func Figure2(w io.Writer) (*Fig2Result, error) {
-	results, err := runBatch([]runReq{
+	results, err := runAll([]runReq{
 		{mk: func() workloads.Instance { return workloads.NewKdTree(workloads.DefaultKdTreeParams()) },
 			cfg: Config{Cores: 48, Seed: 1}, wrap: "figure 2 buggy"},
 		{mk: func() workloads.Instance { return workloads.NewKdTree(workloads.FixedKdTreeParams()) },
@@ -49,6 +50,7 @@ func Figure2(w io.Writer) (*Fig2Result, error) {
 		FixedDepth:  maxDepth(fixed),
 		Buggy:       buggy,
 		Fixed:       fixed,
+		RunLog:      logOf(results),
 	}
 	if w != nil {
 		tw := table(w)
@@ -58,6 +60,5 @@ func Figure2(w io.Writer) (*Fig2Result, error) {
 		fmt.Fprintf(tw, "fixed (depth incremented)\t%d\t%d\n", res.FixedGrains, res.FixedDepth)
 		tw.Flush()
 	}
-	footer(w)
 	return res, nil
 }

@@ -17,6 +17,7 @@ type Fig4Result struct {
 	// LowIPAffected is the fraction of grains the grain graph flags for low
 	// instantaneous parallelism — the root cause the timeline cannot show.
 	LowIPAffected float64
+	RunLog
 }
 
 // Figure4 regenerates Figure 4: Sort under the VTune-style per-thread
@@ -28,7 +29,7 @@ func Figure4(w io.Writer) (*Fig4Result, error) {
 		return nil, fmt.Errorf("figure 4: %w", err)
 	}
 	v := timeline.FromTrace(res.Trace)
-	out := &Fig4Result{View: v, LoadImbalance: v.LoadImbalance()}
+	out := &Fig4Result{View: v, LoadImbalance: v.LoadImbalance(), RunLog: res.RunLog}
 	out.LowIPAffected = res.Assessment.Affected(lowParallelismProblem())
 	if w != nil {
 		fmt.Fprintln(w, "Figure 4: what existing tools show for Sort (thread timeline)")
@@ -38,6 +39,5 @@ func Figure4(w io.Writer) (*Fig4Result, error) {
 		fmt.Fprintf(w, "\nWhat the timeline cannot show: the grain graph flags %s of grains\n", pct(out.LowIPAffected))
 		fmt.Fprintln(w, "for low instantaneous parallelism, pinpointing the culprit grains.")
 	}
-	footer(w)
 	return out, nil
 }

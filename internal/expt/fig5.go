@@ -32,6 +32,7 @@ type Fig5Result struct {
 	LoweredLowPB    float64
 	LoweredMakespan uint64
 	Tuned, Lowered  *Result
+	RunLog
 }
 
 // Figure5 regenerates Figure 5: Sort's instantaneous-parallelism problem
@@ -41,7 +42,7 @@ func Figure5(w io.Writer) (*Fig5Result, error) {
 	loweredP := tunedP
 	loweredP.SeqCutoff = tunedP.SeqCutoff / 128
 	loweredP.MergeCutoff = tunedP.MergeCutoff / 128
-	results, err := runBatch([]runReq{
+	results, err := runAll([]runReq{
 		{mk: func() workloads.Instance { return workloads.NewSort(tunedP) },
 			cfg: Config{Cores: 48, Seed: 1}, wrap: "figure 5 tuned"},
 		{mk: func() workloads.Instance { return workloads.NewSort(loweredP) },
@@ -61,6 +62,7 @@ func Figure5(w io.Writer) (*Fig5Result, error) {
 		LoweredMakespan: lowered.Trace.Makespan(),
 		Tuned:           tuned,
 		Lowered:         lowered,
+		RunLog:          logOf(results),
 	}
 	if w != nil {
 		tw := table(w)
@@ -74,7 +76,6 @@ func Figure5(w io.Writer) (*Fig5Result, error) {
 		fmt.Fprintln(w, "parallelism timeline (a), waxing/waning phases:")
 		renderSparkline(w, res.TunedTimeline, 48)
 	}
-	footer(w)
 	return res, nil
 }
 
@@ -121,12 +122,13 @@ type SortPageTableResult struct {
 	InflationBefore, InflationAfter     float64
 	UtilizationBefore, UtilizationAfter float64
 	Before, After                       *Result
+	RunLog
 }
 
 // SortPageTable regenerates the Sort problem table.
 func SortPageTable(w io.Writer) (*SortPageTableResult, error) {
 	p := workloads.DefaultSortParams()
-	results, err := runBatch([]runReq{
+	results, err := runAll([]runReq{
 		{mk: func() workloads.Instance { return workloads.NewSort(p) },
 			cfg:  Config{Cores: 48, Seed: 1, Policy: machine.FirstTouch, Baseline: true},
 			wrap: "sort table before"},
@@ -145,6 +147,7 @@ func SortPageTable(w io.Writer) (*SortPageTableResult, error) {
 		UtilizationAfter:  after.Assessment.Affected(poorUtilizationProblem()),
 		Before:            before,
 		After:             after,
+		RunLog:            logOf(results),
 	}
 	if w != nil {
 		tw := table(w)
@@ -155,6 +158,5 @@ func SortPageTable(w io.Writer) (*SortPageTableResult, error) {
 			pct(res.UtilizationBefore), pct(res.UtilizationAfter))
 		tw.Flush()
 	}
-	footer(w)
 	return res, nil
 }

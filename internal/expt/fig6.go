@@ -21,11 +21,12 @@ type Fig6Result struct {
 	// inflated grains (the paper pinpoints sparselu bmod).
 	CulpritDef    string
 	Before, After *Result
+	RunLog
 }
 
 // Figure6 regenerates Figure 6.
 func Figure6(w io.Writer) (*Fig6Result, error) {
-	results, err := runBatch([]runReq{
+	results, err := runAll([]runReq{
 		{mk: func() workloads.Instance { return workloads.NewSparseLU(workloads.DefaultSparseLUParams()) },
 			cfg:  Config{Cores: 48, Seed: 1, Baseline: true, WorkDeviationMax: 1.2},
 			wrap: "figure 6 before"},
@@ -45,6 +46,7 @@ func Figure6(w io.Writer) (*Fig6Result, error) {
 		InflationAfter:  after.Assessment.Affected(workInflationProblem()),
 		Before:          before,
 		After:           after,
+		RunLog:          logOf(results),
 	}
 	for _, t := range before.Trace.Tasks {
 		res.TasksPerDef[t.Loc.String()]++
@@ -93,6 +95,5 @@ func Figure6(w io.Writer) (*Fig6Result, error) {
 		}
 		tw.Flush()
 	}
-	footer(w)
 	return res, nil
 }

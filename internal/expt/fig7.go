@@ -18,11 +18,12 @@ type Fig7Result struct {
 	// prevalence (the paper's per-source-file bars).
 	PerDefBefore, PerDefAfter []highlight.DefinitionStats
 	Before, After             *Result
+	RunLog
 }
 
 // Figure7 regenerates Figure 7.
 func Figure7(w io.Writer) (*Fig7Result, error) {
-	results, err := runBatch([]runReq{
+	results, err := runAll([]runReq{
 		{mk: func() workloads.Instance { return workloads.NewFFT(workloads.DefaultFFTParams()) },
 			cfg: Config{Cores: 48, Seed: 1}, wrap: "figure 7 before"},
 		{mk: func() workloads.Instance { return workloads.NewFFT(workloads.OptimizedFFTParams()) },
@@ -41,6 +42,7 @@ func Figure7(w io.Writer) (*Fig7Result, error) {
 		PerDefAfter:  after.Assessment.ByDefinition(lowBenefitProblem()),
 		Before:       before,
 		After:        after,
+		RunLog:       logOf(results),
 	}
 	if w != nil {
 		tw := table(w)
@@ -55,7 +57,6 @@ func Figure7(w io.Writer) (*Fig7Result, error) {
 		}
 		tw.Flush()
 	}
-	footer(w)
 	return res, nil
 }
 
@@ -65,6 +66,7 @@ type Fig8Result struct {
 	Grains  int
 	PoorMHU float64
 	Run     *Result
+	RunLog
 }
 
 // Figure8 regenerates Figure 8 on the optimized FFT at a memory-resident
@@ -78,12 +80,12 @@ func Figure8(w io.Writer) (*Fig8Result, error) {
 		Grains:  r.Trace.NumGrains(),
 		PoorMHU: r.Assessment.Affected(poorUtilizationProblem()),
 		Run:     r,
+		RunLog:  r.RunLog,
 	}
 	if w != nil {
 		fmt.Fprintf(w, "Figure 8: optimized FFT — %d grains, %s with poor memory hierarchy utilization\n",
 			res.Grains, pct(res.PoorMHU))
 		fmt.Fprintln(w, "(algorithmic changes / locality-aware scheduling needed next; critical-path-only optimization will not suffice)")
 	}
-	footer(w)
 	return res, nil
 }

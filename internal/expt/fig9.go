@@ -24,6 +24,7 @@ type Fig9Result struct {
 	// Table 1 rows: per-flavour 48-core speedup and exec times.
 	Table1        []Table1Row
 	Full, Reduced *Result
+	RunLog
 }
 
 // Table1Row is one row of Table 1.
@@ -105,17 +106,18 @@ func Figure9Table1(w io.Writer) (*Fig9Result, error) {
 		one.Cores = 1
 		wrap := fmt.Sprintf("table 1 %v", fl)
 		reqs = append(reqs,
-			runReq{mk: func() workloads.Instance { return mk(0) }, cfg: one, wrap: wrap},
-			runReq{mk: func() workloads.Instance { return mk(0) }, cfg: cfg, wrap: wrap},
-			runReq{mk: func() workloads.Instance { return mk(minCores) }, cfg: cfg, wrap: wrap},
+			runReq{mk: func() workloads.Instance { return mk(0) }, cfg: one, wrap: wrap, makespan: true},
+			runReq{mk: func() workloads.Instance { return mk(0) }, cfg: cfg, wrap: wrap, makespan: true},
+			runReq{mk: func() workloads.Instance { return mk(minCores) }, cfg: cfg, wrap: wrap, makespan: true},
 		)
 	}
-	mks, err := makespanBatch(reqs)
+	mks, err := runAll(reqs)
 	if err != nil {
 		return nil, err
 	}
+	res.RunLog = logOf([]*Result{full, reduced}, mks)
 	for i, fl := range flavors {
-		t1, t48, tmin := mks[3*i], mks[3*i+1], mks[3*i+2]
+		t1, t48, tmin := mks[3*i].Trace.Makespan(), mks[3*i+1].Trace.Makespan(), mks[3*i+2].Trace.Makespan()
 		res.Table1 = append(res.Table1, Table1Row{Flavor: fl,
 			Speedup: float64(t1) / float64(t48), Exec48Cycles: t48, ExecMinCores: tmin})
 	}
@@ -136,6 +138,5 @@ func Figure9Table1(w io.Writer) (*Fig9Result, error) {
 		}
 		tw.Flush()
 	}
-	footer(w)
 	return res, nil
 }

@@ -46,7 +46,7 @@ func TestGiantSmoke(t *testing.T) {
 	defer SetParallelism(prev)
 	SetParallelism(8)
 
-	res := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, nil, Config{}, nil)
 	grains := res.Graph.NumGrainNodes()
 	if grains < 5_000 || grains > 100_000 {
 		t.Errorf("smoke giant produced %d grain nodes, want 5k..100k", grains)
@@ -69,7 +69,7 @@ func artifactAnalysis(t *testing.T, path string, jobs int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	projections, err := eng.Rank(res.Assessment, Pool(), whatif.RankOptions{TopN: 10})
 	if err != nil {
@@ -147,7 +147,7 @@ var giantTrace = sync.OnceValues(func() (*profile.Trace, error) {
 // build, metric kernels, critical path, highlighting, what-if ranking, DOT
 // and JSON export — over the giant trace at the current parallelism.
 func analyzeGiantOnce(b *testing.B, tr *profile.Trace) {
-	res := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	projections, err := eng.Rank(res.Assessment, Pool(), whatif.RankOptions{TopN: 10})
 	if err != nil {
@@ -170,7 +170,7 @@ func BenchmarkRankGiant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -189,7 +189,7 @@ func BenchmarkEvalSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	var deep profile.GrainID
 	depth := -1
@@ -218,7 +218,7 @@ func BenchmarkWindowGiant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, nil, Config{}, nil)
 	ix := lod.Build(res.Graph, res.Assessment)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

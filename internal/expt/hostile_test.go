@@ -118,7 +118,7 @@ func TestHostileReferencesAnalyse(t *testing.T) {
 		var want []byte
 		for _, jobs := range []int{1, 8} {
 			pool := runpool.New(jobs)
-			out := analysisOutputs(t, AnalyzeTraceOn(pool, tr, nil, Config{}, nil), pool)
+			out := analysisOutputs(t, analyze(pool, tr, nil, nil, Config{}, nil), pool)
 			if want == nil {
 				want = out
 			} else if !bytes.Equal(out, want) {

@@ -22,7 +22,7 @@ func selfProfileJSON(t *testing.T, tr *profile.Trace, j int) []byte {
 	EnableSelfProfile(p)
 	defer EnableSelfProfile(nil)
 
-	res := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, nil, Config{}, nil)
 	if res == nil || res.Graph.NumNodes() == 0 {
 		t.Fatal("analysis produced no graph")
 	}

@@ -21,6 +21,7 @@ type OtherRow struct {
 // OthersResult is the §4.3.6 summary ("Other benchmarks").
 type OthersResult struct {
 	Rows []OtherRow
+	RunLog
 }
 
 // Get returns a program's row.
@@ -76,24 +77,25 @@ func OtherBenchmarks(w io.Writer) (*OthersResult, error) {
 		})
 		wrap := fmt.Sprintf("others %s speedup", cs.program)
 		mkReqs = append(mkReqs,
-			runReq{mk: cs.mk, cfg: Config{Cores: 1, Seed: 1}, wrap: wrap},
-			runReq{mk: cs.mk, cfg: Config{Cores: 48, Seed: 1}, wrap: wrap},
+			runReq{mk: cs.mk, cfg: Config{Cores: 1, Seed: 1}, wrap: wrap, makespan: true},
+			runReq{mk: cs.mk, cfg: Config{Cores: 48, Seed: 1}, wrap: wrap, makespan: true},
 		)
 	}
-	results, err := runBatch(runReqs)
+	results, err := runAll(runReqs)
 	if err != nil {
 		return nil, err
 	}
-	mks, err := makespanBatch(mkReqs)
+	mks, err := runAll(mkReqs)
 	if err != nil {
 		return nil, err
 	}
+	res.RunLog = logOf(results, mks)
 	for i, cs := range cases {
 		r := results[i]
 		res.Rows = append(res.Rows, OtherRow{
 			Program:       cs.program,
 			Grains:        r.Trace.NumGrains(),
-			Speedup:       float64(mks[2*i]) / float64(mks[2*i+1]),
+			Speedup:       speedup(mks[2*i], mks[2*i+1]),
 			LowPB:         r.Assessment.Affected(lowBenefitProblem()),
 			PoorMHU:       r.Assessment.Affected(poorUtilizationProblem()),
 			WorkInflation: r.Assessment.Affected(workInflationProblem()),
@@ -111,6 +113,5 @@ func OtherBenchmarks(w io.Writer) (*OthersResult, error) {
 		}
 		tw.Flush()
 	}
-	footer(w)
 	return res, nil
 }

@@ -18,7 +18,7 @@ func TestQueryTableAdoptsReportColumns(t *testing.T) {
 	base := rts.Run(rts.Config{Program: "adopt", Cores: 1, Seed: 5}, prog)
 	tr := rts.Run(rts.Config{Program: "adopt", Cores: 4, Seed: 5}, prog)
 	pool := runpool.New(2)
-	res := AnalyzeTraceOn(pool, tr, base, Config{}, nil)
+	res := analyze(pool, tr, nil, base, Config{}, nil)
 	rep := res.Report
 	tab := QueryTable(res, pool)
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graingraph/internal/core"
 	"graingraph/internal/ggp"
 	"graingraph/internal/profile"
 	"graingraph/internal/runpool"
@@ -59,15 +58,6 @@ func artifactDirs() (rec, rep string) {
 	return recordDir, replayDir
 }
 
-// recordV2 selects the columnar v2 format for recorded artifacts: the
-// graph is built once at record time and its columns persisted, so replay
-// and viewer ingest skip the per-event parse and the graph build.
-var recordV2 atomic.Bool
-
-// SetRecordV2 switches artifact recording to the columnar v2 format
-// (grainbench -record -ggp-v2). Off records the v1 event stream.
-func SetRecordV2(on bool) { recordV2.Store(on) }
-
 // ingestNS accumulates wall time spent ingesting grain-profile artifacts
 // (file read + CRC-checked decode, including memo-hit waits) across all
 // replayed runs, the record/replay counterpart of the analyze-phase timer.
@@ -97,14 +87,6 @@ func artifactPath(dir string, key runpool.Key) string {
 func recordArtifact(dir string, key runpool.Key, tr *profile.Trace) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("record artifact: %w", err)
-	}
-	if recordV2.Load() {
-		// No sidecars at record time: the run has not been analyzed yet.
-		// grainserved upgrades artifacts in place after first analysis.
-		if err := ggp.WriteFileV2(artifactPath(dir, key), tr, core.Build(tr), nil); err != nil {
-			return fmt.Errorf("record artifact: %w", err)
-		}
-		return nil
 	}
 	if err := ggp.WriteFile(artifactPath(dir, key), tr); err != nil {
 		return fmt.Errorf("record artifact: %w", err)

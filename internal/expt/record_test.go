@@ -81,7 +81,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 
 // TestArtifactAnalysisMatchesLive checks the single-artifact path grainview
 // uses: a run recorded to a .ggp artifact, read back with ggp.ReadFile and
-// analyzed with AnalyzeTraceOn, exports byte-identically to the live Result,
+// analyzed again, exports byte-identically to the live Result,
 // and its Perfetto trace and stats report match the live run's.
 func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	defer resetArtifactDirs()
@@ -111,7 +111,7 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := AnalyzeTraceOn(nil, tr, nil, Config{}, nil)
+	replayed := analyze(nil, tr, nil, nil, Config{}, nil)
 
 	if got, want := replayed.Trace.Cores, live.Trace.Cores; got != want {
 		t.Fatalf("replayed trace has %d cores, live %d", got, want)

@@ -15,22 +15,29 @@ import (
 // sidecars), plus the writer side — turning a finished analysis back into
 // the sidecars a v2 artifact persists so the next decode skips the builds.
 
-// AnalyzeDecodedOn analyzes a decoded artifact, running its parallel
-// kernels on an explicit pool (nil selects the shared pool, as with
-// AnalyzeTraceOn) with the phase spans rooted under parent (nil: their own
-// tree). When the decode carried a materialized graph (columnar v2), the
-// build phase is skipped; sidecar payloads riding along are threaded into
-// the result for Lod/GrainTable. baseline may be nil, exactly as with
-// AnalyzeTraceOn. cfg.Cores <= 0 takes the core count from the trace.
-// The graph is taken from the decode result at most once — a second
-// analysis of the same Decoded rebuilds from the trace, which produces
-// the same graph.
+// AnalyzeDecodedOn derives the full metric set from a decoded artifact
+// without executing the simulator. The pipeline is a live run's analysis
+// verbatim — graph build, metrics, highlighting — so a saved artifact
+// analyzes byte-identically to the live run it recorded. baseline may be
+// nil, in which case work deviation is unavailable, exactly as with
+// Config.Baseline off. cfg.Cores <= 0 takes the core count from the trace.
+// The phase spans are rooted under parent (nil: their own tree). When the
+// decode carried a materialized graph (columnar v2), the build phase is
+// skipped; sidecar payloads riding along are threaded into the result for
+// Lod/GrainTable. The graph is taken from the decode result at most once —
+// a second analysis of the same Decoded rebuilds from the trace, which
+// produces the same graph.
+//
+// The parallel kernels run on pool, not on the shared package-level one
+// set by SetParallelism, which makes this the re-entrant entry point for
+// concurrent callers (the grainserved artifact server analyzes independent
+// requests on pools it owns): the analysis touches no package-level pool
+// state, so concurrent calls never race with each other or with a
+// CLI-style SetParallelism elsewhere in the process. A nil pool selects
+// the shared pool, which is only safe when nothing mutates it
+// concurrently. The output is byte-identical at every pool width.
 func AnalyzeDecodedOn(pool *runpool.Runner, dec *ggp.Decoded, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
-	cores := cfg.Cores
-	if cores <= 0 {
-		cores = dec.Trace.Cores
-	}
-	res := analyzeWith(dec.Trace, dec.TakeGraph(), baseline, cores, cfg.WorkDeviationMax, parent, pool)
+	res := analyze(pool, dec.Trace, dec.TakeGraph(), baseline, cfg, parent)
 	res.sidecarLod = dec.LodSidecar()
 	res.sidecarQuery = dec.QuerySidecar()
 	return res

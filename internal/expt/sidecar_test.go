@@ -114,57 +114,61 @@ func TestV2AnalysisByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRecordV2RoundTrip pins the -ggp-v2 recording path: with v2
-// recording enabled, the artifact on disk is columnar, replays through
-// the same engine path, and analyzes byte-identically to the v1
-// recording of the same run.
+// TestRecordV2RoundTrip pins replay from columnar v2 artifacts: a run
+// recorded as v1, rewritten as v2 under the same content key, replays
+// through the engine without simulating and analyzes byte-identically to
+// the live run.
 func TestRecordV2RoundTrip(t *testing.T) {
-	defer func() { SetRecordV2(false); resetArtifactDirs() }()
+	defer resetArtifactDirs()
 	inst, err := workloads.Get("fib", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Cores: 4, Seed: 9}
 
-	record := func(v2 bool, dir string) []byte {
-		t.Helper()
-		ResetMemo()
-		ResetArtifactMemo()
-		SetRecordV2(v2)
-		SetRecordDir(dir)
-		defer SetRecordDir("")
-		if _, err := Run(inst, cfg); err != nil {
-			t.Fatal(err)
-		}
-		ents, err := os.ReadDir(dir)
-		if err != nil || len(ents) != 1 {
-			t.Fatalf("expected 1 artifact in %s: %v (%d entries)", dir, err, len(ents))
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, ents[0].Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-
-	rawV1 := record(false, t.TempDir())
-	rawV2 := record(true, t.TempDir())
-	if rawV1[len(ggp.Magic)] != 1 || rawV2[len(ggp.Magic)] != 2 {
-		t.Fatalf("recorded versions: v1 byte %d, v2 byte %d", rawV1[len(ggp.Magic)], rawV2[len(ggp.Magic)])
-	}
-
-	d1, err := ggp.Decode(rawV1, nil, nil)
+	v1Dir, v2Dir := t.TempDir(), t.TempDir()
+	ResetMemo()
+	SetRecordDir(v1Dir)
+	live, err := Run(inst, cfg)
+	SetRecordDir("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ggp.Decode(rawV2, nil, nil)
+	ents, err := os.ReadDir(v1Dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("expected 1 artifact in %s: %v (%d entries)", v1Dir, err, len(ents))
+	}
+	tr, err := ggp.ReadFile(filepath.Join(v1Dir, ents[0].Name()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analysisOutputs(t, AnalyzeDecodedOn(nil, d1, nil, Config{}, nil), nil)
-	b := analysisOutputs(t, AnalyzeDecodedOn(nil, d2, nil, Config{}, nil), nil)
+	v2Path := filepath.Join(v2Dir, ents[0].Name())
+	if err := ggp.WriteFileV2(v2Path, tr, core.Build(tr), nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(v2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[len(ggp.Magic)] != 2 {
+		t.Fatalf("rewritten artifact has version byte %d, want 2", raw[len(ggp.Magic)])
+	}
+
+	ResetMemo()
+	ResetArtifactMemo()
+	SetReplayDir(v2Dir)
+	replayed, err := Run(inst, cfg)
+	SetReplayDir("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sims, _ := MemoStats(); sims != 0 {
+		t.Errorf("replay from v2 simulated %d runs, want 0", sims)
+	}
+	a := analysisOutputs(t, live, nil)
+	b := analysisOutputs(t, replayed, nil)
 	if !bytes.Equal(a, b) {
 		d := diffLine(a, b)
-		t.Fatalf("v1/v2 recorded analysis differs (line %d):\nv1: %q\nv2: %q", d, lineAt(a, d), lineAt(b, d))
+		t.Fatalf("live and v2-replayed analyses differ (line %d):\nlive:   %q\nreplay: %q", d, lineAt(a, d), lineAt(b, d))
 	}
 }

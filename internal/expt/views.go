@@ -59,9 +59,6 @@ type Subject struct {
 	// Baseline, when set, is the 1-core run Res was analyzed against; the
 	// stats and trace views report it first.
 	Baseline *profile.Trace
-	// Log, when set, is a live run's log (Instr.Runs); the stats and trace
-	// views report it instead of Res and Baseline.
-	Log []*InstrumentedRun
 }
 
 // ParamError is a view parameter the grammar rejects: the request's fault,
@@ -215,15 +212,13 @@ func renderWindow(s *Subject, p Params, pool *runpool.Runner, sp *obs.Span) ([]b
 	return buf.Bytes(), err
 }
 
-// Runs lists the runs the stats and trace views report, baseline first.
+// Runs lists the runs the stats and trace views report, baseline first: a
+// live run's own log, or else the analyzed run and Baseline.
 func (s *Subject) Runs() []export.PerfettoRun {
-	var runs []export.PerfettoRun
-	if s.Log != nil {
-		for _, r := range s.Log {
-			runs = append(runs, export.PerfettoRun{Label: r.Label, Trace: r.Trace, Critical: r.Critical})
-		}
-		return runs
+	if s.Res.Runs != nil {
+		return PerfettoRuns(s.Res.Runs)
 	}
+	var runs []export.PerfettoRun
 	if s.Baseline != nil {
 		runs = append(runs, export.PerfettoRun{Label: s.Baseline.Program + " baseline", Trace: s.Baseline})
 	}

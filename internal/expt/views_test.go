@@ -31,7 +31,7 @@ var viewFixture = sync.OnceValues(func() ([2]*Subject, error) {
 		return subs, err
 	}
 	for i, pool := range viewPools {
-		subs[i] = &Subject{Res: AnalyzeTraceOn(pool, res.Trace, nil, Config{}, nil)}
+		subs[i] = &Subject{Res: analyze(pool, res.Trace, nil, nil, Config{}, nil)}
 	}
 	return subs, nil
 })

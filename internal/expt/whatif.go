@@ -14,12 +14,17 @@ import (
 type WhatIfResult struct {
 	Sort, Fib             *Result
 	SortRanked, FibRanked []whatif.Projection
+	RunLog
 }
 
 // brokenFibParams spawns all the way to the leaves: with Cutoff >= N the
 // depth test never trips, reproducing the paper's broken-cutoff anti-pattern
 // where per-task overhead rivals the work.
 func brokenFibParams() workloads.FibParams { return workloads.FibParams{N: 18, Cutoff: 18} }
+
+// WhatIfFigure is the what-if tables as a figure-suite step (grainbench
+// -fig whatif): an opt-in step outside Figures.
+var WhatIfFigure = Figure{"whatif", func(w io.Writer, _ int) ([]*LoggedRun, error) { return runsOf(WhatIfTable(w)) }}
 
 // WhatIfTable regenerates the what-if opportunity tables: for each subject
 // run, the engine replays recorded grain weights under hypothetical
@@ -28,7 +33,7 @@ func brokenFibParams() workloads.FibParams { return workloads.FibParams{N: 18, C
 // hypothesis evaluations fan out across the same -j pool as the simulations
 // themselves, and output is byte-identical at every parallelism level.
 func WhatIfTable(w io.Writer) (*WhatIfResult, error) {
-	results, err := runBatch([]runReq{
+	results, err := runAll([]runReq{
 		{mk: func() workloads.Instance { return workloads.NewSort(workloads.DefaultSortParams()) },
 			cfg: Config{Cores: 48, Seed: 1, Baseline: true}, wrap: "what-if sort"},
 		{mk: func() workloads.Instance { return workloads.NewFib(brokenFibParams()) },
@@ -37,7 +42,7 @@ func WhatIfTable(w io.Writer) (*WhatIfResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &WhatIfResult{Sort: results[0], Fib: results[1]}
+	res := &WhatIfResult{Sort: results[0], Fib: results[1], RunLog: logOf(results)}
 	opt := whatif.RankOptions{TopN: 8}
 	pool := currentPool()
 
@@ -71,6 +76,5 @@ func WhatIfTable(w io.Writer) (*WhatIfResult, error) {
 			return nil, err
 		}
 	}
-	footer(w)
 	return res, nil
 }

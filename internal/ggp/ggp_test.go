@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"graingraph/internal/core"
@@ -249,6 +250,21 @@ func TestReaderValidatesTraceContent(t *testing.T) {
 	}
 	if _, err := ggp.ReadTrace(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("reader accepted a trace with backwards fragments")
+	}
+}
+
+// TestDecodeRejectsWrappingCore pins that a v1 artifact whose fragment
+// core does not fit in an int32 — the width of the graph's core column
+// and of the v2 format — is refused at decode, naming the field.
+func TestDecodeRejectsWrappingCore(t *testing.T) {
+	tr := sampleTrace(t)
+	tr.Tasks[0].Fragments[0].Core = 1 << 31
+	_, err := ggp.Decode(encode(t, tr), nil, nil)
+	if err == nil {
+		t.Fatal("Decode accepted a fragment core of 1<<31")
+	}
+	if !strings.Contains(err.Error(), "fragment 0 core 2147483648") {
+		t.Errorf("error %q does not name the fragment core", err)
 	}
 }
 

@@ -8,7 +8,8 @@ import "fmt"
 // in the trace span, a task's fragments are ordered and
 // non-overlapping, boundary counts match fragment counts, every
 // boundary/chunk refers to a loop the trace records, and every task is
-// recorded after its parent. Dangling Parent/Child/Joined references are
+// recorded after its parent, and every core and thread id fits in an int32,
+// the width the grain graph and the columnar artifact store them at. Dangling Parent/Child/Joined references are
 // accepted: they resolve to no grain (-1) and the analyses skip them. The
 // live runtimes construct traces that hold these by design; the check
 // matters for traces read back from disk, where corruption or a buggy
@@ -22,6 +23,9 @@ func (tr *Trace) Validate() error {
 	}
 	if tr.Cores < 0 {
 		return fmt.Errorf("profile: negative core count %d", tr.Cores)
+	}
+	if outsideInt32(tr.Cores) {
+		return fmt.Errorf("profile: core count %d is outside int32", tr.Cores)
 	}
 	// A worker's idle time is the span minus its busy and overhead time,
 	// so the two must fit in the span. Compared by subtraction: the sum
@@ -44,6 +48,9 @@ func (tr *Trace) Validate() error {
 		if loops[l.ID] {
 			return fmt.Errorf("profile: duplicate loop record %d", l.ID)
 		}
+		if outsideInt32(l.StartThread) {
+			return fmt.Errorf("profile: loop %d start thread %d is outside int32", l.ID, l.StartThread)
+		}
 		loops[l.ID] = true
 	}
 	nb := tr.Numbering()
@@ -64,6 +71,9 @@ func (tr *Trace) Validate() error {
 		if p := nb.TaskParent(int32(i)); p >= int32(i) {
 			return fmt.Errorf("profile: task %q is recorded before its parent %q", t.ID, t.Parent)
 		}
+		if outsideInt32(t.CreatedBy) {
+			return fmt.Errorf("profile: task %q creating worker %d is outside int32", t.ID, t.CreatedBy)
+		}
 		if len(t.Boundaries) > len(t.Fragments) {
 			return fmt.Errorf("profile: task %q has %d boundaries for %d fragments",
 				t.ID, len(t.Boundaries), len(t.Fragments))
@@ -74,6 +84,9 @@ func (tr *Trace) Validate() error {
 			if f.End < f.Start {
 				return fmt.Errorf("profile: task %q fragment %d runs backwards [%d,%d)",
 					t.ID, i, f.Start, f.End)
+			}
+			if outsideInt32(f.Core) {
+				return fmt.Errorf("profile: task %q fragment %d core %d is outside int32", t.ID, i, f.Core)
 			}
 			if i > 0 && f.Start < prevEnd {
 				return fmt.Errorf("profile: task %q fragments %d and %d overlap (%d < %d)",
@@ -103,11 +116,20 @@ func (tr *Trace) Validate() error {
 		if !loops[c.Loop] {
 			return fmt.Errorf("profile: chunk %d references unknown loop %d", i, c.Loop)
 		}
+		if outsideInt32(c.Thread) {
+			return fmt.Errorf("profile: chunk %d thread %d is outside int32", i, c.Thread)
+		}
 	}
 	for i, bk := range tr.Bookkeeps {
 		if !loops[bk.Loop] {
 			return fmt.Errorf("profile: book-keeping record %d references unknown loop %d", i, bk.Loop)
 		}
+		if outsideInt32(bk.Thread) {
+			return fmt.Errorf("profile: book-keeping record %d thread %d is outside int32", i, bk.Thread)
+		}
 	}
 	return nil
 }
+
+// outsideInt32 reports whether v would wrap when narrowed to int32.
+func outsideInt32(v int) bool { return v != int(int32(v)) }
