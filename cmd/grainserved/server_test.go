@@ -52,11 +52,11 @@ var fixture = sync.OnceValues(func() (*fixtureData, error) {
 	// Reference path: decode the artifact and analyze it exactly like
 	// `grainview -artifact` does, on a private pool.
 	pool := runpool.New(4)
-	tr, err := ggp.ReadTrace(bytes.NewReader(f.raw))
+	dec, err := ggp.Decode(f.raw, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := expt.AnalyzeDecodedOn(pool, &ggp.Decoded{Trace: tr}, nil, expt.Config{}, nil)
+	res := expt.AnalyzeDecodedOn(pool, dec, nil, expt.Config{}, nil)
 
 	var w bytes.Buffer
 	if err := expt.WriteSummary(&w, res); err != nil {
@@ -442,11 +442,11 @@ func TestQueryEndpoint(t *testing.T) {
 	upload(t, s, f.raw)
 
 	pool := runpool.New(4)
-	tr, err := ggp.ReadTrace(bytes.NewReader(f.raw))
+	dec, err := ggp.Decode(f.raw, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := expt.AnalyzeDecodedOn(pool, &ggp.Decoded{Trace: tr}, nil, expt.Config{}, nil)
+	res := expt.AnalyzeDecodedOn(pool, dec, nil, expt.Config{}, nil)
 
 	queries := []string{
 		"from grains | filter exec > 0 | groupby loc | agg count, sum(exec), mean(benefit) | sort sum_exec desc | topk 5",

@@ -12,9 +12,7 @@ import (
 // memo cache, so every simulation executes for real and the serial/parallel
 // pair measures the pool itself.
 func figure1Bench(b *testing.B, jobs int) {
-	prev := parallelism()
-	SetParallelism(jobs)
-	defer SetParallelism(prev)
+	setJobs(b, jobs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ResetMemo()
@@ -40,9 +38,7 @@ func BenchmarkFigure1Parallel(b *testing.B) {
 // regeneration, every run request is a memo hit and regeneration cost is
 // pure analysis.
 func BenchmarkMemoizedFigure1(b *testing.B) {
-	prev := parallelism()
-	SetParallelism(1)
-	defer SetParallelism(prev)
+	setJobs(b, 1)
 	ResetMemo()
 	if _, err := Figure1(nil, 48); err != nil {
 		b.Fatal(err)

@@ -126,9 +126,8 @@ func TestAnalyzeDecodedOnLeavesGlobalPoolAlone(t *testing.T) {
 // each return exactly the runs they requested, in submission order — the
 // same log each returns when it runs alone.
 func TestConcurrentFiguresKeepTheirOwnRuns(t *testing.T) {
-	prev := parallelism()
-	defer func() { SetParallelism(prev); ResetMemo() }()
-	SetParallelism(4)
+	defer ResetMemo()
+	setJobs(t, 4)
 
 	figs := []Figure{figureByID(t, "2"), figureByID(t, "6")}
 	entries := func(runs []*LoggedRun) []string {

@@ -74,6 +74,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestSortPageTableShape(t *testing.T) {
+	replaySuite(t)
 	res, err := SortPageTable(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +113,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7And8Shape(t *testing.T) {
+	replaySuite(t)
 	f7, err := Figure7(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +234,7 @@ func TestFigure1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 1 sweep is expensive")
 	}
+	replaySuite(t)
 	res, err := Figure1(nil, 48)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +256,7 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 5 lowered-cutoff run is expensive")
 	}
+	replaySuite(t)
 	res, err := Figure5(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -17,20 +17,25 @@ import (
 	"graingraph/internal/workloads"
 )
 
-// smokeGiantTrace simulates the reduced-size giant workload once per test
-// process (≈16k grains; the full giant is benchmark-only) and shares the
-// immutable trace between tests.
-var smokeGiantTrace = sync.OnceValues(func() (*profile.Trace, error) {
-	inst, err := workloads.Get("giant", workloads.VariantSmoke)
-	if err != nil {
-		return nil, err
-	}
-	res, err := Run(inst, Config{Cores: 48, Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	return res.Trace, nil
-})
+// giantRun simulates a variant of the giant workload at 48 cores once per
+// test process and shares the immutable trace between its callers.
+func giantRun(v workloads.Variant) func() (*profile.Trace, error) {
+	return sync.OnceValues(func() (*profile.Trace, error) {
+		inst, err := workloads.Get("giant", v)
+		if err != nil {
+			return nil, err
+		}
+		res, err := Run(inst, Config{Cores: 48, Seed: 1})
+		if err != nil {
+			return nil, err
+		}
+		return res.Trace, nil
+	})
+}
+
+// smokeGiantTrace is the reduced-size giant (≈16k grains) the tests share;
+// giantTrace is the full ~1M-grain giant, for the analysis benchmarks only.
+var smokeGiantTrace, giantTrace = giantRun(workloads.VariantSmoke), giantRun(workloads.VariantDefault)
 
 // TestGiantSmoke is the CI smoke check for the stress workload: the reduced
 // giant simulates, verifies, and analyzes end to end on the pool, and its
@@ -42,9 +47,7 @@ func TestGiantSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := parallelism()
-	defer SetParallelism(prev)
-	SetParallelism(8)
+	setJobs(t, 8)
 
 	res := analyze(nil, tr, nil, nil, Config{}, nil)
 	grains := res.Graph.NumGrainNodes()
@@ -61,11 +64,9 @@ func TestGiantSmoke(t *testing.T) {
 // parallelism, from a saved .ggp artifact.
 func artifactAnalysis(t *testing.T, path string, jobs int) []byte {
 	t.Helper()
-	prev := parallelism()
-	defer SetParallelism(prev)
-	SetParallelism(jobs)
+	setJobs(t, jobs)
 
-	tr, err := ggp.ReadFile(path)
+	tr, err := ggp.DecodeTraceFile(path, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,26 +123,8 @@ func TestArtifactAnalysisDeterministicAcrossParallelism(t *testing.T) {
 
 	serial := artifactAnalysis(t, path, 1)
 	parallel := artifactAnalysis(t, path, 8)
-	if !bytes.Equal(serial, parallel) {
-		d := diffLine(serial, parallel)
-		t.Fatalf("artifact analysis differs between -j 1 and -j 8 (first differing line %d):\nserial:   %q\nparallel: %q",
-			d, lineAt(serial, d), lineAt(parallel, d))
-	}
+	requireSame(t, "-j 1 and -j 8 artifact analyses", serial, parallel)
 }
-
-// giantTrace simulates the full ~1M-grain giant workload once per process,
-// for the analysis benchmark only.
-var giantTrace = sync.OnceValues(func() (*profile.Trace, error) {
-	inst, err := workloads.Get("giant", workloads.VariantDefault)
-	if err != nil {
-		return nil, err
-	}
-	res, err := Run(inst, Config{Cores: 48, Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	return res.Trace, nil
-})
 
 // analyzeGiantOnce runs the full artifact-serving analysis path — graph
 // build, metric kernels, critical path, highlighting, what-if ranking, DOT

@@ -139,17 +139,23 @@ func TestComputeConservedAcrossMachineSizes(t *testing.T) {
 }
 
 // Metamorphic property: for every registered workload, the computational
-// result verifies on 1, 7 and 48 cores, under both schedulers.
+// result verifies on 1, 7 and 48 cores, under both schedulers. giant runs
+// at its smoke size, the same UTS generator at FullDepth 6: every
+// benchmark run simulates and verifies it at FullDepth 8 (257 142 grains)
+// on 48 cores, in the rts.run.giant8 probe (bench/probes.go).
 func TestAllWorkloadsVerifyEverywhere(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload × config sweep")
 	}
 	for _, name := range workloads.Names() {
-		name := name
+		variant := workloads.VariantDefault
+		if name == "giant" {
+			variant = workloads.VariantSmoke
+		}
 		t.Run(name, func(t *testing.T) {
 			for _, cores := range []int{1, 7, 48} {
 				for _, sched := range []rts.SchedulerKind{rts.WorkStealing, rts.CentralQueueSched} {
-					inst, err := workloads.Get(name, workloads.VariantDefault)
+					inst, err := workloads.Get(name, variant)
 					if err != nil {
 						t.Fatal(err)
 					}

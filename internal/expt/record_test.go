@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,64 +26,40 @@ func resetArtifactDirs() {
 }
 
 // TestRecordReplayRoundTrip is the record/analyze split's headline
-// guarantee: a full figure pass recorded to grain-profile artifacts, then
-// replayed from those artifacts with a cold memo, produces byte-identical
-// output, runtime-metrics footers included — at both the serial fallback
-// and pooled parallelism — while executing no keyed simulation a second
-// time.
+// guarantee: the recorded suite, replayed from its artifacts with a cold
+// memo, produces byte-identical output, runtime-metrics footers included —
+// at both the serial fallback and pooled parallelism — while executing no
+// keyed simulation a second time.
 func TestRecordReplayRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates every figure three times; skipped in -short")
-	}
-	prev := parallelism()
-	defer func() { SetParallelism(prev); resetArtifactDirs() }()
+	live := figureSuite(t)
+	defer resetArtifactDirs()
 
-	dir := t.TempDir()
-
-	SetRecordDir(dir)
-	live, liveSims := regenerate(t, 8)
-	SetRecordDir("")
-
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	ents, err := os.ReadDir(live.dir)
+	if err != nil || len(ents) == 0 {
+		t.Fatalf("record pass produced no artifacts (%v)", err)
 	}
-	if len(ents) == 0 {
-		t.Fatal("record pass produced no artifacts")
-	}
-	t.Logf("recorded %d artifacts from %d simulations", len(ents), liveSims)
-	if !bytes.Contains(live, []byte("runtime metrics:\n")) {
+	t.Logf("recorded %d artifacts from %d simulations", len(ents), live.sims)
+	if !bytes.Contains(live.out, []byte("runtime metrics:\n")) {
 		t.Fatal("live pass printed no runtime-metrics footer; the comparison is vacuous")
 	}
 
-	SetReplayDir(dir)
-	replaySerial, serialSims := regenerate(t, 1)
-	replayParallel, parallelSims := regenerate(t, 8)
-	SetReplayDir("")
-
-	if !bytes.Equal(live, replaySerial) {
-		d := diffLine(live, replaySerial)
-		t.Fatalf("live and -j 1 replay outputs differ (first differing line %d):\nlive:   %q\nreplay: %q",
-			d, lineAt(live, d), lineAt(replaySerial, d))
-	}
-	if !bytes.Equal(live, replayParallel) {
-		d := diffLine(live, replayParallel)
-		t.Fatalf("live and -j 8 replay outputs differ (first differing line %d):\nlive:   %q\nreplay: %q",
-			d, lineAt(live, d), lineAt(replayParallel, d))
-	}
-	// Every keyed run was recorded during the live pass, so both replay
-	// passes serve every keyed request from an artifact and execute no
+	// Every keyed run was recorded during the live pass, so each replay
+	// pass serves every keyed request from an artifact and executes no
 	// keyed simulation at all (MemoStats counts only keyed executions).
-	if serialSims != 0 || parallelSims != 0 {
-		t.Errorf("replay executed keyed simulations: %d at -j 1, %d at -j 8; want 0 (live pass executed %d)",
-			serialSims, parallelSims, liveSims)
+	SetReplayDir(live.dir)
+	for _, jobs := range []int{1, 8} {
+		replay, sims := regenerate(t, jobs)
+		requireSame(t, fmt.Sprintf("live and -j %d replay outputs", jobs), live.out, replay)
+		if sims != 0 {
+			t.Errorf("-j %d replay executed %d keyed simulations, want 0 (live pass executed %d)", jobs, sims, live.sims)
+		}
 	}
 }
 
 // TestArtifactAnalysisMatchesLive checks the single-artifact path grainview
-// uses: a run recorded to a .ggp artifact, read back with ggp.ReadFile and
-// analyzed again, exports byte-identically to the live Result,
-// and its Perfetto trace and stats report match the live run's.
+// uses: a run recorded to a .ggp artifact, read back with
+// ggp.DecodeTraceFile and analyzed again, exports byte-identically to the
+// live Result, and its Perfetto trace and stats report match the live run's.
 func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	defer resetArtifactDirs()
 	dir := t.TempDir()
@@ -107,7 +84,7 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("expected 1 recorded artifact, found %d", len(ents))
 	}
-	tr, err := ggp.ReadFile(filepath.Join(dir, ents[0].Name()))
+	tr, err := ggp.DecodeTraceFile(filepath.Join(dir, ents[0].Name()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +102,7 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	if err := export.GraphML(&b, replayed.Graph, replayed.Assessment, export.ViewStructure); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		d := diffLine(a.Bytes(), b.Bytes())
-		t.Fatalf("GraphML exports differ (first differing line %d):\nlive:   %q\nreplay: %q",
-			d, lineAt(a.Bytes(), d), lineAt(b.Bytes(), d))
-	}
+	requireSame(t, "live and replayed GraphML exports", a.Bytes(), b.Bytes())
 
 	// The Perfetto export derives its scheduler instants from the profile,
 	// so the live run and its v1 and v2 (with sidecars) artifacts, decoded
@@ -167,15 +140,8 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := AnalyzeDecodedOn(nil, dec, nil, Config{}, nil)
-		if got := perfetto(res); !bytes.Equal(want, got) {
-			d := diffLine(want, got)
-			t.Fatalf("Perfetto export of v%d artifact differs from the live run (first differing line %d):\nlive:     %q\nartifact: %q",
-				dec.Version, d, lineAt(want, d), lineAt(got, d))
-		}
-		if got := stats(res); !bytes.Equal(wantStats, got) {
-			t.Fatalf("stats report of v%d artifact differs from the live run:\nlive:\n%s\nartifact:\n%s",
-				dec.Version, wantStats, got)
-		}
+		requireSame(t, fmt.Sprintf("Perfetto exports of the live run and the v%d artifact", dec.Version), want, perfetto(res))
+		requireSame(t, fmt.Sprintf("stats reports of the live run and the v%d artifact", dec.Version), wantStats, stats(res))
 	}
 }
 

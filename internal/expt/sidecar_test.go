@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,8 +89,7 @@ func TestV2AnalysisByteIdentical(t *testing.T) {
 	var want []byte
 	for _, jobs := range []int{1, 8} {
 		pool := runpool.New(jobs)
-		var outs [][]byte
-		for _, p := range []string{v1Path, v2Path, v2ScPath} {
+		for i, p := range []string{v1Path, v2Path, v2ScPath} {
 			dec, err := ggp.DecodeFile(p, pool, nil)
 			if err != nil {
 				t.Fatalf("jobs=%d %s: %v", jobs, p, err)
@@ -97,19 +97,11 @@ func TestV2AnalysisByteIdentical(t *testing.T) {
 			if p == v2ScPath && !dec.HasSidecars() {
 				t.Fatalf("upgraded artifact %s decoded without sidecars", p)
 			}
-			res := AnalyzeDecodedOn(pool, dec, nil, Config{}, nil)
-			outs = append(outs, analysisOutputs(t, res, pool))
-		}
-		for i, out := range outs {
+			out := analysisOutputs(t, AnalyzeDecodedOn(pool, dec, nil, Config{}, nil), pool)
 			if want == nil {
 				want = out
-				continue
 			}
-			if !bytes.Equal(out, want) {
-				d := diffLine(want, out)
-				t.Fatalf("jobs=%d artifact #%d: analysis output differs (first differing line %d):\nwant: %q\ngot:  %q",
-					jobs, i, d, lineAt(want, d), lineAt(out, d))
-			}
+			requireSame(t, fmt.Sprintf("analysis outputs of artifact #0 at -j 1 and artifact #%d at -j %d", i, jobs), want, out)
 		}
 	}
 }
@@ -138,7 +130,7 @@ func TestRecordV2RoundTrip(t *testing.T) {
 	if err != nil || len(ents) != 1 {
 		t.Fatalf("expected 1 artifact in %s: %v (%d entries)", v1Dir, err, len(ents))
 	}
-	tr, err := ggp.ReadFile(filepath.Join(v1Dir, ents[0].Name()))
+	tr, err := ggp.DecodeTraceFile(filepath.Join(v1Dir, ents[0].Name()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +159,5 @@ func TestRecordV2RoundTrip(t *testing.T) {
 	}
 	a := analysisOutputs(t, live, nil)
 	b := analysisOutputs(t, replayed, nil)
-	if !bytes.Equal(a, b) {
-		d := diffLine(a, b)
-		t.Fatalf("live and v2-replayed analyses differ (line %d):\nlive:   %q\nreplay: %q", d, lineAt(a, d), lineAt(b, d))
-	}
+	requireSame(t, "live and v2-replayed analyses", a, b)
 }

@@ -203,9 +203,6 @@ func FuzzAnalyzeAccepted(f *testing.F) {
 				}
 			}
 		}
-		if !bytes.Equal(out[0], out[1]) {
-			d := diffLine(out[0], out[1])
-			t.Fatalf("-j 1 and -j 4 differ at line %d:\n-j 1: %q\n-j 4: %q", d, lineAt(out[0], d), lineAt(out[1], d))
-		}
+		requireSame(t, "-j 1 and -j 4 renders", out[0], out[1])
 	})
 }

@@ -9,27 +9,17 @@ import (
 // TestWhatIfTableDeterministicAcrossParallelism extends the engine's -j
 // guarantee to the what-if pass: ranked hypothesis tables are byte-identical
 // whether the runs and hypothesis evaluations execute serially or pooled.
+// The recorded suite ends with the what-if tables, which
+// TestFiguresDeterministicAcrossParallelism compares at -j 1 and -j 8;
+// under -short, this test renders them at both.
 func TestWhatIfTableDeterministicAcrossParallelism(t *testing.T) {
-	prev := parallelism()
-	defer func() { SetParallelism(prev); ResetMemo() }()
-
-	render := func(jobs int) []byte {
-		ResetMemo()
-		SetParallelism(jobs)
-		var buf bytes.Buffer
-		if _, err := WhatIfTable(&buf); err != nil {
-			t.Fatalf("-j %d: %v", jobs, err)
-		}
-		return buf.Bytes()
+	var tables []byte
+	if testing.Short() {
+		tables = sameAtJ1AndJ8(t, WhatIfFigure)
+	} else {
+		_, tables, _ = bytes.Cut(figureSuite(t).out, []byte("What-if: "))
 	}
-	serial := render(1)
-	parallel := render(8)
-	if !bytes.Equal(serial, parallel) {
-		d := diffLine(serial, parallel)
-		t.Fatalf("what-if tables differ (first differing line %d):\n-j 1:  %q\n-j 8:  %q",
-			d, lineAt(serial, d), lineAt(parallel, d))
-	}
-	if !strings.Contains(string(serial), "perfect cutoff") {
+	if !strings.Contains(string(tables), "perfect cutoff") {
 		t.Error("ranked table mentions no perfect-cutoff hypothesis")
 	}
 }
@@ -38,9 +28,7 @@ func TestWhatIfTableDeterministicAcrossParallelism(t *testing.T) {
 // the paper's broken-cutoff story: on a fib run whose cutoff never trips,
 // the perfect-cutoff hypothesis must project a strictly positive speedup.
 func TestWhatIfBrokenFibCutoffProjectsSpeedup(t *testing.T) {
-	prev := parallelism()
-	defer func() { SetParallelism(prev) }()
-	SetParallelism(4)
+	setJobs(t, 4)
 
 	res, err := WhatIfTable(nil)
 	if err != nil {

@@ -57,7 +57,7 @@ const (
 	// Magic opens every GGP artifact.
 	Magic = "GGPF"
 	// Version is the v1 event-stream format version written by Writer.
-	// ReadTrace accepts only v1 artifacts; Decode accepts both v1 and v2.
+	// Decode and DecodeTrace accept both v1 and v2.
 	Version = 1
 	// Version2 is the columnar format version written by EncodeV2.
 	Version2 = 2

@@ -201,8 +201,9 @@ func TestHostileReferences(t *testing.T) {
 }
 
 // FuzzGGPReader throws arbitrary bytes at the artifact readers. The
-// invariant is purely defensive: ggp.ReadTrace (v1) and ggp.Decode (v1 +
-// columnar v2) must return a result or an error, never panic or OOM, for
+// invariant is purely defensive: ggp.DecodeTrace (the replay engine's
+// trace-only decode) and ggp.Decode (trace, graph and sidecars), over v1
+// and columnar v2, must return a result or an error, never panic or OOM, for
 // any input. The seed corpus covers the interesting corruption classes —
 // valid artifacts of both versions, truncations (including mid-column),
 // a flipped version byte, a v2 header on a v1 body, corrupted section and
@@ -267,19 +268,19 @@ func FuzzGGPReader(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ggp.ReadTrace(bytes.NewReader(data))
+		tr, err := ggp.DecodeTrace(data, nil, nil)
 		if err == nil && tr == nil {
-			t.Fatal("ggp.ReadTrace returned nil trace and nil error")
+			t.Fatal("ggp.DecodeTrace returned nil trace and nil error")
 		}
 		if err == nil {
 			// An accepted artifact must satisfy the profile invariants —
 			// that is what the validation wiring guarantees.
 			if verr := tr.Validate(); verr != nil {
-				t.Fatalf("ggp.ReadTrace accepted an invalid trace: %v", verr)
+				t.Fatalf("ggp.DecodeTrace accepted an invalid trace: %v", verr)
 			}
 		}
-		// The version-dispatching decoder has the same contract over both
-		// formats, including the parallel columnar path.
+		// The full decoder has the same contract, including the graph
+		// assembly and the parallel columnar path.
 		dec, derr := ggp.Decode(data, nil, nil)
 		if derr == nil && (dec == nil || dec.Trace == nil) {
 			t.Fatal("ggp.Decode returned no result and no error")

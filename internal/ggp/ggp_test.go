@@ -46,10 +46,11 @@ func encode(t *testing.T, tr *profile.Trace) []byte {
 
 func TestRoundTripPreservesRecords(t *testing.T) {
 	tr := sampleTrace(t)
-	got, err := ggp.ReadTrace(bytes.NewReader(encode(t, tr)))
+	dec, err := ggp.Decode(encode(t, tr), nil, nil)
 	if err != nil {
-		t.Fatalf("ggp.ReadTrace: %v", err)
+		t.Fatalf("ggp.Decode: %v", err)
 	}
+	got := dec.Trace
 
 	if got.Program != tr.Program || got.Cores != tr.Cores || got.Sockets != tr.Sockets ||
 		got.Scheduler != tr.Scheduler || got.Flavor != tr.Flavor ||
@@ -82,11 +83,11 @@ func TestRoundTripPreservesRecords(t *testing.T) {
 // with identical node/edge columns — the property record/analyze relies on.
 func TestRoundTripGraphIdentical(t *testing.T) {
 	tr := sampleTrace(t)
-	rt, err := ggp.ReadTrace(bytes.NewReader(encode(t, tr)))
+	dec, err := ggp.Decode(encode(t, tr), nil, nil)
 	if err != nil {
-		t.Fatalf("ggp.ReadTrace: %v", err)
+		t.Fatalf("ggp.Decode: %v", err)
 	}
-	g, rg := core.Build(tr), core.Build(rt)
+	g, rg := core.Build(tr), core.Build(dec.Trace)
 	if g.NumNodes() != rg.NumNodes() || g.NumEdges() != rg.NumEdges() {
 		t.Fatalf("graph shapes differ: %d/%d nodes, %d/%d edges",
 			g.NumNodes(), rg.NumNodes(), g.NumEdges(), rg.NumEdges())
@@ -109,11 +110,11 @@ func TestWriteFileReadFile(t *testing.T) {
 	if err := ggp.WriteFile(path, tr); err != nil {
 		t.Fatalf("ggp.WriteFile: %v", err)
 	}
-	got, err := ggp.ReadFile(path)
+	dec, err := ggp.DecodeFile(path, nil, nil)
 	if err != nil {
-		t.Fatalf("ggp.ReadFile: %v", err)
+		t.Fatalf("ggp.DecodeFile: %v", err)
 	}
-	if got.Program != tr.Program || len(got.Tasks) != len(tr.Tasks) {
+	if got := dec.Trace; got.Program != tr.Program || len(got.Tasks) != len(tr.Tasks) {
 		t.Errorf("file round trip lost records")
 	}
 }
@@ -129,15 +130,15 @@ func TestDeterministicEncoding(t *testing.T) {
 func TestReaderRejectsBadMagic(t *testing.T) {
 	raw := encode(t, sampleTrace(t))
 	raw[0] = 'X'
-	if _, err := ggp.ReadTrace(bytes.NewReader(raw)); !errors.Is(err, ggp.ErrMagic) {
+	if _, err := ggp.Decode(raw, nil, nil); !errors.Is(err, ggp.ErrMagic) {
 		t.Errorf("bad magic: err = %v, want ggp.ErrMagic", err)
 	}
 }
 
 func TestReaderRejectsFutureVersion(t *testing.T) {
 	raw := encode(t, sampleTrace(t))
-	raw[len(ggp.Magic)] = ggp.Version + 1
-	if _, err := ggp.ReadTrace(bytes.NewReader(raw)); !errors.Is(err, ggp.ErrVersion) {
+	raw[len(ggp.Magic)] = ggp.Version2 + 1
+	if _, err := ggp.Decode(raw, nil, nil); !errors.Is(err, ggp.ErrVersion) {
 		t.Errorf("future version: err = %v, want ggp.ErrVersion", err)
 	}
 }
@@ -147,7 +148,7 @@ func TestReaderRejectsCorruptedPayload(t *testing.T) {
 	// Flip a byte in the middle of the record stream: either a record
 	// decodes differently (CRC catches it) or framing breaks (decode error).
 	raw[len(raw)/2] ^= 0x55
-	if _, err := ggp.ReadTrace(bytes.NewReader(raw)); err == nil {
+	if _, err := ggp.Decode(raw, nil, nil); err == nil {
 		t.Error("corrupted payload accepted")
 	}
 }
@@ -155,7 +156,7 @@ func TestReaderRejectsCorruptedPayload(t *testing.T) {
 func TestReaderRejectsCorruptedCRC(t *testing.T) {
 	raw := encode(t, sampleTrace(t))
 	raw[len(raw)-1] ^= 0xFF // last trailer byte
-	if _, err := ggp.ReadTrace(bytes.NewReader(raw)); !errors.Is(err, ggp.ErrCRC) {
+	if _, err := ggp.Decode(raw, nil, nil); !errors.Is(err, ggp.ErrCRC) {
 		t.Errorf("corrupted CRC: err = %v, want ggp.ErrCRC", err)
 	}
 }
@@ -163,7 +164,7 @@ func TestReaderRejectsCorruptedCRC(t *testing.T) {
 func TestReaderRejectsTruncation(t *testing.T) {
 	raw := encode(t, sampleTrace(t))
 	for _, cut := range []int{0, 3, len(ggp.Magic), len(ggp.Magic) + 1, len(raw) / 3, len(raw) - 1} {
-		if _, err := ggp.ReadTrace(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := ggp.Decode(raw[:cut], nil, nil); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -209,11 +210,11 @@ func TestReaderSkipsUnknownSections(t *testing.T) {
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ggp.ReadTrace(bytes.NewReader(buf.Bytes()))
+	dec, err := ggp.Decode(buf.Bytes(), nil, nil)
 	if err != nil {
 		t.Fatalf("reader choked on unknown section: %v", err)
 	}
-	if len(got.Tasks) != len(tr.Tasks) {
+	if len(dec.Trace.Tasks) != len(tr.Tasks) {
 		t.Errorf("records lost around unknown section")
 	}
 }
@@ -229,7 +230,7 @@ func TestReaderRejectsOversizedSectionLength(t *testing.T) {
 	// Claim a section far beyond ggp.MaxSection.
 	raw = append(raw, ggp.SecTask)
 	raw = appendUvarint(raw, uint64(ggp.MaxSection)+1)
-	if _, err := ggp.ReadTrace(bytes.NewReader(raw)); err == nil {
+	if _, err := ggp.Decode(raw, nil, nil); err == nil {
 		t.Error("oversized section length accepted")
 	}
 }
@@ -248,7 +249,7 @@ func TestReaderValidatesTraceContent(t *testing.T) {
 	if err := ggp.WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ggp.ReadTrace(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ggp.Decode(buf.Bytes(), nil, nil); err == nil {
 		t.Error("reader accepted a trace with backwards fragments")
 	}
 }

@@ -6,31 +6,18 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"graingraph/internal/cache"
 	"graingraph/internal/profile"
 )
 
-// ReadTrace reconstructs a trace from a GGP artifact stream. Records are
-// appended in section order, so the returned trace's slices match the
-// producer's emission order and the rebuilt grain graph assigns identical
-// NodeIDs to the live-simulated one. The trace is checksum-verified and
-// structurally validated (profile.Trace.Validate) before it is returned;
-// any malformation — truncation, version skew, corrupted CRC, oversized or
-// undecodable sections — yields an error, never a panic.
-func ReadTrace(r io.Reader) (*profile.Trace, error) {
-	tr, err := readTrace(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := indexAndValidate(tr, nil); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// readTrace is ReadTrace up to, not including, validation.
+// readTrace reconstructs a trace from a v1 artifact stream, up to, not
+// including, validation (Decode and DecodeTrace index and validate it).
+// Records are appended in section order, so the returned trace's slices
+// match the producer's emission order and the rebuilt grain graph assigns
+// identical NodeIDs to the live-simulated one. Any malformation —
+// truncation, version skew, corrupted CRC, oversized or undecodable
+// sections — yields an error, never a panic.
 func readTrace(r io.Reader) (*profile.Trace, error) {
 	var hdr [len(Magic) + 1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -123,16 +110,6 @@ func readTrace(r io.Reader) (*profile.Trace, error) {
 		return nil, fmt.Errorf("ggp: artifact has no meta section")
 	}
 	return tr, nil
-}
-
-// ReadFile reads and validates the artifact at path.
-func ReadFile(path string) (*profile.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTrace(f)
 }
 
 func isKnown(id byte) bool {

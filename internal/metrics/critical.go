@@ -12,58 +12,6 @@ import (
 // every worker count.
 const criticalGrain = 2048
 
-// CriticalSpanOver is the span-only variant of CriticalPathOverPool for
-// callers that discard the path: no predecessor tracking (dropping both the
-// 8-bytes-per-node pred array and the tie-break branch in the inner loop)
-// and dist is caller-provided scratch of at least NumNodes elements, every
-// one of which is overwritten. Distances are pure maxima, so the returned
-// span is bit-identical to CriticalPathOverPool's — the what-if engine's
-// dense fallback runs ~20 of these back to back against pooled scratch.
-func CriticalSpanOver(g *core.Graph, weights []profile.Time, dist []profile.Time, pool *runpool.Runner) profile.Time {
-	if g.NumNodes() == 0 {
-		return 0
-	}
-	if weights == nil {
-		weights = g.Weights()
-	}
-	numLevels := g.NumLevels() // forces the level index (and out-CSR)
-	g.In(0)                    // force the in-CSR the pull relaxation reads
-
-	for l := 0; l < numLevels; l++ {
-		nodes := g.LevelNodes(l)
-		runpool.ParallelFor(pool, len(nodes), criticalGrain, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				n := core.NodeID(nodes[i])
-				var d profile.Time
-				for _, ei := range g.In(n) {
-					from := g.EdgeFrom(int(ei))
-					if df := dist[from] + weights[from]; df > d {
-						d = df
-					}
-				}
-				dist[n] = d
-			}
-		})
-	}
-
-	return runpool.ParallelReduce(pool, g.NumNodes(), criticalGrain,
-		profile.Time(0),
-		func(_, lo, hi int, acc profile.Time) profile.Time {
-			for i := lo; i < hi; i++ {
-				if d := dist[i] + weights[i]; d > acc {
-					acc = d
-				}
-			}
-			return acc
-		},
-		func(a, b profile.Time) profile.Time {
-			if b > a {
-				return b
-			}
-			return a
-		})
-}
-
 // CriticalPathOverPool is the data-parallel critical-path DP: a pull-based,
 // level-synchronous relaxation over the store's precomputed topological
 // levels. Every edge crosses to a strictly higher level, so all nodes of one

@@ -408,8 +408,8 @@ func (x *cutIndex) collapse(e *Engine, d int32) (work, span profile.Time, ok boo
 // finishes at its entry's start plus its work, written to its entry and
 // exit; deeper positions, and the regions' other nodes, are skipped — by
 // (a)–(c) nothing outside a region reads them. With d = noCut it is the
-// plain DP of the dense weight vector w, the same arithmetic as
-// metrics.CriticalSpanOver. fin is scratch of one element per node.
+// plain DP of the dense weight vector w, whose span equals
+// metrics.CriticalPathOverPool's. fin is scratch of one element per node.
 func (x *cutIndex) finish(w []profile.Time, d int32, fin []profile.Time) profile.Time {
 	cut := d != noCut
 	var regions []region

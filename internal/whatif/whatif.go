@@ -16,8 +16,9 @@
 // edit set or dirty cone covers too much of the graph spill to a dense
 // vector and take an exact full DP. Perfect cutoffs at a spawn depth are
 // evaluated on the graph contracted at that depth (contract.go). EvalFull
-// always materializes the edited vector and runs metrics.CriticalSpanOver:
-// it is the bit-exact oracle both fast paths are tested against.
+// always materializes the edited vector and runs the analysis's own
+// critical-path DP (metrics.CriticalPathOverPool): it is the bit-exact
+// oracle both fast paths are tested against.
 //
 // Soundness: weight transformations (ScaleGrain, ZeroInflation) are exact
 // with respect to the model — the graph's structure is unchanged, so the
@@ -439,13 +440,13 @@ func (e *Engine) eval(h Hypothesis, forceFull bool) Projection {
 		} else {
 			work = profile.Time(int64(e.BaseWork) + v.delta)
 		}
-		dist := e.getDense()
 		if forceFull {
-			span = metrics.CriticalSpanOver(e.G, v.dense, dist, nil)
+			span, _ = metrics.CriticalPathOverPool(e.G, v.dense, nil)
 		} else {
+			dist := e.getDense()
 			span = e.dag(nil).finish(v.dense, noCut, dist)
+			e.putDense(dist)
 		}
-		e.putDense(dist)
 		fsp.End()
 		e.fullEvals.Add(1)
 		if !forceFull {
