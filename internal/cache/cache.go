@@ -23,6 +23,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"graingraph/internal/machine"
 )
@@ -234,10 +236,35 @@ type Hierarchy struct {
 	nodeDemand []uint64
 }
 
+// geometry is what decides a hierarchy's shape: two hierarchies of one
+// geometry differ only in their contents.
+type geometry struct {
+	cfg            Config
+	cores, sockets int
+}
+
+// idle holds released hierarchies for New to reuse, at most one per
+// geometry per GOMAXPROCS worker: concurrent simulations each release one.
+var idle = struct {
+	sync.Mutex
+	byGeometry map[geometry][]*Hierarchy
+}{byGeometry: make(map[geometry][]*Hierarchy)}
+
 // New builds a hierarchy for the topology, backed by mem for page placement.
+// A hierarchy of the same geometry given back with Release is reused,
+// reset to the state a fresh one starts in.
 func New(cfg Config, topo *machine.Topology, mem *machine.Memory) *Hierarchy {
 	if n := topo.NumSockets(); n > maxSockets {
 		panic(fmt.Sprintf("cache: %d sockets, but the L3 holder mask has %d bits", n, maxSockets))
+	}
+	g := geometry{cfg: cfg, cores: topo.NumCores(), sockets: topo.NumSockets()}
+	if h := takeIdle(g); h != nil {
+		h.topo, h.mem = topo, mem
+		for i := range h.socketOf {
+			h.socketOf[i] = topo.Socket(i)
+		}
+		h.Flush()
+		return h
 	}
 	h := &Hierarchy{cfg: cfg, topo: topo, mem: mem}
 	for i := 0; i < topo.NumCores(); i++ {
@@ -250,6 +277,33 @@ func New(cfg Config, topo *machine.Topology, mem *machine.Memory) *Hierarchy {
 	}
 	h.nodeDemand = make([]uint64, topo.NumSockets())
 	return h
+}
+
+// takeIdle removes and returns a released hierarchy of geometry g, or nil.
+func takeIdle(g geometry) *Hierarchy {
+	idle.Lock()
+	defer idle.Unlock()
+	hs := idle.byGeometry[g]
+	if len(hs) == 0 {
+		return nil
+	}
+	h := hs[len(hs)-1]
+	hs[len(hs)-1] = nil
+	idle.byGeometry[g] = hs[:len(hs)-1]
+	return h
+}
+
+// Release gives h back for a later New of the same geometry to reuse; h
+// must not be used afterwards. It is dropped when enough hierarchies of its
+// geometry are idle already.
+func (h *Hierarchy) Release() {
+	g := geometry{cfg: h.cfg, cores: len(h.l1), sockets: len(h.l3)}
+	h.topo, h.mem = nil, nil // keep no run's memory alive
+	idle.Lock()
+	defer idle.Unlock()
+	if hs := idle.byGeometry[g]; len(hs) < runtime.GOMAXPROCS(0) {
+		idle.byGeometry[g] = append(hs, h)
+	}
 }
 
 // Config returns the hierarchy's configuration.
@@ -463,7 +517,8 @@ func (h *Hierarchy) AccessStrided(core int, addr int64, count int, stride int64,
 	return total
 }
 
-// Flush invalidates all cache contents and forgets line versions, leaving
+// Flush invalidates all cache contents, forgets line versions (over the
+// tables' full grown length) and zeroes the memory-channel demand, leaving
 // page placement intact. Use between measurement runs.
 func (h *Hierarchy) Flush() {
 	for _, l := range h.l1 {

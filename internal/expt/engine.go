@@ -22,10 +22,13 @@
 //     byte-identical for every -j, including the serial fallback -j 1.
 //
 // Each simulation is fully self-contained: rts.Run builds a private
-// topology, memory, cache hierarchy and RNG per run, workload instances are
-// constructed per request inside the worker that runs them, and the shared
-// trace objects handed out by the cache are immutable after finalization
-// (profile.Trace's lazy indexes are built under sync.Once).
+// topology, memory and RNG per run and holds its cache hierarchy alone
+// until the run ends (cache.New hands out a released hierarchy of the same
+// geometry reset to the fresh state, so reuse is invisible in the results),
+// workload instances are constructed per request inside the worker that
+// runs them, and the shared trace objects handed out by the cache are
+// immutable after finalization (profile.Trace's lazy indexes are built
+// under sync.Once).
 package expt
 
 import (

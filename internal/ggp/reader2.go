@@ -77,6 +77,31 @@ func (d *Decoded) HasSidecars() bool {
 // trace is checksum-verified and validated; corrupt input of either
 // version yields a structured error, never a panic.
 func Decode(data []byte, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
+	return decode(data, pool, sp, true)
+}
+
+// DecodeFile decodes the artifact at path with Decode.
+func DecodeFile(path string, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
+	return decodeFile(path, pool, sp, true)
+}
+
+// DecodeTrace decodes only the trace from an artifact of either version,
+// skipping graph and sidecar materialization (their checksums are still
+// verified, so corruption anywhere in the artifact is detected). The
+// replay engine uses this: it re-analyzes traces under varied
+// configurations, so a prebuilt graph would go unused.
+func DecodeTrace(data []byte, pool *runpool.Runner, sp *obs.Span) (*profile.Trace, error) {
+	return traceOf(decode(data, pool, sp, false))
+}
+
+// DecodeTraceFile decodes only the trace from the artifact at path.
+func DecodeTraceFile(path string, pool *runpool.Runner, sp *obs.Span) (*profile.Trace, error) {
+	return traceOf(decodeFile(path, pool, sp, false))
+}
+
+// decode checks the header and dispatches on the format version; full
+// selects whether a v2 artifact materializes its graph and sidecars.
+func decode(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Decoded, error) {
 	if len(data) < len(Magic)+1 {
 		return nil, fmt.Errorf("%w: %d-byte stream has no header", ErrTruncated, len(data))
 	}
@@ -91,11 +116,28 @@ func Decode(data []byte, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
 		}
 		return &Decoded{Version: 1, Trace: tr}, nil
 	case Version2:
-		return decodeV2(data, pool, sp, true)
+		return decodeV2(data, pool, sp, full)
 	default:
 		return nil, fmt.Errorf("%w: artifact version %d, reader supports <= %d",
 			ErrVersion, v, Version2)
 	}
+}
+
+// decodeFile reads the artifact at path and decodes it with decode.
+func decodeFile(path string, pool *runpool.Runner, sp *obs.Span, full bool) (*Decoded, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return decode(data, pool, sp, full)
+}
+
+// traceOf unwraps a decode result to its trace.
+func traceOf(d *Decoded, err error) (*profile.Trace, error) {
+	if err != nil {
+		return nil, err
+	}
+	return d.Trace, nil
 }
 
 // readV1 decodes a v1 stream, reporting the parse and the numbering as
@@ -111,51 +153,6 @@ func readV1(data []byte, sp *obs.Span) (*profile.Trace, error) {
 		return nil, err
 	}
 	return tr, nil
-}
-
-// DecodeFile decodes the artifact at path with Decode.
-func DecodeFile(path string, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data, pool, sp)
-}
-
-// DecodeTrace decodes only the trace from an artifact of either version,
-// skipping graph and sidecar materialization (their checksums are still
-// verified, so corruption anywhere in the artifact is detected). The
-// replay engine uses this: it re-analyzes traces under varied
-// configurations, so a prebuilt graph would go unused.
-func DecodeTrace(data []byte, pool *runpool.Runner, sp *obs.Span) (*profile.Trace, error) {
-	if len(data) < len(Magic)+1 {
-		return nil, fmt.Errorf("%w: %d-byte stream has no header", ErrTruncated, len(data))
-	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, ErrMagic
-	}
-	switch v := data[len(Magic)]; v {
-	case Version:
-		return readV1(data, sp)
-	case Version2:
-		d, err := decodeV2(data, pool, sp, false)
-		if err != nil {
-			return nil, err
-		}
-		return d.Trace, nil
-	default:
-		return nil, fmt.Errorf("%w: artifact version %d, reader supports <= %d",
-			ErrVersion, v, Version2)
-	}
-}
-
-// DecodeTraceFile decodes only the trace from the artifact at path.
-func DecodeTraceFile(path string, pool *runpool.Runner, sp *obs.Span) (*profile.Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeTrace(data, pool, sp)
 }
 
 // v2Section is one framed section: a payload subslice of the input buffer

@@ -73,10 +73,10 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 	t.pendingJoin = append(t.pendingJoin, childID)
 
 	child := &task{
-		rec: &profile.TaskRecord{
+		rec: store(&rt.recs.tasks, profile.TaskRecord{
 			ID: childID, Parent: t.rec.ID, Loc: loc,
 			Depth: t.rec.Depth + 1, CreatedBy: w.id,
-		},
+		}),
 		parent: t,
 		owner:  -1,
 		body:   body,
@@ -145,8 +145,7 @@ func (c *taskCtx) TaskWait() {
 		// All children already finished: pay only the join bookkeeping.
 		at := w.clock
 		rt.endFragment(t, at)
-		joined := t.pendingJoin
-		t.pendingJoin = nil
+		joined := rt.recs.join(t)
 		cost := rt.cfg.Costs.JoinPerChild * uint64(len(joined))
 		w.clock += cost
 		w.overhead += cost
@@ -159,8 +158,7 @@ func (c *taskCtx) TaskWait() {
 
 	at := w.clock
 	rt.endFragment(t, at)
-	joined := t.pendingJoin
-	t.pendingJoin = nil
+	joined := rt.recs.join(t)
 	t.rec.Boundaries = append(t.rec.Boundaries, profile.Boundary{
 		Kind: profile.BoundaryJoin, At: at, Joined: joined,
 	})

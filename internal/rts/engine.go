@@ -81,14 +81,21 @@ type runtime struct {
 	stealable []*worker
 
 	trace   *profile.Trace
+	recs    records
 	root    *task
 	live    int
 	loopSeq int
 	maxTime sim.Time
 }
 
-// Run executes program under cfg and returns the recorded trace.
-func Run(cfg Config, program func(Ctx)) *profile.Trace { return run(cfg, program).trace }
+// Run executes program under cfg and returns the recorded trace. The
+// run's cache hierarchy goes back to cache.New's free list for the next
+// run of the same geometry.
+func Run(cfg Config, program func(Ctx)) *profile.Trace {
+	rt := run(cfg, program)
+	rt.hier.Release()
+	return rt.trace
+}
 
 // run is Run returning the whole finished runtime, for white-box tests.
 func run(cfg Config, program func(Ctx)) *runtime {
@@ -124,7 +131,7 @@ func newRuntime(cfg Config, program func(Ctx)) *runtime {
 	}
 
 	rt.root = &task{
-		rec:   &profile.TaskRecord{ID: profile.RootID, Loc: cfg.RootLoc},
+		rec:   store(&rt.recs.tasks, profile.TaskRecord{ID: profile.RootID, Loc: cfg.RootLoc}),
 		owner: -1,
 	}
 	rt.root.body = func(c Ctx) {
@@ -303,6 +310,7 @@ func (rt *runtime) runOn(w *worker, t *task) {
 		t.started = true
 		t.owner = w.id
 		t.rec.StartTime = w.clock
+		rt.recs.startTask(t)
 		body := t.body
 		ctx := &taskCtx{rt: rt, t: t}
 		t.coro = rt.pool.New(func(*sim.Coro) { body(ctx) })
@@ -337,6 +345,7 @@ func (rt *runtime) endFragment(t *task, at sim.Time) {
 func (rt *runtime) finishTask(w *worker, t *task) {
 	rt.endFragment(t, w.clock)
 	t.rec.EndTime = w.clock
+	rt.recs.finishTask(t)
 	w.clock += rt.cfg.Costs.TaskEnd
 	w.overhead += rt.cfg.Costs.TaskEnd
 	rt.live--

@@ -126,9 +126,9 @@ func (rt *runtime) runLoop(t *task, loc profile.SrcLoc, lo, hi int, opt ForOpt, 
 	rec.End = end
 	for _, th := range threads {
 		th.w.clock = end
-		rt.trace.Bookkeeps = append(rt.trace.Bookkeeps, &profile.BookkeepRecord{
+		rt.trace.Bookkeeps = append(rt.trace.Bookkeeps, store(&rt.recs.bookkeeps, profile.BookkeepRecord{
 			Loop: id, Thread: th.w.id, Grabs: th.grabs, Total: th.bookkeep,
-		})
+		}))
 	}
 	if end > rt.maxTime {
 		rt.maxTime = end
@@ -138,10 +138,10 @@ func (rt *runtime) runLoop(t *task, loc profile.SrcLoc, lo, hi int, opt ForOpt, 
 
 // execChunk runs one chunk body on th and records it.
 func (rt *runtime) execChunk(rec *profile.LoopRecord, th *loopThread, seq, clo, chi int, bookkeep sim.Time, body func(Ctx, int, int)) {
-	ck := &profile.ChunkRecord{
+	ck := store(&rt.recs.chunks, profile.ChunkRecord{
 		Loop: rec.ID, Seq: seq, Thread: th.w.id,
 		Lo: clo, Hi: chi, Bookkeep: bookkeep, Start: th.clock,
-	}
+	})
 	cc := &chunkCtx{rt: rt, th: th, cnt: &ck.Counters}
 	body(cc, clo, chi)
 	ck.End = th.clock

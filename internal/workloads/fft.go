@@ -70,21 +70,29 @@ func ilog2(n int) uint64 {
 }
 
 // serialFFT really computes the transform of in (with the given stride)
-// into out.
+// into out[:n]. The half-transforms land in out's two halves, so no
+// temporaries are needed.
 func serialFFT(out, in []complex128, n, stride int) {
 	if n == 1 {
 		out[0] = in[0]
 		return
 	}
 	half := n / 2
-	even := make([]complex128, half)
-	odd := make([]complex128, half)
-	serialFFT(even, in, half, stride*2)
-	serialFFT(odd, in[stride:], half, stride*2)
+	serialFFT(out[:half], in, half, stride*2)
+	serialFFT(out[half:], in[stride:], half, stride*2)
+	butterflies(out, n)
+}
+
+// butterflies combines the half-transforms held in out[:n/2] (even
+// samples) and out[n/2:n] (odd samples) into the n-point transform, in
+// place.
+func butterflies(out []complex128, n int) {
+	half := n / 2
 	for k := 0; k < half; k++ {
 		w := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
-		out[k] = even[k] + w*odd[k]
-		out[k+half] = even[k] - w*odd[k]
+		even, odd := out[k], out[k+half]
+		out[k] = even + w*odd
+		out[k+half] = even - w*odd
 	}
 }
 
@@ -94,11 +102,8 @@ func (f *FFTInstance) Program() func(rts.Ctx) {
 	return func(c rts.Ctx) {
 		n := f.P.N
 		rng := newRNG(f.P.Seed)
-		data := make([]complex128, n)
 		for i := 0; i < n; i++ {
-			v := complex(rng.Float64()*2-1, rng.Float64()*2-1)
-			data[i] = v
-			f.input[i] = v
+			f.input[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 		}
 		inR := c.Alloc("fft-in", int64(n)*16)
 		outR := c.Alloc("fft-out", int64(n)*16)
@@ -122,25 +127,19 @@ func (f *FFTInstance) Program() func(rts.Ctx) {
 				return
 			}
 			half := n / 2
-			even := make([]complex128, half)
-			odd := make([]complex128, half)
 			c.Spawn(profile.Loc("fft.go", 4680, "fft_aux"), func(c rts.Ctx) {
-				fft(c, even, in, off, half, stride*2)
+				fft(c, out[:half], in, off, half, stride*2)
 			})
 			c.Spawn(profile.Loc("fft.go", 4681, "fft_aux"), func(c rts.Ctx) {
-				fft(c, odd, in[stride:], off+int64(half), half, stride*2)
+				fft(c, out[half:], in[stride:], off+int64(half), half, stride*2)
 			})
 			c.TaskWait()
-			for k := 0; k < half; k++ {
-				w := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
-				out[k] = even[k] + w*odd[k]
-				out[k+half] = even[k] - w*odd[k]
-			}
+			butterflies(out, n)
 			c.Load(outR, off*16, int64(n)*16)
 			c.Store(outR, off*16, int64(n)*16)
 			c.Compute(uint64(n) * 10 * costArith)
 		}
-		fft(c, f.out, data, 0, n, 1)
+		fft(c, f.out, f.input, 0, n, 1) // the transform only reads its input
 		c.TaskWait()
 	}
 }

@@ -45,6 +45,9 @@ func FixedStrassenParams() StrassenParams {
 type StrassenInstance struct {
 	P       StrassenParams
 	a, b, c []float64 // row-major N×N
+	// free holds idle recursion-temporary buffers by dimension. Task
+	// bodies run one at a time inside a run, so it needs no lock.
+	free map[int][][]float64
 }
 
 // NewStrassen creates a Strassen instance. N must be a power of two.
@@ -53,7 +56,10 @@ func NewStrassen(p StrassenParams) *StrassenInstance {
 		panic(fmt.Sprintf("workloads: Strassen size %d not a power of two", p.N))
 	}
 	n := p.N * p.N
-	return &StrassenInstance{P: p, a: make([]float64, n), b: make([]float64, n), c: make([]float64, n)}
+	return &StrassenInstance{
+		P: p, a: make([]float64, n), b: make([]float64, n), c: make([]float64, n),
+		free: make(map[int][][]float64),
+	}
 }
 
 // Name implements Instance.
@@ -114,16 +120,30 @@ func (m mat) storeAll(c rts.Ctx) {
 	}
 }
 
-// newTemp allocates an h×h temporary with its own simulated region.
-func newTemp(c rts.Ctx, h int) mat {
+// newTemp takes an h×h temporary with its own simulated region. Its buffer
+// comes from the free list when one of that size is idle: every temporary
+// is written in full before it is read, so a recycled buffer's old
+// contents never show.
+func (s *StrassenInstance) newTemp(c rts.Ctx, h int) mat {
+	var data []float64
+	if idle := s.free[h]; len(idle) > 0 {
+		data = idle[len(idle)-1]
+		s.free[h] = idle[:len(idle)-1]
+	} else {
+		data = make([]float64, h*h)
+	}
 	return mat{
-		data:   make([]float64, h*h),
+		data:   data,
 		n:      h,
 		stride: h,
 		reg:    c.Alloc("strassen-tmp", int64(h)*int64(h)*8),
 		full:   h,
 	}
 }
+
+// release puts a temporary's buffer back on the free list; call it once
+// the temporary's last reader has returned.
+func (s *StrassenInstance) release(m mat) { s.free[m.n] = append(s.free[m.n], m.data) }
 
 func addMat(dst, x, y mat) {
 	for i := 0; i < dst.n; i++ {
@@ -230,7 +250,7 @@ func (s *StrassenInstance) Program() func(rts.Ctx) {
 				c.Spawn(profile.Loc("strassen.go", j.line, "OptimizedStrassenMultiply"), func(c rts.Ctx) {
 					lhs, rhs := j.la, j.ra
 					if j.lf != nil {
-						lhs = newTemp(c, h)
+						lhs = s.newTemp(c, h)
 						j.lf(lhs, j.la, j.lb)
 						j.la.loadAll(c)
 						j.lb.loadAll(c)
@@ -238,15 +258,23 @@ func (s *StrassenInstance) Program() func(rts.Ctx) {
 						c.Compute(uint64(h*h) * costFlop)
 					}
 					if j.rf != nil {
-						rhs = newTemp(c, h)
+						rhs = s.newTemp(c, h)
 						j.rf(rhs, j.ra, j.rb)
 						j.ra.loadAll(c)
 						j.rb.loadAll(c)
 						rhs.storeAll(c)
 						c.Compute(uint64(h*h) * costFlop)
 					}
-					m[i] = newTemp(c, h)
+					m[i] = s.newTemp(c, h)
+					// strassen returns after its subtasks have joined, so
+					// lhs and rhs have no reader left.
 					strassen(c, m[i], lhs, rhs, depth+1)
+					if j.lf != nil {
+						s.release(lhs)
+					}
+					if j.rf != nil {
+						s.release(rhs)
+					}
 				})
 			}
 			c.TaskWait()
@@ -278,6 +306,9 @@ func (s *StrassenInstance) Program() func(rts.Ctx) {
 				})
 			}
 			c.TaskWait()
+			for _, mi := range m {
+				s.release(mi)
+			}
 		}
 		strassen(c, C, A, B, 0)
 		c.TaskWait()
