@@ -12,9 +12,8 @@ import (
 // writing, and adopts decoded columns back into a Graph without replaying
 // core.Build. Only construction-time state crosses the boundary — critical
 // flags, layout geometry, adjacency and level indexes are derived and are
-// rebuilt (or adopted separately, for levels) on the reader side, which is
-// what makes a post-analysis graph encode byte-identically to a freshly
-// built one.
+// rebuilt on first use on the reader side, which is what makes a
+// post-analysis graph encode byte-identically to a freshly built one.
 
 // GraphColumns is the read-only column view of a built graph that the v2
 // writer serializes. All slices alias the store: read, don't mutate.
@@ -146,55 +145,4 @@ func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last []NodeID) (*Graph
 	s.edgeKind = c.EdgeKind
 	s.edgeCritical = make([]bool, e)
 	return g, nil
-}
-
-// ExportLevels returns the topological level index columns (offsets,
-// level-ordered node list, per-node level), or nils if the index has not
-// been built. The slices alias the store: read, don't mutate.
-func (g *Graph) ExportLevels() (off, nodes, level []int32) {
-	s := &g.GraphStore
-	return s.levelOff, s.levelNodes, s.nodeLevel
-}
-
-// AdoptLevels installs a decoded level index, taking ownership of the
-// slices. It validates the index structurally against the current node
-// count — monotonic offsets covering all nodes exactly once, per-node
-// levels agreeing with the bucket a node sits in, ascending NodeID order
-// within each level (the determinism contract LevelNodes documents) — so a
-// stale or hand-edited sidecar is rejected rather than trusted.
-func (g *Graph) AdoptLevels(off, nodes, level []int32) error {
-	s := &g.GraphStore
-	n := len(s.kind)
-	if len(nodes) != n || len(level) != n {
-		return fmt.Errorf("core: adopt levels: index covers %d/%d nodes, graph has %d", len(nodes), len(level), n)
-	}
-	if len(off) < 1 || off[0] != 0 || int(off[len(off)-1]) != n {
-		return fmt.Errorf("core: adopt levels: bad offsets")
-	}
-	seen := make([]bool, n)
-	for l := 0; l < len(off)-1; l++ {
-		lo, hi := off[l], off[l+1]
-		if hi < lo {
-			return fmt.Errorf("core: adopt levels: offsets not monotonic at level %d", l)
-		}
-		prev := int32(-1)
-		for _, nd := range nodes[lo:hi] {
-			if nd < 0 || int(nd) >= n {
-				return fmt.Errorf("core: adopt levels: node %d out of range", nd)
-			}
-			if nd <= prev {
-				return fmt.Errorf("core: adopt levels: level %d not in ascending node order", l)
-			}
-			prev = nd
-			if seen[nd] {
-				return fmt.Errorf("core: adopt levels: node %d listed twice", nd)
-			}
-			seen[nd] = true
-			if level[nd] != int32(l) {
-				return fmt.Errorf("core: adopt levels: node %d bucketed at level %d but labeled %d", nd, l, level[nd])
-			}
-		}
-	}
-	s.levelOff, s.levelNodes, s.nodeLevel = off, nodes, level
-	return nil
 }

@@ -44,13 +44,10 @@ func AnalyzeDecodedOn(pool *runpool.Runner, dec *ggp.Decoded, baseline *profile.
 }
 
 // Sidecars derives the persistable sidecar set from a finished analysis:
-// the lod summary index and the per-grain query metric table (the
-// topological-level sidecar is emitted by ggp.EncodeV2 itself from the
-// graph's level structure, which this forces). Writing these alongside
-// the graph sections lets the next decode of the artifact skip the
-// corresponding builds entirely.
+// the lod summary index and the per-grain query metric table. Writing these
+// alongside the graph sections lets the next decode of the artifact skip
+// the corresponding builds entirely.
 func Sidecars(res *Result, pool *runpool.Runner) []ggp.Sidecar {
-	res.Graph.NumLevels() // force levels so EncodeV2 persists them
 	return []ggp.Sidecar{
 		{Kind: ggp.SidecarLod, Data: res.Lod().Encode()},
 		{Kind: ggp.SidecarQuery, Data: query.EncodeTable(res.GrainTable(pool))},

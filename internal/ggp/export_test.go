@@ -20,7 +20,6 @@ const (
 	SecV2Tasks   = secV2Tasks
 	SecV2Nodes   = secV2Nodes
 	SecV2Edges   = secV2Edges
-	SecV2Levels  = secV2Levels
 	SecV2Lod     = secV2Lod
 	SecV2Query   = secV2Query
 	SecV2Trailer = secV2Trailer

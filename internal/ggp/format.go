@@ -1,9 +1,9 @@
 // Package ggp implements the grain-graph profile (GGP) artifact: a
-// versioned, streaming on-disk encoding of a profile.Trace that splits
-// recording from analysis. A runtime (simulated or native) emits records
-// into a Writer as one artifact per run; grainview and the experiment
-// engine read artifacts back with Reader and obtain a trace that analyzes
-// byte-identically to the live-simulated path.
+// versioned on-disk encoding of a profile.Trace that splits recording from
+// analysis. A runtime (simulated or native) emits records into a Writer as
+// one artifact per run; grainview, grainserved and the experiment engine
+// read the artifact's bytes back with Decode or DecodeTrace and obtain a
+// trace that analyzes byte-identically to the live-simulated path.
 //
 // # Layout
 //
@@ -13,10 +13,11 @@
 //	           of every preceding byte (header + all sections)
 //
 // Record sections (task, loop, chunk, book-keeping) hold exactly one
-// record each and repeat, so a Writer streams with bounded memory and a
-// Reader reconstructs slices in emission order — which the graph builder
-// relies on: NodeIDs are assigned in record order, so preserving it is
-// what makes replayed analysis byte-identical.
+// record each and repeat, so a Writer streams with bounded memory and the
+// reader, walking the sections in place, reconstructs slices in emission
+// order — which the graph builder relies on: NodeIDs are assigned in record
+// order, so preserving it is what makes replayed analysis byte-identical.
+// Bytes after the trailer are not read.
 //
 // # Columnar v2 ("GGPC")
 //
@@ -26,11 +27,11 @@
 // CRC'd column sections, so a reader decodes sections in parallel on the
 // runpool and materializes the graph at near-memcpy cost — no per-event
 // parse, no core.Build replay. Optional sidecar sections persist derived
-// indexes (topological levels, lod summary, query metric table) written
-// after first analysis; each is content-keyed against the graph sections'
-// checksums so a stale sidecar is detected and silently rebuilt, never
-// trusted. See schema2.go (the section layouts), writer2.go/reader2.go and
-// DESIGN.md §14.
+// indexes (lod summary, query metric table) written after first analysis;
+// each is content-keyed against the graph sections' checksums so a stale
+// sidecar is detected and silently rebuilt, never trusted. The topological
+// level index is not stored: it is rebuilt on first use. See schema2.go
+// (the section layouts), writer2.go/reader2.go and DESIGN.md §14.
 //
 //	header   := magic "GGPF" | version byte 0x02
 //	section  := id byte | uvarint payload length | payload |
@@ -44,7 +45,7 @@
 //
 // # Versioning and forward compatibility
 //
-// The version byte gates the record encodings: a Reader rejects versions
+// The version byte gates the record encodings: the reader rejects versions
 // newer than it understands. Within a version, unknown section IDs are
 // skipped (they are length-prefixed), so a future minor producer may add
 // new section kinds without breaking old readers; changing an existing
@@ -92,7 +93,7 @@ const (
 	secV2Nodes        = 0x18 // grain dictionary + graph node columns
 	secV2NodeCounters = 0x19 // node hardware-counter columns
 	secV2Edges        = 0x1A // edge columns + per-grain entry/exit nodes
-	secV2Levels       = 0x20 // sidecar: topological level CSR
+	secV2Levels       = 0x20 // reserved: older artifacts' level-index sidecar, verified and skipped
 	secV2Lod          = 0x21 // sidecar: lod summary index columns
 	secV2Query        = 0x22 // sidecar: query metric table
 	secV2Trailer      = 0xFE // content key over non-sidecar section CRCs
@@ -109,7 +110,7 @@ func isV2Sidecar(id byte) bool { return id >= 0x20 && id < 0x30 }
 
 // maxSection caps a single section's payload. Record sections hold one
 // record and stay tiny; the cap exists so a corrupted length prefix cannot
-// drive the Reader into a multi-gigabyte allocation.
+// make a section claim a multi-gigabyte payload.
 const maxSection = 1 << 26
 
 // Errors distinguishing the artifact failure modes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 )
 
 // seedTrace is the hand-written trace behind the fuzz corpus and the
-// committed golden artifact (testdata/seed.v2s.ggp). It does not come from
+// committed golden artifacts (testdata/seed.v2s*.ggp). It does not come from
 // the simulator, so the golden bytes move only when the format does, and
 // every field holds a value no other field holds, so a decoder that swaps
 // two columns of one type cannot reproduce it.
@@ -207,7 +208,8 @@ func TestHostileReferences(t *testing.T) {
 // any input. The seed corpus covers the interesting corruption classes —
 // valid artifacts of both versions, truncations (including mid-column),
 // a flipped version byte, a v2 header on a v1 body, corrupted section and
-// sidecar checksums, and oversized section lengths.
+// sidecar checksums, oversized section lengths, and the older golden
+// artifact with its level-index sidecar.
 func FuzzGGPReader(f *testing.F) {
 	tr := seedTrace()
 	var buf bytes.Buffer
@@ -237,7 +239,6 @@ func FuzzGGPReader(f *testing.F) {
 	// truncation, a sidecar with a flipped payload byte (checksum
 	// mismatch), and a v2 version byte on a v1 event-stream body.
 	g := core.Build(tr)
-	g.NumLevels()
 	v2, err := ggp.EncodeV2(tr, g, []ggp.Sidecar{
 		{Kind: ggp.SidecarLod, Data: []byte("fuzz-lod-sidecar")},
 		{Kind: ggp.SidecarQuery, Data: []byte("fuzz-query-sidecar")},
@@ -266,6 +267,12 @@ func FuzzGGPReader(f *testing.F) {
 		f.Add(v1)
 		f.Add(v2)
 	}
+	// An artifact as older writers left it, with a level-index sidecar.
+	old, err := os.ReadFile("testdata/seed.v2s.ggp")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ggp.DecodeTrace(data, nil, nil)

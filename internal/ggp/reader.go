@@ -3,57 +3,59 @@ package ggp
 import (
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
-	"io"
 
 	"graingraph/internal/cache"
 	"graingraph/internal/profile"
 )
 
-// readTrace reconstructs a trace from a v1 artifact stream, up to, not
-// including, validation (Decode and DecodeTrace index and validate it).
-// Records are appended in section order, so the returned trace's slices
-// match the producer's emission order and the rebuilt grain graph assigns
-// identical NodeIDs to the live-simulated one. Any malformation —
-// truncation, version skew, corrupted CRC, oversized or undecodable
+// readTrace reconstructs a trace from a v1 artifact, up to, not including,
+// validation (Decode and DecodeTrace index and validate it); decode has
+// already checked the header. It walks the sections in place, the
+// way walkV2 frames v2 sections, and stops at the trailer: bytes after it
+// are not read. Records are appended in section order, so the returned
+// trace's slices match the producer's emission order and the rebuilt grain
+// graph assigns identical NodeIDs to the live-simulated one. Any
+// malformation — truncation, corrupted CRC, oversized or undecodable
 // sections — yields an error, never a panic.
-func readTrace(r io.Reader) (*profile.Trace, error) {
-	var hdr [len(Magic) + 1]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	if string(hdr[:len(Magic)]) != Magic {
-		return nil, ErrMagic
-	}
-	if v := hdr[len(Magic)]; v == 0 || v > Version {
-		return nil, fmt.Errorf("%w: artifact version %d, reader supports <= %d",
-			ErrVersion, v, Version)
-	}
-
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	br := &crcReader{r: r, crc: crc}
-
+func readTrace(data []byte) (*profile.Trace, error) {
+	off := len(Magic) + 1
 	tr := &profile.Trace{}
-	sawMeta, sawTrailer := false, false
-	for !sawTrailer {
-		id, err := br.byte()
-		if err != nil {
+	sawMeta := false
+	for {
+		if off >= len(data) {
 			return nil, fmt.Errorf("%w: stream ends before trailer", ErrTruncated)
 		}
-		size, err := br.uvarint()
-		if err != nil {
+		idAt := off
+		id := data[off]
+		off++
+		size, n := sectionLen(data[off:])
+		if n <= 0 {
 			return nil, fmt.Errorf("%w: unterminated section length", ErrTruncated)
 		}
+		off += n
 		if size > maxSection {
 			return nil, fmt.Errorf("ggp: section 0x%02x length %d exceeds limit %d", id, size, maxSection)
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if size > uint64(len(data)-off) {
 			return nil, fmt.Errorf("%w: section 0x%02x shorter than its length prefix", ErrTruncated, id)
 		}
+		payload := data[off : off+int(size) : off+int(size)]
+		off += int(size)
+		if id == secTrailer {
+			if len(payload) != 4 {
+				return nil, fmt.Errorf("%w: trailer payload is %d bytes, want 4", ErrCRC, len(payload))
+			}
+			// The stored sum was taken before the Writer appended the
+			// trailer section: it covers every byte before the trailer's ID.
+			want := binary.LittleEndian.Uint32(payload)
+			if got := crc32.ChecksumIEEE(data[:idAt]); got != want {
+				return nil, fmt.Errorf("%w: computed %08x, stored %08x", ErrCRC, got, want)
+			}
+			break
+		}
 		d := &decoder{buf: payload}
+		var err error
 		switch id {
 		case secMeta:
 			if sawMeta {
@@ -83,26 +85,15 @@ func readTrace(r io.Reader) (*profile.Trace, error) {
 			}
 		case secWorkers:
 			err = d.workers(tr)
-		case secTrailer:
-			sawTrailer = true
-			if len(payload) != 4 {
-				return nil, fmt.Errorf("%w: trailer payload is %d bytes, want 4", ErrCRC, len(payload))
-			}
-			// The stored sum was taken before the Writer appended the trailer
-			// section, so compare against the running sum as of just before
-			// the trailer's ID byte (snapshotted by crcReader.byte).
-			want := binary.LittleEndian.Uint32(payload)
-			if got := br.sumBeforeTrailer; got != want {
-				return nil, fmt.Errorf("%w: computed %08x, stored %08x", ErrCRC, got, want)
-			}
 		default:
 			// Unknown section: a newer minor producer added a record kind this
 			// reader does not understand. Skipping is safe — lengths frame it.
+			continue
 		}
 		if err != nil {
 			return nil, fmt.Errorf("ggp: section 0x%02x: %w", id, err)
 		}
-		if !d.empty() && id != secTrailer && isKnown(id) {
+		if !d.empty() {
 			return nil, fmt.Errorf("ggp: section 0x%02x carries %d trailing bytes", id, d.remaining())
 		}
 	}
@@ -112,55 +103,22 @@ func readTrace(r io.Reader) (*profile.Trace, error) {
 	return tr, nil
 }
 
-func isKnown(id byte) bool {
-	switch id {
-	case secMeta, secTask, secLoop, secChunk, secBookkeep, secWorkers, secTrailer:
-		return true
-	}
-	return false
-}
-
-// crcReader feeds every byte it reads into the running checksum, and keeps
-// the sum as of just before the trailer section ID so the trailer's own
-// bytes are excluded from verification.
-type crcReader struct {
-	r                io.Reader
-	crc              hash.Hash32
-	sumBeforeTrailer uint32
-	one              [1]byte
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.crc.Write(p[:n])
-	}
-	return n, err
-}
-
-// byte reads the next section ID, recording the checksum state before it.
-func (c *crcReader) byte() (byte, error) {
-	c.sumBeforeTrailer = c.crc.Sum32()
-	if _, err := io.ReadFull(c, c.one[:]); err != nil {
-		return 0, err
-	}
-	return c.one[0], nil
-}
-
-// uvarint decodes one unsigned varint from the stream.
-func (c *crcReader) uvarint() (uint64, error) {
-	var v uint64
+// sectionLen decodes a section length prefix: a uvarint of at most ten
+// bytes, of which the tenth contributes only its low bit. n <= 0 means the
+// prefix is cut short or runs past ten bytes.
+func sectionLen(p []byte) (v uint64, n int) {
 	for shift := 0; shift < 64; shift += 7 {
-		if _, err := io.ReadFull(c, c.one[:]); err != nil {
-			return 0, err
+		if n >= len(p) {
+			return 0, 0
 		}
-		b := c.one[0]
+		b := p[n]
+		n++
 		v |= uint64(b&0x7F) << shift
 		if b < 0x80 {
-			return v, nil
+			return v, n
 		}
 	}
-	return 0, fmt.Errorf("ggp: uvarint overflows 64 bits")
+	return 0, -1
 }
 
 // decoder walks one section payload. Every accessor checks bounds; on a

@@ -1,7 +1,6 @@
 package ggp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -36,7 +35,6 @@ type Decoded struct {
 	graph     atomic.Pointer[core.Graph]
 	lodData   []byte
 	queryData []byte
-	hadLevels bool
 }
 
 // TakeGraph hands out the decoded grain graph exactly once and nil after
@@ -62,10 +60,10 @@ func (d *Decoded) LodSidecar() []byte { return d.lodData }
 func (d *Decoded) QuerySidecar() []byte { return d.queryData }
 
 // HasSidecars reports whether the artifact carried a complete, fresh set
-// of derived-index sidecars (levels, lod, query) — the signal the serving
-// layer uses to decide whether an in-place upgrade is worthwhile.
+// of derived-index sidecars (lod, query) — the signal the serving layer
+// uses to decide whether an in-place upgrade is worthwhile.
 func (d *Decoded) HasSidecars() bool {
-	return d.hadLevels && d.lodData != nil && d.queryData != nil
+	return d.lodData != nil && d.queryData != nil
 }
 
 // Decode decodes an artifact of either format version. v1 streams go
@@ -144,7 +142,7 @@ func traceOf(d *Decoded, err error) (*profile.Trace, error) {
 // separate phases under sp.
 func readV1(data []byte, sp *obs.Span) (*profile.Trace, error) {
 	csp := sp.Child("decode:v1stream")
-	tr, err := readTrace(bytes.NewReader(data))
+	tr, err := readTrace(data)
 	csp.End()
 	if err != nil {
 		return nil, err
@@ -181,7 +179,6 @@ type v2Artifact struct {
 	nodes     v2Nodes
 	nodeCtrs  v2Counters
 	edges     v2Edges
-	levels    v2Levels
 }
 
 func newV2Artifact() *v2Artifact {
@@ -269,19 +266,12 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 		}
 	}
 	// A sidecar that is intact but keyed to other content, or of another
-	// format version, is discarded and rebuilt, never trusted; so is a
-	// levels body that does not decode.
+	// format version, is discarded and rebuilt, never trusted.
 	for _, sc := range []struct {
 		id   byte
 		name string
 		use  func(body []byte)
 	}{
-		{secV2Levels, "decode:sidecar:levels", func(body []byte) {
-			if colenc.Decode(body, a.levels.schema()...) != nil {
-				stale.Store(true)
-				a.levels = v2Levels{}
-			}
-		}},
 		{secV2Lod, "decode:sidecar:lod", func(body []byte) { dec.lodData = body }},
 		{secV2Query, "decode:sidecar:query", func(body []byte) { dec.queryData = body }},
 	} {
@@ -353,16 +343,11 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 
 	if full {
 		gsp := sp.Child("assemble:graph")
-		g, hadLevels, lerr := a.assembleGraph(tr)
+		g, err := a.assembleGraph(tr)
 		gsp.End()
-		if lerr != nil {
-			return nil, lerr
+		if err != nil {
+			return nil, err
 		}
-		if a.levels.off != nil && !hadLevels {
-			// Level sidecar rejected during adoption: rebuild later.
-			dec.SidecarStale = true
-		}
-		dec.hadLevels = hadLevels
 		dec.graph.Store(g)
 	}
 	return dec, nil
@@ -430,7 +415,7 @@ func v2Known(id byte) bool {
 	switch id {
 	case secV2Meta, secV2Workers, secV2Tasks, secV2Frags, secV2Bounds, secV2Loops,
 		secV2Chunks, secV2Bookkeeps, secV2Nodes, secV2NodeCounters, secV2Edges,
-		secV2Levels, secV2Lod, secV2Query:
+		secV2Lod, secV2Query:
 		return true
 	}
 	return false
@@ -634,10 +619,9 @@ func indexAndValidate(tr *profile.Trace, sp *obs.Span) error {
 // a node's dictionary reference is its grain's number and the entry/exit
 // columns are the graph's tables, so beyond the row counts only the
 // counters are transposed here; grain numbers, entry/exit nodes, edge
-// endpoints, enum values and the level index are checked by core's adopt
-// functions. hadLevels reports whether a levels sidecar was adopted; a
-// rejected one is stale or malformed, and the index rebuilds lazily.
-func (a *v2Artifact) assembleGraph(tr *profile.Trace) (g *core.Graph, hadLevels bool, err error) {
+// endpoints and enum values are checked by core.AdoptGraph. The level index
+// is derived, and builds on first use.
+func (a *v2Artifact) assembleGraph(tr *profile.Trace) (*core.Graph, error) {
 	nn := len(a.graph.Kind)
 	for _, err := range []error{
 		checkRows("nodes", nn, int(a.meta.nNodes)),
@@ -646,7 +630,7 @@ func (a *v2Artifact) assembleGraph(tr *profile.Trace) (g *core.Graph, hadLevels 
 		checkRows("entry/exit columns", len(a.edges.first), tr.NumGrains()),
 	} {
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 	a.graph.Counters = make([]cache.Counters, nn)
@@ -654,12 +638,9 @@ func (a *v2Artifact) assembleGraph(tr *profile.Trace) (g *core.Graph, hadLevels 
 		a.graph.Counters[i] = a.nodeCtrs.at(i)
 	}
 
-	g, err = core.AdoptGraph(tr, a.graph, a.edges.first, a.edges.last)
+	g, err := core.AdoptGraph(tr, a.graph, a.edges.first, a.edges.last)
 	if err != nil {
-		return nil, false, fmt.Errorf("ggp: %w", err)
+		return nil, fmt.Errorf("ggp: %w", err)
 	}
-	if a.levels.off == nil {
-		return g, false, nil
-	}
-	return g, g.AdoptLevels(a.levels.off, a.levels.nodes, a.levels.level) == nil, nil
+	return g, nil
 }

@@ -278,17 +278,3 @@ func (e *v2Edges) schema() []colenc.Col {
 		colenc.SameRows(colenc.Ivar(&e.first), colenc.Ivar(&e.last)),
 	}
 }
-
-// v2Levels is the levels sidecar body, the topological level CSR exactly
-// as core.ExportLevels and core.AdoptLevels exchange it: offsets per
-// level, the level-ordered node list, and each node's own level.
-type v2Levels struct {
-	off, nodes, level []int32
-}
-
-func (l *v2Levels) schema() []colenc.Col {
-	return []colenc.Col{
-		colenc.U32(&l.off),
-		colenc.SameRows(colenc.U32(&l.nodes), colenc.Uvar(&l.level)),
-	}
-}

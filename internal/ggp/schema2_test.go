@@ -14,24 +14,20 @@ import (
 )
 
 // TestV2SectionSchemas runs the shared schema contract over every section
-// layout: the content sections as the reader and writer enumerate them,
-// plus the levels sidecar body. Then, on the golden artifact, every section
-// as it is on disk meets the size contract the streaming writer frames by:
-// its schema, holding the decoded columns, sizes to exactly the stored
-// payload and streams leaf by leaf to the same bytes. (The lod and query
+// layout: the content sections as the reader and writer enumerate them.
+// Then, on the golden artifact, every section as it is on disk meets the
+// size contract the streaming writer frames by: its schema, holding the
+// decoded columns, sizes to exactly the stored payload and streams leaf by
+// leaf to the same bytes. (The lod and query
 // sidecar bodies answer for theirs in their own packages' codec tests.)
 func TestV2SectionSchemas(t *testing.T) {
-	sections := func() []v2ContentSection {
-		a := newV2Artifact()
-		return append(a.content(), v2ContentSection{id: secV2Levels, cols: &a.levels})
-	}
+	sections := func() []v2ContentSection { return newV2Artifact().content() }
 	// The columns outside their section's row groups: a CSR offset column
 	// (rows+1 entries) or the flat column a CSR indexes.
 	free := map[byte][]string{
 		secV2Bounds: {"joinedOff", "joined"},
 		secV2Loops:  {"threadOff", "threads"},
 		secV2Nodes:  {"dict"},
-		secV2Levels: {"off"},
 	}
 	for i, s := range sections() {
 		t.Run(fmt.Sprintf("section 0x%02x", s.id), func(t *testing.T) {
@@ -42,11 +38,11 @@ func TestV2SectionSchemas(t *testing.T) {
 		})
 	}
 
-	golden, err := os.ReadFile("testdata/seed.v2s.ggp")
+	golden, err := os.ReadFile("testdata/seed.v2s-nolevels.ggp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDisk, key, err := walkV2(golden)
+	onDisk, _, err := walkV2(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +53,6 @@ func TestV2SectionSchemas(t *testing.T) {
 				t.Fatal("not in the golden artifact")
 			}
 			body := onDisk[i].payload
-			if isV2Sidecar(s.id) {
-				var ok bool
-				if body, ok, err = sidecarBody(body, key); !ok || err != nil {
-					t.Fatalf("sidecar header: ok=%v err=%v", ok, err)
-				}
-			}
 			if err := colenc.Decode(body, s.cols.schema()...); err != nil {
 				t.Fatal(err)
 			}

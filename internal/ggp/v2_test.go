@@ -162,37 +162,9 @@ func TestV2DeterministicEncoding(t *testing.T) {
 	}
 }
 
-func TestV2LevelsSidecar(t *testing.T) {
-	tr := sampleTrace(t)
-	g := core.Build(tr)
-	want := g.NumLevels() // forces the level index, so EncodeV2 persists it
-	data := encodeV2(t, tr, g, nil)
-
-	dec := decodeV2(t, data, nil)
-	dg := dec.TakeGraph()
-	off, _, _ := dg.ExportLevels()
-	if off == nil {
-		t.Fatal("levels sidecar not adopted")
-	}
-	if got := dg.NumLevels(); got != want {
-		t.Fatalf("NumLevels: got %d want %d", got, want)
-	}
-	// The adopted index must agree with a fresh build, level by level.
-	fresh := core.Build(dec.Trace)
-	if fn, gn := fresh.NumLevels(), dg.NumLevels(); fn != gn {
-		t.Fatalf("levels: adopted %d, rebuilt %d", gn, fn)
-	}
-	for l := 0; l < fresh.NumLevels(); l++ {
-		if !reflect.DeepEqual(fresh.LevelNodes(l), dg.LevelNodes(l)) {
-			t.Fatalf("level %d nodes differ", l)
-		}
-	}
-}
-
 func TestV2SidecarRoundTrip(t *testing.T) {
 	tr := sampleTrace(t)
 	g := core.Build(tr)
-	g.NumLevels()
 	side := []ggp.Sidecar{
 		{Kind: ggp.SidecarLod, Data: []byte("lod-payload")},
 		{Kind: ggp.SidecarQuery, Data: []byte("query-payload")},
@@ -218,7 +190,6 @@ func TestV2SidecarRoundTrip(t *testing.T) {
 func TestV2StaleSidecarsDiscarded(t *testing.T) {
 	tr := sampleTrace(t)
 	g := core.Build(tr)
-	g.NumLevels()
 	side := []ggp.Sidecar{
 		{Kind: ggp.SidecarLod, Data: []byte("stale-lod")},
 		{Kind: ggp.SidecarQuery, Data: []byte("stale-query")},
@@ -243,9 +214,6 @@ func TestV2StaleSidecarsDiscarded(t *testing.T) {
 		t.Fatal("stale sidecar payloads handed out")
 	}
 	dg := dec.TakeGraph()
-	if off, _, _ := dg.ExportLevels(); off != nil {
-		t.Fatal("stale levels sidecar adopted")
-	}
 
 	// Same decode result as the sidecar-free artifact.
 	ref := decodeV2(t, plain, nil)
@@ -260,7 +228,6 @@ func TestV2StaleSidecarsDiscarded(t *testing.T) {
 func TestV2CorruptionFailsClosed(t *testing.T) {
 	tr := sampleTrace(t)
 	g := core.Build(tr)
-	g.NumLevels()
 	side := []ggp.Sidecar{{Kind: ggp.SidecarLod, Data: []byte("lod")}}
 	data := encodeV2(t, tr, g, side)
 

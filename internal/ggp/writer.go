@@ -84,7 +84,7 @@ func (w *Writer) counters(c cache.Counters) {
 }
 
 // Meta records the program identification and trace span. Producers that
-// only learn the span at finalization may call it last; Reader accepts the
+// only learn the span at finalization may call it last; the reader accepts the
 // meta section at any position.
 func (w *Writer) Meta(tr *profile.Trace) error {
 	w.buf = w.buf[:0]

@@ -22,10 +22,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type SidecarKind byte
 
 const (
-	// SidecarLevels holds the topological level CSR (core/levels.go).
-	// EncodeV2 emits it automatically when the graph's level index is
-	// built; callers never construct it by hand.
-	SidecarLevels SidecarKind = SidecarKind(secV2Levels)
 	// SidecarLod holds the encoded lod summary index.
 	SidecarLod SidecarKind = SidecarKind(secV2Lod)
 	// SidecarQuery holds the encoded query metric table.
@@ -45,10 +41,9 @@ type Sidecar struct {
 // graph decoded from one): only construction-time columns are written —
 // critical-path marks, layout geometry and adjacency indexes are derived
 // state, so a post-analysis graph encodes byte-identically to a fresh
-// build. If the graph's topological level index has been forced
-// (NumLevels), it is persisted as a levels sidecar; lod/query sidecars are
-// supplied by the caller, already encoded. Every sidecar is stamped with
-// the artifact's content key so a later reader can detect staleness.
+// build. The lod and query sidecars are supplied by the caller, already
+// encoded; every sidecar is stamped with the artifact's content key so a
+// later reader can detect staleness.
 //
 // EncodeV2 is the streaming writer over an in-memory sink, for tests and
 // probes that want the bytes; anything bound for a file uses WriteFileV2,
@@ -112,10 +107,6 @@ func writeV2(dst io.Writer, tr *profile.Trace, g *core.Graph, side []Sidecar, st
 		sideKey = *staleKey
 	}
 	stamp := binary.LittleEndian.AppendUint32([]byte{sidecarFormatVersion}, sideKey)
-	var levels v2Levels
-	if levels.off, levels.nodes, levels.level = g.ExportLevels(); levels.off != nil {
-		w.columns(secV2Levels, stamp, levels.schema())
-	}
 	for _, s := range side {
 		w.begin(byte(s.Kind), len(stamp)+len(s.Data))
 		w.payload(stamp)
@@ -191,22 +182,17 @@ func (w *v2Writer) end() {
 	}
 }
 
-// put writes a content section from its gathered columns.
+// put writes a content section from its gathered columns. The columns are
+// sized first — which is where a column no payload can hold fails, before
+// the section has written a byte — and then encoded one leaf at a time into
+// the reused scratch.
 func (w *v2Writer) put(id byte, cols v2Cols) {
-	w.columns(id, nil, cols.schema())
-}
-
-// columns writes one section whose payload is prefix followed by the
-// schema's columns. The columns are sized first — which is where a column
-// no payload can hold fails, before the section has written a byte — and
-// then encoded one leaf at a time into the reused scratch.
-func (w *v2Writer) columns(id byte, prefix []byte, schema []colenc.Col) {
 	if w.err != nil {
 		return
 	}
-	leaves := colenc.Leaves(schema...)
+	leaves := colenc.Leaves(cols.schema()...)
 	sizes := make([]int, len(leaves))
-	total := len(prefix)
+	total := 0
 	for i, leaf := range leaves {
 		if sizes[i], w.err = colenc.Size(leaf); w.err != nil {
 			return
@@ -214,7 +200,6 @@ func (w *v2Writer) columns(id byte, prefix []byte, schema []colenc.Col) {
 		total += sizes[i]
 	}
 	w.begin(id, total)
-	w.payload(prefix)
 	for i, leaf := range leaves {
 		if w.err != nil {
 			return

@@ -23,13 +23,12 @@ import (
 // midGiant is the giant stress tree at FullDepth 5 (a few thousand grains,
 // an artifact of a few megabytes): big enough that the writer's fixed costs
 // vanish and every stream buffer flushes mid-section, small enough for every
-// test run. It comes with its graph, levels forced, and its lod sidecar.
+// test run. It comes with its graph and its lod sidecar.
 var midGiant = sync.OnceValue(func() (a v2Input) {
 	p := workloads.GiantUTSParams()
 	p.FullDepth = 5
 	a.tr = rts.Run(rts.Config{Program: "giant5", Cores: 8, Seed: 1}, workloads.NewGiant(p).Program())
 	a.g = core.Build(a.tr)
-	a.g.NumLevels()
 	a.side = []ggp.Sidecar{{Kind: ggp.SidecarLod, Data: lod.Build(a.g, nil).Encode()}}
 	return a
 })

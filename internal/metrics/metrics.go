@@ -45,9 +45,6 @@ type Options struct {
 	Flavor IPFlavor
 	// MaxIntervals caps the timeline resolution (default 4096).
 	MaxIntervals int
-	// ScatterSample caps the sibling-set size used for pairwise distances
-	// (default 2048; larger sets are subsampled deterministically).
-	ScatterSample int
 	// Pool, when non-nil with more than one worker, runs the per-grain
 	// metric kernels (rows, work deviation, scatter) and the critical-path
 	// DP data-parallel across its workers. Output is byte-identical at
@@ -63,9 +60,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxIntervals == 0 {
 		o.MaxIntervals = 4096
-	}
-	if o.ScatterSample == 0 {
-		o.ScatterSample = 2048
 	}
 	return o
 }

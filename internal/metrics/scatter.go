@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 
 	"graingraph/internal/runpool"
 )
@@ -12,15 +12,13 @@ import (
 const scatterSetGrain = 32
 
 // scatter assigns each grain the median pairwise core distance of its
-// sibling set (paper §3.2). Sets larger than opts.ScatterSample are
-// deterministically subsampled (every k-th sibling) to bound the quadratic
-// pairwise computation.
+// sibling set (paper §3.2), computed exactly for every set size.
 //
 // Sibling sets partition the grains, so every set's computation is
 // independent and writes disjoint report rows: the sets run data-parallel
 // across opts.Pool, ordered by parent grain ID so the chunking is
-// deterministic (profile.Trace.SiblingSets), with per-worker scratch
-// reusing the core and distance buffers across the sets a worker processes.
+// deterministic (profile.Trace.SiblingSets), and each chunk reuses one core
+// buffer across its sets.
 //
 // Grains whose executing core was not recorded (Core < 0) cannot
 // participate in the distance computation and receive ScatterUnknown, as
@@ -35,90 +33,74 @@ func scatter(rep *Report, opts Options) {
 
 	// Distances follow the paper's core-identifier convention
 	// (machine.Topology.CoreDistance): |core_i - core_j|.
-	type scratch struct {
-		cores []int
-		dists []int
-	}
-	runpool.ParallelForScratch(opts.Pool, len(off)-1, scatterSetGrain,
-		func() *scratch { return &scratch{} },
-		func(_, lo, hi int, s *scratch) {
-			for si := lo; si < hi; si++ {
-				siblings := members[off[si]:off[si+1]]
-				if len(siblings) < 2 {
-					for _, m := range siblings {
-						rep.Scatter[m] = 0
-					}
+	runpool.ParallelFor(opts.Pool, len(off)-1, scatterSetGrain, func(_, lo, hi int) {
+		var cores []int
+		for si := lo; si < hi; si++ {
+			siblings := members[off[si]:off[si+1]]
+			if len(siblings) < 2 {
+				for _, m := range siblings {
+					rep.Scatter[m] = 0
+				}
+				continue
+			}
+			cores = cores[:0]
+			for _, m := range siblings {
+				if c := tr.GrainCore(rep.Num[m]); c >= 0 {
+					cores = append(cores, c)
+				}
+			}
+			val := int64(ScatterUnknown)
+			if len(cores) >= 2 {
+				val = int64(medianPairwiseDistance(cores))
+			}
+			for _, m := range siblings {
+				if tr.GrainCore(rep.Num[m]) < 0 {
+					rep.Scatter[m] = ScatterUnknown
 					continue
 				}
-				s.cores = s.cores[:0]
-				for _, m := range siblings {
-					if c := tr.GrainCore(rep.Num[m]); c >= 0 {
-						s.cores = append(s.cores, c)
-					}
-				}
-				val := int64(ScatterUnknown)
-				if len(s.cores) >= 2 {
-					var med int
-					med, s.dists = medianPairwiseDistanceBuf(
-						subsampleCores(s.cores, opts.ScatterSample), s.dists)
-					val = int64(med)
-				}
-				for _, m := range siblings {
-					if tr.GrainCore(rep.Num[m]) < 0 {
-						rep.Scatter[m] = ScatterUnknown
-						continue
-					}
-					rep.Scatter[m] = val
-				}
+				rep.Scatter[m] = val
 			}
-		})
+		}
+	})
 }
 
-// subsampleCores bounds the sibling set to at most limit cores by taking
-// every step-th element. The stride uses ceiling division: floor division
-// would produce step 1 for sets just under 2×limit (e.g. 4095 cores with
-// limit 2048), returning the whole set and voiding the quadratic bound the
-// cap promises. The result always satisfies len <= limit for limit >= 1.
-// The returned slice may alias cores.
-func subsampleCores(cores []int, limit int) []int {
-	if limit <= 0 || len(cores) <= limit {
-		return cores
-	}
-	step := (len(cores) + limit - 1) / limit
-	sampled := cores[:0]
-	for i := 0; i < len(cores); i += step {
-		sampled = append(sampled, cores[i])
-	}
-	return sampled
-}
-
-// medianPairwiseDistance returns the median |a-b| over all unordered pairs.
-// For an even pair count the upper-middle element is taken (index n/2 of the
-// sorted distances) — the same convention MedianGrainLength and medianTimes
-// use, biasing ties toward reporting scatter rather than hiding it.
+// medianPairwiseDistance returns the median |a-b| over all P unordered
+// pairs, sorting cores in place. For an even P the upper-middle element is
+// taken (index P/2 of the sorted distances) — the same convention
+// MedianGrainLength and medianTimes use, biasing ties toward reporting
+// scatter rather than hiding it.
+//
+// The median is found without listing the pairs: it is the smallest
+// distance d with more than P/2 pairs at most d apart. A binary search on d
+// counts those pairs in one two-pointer pass over the sorted cores per
+// step, at most 32 steps for int32 cores, with no per-pair memory.
 func medianPairwiseDistance(cores []int) int {
-	med, _ := medianPairwiseDistanceBuf(cores, nil)
-	return med
-}
-
-// medianPairwiseDistanceBuf is medianPairwiseDistance reusing buf for the
-// distance accumulation; it returns the (possibly grown) buffer so callers
-// in the scatter kernel amortize the allocation across sibling sets.
-func medianPairwiseDistanceBuf(cores []int, buf []int) (int, []int) {
 	n := len(cores)
 	if n < 2 {
-		return 0, buf
+		return 0
 	}
-	dists := buf[:0]
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := cores[i] - cores[j]
-			if d < 0 {
-				d = -d
-			}
-			dists = append(dists, d)
+	slices.Sort(cores)
+	mid := n * (n - 1) / 2 / 2
+	lo, hi := 0, cores[n-1]-cores[0]
+	for lo < hi {
+		d := lo + (hi-lo)/2
+		if pairsWithin(cores, d) > mid {
+			hi = d
+		} else {
+			lo = d + 1
 		}
 	}
-	sort.Ints(dists)
-	return dists[len(dists)/2], dists
+	return lo
+}
+
+// pairsWithin counts the pairs of sorted cores at most d apart.
+func pairsWithin(sorted []int, d int) int {
+	count, i := 0, 0
+	for j, c := range sorted {
+		for c-sorted[i] > d {
+			i++
+		}
+		count += j - i
+	}
+	return count
 }

@@ -1,49 +1,14 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"graingraph/internal/profile"
 )
-
-// TestSubsampleStrideBound is the regression test for the floor-division
-// stride bug: a sibling set of 4095 cores with ScatterSample 2048 used to
-// get step 1 — no reduction at all — overflowing the sampled slice's
-// declared capacity and voiding the quadratic bound. Ceiling division keeps
-// len(sampled) <= limit at every boundary size.
-func TestSubsampleStrideBound(t *testing.T) {
-	limit := 2048
-	sizes := []int{
-		limit, limit + 1, 2*limit - 1, 2 * limit, 2*limit + 1,
-		3*limit - 1, 3 * limit, 4*limit - 1, 4*limit + 1,
-	}
-	for _, n := range sizes {
-		cores := make([]int, n)
-		for i := range cores {
-			cores[i] = i
-		}
-		sampled := subsampleCores(cores, limit)
-		if len(sampled) > limit {
-			t.Errorf("size %d: len(sampled) = %d, want <= %d", n, len(sampled), limit)
-		}
-		if len(sampled) == 0 {
-			t.Errorf("size %d: sampling removed everything", n)
-		}
-		// The sample must be a subsequence of the input (every k-th element).
-		for i := 1; i < len(sampled); i++ {
-			if sampled[i] <= sampled[i-1] {
-				t.Fatalf("size %d: sample not strictly increasing at %d", n, i)
-			}
-		}
-	}
-	// Small sets pass through untouched.
-	small := []int{3, 1, 4}
-	if got := subsampleCores(small, 2048); len(got) != 3 {
-		t.Errorf("small set resampled: len = %d", len(got))
-	}
-}
 
 // fixtureGrain is one hand-built grain of a scatter fixture.
 type fixtureGrain struct {
@@ -143,17 +108,25 @@ func bruteMedianPairwise(cores []int) int {
 
 // TestMedianPairwiseDistanceProperty checks medianPairwiseDistance against
 // the brute-force oracle over random core sets, including even pair counts
-// where the documented convention takes the upper-middle element.
+// where the documented convention takes the upper-middle element. Cores
+// span a machine's 48 and, as an artifact may record them, all of int32.
 func TestMedianPairwiseDistanceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		n := 2 + rng.Intn(14)
+		if trial%2 == 1 {
+			n = 2 + rng.Intn(300)
+		}
 		cores := make([]int, n)
 		for i := range cores {
-			cores[i] = rng.Intn(48)
+			if trial < 200 {
+				cores[i] = rng.Intn(48)
+			} else {
+				cores[i] = int(rng.Int63n(1<<32) - 1<<31)
+			}
 		}
-		got := medianPairwiseDistance(cores)
 		want := bruteMedianPairwise(cores)
+		got := medianPairwiseDistance(slices.Clone(cores))
 		if got != want {
 			t.Fatalf("trial %d, cores %v: median = %d, oracle = %d", trial, cores, got, want)
 		}
@@ -182,5 +155,31 @@ func TestMedianPairwiseEvenTieConvention(t *testing.T) {
 	// Distances of {0,1,2,10}: [1,1,2,8,9,10] — six pairs, upper middle 8.
 	if got := medianPairwiseDistance([]int{0, 1, 2, 10}); got != 8 {
 		t.Errorf("even pair count median = %d, want 8 (upper middle)", got)
+	}
+}
+
+// TestScatterLargeSiblingSet runs the scatter pass over one sibling set of
+// 10⁵ grains on distinct, evenly spaced cores spread over most of the
+// non-negative int32 range: distance k·step occurs n−k times, so the median
+// is the smallest k·step whose cumulative pair count passes the middle. The
+// exact computation needs no pair list, so the set finishes in well under a
+// second.
+func TestScatterLargeSiblingSet(t *testing.T) {
+	const n, step = 100_000, 20_000
+	grains := make([]fixtureGrain, n)
+	for i := range grains {
+		grains[i] = fixtureGrain{profile.GrainID(fmt.Sprintf("R.%d", i)), "R", i * step}
+	}
+	mid := n * (n - 1) / 2 / 2
+	k, within := 0, 0
+	for within <= mid {
+		k++
+		within += n - k
+	}
+	byID := scatterFixture(t, grains)
+	for _, id := range []profile.GrainID{"R.0", "R.50000", "R.99999"} {
+		if got := byID[id]; got != int64(k*step) {
+			t.Errorf("%s scatter = %d, want %d", id, got, k*step)
+		}
 	}
 }

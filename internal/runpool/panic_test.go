@@ -35,14 +35,6 @@ func TestFanOutPanicReachesCaller(t *testing.T) {
 				}
 			})
 		},
-		"ParallelForScratch": func(r *Runner, ran *atomic.Int64) {
-			ParallelForScratch(r, n, 1, func() []int { return nil }, func(c, _, _ int, _ []int) {
-				ran.Add(1)
-				if c == 5 {
-					panic(boom{c})
-				}
-			})
-		},
 		"ParallelReduce": func(r *Runner, ran *atomic.Int64) {
 			ParallelReduce(r, n, 1, 0, func(c, _, _ int, acc int) int {
 				ran.Add(1)

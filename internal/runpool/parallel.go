@@ -155,68 +155,6 @@ func ParallelFor(r *Runner, n, grain int, body func(chunk, lo, hi int)) {
 	})
 }
 
-// ParallelForScratch is ParallelFor with a reusable per-worker scratch
-// value: newScratch runs once per participating worker (exactly once in the
-// serial fallback), and every chunk that worker claims shares the value.
-// Kernels needing a temporary buffer per chunk (subsample arrays, pairwise
-// distance heaps) allocate it once per worker instead of once per chunk.
-// Scratch contents must not flow between chunks in any result-affecting
-// way: which chunks share a scratch is scheduling-dependent. Panics reach
-// the caller as in ParallelFor.
-func ParallelForScratch[S any](r *Runner, n, grain int, newScratch func() S, body func(chunk, lo, hi int, scratch S)) {
-	if grain <= 0 {
-		grain = 1
-	}
-	chunks := Chunks(n, grain)
-	if chunks <= 0 {
-		return
-	}
-	workers := 1
-	if r != nil {
-		workers = r.workers
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	tel := telemetry(r)
-	if workers <= 1 {
-		scratch := newScratch()
-		if tel == nil {
-			for c := 0; c < chunks; c++ {
-				lo, hi := chunkBounds(c, n, grain)
-				body(c, lo, hi, scratch)
-			}
-			return
-		}
-		serialChunks(tel, chunks, func(c int) {
-			lo, hi := chunkBounds(c, n, grain)
-			body(c, lo, hi, scratch)
-		})
-		return
-	}
-	issued := time.Time{}
-	if tel != nil {
-		issued = time.Now()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var p panicked
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer p.catch()
-			scratch := newScratch()
-			workerChunks(tel, w, issued, &next, chunks, func(c int) {
-				lo, hi := chunkBounds(c, n, grain)
-				body(c, lo, hi, scratch)
-			})
-		}(w)
-	}
-	wg.Wait()
-	p.reraise()
-}
-
 // ParallelReduce folds body's per-chunk partials into one value. Each chunk
 // computes body(chunk, lo, hi, identity) independently; the partials are
 // then merged strictly in ascending chunk order, so any merge that is

@@ -129,34 +129,3 @@ func TestParallelReduceSum(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelForScratch verifies scratch values are created once per
-// participating worker and results stay correct when chunks share them.
-func TestParallelForScratch(t *testing.T) {
-	n, grain := 2048, 64
-	for _, workers := range []int{1, 4} {
-		var created atomic.Int32
-		out := make([]int, n)
-		ParallelForScratch(New(workers), n, grain, func() *[]int {
-			created.Add(1)
-			buf := make([]int, 0, grain)
-			return &buf
-		}, func(chunk, lo, hi int, scratch *[]int) {
-			*scratch = (*scratch)[:0] // reused across chunks: must reset
-			for i := lo; i < hi; i++ {
-				*scratch = append(*scratch, i)
-			}
-			for _, v := range *scratch {
-				out[v] = v + 1
-			}
-		})
-		if c := int(created.Load()); c > workers || c < 1 {
-			t.Errorf("workers=%d: %d scratches created", workers, c)
-		}
-		for i := range out {
-			if out[i] != i+1 {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, out[i])
-			}
-		}
-	}
-}

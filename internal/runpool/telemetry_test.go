@@ -46,9 +46,9 @@ func TestMapTelemetry(t *testing.T) {
 	}
 }
 
-// TestParallelForTelemetry pins chunk accounting for the chunked kernels
-// (ParallelFor and the scratch variant) at several worker counts, and that
-// detached telemetry leaves results untouched.
+// TestParallelForTelemetry pins chunk accounting for the chunked kernel
+// at several worker counts, and that detached telemetry leaves results
+// untouched.
 func TestParallelForTelemetry(t *testing.T) {
 	const n, grain = 10_000, 256
 	wantChunks := int64(Chunks(n, grain))
@@ -65,20 +65,10 @@ func TestParallelForTelemetry(t *testing.T) {
 			}
 			sum[c] = s
 		})
-		ParallelForScratch(r, n, grain, func() []int64 { return make([]int64, 1) },
-			func(c, lo, hi int, scratch []int64) {
-				scratch[0] = 0
-				for i := lo; i < hi; i++ {
-					scratch[0] += int64(i)
-				}
-				if scratch[0] != sum[c] {
-					t.Errorf("scratch chunk %d sum mismatch", c)
-				}
-			})
 
 		s := tel.Snapshot()
-		if s.Chunks != 2*wantChunks {
-			t.Errorf("workers=%d: telemetry counted %d chunks, want %d", workers, s.Chunks, 2*wantChunks)
+		if s.Chunks != wantChunks {
+			t.Errorf("workers=%d: telemetry counted %d chunks, want %d", workers, s.Chunks, wantChunks)
 		}
 		var total int64
 		for _, v := range sum {

@@ -2,7 +2,8 @@
 # Smoke test for the grainserved artifact server: build everything, record a
 # real fixture artifact, start a server, upload the fixture, and verify every
 # endpoint serves bytes identical to the grainview CLI's output for the same
-# artifact. Finishes with the benchmark's serve workload at smoke size, a
+# artifact; then the same for the committed older v2 golden artifact, which
+# carries a level-index sidecar. Finishes with the benchmark's serve workload at smoke size, a
 # closed-loop run against its own server that evicts every warm tier before
 # the cold session and verifies every served body.
 #
@@ -104,6 +105,30 @@ for ep in summary highlight whatif window query stats-summary trace; do
     if ! diff -q "$tmp/$ep.cli" "$tmp/$ep.srv" >/dev/null; then
         echo "FAIL: $ep endpoint differs from grainview output:" >&2
         diff "$tmp/$ep.cli" "$tmp/$ep.srv" | head -20 >&2
+        exit 1
+    fi
+    echo "   $ep: byte-identical"
+done
+
+echo "== older v2 artifact (level-index sidecar) served like grainview reads it"
+# The golden artifact committed before the level index stopped being
+# stored: its 0x20 sidecar is verified and skipped by both front ends.
+old=internal/ggp/testdata/seed.v2s.ggp
+oldid=$(curl -fsS -X POST --data-binary @"$old" "http://$addr/artifacts" |
+    sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p')
+[ -n "$oldid" ] || { echo "upload of $old returned no id" >&2; exit 1; }
+"$tmp/grainview" -summary "$old" >"$tmp/old-summary.cli"
+"$tmp/grainview" -highlight "$old" >"$tmp/old-highlight.cli"
+"$tmp/grainview" -window depth=2,top=8 -format dot "$old" >"$tmp/old-window.cli" 2>/dev/null
+"$tmp/grainview" -query "$query" "$old" >"$tmp/old-query.cli"
+curl -fsS "http://$addr/artifacts/$oldid/summary" >"$tmp/old-summary.srv"
+curl -fsS "http://$addr/artifacts/$oldid/highlight" >"$tmp/old-highlight.srv"
+curl -fsS "http://$addr/artifacts/$oldid/window?depth=2&top=8&format=dot" >"$tmp/old-window.srv"
+curl -fsS --get --data-urlencode "q=$query" "http://$addr/artifacts/$oldid/query" >"$tmp/old-query.srv"
+for ep in summary highlight window query; do
+    if ! diff -q "$tmp/old-$ep.cli" "$tmp/old-$ep.srv" >/dev/null; then
+        echo "FAIL: $ep of the older v2 artifact differs from grainview output:" >&2
+        diff "$tmp/old-$ep.cli" "$tmp/old-$ep.srv" | head -20 >&2
         exit 1
     fi
     echo "   $ep: byte-identical"
