@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"graingraph/internal/profile"
 )
@@ -21,9 +22,9 @@ func Build(tr *profile.Trace) *Graph {
 	nb := tr.Numbering()
 	g.FirstNode, g.LastNode = noSpans(nb.NumGrains()), noSpans(nb.NumGrains())
 
-	// boundaryNodes[taskIdx][boundaryIdx] is the fork/join node created for
-	// that boundary (loops record their fork node here).
-	boundaryNodes := make([][]NodeID, len(tr.Tasks))
+	// boundaryNodes[nb.BoundOff[ti]+fi] is the fork/join node created for
+	// task ti's boundary fi (loops record their fork node here).
+	boundaryNodes := make([]NodeID, nb.BoundOff[len(tr.Tasks)])
 
 	// Per-(loop,thread) bookkeeping totals, for the final book-keeping node.
 	type loopThreadKey struct {
@@ -39,17 +40,27 @@ func Build(tr *profile.Trace) *Graph {
 		chunksByLoop[ck.Loop] = append(chunksByLoop[ck.Loop], int32(j))
 	}
 
+	// Fragment labels ("<task ID>/<index>") are cut from one string, so
+	// the graph holds one label allocation rather than one per fragment.
+	var labels strings.Builder
+	labels.Grow(fragmentLabelBytes(tr))
+	var digits [20]byte
+
 	// Pass 1: nodes and intra-context edges.
 	for ti, task := range tr.Tasks {
 		var prev NodeID = -1
 		num, row := int32(ti), nb.BoundOff[ti]
 		for fi := range task.Fragments {
 			f := &task.Fragments[fi]
+			at := labels.Len()
+			labels.WriteString(string(task.ID))
+			labels.WriteByte('/')
+			labels.Write(strconv.AppendInt(digits[:0], int64(fi), 10))
 			n := g.appendNode(Node{
 				Kind:     NodeFragment,
 				GrainNum: num,
 				Seq:      fi,
-				Label:    string(task.ID) + "/" + strconv.Itoa(fi),
+				Label:    labels.String()[at:],
 				Start:    f.Start,
 				End:      f.End,
 				Weight:   f.Duration(),
@@ -107,7 +118,7 @@ func Build(tr *profile.Trace) *Graph {
 				if b.Kind == profile.BoundaryLoop {
 					next = g.lastLoopJoin
 				}
-				boundaryNodes[ti] = append(boundaryNodes[ti], bn)
+				boundaryNodes[row+int32(fi)] = bn
 				prev = next
 			}
 		}
@@ -116,7 +127,8 @@ func Build(tr *profile.Trace) *Graph {
 	// Pass 2: cross-context creation and join edges.
 	for ti, task := range tr.Tasks {
 		for fi := range task.Boundaries {
-			bn, row := boundaryNodes[ti][fi], nb.BoundOff[ti]+int32(fi)
+			row := nb.BoundOff[ti] + int32(fi)
+			bn := boundaryNodes[row]
 			switch task.Boundaries[fi].Kind {
 			case profile.BoundaryFork:
 				if child := nb.Child[row]; child >= 0 && g.FirstNode[child] >= 0 {
@@ -167,6 +179,22 @@ func estimateSize(tr *profile.Trace) (nodes, edges int) {
 	nodes += 2 * len(tr.Chunks)
 	edges += 2 * len(tr.Chunks)
 	return nodes, edges
+}
+
+// fragmentLabelBytes is the length of every fragment label of tr laid end
+// to end.
+func fragmentLabelBytes(tr *profile.Trace) int {
+	bytes := 0
+	for _, task := range tr.Tasks {
+		n := len(task.Fragments)
+		bytes += n * (len(task.ID) + 1)
+		// Decimal digits of 0..n-1: one each, one more per number ≥ 10, …
+		bytes += n
+		for p := 10; p < n; p *= 10 {
+			bytes += n - p
+		}
+	}
+	return bytes
 }
 
 // expandLoop creates the loop's fork node, per-thread

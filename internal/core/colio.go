@@ -12,8 +12,10 @@ import (
 // writing, and adopts decoded columns back into a Graph without replaying
 // core.Build. Only construction-time state crosses the boundary — critical
 // flags, layout geometry, adjacency and level indexes are derived and are
-// rebuilt on first use on the reader side, which is what makes a
-// post-analysis graph encode byte-identically to a freshly built one.
+// rebuilt on the reader side, which is what makes a post-analysis graph
+// encode byte-identically to a freshly built one. Adoption builds the
+// level index, and the adjacency it reads, because it doubles as the
+// acyclicity check; the rest waits for first use.
 
 // GraphColumns is the read-only column view of a built graph that the v2
 // writer serializes. All slices alias the store: read, don't mutate.
@@ -61,11 +63,9 @@ func (g *Graph) ExportColumns() GraphColumns {
 // needs — column lengths agree, enum values are in range, edge endpoints
 // are in bounds, grain numbers name grains of tr, entry/exit nodes exist
 // (first and last are indexed by grain number, -1 for none; nil for a
-// graph without the tables) — but does not re-run the full
-// acyclicity check; the v2 reader's per-section checksums guard against
-// corruption, exactly as the v1 stream checksum guards the event decoder.
-// Derived columns (critical flags, geometry, edge criticality) are
-// allocated zeroed; adjacency and level indexes stay lazy.
+// graph without the tables), and the edges close no cycle. The acyclicity
+// check is the level index the analysis builds anyway, built here. Critical
+// flags are allocated zeroed; geometry waits for Layout.
 func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last []NodeID) (*Graph, error) {
 	n := len(c.Kind)
 	for name, l := range map[string]int{
@@ -136,13 +136,12 @@ func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last []NodeID) (*Graph
 	s.counters = c.Counters
 	s.members = c.Members
 	s.critical = make([]bool, n)
-	s.geoX = make([]float64, n)
-	s.geoY = make([]float64, n)
-	s.geoW = make([]float64, n)
-	s.geoH = make([]float64, n)
 	s.edgeFrom = c.EdgeFrom
 	s.edgeTo = c.EdgeTo
 	s.edgeKind = c.EdgeKind
 	s.edgeCritical = make([]bool, e)
+	if err := s.indexLevels(); err != nil {
+		return nil, fmt.Errorf("core: adopt: %w", err)
+	}
 	return g, nil
 }

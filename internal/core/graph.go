@@ -101,7 +101,8 @@ type Node struct {
 	// metrics pass).
 	Critical bool
 
-	// Layout coordinates (set by Layout; used by the exporters).
+	// Layout coordinates (set by Layout, zero before it; used by the
+	// exporters). AddNode ignores them.
 	X, Y, W, H float64
 }
 

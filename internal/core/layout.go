@@ -23,6 +23,12 @@ func Layout(g *Graph) {
 	}
 	scale := g.heightScale()
 	s := &g.GraphStore
+	// Every node gets a size below and a position once placed, so fresh
+	// columns need no copy of an earlier layout.
+	if n := g.NumNodes(); len(s.geoX) != n {
+		s.geoX, s.geoY = make([]float64, n), make([]float64, n)
+		s.geoW, s.geoH = make([]float64, n), make([]float64, n)
+	}
 
 	// Node sizes first.
 	for n := 0; n < g.NumNodes(); n++ {

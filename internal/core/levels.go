@@ -1,5 +1,10 @@
 package core
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Topological levels over the columnar store: level(n) is n's longest-path
 // depth — 0 for sources, otherwise 1 + the maximum level among its
 // predecessors. Every edge crosses from a strictly lower level to a higher
@@ -16,8 +21,17 @@ package core
 // index first (call NumLevels once), exactly as with Out/In.
 
 // buildLevels computes the level of every node and the level index. It
-// panics on a cyclic graph, mirroring Topological.
+// panics on a cyclic graph, mirroring Topological: Build makes acyclic
+// graphs, and AdoptGraph rejects cyclic ones through indexLevels.
 func (s *GraphStore) buildLevels() {
+	if err := s.indexLevels(); err != nil {
+		panic("core: level index requested on cyclic graph: " + err.Error())
+	}
+}
+
+// indexLevels computes the level of every node and the level index, or
+// returns an error naming a cycle if the edges close one.
+func (s *GraphStore) indexLevels() error {
 	n, e := len(s.kind), len(s.edgeFrom)
 	level := make([]int32, n)
 	indeg := make([]int32, n)
@@ -54,7 +68,7 @@ func (s *GraphStore) buildLevels() {
 		}
 	}
 	if visited != n {
-		panic("core: level index requested on cyclic graph")
+		return s.cycleError(indeg)
 	}
 	s.nodeLevel = level
 
@@ -76,6 +90,49 @@ func (s *GraphStore) buildLevels() {
 		cur[l]++
 	}
 	s.levelOff, s.levelNodes = off, nodes
+	return nil
+}
+
+// cycleError names one cycle among the nodes a level pass could not reach,
+// those left with indeg > 0. Each has a predecessor left the same way, so
+// walking predecessors from one of them revisits a node, and the walk from
+// that node on is a cycle.
+func (s *GraphStore) cycleError(indeg []int32) error {
+	v := int32(0)
+	for indeg[v] == 0 {
+		v++
+	}
+	at := map[int32]int{} // position of each node on the walk
+	var walk []int32
+	for {
+		if i, ok := at[v]; ok {
+			walk = walk[i:]
+			break
+		}
+		at[v] = len(walk)
+		walk = append(walk, v)
+		for _, ei := range s.inIdx[s.inOff[v]:s.inOff[v+1]] {
+			if from := s.edgeFrom[ei]; indeg[from] > 0 {
+				v = from
+				break
+			}
+		}
+	}
+	// The walk runs against the edges; name the cycle along them, back to
+	// its first node, eliding all but the first few.
+	const shown = 8
+	var b strings.Builder
+	for k := 0; k <= len(walk); k++ {
+		if k > 0 {
+			b.WriteString(" → ")
+		}
+		if k == shown && len(walk) > shown {
+			b.WriteString("…")
+			break
+		}
+		fmt.Fprint(&b, walk[(2*len(walk)-1-k)%len(walk)])
+	}
+	return fmt.Errorf("edges close a cycle of %d nodes: %s", len(walk), b.String())
 }
 
 // NumLevels returns the number of topological levels (0 for an empty

@@ -139,7 +139,6 @@ func (g *Graph) reduceBy(groupKey func(*Graph, NodeID) (string, bool),
 			}
 		}
 		cp := g.NodeAt(n)
-		cp.X, cp.Y, cp.W, cp.H = 0, 0, 0, 0
 		if grouped {
 			cp.Label += "*"
 		}

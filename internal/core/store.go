@@ -16,8 +16,8 @@ import (
 // (weights, kinds), and makes a finished graph cheaply shareable across
 // concurrent analyses — readers touch disjoint immutable slices.
 //
-// All mutation happens through appendNode/appendEdge plus the narrow
-// setters (critical flags, labels, geometry); consumers outside this
+// All mutation happens through appendNode/appendEdge, the narrow setters
+// (critical flags, labels) and Layout (geometry); consumers outside this
 // package read through the accessor methods, which are trivially
 // inlinable single-slice loads.
 type GraphStore struct {
@@ -34,7 +34,9 @@ type GraphStore struct {
 	counters []cache.Counters
 	members  []int32
 	critical []bool
-	// Layout geometry columns (set by Layout, read by the exporters).
+	// Layout geometry columns, read by the exporters. Layout, their only
+	// writer, allocates them; a node they do not cover (every node, before
+	// a layout) reads as a zero rectangle.
 	geoX, geoY, geoW, geoH []float64
 
 	// Edge columns, indexed by edge index.
@@ -100,19 +102,18 @@ func (s *GraphStore) Critical(n NodeID) bool { return s.critical[n] }
 // SetCritical marks (or clears) node n's critical-path membership.
 func (s *GraphStore) SetCritical(n NodeID, v bool) { s.critical[n] = v }
 
-// Geometry returns node n's layout rectangle.
+// Geometry returns node n's layout rectangle, zero until Layout places n.
 func (s *GraphStore) Geometry(n NodeID) (x, y, w, h float64) {
+	if int(n) >= len(s.geoX) {
+		return 0, 0, 0, 0
+	}
 	return s.geoX[n], s.geoY[n], s.geoW[n], s.geoH[n]
-}
-
-// SetGeometry assigns node n's layout rectangle.
-func (s *GraphStore) SetGeometry(n NodeID, x, y, w, h float64) {
-	s.geoX[n], s.geoY[n], s.geoW[n], s.geoH[n] = x, y, w, h
 }
 
 // nodeAt materializes node n's row without its Grain ID, which only the
 // Graph can name (Graph.NodeAt).
 func (s *GraphStore) nodeAt(n NodeID) Node {
+	x, y, w, h := s.Geometry(n)
 	return Node{
 		ID:       n,
 		Kind:     s.Kind(n),
@@ -127,10 +128,10 @@ func (s *GraphStore) nodeAt(n NodeID) Node {
 		Counters: s.counters[n],
 		Members:  s.Members(n),
 		Critical: s.critical[n],
-		X:        s.geoX[n],
-		Y:        s.geoY[n],
-		W:        s.geoW[n],
-		H:        s.geoH[n],
+		X:        x,
+		Y:        y,
+		W:        w,
+		H:        h,
 	}
 }
 
@@ -186,10 +187,6 @@ func (s *GraphStore) Reserve(nodes, edges int) {
 		s.counters = append(make([]cache.Counters, 0, nodes), s.counters...)
 		s.members = append(make([]int32, 0, nodes), s.members...)
 		s.critical = append(make([]bool, 0, nodes), s.critical...)
-		s.geoX = append(make([]float64, 0, nodes), s.geoX...)
-		s.geoY = append(make([]float64, 0, nodes), s.geoY...)
-		s.geoW = append(make([]float64, 0, nodes), s.geoW...)
-		s.geoH = append(make([]float64, 0, nodes), s.geoH...)
 	}
 	if n := edges - cap(s.edgeFrom); n > 0 {
 		s.edgeFrom = append(make([]int32, 0, edges), s.edgeFrom...)
@@ -200,7 +197,8 @@ func (s *GraphStore) Reserve(nodes, edges int) {
 }
 
 // appendNode appends a node row and returns its ID. A zero Members is
-// normalized to 1 (an unreduced node represents itself).
+// normalized to 1 (an unreduced node represents itself). The row's
+// geometry is not stored: only Layout writes geometry.
 func (s *GraphStore) appendNode(n Node) NodeID {
 	id := NodeID(len(s.kind))
 	if n.Members == 0 {
@@ -218,10 +216,6 @@ func (s *GraphStore) appendNode(n Node) NodeID {
 	s.counters = append(s.counters, n.Counters)
 	s.members = append(s.members, int32(n.Members))
 	s.critical = append(s.critical, n.Critical)
-	s.geoX = append(s.geoX, n.X)
-	s.geoY = append(s.geoY, n.Y)
-	s.geoW = append(s.geoW, n.W)
-	s.geoH = append(s.geoH, n.H)
 	s.invalidateCSR()
 	return id
 }

@@ -30,7 +30,8 @@
 // indexes (lod summary, query metric table) written after first analysis;
 // each is content-keyed against the graph sections' checksums so a stale
 // sidecar is detected and silently rebuilt, never trusted. The topological
-// level index is not stored: it is rebuilt on first use. See schema2.go
+// level index is not stored: it is rebuilt at decode, where it doubles as
+// the check that the edges close no cycle. See schema2.go
 // (the section layouts), writer2.go/reader2.go and DESIGN.md §14.
 //
 //	header   := magic "GGPF" | version byte 0x02

@@ -143,6 +143,39 @@ func encodeBoth(t testing.TB, tr *profile.Trace) (v1, v2 []byte) {
 	return buf.Bytes(), v2
 }
 
+// cyclicV2 is a v2 artifact of the seed trace whose graph, adopted from a
+// decoded artifact, gains one edge reversing an existing one, so the edges
+// close a cycle while every section checksum is valid.
+func cyclicV2(t testing.TB) []byte {
+	t.Helper()
+	tr := seedTrace()
+	_, v2 := encodeBoth(t, tr)
+	dec, err := ggp.Decode(v2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dec.TakeGraph()
+	g.AddEdge(g.EdgeTo(0), g.EdgeFrom(0), g.EdgeKindAt(0))
+	data, err := ggp.EncodeV2(dec.Trace, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDecodeRejectsCyclicGraph: a v2 artifact whose edges close a cycle
+// fails decode with an error naming the cycle, rather than decoding and
+// then panicking the analysis that builds the level index.
+func TestDecodeRejectsCyclicGraph(t *testing.T) {
+	dec, err := ggp.Decode(cyclicV2(t), nil, nil)
+	if err == nil {
+		t.Fatalf("decoded a cyclic graph of %d nodes without error", dec.TakeGraph().NumNodes())
+	}
+	if !strings.Contains(err.Error(), "cycle of 2 nodes") {
+		t.Fatalf("error %q does not name the two-node cycle", err)
+	}
+}
+
 // TestHostileReferences pins what the reader does with each hostile seed,
 // in both formats. Every accepted one renders its stats report (grainview
 // -stats) without a panic, to the bytes the trace renders before encoding.
@@ -273,6 +306,8 @@ func FuzzGGPReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(old)
+	// Valid checksums over edges that close a cycle.
+	f.Add(cyclicV2(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ggp.DecodeTrace(data, nil, nil)

@@ -619,8 +619,8 @@ func indexAndValidate(tr *profile.Trace, sp *obs.Span) error {
 // a node's dictionary reference is its grain's number and the entry/exit
 // columns are the graph's tables, so beyond the row counts only the
 // counters are transposed here; grain numbers, entry/exit nodes, edge
-// endpoints and enum values are checked by core.AdoptGraph. The level index
-// is derived, and builds on first use.
+// endpoints, enum values and acyclicity are checked by core.AdoptGraph,
+// which builds the derived level index to check the last.
 func (a *v2Artifact) assembleGraph(tr *profile.Trace) (*core.Graph, error) {
 	nn := len(a.graph.Kind)
 	for _, err := range []error{

@@ -146,7 +146,7 @@ func TestV2DeterministicEncoding(t *testing.T) {
 	// Analysis-style mutation of derived state must not leak into the
 	// encoding: only construction-time columns are serialized.
 	g.SetCritical(0, true)
-	g.SetGeometry(0, 1, 2, 3, 4)
+	core.Layout(g)
 	if g.NumEdges() > 0 {
 		g.SetEdgeCritical(0, true)
 	}

@@ -504,14 +504,12 @@ func (b *windowBuild) expand(si int32, rel int) {
 	}
 }
 
-// copyNode includes one original node verbatim (modulo layout, recomputed
-// later). The windowed graph carries no grain entry/exit tables: nothing
-// downstream of a window reads them, and tables sized to the trace would
-// cost more than the window itself.
+// copyNode includes one original node verbatim; its layout is not copied,
+// and is computed for the window later. The windowed graph carries no grain
+// entry/exit tables: nothing downstream of a window reads them, and tables
+// sized to the trace would cost more than the window itself.
 func (b *windowBuild) copyNode(n core.NodeID) {
-	row := b.ix.g.NodeAt(n)
-	row.X, row.Y, row.W, row.H = 0, 0, 0, 0
-	nid := b.addNode(row)
+	nid := b.addNode(b.ix.g.NodeAt(n))
 	b.nodeMap[n] = int32(nid) + 1
 	b.included = append(b.included, n)
 }

@@ -72,15 +72,10 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 	t.outstanding++
 	t.pendingJoin = append(t.pendingJoin, childID)
 
-	child := &task{
-		rec: store(&rt.recs.tasks, profile.TaskRecord{
-			ID: childID, Parent: t.rec.ID, Loc: loc,
-			Depth: t.rec.Depth + 1, CreatedBy: w.id,
-		}),
-		parent: t,
-		owner:  -1,
-		body:   body,
-	}
+	child := rt.newTask(store(&rt.recs.tasks, profile.TaskRecord{
+		ID: childID, Parent: t.rec.ID, Loc: loc,
+		Depth: t.rec.Depth + 1, CreatedBy: w.id,
+	}), t, body)
 
 	rt.endFragment(t, pre)
 	t.rec.Boundaries = append(t.rec.Boundaries, profile.Boundary{

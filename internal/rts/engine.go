@@ -21,10 +21,15 @@ const (
 )
 
 // task is the runtime's in-flight task state wrapping the profile record.
+// A task is free once its body has returned and none of its children is
+// unfinished: nothing then reaches it, so the runtime recycles its storage
+// for a later Spawn (see release). The record lives in the run's slab and
+// stays with the trace.
 type task struct {
 	rec  *profile.TaskRecord
 	body func(Ctx)
-	coro *sim.Coro
+	ctx  taskCtx  // the Ctx body runs with
+	coro sim.Coro // body's coroutine, Init at the task's first run
 
 	parent      *task
 	owner       int // worker the task is tied to; -1 before first run
@@ -40,6 +45,7 @@ type task struct {
 	notifyOnDone *task // task to resume when this (inlined) task ends
 
 	started   bool
+	returned  bool // body has returned; the task is finished
 	fragStart sim.Time
 	cur       cache.Counters
 }
@@ -73,9 +79,12 @@ type runtime struct {
 
 	rng *rand.Rand
 	pcg *rand.PCG // rng's source, so tests can snapshot and restore it
-	// pool carries the task bodies' coroutines; at most one idle carrier
-	// per core is kept.
+	// pool carries the task bodies' coroutines. It keeps every carrier a
+	// body finishes on, so a run builds as many carriers as it has bodies
+	// started and unfinished at its peak.
 	pool *sim.Pool
+	// free holds finished tasks whose storage the next Spawn reuses.
+	free []*task
 	// stealable lists, in worker order, the workers whose deques are
 	// non-empty at the current step (work-stealing only).
 	stealable []*worker
@@ -113,7 +122,7 @@ func newRuntime(cfg Config, program func(Ctx)) *runtime {
 		cfg:  cfg,
 		topo: cfg.Topology,
 		pcg:  rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15),
-		pool: sim.NewPool(cfg.Cores),
+		pool: sim.NewPool(),
 	}
 	rt.rng = rand.New(rt.pcg)
 	rt.mem = machine.NewMemory(rt.topo, cfg.Policy)
@@ -130,15 +139,12 @@ func newRuntime(cfg Config, program func(Ctx)) *runtime {
 		PagePolicy: cfg.Policy.String(),
 	}
 
-	rt.root = &task{
-		rec:   store(&rt.recs.tasks, profile.TaskRecord{ID: profile.RootID, Loc: cfg.RootLoc}),
-		owner: -1,
-	}
-	rt.root.body = func(c Ctx) {
+	rec := store(&rt.recs.tasks, profile.TaskRecord{ID: profile.RootID, Loc: cfg.RootLoc})
+	rt.root = rt.newTask(rec, nil, func(c Ctx) {
 		program(c)
 		// Implicit end-of-parallel-region barrier: join any stragglers.
 		c.TaskWait()
-	}
+	})
 	rt.trace.Tasks = append(rt.trace.Tasks, rt.root.rec)
 	rt.live = 1
 	rt.root.readyAt = 0
@@ -311,9 +317,7 @@ func (rt *runtime) runOn(w *worker, t *task) {
 		t.owner = w.id
 		t.rec.StartTime = w.clock
 		rt.recs.startTask(t)
-		body := t.body
-		ctx := &taskCtx{rt: rt, t: t}
-		t.coro = rt.pool.New(func(*sim.Coro) { body(ctx) })
+		rt.pool.Init(&t.coro, runBody, t)
 	} else if t.parked == parkTaskWait {
 		// Finalize the join boundary recorded at suspension.
 		b := &t.rec.Boundaries[len(t.rec.Boundaries)-1]
@@ -324,6 +328,40 @@ func (rt *runtime) runOn(w *worker, t *task) {
 	rt.beginFragment(t, w.clock)
 	if st := t.coro.Resume(); st == sim.Done {
 		rt.finishTask(w, t)
+	}
+}
+
+// runBody is every task's coroutine function: t's body on t's own Ctx.
+func runBody(arg any) {
+	t := arg.(*task)
+	t.body(&t.ctx)
+}
+
+// newTask returns a task for rec running body, on recycled storage when a
+// freed task is available.
+func (rt *runtime) newTask(rec *profile.TaskRecord, parent *task, body func(Ctx)) *task {
+	var t *task
+	if n := len(rt.free); n > 0 {
+		t = rt.free[n-1]
+		rt.free = rt.free[:n-1]
+	} else {
+		t = new(task)
+	}
+	*t = task{rec: rec, body: body, parent: parent, owner: -1}
+	t.ctx = taskCtx{rt: rt, t: t}
+	return t
+}
+
+// release frees t once its body has returned and no child of it is
+// unfinished. Nothing reaches t then: a returned task sits in no deque,
+// queue, resume stack or forced slot; only an unfinished child still holds
+// a parent pointer, and finished children have dropped theirs. An inlined
+// child's notifyOnDone names a parent parked in Spawn, which has not
+// returned. Each task is freed once, by whichever of its own finish and
+// its last child's finish comes second. The root is never freed.
+func (rt *runtime) release(t *task) {
+	if t.returned && t.outstanding == 0 && t != rt.root {
+		rt.free = append(rt.free, t)
 	}
 }
 
@@ -353,16 +391,22 @@ func (rt *runtime) finishTask(w *worker, t *task) {
 		rt.maxTime = w.clock
 	}
 
+	t.returned = true
 	if p := t.parent; p != nil {
 		p.outstanding--
 		if p.waiting && p.outstanding == 0 {
 			p.waiting = false
 			rt.makeResumable(p, w.clock)
 		}
+		rt.release(p)
 	}
 	if p := t.notifyOnDone; p != nil {
 		rt.makeResumable(p, w.clock)
 	}
+	// A finished task follows no link again; dropping them leaves no
+	// pointer into a task that is later freed.
+	t.parent, t.notifyOnDone = nil, nil
+	rt.release(t)
 }
 
 func (rt *runtime) makeResumable(p *task, at sim.Time) {

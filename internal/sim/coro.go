@@ -8,7 +8,9 @@
 // coroutine switches and exactly one goroutine — the engine's or one
 // carrier's — runs at any moment. A Pool keeps finished carriers and hands
 // them to the next body, so a carrier's grown stack is reused rather than
-// grown again for every task. All parallelism in the simulation is virtual.
+// grown again for every task, and a run builds no more carriers than it has
+// coroutines started and unfinished at once. All parallelism in the
+// simulation is virtual.
 package sim
 
 import "iter"
@@ -29,13 +31,13 @@ const (
 // killed is the sentinel panic value used to unwind an abandoned coroutine.
 type killed struct{}
 
-// Pool runs coroutines on reusable carriers. It keeps at most maxIdle
-// finished carriers for later coroutines; a carrier finishing beyond that
-// exits. A Pool is not safe for concurrent use: one simulated run owns it,
-// and Close ends every carrier it started, parked coroutines included.
+// Pool runs coroutines on reusable carriers. It keeps every finished
+// carrier for later coroutines, so the carriers it builds are as many as its
+// peak number of coroutines started and not finished. A Pool is not safe for
+// concurrent use: one simulated run owns it, and Close ends every carrier it
+// started, parked coroutines included.
 type Pool struct {
-	idle    []*carrier
-	maxIdle int
+	idle []*carrier
 	// busy holds the carriers running a coroutine that has not finished,
 	// each at its slot, so that Close can unwind them.
 	busy []*carrier
@@ -50,15 +52,18 @@ type carrier struct {
 	slot  int   // index in Pool.busy while running a coroutine
 }
 
-// NewPool returns a pool that keeps at most maxIdle idle carriers.
-func NewPool(maxIdle int) *Pool { return &Pool{maxIdle: maxIdle} }
+// NewPool returns an empty pool.
+func NewPool() *Pool { return &Pool{} }
 
 // Coro is a one-shot coroutine. The engine drives it with Resume; the
 // coroutine's function yields with Park. A Coro must be finished (run to
-// Done), Killed, or left to its Pool's Close.
+// Done), Killed, or left to its Pool's Close. Its storage belongs to the
+// caller, who may embed it in a larger value and Init it again once it is
+// finished.
 type Coro struct {
 	pool     *Pool
-	fn       func(c *Coro)
+	run      func(arg any)
+	arg      any
 	car      *carrier // nil until the first Resume and after Done or Kill
 	done     bool
 	dead     bool
@@ -66,9 +71,16 @@ type Coro struct {
 	panicVal any
 }
 
-// New creates a coroutine around fn. It takes a carrier at its first
-// Resume, so a coroutine killed before it starts costs no goroutine.
-func (p *Pool) New(fn func(c *Coro)) *Coro { return &Coro{pool: p, fn: fn} }
+// Init readies c to run run(arg) on one of p's carriers, discarding what c
+// held before; c must be new, finished or killed. Passing a plain function
+// and a pointer argument allocates nothing. The coroutine takes a carrier
+// at its first Resume, so one killed before it starts costs no goroutine.
+func (p *Pool) Init(c *Coro, run func(arg any), arg any) {
+	if c.car != nil {
+		panic("sim: Init on a coroutine that has started and not finished")
+	}
+	*c = Coro{pool: p, run: run, arg: arg}
+}
 
 // run is a carrier's body: run each coroutine it is handed to completion,
 // report Done, and wait for the next, until it is stopped. A carrier whose
@@ -98,7 +110,7 @@ func (c *Coro) runBody() (wasKilled bool) {
 			c.panicked, c.panicVal = true, r
 		}
 	}()
-	c.fn(c)
+	c.run(c.arg)
 	return false
 }
 
@@ -185,15 +197,10 @@ func (p *Pool) take(c *Coro) *carrier {
 	return car
 }
 
-// release takes back the carrier of a finished coroutine, or stops it when
-// the pool already holds maxIdle idle carriers.
+// release parks the carrier of a finished coroutine for the next one.
 func (p *Pool) release(car *carrier) {
 	p.unbusy(car)
 	car.job = nil
-	if len(p.idle) >= p.maxIdle {
-		car.stop()
-		return
-	}
 	p.idle = append(p.idle, car)
 }
 

@@ -1,16 +1,17 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
 )
 
 func TestCoroRunsToCompletion(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	defer p.Close()
 	var steps []int
-	c := p.New(func(c *Coro) {
+	c := newCoro(p, func(c *Coro) {
 		steps = append(steps, 1)
 		c.Park()
 		steps = append(steps, 2)
@@ -38,10 +39,10 @@ func TestCoroRunsToCompletion(t *testing.T) {
 }
 
 func TestCoroNoParkJustDone(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	defer p.Close()
 	ran := false
-	c := p.New(func(c *Coro) { ran = true })
+	c := newCoro(p, func(c *Coro) { ran = true })
 	if st := c.Resume(); st != Done {
 		t.Fatalf("resume status = %v, want Done", st)
 	}
@@ -51,9 +52,9 @@ func TestCoroNoParkJustDone(t *testing.T) {
 }
 
 func TestResumeAfterDonePanics(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	defer p.Close()
-	c := p.New(func(c *Coro) {})
+	c := newCoro(p, func(c *Coro) {})
 	c.Resume()
 	defer func() {
 		if recover() == nil {
@@ -65,9 +66,9 @@ func TestResumeAfterDonePanics(t *testing.T) {
 
 func TestKillUnstartedCoroDoesNotLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := NewPool(4)
+	p := NewPool()
 	for i := 0; i < 100; i++ {
-		c := p.New(func(c *Coro) { t.Error("body must not run") })
+		c := newCoro(p, func(c *Coro) { t.Error("body must not run") })
 		c.Kill()
 		if !c.dead || c.car != nil {
 			t.Fatal("killed unstarted coroutine holds a carrier")
@@ -81,10 +82,10 @@ func TestKillUnstartedCoroDoesNotLeak(t *testing.T) {
 
 func TestKillParkedCoroDoesNotLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := NewPool(4)
+	p := NewPool()
 	unwound := 0
 	for i := 0; i < 100; i++ {
-		c := p.New(func(c *Coro) {
+		c := newCoro(p, func(c *Coro) {
 			defer func() { unwound++ }()
 			c.Park()
 			t.Error("body must not run past park after kill")
@@ -104,9 +105,9 @@ func TestKillParkedCoroDoesNotLeak(t *testing.T) {
 }
 
 func TestKillDoneCoroIsNoop(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	defer p.Close()
-	c := p.New(func(c *Coro) {})
+	c := newCoro(p, func(c *Coro) {})
 	c.Resume()
 	c.Kill() // must not panic or hang
 	if !c.Done() {
@@ -115,9 +116,9 @@ func TestKillDoneCoroIsNoop(t *testing.T) {
 }
 
 func TestResumeAfterKillPanics(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	defer p.Close()
-	c := p.New(func(c *Coro) { c.Park() })
+	c := newCoro(p, func(c *Coro) { c.Park() })
 	c.Resume()
 	c.Kill()
 	defer func() {
@@ -132,10 +133,10 @@ func TestResumeAfterKillPanics(t *testing.T) {
 // in the caller of Resume with its original value, the coroutine counts as
 // finished, and its carrier survives to run the next coroutine.
 func TestBodyPanicReachesResumer(t *testing.T) {
-	p := NewPool(1)
+	p := NewPool()
 	defer p.Close()
 	type boom struct{ n int }
-	c := p.New(func(c *Coro) {
+	c := newCoro(p, func(c *Coro) {
 		c.Park()
 		panic(boom{7})
 	})
@@ -153,7 +154,7 @@ func TestBodyPanicReachesResumer(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("panicked coroutine not marked Done")
 	}
-	next := p.New(func(c *Coro) { c.Park() })
+	next := newCoro(p, func(c *Coro) { c.Park() })
 	if next.Resume(); next.car != car {
 		t.Fatal("the panicked coroutine's carrier was not reused")
 	}
@@ -165,7 +166,7 @@ func TestBodyPanicReachesResumer(t *testing.T) {
 // TestCarrierReusedAfterDone: a finished coroutine's carrier, and so its
 // goroutine and grown stack, runs the next coroutine.
 func TestCarrierReusedAfterDone(t *testing.T) {
-	p := NewPool(2)
+	p := NewPool()
 	defer p.Close()
 	var deep func(n int) int
 	deep = func(n int) int {
@@ -175,7 +176,7 @@ func TestCarrierReusedAfterDone(t *testing.T) {
 		}
 		return deep(n-1) + int(pad[n%64])
 	}
-	a := p.New(func(c *Coro) {
+	a := newCoro(p, func(c *Coro) {
 		deep(2000) // grow the carrier's stack
 		c.Park()
 	})
@@ -189,7 +190,7 @@ func TestCarrierReusedAfterDone(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		b := p.New(func(c *Coro) { c.Park() })
+		b := newCoro(p, func(c *Coro) { c.Park() })
 		b.Resume()
 		if b.car != car {
 			t.Fatalf("coroutine %d got a new carrier instead of the idle one", i)
@@ -203,44 +204,163 @@ func TestCarrierReusedAfterDone(t *testing.T) {
 	}
 }
 
-// TestIdleCarriersBounded: once maxIdle carriers are idle, a carrier whose
-// coroutine finishes exits instead of joining them, and Close ends the rest.
-func TestIdleCarriersBounded(t *testing.T) {
+// TestCarriersBuiltAtPeak: a pool keeps every finished carrier, so it
+// builds as many carriers as the most coroutines started and unfinished at
+// once. More than 48 bodies park, then finish in waves from either end while
+// new bodies start and park, and no carrier is built after the peak; Close
+// ends them all.
+func TestCarriersBuiltAtPeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	const maxIdle, live = 3, 20
-	p := NewPool(maxIdle)
-	cs := make([]*Coro, live)
-	for i := range cs {
-		cs[i] = p.New(func(c *Coro) { c.Park() })
-		cs[i].Resume()
+	const peak = 100
+	p := NewPool()
+	built := map[*carrier]bool{}
+	var parked []*Coro
+	start := func() {
+		c := newCoro(p, func(c *Coro) { c.Park() })
+		if c.Resume() != Suspended {
+			t.Fatal("coroutine did not park")
+		}
+		built[c.car] = true
+		parked = append(parked, c)
 	}
-	if len(p.busy) != live {
-		t.Fatalf("%d busy carriers, want %d", len(p.busy), live)
-	}
-	for _, c := range cs {
+	finish := func(c *Coro) {
 		if c.Resume() != Done {
 			t.Fatal("coroutine did not finish")
 		}
-		if len(p.idle) > maxIdle {
-			t.Fatalf("%d idle carriers, bound is %d", len(p.idle), maxIdle)
+	}
+	for i := 0; i < peak; i++ {
+		start()
+	}
+	for wave := 0; wave < 6; wave++ {
+		n := 20 + 10*wave
+		for i := 0; i < n; i++ {
+			if wave%2 == 0 {
+				finish(parked[len(parked)-1])
+				parked = parked[:len(parked)-1]
+			} else {
+				finish(parked[0])
+				parked = parked[1:]
+			}
+		}
+		for i := 0; i < n; i++ {
+			start()
+		}
+		if len(built) != peak || len(p.busy)+len(p.idle) != peak {
+			t.Fatalf("wave %d: %d carriers built, %d busy + %d idle; want %d", wave, len(built), len(p.busy), len(p.idle), peak)
 		}
 	}
-	if len(p.idle) != maxIdle || len(p.busy) != 0 {
-		t.Fatalf("%d idle / %d busy carriers, want %d / 0", len(p.idle), len(p.busy), maxIdle)
+	for _, c := range parked {
+		finish(c)
 	}
-	waitForGoroutines(t, before+maxIdle)
+	if len(p.idle) != peak || len(p.busy) != 0 {
+		t.Fatalf("%d idle / %d busy carriers, want %d / 0", len(p.idle), len(p.busy), peak)
+	}
+	waitForGoroutines(t, before+peak)
 	p.Close()
 	waitForGoroutines(t, before)
+}
+
+// TestCarriersMatchPeakLive: over a random interleaving of coroutines that
+// start, park, resume and finish, nested resumes included, the carriers
+// built equal the peak number of coroutines alive at once.
+func TestCarriersMatchPeakLive(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		p := NewPool()
+		built := map[*carrier]bool{}
+		var parked []*Coro
+		live, peak := 0, 0
+		for step := 0; step < 2000; step++ {
+			if len(parked) == 0 || rng.IntN(2) == 0 {
+				// A body that parks a random number of times, sometimes
+				// starting and finishing a nested coroutine first.
+				parks, nest := rng.IntN(3), rng.IntN(4) == 0
+				c := newCoro(p, func(c *Coro) {
+					if nest {
+						inner := newCoro(p, func(*Coro) {})
+						inner.Resume()
+					}
+					for i := 0; i < parks; i++ {
+						c.Park()
+					}
+				})
+				live++
+				if nest {
+					peak = max(peak, live+1)
+				}
+				peak = max(peak, live)
+				if c.Resume() == Done {
+					live--
+				} else {
+					built[c.car] = true
+					parked = append(parked, c)
+				}
+				continue
+			}
+			i := rng.IntN(len(parked))
+			c := parked[i]
+			built[c.car] = true
+			if c.Resume() == Done {
+				live--
+				parked[i] = parked[len(parked)-1]
+				parked = parked[:len(parked)-1]
+			}
+		}
+		if got := len(p.busy) + len(p.idle); got != peak {
+			t.Fatalf("seed %d: %d carriers built, peak %d coroutines alive", seed, got, peak)
+		}
+		p.Close()
+	}
+}
+
+// TestInitReusesStorage: a coroutine Init on storage the caller owns, with
+// a plain function and a pointer argument, allocates nothing once the pool
+// has a carrier, and a finished coroutine can be Init again.
+func TestInitReusesStorage(t *testing.T) {
+	p := NewPool()
+	defer p.Close()
+	type body struct {
+		coro  Coro
+		steps int
+	}
+	run := func(arg any) {
+		b := arg.(*body)
+		b.steps++
+		b.coro.Park()
+		b.steps++
+	}
+	b := &body{}
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Init(&b.coro, run, b)
+		if b.coro.Resume() != Suspended || b.coro.Resume() != Done {
+			t.Fatal("coroutine did not park once and finish")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Init + two Resumes allocate %.1f times, want 0", allocs)
+	}
+	if b.steps != 2*101 {
+		t.Fatalf("body ran %d steps over 101 lives, want %d", b.steps, 2*101)
+	}
+	p.Init(&b.coro, run, b)
+	b.coro.Resume()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Init on a parked coroutine did not panic")
+		}
+		b.coro.Kill()
+	}()
+	p.Init(&b.coro, run, b)
 }
 
 // TestCloseKillsParked: Close unwinds coroutines still parked, as a run
 // that stopped on a panic leaves them.
 func TestCloseKillsParked(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := NewPool(2)
+	p := NewPool()
 	unwound := 0
 	for i := 0; i < 10; i++ {
-		c := p.New(func(c *Coro) {
+		c := newCoro(p, func(c *Coro) {
 			defer func() { unwound++ }()
 			c.Park()
 		})
@@ -256,15 +376,15 @@ func TestCloseKillsParked(t *testing.T) {
 func TestNestedCoros(t *testing.T) {
 	// An outer coroutine resuming an inner one, as the engine does when a
 	// worker switches between tasks.
-	p := NewPool(2)
+	p := NewPool()
 	defer p.Close()
 	var order []string
-	inner := p.New(func(c *Coro) {
+	inner := newCoro(p, func(c *Coro) {
 		order = append(order, "inner-a")
 		c.Park()
 		order = append(order, "inner-b")
 	})
-	outer := p.New(func(c *Coro) {
+	outer := newCoro(p, func(c *Coro) {
 		order = append(order, "outer-a")
 		inner.Resume()
 		order = append(order, "outer-b")
@@ -296,9 +416,9 @@ func TestMinMaxTime(t *testing.T) {
 
 // BenchmarkSwitch measures one park/resume round trip.
 func BenchmarkSwitch(b *testing.B) {
-	p := NewPool(1)
+	p := NewPool()
 	defer p.Close()
-	c := p.New(func(c *Coro) {
+	c := newCoro(p, func(c *Coro) {
 		for {
 			c.Park()
 		}
@@ -311,16 +431,26 @@ func BenchmarkSwitch(b *testing.B) {
 }
 
 // BenchmarkCoroLifetime measures a coroutine that starts, parks once and
-// finishes — a task body's life — on a pool carrier.
+// finishes — a task body's life — on a pool carrier, its storage reused.
 func BenchmarkCoroLifetime(b *testing.B) {
-	p := NewPool(1)
+	p := NewPool()
 	defer p.Close()
+	var c Coro
+	run := func(arg any) { arg.(*Coro).Park() }
 	b.ReportAllocs()
 	for b.Loop() {
-		c := p.New(func(c *Coro) { c.Park() })
+		p.Init(&c, run, &c)
 		c.Resume()
 		c.Resume()
 	}
+}
+
+// newCoro starts a coroutine around a closure, handing fn the coroutine
+// itself, as most tests want.
+func newCoro(p *Pool, fn func(c *Coro)) *Coro {
+	c := new(Coro)
+	p.Init(c, func(arg any) { fn(arg.(*Coro)) }, c)
+	return c
 }
 
 func waitForGoroutines(t *testing.T, target int) {
