@@ -329,8 +329,8 @@ func (s *server) handleUpload(sp *obs.Span, w http.ResponseWriter, r *http.Reque
 }
 
 // loadDecoded decodes the stored artifact for key through the decode
-// memo. Columnar v2 artifacts arrive with a ready-made graph (and, when
-// sidecars are fresh, the lod index and query table too). Load failures
+// memo. Columnar v2 artifacts with fresh sidecars arrive with the lod
+// index and query table too. Load failures
 // are forgotten rather than cached: "not found" is store state, not
 // content, and must clear once the artifact is uploaded.
 func (s *server) loadDecoded(key runpool.Key, sp *obs.Span) (*ggp.Decoded, error) {

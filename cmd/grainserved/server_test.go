@@ -563,7 +563,7 @@ func TestUpgradeInPlaceAndEvict(t *testing.T) {
 		t.Fatalf("evict left %d warm cache entries", n)
 	}
 
-	// Cold request over the upgraded artifact: decode adopts the graph and
+	// Cold request over the upgraded artifact: decode hands over the
 	// sidecars, and the rendered bytes stay identical.
 	misses := s.decodes.Counters().Misses
 	w2 := do(t, s, "GET", "/artifacts/"+f.id+"/summary", "", nil)
@@ -594,5 +594,48 @@ func TestUpgradeInPlaceAndEvict(t *testing.T) {
 	plain := newTestServer(t, 0)
 	if w := do(t, plain, "POST", "/debug/evict", "", nil); w.Code == http.StatusOK {
 		t.Fatalf("evict reachable without Debug (status %d)", w.Code)
+	}
+}
+
+// TestCyclicLegacyUpload: an older v2 artifact whose stored graph closes a
+// cycle under valid checksums (internal/ggp/testdata/seed.v2-cyclic.ggp)
+// is accepted at upload, its summary is the bytes grainview renders from
+// the same file (the view table's row), and the server keeps serving: an
+// artifact uploaded after it serves its reference bytes.
+func TestCyclicLegacyUpload(t *testing.T) {
+	raw, err := os.ReadFile("../../internal/ggp/testdata/seed.v2-cyclic.ggp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := runpool.New(4)
+	dec, err := ggp.Decode(raw, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := &expt.Subject{Res: expt.AnalyzeDecodedOn(pool, dec, nil, expt.Config{}, nil)}
+	v := expt.LookupView("summary")
+	p, err := v.Parse(url.Values{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := v.Render(sub, p, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, 0)
+	id := upload(t, s, raw)["id"].(string)
+	w := do(t, s, "GET", "/artifacts/"+id+"/summary", "", nil)
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatalf("summary: status %d, body differs from grainview's: %v\n%s", w.Code, !bytes.Equal(w.Body.Bytes(), want), w.Body.String())
+	}
+
+	f, err := fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload(t, s, f.raw)
+	if w := do(t, s, "GET", "/artifacts/"+f.id+"/summary", "", nil); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), f.summary) {
+		t.Errorf("after the cyclic upload, the fixture's summary: status %d, reference bytes %v", w.Code, bytes.Equal(w.Body.Bytes(), f.summary))
 	}
 }

@@ -60,7 +60,7 @@ func TestViewsServeTheTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := expt.AnalyzeDecodedOn(pool, dec, nil, expt.Config{}, nil)
-	v2, err := ggp.EncodeV2(res.Trace, res.Graph, nil)
+	v2, err := ggp.EncodeV2(res.Trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ var artifacts = sync.OnceValues(func() ([]string, error) {
 	if err := ggp.WriteFile(v1, res.Trace); err != nil {
 		return nil, err
 	}
-	return []string{v1, v2}, ggp.WriteFileV2(v2, res.Trace, res.Graph, nil)
+	return []string{v1, v2}, ggp.WriteFileV2(v2, res.Trace, nil, nil)
 })
 
 func TestMain(m *testing.M) {

@@ -147,6 +147,18 @@ func SameRows(cols ...Col) Col {
 	}
 }
 
+// Encoded is a write-only leaf column whose encoding b was produced
+// elsewhere, byte for byte as the column a reader declares in its place:
+// a writer that encodes several columns in one pass over its records then
+// holds their bytes rather than their values. Decoding it fails.
+func Encoded(b []byte) Col {
+	return Col{
+		size: func() (int, error) { return len(b), nil },
+		enc:  func(dst []byte) []byte { return append(dst, b...) },
+		dec:  func(d *reader) (int, error) { return 0, d.corrupt("write-only column") },
+	}
+}
+
 // Uvarint is a single unsigned varint, not a vector.
 func Uvarint[T Integer](p *T) Col {
 	return Col{

@@ -206,6 +206,20 @@ func TestSizeContract(t *testing.T) {
 	}
 }
 
+// TestEncodedColumn: a write-only column over another column's encoding
+// sizes and appends exactly those bytes, inside a row group too, and
+// refuses to decode.
+func TestEncodedColumn(t *testing.T) {
+	uv, u64 := []uint64{0, 127, 128, math.MaxUint64}, []uint64{1, 2, 3, 4}
+	want := colenc.Encode(colenc.U64(&u64), colenc.Uvar(&uv))
+	got := colenc.SameRows(colenc.U64(&u64), colenc.Encoded(colenc.Encode(colenc.Uvar(&uv))))
+	colenctest.Sized(t, want, got)
+	var back []uint64
+	if err := colenc.Decode(want, colenc.U64(&back), colenc.Encoded(nil)); !errors.Is(err, colenc.ErrCorrupt) {
+		t.Errorf("decoding a write-only column: %v, want ErrCorrupt", err)
+	}
+}
+
 // TestOversizedStringColumn: a string column past the 4 GiB blob limit (257
 // labels sharing one 16 MiB string) is an error from Size, for callers with
 // an error path, and a panic from Encode, which has none.

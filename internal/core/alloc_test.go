@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	. "graingraph/internal/core"
@@ -61,5 +62,29 @@ func TestGeometryAfterLayout(t *testing.T) {
 	Layout(g)
 	if _, _, w, h := g.Geometry(id); w <= 0 || h <= 0 {
 		t.Fatalf("added node's size = %gx%g after Layout", w, h)
+	}
+}
+
+// TestBuildBytesPerNode pins the graph's size. Build allocates its node,
+// edge and label columns and the entry/exit tables, reserved once: 97 B
+// per node on this tree, bounded at 100. The node columns once also
+// carried a copy of every fragment's and chunk's hardware counters, 56 B
+// per node that nothing read (153 B in all): the trace holds them. A
+// column that copies what the trace holds breaks the bound.
+func TestBuildBytesPerNode(t *testing.T) {
+	tr := benchTrace(10)
+	tr.Numbering() // indexed once per trace, not per Build
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nodes := 0
+	for range runs {
+		nodes += Build(tr).NumNodes()
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(nodes)
+	t.Logf("Build allocates %.1f B per node (%d nodes)", perNode, nodes/runs)
+	if perNode > 100 {
+		t.Errorf("Build allocates %.1f B per node; the bound is 100", perNode)
 	}
 }

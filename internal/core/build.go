@@ -65,7 +65,6 @@ func Build(tr *profile.Trace) *Graph {
 				End:      f.End,
 				Weight:   f.Duration(),
 				Core:     f.Core,
-				Counters: f.Counters,
 			})
 			if fi == 0 {
 				g.FirstNode[ti] = n
@@ -273,7 +272,6 @@ func (g *Graph) expandLoop(id profile.LoopID, master int32, fi int,
 				End:      ck.End,
 				Weight:   ck.Duration(),
 				Core:     thread,
-				Counters: ck.Counters,
 			})
 			g.FirstNode[cid] = cn
 			g.LastNode[cid] = cn

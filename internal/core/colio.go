@@ -3,34 +3,28 @@ package core
 import (
 	"fmt"
 
-	"graingraph/internal/cache"
 	"graingraph/internal/profile"
 )
 
-// This file is the serialization boundary of the columnar store: the .ggp
-// v2 codec in internal/ggp exports a built graph's attribute columns for
-// writing, and adopts decoded columns back into a Graph without replaying
-// core.Build. Only construction-time state crosses the boundary — critical
-// flags, layout geometry, adjacency and level indexes are derived and are
-// rebuilt on the reader side, which is what makes a post-analysis graph
-// encode byte-identically to a freshly built one. Adoption builds the
-// level index, and the adjacency it reads, because it doubles as the
-// acyclicity check; the rest waits for first use.
+// This file exports a built graph's construction-time columns and adopts
+// them back into a Graph without replaying core.Build. No artifact stores
+// a graph any more (a .ggp v2 file holds the trace, and every reader
+// builds the graph from it); the pair stays only for the benchmark's
+// core.adopt_s layer probe, and goes with it.
 
-// GraphColumns is the read-only column view of a built graph that the v2
-// writer serializes. All slices alias the store: read, don't mutate.
+// GraphColumns is the read-only column view of a built graph's
+// construction-time state. All slices alias the store: read, don't mutate.
 type GraphColumns struct {
-	Kind     []uint8
-	Grain    []int32 // grain numbers: the .ggp v2 dictionary references
-	Loop     []int32
-	Seq      []int32
-	Label    []string
-	Start    []profile.Time
-	End      []profile.Time
-	Weight   []profile.Time
-	Core     []int32
-	Counters []cache.Counters
-	Members  []int32
+	Kind    []uint8
+	Grain   []int32 // grain numbers
+	Loop    []int32
+	Seq     []int32
+	Label   []string
+	Start   []profile.Time
+	End     []profile.Time
+	Weight  []profile.Time
+	Core    []int32
+	Members []int32
 
 	EdgeFrom []int32
 	EdgeTo   []int32
@@ -50,7 +44,6 @@ func (g *Graph) ExportColumns() GraphColumns {
 		End:      s.end,
 		Weight:   s.weight,
 		Core:     s.core,
-		Counters: s.counters,
 		Members:  s.members,
 		EdgeFrom: s.edgeFrom,
 		EdgeTo:   s.edgeTo,
@@ -58,7 +51,7 @@ func (g *Graph) ExportColumns() GraphColumns {
 	}
 }
 
-// AdoptGraph assembles a Graph directly from decoded columns, taking
+// AdoptGraph assembles a Graph directly from exported columns, taking
 // ownership of every slice. It performs the structural validation a decoder
 // needs — column lengths agree, enum values are in range, edge endpoints
 // are in bounds, grain numbers name grains of tr, entry/exit nodes exist
@@ -69,16 +62,15 @@ func (g *Graph) ExportColumns() GraphColumns {
 func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last []NodeID) (*Graph, error) {
 	n := len(c.Kind)
 	for name, l := range map[string]int{
-		"grain":    len(c.Grain),
-		"loop":     len(c.Loop),
-		"seq":      len(c.Seq),
-		"label":    len(c.Label),
-		"start":    len(c.Start),
-		"end":      len(c.End),
-		"weight":   len(c.Weight),
-		"core":     len(c.Core),
-		"counters": len(c.Counters),
-		"members":  len(c.Members),
+		"grain":   len(c.Grain),
+		"loop":    len(c.Loop),
+		"seq":     len(c.Seq),
+		"label":   len(c.Label),
+		"start":   len(c.Start),
+		"end":     len(c.End),
+		"weight":  len(c.Weight),
+		"core":    len(c.Core),
+		"members": len(c.Members),
 	} {
 		if l != n {
 			return nil, fmt.Errorf("core: adopt: %s column has %d rows, want %d", name, l, n)
@@ -133,7 +125,6 @@ func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last []NodeID) (*Graph
 	s.end = c.End
 	s.weight = c.Weight
 	s.core = c.Core
-	s.counters = c.Counters
 	s.members = c.Members
 	s.critical = make([]bool, n)
 	s.edgeFrom = c.EdgeFrom

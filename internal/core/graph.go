@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 
-	"graingraph/internal/cache"
 	"graingraph/internal/profile"
 )
 
@@ -89,9 +88,8 @@ type Node struct {
 	// Weight is the node's time contribution: execution time for fragments
 	// and chunks, creation cost for forks, synchronization overhead for
 	// joins, delivery cost for book-keeping nodes.
-	Weight   profile.Time
-	Core     int
-	Counters cache.Counters
+	Weight profile.Time
+	Core   int
 
 	// Members counts how many original nodes a grouped (reduced) node
 	// represents; 1 for unreduced nodes.

@@ -9,7 +9,7 @@ import (
 
 // Reductions group nodes to speed up rendering (paper §3.1, Figure 3d-e,h).
 // Grouped nodes retain the aggregate weights of their members (Weight,
-// Counters, Members); Start/End span the members' extent.
+// Members); Start/End span the members' extent.
 //
 // The canonical pipeline is ReduceAll = fragments → forks → book-keeping,
 // matching the paper's presentation order.
@@ -119,7 +119,6 @@ func (g *Graph) reduceBy(groupKey func(*Graph, NodeID) (string, bool),
 				// aggregate columns and widen the time span.
 				s := &ng.GraphStore
 				s.weight[rep] += g.weight[n]
-				s.counters[rep].Add(g.counters[n])
 				s.members[rep] += g.members[n]
 				nStart, nEnd := g.start[n], g.end[n]
 				if nStart < s.start[rep] || s.start[rep] == 0 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"graingraph/internal/cache"
-	"graingraph/internal/profile"
-)
+import "graingraph/internal/profile"
 
 // GraphStore is the columnar (struct-of-arrays) node and edge storage
 // behind Graph. Every node attribute lives in its own parallel slice
@@ -31,7 +28,6 @@ type GraphStore struct {
 	end      []profile.Time
 	weight   []profile.Time
 	core     []int32
-	counters []cache.Counters
 	members  []int32
 	critical []bool
 	// Layout geometry columns, read by the exporters. Layout, their only
@@ -125,7 +121,6 @@ func (s *GraphStore) nodeAt(n NodeID) Node {
 		End:      s.end[n],
 		Weight:   s.weight[n],
 		Core:     s.Core(n),
-		Counters: s.counters[n],
 		Members:  s.Members(n),
 		Critical: s.critical[n],
 		X:        x,
@@ -184,7 +179,6 @@ func (s *GraphStore) Reserve(nodes, edges int) {
 		s.end = append(make([]profile.Time, 0, nodes), s.end...)
 		s.weight = append(make([]profile.Time, 0, nodes), s.weight...)
 		s.core = append(make([]int32, 0, nodes), s.core...)
-		s.counters = append(make([]cache.Counters, 0, nodes), s.counters...)
 		s.members = append(make([]int32, 0, nodes), s.members...)
 		s.critical = append(make([]bool, 0, nodes), s.critical...)
 	}
@@ -213,7 +207,6 @@ func (s *GraphStore) appendNode(n Node) NodeID {
 	s.end = append(s.end, n.End)
 	s.weight = append(s.weight, n.Weight)
 	s.core = append(s.core, int32(n.Core))
-	s.counters = append(s.counters, n.Counters)
 	s.members = append(s.members, int32(n.Members))
 	s.critical = append(s.critical, n.Critical)
 	s.invalidateCSR()

@@ -71,7 +71,7 @@ func BenchmarkAnalyzeLoopHeavy(b *testing.B) {
 				b.StopTimer()
 				fresh := stringRefsOnly(tr)
 				b.StartTimer()
-				analyze(nil, fresh, nil, nil, Config{}, nil)
+				analyze(nil, fresh, nil, Config{}, nil)
 			}
 			b.ReportMetric(float64(len(tr.Chunks)), "chunks")
 		})

@@ -64,7 +64,7 @@ func TestConcurrentAnalysisDeterministic(t *testing.T) {
 
 	// Serial reference: one worker, no concurrency anywhere.
 	serialPool := runpool.New(1)
-	serialRes := analyze(serialPool, tr, nil, nil, Config{}, nil)
+	serialRes := analyze(serialPool, tr, nil, Config{}, nil)
 	want, err := renderAll(serialRes, serialPool)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestConcurrentAnalysisDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res := analyze(shared, tr, nil, nil, Config{}, nil)
+			res := analyze(shared, tr, nil, Config{}, nil)
 			outs[i], errs[i] = renderAll(res, shared)
 		}(i)
 	}

@@ -240,7 +240,7 @@ func (q runReq) do(parent *obs.Span) (*Result, error) {
 	if err != nil {
 		return nil, wrapErr(q.wrap, fmt.Errorf("parallel run: %w", err))
 	}
-	res := analyze(nil, tr, nil, baseline, q.cfg, parent)
+	res := analyze(nil, tr, baseline, q.cfg, parent)
 	runs[len(runs)-1].graph = res.Graph
 	res.Runs = runs
 	return res, nil

@@ -42,16 +42,14 @@ func AnalyzeStats() time.Duration { return time.Duration(analyzeNS.Load()) }
 
 // analyze derives the full metric set of a recorded run: graph build,
 // metric derivation and highlighting, with the per-grain kernels running
-// on pool (nil selects the shared experiment pool, the CLI default). g,
-// when non-nil, is an already-materialized graph of tr (the columnar v2
-// decode hands one over); nil builds it from the trace, and either way the
-// analysis is byte-identical. baseline may be nil, in which case work
-// deviation is unavailable. cfg.Cores <= 0 takes the core count from the
-// trace. It feeds the analyze-phase timer and, when self-observability is
-// enabled, reports one phase-span tree per analysis — rooted under parent
-// when the caller threaded one through, or as its own root (the batch
-// case, where analyses run on pool workers).
-func analyze(pool *runpool.Runner, tr *profile.Trace, g *core.Graph, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
+// on pool (nil selects the shared experiment pool, the CLI default).
+// baseline may be nil, in which case work deviation is unavailable.
+// cfg.Cores <= 0 takes the core count from the trace. It feeds the
+// analyze-phase timer and, when self-observability is enabled, reports one
+// phase-span tree per analysis — rooted under parent when the caller
+// threaded one through, or as its own root (the batch case, where analyses
+// run on pool workers).
+func analyze(pool *runpool.Runner, tr *profile.Trace, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
 	start := time.Now()
 	defer func() { analyzeNS.Add(int64(time.Since(start))) }()
 	if pool == nil {
@@ -71,11 +69,9 @@ func analyze(pool *runpool.Runner, tr *profile.Trace, g *core.Graph, baseline *p
 	tr.Numbering()
 	isp.End()
 
-	if g == nil {
-		bsp := sp.Child("build")
-		g = core.Build(tr)
-		bsp.End()
-	}
+	bsp := sp.Child("build")
+	g := core.Build(tr)
+	bsp.End()
 	rep := metrics.Analyze(tr, g, baseline, metrics.Options{Pool: pool, Span: sp})
 	th := highlight.Defaults(cores, 12)
 	if cfg.WorkDeviationMax > 0 {

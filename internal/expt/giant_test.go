@@ -49,7 +49,7 @@ func TestGiantSmoke(t *testing.T) {
 	}
 	setJobs(t, 8)
 
-	res := analyze(nil, tr, nil, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, Config{}, nil)
 	grains := res.Graph.NumGrainNodes()
 	if grains < 5_000 || grains > 100_000 {
 		t.Errorf("smoke giant produced %d grain nodes, want 5k..100k", grains)
@@ -70,7 +70,7 @@ func artifactAnalysis(t *testing.T, path string, jobs int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analyze(nil, tr, nil, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	projections, err := eng.Rank(res.Assessment, Pool(), whatif.RankOptions{TopN: 10})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestArtifactAnalysisDeterministicAcrossParallelism(t *testing.T) {
 // build, metric kernels, critical path, highlighting, what-if ranking, DOT
 // and JSON export — over the giant trace at the current parallelism.
 func analyzeGiantOnce(b *testing.B, tr *profile.Trace) {
-	res := analyze(nil, tr, nil, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	projections, err := eng.Rank(res.Assessment, Pool(), whatif.RankOptions{TopN: 10})
 	if err != nil {
@@ -153,7 +153,7 @@ func BenchmarkRankGiant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := analyze(nil, tr, nil, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -172,7 +172,7 @@ func BenchmarkEvalSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := analyze(nil, tr, nil, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	var deep profile.GrainID
 	depth := -1
@@ -201,7 +201,7 @@ func BenchmarkWindowGiant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := analyze(nil, tr, nil, nil, Config{}, nil)
+	res := analyze(nil, tr, nil, Config{}, nil)
 	ix := lod.Build(res.Graph, res.Assessment)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

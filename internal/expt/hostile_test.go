@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
 	"testing"
 
-	"graingraph/internal/core"
 	"graingraph/internal/ggp"
 	"graingraph/internal/profile"
 	"graingraph/internal/rts"
@@ -66,7 +66,7 @@ func TestHostileReferencesAnalyse(t *testing.T) {
 	if err := ggp.WriteTrace(&v1, tr); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ggp.EncodeV2(tr, core.Build(tr), nil)
+	v2, err := ggp.EncodeV2(tr, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,51 @@ func TestHostileReferencesAnalyse(t *testing.T) {
 		var want []byte
 		for _, jobs := range []int{1, 8} {
 			pool := runpool.New(jobs)
-			out := analysisOutputs(t, analyze(pool, tr, nil, nil, Config{}, nil), pool)
+			out := analysisOutputs(t, analyze(pool, tr, nil, Config{}, nil), pool)
 			if want == nil {
 				want = out
 			} else if !bytes.Equal(out, want) {
 				t.Errorf("%s: -j 8 analysis differs from -j 1", name)
+			}
+		}
+	}
+}
+
+// cyclicLegacyArtifact is a v2 artifact an older writer left with the
+// grain graph stored beside the trace, whose graph sections close a cycle
+// under valid checksums (see ggp's TestLegacyCyclicGraphDecodes).
+const cyclicLegacyArtifact = "../ggp/testdata/seed.v2-cyclic.ggp"
+
+// TestCyclicLegacyArtifactAnalyses: the analysis of an older artifact whose
+// stored graph closes a cycle reads the trace, not the stored graph. It
+// renders every analysis product at -j 1 and -j 8, byte-identically to the
+// same trace written in the current format.
+func TestCyclicLegacyArtifactAnalyses(t *testing.T) {
+	legacy, err := os.ReadFile(cyclicLegacyArtifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ggp.DecodeTrace(legacy, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := ggp.EncodeV2(tr, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, jobs := range []int{1, 8} {
+		pool := runpool.New(jobs)
+		for name, data := range map[string][]byte{"legacy": legacy, "current": current} {
+			dec, err := ggp.Decode(data, pool, nil)
+			if err != nil {
+				t.Fatalf("-j %d %s: %v", jobs, name, err)
+			}
+			out := analysisOutputs(t, AnalyzeDecodedOn(pool, dec, nil, Config{}, nil), pool)
+			if want == nil {
+				want = out
+			} else if !bytes.Equal(out, want) {
+				t.Errorf("-j %d %s: analysis differs from the first rendering", jobs, name)
 			}
 		}
 	}

@@ -257,10 +257,10 @@ func stringRefsOnly(tr *profile.Trace) *profile.Trace {
 
 // Property: a trace's grain numbering is the record order and nothing
 // else. The live trace, a by-hand copy of it, its v1 round trip and its v2
-// round trip (whose id table is the adopted on-disk dictionary) agree on
-// every grain's number and on every resolved parent, child and joined
-// number; Lookup inverts ID; and every per-grain table downstream has one
-// entry per grain number (or its documented slot count).
+// round trip agree on every grain's number and on every resolved parent,
+// child and joined number; Lookup inverts ID; and every per-grain table
+// downstream has one entry per grain number (or its documented slot
+// count).
 func TestGrainNumberingOnRandomTrees(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		tr := rts.Run(rts.Config{Program: "rand", Cores: int(seed*7)%48 + 1, Seed: seed},
@@ -274,7 +274,7 @@ func TestGrainNumberingOnRandomTrees(t *testing.T) {
 		if err := ggp.WriteTrace(&v1, tr); err != nil {
 			t.Fatal(err)
 		}
-		v2, err := ggp.EncodeV2(tr, g, nil)
+		v2, err := ggp.EncodeV2(tr, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestGrainNumberingOnRandomTrees(t *testing.T) {
 
 		// Downstream tables: one entry per grain number.
 		n := tr.NumGrains()
-		for name, gg := range map[string]*core.Graph{"built": g, "adopted": dec2.TakeGraph()} {
+		for name, gg := range map[string]*core.Graph{"built": g, "built from the v2 round trip": core.Build(dec2.Trace)} {
 			if len(gg.FirstNode) != n || len(gg.LastNode) != n || gg.NumGrainNums() != n {
 				t.Errorf("seed %d: %s graph entry/exit tables cover %d/%d of %d grains (number space %d)",
 					seed, name, len(gg.FirstNode), len(gg.LastNode), n, gg.NumGrainNums())

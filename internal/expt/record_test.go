@@ -88,7 +88,7 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := analyze(nil, tr, nil, nil, Config{}, nil)
+	replayed := analyze(nil, tr, nil, Config{}, nil)
 
 	if got, want := replayed.Trace.Cores, live.Trace.Cores; got != want {
 		t.Fatalf("replayed trace has %d cores, live %d", got, want)

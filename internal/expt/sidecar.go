@@ -11,9 +11,9 @@ import (
 )
 
 // Columnar-artifact glue: the analysis entry points for ggp.Decoded
-// results (which may carry a ready-made graph and derived-artifact
-// sidecars), plus the writer side — turning a finished analysis back into
-// the sidecars a v2 artifact persists so the next decode skips the builds.
+// results (which may carry derived-artifact sidecars), plus the writer
+// side — turning a finished analysis back into the sidecars a v2 artifact
+// persists so the next decode skips the index builds.
 
 // AnalyzeDecodedOn derives the full metric set from a decoded artifact
 // without executing the simulator. The pipeline is a live run's analysis
@@ -21,12 +21,10 @@ import (
 // analyzes byte-identically to the live run it recorded. baseline may be
 // nil, in which case work deviation is unavailable, exactly as with
 // Config.Baseline off. cfg.Cores <= 0 takes the core count from the trace.
-// The phase spans are rooted under parent (nil: their own tree). When the
-// decode carried a materialized graph (columnar v2), the build phase is
-// skipped; sidecar payloads riding along are threaded into the result for
-// Lod/GrainTable. The graph is taken from the decode result at most once —
-// a second analysis of the same Decoded rebuilds from the trace, which
-// produces the same graph.
+// The phase spans are rooted under parent (nil: their own tree). The graph
+// is built from the trace whatever the artifact's version, and its level
+// index on first use; sidecar payloads riding along a v2 decode are
+// threaded into the result for Lod/GrainTable.
 //
 // The parallel kernels run on pool, not on the shared package-level one
 // set by SetParallelism, which makes this the re-entrant entry point for
@@ -37,7 +35,7 @@ import (
 // the shared pool, which is only safe when nothing mutates it
 // concurrently. The output is byte-identical at every pool width.
 func AnalyzeDecodedOn(pool *runpool.Runner, dec *ggp.Decoded, baseline *profile.Trace, cfg Config, parent *obs.Span) *Result {
-	res := analyze(pool, dec.Trace, dec.TakeGraph(), baseline, cfg, parent)
+	res := analyze(pool, dec.Trace, baseline, cfg, parent)
 	res.sidecarLod = dec.LodSidecar()
 	res.sidecarQuery = dec.QuerySidecar()
 	return res
@@ -45,7 +43,7 @@ func AnalyzeDecodedOn(pool *runpool.Runner, dec *ggp.Decoded, baseline *profile.
 
 // Sidecars derives the persistable sidecar set from a finished analysis:
 // the lod summary index and the per-grain query metric table. Writing these
-// alongside the graph sections lets the next decode of the artifact skip
+// alongside the trace sections lets the next decode of the artifact skip
 // the corresponding builds entirely.
 func Sidecars(res *Result, pool *runpool.Runner) []ggp.Sidecar {
 	return []ggp.Sidecar{
@@ -69,7 +67,7 @@ func WriteUpgraded(dst string, res *Result, pool *runpool.Runner, parent *obs.Sp
 	ssp.End()
 	wsp := sp.Child("upgrade:write")
 	defer wsp.End()
-	return ggp.WriteFileV2(dst, res.Trace, res.Graph, side)
+	return ggp.WriteFileV2(dst, res.Trace, nil, side)
 }
 
 // UpgradeArtifact reads the artifact at src (either format), analyzes it,

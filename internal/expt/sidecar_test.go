@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"graingraph/internal/core"
 	"graingraph/internal/export"
 	"graingraph/internal/ggp"
 	"graingraph/internal/lod"
@@ -79,7 +78,7 @@ func TestV2AnalysisByteIdentical(t *testing.T) {
 	if err := ggp.WriteFile(v1Path, live.Trace); err != nil {
 		t.Fatal(err)
 	}
-	if err := ggp.WriteFileV2(v2Path, live.Trace, core.Build(live.Trace), nil); err != nil {
+	if err := ggp.WriteFileV2(v2Path, live.Trace, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := UpgradeArtifact(v1Path, v2ScPath, nil); err != nil {
@@ -135,7 +134,7 @@ func TestRecordV2RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2Path := filepath.Join(v2Dir, ents[0].Name())
-	if err := ggp.WriteFileV2(v2Path, tr, core.Build(tr), nil); err != nil {
+	if err := ggp.WriteFileV2(v2Path, tr, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(v2Path)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net/url"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ var viewFixture = sync.OnceValues(func() ([2]*Subject, error) {
 		return subs, err
 	}
 	for i, pool := range viewPools {
-		subs[i] = &Subject{Res: analyze(pool, res.Trace, nil, nil, Config{}, nil)}
+		subs[i] = &Subject{Res: analyze(pool, res.Trace, nil, Config{}, nil)}
 	}
 	return subs, nil
 })
@@ -144,13 +145,105 @@ func resealV1(data []byte) []byte {
 	return data
 }
 
+// resealV2 recomputes a v2 artifact's checksums: every section's CRC-32C,
+// the content key over the CRCs of the non-sidecar sections, the key every
+// sidecar is stamped with, and the trailer's key, section count and CRC. A
+// mutated column then reaches the column decoders, the trace checks, the
+// sidecar decoders and the analysis instead of failing a checksum. Input
+// that is not a framed v2 artifact ending in a trailer is returned
+// unchanged.
+func resealV2(data []byte) []byte {
+	const trailer = 0xFE
+	sidecar := func(id byte) bool { return id >= 0x20 && id < 0x30 }
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	off := len(ggp.Magic) + 1
+	if len(data) < off || string(data[:len(ggp.Magic)]) != ggp.Magic || data[len(ggp.Magic)] != ggp.Version2 {
+		return data
+	}
+	type section struct {
+		id      byte
+		payload []byte
+	}
+	var secs []section
+	for {
+		if off >= len(data) {
+			return data
+		}
+		size, n := binary.Uvarint(data[off+1:])
+		body := off + 1 + n
+		if n <= 0 || size > uint64(len(data)) || body+int(size)+4 > len(data) {
+			return data
+		}
+		if data[off] == trailer {
+			break
+		}
+		secs = append(secs, section{data[off], data[body : body+int(size)]})
+		off = body + int(size) + 4
+	}
+	var crcs []byte
+	for _, s := range secs {
+		if !sidecar(s.id) {
+			crcs = binary.LittleEndian.AppendUint32(crcs, crc32.Checksum(s.payload, castagnoli))
+		}
+	}
+	key := crc32.Checksum(crcs, castagnoli)
+	out := bytes.Clone(data[:len(ggp.Magic)+1])
+	frame := func(id byte, payload []byte) {
+		out = binary.AppendUvarint(append(out, id), uint64(len(payload)))
+		out = binary.LittleEndian.AppendUint32(append(out, payload...), crc32.Checksum(payload, castagnoli))
+	}
+	for _, s := range secs {
+		if sidecar(s.id) && len(s.payload) >= 5 { // format version, then the key
+			s.payload = bytes.Clone(s.payload)
+			binary.LittleEndian.PutUint32(s.payload[1:], key)
+		}
+		frame(s.id, s.payload)
+	}
+	frame(trailer, binary.AppendUvarint(binary.LittleEndian.AppendUint32(nil, key), uint64(len(secs))))
+	return out
+}
+
+// TestResealV2 pins the fuzz helper: an artifact resealed after a column
+// byte changes decodes, where the unsealed one fails its checksum, and an
+// intact artifact reseals to itself.
+func TestResealV2(t *testing.T) {
+	subs, err := viewFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := subs[0].Res
+	v2, err := ggp.EncodeV2(res.Trace, nil, Sidecars(res, viewPools[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resealV2(v2), v2) {
+		t.Fatal("resealing an intact artifact changed it")
+	}
+	// The first section is meta; its first column is the program name.
+	bad := bytes.Clone(v2)
+	name := bytes.Index(bad, []byte(res.Trace.Program))
+	bad[name] ^= 0x20
+	if _, err := ggp.Decode(bad, nil, nil); !errors.Is(err, ggp.ErrCRC) {
+		t.Fatalf("mutated artifact: %v, want ErrCRC", err)
+	}
+	dec, err := ggp.Decode(resealV2(bad), nil, nil)
+	if err != nil {
+		t.Fatalf("resealed artifact: %v", err)
+	}
+	if dec.Trace.Program == res.Trace.Program || !dec.HasSidecars() {
+		t.Errorf("resealed artifact decodes program %q, sidecars fresh %v", dec.Trace.Program, dec.HasSidecars())
+	}
+}
+
 // FuzzAnalyzeAccepted: an artifact the reader accepts is one the analysis
 // stack can take. Whatever ggp.Decode accepts is analyzed and rendered as
 // the summary, highlight, what-if, window and query rows without
 // panicking, with identical bytes on a 1-worker and a 4-worker pool, and
-// every perfect-cutoff candidate evaluates to the oracle's projection. A
-// v1 input is resealed first (resealV1), so mutations of its records are
-// judged by the reader's checks rather than by its checksum.
+// every perfect-cutoff candidate evaluates to the oracle's projection.
+// Every input is resealed first (resealV1, resealV2), so mutations of v1
+// records, v2 trace columns and v2 lod and query sidecars are judged by the
+// reader's checks and the sidecar decoders rather than by a checksum. The
+// corpus includes an older v2 artifact whose stored graph closes a cycle.
 func FuzzAnalyzeAccepted(f *testing.F) {
 	subs, err := viewFixture()
 	if err != nil {
@@ -161,7 +254,15 @@ func FuzzAnalyzeAccepted(f *testing.F) {
 	if err := ggp.WriteTrace(&v1, res.Trace); err != nil {
 		f.Fatal(err)
 	}
-	v2, err := ggp.EncodeV2(res.Trace, res.Graph, nil)
+	v2, err := ggp.EncodeV2(res.Trace, nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2s, err := ggp.EncodeV2(res.Trace, nil, Sidecars(res, viewPools[0]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	cyclic, err := os.ReadFile(cyclicLegacyArtifact)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -170,8 +271,10 @@ func FuzzAnalyzeAccepted(f *testing.F) {
 		f.Add(b[:len(b)/2])
 		f.Add(b[:len(b)-1])
 	}
+	f.Add(v2s)
+	f.Add(cyclic)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		data = resealV1(data)
+		data = resealV2(resealV1(data))
 		var out [2][]byte
 		for i, pool := range viewPools {
 			dec, err := ggp.Decode(data, pool, nil)

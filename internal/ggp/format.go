@@ -22,27 +22,35 @@
 // # Columnar v2 ("GGPC")
 //
 // Version 2 replaces the per-record event stream with columnar sections:
-// the writer serializes the trace's attribute slices and the built grain
-// graph's GraphStore columns (plus a CSR edge section) as independently
+// the writer serializes the trace's attribute slices as independently
 // CRC'd column sections, so a reader decodes sections in parallel on the
-// runpool and materializes the graph at near-memcpy cost — no per-event
-// parse, no core.Build replay. Optional sidecar sections persist derived
+// runpool with no per-event parse. The grain graph is not stored: it is a
+// view of the trace, and every reader builds it with core.Build, which is
+// cheaper than decoding it was. Optional sidecar sections persist derived
 // indexes (lod summary, query metric table) written after first analysis;
-// each is content-keyed against the graph sections' checksums so a stale
-// sidecar is detected and silently rebuilt, never trusted. The topological
-// level index is not stored: it is rebuilt at decode, where it doubles as
-// the check that the edges close no cycle. See schema2.go
-// (the section layouts), writer2.go/reader2.go and DESIGN.md §14.
+// each is content-keyed against the content sections' checksums so a
+// stale sidecar is detected and silently rebuilt, never trusted. See
+// schema2.go (the section layouts), writer2.go/reader2.go and DESIGN.md
+// §14.
 //
 //	header   := magic "GGPF" | version byte 0x02
 //	section  := id byte | uvarint payload length | payload |
 //	            4-byte LE CRC-32C (Castagnoli) of the payload
+//	content  := meta 0x10 | workers 0x11 (optional) | tasks 0x12 |
+//	            fragments 0x13 | boundaries 0x14 | loops 0x15 |
+//	            chunks 0x16 | book-keeping 0x17
 //	sidecar  := section with id in [0x20,0x2F); payload opens with a
 //	            format-version byte and the 4-byte LE content key
 //	trailer  := section id 0xFE; payload is the 4-byte LE content key
 //	            (CRC-32C over the concatenated per-section CRCs of every
 //	            non-sidecar section, in file order) plus a uvarint
 //	            section count
+//
+// IDs 0x18–0x1A (graph nodes, node counters, edges) and 0x20 (the level
+// index) are reserved: older writers stored the graph and its levels
+// there. A reader verifies such a section's checksum and skips it. The
+// graph sections are content sections, so an older artifact's content key
+// still covers them and its sidecars stay fresh.
 //
 // # Versioning and forward compatibility
 //
@@ -77,8 +85,8 @@ const (
 	secTrailer  = 0xFF // CRC-32 of everything before it
 )
 
-// v2 section IDs. Trace columns and graph columns are content sections
-// (they feed the trailer's content key); IDs in [0x20,0x2F) are sidecars,
+// v2 section IDs. Trace columns are content sections (they feed the
+// trailer's content key); IDs in [0x20,0x2F) are sidecars,
 // derived data that may be absent or stale without the artifact being
 // corrupt. The v2 trailer ID differs from v1's so a mislabeled body cannot
 // terminate cleanly.
@@ -91,9 +99,9 @@ const (
 	secV2Loops        = 0x15 // loop columns + thread CSR
 	secV2Chunks       = 0x16 // chunk columns
 	secV2Bookkeeps    = 0x17 // book-keeping columns
-	secV2Nodes        = 0x18 // grain dictionary + graph node columns
-	secV2NodeCounters = 0x19 // node hardware-counter columns
-	secV2Edges        = 0x1A // edge columns + per-grain entry/exit nodes
+	secV2Nodes        = 0x18 // reserved: older artifacts' graph nodes, verified and skipped
+	secV2NodeCounters = 0x19 // reserved: older artifacts' node counters, verified and skipped
+	secV2Edges        = 0x1A // reserved: older artifacts' graph edges, verified and skipped
 	secV2Levels       = 0x20 // reserved: older artifacts' level-index sidecar, verified and skipped
 	secV2Lod          = 0x21 // sidecar: lod summary index columns
 	secV2Query        = 0x22 // sidecar: query metric table

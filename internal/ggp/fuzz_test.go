@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"graingraph/internal/cache"
-	"graingraph/internal/core"
 	"graingraph/internal/ggp"
 	"graingraph/internal/profile"
 	"graingraph/internal/timeline"
@@ -128,52 +127,18 @@ func workerTraces() (negative, past, giant, none *profile.Trace) {
 	return negative, past, giant, none
 }
 
-// encodeBoth writes tr as a v1 stream and as a v2 artifact with a built
-// graph.
+// encodeBoth writes tr as a v1 stream and as a v2 artifact.
 func encodeBoth(t testing.TB, tr *profile.Trace) (v1, v2 []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := ggp.WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ggp.EncodeV2(tr, core.Build(tr), nil)
+	v2, err := ggp.EncodeV2(tr, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), v2
-}
-
-// cyclicV2 is a v2 artifact of the seed trace whose graph, adopted from a
-// decoded artifact, gains one edge reversing an existing one, so the edges
-// close a cycle while every section checksum is valid.
-func cyclicV2(t testing.TB) []byte {
-	t.Helper()
-	tr := seedTrace()
-	_, v2 := encodeBoth(t, tr)
-	dec, err := ggp.Decode(v2, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := dec.TakeGraph()
-	g.AddEdge(g.EdgeTo(0), g.EdgeFrom(0), g.EdgeKindAt(0))
-	data, err := ggp.EncodeV2(dec.Trace, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestDecodeRejectsCyclicGraph: a v2 artifact whose edges close a cycle
-// fails decode with an error naming the cycle, rather than decoding and
-// then panicking the analysis that builds the level index.
-func TestDecodeRejectsCyclicGraph(t *testing.T) {
-	dec, err := ggp.Decode(cyclicV2(t), nil, nil)
-	if err == nil {
-		t.Fatalf("decoded a cyclic graph of %d nodes without error", dec.TakeGraph().NumNodes())
-	}
-	if !strings.Contains(err.Error(), "cycle of 2 nodes") {
-		t.Fatalf("error %q does not name the two-node cycle", err)
-	}
 }
 
 // TestHostileReferences pins what the reader does with each hostile seed,
@@ -236,13 +201,14 @@ func TestHostileReferences(t *testing.T) {
 
 // FuzzGGPReader throws arbitrary bytes at the artifact readers. The
 // invariant is purely defensive: ggp.DecodeTrace (the replay engine's
-// trace-only decode) and ggp.Decode (trace, graph and sidecars), over v1
-// and columnar v2, must return a result or an error, never panic or OOM, for
+// trace-only decode) and ggp.Decode (trace and sidecars), over v1 and
+// columnar v2, must return a result or an error, never panic or OOM, for
 // any input. The seed corpus covers the interesting corruption classes —
 // valid artifacts of both versions, truncations (including mid-column),
 // a flipped version byte, a v2 header on a v1 body, corrupted section and
-// sidecar checksums, oversized section lengths, and the older golden
-// artifact with its level-index sidecar.
+// sidecar checksums, oversized section lengths, and older artifacts: one
+// with stored graph and level-index sections, one whose stored graph
+// closes a cycle.
 func FuzzGGPReader(f *testing.F) {
 	tr := seedTrace()
 	var buf bytes.Buffer
@@ -271,8 +237,7 @@ func FuzzGGPReader(f *testing.F) {
 	// v2 seeds: a valid columnar artifact with sidecars, a mid-column
 	// truncation, a sidecar with a flipped payload byte (checksum
 	// mismatch), and a v2 version byte on a v1 event-stream body.
-	g := core.Build(tr)
-	v2, err := ggp.EncodeV2(tr, g, []ggp.Sidecar{
+	v2, err := ggp.EncodeV2(tr, nil, []ggp.Sidecar{
 		{Kind: ggp.SidecarLod, Data: []byte("fuzz-lod-sidecar")},
 		{Kind: ggp.SidecarQuery, Data: []byte("fuzz-query-sidecar")},
 	})
@@ -300,14 +265,16 @@ func FuzzGGPReader(f *testing.F) {
 		f.Add(v1)
 		f.Add(v2)
 	}
-	// An artifact as older writers left it, with a level-index sidecar.
-	old, err := os.ReadFile("testdata/seed.v2s.ggp")
-	if err != nil {
-		f.Fatal(err)
+	// Artifacts as older writers left them: with graph sections and a
+	// level-index sidecar, and with valid checksums over graph edges that
+	// close a cycle.
+	for _, name := range []string{"seed.v2s.ggp", "seed.v2-cyclic.ggp"} {
+		old, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
 	}
-	f.Add(old)
-	// Valid checksums over edges that close a cycle.
-	f.Add(cyclicV2(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ggp.DecodeTrace(data, nil, nil)
@@ -321,8 +288,8 @@ func FuzzGGPReader(f *testing.F) {
 				t.Fatalf("ggp.DecodeTrace accepted an invalid trace: %v", verr)
 			}
 		}
-		// The full decoder has the same contract, including the graph
-		// assembly and the parallel columnar path.
+		// The full decoder has the same contract, including the sidecars
+		// and the parallel columnar path.
 		dec, derr := ggp.Decode(data, nil, nil)
 		if derr == nil && (dec == nil || dec.Trace == nil) {
 			t.Fatal("ggp.Decode returned no result and no error")

@@ -3,7 +3,6 @@ package ggp_test
 import (
 	"bytes"
 	"os"
-	"reflect"
 	"testing"
 
 	"graingraph/internal/core"
@@ -38,26 +37,13 @@ func tableText(t *testing.T, tab *query.Table) string {
 	return buf.String()
 }
 
-// sameLevels asserts got's topological level index, built on first use,
-// equals want's level by level.
-func sameLevels(t *testing.T, got, want *core.Graph) {
-	t.Helper()
-	if gn, wn := got.NumLevels(), want.NumLevels(); gn != wn {
-		t.Fatalf("levels: %d, want %d", gn, wn)
-	}
-	for l := 0; l < want.NumLevels(); l++ {
-		if !reflect.DeepEqual(got.LevelNodes(l), want.LevelNodes(l)) {
-			t.Fatalf("level %d nodes differ", l)
-		}
-	}
-}
-
-// TestGoldenV2Artifact pins the bytes on disk. seed.v2s-nolevels.ggp is
+// TestGoldenV2Artifact pins the bytes on disk. seed.v2s-nograph.ggp is
 // what the encoder writes: round-trip tests cannot see a column order
 // swapped in writer and reader alike; every artifact a server has already
-// upgraded in place can. seed.v2s.ggp was written before the level index
-// stopped being stored, and carries it as a 0x20 sidecar: it must still
-// decode to the same trace, graph, levels and lod/query sidecars.
+// upgraded in place can. The two older goldens were written while the
+// writer still stored the grain graph (0x18–0x1A), and seed.v2s.ggp also
+// its level index (0x20): all three must decode to the same trace with
+// fresh lod and query sidecars (legacy_test.go checks the graph sections).
 func TestGoldenV2Artifact(t *testing.T) {
 	tr := seedTrace()
 	g := core.Build(tr)
@@ -67,15 +53,15 @@ func TestGoldenV2Artifact(t *testing.T) {
 		{Kind: ggp.SidecarLod, Data: ix.Encode()},
 		{Kind: ggp.SidecarQuery, Data: query.EncodeTable(tab)},
 	}
-	golden, err := os.ReadFile("testdata/seed.v2s-nolevels.ggp")
+	golden, err := os.ReadFile("testdata/seed.v2s-nograph.ggp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := encodeV2(t, tr, g, side); !bytes.Equal(got, golden) {
+	if got := encodeV2(t, tr, side); !bytes.Equal(got, golden) {
 		t.Fatalf("EncodeV2 wrote %d bytes that differ from the %d-byte golden artifact", len(got), len(golden))
 	}
 
-	for _, name := range []string{"seed.v2s-nolevels.ggp", "seed.v2s.ggp"} {
+	for _, name := range []string{"seed.v2s-nograph.ggp", "seed.v2s-nolevels.ggp", "seed.v2s.ggp"} {
 		data, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			t.Fatal(err)
@@ -88,11 +74,8 @@ func TestGoldenV2Artifact(t *testing.T) {
 				t.Fatalf("%s sidecars: stale=%v complete=%v", name, dec.SidecarStale, dec.HasSidecars())
 			}
 			sameTrace(t, dec.Trace, tr)
-			dg := dec.TakeGraph()
-			sameGraph(t, dg, g)
-			sameLevels(t, dg, g)
 
-			dix, err := lod.DecodeIndex(dg, dec.LodSidecar())
+			dix, err := lod.DecodeIndex(core.Build(dec.Trace), dec.LodSidecar())
 			if err != nil {
 				t.Fatalf("%s lod sidecar: %v", name, err)
 			}

@@ -1,24 +1,23 @@
 package ggp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"sync/atomic"
 
-	"graingraph/internal/cache"
 	"graingraph/internal/colenc"
-	"graingraph/internal/core"
 	"graingraph/internal/obs"
 	"graingraph/internal/profile"
 	"graingraph/internal/runpool"
 )
 
-// Decoded is the result of decoding an artifact of either format version.
-// For v2 artifacts it carries the materialized grain graph and any fresh
-// derived-index sidecars alongside the trace; for v1 artifacts only the
-// trace is populated and callers rebuild everything, exactly as before.
+// Decoded is the result of decoding an artifact of either format version:
+// the trace, and for v2 artifacts any fresh derived-index sidecars beside
+// it. No decode returns a grain graph; callers build it from the trace
+// with core.Build, whatever the version.
 type Decoded struct {
 	// Version is the artifact's format version (1 or 2).
 	Version int
@@ -29,34 +28,21 @@ type Decoded struct {
 	ContentKey uint32
 	// SidecarStale reports that at least one sidecar was present but
 	// discarded — its content key or format version did not match the
-	// graph sections, so the derived data was rebuilt rather than trusted.
+	// content sections, so the derived data was rebuilt rather than trusted.
 	SidecarStale bool
 
-	graph     atomic.Pointer[core.Graph]
 	lodData   []byte
 	queryData []byte
 }
 
-// TakeGraph hands out the decoded grain graph exactly once and nil after
-// that (and always nil for v1 artifacts). Analysis mutates derived graph
-// state (critical-path marks, layout geometry), so a decoded graph must
-// not be shared between independent analyses; a caller that misses the
-// hand-off rebuilds deterministically with core.Build.
-func (d *Decoded) TakeGraph() *core.Graph {
-	if d == nil {
-		return nil
-	}
-	return d.graph.Swap(nil)
-}
-
 // LodSidecar returns the encoded lod summary index persisted with the
-// artifact, or nil if absent or stale. The slice aliases the decoded
-// buffer: read, don't mutate.
+// artifact, or nil if absent or stale. The slice is a copy, so the
+// artifact's bytes need not outlive the decode.
 func (d *Decoded) LodSidecar() []byte { return d.lodData }
 
 // QuerySidecar returns the encoded query metric table persisted with the
-// artifact, or nil if absent or stale. The slice aliases the decoded
-// buffer: read, don't mutate.
+// artifact, or nil if absent or stale. The slice is a copy, like
+// LodSidecar's.
 func (d *Decoded) QuerySidecar() []byte { return d.queryData }
 
 // HasSidecars reports whether the artifact carried a complete, fresh set
@@ -70,7 +56,7 @@ func (d *Decoded) HasSidecars() bool {
 // through the event-stream reader; v2 streams decode their column
 // sections in parallel on pool (nil or single-worker pools decode
 // serially, byte-identically). Section decode is reported as child spans
-// of sp (decode:tasks, decode:nodes, decode:edges, decode:sidecar:*…) so
+// of sp (decode:tasks, decode:frags, decode:sidecar:*…) so
 // phase profiles attribute the cold path section by section. The returned
 // trace is checksum-verified and validated; corrupt input of either
 // version yields a structured error, never a panic.
@@ -84,10 +70,10 @@ func DecodeFile(path string, pool *runpool.Runner, sp *obs.Span) (*Decoded, erro
 }
 
 // DecodeTrace decodes only the trace from an artifact of either version,
-// skipping graph and sidecar materialization (their checksums are still
-// verified, so corruption anywhere in the artifact is detected). The
-// replay engine uses this: it re-analyzes traces under varied
-// configurations, so a prebuilt graph would go unused.
+// skipping sidecar materialization (their checksums are still verified, so
+// corruption anywhere in the artifact is detected). The replay engine uses
+// this: it re-analyzes traces under varied configurations, so indexes
+// derived from one analysis would go unused.
 func DecodeTrace(data []byte, pool *runpool.Runner, sp *obs.Span) (*profile.Trace, error) {
 	return traceOf(decode(data, pool, sp, false))
 }
@@ -98,7 +84,7 @@ func DecodeTraceFile(path string, pool *runpool.Runner, sp *obs.Span) (*profile.
 }
 
 // decode checks the header and dispatches on the format version; full
-// selects whether a v2 artifact materializes its graph and sidecars.
+// selects whether a v2 artifact materializes its sidecars.
 func decode(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Decoded, error) {
 	if len(data) < len(Magic)+1 {
 		return nil, fmt.Errorf("%w: %d-byte stream has no header", ErrTruncated, len(data))
@@ -163,9 +149,8 @@ type v2Section struct {
 	crc     uint32
 }
 
-// v2Artifact holds the decoded columns of every section of one artifact.
-// The nodes and edges sections share the graph columns: what is on disk
-// is what core.AdoptGraph takes.
+// v2Artifact holds the decoded columns of every content section of one
+// artifact.
 type v2Artifact struct {
 	meta      v2Meta
 	workers   v2Workers
@@ -175,25 +160,14 @@ type v2Artifact struct {
 	loops     v2Loops
 	chunks    v2Chunks
 	bookkeeps v2Bookkeeps
-	graph     core.GraphColumns
-	nodes     v2Nodes
-	nodeCtrs  v2Counters
-	edges     v2Edges
-}
-
-func newV2Artifact() *v2Artifact {
-	a := &v2Artifact{}
-	a.nodes.g, a.edges.g = &a.graph, &a.graph
-	return a
 }
 
 // v2ContentSection is one content section: its id, the span its decode is
 // reported under, and its columns.
 type v2ContentSection struct {
-	id    byte
-	span  string
-	cols  v2Cols
-	graph bool // a graph section: trace-only decodes verify it without decoding
+	id   byte
+	span string
+	cols v2Cols
 }
 
 // content lists the content sections. All are required except workers,
@@ -208,9 +182,6 @@ func (a *v2Artifact) content() []v2ContentSection {
 		{id: secV2Loops, span: "decode:loops", cols: &a.loops},
 		{id: secV2Chunks, span: "decode:chunks", cols: &a.chunks},
 		{id: secV2Bookkeeps, span: "decode:bookkeeps", cols: &a.bookkeeps},
-		{id: secV2Nodes, span: "decode:nodes", cols: &a.nodes, graph: true},
-		{id: secV2NodeCounters, span: "decode:nodes", cols: &a.nodeCtrs, graph: true},
-		{id: secV2Edges, span: "decode:edges", cols: &a.edges, graph: true},
 	}
 }
 
@@ -236,7 +207,7 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 	}
 
 	dec := &Decoded{Version: 2, ContentKey: key}
-	a := newV2Artifact()
+	a := &v2Artifact{}
 	var stale atomic.Bool
 
 	type job struct {
@@ -246,19 +217,16 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 	}
 	var jobs []job
 	// verifyOnly checks a section's checksum without materializing it —
-	// used for unknown sections and, in trace-only mode, for the graph
-	// sections and sidecars, so corruption is detected either way.
+	// used for unknown and reserved sections and, in trace-only mode, for
+	// the sidecars, so corruption is detected either way.
 	verifyOnly := func([]byte) error { return nil }
 
 	for _, c := range a.content() {
 		s, cols := byID[c.id], c.cols
-		required := c.id != secV2Workers && (full || !c.graph)
 		switch {
-		case s == nil && required:
+		case s == nil && c.id != secV2Workers:
 			return nil, fmt.Errorf("%w: missing section 0x%02x", ErrTruncated, c.id)
 		case s == nil:
-		case c.graph && !full:
-			jobs = append(jobs, job{"decode:verify", s, verifyOnly})
 		default:
 			jobs = append(jobs, job{c.span, s, func(payload []byte) error {
 				return colenc.Decode(payload, cols.schema()...)
@@ -287,7 +255,9 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 					return err
 				}
 				if ok {
-					use(body)
+					// A copy: what the analysis keeps must not hold the
+					// whole artifact's bytes alive beside the graph.
+					use(bytes.Clone(body))
 				} else {
 					stale.Store(true)
 				}
@@ -324,32 +294,10 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 	if err != nil {
 		return nil, err
 	}
-	// The grain dictionary is the trace's id table, already in number
-	// order: hand it over rather than format every chunk ID again.
-	if full {
-		if err := checkRows("grain dictionary", len(a.nodes.dict), tr.NumGrains()); err != nil {
-			return nil, err
-		}
-		tr.AdoptIDs(a.nodes.dict)
-	}
 	if err := indexAndValidate(tr, sp); err != nil {
 		return nil, err
 	}
 	dec.Trace = tr
-	// The records keep what they slice out of the trace columns (grain IDs,
-	// joined and thread lists); the rest is garbage before the graph is
-	// assembled beside it.
-	a.tasks, a.frags, a.bounds, a.loops, a.chunks, a.bookkeeps = v2Tasks{}, v2Frags{}, v2Bounds{}, v2Loops{}, v2Chunks{}, v2Bookkeeps{}
-
-	if full {
-		gsp := sp.Child("assemble:graph")
-		g, err := a.assembleGraph(tr)
-		gsp.End()
-		if err != nil {
-			return nil, err
-		}
-		dec.graph.Store(g)
-	}
 	return dec, nil
 }
 
@@ -414,8 +362,7 @@ func walkV2(data []byte) ([]v2Section, uint32, error) {
 func v2Known(id byte) bool {
 	switch id {
 	case secV2Meta, secV2Workers, secV2Tasks, secV2Frags, secV2Bounds, secV2Loops,
-		secV2Chunks, secV2Bookkeeps, secV2Nodes, secV2NodeCounters, secV2Edges,
-		secV2Lod, secV2Query:
+		secV2Chunks, secV2Bookkeeps, secV2Lod, secV2Query:
 		return true
 	}
 	return false
@@ -613,34 +560,4 @@ func indexAndValidate(tr *profile.Trace, sp *obs.Span) error {
 		return fmt.Errorf("ggp: invalid trace: %w", err)
 	}
 	return nil
-}
-
-// assembleGraph adopts the decoded graph columns. Nothing is translated:
-// a node's dictionary reference is its grain's number and the entry/exit
-// columns are the graph's tables, so beyond the row counts only the
-// counters are transposed here; grain numbers, entry/exit nodes, edge
-// endpoints, enum values and acyclicity are checked by core.AdoptGraph,
-// which builds the derived level index to check the last.
-func (a *v2Artifact) assembleGraph(tr *profile.Trace) (*core.Graph, error) {
-	nn := len(a.graph.Kind)
-	for _, err := range []error{
-		checkRows("nodes", nn, int(a.meta.nNodes)),
-		checkRows("node counters", len(a.nodeCtrs[0]), nn),
-		checkRows("edges", len(a.graph.EdgeFrom), int(a.meta.nEdges)),
-		checkRows("entry/exit columns", len(a.edges.first), tr.NumGrains()),
-	} {
-		if err != nil {
-			return nil, err
-		}
-	}
-	a.graph.Counters = make([]cache.Counters, nn)
-	for i := range a.graph.Counters {
-		a.graph.Counters[i] = a.nodeCtrs.at(i)
-	}
-
-	g, err := core.AdoptGraph(tr, a.graph, a.edges.first, a.edges.last)
-	if err != nil {
-		return nil, fmt.Errorf("ggp: %w", err)
-	}
-	return g, nil
 }

@@ -1,9 +1,12 @@
 package ggp
 
 import (
+	"encoding/binary"
+	"iter"
+	"math/bits"
+
 	"graingraph/internal/cache"
 	"graingraph/internal/colenc"
-	"graingraph/internal/core"
 	"graingraph/internal/profile"
 )
 
@@ -23,6 +26,9 @@ type v2Cols interface {
 
 // v2Meta is the only section of scalars: program identification, the
 // trace span, and the row counts the other sections must agree with.
+// nNodes and nEdges counted the graph sections (0x18–0x1A) of older
+// artifacts; new artifacts store no graph and write them as 0, and the
+// reader ignores them.
 type v2Meta struct {
 	program, scheduler, flavor, pagePolicy string
 	cores, sockets                         int32
@@ -60,36 +66,63 @@ func (w *v2Workers) schema() []colenc.Col {
 }
 
 // v2Counters is cache.Counters transposed: one sparse column per counter,
-// in the struct's field order (the order the v1 encoder uses).
-type v2Counters [7][]uint64
+// in the struct's field order (the order the v1 encoder uses). The reader
+// decodes into col. The writer fills enc instead (encodeCounters): the
+// counters are mostly small, so holding each column's varint bytes rather
+// than eight bytes per value keeps the writer's allocation near the bytes
+// it writes.
+type v2Counters struct {
+	col [7][]uint64
+	enc [7][]byte
+}
+
+// counterFields lists v's counters in column order.
+func counterFields(v *cache.Counters) [7]uint64 {
+	return [7]uint64{v.Accesses, v.L1Miss, v.L2Miss, v.L3Miss, v.Remote, v.Stall, v.Compute}
+}
+
+// encodeCounters encodes the counters of rows as the seven columns
+// colenc.Uvar writes from col: one pass over the records sizes every
+// column, a second fills them.
+func encodeCounters(rows iter.Seq[*cache.Counters]) v2Counters {
+	n, size := 0, [7]int{}
+	for v := range rows {
+		n++
+		for k, x := range counterFields(v) {
+			size[k] += (bits.Len64(x|1) + 6) / 7
+		}
+	}
+	var c v2Counters
+	for k := range c.enc {
+		c.enc[k] = binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+size[k]), uint64(n))
+	}
+	for v := range rows {
+		for k, x := range counterFields(v) {
+			c.enc[k] = binary.AppendUvarint(c.enc[k], x)
+		}
+	}
+	return c
+}
 
 func (c *v2Counters) schema() []colenc.Col { return []colenc.Col{c.group()} }
 
 // group is the seven columns as one row group, for sections that carry
 // counters beside other per-row columns.
 func (c *v2Counters) group() colenc.Col {
-	cols := make([]colenc.Col, len(c))
-	for i := range c {
-		cols[i] = colenc.Uvar(&c[i])
+	cols := make([]colenc.Col, len(c.col))
+	for k := range c.col {
+		cols[k] = colenc.Uvar(&c.col[k])
+		if c.enc[k] != nil {
+			cols[k] = colenc.Encoded(c.enc[k])
+		}
 	}
 	return colenc.SameRows(cols...)
 }
 
-func (c *v2Counters) alloc(n int) {
-	for i := range c {
-		c[i] = make([]uint64, n)
-	}
-}
-
-func (c *v2Counters) set(i int, v *cache.Counters) {
-	c[0][i], c[1][i], c[2][i], c[3][i] = v.Accesses, v.L1Miss, v.L2Miss, v.L3Miss
-	c[4][i], c[5][i], c[6][i] = v.Remote, v.Stall, v.Compute
-}
-
 func (c *v2Counters) at(i int) cache.Counters {
 	return cache.Counters{
-		Accesses: c[0][i], L1Miss: c[1][i], L2Miss: c[2][i], L3Miss: c[3][i],
-		Remote: c[4][i], Stall: c[5][i], Compute: c[6][i],
+		Accesses: c.col[0][i], L1Miss: c.col[1][i], L2Miss: c.col[2][i], L3Miss: c.col[3][i],
+		Remote: c.col[4][i], Stall: c.col[5][i], Compute: c.col[6][i],
 	}
 }
 
@@ -235,46 +268,4 @@ func (b *v2Bookkeeps) schema() []colenc.Col {
 		colenc.Ivar(&b.grabs),
 		colenc.Uvar(&b.total),
 	)}
-}
-
-// v2Nodes is the grain dictionary (task IDs, then chunk grain IDs, in
-// trace order) followed by one row per graph node; a node names its grain
-// by dictionary index — which is the grain's number in memory, so the
-// reference column is the graph's own grain column.
-type v2Nodes struct {
-	dict []profile.GrainID
-	g    *core.GraphColumns
-}
-
-func (n *v2Nodes) schema() []colenc.Col {
-	return []colenc.Col{
-		colenc.Strs(&n.dict),
-		colenc.SameRows(
-			colenc.U8(&n.g.Kind),
-			colenc.U32(&n.g.Grain),
-			colenc.Ivar(&n.g.Loop),
-			colenc.Ivar(&n.g.Seq),
-			colenc.Ivar(&n.g.Core),
-			colenc.Ivar(&n.g.Members),
-			colenc.Strs(&n.g.Label),
-			colenc.U64(&n.g.Start),
-			colenc.U64(&n.g.End),
-			colenc.U64(&n.g.Weight),
-		),
-	}
-}
-
-// v2Edges has one row per edge, then one row per dictionary grain naming
-// its entry and exit node (-1 when the grain has none) — the graph's
-// FirstNode/LastNode tables as they are.
-type v2Edges struct {
-	g           *core.GraphColumns
-	first, last []core.NodeID
-}
-
-func (e *v2Edges) schema() []colenc.Col {
-	return []colenc.Col{
-		colenc.SameRows(colenc.U32(&e.g.EdgeFrom), colenc.U32(&e.g.EdgeTo), colenc.U8(&e.g.EdgeKind)),
-		colenc.SameRows(colenc.Ivar(&e.first), colenc.Ivar(&e.last)),
-	}
 }

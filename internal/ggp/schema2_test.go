@@ -14,14 +14,17 @@ import (
 )
 
 // TestV2SectionSchemas runs the shared schema contract over every section
-// layout: the content sections as the reader and writer enumerate them.
-// Then, on the golden artifact, every section as it is on disk meets the
-// size contract the streaming writer frames by: its schema, holding the
-// decoded columns, sizes to exactly the stored payload and streams leaf by
-// leaf to the same bytes. (The lod and query
-// sidecar bodies answer for theirs in their own packages' codec tests.)
+// layout: the content sections as the reader and writer enumerate them,
+// and the graph sections older writers stored (legacy_test.go). Then, on
+// the golden artifacts, every section as it is on disk meets the size
+// contract the streaming writer frames by: its schema, holding the decoded
+// columns, sizes to exactly the stored payload and streams leaf by leaf to
+// the same bytes. (The lod and query sidecar bodies answer for theirs in
+// their own packages' codec tests.)
 func TestV2SectionSchemas(t *testing.T) {
-	sections := func() []v2ContentSection { return newV2Artifact().content() }
+	sections := func() []v2ContentSection {
+		return append((&v2Artifact{}).content(), newLegacyGraph().sections()...)
+	}
 	// The columns outside their section's row groups: a CSR offset column
 	// (rows+1 entries) or the flat column a CSR indexes.
 	free := map[byte][]string{
@@ -38,13 +41,17 @@ func TestV2SectionSchemas(t *testing.T) {
 		})
 	}
 
-	golden, err := os.ReadFile("testdata/seed.v2s-nolevels.ggp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDisk, _, err := walkV2(golden)
-	if err != nil {
-		t.Fatal(err)
+	var onDisk []v2Section
+	for _, name := range []string{"seed.v2s-nograph.ggp", "seed.v2s-nolevels.ggp"} {
+		golden, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs, _, err := walkV2(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk = append(onDisk, secs...) // the current layout first
 	}
 	for _, s := range sections() {
 		t.Run(fmt.Sprintf("golden section 0x%02x", s.id), func(t *testing.T) {

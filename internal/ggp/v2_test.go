@@ -14,9 +14,9 @@ import (
 	"graingraph/internal/runpool"
 )
 
-func encodeV2(t *testing.T, tr *profile.Trace, g *core.Graph, side []ggp.Sidecar) []byte {
+func encodeV2(t *testing.T, tr *profile.Trace, side []ggp.Sidecar) []byte {
 	t.Helper()
-	data, err := ggp.EncodeV2(tr, g, side)
+	data, err := ggp.EncodeV2(tr, nil, side)
 	if err != nil {
 		t.Fatalf("ggp.EncodeV2: %v", err)
 	}
@@ -90,10 +90,12 @@ func sameGraph(t *testing.T, got, want *core.Graph) {
 	}
 }
 
+// TestV2RoundTripTraceAndGraph: a v2 artifact decodes to its trace, and
+// the graph built from the decoded trace is the graph of the live one.
 func TestV2RoundTripTraceAndGraph(t *testing.T) {
 	tr := sampleTrace(t)
 	g := core.Build(tr)
-	data := encodeV2(t, tr, g, nil)
+	data := encodeV2(t, tr, nil)
 
 	for _, workers := range []int{0, 4} {
 		var pool *runpool.Runner
@@ -105,14 +107,7 @@ func TestV2RoundTripTraceAndGraph(t *testing.T) {
 			t.Fatalf("version: %d", dec.Version)
 		}
 		sameTrace(t, dec.Trace, tr)
-		dg := dec.TakeGraph()
-		if dg == nil {
-			t.Fatal("TakeGraph returned nil on first call")
-		}
-		sameGraph(t, dg, core.Build(dec.Trace))
-		if dec.TakeGraph() != nil {
-			t.Fatal("TakeGraph handed the graph out twice")
-		}
+		sameGraph(t, core.Build(dec.Trace), g)
 		if dec.SidecarStale {
 			t.Fatal("sidecar-free artifact reported stale sidecars")
 		}
@@ -124,7 +119,7 @@ func TestV2RoundTripTraceAndGraph(t *testing.T) {
 
 func TestV2DecodeTrace(t *testing.T) {
 	tr := sampleTrace(t)
-	data := encodeV2(t, tr, core.Build(tr), nil)
+	data := encodeV2(t, tr, nil)
 	got, err := ggp.DecodeTrace(data, nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeTrace: %v", err)
@@ -141,22 +136,17 @@ func TestV2DecodeTrace(t *testing.T) {
 
 func TestV2DeterministicEncoding(t *testing.T) {
 	tr := sampleTrace(t)
-	g := core.Build(tr)
-	a := encodeV2(t, tr, g, nil)
-	// Analysis-style mutation of derived state must not leak into the
-	// encoding: only construction-time columns are serialized.
-	g.SetCritical(0, true)
-	core.Layout(g)
-	if g.NumEdges() > 0 {
-		g.SetEdgeCritical(0, true)
-	}
-	b := encodeV2(t, tr, g, nil)
+	a := encodeV2(t, tr, nil)
+	// Analysing the trace (which numbers its grains) changes nothing the
+	// encoding reads.
+	core.Build(tr)
+	b := encodeV2(t, tr, nil)
 	if !bytes.Equal(a, b) {
-		t.Fatal("encoding changed after analysis-state mutation")
+		t.Fatal("encoding changed after an analysis of the trace")
 	}
-	// A graph decoded from the artifact re-encodes to the same bytes.
+	// A trace decoded from the artifact re-encodes to the same bytes.
 	dec := decodeV2(t, a, nil)
-	c := encodeV2(t, dec.Trace, dec.TakeGraph(), nil)
+	c := encodeV2(t, dec.Trace, nil)
 	if !bytes.Equal(a, c) {
 		t.Fatal("decode/re-encode not byte-identical")
 	}
@@ -164,12 +154,11 @@ func TestV2DeterministicEncoding(t *testing.T) {
 
 func TestV2SidecarRoundTrip(t *testing.T) {
 	tr := sampleTrace(t)
-	g := core.Build(tr)
 	side := []ggp.Sidecar{
 		{Kind: ggp.SidecarLod, Data: []byte("lod-payload")},
 		{Kind: ggp.SidecarQuery, Data: []byte("query-payload")},
 	}
-	dec := decodeV2(t, encodeV2(t, tr, g, side), nil)
+	dec := decodeV2(t, encodeV2(t, tr, side), nil)
 	if !dec.HasSidecars() {
 		t.Fatal("HasSidecars: false, want true")
 	}
@@ -185,17 +174,16 @@ func TestV2SidecarRoundTrip(t *testing.T) {
 }
 
 // TestV2StaleSidecarsDiscarded is the staleness contract: sidecars keyed
-// against a different generation of the graph sections are discarded and
-// rebuilt, and the decode result is identical to a sidecar-free decode.
+// against a different generation of the content sections are discarded
+// and rebuilt, and the decode result is identical to a sidecar-free decode.
 func TestV2StaleSidecarsDiscarded(t *testing.T) {
 	tr := sampleTrace(t)
-	g := core.Build(tr)
 	side := []ggp.Sidecar{
 		{Kind: ggp.SidecarLod, Data: []byte("stale-lod")},
 		{Kind: ggp.SidecarQuery, Data: []byte("stale-query")},
 	}
-	plain := encodeV2(t, tr, core.Build(tr), nil)
-	stale, err := ggp.EncodeV2StaleForTest(tr, g, side, 0xDEADBEEF)
+	plain := encodeV2(t, tr, nil)
+	stale, err := ggp.EncodeV2StaleForTest(tr, side, 0xDEADBEEF)
 	if err != nil {
 		t.Fatalf("EncodeV2StaleForTest: %v", err)
 	}
@@ -213,23 +201,20 @@ func TestV2StaleSidecarsDiscarded(t *testing.T) {
 	if dec.LodSidecar() != nil || dec.QuerySidecar() != nil {
 		t.Fatal("stale sidecar payloads handed out")
 	}
-	dg := dec.TakeGraph()
 
 	// Same decode result as the sidecar-free artifact.
 	ref := decodeV2(t, plain, nil)
 	sameTrace(t, dec.Trace, ref.Trace)
-	sameGraph(t, dg, ref.TakeGraph())
 	// And the re-encoding (what an upgrade would persist) is identical.
-	if a, b := encodeV2(t, dec.Trace, dg, nil), encodeV2(t, ref.Trace, core.Build(ref.Trace), nil); !bytes.Equal(a, b) {
+	if a, b := encodeV2(t, dec.Trace, nil), encodeV2(t, ref.Trace, nil); !bytes.Equal(a, b) {
 		t.Fatal("stale-decode re-encoding differs from sidecar-free decode")
 	}
 }
 
 func TestV2CorruptionFailsClosed(t *testing.T) {
 	tr := sampleTrace(t)
-	g := core.Build(tr)
 	side := []ggp.Sidecar{{Kind: ggp.SidecarLod, Data: []byte("lod")}}
-	data := encodeV2(t, tr, g, side)
+	data := encodeV2(t, tr, side)
 
 	t.Run("flipped content byte", func(t *testing.T) {
 		bad := append([]byte(nil), data...)

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"graingraph/internal/cache"
 	"graingraph/internal/colenc"
 	"graingraph/internal/core"
 	"graingraph/internal/profile"
@@ -28,7 +29,7 @@ const (
 	SidecarQuery SidecarKind = SidecarKind(secV2Query)
 )
 
-// Sidecar is one derived-index payload to persist alongside the graph.
+// Sidecar is one derived-index payload to persist alongside the trace.
 // The payload encoding is owned by the producing package (lod, query);
 // ggp frames it, stamps the content key, and checksums it.
 type Sidecar struct {
@@ -36,39 +37,39 @@ type Sidecar struct {
 	Data []byte
 }
 
-// EncodeV2 serializes a trace and its built grain graph as a columnar v2
-// artifact. The graph must be the deterministic core.Build of tr (or a
-// graph decoded from one): only construction-time columns are written —
-// critical-path marks, layout geometry and adjacency indexes are derived
-// state, so a post-analysis graph encodes byte-identically to a fresh
-// build. The lod and query sidecars are supplied by the caller, already
-// encoded; every sidecar is stamped with the artifact's content key so a
-// later reader can detect staleness.
+// EncodeV2 serializes a trace as a columnar v2 artifact. The grain graph
+// is not stored: it is derived from the trace, and every reader builds it
+// with core.Build, so g is ignored. (The parameter remains because the
+// benchmark program in bench/ still passes a graph.) The lod and query
+// sidecars are supplied by the caller, already encoded; every sidecar is
+// stamped with the artifact's content key so a later reader can detect
+// staleness.
 //
 // EncodeV2 is the streaming writer over an in-memory sink, for tests and
 // probes that want the bytes; anything bound for a file uses WriteFileV2,
 // which never holds the artifact whole.
 func EncodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := writeV2(&buf, tr, g, side, nil); err != nil {
+	if err := writeV2(&buf, tr, side, nil); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // WriteFileV2 streams a v2 artifact to path atomically (temp file + rename),
-// so a concurrent reader never observes a half-written artifact.
+// so a concurrent reader never observes a half-written artifact. Like
+// EncodeV2, it ignores g.
 func WriteFileV2(path string, tr *profile.Trace, g *core.Graph, side []Sidecar) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return writeV2(w, tr, g, side, nil) })
+	return writeFileAtomic(path, func(w io.Writer) error { return writeV2(w, tr, side, nil) })
 }
 
 // writeV2 streams the artifact to dst. A non-nil staleKey replaces the
 // content key the sidecars are stamped with, a test hook that simulates the
-// "graph sections changed after the sidecars were written" staleness
+// "trace sections changed after the sidecars were written" staleness
 // scenario without hand-assembling an artifact.
-func writeV2(dst io.Writer, tr *profile.Trace, g *core.Graph, side []Sidecar, staleKey *uint32) error {
-	if tr == nil || g == nil {
-		return fmt.Errorf("ggp: EncodeV2 requires a trace and a built graph")
+func writeV2(dst io.Writer, tr *profile.Trace, side []Sidecar, staleKey *uint32) error {
+	if tr == nil {
+		return fmt.Errorf("ggp: EncodeV2 requires a trace")
 	}
 	for _, s := range side {
 		if !isV2Sidecar(byte(s.Kind)) {
@@ -81,7 +82,7 @@ func writeV2(dst io.Writer, tr *profile.Trace, g *core.Graph, side []Sidecar, st
 	// Each section's columns are gathered just before they are written
 	// and are garbage right after, so the writer holds one section's
 	// columns plus one encoded column, never the file.
-	w.put(secV2Meta, gatherMeta(tr, g))
+	w.put(secV2Meta, gatherMeta(tr))
 	if len(tr.Workers) > 0 {
 		w.put(secV2Workers, gatherWorkers(tr.Workers))
 	}
@@ -91,13 +92,6 @@ func writeV2(dst io.Writer, tr *profile.Trace, g *core.Graph, side []Sidecar, st
 	w.put(secV2Loops, gatherLoops(tr.Loops))
 	w.put(secV2Chunks, gatherChunks(tr.Chunks))
 	w.put(secV2Bookkeeps, gatherBookkeeps(tr.Bookkeeps))
-	nodes, nodeCtrs, edges, err := gatherGraph(tr, g)
-	if err != nil {
-		return err
-	}
-	w.put(secV2Nodes, nodes)
-	w.put(secV2NodeCounters, nodeCtrs)
-	w.put(secV2Edges, edges)
 
 	// The content key is fixed once all content sections are written;
 	// sidecars embed it and do not feed it.
@@ -219,13 +213,12 @@ func (w *v2Writer) put(id byte, cols v2Cols) {
 // The gather functions transpose the trace's records into one section's
 // columns each.
 
-func gatherMeta(tr *profile.Trace, g *core.Graph) *v2Meta {
+func gatherMeta(tr *profile.Trace) *v2Meta {
 	return &v2Meta{
 		program: tr.Program, scheduler: tr.Scheduler, flavor: tr.Flavor, pagePolicy: tr.PagePolicy,
 		cores: int32(tr.Cores), sockets: int32(tr.Sockets), start: tr.Start, end: tr.End,
 		nTasks: int32(len(tr.Tasks)), nLoops: int32(len(tr.Loops)),
 		nChunks: int32(len(tr.Chunks)), nBookkeeps: int32(len(tr.Bookkeeps)),
-		nNodes: int32(g.NumNodes()), nEdges: int32(g.NumEdges()),
 	}
 }
 
@@ -280,7 +273,15 @@ func gatherFrags(tasks []*profile.TaskRecord) *v2Frags {
 		n += len(t.Fragments)
 	}
 	c := &v2Frags{start: make([]profile.Time, n), end: make([]profile.Time, n), core: make([]int, n)}
-	c.ctr.alloc(n)
+	c.ctr = encodeCounters(func(yield func(*cache.Counters) bool) {
+		for _, t := range tasks {
+			for fi := range t.Fragments {
+				if !yield(&t.Fragments[fi].Counters) {
+					return
+				}
+			}
+		}
+	})
 	i := 0
 	for _, t := range tasks {
 		for fi := range t.Fragments {
@@ -288,7 +289,6 @@ func gatherFrags(tasks []*profile.TaskRecord) *v2Frags {
 			c.start[i] = f.Start
 			c.end[i] = f.End
 			c.core[i] = f.Core
-			c.ctr.set(i, &f.Counters)
 			i++
 		}
 	}
@@ -381,7 +381,13 @@ func gatherChunks(chunks []*profile.ChunkRecord) *v2Chunks {
 		end:      make([]profile.Time, n),
 		bookkeep: make([]profile.Time, n),
 	}
-	c.ctr.alloc(n)
+	c.ctr = encodeCounters(func(yield func(*cache.Counters) bool) {
+		for _, ck := range chunks {
+			if !yield(&ck.Counters) {
+				return
+			}
+		}
+	})
 	for i, ck := range chunks {
 		c.loop[i] = ck.Loop
 		c.seq[i] = ck.Seq
@@ -391,7 +397,6 @@ func gatherChunks(chunks []*profile.ChunkRecord) *v2Chunks {
 		c.start[i] = ck.Start
 		c.end[i] = ck.End
 		c.bookkeep[i] = ck.Bookkeep
-		c.ctr.set(i, &ck.Counters)
 	}
 	return c
 }
@@ -408,28 +413,4 @@ func gatherBookkeeps(bks []*profile.BookkeepRecord) *v2Bookkeeps {
 		c.loop[i], c.thread[i], c.grabs[i], c.total[i] = b.Loop, b.Thread, b.Grabs, b.Total
 	}
 	return c
-}
-
-// gatherGraph builds the three graph sections. The store's own columns —
-// the grain references among them — and the entry/exit tables are aliased,
-// not copied: the grain dictionary is the trace's id table (tasks, then
-// chunks), so a node's grain number is its dictionary reference. Gathered
-// beside them are only the transposed counters.
-func gatherGraph(tr *profile.Trace, g *core.Graph) (*v2Nodes, *v2Counters, *v2Edges, error) {
-	dict := tr.Numbering().IDs
-	gc := g.ExportColumns()
-	nn := len(gc.Kind)
-	ctrs := &v2Counters{}
-	ctrs.alloc(nn)
-	for i, num := range gc.Grain {
-		if int(num) >= len(dict) {
-			return nil, nil, nil, fmt.Errorf("ggp: node %d grain %q not in trace dictionary", i, g.Grain(core.NodeID(i)))
-		}
-		ctrs.set(i, &gc.Counters[i])
-	}
-	if len(g.FirstNode) != len(dict) || len(g.LastNode) != len(dict) {
-		return nil, nil, nil, fmt.Errorf("ggp: entry/exit tables cover %d/%d grains, trace dictionary has %d",
-			len(g.FirstNode), len(g.LastNode), len(dict))
-	}
-	return &v2Nodes{dict: dict, g: &gc}, ctrs, &v2Edges{g: &gc, first: g.FirstNode, last: g.LastNode}, nil
 }

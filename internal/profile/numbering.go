@@ -5,8 +5,8 @@ package profile
 // A GrainID is a string so that it is schedule-independent; everything
 // downstream of a finished trace wants an array index instead. Every grain
 // of a trace therefore has one number, fixed by the record order:
-// Tasks[i] is grain i and Chunks[j] is grain len(Tasks)+j — the order of
-// the .ggp v2 grain dictionary, so what is on disk is what is in memory.
+// Tasks[i] is grain i and Chunks[j] is grain len(Tasks)+j — the order the
+// .ggp v2 task and chunk sections store them in.
 // The string references the records carry (TaskRecord.Parent,
 // Boundary.Child, Boundary.Joined, a chunk's loop pseudo-parent) are
 // resolved to numbers once per trace, lazily, by the single interning pass
@@ -48,7 +48,6 @@ type Numbering struct {
 	loopParents []GrainID // pseudo-parent ID per loop
 	unrecorded  []GrainID // parent strings beyond the grain and loop keys
 	dupTask     int32     // first task whose ID repeats an earlier grain's, or -1
-	badID       int32     // first grain an adopted id table misnames, or -1
 }
 
 // NumGrains returns the grain count, Tasks+Chunks.
@@ -110,13 +109,6 @@ func (tr *Trace) ChunkID(j int) GrainID { return tr.Numbering().IDs[len(tr.Tasks
 // Lookup returns the number of the grain with the given ID, or -1.
 func (tr *Trace) Lookup(id GrainID) int32 { return tr.Numbering().Lookup(id) }
 
-// AdoptIDs hands the trace a ready-made id table — the .ggp v2 grain
-// dictionary, task IDs then chunk grain IDs — so indexing does not format
-// the chunk IDs again. It must be called before the trace is first indexed.
-// The table is checked against the records as it is adopted; Validate
-// rejects a trace whose table names a grain differently than its record.
-func (tr *Trace) AdoptIDs(ids []GrainID) { tr.adoptedIDs = ids }
-
 // number is the interning pass: it assigns the numbers, fills the id
 // table and the id → number map, and resolves every reference against it.
 func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
@@ -127,29 +119,13 @@ func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
 		ChunkLoop:   make([]int32, nC),
 		BoundOff:    make([]int32, nT+1),
 		byID:        make(map[GrainID]int32, nT+nC+nL+1),
+		IDs:         make([]GrainID, nT+nC),
 		loopParents: make([]GrainID, nL),
 		dupTask:     -1,
-		badID:       -1,
-	}
-	nb.IDs = tr.adoptedIDs
-	adopted := nb.IDs != nil
-	if len(nb.IDs) != nT+nC {
-		if adopted {
-			nb.badID = 0 // another trace's table
-		}
-		nb.IDs, adopted = make([]GrainID, nT+nC), false
-	}
-	misnamed := func(n int) {
-		if nb.badID < 0 {
-			nb.badID = int32(n)
-		}
 	}
 
 	nBounds, nJoined := 0, 0
 	for i, t := range tr.Tasks {
-		if adopted && nb.IDs[i] != t.ID {
-			misnamed(i)
-		}
 		nb.IDs[i] = t.ID
 		before := len(nb.byID)
 		nb.byID[t.ID] = int32(i)
@@ -162,7 +138,6 @@ func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
 			nJoined += len(t.Boundaries[bi].Joined)
 		}
 	}
-	var idBuf []byte
 	for j, c := range tr.Chunks {
 		li, ok := loopIdx[c.Loop]
 		if !ok {
@@ -173,12 +148,7 @@ func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
 		if li >= 0 {
 			start = tr.Loops[li].StartThread
 		}
-		if !adopted {
-			nb.IDs[nT+j] = c.ID(start)
-		} else if idBuf = c.appendID(idBuf[:0], start); string(nb.IDs[nT+j]) != string(idBuf) {
-			misnamed(nT + j)
-			nb.IDs[nT+j] = GrainID(idBuf)
-		}
+		nb.IDs[nT+j] = c.ID(start)
 		nb.byID[nb.IDs[nT+j]] = int32(nT + j)
 	}
 	for i, l := range tr.Loops {

@@ -281,12 +281,7 @@ type ChunkRecord struct {
 // is prepended by the Trace accessor; the record alone identifies by loop,
 // sequence and range.
 func (c *ChunkRecord) ID(startThread int) GrainID {
-	return GrainID(c.appendID(make([]byte, 0, 24), startThread))
-}
-
-// appendID appends the chunk's grain ID to b.
-func (c *ChunkRecord) appendID(b []byte, startThread int) []byte {
-	b = append(b, 'L')
+	b := append(make([]byte, 0, 24), 'L')
 	b = strconv.AppendInt(b, int64(c.Loop), 10)
 	b = append(b, '@', 't')
 	b = strconv.AppendInt(b, int64(startThread), 10)
@@ -296,7 +291,7 @@ func (c *ChunkRecord) appendID(b []byte, startThread int) []byte {
 	b = strconv.AppendInt(b, int64(c.Lo), 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(c.Hi), 10)
-	return append(b, ')')
+	return GrainID(append(b, ')'))
 }
 
 // Duration returns the chunk's execution time.
@@ -340,10 +335,9 @@ type Trace struct {
 	// a finished trace is immutable and may be shared by concurrently
 	// running analyses (the experiment engine memoizes simulation runs
 	// across figures), so the build must be race-free.
-	indexOnce  sync.Once
-	numbering  *Numbering
-	loopIndex  map[LoopID]int32 // loop ID -> index in Loops
-	adoptedIDs []GrainID        // see AdoptIDs
+	indexOnce sync.Once
+	numbering *Numbering
+	loopIndex map[LoopID]int32 // loop ID -> index in Loops
 }
 
 // buildIndexes numbers the grains and indexes the loops exactly once.
@@ -354,7 +348,6 @@ func (tr *Trace) buildIndexes() {
 			tr.loopIndex[l.ID] = int32(i)
 		}
 		tr.numbering = tr.number(tr.loopIndex)
-		tr.adoptedIDs = nil
 	})
 }
 

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -273,38 +272,5 @@ func TestNumberingResolvesReferences(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Errorf("dangling references rejected: %v", err)
-	}
-}
-
-// TestAdoptIDs: a ready-made id table (the v2 grain dictionary) replaces
-// the one indexing would format, but only if it names every grain as its
-// record does — Validate rejects the trace otherwise, and the numbering
-// falls back on the records either way.
-func TestAdoptIDs(t *testing.T) {
-	want := makeTestTrace().Numbering().IDs
-
-	tr := makeTestTrace()
-	table := append([]GrainID(nil), want...)
-	tr.AdoptIDs(table)
-	if got := tr.Numbering().IDs; &got[0] != &table[0] || !reflect.DeepEqual(got, want) {
-		t.Errorf("adopted table not used as is: %q", got)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Errorf("Validate rejected a faithful id table: %v", err)
-	}
-
-	for name, bad := range map[string][]GrainID{
-		"misnamed task":  {"R", "R.1", "R.0", want[3], want[4]},
-		"misnamed chunk": {"R", "R.0", "R.1", want[3], "L0@t1#1[4,8)"},
-		"wrong length":   want[:4],
-	} {
-		tr := makeTestTrace()
-		tr.AdoptIDs(append([]GrainID(nil), bad...))
-		if got := tr.Numbering().IDs; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: numbering follows the bad table: %q", name, got)
-		}
-		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "id table") {
-			t.Errorf("%s: Validate returned %v", name, err)
-		}
 	}
 }

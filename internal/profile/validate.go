@@ -54,9 +54,6 @@ func (tr *Trace) Validate() error {
 		loops[l.ID] = true
 	}
 	nb := tr.Numbering()
-	if nb.badID >= 0 {
-		return fmt.Errorf("profile: adopted id table misnames grain %d", nb.badID)
-	}
 	for i, t := range tr.Tasks {
 		if t.ID == "" {
 			return fmt.Errorf("profile: task with empty grain ID")
