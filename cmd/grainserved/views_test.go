@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/url"
+	"strings"
 	"testing"
 
 	"graingraph/internal/expt"
@@ -138,6 +139,45 @@ func TestParamsCheckedBeforeAdmission(t *testing.T) {
 	}
 	if waits, _ := s.gate.queueStats(); waits != 0 {
 		t.Errorf("malformed requests queued %d times for admission, want 0", waits)
+	}
+}
+
+// TestRepeatedQueryColumnIs400 sends plans that name one column twice, in
+// select and in groupby: the grammar rejects them as a structured 400 that
+// names the column, before anything is decoded or analyzed, where they
+// once reached the engine and failed as a 500.
+func TestRepeatedQueryColumnIs400(t *testing.T) {
+	f, err := fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(serverConfig{Dir: t.TempDir(), Workers: 4, Debug: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload(t, s, f.raw)
+	if w := do(t, s, "POST", "/debug/evict", "", nil); w.Code != http.StatusOK {
+		t.Fatalf("evict: status %d", w.Code)
+	}
+	for q, col := range map[string]string{
+		"select id,id":                    "id",
+		"groupby depth,depth | agg count": "depth",
+	} {
+		w := do(t, s, "GET", "/artifacts/"+f.id+"/query?q="+url.QueryEscape(q), "", nil)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("query %q: status %d, want 400: %s", q, w.Code, w.Body.String())
+			continue
+		}
+		var body map[string]any
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("query %q: non-JSON error body: %v", q, err)
+		}
+		if d, _ := body["detail"].(string); !strings.Contains(d, `duplicate column "`+col+`"`) {
+			t.Errorf("query %q: detail %q does not name column %q", q, body["detail"], col)
+		}
+	}
+	if n := s.analyses.Counters().Misses; n != 0 {
+		t.Errorf("malformed queries ran %d analyses, want 0", n)
 	}
 }
 

@@ -163,6 +163,12 @@ func (s *GraphStore) Weights() []profile.Time {
 	return w
 }
 
+// WeightColumn returns the node weight column itself, indexed by NodeID,
+// for readers that keep it: read, don't mutate. Nothing writes a built
+// graph's weights (a reduction writes its own new store), so the column
+// stays what the graph was built with.
+func (s *GraphStore) WeightColumn() []profile.Time { return s.weight }
+
 // Reserve grows the node and edge columns to hold at least nodes and edges
 // entries without reallocating. Build calls it with its node/edge estimate
 // so million-node assembly grows each column once instead of ~20 doublings

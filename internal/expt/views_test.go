@@ -71,6 +71,8 @@ func FuzzViewParams(f *testing.F) {
 		{"query", "q=" + url.QueryEscape("filter nosuchcol > 1")},
 		{"query", "q="},
 		{"query", "q=%zz"},
+		{"query", "q=" + url.QueryEscape("select id,id")},
+		{"query", "q=" + url.QueryEscape("groupby depth,depth | agg count")},
 	} {
 		f.Add(seed[0], seed[1])
 	}

@@ -75,27 +75,28 @@ func ParseExpr(src string) (*Expr, error) {
 }
 
 // exprNode is one compiled AST node. eval writes the node's value for rows
-// [lo,hi) of t into a fresh or scratch vector.
+// [lo,hi) of frame f — positions in its selection, not source rows — into a
+// fresh or scratch vector.
 type exprNode interface {
 	// check validates the node against t's schema and returns the node's
 	// result class: true when boolean, false when numeric or string.
 	check(t *Table) (isBool bool, isStr bool, err error)
 	// evalNum fills out[0:hi-lo] with the numeric value of rows [lo,hi).
-	evalNum(t *Table, lo, hi int, out []float64)
+	evalNum(f frame, lo, hi int, out []float64)
 	// evalBool fills out[0:hi-lo] with the boolean value of rows [lo,hi).
-	evalBool(t *Table, lo, hi int, out []bool)
+	evalBool(f frame, lo, hi int, out []bool)
 	// evalStr returns the string value of row i (string nodes only — string
 	// data is only compared, never transformed, so no vector form needed).
-	evalStr(t *Table, i int) string
+	evalStr(f frame, i int) string
 }
 
 // baseNode provides panicking defaults so each node implements only the
 // class check allows it to be.
 type baseNode struct{}
 
-func (baseNode) evalNum(*Table, int, int, []float64) { panic("query: not a numeric expression") }
-func (baseNode) evalBool(*Table, int, int, []bool)   { panic("query: not a boolean expression") }
-func (baseNode) evalStr(*Table, int) string          { panic("query: not a string expression") }
+func (baseNode) evalNum(frame, int, int, []float64) { panic("query: not a numeric expression") }
+func (baseNode) evalBool(frame, int, int, []bool)   { panic("query: not a boolean expression") }
+func (baseNode) evalStr(frame, int) string          { panic("query: not a string expression") }
 
 // numLit is a numeric literal.
 type numLit struct {
@@ -104,7 +105,7 @@ type numLit struct {
 }
 
 func (numLit) check(*Table) (bool, bool, error) { return false, false, nil }
-func (n numLit) evalNum(_ *Table, lo, hi int, out []float64) {
+func (n numLit) evalNum(_ frame, lo, hi int, out []float64) {
 	for i := range out[:hi-lo] {
 		out[i] = n.v
 	}
@@ -117,7 +118,7 @@ type strLit struct {
 }
 
 func (strLit) check(*Table) (bool, bool, error) { return false, true, nil }
-func (s strLit) evalStr(*Table, int) string     { return s.v }
+func (s strLit) evalStr(frame, int) string      { return s.v }
 
 // colRef reads a table column by name.
 type colRef struct {
@@ -133,8 +134,14 @@ func (c colRef) check(t *Table) (bool, bool, error) {
 	return false, col.Kind == Str, nil
 }
 
-func (c colRef) evalNum(t *Table, lo, hi int, out []float64) {
-	col := t.Col(c.name)
+func (c colRef) evalNum(f frame, lo, hi int, out []float64) {
+	col := f.schema.Col(c.name)
+	if f.sel != nil {
+		for i, r := range f.sel[lo:hi] {
+			out[i] = col.num(int(r))
+		}
+		return
+	}
 	if col.Kind == Float {
 		copy(out, col.F[lo:hi])
 		return
@@ -144,7 +151,7 @@ func (c colRef) evalNum(t *Table, lo, hi int, out []float64) {
 	}
 }
 
-func (c colRef) evalStr(t *Table, i int) string { return t.Col(c.name).S[i] }
+func (c colRef) evalStr(f frame, i int) string { return f.schema.Col(c.name).S[f.row(i)] }
 
 // unaryOp is numeric negation or boolean not.
 type unaryOp struct {
@@ -170,15 +177,15 @@ func (u unaryOp) check(t *Table) (bool, bool, error) {
 	return false, false, nil
 }
 
-func (u unaryOp) evalNum(t *Table, lo, hi int, out []float64) {
-	u.x.evalNum(t, lo, hi, out)
+func (u unaryOp) evalNum(f frame, lo, hi int, out []float64) {
+	u.x.evalNum(f, lo, hi, out)
 	for i := range out[:hi-lo] {
 		out[i] = -out[i]
 	}
 }
 
-func (u unaryOp) evalBool(t *Table, lo, hi int, out []bool) {
-	u.x.evalBool(t, lo, hi, out)
+func (u unaryOp) evalBool(f frame, lo, hi int, out []bool) {
+	u.x.evalBool(f, lo, hi, out)
 	for i := range out[:hi-lo] {
 		out[i] = !out[i]
 	}
@@ -204,12 +211,12 @@ func (a arithOp) check(t *Table) (bool, bool, error) {
 	return false, false, nil
 }
 
-func (a arithOp) evalNum(t *Table, lo, hi int, out []float64) {
+func (a arithOp) evalNum(f frame, lo, hi int, out []float64) {
 	n := hi - lo
 	rp, rhs := getNum(n)
 	defer putNum(rp)
-	a.l.evalNum(t, lo, hi, out)
-	a.r.evalNum(t, lo, hi, rhs)
+	a.l.evalNum(f, lo, hi, out)
+	a.r.evalNum(f, lo, hi, rhs)
 	switch a.op {
 	case "+":
 		for i := 0; i < n; i++ {
@@ -260,11 +267,11 @@ func (c *cmpOp) check(t *Table) (bool, bool, error) {
 	return true, false, nil
 }
 
-func (c *cmpOp) evalBool(t *Table, lo, hi int, out []bool) {
+func (c *cmpOp) evalBool(f frame, lo, hi int, out []bool) {
 	n := hi - lo
 	if c.str {
 		for i := 0; i < n; i++ {
-			eq := c.l.evalStr(t, lo+i) == c.r.evalStr(t, lo+i)
+			eq := c.l.evalStr(f, lo+i) == c.r.evalStr(f, lo+i)
 			out[i] = eq == (c.op == "==")
 		}
 		return
@@ -273,8 +280,8 @@ func (c *cmpOp) evalBool(t *Table, lo, hi int, out []bool) {
 	rp, rhs := getNum(n)
 	defer putNum(lp)
 	defer putNum(rp)
-	c.l.evalNum(t, lo, hi, lhs)
-	c.r.evalNum(t, lo, hi, rhs)
+	c.l.evalNum(f, lo, hi, lhs)
+	c.r.evalNum(f, lo, hi, rhs)
 	switch c.op {
 	case "<":
 		for i := 0; i < n; i++ {
@@ -325,12 +332,12 @@ func (b boolOp) check(t *Table) (bool, bool, error) {
 	return true, false, nil
 }
 
-func (b boolOp) evalBool(t *Table, lo, hi int, out []bool) {
+func (b boolOp) evalBool(f frame, lo, hi int, out []bool) {
 	n := hi - lo
 	rp, rhs := getBool(n)
 	defer putBool(rp)
-	b.l.evalBool(t, lo, hi, out)
-	b.r.evalBool(t, lo, hi, rhs)
+	b.l.evalBool(f, lo, hi, out)
+	b.r.evalBool(f, lo, hi, rhs)
 	if b.op == "&&" {
 		for i := 0; i < n; i++ {
 			out[i] = out[i] && rhs[i]
@@ -363,9 +370,9 @@ func (p prefixFn) check(t *Table) (bool, bool, error) {
 	return true, false, nil
 }
 
-func (p prefixFn) evalBool(t *Table, lo, hi int, out []bool) {
+func (p prefixFn) evalBool(f frame, lo, hi int, out []bool) {
 	for i := range out[:hi-lo] {
-		out[i] = strings.HasPrefix(p.s.evalStr(t, lo+i), p.pre.evalStr(t, lo+i))
+		out[i] = strings.HasPrefix(p.s.evalStr(f, lo+i), p.pre.evalStr(f, lo+i))
 	}
 }
 
@@ -381,9 +388,9 @@ func (u underFn) check(t *Table) (bool, bool, error) {
 	return prefixFn{s: u.s, pre: u.root}.check(t)
 }
 
-func (u underFn) evalBool(t *Table, lo, hi int, out []bool) {
+func (u underFn) evalBool(f frame, lo, hi int, out []bool) {
 	for i := range out[:hi-lo] {
-		s, root := u.s.evalStr(t, lo+i), u.root.evalStr(t, lo+i)
+		s, root := u.s.evalStr(f, lo+i), u.root.evalStr(f, lo+i)
 		out[i] = s == root || (strings.HasPrefix(s, root) && len(s) > len(root) && s[len(root)] == '.')
 	}
 }
@@ -405,8 +412,8 @@ func (a absFn) check(t *Table) (bool, bool, error) {
 	return false, false, nil
 }
 
-func (a absFn) evalNum(t *Table, lo, hi int, out []float64) {
-	a.x.evalNum(t, lo, hi, out)
+func (a absFn) evalNum(f frame, lo, hi int, out []float64) {
+	a.x.evalNum(f, lo, hi, out)
 	for i := range out[:hi-lo] {
 		out[i] = math.Abs(out[i])
 	}

@@ -286,6 +286,8 @@ func TestParseErrors(t *testing.T) {
 		"topk -3",
 		"topk 5 by",
 		"select",
+		"select id,id", // a repeated column could not be added twice
+		"groupby depth,depth | agg count",
 		"from nowhere | filter f > 0",
 		"filter f > 0 | from tasks",
 	}

@@ -10,8 +10,11 @@
 // every worker count, including the serial fallback.
 //
 // A Table is a set of equally long named columns, each float64, int64 or
-// string. Tables are cheap views: verbs materialize fresh column slices but
-// never copy the source, and string columns share their backing data.
+// string. Plans are late-materialized: verbs pass a row selection over the
+// source table and column pointers from one to the next, and only the rows
+// and columns the result keeps are copied, once, when Plan.Run returns.
+// The source is never copied or mutated, and string columns share their
+// backing data.
 package query
 
 import "fmt"
@@ -92,6 +95,9 @@ func (t *Table) Columns() []*Column { return t.cols }
 // Col returns the named column, or nil.
 func (t *Table) Col(name string) *Column { return t.byName[name] }
 
+// add appends c. Its panics are unreachable from a plan: Parse rejects a
+// repeated select column or groupby key, and agg reports a repeated output
+// name as an *Error before adding it.
 func (t *Table) add(c *Column) *Table {
 	if c.len() != t.rows {
 		panic(fmt.Sprintf("query: column %q has %d rows, table has %d", c.Name, c.len(), t.rows))
@@ -117,6 +123,50 @@ func (t *Table) AddInt(name string, v []int64) *Table {
 // AddStr appends a string column. The slice is adopted, not copied.
 func (t *Table) AddStr(name string, v []string) *Table {
 	return t.add(&Column{Name: name, Kind: Str, S: v})
+}
+
+// frame is a plan's intermediate result: the columns of schema, each
+// indexed by source row, seen through a row selection. sel lists the
+// frame's rows as schema rows in frame order; nil means every schema row
+// in order. Expressions and verbs address a frame by position, 0 up to
+// rows(), and read the source through sel.
+type frame struct {
+	schema *Table
+	sel    []int32
+}
+
+// rows returns the frame's row count.
+func (f frame) rows() int {
+	if f.sel == nil {
+		return f.schema.rows
+	}
+	return len(f.sel)
+}
+
+// row maps frame position i to its schema row.
+func (f frame) row(i int) int {
+	if f.sel == nil {
+		return i
+	}
+	return int(f.sel[i])
+}
+
+// with returns the frame's rows narrowed or reordered to sel, which lists
+// schema rows; an empty sel stays empty, never the nil "all rows".
+func (f frame) with(sel []int32) frame {
+	if sel == nil {
+		sel = []int32{}
+	}
+	return frame{schema: f.schema, sel: sel}
+}
+
+// table materializes the frame: the schema itself when nothing was
+// selected, else the selected rows of its columns, gathered once.
+func (f frame) table() *Table {
+	if f.sel == nil {
+		return f.schema
+	}
+	return f.schema.gather(f.sel)
 }
 
 // gather materializes the rows named by idx (in idx order) into a fresh

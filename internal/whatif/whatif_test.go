@@ -3,7 +3,9 @@ package whatif
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"graingraph/internal/core"
 	"graingraph/internal/highlight"
@@ -405,5 +407,49 @@ func TestEngineTablesFollowNumbering(t *testing.T) {
 				t.Errorf("%s: slot %d enters at node %d, owned by slot %d", name, si, n, own.Of[n])
 			}
 		}
+	}
+}
+
+// TestNewAdoptsTheReportsBaseline: an engine over an analysed graph runs
+// no second critical-path DP — it holds the report's baseline itself, and
+// building it allocates less than one distance column would take.
+func TestNewAdoptsTheReportsBaseline(t *testing.T) {
+	tr := rts.Run(rts.Config{Program: "fib", Cores: 8, Seed: 1}, func(c rts.Ctx) {
+		var fib func(c rts.Ctx, n int)
+		fib = func(c rts.Ctx, n int) {
+			c.Compute(20)
+			if n < 2 {
+				return
+			}
+			c.Spawn(profile.Loc("fib.go", 1, "fib"), func(c rts.Ctx) { fib(c, n-1) })
+			c.Spawn(profile.Loc("fib.go", 2, "fib"), func(c rts.Ctx) { fib(c, n-2) })
+			c.TaskWait()
+		}
+		fib(c, 14)
+	})
+	g := core.Build(tr)
+	rep := metrics.Analyze(tr, g, nil, metrics.Options{})
+	e := New(g, rep)
+	if e.cpBase == nil || e.cpBase != rep.CriticalBaseline(g) {
+		t.Fatal("New built a second baseline instead of adopting the report's")
+	}
+	if e.BaseSpan != rep.CriticalPathLength {
+		t.Errorf("BaseSpan %d, report critical path %d", e.BaseSpan, rep.CriticalPathLength)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	New(g, rep)
+	runtime.ReadMemStats(&after)
+	dist := uint64(g.NumNodes()) * uint64(unsafe.Sizeof(profile.Time(0)))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New allocated %d bytes; one distance column is %d", got, dist)
+	if got >= dist {
+		t.Errorf("New allocated %d bytes, not below one distance column (%d)", got, dist)
+	}
+
+	// A report over another graph of the trace is not adopted.
+	if other := New(core.Build(tr), rep); other.cpBase == e.cpBase {
+		t.Error("New adopted a baseline computed on another graph")
 	}
 }
