@@ -413,9 +413,8 @@ func (g *Graph) Topological() []NodeID {
 }
 
 // CriticalGrains reports, by grain number, which grains have a fragment or
-// chunk node on the marked critical path. Run metrics.CriticalPathPool (or
-// metrics.Analyze) first; before that no node carries the Critical flag
-// and every entry is false.
+// chunk node on the marked critical path. Run metrics.Analyze first;
+// before that no node carries the Critical flag and every entry is false.
 func (g *Graph) CriticalGrains() []bool {
 	crit := make([]bool, g.NumGrainNums())
 	for n := NodeID(0); n < NodeID(g.NumNodes()); n++ {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"graingraph/internal/core"
 	"graingraph/internal/ggp"
@@ -232,6 +234,44 @@ func TestReaderRejectsOversizedSectionLength(t *testing.T) {
 	raw = appendUvarint(raw, uint64(ggp.MaxSection)+1)
 	if _, err := ggp.Decode(raw, nil, nil); err == nil {
 		t.Error("oversized section length accepted")
+	}
+}
+
+// TestReaderSlabsBoundedByInput feeds streams of task sections that cannot
+// decode and checks what the reader allocates before it fails: the record
+// slabs hold no more tasks than the input could encode, so a million empty
+// sections cost next to nothing and minimum-size ones no more than that many
+// valid tasks decoded one at a time.
+func TestReaderSlabsBoundedByInput(t *testing.T) {
+	header := append([]byte(ggp.Magic), ggp.Version)
+	perTask := uint64(unsafe.Sizeof(profile.TaskRecord{}) + unsafe.Sizeof(&profile.TaskRecord{}))
+	for _, tc := range []struct {
+		name     string
+		sections int
+		payload  []byte // a string length past the section's end from its first byte on
+		counted  uint64
+	}{
+		{"empty", 1_000_000, nil, 0},
+		{"minimum-size", 100_000, bytes.Repeat([]byte{0x7F}, 14), 100_000},
+	} {
+		raw := append([]byte(nil), header...)
+		for range tc.sections {
+			raw = append(raw, ggp.SecTask)
+			raw = appendUvarint(raw, uint64(len(tc.payload)))
+			raw = append(raw, tc.payload...)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ggp.Decode(raw, nil, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "section 0x02") {
+			t.Fatalf("%s: want the first task section rejected, got %v", tc.name, err)
+		}
+		got, bound := after.TotalAlloc-before.TotalAlloc, tc.counted*perTask+64<<10
+		t.Logf("%s: %d input bytes, %d allocated", tc.name, len(raw), got)
+		if got > bound {
+			t.Errorf("%s: decoding %d input bytes allocated %d; the bound is %d", tc.name, len(raw), got, bound)
+		}
 	}
 }
 

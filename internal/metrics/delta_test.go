@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graingraph/internal/core"
@@ -38,7 +39,7 @@ func randomDAGTrace(t *testing.T, seed int64, depth int) *core.Graph {
 // TestCriticalPathDeltaMatchesFullDP is the delta DP's oracle property: for
 // random graphs and random sparse edits — including zeroings, inflations and
 // edits on the critical path itself — CriticalPathDelta over the baseline
-// must equal CriticalPathOverPool of the fully edited weight vector.
+// must equal CriticalSpan of the fully edited weight vector.
 func TestCriticalPathDeltaMatchesFullDP(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randomDAGTrace(t, seed, 4)
@@ -66,7 +67,7 @@ func TestCriticalPathDeltaMatchesFullDP(t *testing.T) {
 			for nd, w := range edits {
 				full[nd] = w
 			}
-			want, _ := CriticalPathOverPool(g, full, nil)
+			want := CriticalSpan(g, full, nil)
 
 			got, ok := CriticalPathDelta(b, edits, n+1)
 			if !ok {
@@ -109,13 +110,19 @@ func TestCriticalPathDeltaFallback(t *testing.T) {
 }
 
 // TestNewCPBaselineMatchesCriticalPathOver pins the baseline construction
-// itself against the reference DP.
+// itself against the serial predecessor-column DP, run in level order.
 func TestNewCPBaselineMatchesCriticalPathOver(t *testing.T) {
 	g := randomDAGTrace(t, 3, 4)
-	want, _ := CriticalPathPool(g, nil)
+	var topo []core.NodeID
+	for l := 0; l < g.NumLevels(); l++ {
+		for _, n := range g.LevelNodes(l) {
+			topo = append(topo, core.NodeID(n))
+		}
+	}
+	wantLen, wantPath := oracleCriticalPath(g, topo)
 	b := NewCPBaseline(g, nil, nil)
-	if b.Span() != want {
-		t.Errorf("baseline span %d, want %d", b.Span(), want)
+	if b.Span() != wantLen || !slices.Equal(b.Path(), wantPath) {
+		t.Errorf("baseline span %d path %v, want %d %v", b.Span(), b.Path(), wantLen, wantPath)
 	}
 	// Explicit weights are copied, not aliased.
 	w := make([]profile.Time, g.NumNodes())
