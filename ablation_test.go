@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"graingraph/internal/cache"
-	"graingraph/internal/expt"
 	"graingraph/internal/machine"
 	"graingraph/internal/metrics"
 	"graingraph/internal/profile"
@@ -32,11 +31,11 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	for _, cs := range cases {
 		b.Run(cs.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ws, err := expt.Makespan(cs.mk(), expt.Config{Cores: 48, Seed: 1})
+				ws, err := makespan(cs.mk(), rts.Config{Cores: 48, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				cq, err := expt.Makespan(cs.mk(), expt.Config{Cores: 48, Seed: 1,
+				cq, err := makespan(cs.mk(), rts.Config{Cores: 48, Seed: 1,
 					Scheduler: rts.CentralQueueSched})
 				if err != nil {
 					b.Fatal(err)
@@ -54,8 +53,8 @@ func BenchmarkAblationPagePolicy(b *testing.B) {
 	for _, pol := range policies {
 		b.Run(pol.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mk, err := expt.Makespan(workloads.NewSort(workloads.DefaultSortParams()),
-					expt.Config{Cores: 48, Seed: 1, Policy: pol})
+				mk, err := makespan(workloads.NewSort(workloads.DefaultSortParams()),
+					rts.Config{Cores: 48, Seed: 1, Policy: pol})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -139,8 +138,8 @@ func BenchmarkAblationCoreSweep(b *testing.B) {
 	for _, cores := range []int{1, 4, 12, 24, 48} {
 		b.Run(coreName(cores), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mk, err := expt.Makespan(workloads.NewSort(workloads.DefaultSortParams()),
-					expt.Config{Cores: cores, Seed: 1, Policy: machine.RoundRobin})
+				mk, err := makespan(workloads.NewSort(workloads.DefaultSortParams()),
+					rts.Config{Cores: cores, Seed: 1, Policy: machine.RoundRobin})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -148,6 +147,17 @@ func BenchmarkAblationCoreSweep(b *testing.B) {
 			}
 		})
 	}
+}
+
+// makespan simulates inst under cfg, verifies its result and returns the
+// virtual makespan.
+func makespan(inst workloads.Instance, cfg rts.Config) (uint64, error) {
+	cfg.Program = inst.Name()
+	tr := rts.Run(cfg, inst.Program())
+	if err := inst.Verify(); err != nil {
+		return 0, err
+	}
+	return tr.Makespan(), nil
 }
 
 func coreName(c int) string {
@@ -169,7 +179,7 @@ func BenchmarkAblationIPInterval(b *testing.B) {
 		interval profile.Time
 	}{
 		{"median_grain", metrics.MedianGrainLength(exec)},
-		{"min_grain", metrics.MinGrainLength(exec)},
+		{"min_grain", minGrainLength(exec)},
 	}
 	for _, ch := range choices {
 		b.Run(ch.name, func(b *testing.B) {
@@ -186,4 +196,19 @@ func BenchmarkAblationIPInterval(b *testing.B) {
 			}
 		})
 	}
+}
+
+// minGrainLength returns the smallest positive grain execution time in
+// exec — the paper's alternative interval choice — or 1 when there is none.
+func minGrainLength(exec []int64) profile.Time {
+	min := profile.Time(0)
+	for _, e := range exec {
+		if t := profile.Time(e); t > 0 && (min == 0 || t < min) {
+			min = t
+		}
+	}
+	if min == 0 {
+		return 1
+	}
+	return min
 }

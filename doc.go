@@ -11,4 +11,13 @@
 // figure. The root-level benchmarks (bench_test.go) regenerate each one:
 //
 //	go test -bench=. -benchtime=1x .
+//
+// The runnable examples (example_test.go) walk the method end to end:
+// Example_quickstart profiles a task-parallel Fibonacci, Example_kdtreeBug
+// finds 376.kdtree's missing depth increment, Example_freqminePack
+// bin-packs Freqmine's imbalanced loop, and Example_native grain-graphs a
+// real Go mergesort on the native executor. `go test .` runs them and
+// checks their output, and TestEveryInternalFunctionLinked (reach_test.go)
+// checks that every function under internal/ is linked by a shipped binary
+// or allow-listed with its reason.
 package graingraph

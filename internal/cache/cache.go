@@ -93,14 +93,6 @@ func (c *Counters) Add(other Counters) {
 	c.Compute += other.Compute
 }
 
-// L1MissRatio returns L1 misses per access, or 0 when idle.
-func (c *Counters) L1MissRatio() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.L1Miss) / float64(c.Accesses)
-}
-
 // Utilization returns the memory-hierarchy utilization metric: compute
 // cycles divided by stall cycles. A grain that never stalls has perfect
 // utilization, reported as +Inf-like large value via ok=false semantics:
@@ -305,9 +297,6 @@ func (h *Hierarchy) Release() {
 		idle.byGeometry[g] = append(hs, h)
 	}
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // path is one core's view of the hierarchy, resolved once per call.
 type path struct {

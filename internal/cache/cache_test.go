@@ -100,7 +100,7 @@ func TestWriterKeepsOwnLineWarm(t *testing.T) {
 
 func TestCapacityEviction(t *testing.T) {
 	h, mem, _ := newTestHierarchy(machine.FirstTouch)
-	cfg := h.Config()
+	cfg := h.cfg
 	// Scan four times the L1 size; re-scanning must miss in L1 (capacity),
 	// but hit in L2 which is large enough.
 	size := 4 * int64(cfg.L1Size)
@@ -188,15 +188,12 @@ func TestCountersAddAndRatios(t *testing.T) {
 	if a.Accesses != 15 || a.L1Miss != 5 || a.Stall != 150 || a.Compute != 400 {
 		t.Fatalf("Add result = %+v", a)
 	}
-	if got := a.L1MissRatio(); got != 5.0/15.0 {
-		t.Fatalf("L1MissRatio = %v", got)
-	}
 	if got := a.Utilization(); got != 400.0/150.0 {
 		t.Fatalf("Utilization = %v", got)
 	}
 	var zero Counters
-	if zero.L1MissRatio() != 0 || zero.Utilization() != 0 {
-		t.Fatal("zero counters should yield zero ratios")
+	if zero.Utilization() != 0 {
+		t.Fatal("zero counters should yield zero utilization")
 	}
 	noStall := Counters{Compute: 7}
 	if noStall.Utilization() != 7 {

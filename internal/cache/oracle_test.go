@@ -262,9 +262,6 @@ func newOracle(cfg Config, topo *machine.Topology, mem *machine.Memory) *oracleH
 	return h
 }
 
-// Config returns the hierarchy's configuration.
-func (h *oracleHierarchy) Config() Config { return h.cfg }
-
 // Access simulates one access by core to addr at virtual time now and
 // returns the cycles it costs (including any memory-channel queueing).
 // Counters (may be nil) receive the access/miss/stall accounting.

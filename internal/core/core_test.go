@@ -80,8 +80,8 @@ func TestBuildFig3aStructure(t *testing.T) {
 	if ek[EdgeContinuation] != 6 {
 		t.Errorf("continuation edges = %d, want 6", ek[EdgeContinuation])
 	}
-	if g.NumGrainNodes() != 6 {
-		t.Errorf("grain nodes = %d, want 6", g.NumGrainNodes())
+	if got := kinds[NodeFragment] + kinds[NodeChunk]; got != 6 {
+		t.Errorf("grain nodes = %d, want 6", got)
 	}
 }
 
@@ -216,7 +216,7 @@ func TestGraphIndependentOfMachineSize(t *testing.T) {
 	sig := func(g *Graph) map[string]int {
 		m := map[string]int{}
 		for n := NodeID(0); n < NodeID(g.NumNodes()); n++ {
-			m[string(g.Grain(n))+"|"+g.Kind(n).String()]++
+			m[string(g.GrainID(g.GrainNum(n)))+"|"+g.Kind(n).String()]++
 		}
 		return m
 	}
@@ -322,7 +322,7 @@ func TestReductionPreservesGrainCount(t *testing.T) {
 	grains := map[profile.GrainID]bool{}
 	for n := NodeID(0); n < NodeID(rg.NumNodes()); n++ {
 		if k := rg.Kind(n); k == NodeFragment || k == NodeChunk {
-			id := rg.Grain(n)
+			id := rg.GrainID(rg.GrainNum(n))
 			if grains[id] {
 				t.Errorf("grain %s has multiple nodes after reduction", id)
 			}
@@ -410,10 +410,12 @@ func TestLayoutDeepRecursion(t *testing.T) {
 	}
 }
 
+// TestTopologicalOrder: read level by level, the level index lists a built
+// graph's nodes in a topological order.
 func TestTopologicalOrder(t *testing.T) {
 	tr := fig3aTrace(t, 2)
 	g := Build(tr)
-	order := g.Topological()
+	order := levelOrder(g)
 	if len(order) != g.NumNodes() {
 		t.Fatalf("topological order covers %d of %d nodes", len(order), g.NumNodes())
 	}

@@ -219,9 +219,6 @@ func (g *Graph) GrainID(num int32) profile.GrainID {
 	return g.extra[int(num)-len(g.ids)]
 }
 
-// Grain returns node n's owning grain ID.
-func (g *Graph) Grain(n NodeID) profile.GrainID { return g.GrainID(g.grain[n]) }
-
 // LookupGrain returns the number of the grain with the given ID, or -1
 // when neither the trace nor this graph knows it.
 func (g *Graph) LookupGrain(id profile.GrainID) int32 {
@@ -266,16 +263,6 @@ func (g *Graph) First(num int32) NodeID {
 	return -1
 }
 
-// SetSpan records grain num's entry and exit nodes, growing the tables to
-// cover num.
-func (g *Graph) SetSpan(num int32, first, last NodeID) {
-	for int(num) >= len(g.FirstNode) {
-		g.FirstNode = append(g.FirstNode, -1)
-		g.LastNode = append(g.LastNode, -1)
-	}
-	g.FirstNode[num], g.LastNode[num] = first, last
-}
-
 // AddNode appends a node (its ID field is ignored and assigned fresh),
 // resolving its Grain ID to a number, and returns its ID.
 // FirstNode/LastNode bookkeeping is the caller's responsibility.
@@ -302,18 +289,6 @@ func (g *Graph) NodeAt(n NodeID) Node {
 
 // AddEdge appends an edge.
 func (g *Graph) AddEdge(from, to NodeID, kind EdgeKind) { g.appendEdge(from, to, kind) }
-
-// NumGrainNodes counts fragment and chunk nodes (the "grains" rendered as
-// rectangles).
-func (g *Graph) NumGrainNodes() int {
-	n := 0
-	for _, k := range g.kind {
-		if NodeKind(k) == NodeFragment || NodeKind(k) == NodeChunk {
-			n++
-		}
-	}
-	return n
-}
 
 // Validate checks structural invariants: the graph is a DAG, edges respect
 // the paper's connection constraints (a fork connects to exactly one child
@@ -376,40 +351,6 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("grain graph has a cycle: visited %d of %d nodes", visited, g.NumNodes())
 	}
 	return nil
-}
-
-// Topological returns the nodes in a topological order. It panics if the
-// graph has a cycle (Validate would have reported it). As a side effect it
-// forces the adjacency index, making the graph safe for concurrent
-// read-only traversal afterwards.
-func (g *Graph) Topological() []NodeID {
-	indeg := make([]int, g.NumNodes())
-	for i := 0; i < g.NumEdges(); i++ {
-		indeg[g.EdgeTo(i)]++
-	}
-	var order []NodeID
-	var queue []NodeID
-	for i := range indeg {
-		if indeg[i] == 0 {
-			queue = append(queue, NodeID(i))
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, ei := range g.Out(n) {
-			to := g.EdgeTo(int(ei))
-			indeg[to]--
-			if indeg[to] == 0 {
-				queue = append(queue, to)
-			}
-		}
-	}
-	if len(order) != g.NumNodes() {
-		panic("core: Topological called on cyclic graph")
-	}
-	return order
 }
 
 // CriticalGrains reports, by grain number, which grains have a fragment or

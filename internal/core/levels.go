@@ -21,8 +21,8 @@ import (
 // index first (call NumLevels once), exactly as with Out/In.
 
 // buildLevels computes the level of every node and the level index. It
-// panics on a cyclic graph, mirroring Topological: Build makes acyclic
-// graphs, and AdoptGraph rejects cyclic ones through indexLevels.
+// panics on a cyclic graph: Build makes acyclic graphs, and AdoptGraph
+// rejects cyclic ones through indexLevels.
 func (s *GraphStore) buildLevels() {
 	if err := s.indexLevels(); err != nil {
 		panic("core: level index requested on cyclic graph: " + err.Error())

@@ -74,9 +74,6 @@ func (s *GraphStore) Loop(n NodeID) profile.LoopID { return profile.LoopID(s.loo
 // Seq returns node n's sibling sequence number.
 func (s *GraphStore) Seq(n NodeID) int { return int(s.seq[n]) }
 
-// Label returns node n's display label.
-func (s *GraphStore) Label(n NodeID) string { return s.label[n] }
-
 // Start returns node n's start time.
 func (s *GraphStore) Start(n NodeID) profile.Time { return s.start[n] }
 
@@ -154,14 +151,6 @@ func (s *GraphStore) EdgeCritical(i int) bool { return s.edgeCritical[i] }
 
 // SetEdgeCritical marks (or clears) edge i's critical-path membership.
 func (s *GraphStore) SetEdgeCritical(i int, v bool) { s.edgeCritical[i] = v }
-
-// Weights returns a copy of the node weight column, indexed by NodeID —
-// the starting point for what-if weight transformations.
-func (s *GraphStore) Weights() []profile.Time {
-	w := make([]profile.Time, len(s.weight))
-	copy(w, s.weight)
-	return w
-}
 
 // WeightColumn returns the node weight column itself, indexed by NodeID,
 // for readers that keep it: read, don't mutate. Nothing writes a built
@@ -273,8 +262,8 @@ func (s *GraphStore) buildCSR() {
 // Out returns the indexes of n's outgoing edges (pass them to EdgeTo /
 // EdgeKindAt / EdgeAt). The returned slice aliases the CSR arrays: read,
 // don't mutate. Building the index is not goroutine-safe; concurrent
-// readers must force it first (call Out once, or Topological) exactly as
-// the what-if engine does.
+// readers must force it first (call Out once) exactly as the what-if
+// engine does.
 func (s *GraphStore) Out(n NodeID) []int32 {
 	if s.outOff == nil {
 		s.buildCSR()

@@ -280,15 +280,6 @@ func RunSpan(inst workloads.Instance, cfg Config, parent *obs.Span) (*Result, er
 	return runReq{mk: func() workloads.Instance { return inst }, cfg: cfg}.do(parent)
 }
 
-// Makespan runs inst and returns its virtual makespan (verifying results).
-func Makespan(inst workloads.Instance, cfg Config) (uint64, error) {
-	res, err := runReq{mk: func() workloads.Instance { return inst }, cfg: cfg, makespan: true}.do(nil)
-	if err != nil {
-		return 0, err
-	}
-	return res.Trace.Makespan(), nil
-}
-
 // table starts a tabwriter for aligned console tables.
 func table(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -24,15 +24,14 @@ func TestRunVerifiesAndAnalyzes(t *testing.T) {
 
 func TestSpeedupSanity(t *testing.T) {
 	mk := func() workloads.Instance { return workloads.NewFib(workloads.FibParams{N: 22, Cutoff: 7}) }
-	t1, err := Makespan(mk(), Config{Cores: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	makespan := func(cores int) uint64 {
+		res, err := runReq{mk: mk, cfg: Config{Cores: cores, Seed: 1}, makespan: true}.do(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Trace.Makespan()
 	}
-	t8, err := Makespan(mk(), Config{Cores: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := float64(t1) / float64(t8)
+	sp := float64(makespan(1)) / float64(makespan(8))
 	if sp < 2 || sp > 8 {
 		t.Errorf("fib 8-core speedup = %.2f, want within (2,8]", sp)
 	}
@@ -204,27 +203,35 @@ func TestOtherBenchmarksShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := res.Get("Blackscholes")
+	get := func(program string) *OtherRow {
+		for i := range res.Rows {
+			if res.Rows[i].Program == program {
+				return &res.Rows[i]
+			}
+		}
+		return nil
+	}
+	bs := get("Blackscholes")
 	if bs == nil || bs.PoorMHU < 0.5 {
 		t.Errorf("Blackscholes poor MHU = %+v, want > 65%% of chunks", bs)
 	}
-	nq := res.Get("NQueens")
+	nq := get("NQueens")
 	if nq == nil || nq.Speedup < 20 {
 		t.Errorf("NQueens speedup = %+v, want near-linear", nq)
 	}
-	fib := res.Get("Fibonacci")
+	fib := get("Fibonacci")
 	if fib == nil || fib.LowPB < 0.2 {
 		t.Errorf("Fibonacci low PB = %+v, want flagged problems", fib)
 	}
-	uts := res.Get("UTS")
+	uts := get("UTS")
 	if uts == nil || uts.LowPB < 0.8 {
 		t.Errorf("UTS low PB = %+v, want poor parallel benefit for most grains", uts)
 	}
-	algn := res.Get("358.botsalgn")
+	algn := get("358.botsalgn")
 	if algn == nil || algn.Speedup < 30 || algn.LowPB > 0.1 || algn.PoorMHU > 0.1 {
 		t.Errorf("358.botsalgn = %+v, want linear scaling with clean metrics", algn)
 	}
-	fp := res.Get("Floorplan")
+	fp := get("Floorplan")
 	if fp == nil || fp.Speedup < 5 {
 		t.Errorf("Floorplan = %+v, want real scaling", fp)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"graingraph/internal/core"
 	"graingraph/internal/export"
 	"graingraph/internal/ggp"
 	"graingraph/internal/lod"
@@ -50,7 +51,12 @@ func TestGiantSmoke(t *testing.T) {
 	setJobs(t, 8)
 
 	res := analyze(nil, tr, nil, Config{}, nil)
-	grains := res.Graph.NumGrainNodes()
+	grains := 0
+	for n := core.NodeID(0); n < core.NodeID(res.Graph.NumNodes()); n++ {
+		if k := res.Graph.Kind(n); k == core.NodeFragment || k == core.NodeChunk {
+			grains++
+		}
+	}
 	if grains < 5_000 || grains > 100_000 {
 		t.Errorf("smoke giant produced %d grain nodes, want 5k..100k", grains)
 	}

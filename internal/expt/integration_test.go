@@ -395,8 +395,8 @@ func TestGrainNumberingOnRandomTrees(t *testing.T) {
 				t.Errorf("seed %d: slot %d owns grain %d, whose slot is %d", seed, si, num, own.Slot(num))
 			}
 		}
-		if ix := lod.Build(g, a); ix.NumTasks() != len(own.Grain) || ix.NumTasks() != len(tr.Tasks) {
-			t.Errorf("seed %d: lod index has %d slots, owner table %d, trace %d tasks", seed, ix.NumTasks(), len(own.Grain), len(tr.Tasks))
+		if n := lod.Build(g, a).Table().NumRows(); n != len(own.Grain) || n != len(tr.Tasks) {
+			t.Errorf("seed %d: lod index has %d slots, owner table %d, trace %d tasks", seed, n, len(own.Grain), len(tr.Tasks))
 		}
 	}
 }

@@ -24,16 +24,6 @@ type OthersResult struct {
 	RunLog
 }
 
-// Get returns a program's row.
-func (o *OthersResult) Get(program string) *OtherRow {
-	for i := range o.Rows {
-		if o.Rows[i].Program == program {
-			return &o.Rows[i]
-		}
-	}
-	return nil
-}
-
 // OtherBenchmarks regenerates the §4.3.6 summaries: Blackscholes (poor MHU
 // and low PB on many chunks despite good speedup), NQueens (clean, linear),
 // Fibonacci (work-deviation and parallel-benefit problems), and UTS (poor

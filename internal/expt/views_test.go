@@ -299,7 +299,7 @@ func FuzzAnalyzeAccepted(f *testing.F) {
 				continue
 			}
 			e := whatif.New(sub.Res.Graph, sub.Res.Report)
-			for _, h := range e.Candidates(sub.Res.Assessment, whatif.RankOptions{}) {
+			for _, h := range e.Candidates(sub.Res.Assessment) {
 				if _, ok := h.(whatif.CollapseAtDepth); !ok {
 					continue
 				}

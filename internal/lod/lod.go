@@ -234,19 +234,6 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 	return ix
 }
 
-// NumTasks returns the number of task slots in the index.
-func (ix *Index) NumTasks() int { return len(ix.ids) }
-
-// SubtreeWork returns the aggregated work of id's spawn subtree, and
-// whether the task exists.
-func (ix *Index) SubtreeWork(id profile.GrainID) (profile.Time, bool) {
-	si := ix.slot(ix.g.LookupGrain(id))
-	if si < 0 {
-		return 0, false
-	}
-	return profile.Time(ix.subWork[si]), true
-}
-
 // indexSlots builds slotOf from grain. It reports the first slot whose
 // grain an earlier slot already claimed, or -1.
 func (ix *Index) indexSlots() (dup int) {

@@ -80,22 +80,22 @@ func criticalNodes(g *core.Graph) int {
 }
 
 // TestIndexRootRollup pins the index's core invariant: every node's weight
-// rolls up into the root task's subtree aggregate, so SubtreeWork("R") is
-// the whole graph's work.
+// rolls up into the root task's subtree aggregate, so the root slot's
+// subtree work is the whole graph's work.
 func TestIndexRootRollup(t *testing.T) {
 	for name, s := range subjects(t) {
 		ix := Build(s.g, s.a)
-		if ix.NumTasks() == 0 {
+		if len(ix.ids) == 0 {
 			t.Errorf("%s: index has no tasks", name)
 		}
-		w, ok := ix.SubtreeWork(profile.RootID)
-		if !ok {
+		si := ix.slot(s.g.LookupGrain(profile.RootID))
+		if si < 0 {
 			t.Fatalf("%s: root subtree missing from index", name)
 		}
-		if int64(w) != totalWeight(s.g) {
+		if w := ix.subWork[si]; w != totalWeight(s.g) {
 			t.Errorf("%s: root subtree work = %d, want total graph weight %d", name, w, totalWeight(s.g))
 		}
-		if _, ok := ix.SubtreeWork("R.does-not-exist"); ok {
+		if ix.slot(s.g.LookupGrain("R.does-not-exist")) >= 0 {
 			t.Errorf("%s: unknown grain reported a subtree", name)
 		}
 	}

@@ -46,9 +46,6 @@ type Region struct {
 	Size int64 // bytes
 }
 
-// End returns the first byte address past the region.
-func (r *Region) End() int64 { return r.Base + r.Size }
-
 // Memory is the simulated physical memory: an allocator plus a page table
 // mapping pages to NUMA nodes under the configured placement policy.
 //
@@ -69,9 +66,6 @@ type Memory struct {
 func NewMemory(topo *Topology, policy Policy) *Memory {
 	return &Memory{topo: topo, policy: policy}
 }
-
-// Policy returns the placement policy in effect.
-func (m *Memory) Policy() Policy { return m.policy }
 
 // Alloc reserves size bytes and returns the region. The region is
 // page-aligned; placement of its pages follows the memory's policy and, for
@@ -130,18 +124,6 @@ func (m *Memory) growPages(page int64) {
 	}
 	copy(np, m.pages)
 	m.pages = np
-}
-
-// PlacedPages returns how many pages have been assigned to each node so
-// far. Useful in tests and for reporting placement skew.
-func (m *Memory) PlacedPages() []int {
-	counts := make([]int, m.topo.NumSockets())
-	for _, node := range m.pages {
-		if node >= 0 {
-			counts[node]++
-		}
-	}
-	return counts
 }
 
 // Reset forgets all page placements (but not allocations), so a fresh run

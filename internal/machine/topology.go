@@ -54,9 +54,6 @@ func (t *Topology) NumCores() int { return t.sockets * t.coresPerSocket }
 // NumSockets returns the number of sockets (== NUMA nodes in this model).
 func (t *Topology) NumSockets() int { return t.sockets }
 
-// CoresPerSocket returns the number of cores on each socket.
-func (t *Topology) CoresPerSocket() int { return t.coresPerSocket }
-
 // Socket returns the socket (NUMA node) a core belongs to.
 func (t *Topology) Socket(core int) int {
 	if core < 0 || core >= t.NumCores() {
@@ -67,15 +64,3 @@ func (t *Topology) Socket(core int) int {
 
 // NodeDistance returns the SLIT-style distance between two NUMA nodes.
 func (t *Topology) NodeDistance(a, b int) int { return t.distance[a][b] }
-
-// CoreDistance returns the distance between two cores used by the scatter
-// metric. Following the paper ("by subtracting core identifiers in some
-// topologies"), it is the absolute difference of core identifiers, which
-// makes the problem threshold "farther than one socket" equal to
-// CoresPerSocket.
-func (t *Topology) CoreDistance(a, b int) int {
-	if a > b {
-		a, b = b, a
-	}
-	return b - a
-}

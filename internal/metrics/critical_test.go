@@ -126,7 +126,7 @@ func TestCriticalPathOverWeightVector(t *testing.T) {
 		t.Fatalf("baseline length = %d, want 18", base)
 	}
 	// Halve node 1's branch, inflate node 2's: the path must reroute.
-	w := g.Weights()
+	w := slices.Clone(g.WeightColumn())
 	w[1] = 2
 	w[2] = 40
 	if length := CriticalSpan(g, w, nil); length != 48 { // 5 + 40 + 3
@@ -152,7 +152,7 @@ func TestCriticalPathOverWeightVector(t *testing.T) {
 // path read back through pred.
 func oracleCriticalPath(g *core.Graph, topo []core.NodeID) (profile.Time, []core.NodeID) {
 	n := g.NumNodes()
-	w := g.Weights()
+	w := g.WeightColumn()
 	dist := make([]profile.Time, n)
 	pred := make([]core.NodeID, n)
 	for _, nd := range topo {

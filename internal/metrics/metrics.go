@@ -43,8 +43,6 @@ type Options struct {
 	Interval profile.Time
 	// Flavor selects optimistic or conservative counting.
 	Flavor IPFlavor
-	// MaxIntervals caps the timeline resolution (default 4096).
-	MaxIntervals int
 	// Pool, when non-nil with more than one worker, runs the per-grain
 	// metric kernels (rows, work deviation, scatter) and the critical-path
 	// DP data-parallel across its workers. Output is byte-identical at
@@ -55,13 +53,6 @@ type Options struct {
 	// fixed serial order the kernels run. Nil disables phase observation
 	// at zero cost.
 	Span *obs.Span
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIntervals == 0 {
-		o.MaxIntervals = 4096
-	}
-	return o
 }
 
 // Report is the full derived-metric set for one trace. Its per-grain part
@@ -167,7 +158,6 @@ func (r *Report) RowIndexOf(id profile.GrainID) int {
 // built from tr (pass nil to have Analyze build it). baseline, if non-nil,
 // is a single-core trace of the same program used for work deviation.
 func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Options) *Report {
-	opts = opts.withDefaults()
 	if g == nil {
 		sp := opts.Span.Child("build")
 		g = core.Build(tr)
@@ -313,19 +303,4 @@ func MedianGrainLength(exec []int64) profile.Time {
 	}
 	slices.Sort(ls)
 	return ls[len(ls)/2]
-}
-
-// MinGrainLength returns the smallest positive grain execution time in
-// exec — the paper's alternative interval choice.
-func MinGrainLength(exec []int64) profile.Time {
-	min := profile.Time(0)
-	for _, e := range exec {
-		if t := profile.Time(e); t > 0 && (min == 0 || t < min) {
-			min = t
-		}
-	}
-	if min == 0 {
-		return 1
-	}
-	return min
 }

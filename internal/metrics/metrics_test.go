@@ -65,7 +65,7 @@ func TestCriticalPathDominantChain(t *testing.T) {
 	// The deepest chain grain must be marked critical.
 	critical := map[profile.GrainID]bool{}
 	for _, nid := range rep.CriticalNodes {
-		critical[g.Grain(nid)] = true
+		critical[g.GrainID(g.GrainNum(nid))] = true
 	}
 	if !critical["R.0.0.0"] {
 		t.Errorf("chain leaf not on critical path; critical grains: %v", critical)
@@ -312,16 +312,13 @@ func TestUtilizationReflectsMemoryBehaviour(t *testing.T) {
 	}
 }
 
-func TestMedianAndMinGrainLength(t *testing.T) {
+func TestMedianGrainLength(t *testing.T) {
 	grains := []int64{10, 30, 20, 0}
 	if got := MedianGrainLength(grains); got != 20 {
 		t.Errorf("median = %d, want 20", got)
 	}
-	if got := MinGrainLength(grains); got != 10 {
-		t.Errorf("min = %d, want 10", got)
-	}
-	if MedianGrainLength(nil) != 1 || MinGrainLength(nil) != 1 {
-		t.Error("empty grain lists should return 1")
+	if MedianGrainLength(nil) != 1 {
+		t.Error("an empty grain list should return 1")
 	}
 }
 
@@ -344,9 +341,9 @@ func TestAnalyzeTimelineCap(t *testing.T) {
 		}
 		c.TaskWait()
 	})
-	rep := Analyze(tr, nil, nil, Options{Interval: 1, MaxIntervals: 64})
-	if len(rep.Timeline) > 64 {
-		t.Errorf("timeline length %d exceeds cap 64", len(rep.Timeline))
+	rep := Analyze(tr, nil, nil, Options{Interval: 1})
+	if len(rep.Timeline) > maxIntervals {
+		t.Errorf("timeline length %d exceeds cap %d", len(rep.Timeline), maxIntervals)
 	}
 	if rep.IntervalSize <= 1 {
 		t.Errorf("interval not widened: %d", rep.IntervalSize)

@@ -35,6 +35,10 @@ func executionSpans(tr *profile.Trace) []grainSpan {
 	return spans
 }
 
+// maxIntervals caps the timeline resolution: a longer run gets wider
+// intervals, not more of them.
+const maxIntervals = 4096
+
 // instParallelism computes the per-interval parallelism timeline and fills
 // the report's Parallelism column (each grain's minimum over overlapping
 // intervals).
@@ -47,8 +51,8 @@ func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts
 		interval = 1
 	}
 	// Cap resolution.
-	if n := makespan / interval; n > profile.Time(opts.MaxIntervals) {
-		interval = (makespan + profile.Time(opts.MaxIntervals) - 1) / profile.Time(opts.MaxIntervals)
+	if n := makespan / interval; n > maxIntervals {
+		interval = (makespan + maxIntervals - 1) / maxIntervals
 	}
 	nIntervals := int((makespan + interval - 1) / interval)
 	counts := make([]int, nIntervals)

@@ -31,8 +31,9 @@ func scatter(rep *Report, opts Options) {
 	tr := rep.Trace
 	off, members := tr.SiblingSets(rep.Num)
 
-	// Distances follow the paper's core-identifier convention
-	// (machine.Topology.CoreDistance): |core_i - core_j|.
+	// Distances follow the paper ("by subtracting core identifiers in some
+	// topologies"): |core_i - core_j|, so "farther than one socket" is the
+	// cores-per-socket count.
 	runpool.ParallelFor(opts.Pool, len(off)-1, scatterSetGrain, func(_, lo, hi int) {
 		var cores []int
 		for si := lo; si < hi; si++ {

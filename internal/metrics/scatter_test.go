@@ -30,7 +30,7 @@ func scatterFixture(t *testing.T, grains []fixtureGrain) map[profile.GrainID]int
 	}
 	num := startOrder(tr)
 	rep := &Report{Trace: tr, Num: num, Scatter: make([]int64, len(num))}
-	scatter(rep, Options{}.withDefaults())
+	scatter(rep, Options{})
 	byID := make(map[profile.GrainID]int64, len(num))
 	for row := range num {
 		byID[rep.ID(row)] = rep.Scatter[row]

@@ -22,14 +22,13 @@ type workerStats struct {
 }
 
 // PoolTelemetry aggregates run-pool activity: per-worker busy/participation
-// time and chunk counts, a global chunk-latency histogram, queue waits
+// time and chunk counts, a global chunk-latency histogram, and queue waits
 // (delay between a fan-out starting and each worker claiming its first
-// chunk), and memoization-cache hit/miss counters. All record methods are
-// lock-free atomics, safe from concurrent workers, and every method on a
-// nil receiver is a no-op, so the pool pays one nil test when telemetry is
-// detached.
+// chunk). All record methods are lock-free atomics, safe from concurrent
+// workers, and every method on a nil receiver is a no-op, so the pool pays
+// one nil test when telemetry is detached.
 //
-// Worker indexes are per-invocation slots (0 ≤ w < Workers()), not OS
+// Worker indexes are per-invocation slots (0 ≤ w < workers), not OS
 // threads: slot w aggregates every goroutine that ran as the w-th worker
 // of some fan-out, plus the calling goroutine of serial fallbacks (slot 0).
 type PoolTelemetry struct {
@@ -37,9 +36,6 @@ type PoolTelemetry struct {
 	hist    [histBuckets]atomic.Int64
 	queueNS atomic.Int64
 	queueN  atomic.Int64
-
-	memoHits   atomic.Int64
-	memoMisses atomic.Int64
 }
 
 // NewPoolTelemetry returns telemetry with the given number of worker
@@ -49,14 +45,6 @@ func NewPoolTelemetry(workers int) *PoolTelemetry {
 		workers = 1
 	}
 	return &PoolTelemetry{workers: make([]workerStats, workers)}
-}
-
-// Workers returns the number of worker slots (0 for a nil receiver).
-func (t *PoolTelemetry) Workers() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.workers)
 }
 
 // slot clamps a worker index into the allocated range, so a pool resized
@@ -102,21 +90,6 @@ func (t *PoolTelemetry) RecordQueueWait(d time.Duration) {
 	}
 	t.queueNS.Add(int64(d))
 	t.queueN.Add(1)
-}
-
-// MemoHit / MemoMiss count memoization-cache lookups routed through this
-// telemetry (the experiment engine points its caches here).
-func (t *PoolTelemetry) MemoHit() {
-	if t != nil {
-		t.memoHits.Add(1)
-	}
-}
-
-// MemoMiss records a memoization-cache miss (a computation that ran).
-func (t *PoolTelemetry) MemoMiss() {
-	if t != nil {
-		t.memoMisses.Add(1)
-	}
 }
 
 // histBucket maps a duration to its log2 bucket.
@@ -172,8 +145,8 @@ type PoolSnapshot struct {
 	// ascending.
 	Latency []HistBucket `json:"latency,omitempty"`
 
-	// Memos lists memoization caches reporting through this registry,
-	// in the order the owner registered them.
+	// Memos lists the memoization caches the snapshot's owner appends,
+	// in its order.
 	Memos []MemoCounters `json:"memos,omitempty"`
 }
 
@@ -218,11 +191,6 @@ func (t *PoolTelemetry) Snapshot() *PoolSnapshot {
 		}
 		s.Latency = append(s.Latency, HistBucket{
 			Lo: lo, Hi: time.Duration(1) << b, Count: n,
-		})
-	}
-	if h, m := t.memoHits.Load(), t.memoMisses.Load(); h > 0 || m > 0 {
-		s.Memos = append(s.Memos, MemoCounters{
-			Name: "pool", Hits: uint64(h), Misses: uint64(m),
 		})
 	}
 	return s

@@ -76,44 +76,6 @@ func ChildID(parent GrainID, index int) GrainID {
 	return GrainID(b)
 }
 
-// ParsePath decodes a task grain's path enumeration: "R.0.3" yields
-// [0, 3]; the root "R" yields an empty slice. It is the inverse of
-// repeated ChildID application starting from RootID. Chunk IDs and other
-// malformed strings return an error.
-func ParsePath(id GrainID) ([]int, error) {
-	s := string(id)
-	if s == string(RootID) {
-		return nil, nil
-	}
-	if len(s) < 2 || s[0] != RootID[0] || s[1] != '.' {
-		return nil, fmt.Errorf("profile: %q is not a task path enumeration", id)
-	}
-	s = s[2:]
-	if s == "" {
-		return nil, fmt.Errorf("profile: trailing separator in %q", id)
-	}
-	path := make([]int, 0, 4)
-	for len(s) > 0 {
-		j := 0
-		for j < len(s) && s[j] != '.' {
-			j++
-		}
-		n, err := strconv.Atoi(s[:j])
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("profile: bad path component %q in %q", s[:j], id)
-		}
-		path = append(path, n)
-		if j == len(s) {
-			break
-		}
-		s = s[j+1:]
-		if s == "" {
-			return nil, fmt.Errorf("profile: trailing separator in %q", id)
-		}
-	}
-	return path, nil
-}
-
 // Kind distinguishes the two grain varieties.
 type Kind int
 
@@ -353,14 +315,6 @@ func (tr *Trace) buildIndexes() {
 
 // Makespan returns the total profiled execution time.
 func (tr *Trace) Makespan() Time { return tr.End - tr.Start }
-
-// Task looks up a task record by grain ID.
-func (tr *Trace) Task(id GrainID) *TaskRecord {
-	if n := tr.Lookup(id); n >= 0 && int(n) < len(tr.Tasks) {
-		return tr.Tasks[n]
-	}
-	return nil
-}
 
 // Loop looks up a loop record by ID.
 func (tr *Trace) Loop(id LoopID) *LoopRecord {

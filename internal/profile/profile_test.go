@@ -89,17 +89,17 @@ func makeTestTrace() *Trace {
 
 func TestTaskRecordAccessors(t *testing.T) {
 	tr := makeTestTrace()
-	root := tr.Task(RootID)
-	if root == nil {
-		t.Fatal("root not found")
+	if tr.Lookup(RootID) != 0 {
+		t.Fatal("root not numbered first")
 	}
+	root := tr.Tasks[tr.Lookup(RootID)]
 	if got := root.ExecTime(); got != 100+50+100+100 {
 		t.Errorf("root ExecTime = %d, want 350", got)
 	}
 	if got := root.FirstCore(); got != 0 {
 		t.Errorf("root FirstCore = %d", got)
 	}
-	c0 := tr.Task("R.0")
+	c0 := tr.Tasks[tr.Lookup("R.0")]
 	counters := c0.TotalCounters()
 	if counters.Compute != 90 || counters.Stall != 10 {
 		t.Errorf("R.0 counters = %+v", counters)
@@ -107,8 +107,8 @@ func TestTaskRecordAccessors(t *testing.T) {
 	if (&TaskRecord{}).FirstCore() != -1 {
 		t.Error("empty task FirstCore should be -1")
 	}
-	if tr.Task("nope") != nil {
-		t.Error("lookup of unknown ID should return nil")
+	if tr.Lookup("nope") != -1 {
+		t.Error("lookup of unknown ID should return -1")
 	}
 }
 
@@ -228,7 +228,7 @@ func TestNumberingBuiltOnceUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if tr.Task("R.1") == nil || tr.Lookup("L0@t0#0[0,4)") != 3 || tr.Loop(0) == nil {
+			if tr.Lookup("R.1") != 2 || tr.Lookup("L0@t0#0[0,4)") != 3 || tr.Loop(0) == nil {
 				t.Error("lookup through a concurrently built index failed")
 			}
 			got[i] = tr.Numbering()

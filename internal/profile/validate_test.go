@@ -71,33 +71,3 @@ func TestValidateRejections(t *testing.T) {
 		})
 	}
 }
-
-func TestParsePathRoundTrip(t *testing.T) {
-	paths := [][]int{nil, {0}, {3}, {0, 0}, {1, 2, 3}, {17, 0, 42, 9}}
-	for _, want := range paths {
-		id := RootID
-		for _, i := range want {
-			id = ChildID(id, i)
-		}
-		got, err := ParsePath(id)
-		if err != nil {
-			t.Fatalf("ParsePath(%q): %v", id, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("ParsePath(%q) = %v, want %v", id, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("ParsePath(%q) = %v, want %v", id, got, want)
-			}
-		}
-	}
-}
-
-func TestParsePathRejectsMalformed(t *testing.T) {
-	for _, bad := range []GrainID{"", "X", "R.", "R..1", "R.1.", "R.-1", "R.a", "L0@t1#0[0,4)"} {
-		if _, err := ParsePath(bad); err == nil {
-			t.Errorf("ParsePath(%q) accepted a malformed ID", bad)
-		}
-	}
-}

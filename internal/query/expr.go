@@ -58,9 +58,6 @@ type Expr struct {
 	src  string
 }
 
-// Src returns the source text the expression was compiled from.
-func (e *Expr) Src() string { return e.src }
-
 // ParseExpr compiles one scalar expression.
 func ParseExpr(src string) (*Expr, error) {
 	p := &exprParser{toks: lex(src), src: src}

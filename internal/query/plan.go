@@ -38,13 +38,9 @@ import (
 //	filter kind == "chunk" && under(id, "R") && benefit < 1 && workdev > 2
 //	  | sort exec desc | topk 10 | select id,loc,exec,benefit,workdev
 type Plan struct {
-	src    string
 	source string // "grains" (default) or "tasks"
 	ops    []planOp
 }
-
-// Src returns the source text the plan was compiled from.
-func (p *Plan) Src() string { return p.src }
 
 // Source names the table the plan runs over: "grains" (the per-grain
 // metric rows, default) or "tasks" (the level-of-detail summary index).
@@ -59,7 +55,7 @@ type planOp interface {
 // Parse compiles a verb pipeline. All failures are *Error values: the
 // query is malformed, the engine is fine.
 func Parse(src string) (*Plan, error) {
-	p := &Plan{src: src, source: "grains"}
+	p := &Plan{source: "grains"}
 	stages := splitStages(src)
 	var pendingGroup []string
 	for si, stage := range stages {

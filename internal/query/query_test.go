@@ -331,6 +331,24 @@ func TestParseErrors(t *testing.T) {
 
 // TestTopKEqualsSortTruncate property-checks TopK and TopKPool against
 // sort+truncate under a randomized total order.
+// TestTopKComparisonsBounded: rows that arrive in ascending rank order, each
+// outranking every row before it, are the worst case of a sorted-insertion
+// selection (O(n·k)); the selection must stay within O(n log k) calls of
+// above.
+func TestTopKComparisonsBounded(t *testing.T) {
+	const n = 30_000
+	k := n / 2
+	calls := 0
+	above := func(i, j int) bool { calls++; return i > j }
+	top := TopK(n, k, above)
+	if len(top) != k || top[0] != n-1 || top[k-1] != int32(n-k) {
+		t.Fatalf("TopK = %d rows from %d to %d, want %d rows from %d to %d", len(top), top[0], top[len(top)-1], k, n-1, n-k)
+	}
+	if bound := 3 * float64(n) * math.Log2(float64(k+1)); float64(calls) > bound {
+		t.Errorf("TopK(%d, %d) called above %d times, want at most %.0f (3·n·log₂(k+1))", n, k, calls, bound)
+	}
+}
+
 func TestTopKEqualsSortTruncate(t *testing.T) {
 	pool := runpool.New(8)
 	for seed := int64(1); seed <= 4; seed++ {

@@ -8,35 +8,14 @@ import (
 
 // TopK returns the indices of the k highest-ranked rows of [0, n) under
 // above — a strict total order: above(i, j) reports whether row i outranks
-// row j — in rank order, best first. One bounded-selection pass: O(n·k)
-// worst case but O(n + k²) on typical inputs, and no allocation beyond the
-// result. Because the order is total, the result equals sorting all n rows
-// and truncating, which is what the callers (highlight top offenders,
-// what-if candidate truncation, window child selection, the topk verb)
-// previously each implemented by hand.
+// row j — in rank order, best first: O(n log k) comparisons whatever order
+// the rows arrive in, and no allocation beyond the result. Because the
+// order is total, the result equals sorting all n rows and truncating,
+// which is what the callers (highlight top offenders, what-if candidate
+// truncation, window child selection, the topk verb) previously each
+// implemented by hand.
 func TopK(n, k int, above func(i, j int) bool) []int32 {
-	if k <= 0 || n <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	top := make([]int32, 0, k)
-	for r := 0; r < n; r++ {
-		if len(top) == k && !above(r, int(top[k-1])) {
-			continue
-		}
-		pos := len(top)
-		for pos > 0 && above(r, int(top[pos-1])) {
-			pos--
-		}
-		if len(top) < k {
-			top = append(top, 0)
-		}
-		copy(top[pos+1:], top[pos:])
-		top[pos] = int32(r)
-	}
-	return top
+	return topKRange(0, n, k, above)
 }
 
 // topKChunkMin is the row count below which TopKPool stays serial: the
@@ -63,27 +42,59 @@ func TopKPool(pool *runpool.Runner, n, k int, above func(i, j int) bool) []int32
 		})
 }
 
-// topKRange is TopK restricted to global rows [lo, hi).
+// topKRange is TopK over global rows [lo, hi). The selection is a bounded
+// heap whose root is its weakest survivor: a row that does not outrank the
+// root costs one comparison, one that does replaces it and sinks in
+// O(log k). A heap sort then orders the k survivors in place.
 func topKRange(lo, hi, k int, above func(i, j int) bool) []int32 {
+	if k <= 0 || hi <= lo {
+		return nil
+	}
 	if k > hi-lo {
 		k = hi - lo
 	}
-	top := make([]int32, 0, k)
+	h := make([]int32, 0, k)
 	for r := lo; r < hi; r++ {
-		if len(top) == k && !above(r, int(top[k-1])) {
-			continue
+		if len(h) < k {
+			h = append(h, int32(r))
+			for c := len(h) - 1; c > 0; {
+				p := (c - 1) / 2
+				if !above(int(h[p]), int(h[c])) {
+					break
+				}
+				h[p], h[c] = h[c], h[p]
+				c = p
+			}
+		} else if above(r, int(h[0])) {
+			h[0] = int32(r)
+			siftWeakest(h, above)
 		}
-		pos := len(top)
-		for pos > 0 && above(r, int(top[pos-1])) {
-			pos--
-		}
-		if len(top) < k {
-			top = append(top, 0)
-		}
-		copy(top[pos+1:], top[pos:])
-		top[pos] = int32(r)
 	}
-	return top
+	// Move the weakest survivor to the back until the best is left in front.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftWeakest(h[:end], above)
+	}
+	return h
+}
+
+// siftWeakest sinks h[0] until no entry of the heap h outranks a child of
+// its own: the weakest entry is back at the root.
+func siftWeakest(h []int32, above func(i, j int) bool) {
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && above(int(h[c]), int(h[r])) {
+			c = r
+		}
+		if !above(int(h[p]), int(h[c])) {
+			return
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
 }
 
 // mergeTopK merges two rank-ordered partial selections, keeping k.

@@ -190,15 +190,8 @@ type Ctx interface {
 	// within region r through the simulated cache hierarchy.
 	Load(r *machine.Region, off, length int64)
 	Store(r *machine.Region, off, length int64)
-	// LoadStrided / StoreStrided charge count accesses with a byte stride.
+	// LoadStrided charges count reads with a byte stride.
 	LoadStrided(r *machine.Region, off int64, count int, stride int64)
-	StoreStrided(r *machine.Region, off int64, count int, stride int64)
 	// Alloc reserves a named region in simulated memory.
 	Alloc(name string, size int64) *machine.Region
-	// Depth is the task's spawn-tree depth (root = 0).
-	Depth() int
-	// Worker is the executing worker/core ID.
-	Worker() int
-	// Cores is the number of workers in this run.
-	Cores() int
 }

@@ -38,25 +38,10 @@ func (c *taskCtx) LoadStrided(r *machine.Region, off int64, count int, stride in
 	c.w().clock += lat
 }
 
-// StoreStrided charges count writes with the given byte stride.
-func (c *taskCtx) StoreStrided(r *machine.Region, off int64, count int, stride int64) {
-	lat := c.rt.hier.AccessStrided(c.t.owner, r.Base+off, count, stride, true, c.w().clock, &c.t.cur)
-	c.w().clock += lat
-}
-
 // Alloc reserves a region in simulated memory.
 func (c *taskCtx) Alloc(name string, size int64) *machine.Region {
 	return c.rt.mem.Alloc(name, size)
 }
-
-// Depth returns the task's spawn-tree depth.
-func (c *taskCtx) Depth() int { return c.t.rec.Depth }
-
-// Worker returns the executing worker/core ID.
-func (c *taskCtx) Worker() int { return c.t.owner }
-
-// Cores returns the number of workers in this run.
-func (c *taskCtx) Cores() int { return c.rt.cfg.Cores }
 
 // Spawn creates a child task. The parent's current fragment ends at the
 // fork; the spawn cost becomes the child's creation cost. Under a throttling

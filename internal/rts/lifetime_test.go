@@ -13,10 +13,10 @@ import (
 // returns without waiting for its children, so children outlive their
 // parents. It opens with a burst of leaves wider than GCC's queue limit, and
 // fans out enough for ICC's deque limit, so both throttles inline children.
-func lifetimeProgram(seed uint64) func(Ctx) {
+func lifetimeProgram(seed uint64, cores int) func(Ctx) {
 	return func(c Ctx) {
 		rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
-		for i := 0; i < 64*c.Cores()+16; i++ {
+		for i := 0; i < 64*cores+16; i++ {
 			c.Spawn(testLoc(1, "burst"), func(c Ctx) { c.Compute(uint64(rng.IntN(5000))) })
 		}
 		var rec func(c Ctx, d int)
@@ -109,7 +109,7 @@ func TestTaskLifetimes(t *testing.T) {
 					name := fmt.Sprintf("seed %d %v %v p%d", seed, fl, sc, cores)
 					cfg := Config{Program: "lifetimes", Cores: cores, Seed: seed,
 						Flavor: fl, Scheduler: sc, ThrottleLimit: 1 + int(seed%3)}
-					rt := newRuntime(cfg, lifetimeProgram(seed))
+					rt := newRuntime(cfg, lifetimeProgram(seed, cores))
 					freed := map[*task]bool{}
 					for step := 0; rt.live > 0; step++ {
 						a, ok := rt.bestAction()
@@ -152,7 +152,7 @@ func TestTaskLifetimes(t *testing.T) {
 					}
 					rt.pool.Close()
 					rt.finalize()
-					again := Run(cfg, lifetimeProgram(seed))
+					again := Run(cfg, lifetimeProgram(seed, cores))
 					if !reflect.DeepEqual(rt.trace, again) {
 						t.Fatalf("%s: the stepped run and Run give different traces", name)
 					}

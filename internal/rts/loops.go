@@ -44,17 +44,9 @@ func (c *chunkCtx) LoadStrided(r *machine.Region, off int64, count int, stride i
 	c.th.clock += c.rt.hier.AccessStrided(c.th.w.id, r.Base+off, count, stride, false, c.th.clock, c.cnt)
 }
 
-func (c *chunkCtx) StoreStrided(r *machine.Region, off int64, count int, stride int64) {
-	c.th.clock += c.rt.hier.AccessStrided(c.th.w.id, r.Base+off, count, stride, true, c.th.clock, c.cnt)
-}
-
 func (c *chunkCtx) Alloc(name string, size int64) *machine.Region {
 	return c.rt.mem.Alloc(name, size)
 }
-
-func (c *chunkCtx) Depth() int  { return 1 }
-func (c *chunkCtx) Worker() int { return c.th.w.id }
-func (c *chunkCtx) Cores() int  { return c.rt.cfg.Cores }
 
 func (c *chunkCtx) Spawn(profile.SrcLoc, func(Ctx)) {
 	panic("rts: task creation inside a parallel for-loop chunk is nested parallelism, which the profiler does not support")

@@ -21,7 +21,7 @@ func TestSingleTaskTrace(t *testing.T) {
 	if len(tr.Tasks) != 1 {
 		t.Fatalf("tasks = %d, want 1 (root only)", len(tr.Tasks))
 	}
-	root := tr.Task(profile.RootID)
+	root := tr.Tasks[tr.Lookup(profile.RootID)]
 	if root.ExecTime() != 1000 {
 		t.Errorf("root exec = %d, want 1000", root.ExecTime())
 	}
@@ -46,7 +46,7 @@ func TestForkJoinStructure(t *testing.T) {
 	if len(tr.Tasks) != 3 {
 		t.Fatalf("tasks = %d, want 3", len(tr.Tasks))
 	}
-	root := tr.Task(profile.RootID)
+	root := tr.Tasks[tr.Lookup(profile.RootID)]
 	// Fragments: pre-fork, between forks, fork..join, after join => 4.
 	if len(root.Fragments) != 4 {
 		t.Fatalf("root fragments = %d, want 4 (got boundaries %d)", len(root.Fragments), len(root.Boundaries))
@@ -64,8 +64,8 @@ func TestForkJoinStructure(t *testing.T) {
 	if len(join.Joined) != 2 {
 		t.Errorf("join synchronized %d children, want 2", len(join.Joined))
 	}
-	bar := tr.Task("R.0")
-	baz := tr.Task("R.1")
+	bar := tr.Tasks[tr.Lookup("R.0")]
+	baz := tr.Tasks[tr.Lookup("R.1")]
 	if bar == nil || baz == nil {
 		t.Fatal("children R.0 / R.1 missing")
 	}
@@ -93,7 +93,7 @@ func TestTaskWaitAllChildrenDone(t *testing.T) {
 		c.Compute(1_000_000)
 		c.TaskWait()
 	})
-	root := tr.Task(profile.RootID)
+	root := tr.Tasks[tr.Lookup(profile.RootID)]
 	var join *profile.Boundary
 	for i := range root.Boundaries {
 		if root.Boundaries[i].Kind == profile.BoundaryJoin {
@@ -325,7 +325,7 @@ func TestImplicitFinalTaskWait(t *testing.T) {
 	tr := Run(smallConfig(2), func(c Ctx) {
 		c.Spawn(testLoc(1, "w"), func(c Ctx) { c.Compute(1000) })
 	})
-	root := tr.Task(profile.RootID)
+	root := tr.Tasks[tr.Lookup(profile.RootID)]
 	found := false
 	for _, b := range root.Boundaries {
 		if b.Kind == profile.BoundaryJoin && len(b.Joined) == 1 {
@@ -335,7 +335,7 @@ func TestImplicitFinalTaskWait(t *testing.T) {
 	if !found {
 		t.Error("implicit final taskwait did not record a join")
 	}
-	child := tr.Task("R.0")
+	child := tr.Tasks[tr.Lookup("R.0")]
 	if child == nil || child.EndTime == 0 {
 		t.Error("child did not complete")
 	}
@@ -471,7 +471,7 @@ func TestMemoryAccessChargesTime(t *testing.T) {
 			c.Load(r, 0, 1<<20)
 		})
 		makespanMem = tr.Makespan()
-		root := tr.Task(profile.RootID)
+		root := tr.Tasks[tr.Lookup(profile.RootID)]
 		counters := root.TotalCounters()
 		if counters.Accesses == 0 || counters.L1Miss == 0 {
 			t.Errorf("memory counters empty: %+v", counters)
@@ -719,7 +719,7 @@ func TestMixedTasksThenLoop(t *testing.T) {
 	}
 	checkTraceInvariants(t, tr)
 	// The post-loop task must start after the loop barrier.
-	after := tr.Task("R.4")
+	after := tr.Tasks[tr.Lookup("R.4")]
 	if after.CreateTime < tr.Loops[0].End {
 		t.Errorf("post-loop task created at %d before barrier %d", after.CreateTime, tr.Loops[0].End)
 	}

@@ -26,7 +26,7 @@ func TestCacheUnboundedByDefault(t *testing.T) {
 	if got := c.Len(); got != 1000 {
 		t.Fatalf("unbounded cache evicted: Len = %d, want 1000", got)
 	}
-	if ev := c.Evictions(); ev != 0 {
+	if ev := c.Counters().Evictions; ev != 0 {
 		t.Fatalf("unbounded cache reported %d evictions", ev)
 	}
 }
@@ -85,7 +85,7 @@ func TestCacheSetCapacityEvictsImmediately(t *testing.T) {
 	if got := c.Len(); got != 4 {
 		t.Fatalf("Len after SetCapacity(4) = %d, want 4", got)
 	}
-	if ev := c.Evictions(); ev != 6 {
+	if ev := c.Counters().Evictions; ev != 6 {
 		t.Fatalf("Evictions after SetCapacity(4) = %d, want 6", ev)
 	}
 	// The survivors are the four most recently used.

@@ -426,9 +426,6 @@ type CacheStats struct {
 	Evictions uint64 `json:"evictions,omitempty"`
 }
 
-// Evictions returns how many entries the capacity bound has dropped.
-func (c *Cache[V]) Evictions() uint64 { return c.evictions.Load() }
-
 // Counters returns the hit/miss/eviction counters in the shape the
 // observability registry (internal/obs) reports: every Do call is exactly
 // one hit or one miss, so Hits+Misses is the total lookup count.

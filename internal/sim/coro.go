@@ -149,9 +149,6 @@ func (c *Coro) Park() {
 	}
 }
 
-// Done reports whether the coroutine's function has returned.
-func (c *Coro) Done() bool { return c.done }
-
 // Kill abandons a parked (or never-started) coroutine, unwinding its
 // function so that its carrier exits. Killing a Done coroutine is a no-op;
 // killing a running coroutine is impossible by construction (only one
@@ -215,14 +212,6 @@ func (p *Pool) unbusy(car *carrier) {
 // MaxTime returns the larger of two times.
 func MaxTime(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinTime returns the smaller of two times.
-func MinTime(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

@@ -130,7 +130,7 @@ func TestCollapseFamilyMatchesEvalFull(t *testing.T) {
 	// The ranking pass's cutoff family on the giant runs no full DP.
 	e := New(subjects["giant-G5"], nil)
 	var family []Hypothesis
-	for _, h := range e.Candidates(nil, RankOptions{}) {
+	for _, h := range e.Candidates(nil) {
 		if _, ok := h.(CollapseAtDepth); ok {
 			family = append(family, h)
 		}
@@ -159,8 +159,8 @@ func brokenGraph(edit func(g *core.Graph, add func(core.NodeKind, profile.GrainI
 	n3 := add(core.NodeFragment, "R", 5)
 	c0 := add(core.NodeFragment, "R.0", 10)
 	c1 := add(core.NodeFragment, "R.0", 30)
-	g.SetSpan(g.LookupGrain("R"), n0, n3)
-	g.SetSpan(g.LookupGrain("R.0"), c0, c1)
+	// Grains are numbered as first added: R, R.0.
+	g.FirstNode, g.LastNode = []core.NodeID{n0, c0}, []core.NodeID{n3, c1}
 	g.AddEdge(n0, n1, core.EdgeContinuation)
 	g.AddEdge(n1, n2, core.EdgeContinuation)
 	g.AddEdge(n2, n3, core.EdgeContinuation)

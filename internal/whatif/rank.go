@@ -2,7 +2,6 @@ package whatif
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"graingraph/internal/highlight"
@@ -11,53 +10,32 @@ import (
 	"graingraph/internal/runpool"
 )
 
-// RankOptions tunes candidate generation.
+// RankOptions tunes the ranking.
 type RankOptions struct {
 	// TopN truncates the ranked result (0 = keep every candidate).
 	TopN int
-	// MaxDepth caps the deepest perfect-cutoff level explored (default 12).
-	MaxDepth int
-	// ScaleFactor is the hypothetical optimization factor applied to
-	// threshold-crossing grains (default 0.5 — "make it twice as fast").
-	ScaleFactor float64
-	// PerProblem bounds how many top offenders per problem class get
-	// individual hypotheses (default 3).
-	PerProblem int
 }
 
-func (o RankOptions) withDefaults() RankOptions {
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 12
-	}
-	if o.ScaleFactor == 0 {
-		o.ScaleFactor = 0.5
-	}
-	if o.PerProblem == 0 {
-		o.PerProblem = 3
-	}
-	return o
-}
+// Candidate generation's fixed limits.
+const (
+	// maxCutoffDepth caps the deepest perfect-cutoff level explored.
+	maxCutoffDepth = 12
+	// rankScaleFactor is the hypothetical optimization factor applied to
+	// threshold-crossing grains: "make it twice as fast".
+	rankScaleFactor = 0.5
+	// perProblem bounds how many top offenders per problem class get
+	// individual hypotheses.
+	perProblem = 3
+)
 
 // MaxScaleFactor bounds hypothetical scale factors: beyond it a projection
-// is numeric noise, not a plausible "optimize this region" probe. Specs and
-// RankOptions sharing the bound keeps CLI and API behavior aligned.
+// is numeric noise, not a plausible "optimize this region" probe.
 const MaxScaleFactor = 1e6
 
-// Validate rejects option values that would silently produce nonsense
-// projections: negative (or absurdly large, or non-finite) scale factors
-// and negative depth/count limits. Zero values remain "use the default".
+// Validate rejects a negative TopN.
 func (o RankOptions) Validate() error {
 	if o.TopN < 0 {
 		return fmt.Errorf("whatif: negative TopN %d", o.TopN)
-	}
-	if o.MaxDepth < 0 {
-		return fmt.Errorf("whatif: negative MaxDepth %d", o.MaxDepth)
-	}
-	if o.PerProblem < 0 {
-		return fmt.Errorf("whatif: negative PerProblem %d", o.PerProblem)
-	}
-	if o.ScaleFactor < 0 || o.ScaleFactor > MaxScaleFactor || math.IsNaN(o.ScaleFactor) {
-		return fmt.Errorf("whatif: scale factor %v out of range [0, %g]", o.ScaleFactor, MaxScaleFactor)
 	}
 	return nil
 }
@@ -70,20 +48,19 @@ func (o RankOptions) Validate() error {
 //     cutoff to depth d"), the fix for broken cutoffs;
 //   - de-inflation of all grains plus the top work-inflation offenders
 //     individually, when a baseline-backed report is available;
-//   - a ScaleFactor weight scaling per top offender of every highlight
+//   - a rankScaleFactor weight scaling per top offender of every highlight
 //     problem class — the TASKPROF-style "optimize this region" probe.
 //
 // a may be nil, which limits generation to the structural hypotheses.
-func (e *Engine) Candidates(a *highlight.Assessment, opt RankOptions) []Hypothesis {
-	opt = opt.withDefaults()
+func (e *Engine) Candidates(a *highlight.Assessment) []Hypothesis {
 	hs := []Hypothesis{InfiniteCores{}}
 
 	// Perfect cutoffs: one per depth that still has tasks below it. The
 	// deepest populated depth was computed once in New — Candidates used to
 	// re-scan every node here on each Rank call.
 	limit := e.maxTaskDepth - 1 // collapsing at the deepest level is a no-op
-	if limit > opt.MaxDepth {
-		limit = opt.MaxDepth
+	if limit > maxCutoffDepth {
+		limit = maxCutoffDepth
 	}
 	for d := 0; d <= limit; d++ {
 		hs = append(hs, CollapseAtDepth{Depth: d})
@@ -94,21 +71,21 @@ func (e *Engine) Candidates(a *highlight.Assessment, opt RankOptions) []Hypothes
 		// caches the >1 deviations at construction).
 		if e.inflated {
 			hs = append(hs, ZeroInflation{All: true})
-			for _, row := range a.TopOffenders(highlight.WorkInflation, opt.PerProblem) {
+			for _, row := range a.TopOffenders(highlight.WorkInflation, perProblem) {
 				hs = append(hs, ZeroInflation{Grain: a.Report.ID(row)})
 			}
 		}
 
 		// Scale the worst offender grains of every problem class, deduped.
-		var seen []profile.GrainID // a handful: PerProblem per problem class
+		var seen []profile.GrainID // a handful: perProblem per problem class
 		for _, p := range highlight.AllProblems {
-			for _, row := range a.TopOffenders(p, opt.PerProblem) {
+			for _, row := range a.TopOffenders(p, perProblem) {
 				id := a.Report.ID(row)
 				if slices.Contains(seen, id) {
 					continue
 				}
 				seen = append(seen, id)
-				hs = append(hs, ScaleGrain{Grain: id, Factor: opt.ScaleFactor})
+				hs = append(hs, ScaleGrain{Grain: id, Factor: rankScaleFactor})
 			}
 		}
 	}
@@ -125,8 +102,7 @@ func (e *Engine) Rank(a *highlight.Assessment, pool *runpool.Runner, opt RankOpt
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
-	ps := e.EvalAll(pool, e.Candidates(a, opt))
+	ps := e.EvalAll(pool, e.Candidates(a))
 	// Projected makespan ascending, label breaking ties — a total order,
 	// so bounded selection (TopN set) and stable sort (full ranking) agree
 	// with the sort-and-truncate this replaced.

@@ -35,9 +35,8 @@ func overheadGraph() *core.Graph {
 	n4 := add(core.NodeFragment, "R.1", 10)
 	n5 := add(core.NodeJoin, "R", 40)
 	n6 := add(core.NodeFragment, "R", 5)
-	g.SetSpan(g.LookupGrain("R"), n0, n6)
-	g.SetSpan(g.LookupGrain("R.0"), n3, n3)
-	g.SetSpan(g.LookupGrain("R.1"), n4, n4)
+	// Grains are numbered as first added: R, R.0, R.1.
+	g.FirstNode, g.LastNode = []core.NodeID{n0, n3, n4}, []core.NodeID{n6, n3, n4}
 	g.AddEdge(n0, n1, core.EdgeContinuation)
 	g.AddEdge(n1, n2, core.EdgeContinuation)
 	g.AddEdge(n1, n3, core.EdgeCreation)
@@ -145,7 +144,7 @@ func TestZeroInflationUsesDeviation(t *testing.T) {
 
 func TestEvalAllDeterministicAcrossPoolSizes(t *testing.T) {
 	e := New(overheadGraph(), nil)
-	hs := e.Candidates(nil, RankOptions{})
+	hs := e.Candidates(nil)
 	serial := e.EvalAll(runpool.New(1), hs)
 	parallel := e.EvalAll(runpool.New(8), hs)
 	if !reflect.DeepEqual(serial, parallel) {
@@ -335,7 +334,7 @@ func oracleSubjects(t *testing.T) map[string]struct {
 func TestEvalMatchesFullOracle(t *testing.T) {
 	for name, s := range oracleSubjects(t) {
 		e := New(s.g, s.rep)
-		hs := e.Candidates(s.a, RankOptions{})
+		hs := e.Candidates(s.a)
 		// Explicit hypotheses beyond the generated set: subtree scaling and
 		// single-grain collapse have no candidate generator.
 		hs = append(hs,
@@ -367,19 +366,10 @@ func TestEvalMatchesFullOracle(t *testing.T) {
 // TestRankOptionValidation pins the error contract for out-of-range options.
 func TestRankOptionValidation(t *testing.T) {
 	e := New(overheadGraph(), nil)
-	bad := []RankOptions{
-		{TopN: -1},
-		{MaxDepth: -2},
-		{PerProblem: -1},
-		{ScaleFactor: -0.5},
-		{ScaleFactor: 2e6},
+	if _, err := e.Rank(nil, nil, RankOptions{TopN: -1}); err == nil {
+		t.Error("Rank accepted a negative TopN")
 	}
-	for _, opt := range bad {
-		if _, err := e.Rank(nil, nil, opt); err == nil {
-			t.Errorf("Rank accepted invalid options %+v", opt)
-		}
-	}
-	if _, err := e.Rank(nil, nil, RankOptions{TopN: 3, ScaleFactor: 0.5}); err != nil {
+	if _, err := e.Rank(nil, nil, RankOptions{TopN: 3}); err != nil {
 		t.Errorf("Rank rejected valid options: %v", err)
 	}
 }

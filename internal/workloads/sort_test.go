@@ -174,17 +174,13 @@ func (c *eagerCtx) child(body func(rts.Ctx)) {
 func (c *eagerCtx) For(profile.SrcLoc, int, int, rts.ForOpt, func(rts.Ctx, int, int)) {
 	panic("eagerCtx: For")
 }
-func (c *eagerCtx) Compute(uint64)                                  {}
-func (c *eagerCtx) Load(*machine.Region, int64, int64)              {}
-func (c *eagerCtx) Store(*machine.Region, int64, int64)             {}
-func (c *eagerCtx) LoadStrided(*machine.Region, int64, int, int64)  {}
-func (c *eagerCtx) StoreStrided(*machine.Region, int64, int, int64) {}
+func (c *eagerCtx) Compute(uint64)                                 {}
+func (c *eagerCtx) Load(*machine.Region, int64, int64)             {}
+func (c *eagerCtx) Store(*machine.Region, int64, int64)            {}
+func (c *eagerCtx) LoadStrided(*machine.Region, int64, int, int64) {}
 func (c *eagerCtx) Alloc(name string, size int64) *machine.Region {
 	return &machine.Region{Name: name, Size: size}
 }
-func (c *eagerCtx) Depth() int  { return 0 }
-func (c *eagerCtx) Worker() int { return 0 }
-func (c *eagerCtx) Cores() int  { return 1 }
 
 // runEager runs inst's program on an eagerCtx, then any children a broken
 // TaskWait left behind, and verifies.
