@@ -299,6 +299,9 @@ func (s *server) handleUpload(sp *obs.Span, w http.ResponseWriter, r *http.Reque
 	})
 	dsp.End()
 	if err != nil {
+		// Forgotten, as loadDecoded forgets its failures: the artifact is
+		// not stored, so a later request for its id is a 404, not this.
+		s.decodes.Forget(key)
 		return errf(http.StatusBadRequest, "invalid artifact: %v", err)
 	}
 	tr := dec.Trace

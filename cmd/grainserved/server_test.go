@@ -9,6 +9,8 @@ import (
 	"net/url"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -637,5 +639,46 @@ func TestCyclicLegacyUpload(t *testing.T) {
 	upload(t, s, f.raw)
 	if w := do(t, s, "GET", "/artifacts/"+f.id+"/summary", "", nil); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), f.summary) {
 		t.Errorf("after the cyclic upload, the fixture's summary: status %d, reference bytes %v", w.Code, bytes.Equal(w.Body.Bytes(), f.summary))
+	}
+}
+
+// TestDanglingReferenceUploadIs400: an artifact whose task names a parent
+// no task record carries is a decode error, so its upload is a 400 that
+// names the task and the reference, and nothing is stored.
+func TestDanglingReferenceUploadIs400(t *testing.T) {
+	f, err := fixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := ggp.Decode(f.raw, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := dec.Trace
+	ids := append(slices.Clone(tr.Numbering().IDs[:len(tr.Tasks)]), "R.77")
+	orphan := tr.Tasks[1]
+	orphan.Parent = int32(len(tr.Tasks)) // named "R.77" in the artifact
+	var buf bytes.Buffer
+	w, err := ggp.NewWriter(&buf)
+	if err == nil {
+		err = w.Emit(tr, ids)
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, 0)
+	resp := do(t, s, "POST", "/artifacts", "", buf.Bytes())
+	var body struct{ Error string }
+	want := fmt.Sprintf("task %q: parent \"R.77\" names no recorded task", orphan.ID)
+	if err := json.Unmarshal(resp.Body.Bytes(), &body); err != nil || resp.Code != http.StatusBadRequest || !strings.Contains(body.Error, want) {
+		t.Fatalf("upload: status %d, body %s; want 400 naming %s", resp.Code, resp.Body.String(), want)
+	}
+	id := runpool.KeyOfBytes(buf.Bytes()).Hex()
+	if w := do(t, s, "GET", "/artifacts/"+id+"/summary", "", nil); w.Code != http.StatusNotFound {
+		t.Errorf("summary of the rejected upload: status %d, want 404: %s", w.Code, w.Body.String())
 	}
 }

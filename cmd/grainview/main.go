@@ -216,8 +216,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		dec, err := ggp.DecodeFile(fs.Arg(0), expt.Pool(), isp)
 		die(err)
 		if fs.NArg() == 2 {
-			sub.Baseline, err = ggp.DecodeTraceFile(fs.Arg(1), expt.Pool(), isp)
+			base, err := ggp.DecodeFile(fs.Arg(1), expt.Pool(), isp)
 			die(err)
+			sub.Baseline = base.Trace
 		}
 		isp.End()
 		sub.Res = expt.AnalyzeDecodedOn(nil, dec, sub.Baseline, expt.Config{}, rootSp)

@@ -19,12 +19,15 @@ import (
 func Build(tr *profile.Trace) *Graph {
 	g := newGraph(tr)
 	g.Reserve(estimateSize(tr))
-	nb := tr.Numbering()
-	g.FirstNode, g.LastNode = noSpans(nb.NumGrains()), noSpans(nb.NumGrains())
+	g.FirstNode, g.LastNode = noSpans(tr.NumGrains()), noSpans(tr.NumGrains())
 
-	// boundaryNodes[nb.BoundOff[ti]+fi] is the fork/join node created for
-	// task ti's boundary fi (loops record their fork node here).
-	boundaryNodes := make([]NodeID, nb.BoundOff[len(tr.Tasks)])
+	// boundaryNodes[row] is the fork/join node created for the row-th
+	// boundary in task order (loops record their fork node here).
+	bounds := 0
+	for _, task := range tr.Tasks {
+		bounds += len(task.Boundaries)
+	}
+	boundaryNodes := make([]NodeID, bounds)
 
 	// Per-(loop,thread) bookkeeping totals, for the final book-keeping node.
 	type loopThreadKey struct {
@@ -47,9 +50,10 @@ func Build(tr *profile.Trace) *Graph {
 	var digits [20]byte
 
 	// Pass 1: nodes and intra-context edges.
+	row := 0
 	for ti, task := range tr.Tasks {
 		var prev NodeID = -1
-		num, row := int32(ti), nb.BoundOff[ti]
+		num := int32(ti)
 		for fi := range task.Fragments {
 			f := &task.Fragments[fi]
 			at := labels.Len()
@@ -80,10 +84,7 @@ func Build(tr *profile.Trace) *Graph {
 				var bn NodeID
 				switch b.Kind {
 				case profile.BoundaryFork:
-					var cost profile.Time
-					if child := nb.Child[row+int32(fi)]; child >= 0 && int(child) < nb.Tasks {
-						cost = tr.Tasks[child].CreateCost
-					}
+					cost := tr.Tasks[b.Child].CreateCost
 					bn = g.appendNode(Node{
 						Kind:     NodeFork,
 						GrainNum: num,
@@ -117,26 +118,28 @@ func Build(tr *profile.Trace) *Graph {
 				if b.Kind == profile.BoundaryLoop {
 					next = g.lastLoopJoin
 				}
-				boundaryNodes[row+int32(fi)] = bn
+				boundaryNodes[row+fi] = bn
 				prev = next
 			}
 		}
+		row += len(task.Boundaries)
 	}
 
-	// Pass 2: cross-context creation and join edges.
-	for ti, task := range tr.Tasks {
+	// Pass 2: cross-context creation and join edges (to children with nodes).
+	row = 0
+	for _, task := range tr.Tasks {
 		for fi := range task.Boundaries {
-			row := nb.BoundOff[ti] + int32(fi)
-			bn := boundaryNodes[row]
-			switch task.Boundaries[fi].Kind {
+			b, bn := &task.Boundaries[fi], boundaryNodes[row]
+			row++
+			switch b.Kind {
 			case profile.BoundaryFork:
-				if child := nb.Child[row]; child >= 0 && g.FirstNode[child] >= 0 {
-					g.appendEdge(bn, g.FirstNode[child], EdgeCreation)
+				if first := g.FirstNode[b.Child]; first >= 0 {
+					g.appendEdge(bn, first, EdgeCreation)
 				}
 			case profile.BoundaryJoin:
-				for _, child := range nb.JoinedOf(row) {
-					if child >= 0 && g.LastNode[child] >= 0 {
-						g.appendEdge(g.LastNode[child], bn, EdgeJoin)
+				for _, child := range b.Joined {
+					if last := g.LastNode[child]; last >= 0 {
+						g.appendEdge(last, bn, EdgeJoin)
 					}
 				}
 			}

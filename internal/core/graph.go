@@ -161,9 +161,11 @@ type Graph struct {
 	LastNode  []NodeID
 
 	// ids is the trace's id table; extra holds the IDs of the grains the
-	// trace does not record, extraNum their numbers. Only hand-assembled
-	// graphs and dangling references ever reach them; extraMu makes that
-	// rare path safe beside concurrent analyses of a shared graph.
+	// trace does not record, extraNum their numbers. A trace's records name
+	// only recorded grains, so only the grains a hand-assembled graph (or a
+	// lod index decoded beside it) names by ID ever reach them, with the
+	// ancestors their path IDs name; extraMu makes that rare path safe
+	// beside concurrent analyses of a shared graph.
 	ids      []profile.GrainID
 	extraMu  sync.RWMutex
 	extra    []profile.GrainID

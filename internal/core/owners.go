@@ -112,28 +112,16 @@ func (g *Graph) buildOwners() *Owners {
 	}
 
 	// Depths follow the parent links, so a slot's parent is always exactly
-	// one level up: every ancestor walk ends after Depth steps. A link that
-	// would close a cycle (no validated trace has one; see parentGrain) is
-	// cut and its slot becomes a root.
-	const unset, onPath = -2, -3
+	// one level up: every ancestor walk ends after Depth steps.
+	const unset = -2
 	o.Depth = make([]int32, len(o.Grain))
 	for i := range o.Depth {
 		o.Depth[i] = unset
 	}
 	var path []int32
 	for si := range o.Depth {
-		cur := int32(si)
-		for o.Depth[cur] == unset {
-			o.Depth[cur] = onPath
+		for cur := int32(si); cur >= 0 && o.Depth[cur] == unset; cur = o.Parent[cur] {
 			path = append(path, cur)
-			p := o.Parent[cur]
-			if p >= 0 && o.Depth[p] == onPath {
-				o.Parent[cur], p = -1, -1
-			}
-			if p < 0 {
-				break
-			}
-			cur = p
 		}
 		for i := len(path) - 1; i >= 0; i-- {
 			s := path[i]
@@ -149,21 +137,22 @@ func (g *Graph) buildOwners() *Owners {
 }
 
 // parentGrain returns the number of the task that spawned grain num, or -1
-// at a root. For a task the trace records it is the resolved Parent
-// reference — accepted only when it names an earlier record, the spawn
-// order Validate requires, so a chain of resolved parents cannot cycle.
-// Everything else — a grain only this graph names, a task whose Parent
-// dangles — falls back on the path enumeration in the ID itself: the
-// parent of "R.a.b" is "R.a", recorded or not.
+// at a root. For a task the trace records it is the record's Parent, taken
+// only when it is an earlier record: Validate requires that of every
+// trace read from disk, and requiring it here keeps a trace assembled in
+// memory, which nothing validated, from closing a cycle. A chunk has no
+// task parent. A grain only a hand-assembled graph names has the parent
+// its path enumeration names: the parent of "R.a.b" is "R.a", recorded or
+// not; every step shortens the path, and a recorded task never leads back
+// to an unrecorded one, so no chain cycles.
 func (g *Graph) parentGrain(num int32) int32 {
 	if int(num) < len(g.ids) {
-		nb := g.Trace.Numbering()
-		if int(num) >= nb.Tasks {
-			return -1 // a chunk
+		if int(num) < len(g.Trace.Tasks) {
+			if p := g.Trace.Tasks[num].Parent; p < num {
+				return p
+			}
 		}
-		if p := nb.TaskParent(num); p >= 0 && p < num {
-			return p
-		}
+		return -1
 	}
 	id := g.GrainID(num)
 	if d := taskDepth(id); d > 0 {

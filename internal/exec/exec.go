@@ -46,6 +46,7 @@ type Config struct {
 // task is a native task instance.
 type task struct {
 	rec         *profile.TaskRecord
+	num         int32 // grain number: the record's index in the trace
 	body        func(Ctx)
 	parent      *task
 	outstanding atomic.Int64
@@ -58,7 +59,7 @@ type ctx struct {
 	w           *worker
 	t           *task
 	spawnSeq    int
-	pendingJoin []profile.GrainID
+	pendingJoin []int32
 	fragStart   uint64
 }
 
@@ -103,13 +104,13 @@ func Run(cfg Config, program func(Ctx)) *profile.Trace {
 	}
 
 	root := &task{
-		rec: &profile.TaskRecord{ID: profile.RootID, Loc: profile.Loc(cfg.Program+".go", 1, "main")},
+		rec: &profile.TaskRecord{ID: profile.RootID, Parent: -1, Loc: profile.Loc(cfg.Program+".go", 1, "main")},
 	}
 	root.body = func(c Ctx) {
 		program(c)
 		c.TaskWait()
 	}
-	p.addRecord(root.rec)
+	root.num = p.addRecord(root.rec)
 	p.live.Store(1)
 
 	var wg sync.WaitGroup
@@ -144,10 +145,13 @@ func Run(cfg Config, program func(Ctx)) *profile.Trace {
 	return tr
 }
 
-func (p *pool) addRecord(rec *profile.TaskRecord) {
+// addRecord appends rec to the trace's records and returns its grain
+// number, its index there.
+func (p *pool) addRecord(rec *profile.TaskRecord) int32 {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.records = append(p.records, rec)
-	p.mu.Unlock()
+	return int32(len(p.records) - 1)
 }
 
 // workerLoop pops/steals tasks until the pool drains.
@@ -225,12 +229,9 @@ func (c *ctx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 	at := c.p.now()
 	c.closeFragment(at)
 
-	childID := profile.ChildID(c.t.rec.ID, c.spawnSeq)
-	c.spawnSeq++
-	c.pendingJoin = append(c.pendingJoin, childID)
 	child := &task{
 		rec: &profile.TaskRecord{
-			ID: childID, Parent: c.t.rec.ID, Loc: loc,
+			ID: profile.ChildID(c.t.rec.ID, c.spawnSeq), Parent: c.t.num, Loc: loc,
 			Depth: c.t.rec.Depth + 1, CreatedBy: c.w.id,
 			CreateTime: at,
 		},
@@ -239,9 +240,11 @@ func (c *ctx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 	}
 	c.t.outstanding.Add(1)
 	c.p.live.Add(1)
-	c.p.addRecord(child.rec)
+	child.num = c.p.addRecord(child.rec)
+	c.spawnSeq++
+	c.pendingJoin = append(c.pendingJoin, child.num)
 	c.t.rec.Boundaries = append(c.t.rec.Boundaries, profile.Boundary{
-		Kind: profile.BoundaryFork, At: at, Child: childID,
+		Kind: profile.BoundaryFork, At: at, Child: child.num,
 	})
 	created := c.p.now()
 	// Finish all writes to the child's record before publishing it: a thief

@@ -114,11 +114,9 @@ func checkStructure(t *testing.T, tr *profile.Trace) {
 			t.Errorf("task %s: negative duration", task.ID)
 		}
 	}
-	// Every non-root task's parent exists.
-	for _, task := range tr.Tasks {
-		if task.ID != profile.RootID && !ids[task.Parent] {
-			t.Errorf("task %s has unknown parent %s", task.ID, task.Parent)
-		}
+	// The references between the records hold.
+	if err := tr.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 

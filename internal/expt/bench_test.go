@@ -69,7 +69,7 @@ func BenchmarkAnalyzeLoopHeavy(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				fresh := stringRefsOnly(tr)
+				fresh := unindexedCopy(tr)
 				b.StartTimer()
 				analyze(nil, fresh, nil, Config{}, nil)
 			}

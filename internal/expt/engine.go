@@ -120,19 +120,19 @@ func FactStats() (recorded, replayed uint64) { return inputFacts.Stats() }
 
 // simKey content-addresses a run request, covering the workload's full
 // input configuration and every runtime knob that shapes the trace. The
-// second return is false when the request cannot be fingerprinted (workload
-// without a content key, or a caller-supplied topology we cannot hash);
-// such runs execute unconditionally.
+// second return is false when the workload has no content key; such runs
+// execute unconditionally.
 func simKey(inst workloads.Instance, rcfg rts.Config) (runpool.Key, bool) {
 	keyed, ok := inst.(workloads.Keyed)
-	if !ok || rcfg.Topology != nil {
+	if !ok {
 		return runpool.Key{}, false
 	}
-	cfgSig := fmt.Sprintf("%s|c%d|%v|%v|%v|t%d|s%d|%+v|%+v|%+v",
+	// The trailing ":0" and "plain" stay part of the address, though no
+	// knob sets them any more (the first is how a zero root location
+	// formatted): recorded artifact names depend on them.
+	cfgSig := fmt.Sprintf("%s|c%d|%v|%v|%v|t%d|s%d|%+v|%+v|:0",
 		rcfg.Program, rcfg.Cores, rcfg.Flavor, rcfg.Scheduler, rcfg.Policy,
-		rcfg.ThrottleLimit, rcfg.Seed, rcfg.Cache, rcfg.Costs, rcfg.RootLoc)
-	// "plain" stays part of the address: recorded artifact names depend
-	// on it.
+		rcfg.ThrottleLimit, rcfg.Seed, rcfg.Cache, rcfg.Costs)
 	return runpool.KeyOf(keyed.Key(), cfgSig, "plain"), true
 }
 

@@ -62,9 +62,9 @@ func analyze(pool *runpool.Runner, tr *profile.Trace, baseline *profile.Trace, c
 	sp := obs.Under(SelfProfiler(), parent, "analyze:"+tr.Program)
 	defer sp.End()
 
-	// Number the grains and resolve the records' string references: the one
-	// pass of an analysis that hashes grain IDs. A decoded trace paid for
-	// it at ingest (ggp reports it there) and this is a no-op.
+	// Number the grains: the one pass of an analysis that hashes grain IDs
+	// (a live trace's task and chunk IDs). A decoded trace paid for it at
+	// ingest (ggp reports it there) and this is a no-op.
 	isp := sp.Child("index:grains")
 	tr.Numbering()
 	isp.End()

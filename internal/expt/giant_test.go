@@ -72,11 +72,11 @@ func artifactAnalysis(t *testing.T, path string, jobs int) []byte {
 	t.Helper()
 	setJobs(t, jobs)
 
-	tr, err := ggp.DecodeTraceFile(path, nil, nil)
+	dec, err := ggp.DecodeFile(path, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analyze(nil, tr, nil, Config{}, nil)
+	res := analyze(nil, dec.Trace, nil, Config{}, nil)
 	eng := whatif.New(res.Graph, res.Report)
 	projections, err := eng.Rank(res.Assessment, Pool(), whatif.RankOptions{TopN: 10})
 	if err != nil {

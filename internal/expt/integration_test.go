@@ -5,6 +5,7 @@ import (
 	"encoding/xml"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"graingraph/internal/core"
@@ -227,10 +228,10 @@ func randomTreeWithLoops(seed uint64) func(rts.Ctx) {
 	}
 }
 
-// stringRefsOnly copies tr record by record into a trace nothing has
-// indexed: what a test that builds a trace by hand has — IDs and string
-// references, no numbers.
-func stringRefsOnly(tr *profile.Trace) *profile.Trace {
+// unindexedCopy copies tr record by record into a trace nothing has
+// indexed: what a test that builds a trace by hand has — records, and no
+// numbering or loop index yet.
+func unindexedCopy(tr *profile.Trace) *profile.Trace {
 	cp := &profile.Trace{
 		Program: tr.Program, Cores: tr.Cores, Sockets: tr.Sockets, Scheduler: tr.Scheduler,
 		Flavor: tr.Flavor, PagePolicy: tr.PagePolicy, Start: tr.Start, End: tr.End,
@@ -301,23 +302,22 @@ func TestGrainNumberingOnRandomTrees(t *testing.T) {
 			if tr.ID(int32(i)) != task.ID {
 				t.Fatalf("seed %d: task %d is numbered as %q, is %q", seed, i, tr.ID(int32(i)), task.ID)
 			}
-			if p := nb.TaskParent(int32(i)); (p < 0) != (task.Parent == "") || (p >= 0 && tr.Tasks[p].ID != task.Parent) {
-				t.Fatalf("seed %d: task %q parent %q resolved to %d", seed, task.ID, task.Parent, p)
+			if p := task.Parent; (p < 0) != (i == 0) || int(p) >= i || (p >= 0 && !strings.HasPrefix(string(task.ID), string(tr.ID(p))+".")) {
+				t.Fatalf("seed %d: task %q has parent %d", seed, task.ID, p)
 			}
-			for bi, b := range task.Boundaries {
-				row := nb.BoundOff[i] + int32(bi)
-				if b.Kind == profile.BoundaryFork && tr.ID(nb.Child[row]) != b.Child {
-					t.Fatalf("seed %d: fork of %q resolved to %d", seed, b.Child, nb.Child[row])
+			for _, b := range task.Boundaries {
+				if b.Kind == profile.BoundaryFork && tr.Tasks[b.Child].Parent != int32(i) {
+					t.Fatalf("seed %d: %q forks %d, spawned by %d", seed, task.ID, b.Child, tr.Tasks[b.Child].Parent)
 				}
-				for k, j := range nb.JoinedOf(row) {
-					if tr.ID(j) != b.Joined[k] {
-						t.Fatalf("seed %d: join of %q resolved to %d", seed, b.Joined[k], j)
+				for _, j := range b.Joined {
+					if tr.Tasks[j].Parent != int32(i) {
+						t.Fatalf("seed %d: %q joins %d, spawned by %d", seed, task.ID, j, tr.Tasks[j].Parent)
 					}
 				}
 			}
 		}
 		for name, other := range map[string]*profile.Trace{
-			"by-hand copy": stringRefsOnly(tr), "v1 round trip": dec1.Trace, "v2 round trip": dec2.Trace,
+			"by-hand copy": unindexedCopy(tr), "v1 round trip": dec1.Trace, "v2 round trip": dec2.Trace,
 		} {
 			onb := other.Numbering()
 			for _, col := range []struct {
@@ -325,16 +325,21 @@ func TestGrainNumberingOnRandomTrees(t *testing.T) {
 				got, want any
 			}{
 				{"ids", onb.IDs, nb.IDs}, {"parents", onb.Parent, nb.Parent}, {"chunk loops", onb.ChunkLoop, nb.ChunkLoop},
-				{"boundary offsets", onb.BoundOff, nb.BoundOff}, {"children", onb.Child, nb.Child},
-				{"join offsets", onb.JoinOff, nb.JoinOff}, {"joined", onb.Joined, nb.Joined},
 			} {
 				if !reflect.DeepEqual(col.got, col.want) {
 					t.Errorf("seed %d: %s of the %s differ from the live trace's", seed, col.what, name)
 				}
 			}
-			for key := int32(0); int(key) < nb.NumParentKeys(); key++ {
-				if onb.NumParentKeys() != nb.NumParentKeys() || onb.ParentID(key) != nb.ParentID(key) {
+			for key := int32(0); key <= nb.NoParent(); key++ {
+				if onb.NoParent() != nb.NoParent() || onb.ParentID(key) != nb.ParentID(key) {
 					t.Errorf("seed %d: parent key %d of the %s names another parent", seed, key, name)
+					break
+				}
+			}
+			for i := range tr.Tasks {
+				a, b := other.Tasks[i], tr.Tasks[i]
+				if a.Parent != b.Parent || !reflect.DeepEqual(a.Boundaries, b.Boundaries) {
+					t.Errorf("seed %d: task %d of the %s references other tasks than the live trace's", seed, i, name)
 					break
 				}
 			}

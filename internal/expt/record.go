@@ -114,11 +114,15 @@ func loadArtifact(dir string, key runpool.Key) (tr *profile.Trace, found bool, e
 		return nil, false, fmt.Errorf("replay artifact: %w", rerr)
 	}
 	tr, err, _ = artifactMemo.Do(runpool.KeyOfBytes(raw), func() (*profile.Trace, error) {
-		// DecodeTrace dispatches on version, so replay directories may mix
-		// v1 and columnar v2 artifacts. The nil pool keeps the decode
-		// serial: replayed loads already run on pool workers, and a worker
+		// Decode dispatches on version, so replay directories may mix v1
+		// and columnar v2 artifacts. The nil pool keeps the decode serial:
+		// replayed loads already run on pool workers, and a worker
 		// submitting to its own pool would deadlock.
-		return ggp.DecodeTrace(raw, nil, sp)
+		dec, err := ggp.Decode(raw, nil, sp)
+		if err != nil {
+			return nil, err
+		}
+		return dec.Trace, nil
 	})
 	if err != nil {
 		return nil, false, fmt.Errorf("replay artifact %s: %w", artifactPath(dir, key), err)

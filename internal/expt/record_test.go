@@ -84,11 +84,11 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("expected 1 recorded artifact, found %d", len(ents))
 	}
-	tr, err := ggp.DecodeTraceFile(filepath.Join(dir, ents[0].Name()), nil, nil)
+	dec, err := ggp.DecodeFile(filepath.Join(dir, ents[0].Name()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := analyze(nil, tr, nil, Config{}, nil)
+	replayed := analyze(nil, dec.Trace, nil, Config{}, nil)
 
 	if got, want := replayed.Trace.Cores, live.Trace.Cores; got != want {
 		t.Fatalf("replayed trace has %d cores, live %d", got, want)

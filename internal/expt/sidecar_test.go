@@ -129,12 +129,12 @@ func TestRecordV2RoundTrip(t *testing.T) {
 	if err != nil || len(ents) != 1 {
 		t.Fatalf("expected 1 artifact in %s: %v (%d entries)", v1Dir, err, len(ents))
 	}
-	tr, err := ggp.DecodeTraceFile(filepath.Join(v1Dir, ents[0].Name()), nil, nil)
+	dec, err := ggp.DecodeFile(filepath.Join(v1Dir, ents[0].Name()), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v2Path := filepath.Join(v2Dir, ents[0].Name())
-	if err := ggp.WriteFileV2(v2Path, tr, nil, nil); err != nil {
+	if err := ggp.WriteFileV2(v2Path, dec.Trace, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(v2Path)

@@ -2,8 +2,8 @@
 // versioned on-disk encoding of a profile.Trace that splits recording from
 // analysis. A runtime (simulated or native) emits records into a Writer as
 // one artifact per run; grainview, grainserved and the experiment engine
-// read the artifact's bytes back with Decode or DecodeTrace and obtain a
-// trace that analyzes byte-identically to the live-simulated path.
+// read the artifact's bytes back with Decode and obtain a trace that
+// analyzes byte-identically to the live-simulated path.
 //
 // # Layout
 //
@@ -18,6 +18,12 @@
 // order — which the graph builder relies on: NodeIDs are assigned in record
 // order, so preserving it is what makes replayed analysis byte-identical.
 // Bytes after the trailer are not read.
+//
+// Both formats name the task a record refers to (a parent, a fork's child,
+// a join's grains) by ID; in memory it is a grain number. A reader
+// resolves each reference once, through the profile.IDIndex the trace
+// adopts, and rejects one that names no task record or breaks the record
+// order (profile.Trace.Validate): decode is the one gate.
 //
 // # Columnar v2 ("GGPC")
 //
@@ -67,7 +73,7 @@ const (
 	// Magic opens every GGP artifact.
 	Magic = "GGPF"
 	// Version is the v1 event-stream format version written by Writer.
-	// Decode and DecodeTrace accept both v1 and v2.
+	// Decode accepts both v1 and v2.
 	Version = 1
 	// Version2 is the columnar format version written by EncodeV2.
 	Version2 = 2

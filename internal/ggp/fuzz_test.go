@@ -29,16 +29,16 @@ func seedTrace() *profile.Trace {
 		Program: "fuzz-seed", Cores: 2, Sockets: 1, Scheduler: "work-stealing", Flavor: "MIR",
 		PagePolicy: "first-touch", Start: 3, End: 103,
 		Tasks: []*profile.TaskRecord{
-			{ID: profile.RootID, Loc: profile.SrcLoc{File: "main.c", Line: 10, Func: "main"},
+			{ID: profile.RootID, Parent: -1, Loc: profile.SrcLoc{File: "main.c", Line: 10, Func: "main"},
 				CreateTime: 1, CreateCost: 2, StartTime: 3, EndTime: 103,
 				Fragments: []profile.Fragment{
 					{Start: 3, End: 12, Core: 0, Counters: ctr(1)}, {Start: 14, End: 30, Core: 1, Counters: ctr(2)},
 					{Start: 41, End: 43, Core: 0, Counters: ctr(3)}, {Start: 62, End: 103, Core: 1, Counters: ctr(4)}},
 				Boundaries: []profile.Boundary{
-					{Kind: profile.BoundaryFork, At: 12, Child: child},
-					{Kind: profile.BoundaryJoin, At: 30, Joined: []profile.GrainID{child}, Wait: 4, Suspended: 11},
+					{Kind: profile.BoundaryFork, At: 12, Child: 1},
+					{Kind: profile.BoundaryJoin, At: 30, Joined: []int32{1}, Wait: 4, Suspended: 11},
 					{Kind: profile.BoundaryLoop, At: 43, Loop: 5}}},
-			{ID: child, Parent: profile.RootID, Loc: profile.SrcLoc{File: "work.c", Line: 77, Func: "leaf"},
+			{ID: child, Parent: 0, Loc: profile.SrcLoc{File: "work.c", Line: 77, Func: "leaf"},
 				Depth: 1, CreateTime: 12, CreateCost: 6, CreatedBy: 1, StartTime: 15, EndTime: 29, Inlined: true,
 				Fragments: []profile.Fragment{{Start: 15, End: 29, Core: 1, Counters: ctr(5)}}},
 		},
@@ -56,32 +56,35 @@ func seedTrace() *profile.Trace {
 
 // hostileTraces are seedTrace with its references bent: the artifacts a
 // buggy or malicious producer could write that are well-formed section by
-// section. Dangling Parent/Child/Joined references must decode (they
-// resolve to no grain) and analyse; a self-parent and a two-task Parent
-// cycle must be rejected, because Validate requires every task to be
-// recorded after its parent.
+// section. All must be rejected. Dangling's Parent, Child and Joined
+// references name tasks no record carries: they are numbers past the
+// trace's tasks, which encodeBoth names. A self-parent and a two-task Parent cycle break the rule that every task
+// is recorded after its parent.
 func hostileTraces() (dangling, selfParent, cycle *profile.Trace) {
 	dangling = seedTrace()
 	root, child := dangling.Tasks[0], dangling.Tasks[1]
-	child.Parent = "R.9" // no such task
-	root.Boundaries[0].Child = "R.7"
-	root.Boundaries[1].Joined = []profile.GrainID{"R.8", child.ID}
+	child.Parent = 3 // "R.9": no such task
+	root.Boundaries[0].Child = 4
+	root.Boundaries[1].Joined = []int32{5, 1}
 	dangling.Tasks = append(dangling.Tasks, &profile.TaskRecord{
-		ID: "R.9.1", Parent: "R.9", Depth: 2, StartTime: 70, EndTime: 80,
+		ID: "R.9.1", Parent: 3, Depth: 2, StartTime: 70, EndTime: 80,
 		Fragments: []profile.Fragment{{Start: 70, End: 80, Core: 1}},
 	})
 
 	selfParent = seedTrace()
-	selfParent.Tasks[1].Parent = selfParent.Tasks[1].ID
+	selfParent.Tasks[1].Parent = 1
 
 	cycle = seedTrace()
-	cycle.Tasks[1].Parent = "R.1"
+	cycle.Tasks[1].Parent = 2
 	cycle.Tasks = append(cycle.Tasks, &profile.TaskRecord{
-		ID: "R.1", Parent: cycle.Tasks[1].ID, Depth: 1, StartTime: 70, EndTime: 80,
+		ID: "R.1", Parent: 1, Depth: 1, StartTime: 70, EndTime: 80,
 		Fragments: []profile.Fragment{{Start: 70, End: 80, Core: 1}},
 	})
 	return dangling, selfParent, cycle
 }
+
+// unrecorded names the tasks a hostile trace references past its records.
+var unrecorded = []profile.GrainID{"R.9", "R.7", "R.8"}
 
 // splitTraces are seedTrace with a worker whose busy plus overhead time
 // exceeds the trace span, which would make its idle time negative: once
@@ -127,18 +130,19 @@ func workerTraces() (negative, past, giant, none *profile.Trace) {
 	return negative, past, giant, none
 }
 
-// encodeBoth writes tr as a v1 stream and as a v2 artifact.
+// encodeBoth writes tr as a v1 stream and as a v2 artifact, naming a
+// reference to task len(tr.Tasks)+i unrecorded[i].
 func encodeBoth(t testing.TB, tr *profile.Trace) (v1, v2 []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := ggp.WriteTrace(&buf, tr); err != nil {
-		t.Fatal(err)
+	var ids []profile.GrainID
+	for _, task := range tr.Tasks {
+		ids = append(ids, task.ID)
 	}
-	v2, err := ggp.EncodeV2(tr, nil, nil)
+	v1, v2, err := ggp.EncodeNaming(tr, append(ids, unrecorded...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), v2
+	return v1, v2
 }
 
 // TestHostileReferences pins what the reader does with each hostile seed,
@@ -153,7 +157,7 @@ func TestHostileReferences(t *testing.T) {
 		tr     *profile.Trace
 		reject string
 	}{
-		{"dangling", dangling, ""},
+		{"dangling", dangling, `task "R": child "R.7" names no recorded task`},
 		{"self-parent", selfParent, "before its parent"},
 		{"parent cycle", cycle, "before its parent"},
 		{"worker time split", over, "exceeds the trace span"},
@@ -186,24 +190,44 @@ func TestHostileReferences(t *testing.T) {
 					t.Errorf("%s %s: worker counts %+v, want %+v", tc.name, version, got, want)
 				}
 			}
-			if tc.tr == dangling && dec != nil {
-				nb := dec.Trace.Numbering()
-				if p := nb.TaskParent(1); p != -1 {
-					t.Errorf("%s %s: dangling parent resolved to %d", tc.name, version, p)
-				}
-				if nb.Child[0] != -1 || nb.JoinedOf(1)[0] != -1 || nb.JoinedOf(1)[1] != 1 {
-					t.Errorf("%s %s: child %d joined %v, want -1 and [-1 1]", tc.name, version, nb.Child[0], nb.JoinedOf(1))
-				}
+		}
+	}
+}
+
+// TestDanglingReferencesRejected: decode is the gate for the references
+// between task records. A reference that names no recorded task, a second
+// task without a parent, and a task recorded before the task that spawned
+// it are each a decode error, from both formats, that names the task.
+func TestDanglingReferencesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bend func(tr *profile.Trace)
+		want string
+	}{
+		{"dangling parent", func(tr *profile.Trace) { tr.Tasks[1].Parent = 2 }, `task "R.0": parent "R.9" names no recorded task`},
+		{"dangling fork child", func(tr *profile.Trace) { tr.Tasks[0].Boundaries[0].Child = 2 }, `task "R": child "R.9" names no recorded task`},
+		{"dangling joined grain", func(tr *profile.Trace) { tr.Tasks[0].Boundaries[1].Joined = []int32{1, 2} }, `task "R": joined grain "R.9" names no recorded task`},
+		{"second parentless task", func(tr *profile.Trace) { tr.Tasks[1].Parent = -1 }, `task "R.0" is recorded before its parent, task -1`},
+		{"child recorded before its spawner", func(tr *profile.Trace) {
+			tr.Tasks[1].Parent = 2
+			tr.Tasks = append(tr.Tasks, &profile.TaskRecord{ID: "R.1", Parent: 0, Depth: 1, StartTime: 70, EndTime: 80,
+				Fragments: []profile.Fragment{{Start: 70, End: 80, Core: 1}}})
+		}, `task "R.0" is recorded before its parent, task 2`},
+	} {
+		tr := seedTrace()
+		tc.bend(tr)
+		v1, v2 := encodeBoth(t, tr)
+		for version, data := range map[string][]byte{"v1": v1, "v2": v2} {
+			if _, err := ggp.Decode(data, nil, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s %s: err = %v, want one containing %q", tc.name, version, err, tc.want)
 			}
 		}
 	}
 }
 
 // FuzzGGPReader throws arbitrary bytes at the artifact readers. The
-// invariant is purely defensive: ggp.DecodeTrace (the replay engine's
-// trace-only decode) and ggp.Decode (trace and sidecars), over v1 and
-// columnar v2, must return a result or an error, never panic or OOM, for
-// any input. The seed corpus covers the interesting corruption classes —
+// invariant is purely defensive: ggp.Decode, over v1 and columnar v2, must
+// return a result or an error, never panic or OOM, for any input. The seed corpus covers the interesting corruption classes —
 // valid artifacts of both versions, truncations (including mid-column),
 // a flipped version byte, a v2 header on a v1 body, corrupted section and
 // sidecar checksums, oversized section lengths, and older artifacts: one
@@ -253,10 +277,10 @@ func FuzzGGPReader(f *testing.F) {
 	v2HdrV1Body[len(ggp.Magic)] = 2 // v2 header, v1 body
 	f.Add(v2HdrV1Body)
 
-	// Hostile references, both formats: dangling ones decode, a
-	// self-parent and a Parent cycle are rejected (see hostileTraces), and
-	// so are worker time splits that overrun the span (see splitTraces);
-	// worker ids that name no worker decode (see workerTraces).
+	// Hostile references, both formats: dangling ones, a self-parent and a
+	// Parent cycle are rejected (see hostileTraces), and so are worker time
+	// splits that overrun the span (see splitTraces); worker ids that name
+	// no worker decode (see workerTraces).
 	dangling, selfParent, cycle := hostileTraces()
 	over, wrap := splitTraces()
 	negative, past, giant, none := workerTraces()
@@ -277,24 +301,13 @@ func FuzzGGPReader(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ggp.DecodeTrace(data, nil, nil)
-		if err == nil && tr == nil {
-			t.Fatal("ggp.DecodeTrace returned nil trace and nil error")
-		}
-		if err == nil {
-			// An accepted artifact must satisfy the profile invariants —
-			// that is what the validation wiring guarantees.
-			if verr := tr.Validate(); verr != nil {
-				t.Fatalf("ggp.DecodeTrace accepted an invalid trace: %v", verr)
-			}
-		}
-		// The full decoder has the same contract, including the sidecars
-		// and the parallel columnar path.
 		dec, derr := ggp.Decode(data, nil, nil)
 		if derr == nil && (dec == nil || dec.Trace == nil) {
 			t.Fatal("ggp.Decode returned no result and no error")
 		}
 		if derr == nil {
+			// An accepted artifact must satisfy the profile invariants —
+			// that is what the validation wiring guarantees.
 			if verr := dec.Trace.Validate(); verr != nil {
 				t.Fatalf("ggp.Decode accepted an invalid trace: %v", verr)
 			}

@@ -187,7 +187,7 @@ func TestReaderSkipsUnknownSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tr.Tasks {
-		if err := gw.Task(task); err != nil {
+		if err := gw.Task(task, tr.Numbering().IDs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -282,9 +282,6 @@ func TestLegacyGraphSections(t *testing.T) {
 			if _, err := Decode(bad, nil, nil); !errors.Is(err, ErrCRC) {
 				t.Errorf("%s: Decode with section 0x%02x corrupted: %v, want ErrCRC", name, s.id, err)
 			}
-			if _, err := DecodeTrace(bad, nil, nil); !errors.Is(err, ErrCRC) {
-				t.Errorf("%s: DecodeTrace with section 0x%02x corrupted: %v, want ErrCRC", name, s.id, err)
-			}
 		}
 	}
 }
@@ -310,9 +307,6 @@ func TestLegacyCyclicGraphDecodes(t *testing.T) {
 	dec, err := Decode(data, nil, nil)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
-	}
-	if _, err := DecodeTrace(data, nil, nil); err != nil {
-		t.Fatalf("DecodeTrace: %v", err)
 	}
 	g := core.Build(dec.Trace)
 	if g.NumLevels() == 0 || g.NumEdges() != len(e.EdgeFrom)-1 {
@@ -374,8 +368,5 @@ func TestV2LevelsSidecar(t *testing.T) {
 	bad[payloadAt(secs, i)+len(secs[i].payload)-1] ^= 0xFF
 	if _, err := Decode(bad, nil, nil); !errors.Is(err, ErrCRC) {
 		t.Errorf("Decode with a corrupted levels sidecar: %v, want ErrCRC", err)
-	}
-	if _, err := DecodeTrace(bad, nil, nil); !errors.Is(err, ErrCRC) {
-		t.Errorf("DecodeTrace with a corrupted levels sidecar: %v, want ErrCRC", err)
 	}
 }

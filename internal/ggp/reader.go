@@ -10,7 +10,7 @@ import (
 )
 
 // readTrace reconstructs a trace from a v1 artifact, up to, not including,
-// validation (Decode and DecodeTrace index and validate it); decode has
+// validation (Decode numbers and validates it); Decode has
 // already checked the header. It walks the sections in place, the
 // way walkV2 frames v2 sections, and stops at the trailer: bytes after it
 // are not read. Records are appended in section order, so the returned
@@ -23,18 +23,19 @@ import (
 // record kind decodes into one exactly sized slab and pointer slice rather
 // than one allocation per record and a growing slice. A section shorter
 // than its kind's smallest encoding is not counted, so the slabs never
-// hold more records than the input could encode. Source-location file and
-// function names, shared by thousands of records, are allocated once per
-// decode.
+// hold more records than the input could encode; it reads the task IDs
+// too, so references resolve as the records decode. Source-location file
+// and function names, shared by thousands of records, are allocated once
+// per decode.
 func readTrace(data []byte) (*profile.Trace, error) {
 	off := len(Magic) + 1
 	tr := &profile.Trace{}
 	sawMeta := false
 	var counts [256]int
-	countSections(data, &counts)
+	ids := countSections(data, &counts)
 	tasks, loops := slab(&tr.Tasks, counts[secTask]), slab(&tr.Loops, counts[secLoop])
 	chunks, bookkeeps := slab(&tr.Chunks, counts[secChunk]), slab(&tr.Bookkeeps, counts[secBookkeep])
-	d := decoder{names: make(map[string]string)}
+	d := decoder{names: make(map[string]string), ids: ids, index: profile.NewIDIndex(ids, counts[secChunk])}
 	for {
 		if off >= len(data) {
 			return nil, fmt.Errorf("%w: stream ends before trailer", ErrTruncated)
@@ -78,7 +79,7 @@ func readTrace(data []byte) (*profile.Trace, error) {
 			err = d.meta(tr)
 		case secTask:
 			t := at(tasks, len(tr.Tasks))
-			if err = d.task(t); err == nil {
+			if err = d.task(t, len(tr.Tasks)); err == nil {
 				tr.Tasks = append(tr.Tasks, t)
 			}
 		case secLoop:
@@ -113,6 +114,7 @@ func readTrace(data []byte) (*profile.Trace, error) {
 	if !sawMeta {
 		return nil, fmt.Errorf("ggp: artifact has no meta section")
 	}
+	tr.AdoptIDIndex(d.index)
 	return tr, nil
 }
 
@@ -126,25 +128,32 @@ func readTrace(data []byte) (*profile.Trace, error) {
 var minRecord = [256]uint64{secTask: 14, secLoop: 12, secChunk: 15, secBookkeep: 4}
 
 // countSections counts the v1 stream's sections by ID up to the trailer,
-// reading frame headers only. It stops quietly at the first framing fault:
-// the counts size the record slabs, and the decoding pass that follows
-// frames the same sections and reports the fault. A section shorter than
-// minRecord cannot decode, so it is not counted: each counted record takes
-// at least its smallest encoding of input, and the slabs cost no more per
-// input byte than decoding that many valid records one at a time would.
-func countSections(data []byte, counts *[256]int) {
+// reading frame headers only, and returns the IDs that open the counted
+// task sections. It stops quietly at the first framing fault: the counts
+// size the record slabs, and the decoding pass that follows frames the
+// same sections and reports the fault (or an ID that does not decode). A
+// section shorter than minRecord cannot decode, so it is not counted: each
+// counted record takes at least its smallest encoding of input, and the
+// slabs cost no more per input byte than decoding that many valid records
+// one at a time would.
+func countSections(data []byte, counts *[256]int) (ids []profile.GrainID) {
 	off := len(Magic) + 1
 	for off < len(data) {
 		id := data[off]
 		size, n := sectionLen(data[off+1:])
 		if n <= 0 || size > maxSection || size > uint64(len(data)-off-1-n) || id == secTrailer {
-			return
+			break
 		}
 		if size >= minRecord[id] {
 			counts[id]++
+			p := data[off+1+n : off+1+n+int(size)]
+			if l, k := binary.Uvarint(p); id == secTask && k > 0 && l <= uint64(len(p)-k) {
+				ids = append(ids, profile.GrainID(p[k:k+int(l)]))
+			}
 		}
 		off += 1 + n + int(size)
 	}
+	return ids
 }
 
 // slab returns n zeroed records for a decode to fill in place and points
@@ -194,6 +203,9 @@ type decoder struct {
 	// names interns source-location file and function names across the
 	// sections of one decode.
 	names map[string]string
+	// ids are the task IDs (see countSections); index resolves references.
+	ids   []profile.GrainID
+	index *profile.IDIndex
 }
 
 func (d *decoder) empty() bool    { return d.off >= len(d.buf) }
@@ -318,17 +330,29 @@ func (d *decoder) meta(tr *profile.Trace) error {
 	return err
 }
 
-func (d *decoder) task(t *profile.TaskRecord) error {
-	id, err := d.str()
+// ref reads a reference that the format stores as a task ID and resolves
+// it through the decode's index (see resolveRef).
+func (d *decoder) ref(task profile.GrainID, what string) (int32, error) {
+	b, err := d.bytes()
 	if err != nil {
+		return -1, err
+	}
+	return resolveRef(d.index, task, what, b)
+}
+
+// task decodes the k-th task record, whose ID countSections has read.
+func (d *decoder) task(t *profile.TaskRecord, k int) error {
+	if _, err := d.bytes(); err != nil {
 		return err
 	}
-	t.ID = profile.GrainID(id)
-	parent, err := d.str()
-	if err != nil {
+	if k >= len(d.ids) {
+		return fmt.Errorf("task record %d has no indexed ID", k)
+	}
+	t.ID = d.ids[k]
+	var err error
+	if t.Parent, err = d.ref(t.ID, "parent"); err != nil {
 		return err
 	}
-	t.Parent = profile.GrainID(parent)
 	if t.Loc, err = d.loc(); err != nil {
 		return err
 	}
@@ -399,23 +423,23 @@ func (d *decoder) task(t *profile.TaskRecord) error {
 		if b.At, err = d.u(); err != nil {
 			return err
 		}
-		child, err := d.str()
+		child, err := d.ref(t.ID, "child")
 		if err != nil {
 			return err
 		}
-		b.Child = profile.GrainID(child)
+		if b.Kind == profile.BoundaryFork {
+			b.Child = child
+		}
 		nj, err := d.count()
 		if err != nil {
 			return err
 		}
 		if nj > 0 {
-			b.Joined = make([]profile.GrainID, nj)
+			b.Joined = make([]int32, nj)
 			for j := range b.Joined {
-				s, err := d.str()
-				if err != nil {
+				if b.Joined[j], err = d.ref(t.ID, "joined grain"); err != nil {
 					return err
 				}
-				b.Joined[j] = profile.GrainID(s)
 			}
 		}
 		if b.Wait, err = d.u(); err != nil {

@@ -61,31 +61,6 @@ func (d *Decoded) HasSidecars() bool {
 // trace is checksum-verified and validated; corrupt input of either
 // version yields a structured error, never a panic.
 func Decode(data []byte, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
-	return decode(data, pool, sp, true)
-}
-
-// DecodeFile decodes the artifact at path with Decode.
-func DecodeFile(path string, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
-	return decodeFile(path, pool, sp, true)
-}
-
-// DecodeTrace decodes only the trace from an artifact of either version,
-// skipping sidecar materialization (their checksums are still verified, so
-// corruption anywhere in the artifact is detected). The replay engine uses
-// this: it re-analyzes traces under varied configurations, so indexes
-// derived from one analysis would go unused.
-func DecodeTrace(data []byte, pool *runpool.Runner, sp *obs.Span) (*profile.Trace, error) {
-	return traceOf(decode(data, pool, sp, false))
-}
-
-// DecodeTraceFile decodes only the trace from the artifact at path.
-func DecodeTraceFile(path string, pool *runpool.Runner, sp *obs.Span) (*profile.Trace, error) {
-	return traceOf(decodeFile(path, pool, sp, false))
-}
-
-// decode checks the header and dispatches on the format version; full
-// selects whether a v2 artifact materializes its sidecars.
-func decode(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Decoded, error) {
 	if len(data) < len(Magic)+1 {
 		return nil, fmt.Errorf("%w: %d-byte stream has no header", ErrTruncated, len(data))
 	}
@@ -100,28 +75,20 @@ func decode(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Decode
 		}
 		return &Decoded{Version: 1, Trace: tr}, nil
 	case Version2:
-		return decodeV2(data, pool, sp, full)
+		return decodeV2(data, pool, sp)
 	default:
 		return nil, fmt.Errorf("%w: artifact version %d, reader supports <= %d",
 			ErrVersion, v, Version2)
 	}
 }
 
-// decodeFile reads the artifact at path and decodes it with decode.
-func decodeFile(path string, pool *runpool.Runner, sp *obs.Span, full bool) (*Decoded, error) {
+// DecodeFile decodes the artifact at path with Decode.
+func DecodeFile(path string, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return decode(data, pool, sp, full)
-}
-
-// traceOf unwraps a decode result to its trace.
-func traceOf(d *Decoded, err error) (*profile.Trace, error) {
-	if err != nil {
-		return nil, err
-	}
-	return d.Trace, nil
+	return Decode(data, pool, sp)
 }
 
 // readV1 decodes a v1 stream, reporting the parse and the numbering as
@@ -189,7 +156,7 @@ func (a *v2Artifact) content() []v2ContentSection {
 // subslices), verifies the trailer's content key against the stored
 // per-section checksums, then decodes all sections in parallel on pool,
 // one job per section.
-func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Decoded, error) {
+func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span) (*Decoded, error) {
 	secs, key, err := walkV2(data)
 	if err != nil {
 		return nil, err
@@ -217,8 +184,8 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 	}
 	var jobs []job
 	// verifyOnly checks a section's checksum without materializing it —
-	// used for unknown and reserved sections and, in trace-only mode, for
-	// the sidecars, so corruption is detected either way.
+	// used for unknown and reserved sections, so corruption is detected
+	// there too.
 	verifyOnly := func([]byte) error { return nil }
 
 	for _, c := range a.content() {
@@ -244,11 +211,7 @@ func decodeV2(data []byte, pool *runpool.Runner, sp *obs.Span, full bool) (*Deco
 		{secV2Query, "decode:sidecar:query", func(body []byte) { dec.queryData = body }},
 	} {
 		s, use := byID[sc.id], sc.use
-		switch {
-		case s == nil:
-		case !full:
-			jobs = append(jobs, job{"decode:verify", s, verifyOnly})
-		default:
+		if s != nil {
 			jobs = append(jobs, job{sc.name, s, func(payload []byte) error {
 				body, ok, err := sidecarBody(payload, key)
 				if err != nil {
@@ -452,31 +415,40 @@ func (a *v2Artifact) assembleTrace() (*profile.Trace, error) {
 	for i := range frags {
 		frags[i] = profile.Fragment{Start: fc.start[i], End: fc.end[i], Core: fc.core[i], Counters: fc.ctr.at(i)}
 	}
+	// The references resolve through the index the trace adopts.
+	x := profile.NewIDIndex(tc.ids, nC)
+	tr.AdoptIDIndex(x)
 	bounds := make([]profile.Boundary, nB)
-	for i := range bounds {
-		if bc.kind[i] > profile.BoundaryLoop {
-			return nil, fmt.Errorf("ggp: unknown boundary kind %d", bc.kind[i])
-		}
-		b := profile.Boundary{
-			Kind:      bc.kind[i],
-			At:        bc.at[i],
-			Child:     bc.child[i],
-			Wait:      bc.wait[i],
-			Suspended: bc.susp[i],
-			Loop:      bc.loop[i],
-		}
-		if lo, hi := bc.joinedOff[i], bc.joinedOff[i+1]; hi > lo {
-			b.Joined = bc.joined[lo:hi:hi]
-		}
-		bounds[i] = b
-	}
-
+	joined := make([]int32, len(bc.joined))
 	tasks := make([]profile.TaskRecord, nT)
 	tr.Tasks = make([]*profile.TaskRecord, nT)
 	for i := range tasks {
 		t := &tasks[i]
 		t.ID = tc.ids[i]
-		t.Parent = tc.parents[i]
+		var err error
+		t.Parent, err = resolveRef(x, t.ID, "parent", tc.parents[i])
+		for r := tc.boundOff[i]; r < tc.boundOff[i+1] && err == nil; r++ {
+			if bc.kind[r] > profile.BoundaryLoop {
+				return nil, fmt.Errorf("ggp: unknown boundary kind %d", bc.kind[r])
+			}
+			b := &bounds[r]
+			*b = profile.Boundary{Kind: bc.kind[r], At: bc.at[r], Wait: bc.wait[r], Suspended: bc.susp[r], Loop: bc.loop[r]}
+			var child int32
+			child, err = resolveRef(x, t.ID, "child", bc.child[r])
+			if b.Kind == profile.BoundaryFork {
+				b.Child = child
+			}
+			lo, hi := bc.joinedOff[r], bc.joinedOff[r+1]
+			for j := lo; j < hi && err == nil; j++ {
+				joined[j], err = resolveRef(x, t.ID, "joined grain", bc.joined[j])
+			}
+			if hi > lo {
+				b.Joined = joined[lo:hi:hi]
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("ggp: %w", err)
+		}
 		t.Loc = profile.SrcLoc{File: tc.locFile[i], Line: tc.locLine[i], Func: tc.locFunc[i]}
 		t.Depth = tc.depth[i]
 		t.CreateTime = tc.createTime[i]
@@ -549,10 +521,25 @@ func (a *v2Artifact) assembleTrace() (*profile.Trace, error) {
 	return tr, nil
 }
 
-// indexAndValidate numbers tr's grains, resolving every reference the
-// records carry as strings, and validates the result, reporting both as
-// the index:grains phase under sp: it is the one pass of an ingest that
-// hashes grain IDs.
+// resolveRef resolves a reference that a format stores as a task ID
+// through the decode's index: -1 for an empty one, an error naming task
+// and the reference when no task record carries it. A boundary keeps the
+// child it names only if it is a fork (as the runtimes record it), and
+// Validate rejects a fork's -1.
+func resolveRef[S ~string | ~[]byte](x *profile.IDIndex, task profile.GrainID, what string, id S) (int32, error) {
+	if len(id) == 0 {
+		return -1, nil
+	}
+	if n := profile.Resolve(x, id); n >= 0 {
+		return n, nil
+	}
+	return -1, fmt.Errorf("task %q: %s %q names no recorded task", task, what, id)
+}
+
+// indexAndValidate numbers tr's grains and validates the result, reporting
+// both as the index:grains phase under sp: with the references resolved
+// during the decode, numbering adds only the chunk IDs to the trace's
+// IDIndex.
 func indexAndValidate(tr *profile.Trace, sp *obs.Span) error {
 	isp := sp.Child("index:grains")
 	defer isp.End()

@@ -117,21 +117,17 @@ func TestV2RoundTripTraceAndGraph(t *testing.T) {
 	}
 }
 
+// TestV2DecodeTrace: the one decode entry point returns the trace a v2
+// and a v1 artifact carry.
 func TestV2DecodeTrace(t *testing.T) {
 	tr := sampleTrace(t)
-	data := encodeV2(t, tr, nil)
-	got, err := ggp.DecodeTrace(data, nil, nil)
-	if err != nil {
-		t.Fatalf("DecodeTrace: %v", err)
-	}
-	sameTrace(t, got, tr)
+	sameTrace(t, decodeV2(t, encodeV2(t, tr, nil), nil).Trace, tr)
 
-	// And the v1 path through the same entry point.
-	v1got, err := ggp.DecodeTrace(encode(t, tr), nil, nil)
+	v1got, err := ggp.Decode(encode(t, tr), nil, nil)
 	if err != nil {
-		t.Fatalf("DecodeTrace(v1): %v", err)
+		t.Fatalf("Decode(v1): %v", err)
 	}
-	sameTrace(t, v1got, tr)
+	sameTrace(t, v1got.Trace, tr)
 }
 
 func TestV2DeterministicEncoding(t *testing.T) {

@@ -99,11 +99,12 @@ func (w *Writer) Meta(tr *profile.Trace) error {
 	return w.section(secMeta)
 }
 
-// Task emits one task record.
-func (w *Writer) Task(t *profile.TaskRecord) error {
+// Task emits one task record, naming the tasks it references by ID: task
+// n as ids[n], which is the trace's Numbering().IDs.
+func (w *Writer) Task(t *profile.TaskRecord, ids []profile.GrainID) error {
 	w.buf = w.buf[:0]
 	w.str(string(t.ID))
-	w.str(string(t.Parent))
+	w.str(string(parentID(ids, t.Parent)))
 	w.loc(t.Loc)
 	w.i(t.Depth)
 	w.u(t.CreateTime)
@@ -129,10 +130,10 @@ func (w *Writer) Task(t *profile.TaskRecord) error {
 		b := &t.Boundaries[i]
 		w.i(int(b.Kind))
 		w.u(b.At)
-		w.str(string(b.Child))
+		w.str(string(childID(ids, b)))
 		w.u(uint64(len(b.Joined)))
 		for _, j := range b.Joined {
-			w.str(string(j))
+			w.str(string(ids[j]))
 		}
 		w.u(b.Wait)
 		w.u(b.Suspended)
@@ -196,6 +197,22 @@ func (w *Writer) Workers(ws []profile.WorkerStat) error {
 	return w.section(secWorkers)
 }
 
+// parentID and childID are the IDs both formats store for a task's
+// parent ("" for the root) and a boundary's child ("" but for a fork).
+func parentID(ids []profile.GrainID, n int32) profile.GrainID {
+	if n < 0 {
+		return ""
+	}
+	return ids[n]
+}
+
+func childID(ids []profile.GrainID, b *profile.Boundary) profile.GrainID {
+	if b.Kind != profile.BoundaryFork {
+		return ""
+	}
+	return ids[b.Child]
+}
+
 // Close seals the artifact with the CRC trailer and flushes. The Writer is
 // unusable afterwards. Close does not close the underlying writer.
 func (w *Writer) Close() error {
@@ -218,39 +235,27 @@ func (w *Writer) Close() error {
 
 // Emit streams every record of a finished trace into the Writer: meta,
 // then each record slice in its trace order (which is the producer's
-// emission order, so a read-back trace rebuilds identical NodeIDs). The
-// runtimes call this at finalization; errors are sticky and surface from
-// the caller's Close.
-func (w *Writer) Emit(tr *profile.Trace) error {
-	if err := w.Meta(tr); err != nil {
-		return err
-	}
+// emission order, so a read-back trace rebuilds identical NodeIDs), naming
+// task n as ids[n] (see Task). It returns the first write error, which
+// also sticks and surfaces from the caller's Close.
+func (w *Writer) Emit(tr *profile.Trace, ids []profile.GrainID) error {
+	w.Meta(tr)
 	for _, t := range tr.Tasks {
-		if err := w.Task(t); err != nil {
-			return err
-		}
+		w.Task(t, ids)
 	}
 	for _, l := range tr.Loops {
-		if err := w.Loop(l); err != nil {
-			return err
-		}
+		w.Loop(l)
 	}
 	for _, c := range tr.Chunks {
-		if err := w.Chunk(c); err != nil {
-			return err
-		}
+		w.Chunk(c)
 	}
 	for _, b := range tr.Bookkeeps {
-		if err := w.Bookkeep(b); err != nil {
-			return err
-		}
+		w.Bookkeep(b)
 	}
 	if len(tr.Workers) > 0 {
-		if err := w.Workers(tr.Workers); err != nil {
-			return err
-		}
+		w.Workers(tr.Workers)
 	}
-	return nil
+	return w.err
 }
 
 // WriteTrace writes tr as one complete artifact to w.
@@ -259,7 +264,7 @@ func WriteTrace(w io.Writer, tr *profile.Trace) error {
 	if err != nil {
 		return err
 	}
-	if err := gw.Emit(tr); err != nil {
+	if err := gw.Emit(tr, tr.Numbering().IDs); err != nil {
 		return err
 	}
 	return gw.Close()

@@ -50,7 +50,7 @@ type Sidecar struct {
 // which never holds the artifact whole.
 func EncodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := writeV2(&buf, tr, side, nil); err != nil {
+	if err := writeV2(&buf, tr, nil, side, nil); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -60,14 +60,16 @@ func EncodeV2(tr *profile.Trace, g *core.Graph, side []Sidecar) ([]byte, error) 
 // so a concurrent reader never observes a half-written artifact. Like
 // EncodeV2, it ignores g.
 func WriteFileV2(path string, tr *profile.Trace, g *core.Graph, side []Sidecar) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return writeV2(w, tr, side, nil) })
+	return writeFileAtomic(path, func(w io.Writer) error { return writeV2(w, tr, nil, side, nil) })
 }
 
-// writeV2 streams the artifact to dst. A non-nil staleKey replaces the
-// content key the sidecars are stamped with, a test hook that simulates the
-// "trace sections changed after the sidecars were written" staleness
-// scenario without hand-assembling an artifact.
-func writeV2(dst io.Writer, tr *profile.Trace, side []Sidecar, staleKey *uint32) error {
+// writeV2 streams the artifact to dst. Two test hooks write artifacts no
+// trace can: a non-nil ids names task n as ids[n] in references instead of
+// by its ID (Numbering().IDs), so references can name no record; a non-nil
+// staleKey replaces the content key the sidecars are stamped with,
+// simulating the "trace sections changed after the sidecars were written"
+// staleness scenario without hand-assembling an artifact.
+func writeV2(dst io.Writer, tr *profile.Trace, ids []profile.GrainID, side []Sidecar, staleKey *uint32) error {
 	if tr == nil {
 		return fmt.Errorf("ggp: EncodeV2 requires a trace")
 	}
@@ -86,9 +88,12 @@ func writeV2(dst io.Writer, tr *profile.Trace, side []Sidecar, staleKey *uint32)
 	if len(tr.Workers) > 0 {
 		w.put(secV2Workers, gatherWorkers(tr.Workers))
 	}
-	w.put(secV2Tasks, gatherTasks(tr.Tasks))
+	if ids == nil {
+		ids = tr.Numbering().IDs
+	}
+	w.put(secV2Tasks, gatherTasks(tr.Tasks, ids))
 	w.put(secV2Frags, gatherFrags(tr.Tasks))
-	w.put(secV2Bounds, gatherBounds(tr.Tasks))
+	w.put(secV2Bounds, gatherBounds(tr.Tasks, ids))
 	w.put(secV2Loops, gatherLoops(tr.Loops))
 	w.put(secV2Chunks, gatherChunks(tr.Chunks))
 	w.put(secV2Bookkeeps, gatherBookkeeps(tr.Bookkeeps))
@@ -230,7 +235,7 @@ func gatherWorkers(ws []profile.WorkerStat) *v2Workers {
 	return w
 }
 
-func gatherTasks(tasks []*profile.TaskRecord) *v2Tasks {
+func gatherTasks(tasks []*profile.TaskRecord, ids []profile.GrainID) *v2Tasks {
 	n := len(tasks)
 	c := &v2Tasks{
 		ids:        make([]profile.GrainID, n),
@@ -250,7 +255,7 @@ func gatherTasks(tasks []*profile.TaskRecord) *v2Tasks {
 	}
 	for i, t := range tasks {
 		c.ids[i] = t.ID
-		c.parents[i] = t.Parent
+		c.parents[i] = parentID(ids, t.Parent)
 		c.locFile[i] = t.Loc.File
 		c.locLine[i] = t.Loc.Line
 		c.locFunc[i] = t.Loc.Func
@@ -295,7 +300,7 @@ func gatherFrags(tasks []*profile.TaskRecord) *v2Frags {
 	return c
 }
 
-func gatherBounds(tasks []*profile.TaskRecord) *v2Bounds {
+func gatherBounds(tasks []*profile.TaskRecord, ids []profile.GrainID) *v2Bounds {
 	n, nj := 0, 0
 	for _, t := range tasks {
 		n += len(t.Boundaries)
@@ -319,11 +324,13 @@ func gatherBounds(tasks []*profile.TaskRecord) *v2Bounds {
 			b := &t.Boundaries[bi]
 			c.kind[i] = b.Kind
 			c.at[i] = b.At
-			c.child[i] = b.Child
+			c.child[i] = childID(ids, b)
 			c.wait[i] = b.Wait
 			c.susp[i] = b.Suspended
 			c.loop[i] = b.Loop
-			c.joined = append(c.joined, b.Joined...)
+			for _, j := range b.Joined {
+				c.joined = append(c.joined, ids[j])
+			}
 			c.joinedOff[i+1] = uint32(len(c.joined))
 			i++
 		}

@@ -17,16 +17,24 @@ type fixtureGrain struct {
 }
 
 // scatterFixture runs the scatter pass over hand-built grains: each becomes
-// a one-fragment task of a trace that records only string references, so
-// the sibling sets come out of the trace's own numbering. It returns each
-// grain's scatter by ID.
+// a one-fragment task, after a parentless task of unrecorded core for each
+// parent no grain names, so the sibling sets come out of the trace's own
+// numbering. It returns each grain's scatter by ID.
 func scatterFixture(t *testing.T, grains []fixtureGrain) map[profile.GrainID]int64 {
 	t.Helper()
 	tr := &profile.Trace{}
-	for _, g := range grains {
+	nums := map[profile.GrainID]int32{"": -1}
+	add := func(id profile.GrainID, parent int32, core int) {
+		nums[id] = int32(len(tr.Tasks))
 		tr.Tasks = append(tr.Tasks, &profile.TaskRecord{
-			ID: g.id, Parent: g.parent, Fragments: []profile.Fragment{{Core: g.core}},
+			ID: id, Parent: parent, Fragments: []profile.Fragment{{Core: core}},
 		})
+	}
+	for _, g := range grains {
+		if _, ok := nums[g.parent]; !ok {
+			add(g.parent, -1, -1)
+		}
+		add(g.id, nums[g.parent], g.core)
 	}
 	num := startOrder(tr)
 	rep := &Report{Trace: tr, Num: num, Scatter: make([]int64, len(num))}

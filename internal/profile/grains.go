@@ -32,12 +32,9 @@ func (tr *Trace) GrainLoc(n int32) SrcLoc {
 	return SrcLoc{}
 }
 
-// GrainParent returns grain n's parent ID: a task's recorded parent, or a
-// chunk's loop pseudo-parent.
+// GrainParent returns grain n's parent ID: a task's recorded parent ("" at
+// the root), or a chunk's loop pseudo-parent.
 func (tr *Trace) GrainParent(n int32) GrainID {
-	if int(n) < len(tr.Tasks) {
-		return tr.Tasks[n].Parent
-	}
 	nb := tr.Numbering()
 	return nb.ParentID(nb.Parent[n])
 }
@@ -100,20 +97,16 @@ func (tr *Trace) GrainCreateCost(n int32) Time {
 // wait, by grain number — the second half of its parallelization cost. A
 // join's wait is spread evenly over the children synchronized there.
 func (tr *Trace) SyncShares() []Time {
-	nb := tr.Numbering()
-	share := make([]Time, nb.NumGrains())
-	for ti, t := range tr.Tasks {
-		row := nb.BoundOff[ti]
+	share := make([]Time, tr.NumGrains())
+	for _, t := range tr.Tasks {
 		for i := range t.Boundaries {
 			b := &t.Boundaries[i]
 			if b.Kind != BoundaryJoin || len(b.Joined) == 0 {
 				continue
 			}
 			s := b.Wait / Time(len(b.Joined))
-			for _, child := range nb.JoinedOf(row + int32(i)) {
-				if child >= 0 {
-					share[child] += s
-				}
+			for _, child := range b.Joined {
+				share[child] += s
 			}
 		}
 	}
@@ -132,7 +125,7 @@ func LoopParentID(id LoopID) GrainID {
 // given order. Sets are ordered by parent ID string.
 func (tr *Trace) SiblingSets(nums []int32) (off, members []int32) {
 	nb := tr.Numbering()
-	count := make([]int32, nb.NumParentKeys()+1)
+	count := make([]int32, nb.NoParent()+2)
 	for _, n := range nums {
 		count[nb.Parent[n]+1]++
 	}

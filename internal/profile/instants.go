@@ -90,7 +90,6 @@ func (tr *Trace) SchedInstants() []SchedInstant {
 // eachInstant calls fn for every scheduler instant of the run in record
 // order, by the rules SchedInstants documents.
 func (tr *Trace) eachInstant(fn func(SchedInstant)) {
-	nb := tr.Numbering()
 	stealing := tr.Scheduler == SchedulerWorkStealing
 	for i, t := range tr.Tasks {
 		n := int32(i)
@@ -98,7 +97,6 @@ func (tr *Trace) eachInstant(fn func(SchedInstant)) {
 			fn(SchedInstant{Kind: SchedSteal, At: t.StartTime,
 				Worker: t.Fragments[0].Core, Victim: t.CreatedBy, Grain: n})
 		}
-		row := nb.BoundOff[i]
 		for bi := range t.Boundaries {
 			b := &t.Boundaries[bi]
 			var resumes bool
@@ -109,8 +107,7 @@ func (tr *Trace) eachInstant(fn func(SchedInstant)) {
 						Worker: t.Fragments[bi].Core, Victim: -1, Grain: n})
 				}
 			case BoundaryFork:
-				c := nb.Child[row+int32(bi)]
-				resumes = c >= 0 && int(c) < len(tr.Tasks) && tr.Tasks[c].Inlined
+				resumes = tr.Tasks[b.Child].Inlined
 			}
 			if resumes && bi+1 < len(t.Fragments) {
 				f := &t.Fragments[bi+1]
@@ -163,7 +160,7 @@ func (tr *Trace) WorkerCounts() []WorkerCounts {
 	stealing := tr.Scheduler == SchedulerWorkStealing
 	central := tr.Scheduler == SchedulerCentralQueue
 	for _, t := range tr.Tasks {
-		if t.Parent == "" {
+		if t.Parent < 0 {
 			continue // the root is not spawned
 		}
 		c := at(t.CreatedBy)

@@ -17,17 +17,17 @@ func instantsTrace() *Trace {
 	return &Trace{
 		Program: "instants", Cores: 2, Scheduler: SchedulerWorkStealing, End: 200,
 		Tasks: []*TaskRecord{
-			{ID: RootID, StartTime: 0, EndTime: 200,
+			{ID: RootID, Parent: -1, StartTime: 0, EndTime: 200,
 				Fragments: []Fragment{frag(0, 10, 0), frag(20, 30, 0), frag(30, 40, 0), frag(80, 200, 0)},
 				Boundaries: []Boundary{
-					{Kind: BoundaryFork, At: 10, Child: "R.0"},
-					{Kind: BoundaryFork, At: 20, Child: "R.1"},
-					{Kind: BoundaryJoin, At: 40, Joined: []GrainID{"R.0", "R.1"}, Suspended: 40},
+					{Kind: BoundaryFork, At: 10, Child: 1},
+					{Kind: BoundaryFork, At: 20, Child: 2},
+					{Kind: BoundaryJoin, At: 40, Joined: []int32{1, 2}, Suspended: 40},
 				}},
-			{ID: "R.0", Parent: RootID, CreatedBy: 0, StartTime: 15, EndTime: 70,
+			{ID: "R.0", Parent: 0, CreatedBy: 0, StartTime: 15, EndTime: 70,
 				Fragments:  []Fragment{frag(15, 50, 1), frag(60, 70, 1)},
 				Boundaries: []Boundary{{Kind: BoundaryJoin, At: 50, Wait: 10}}},
-			{ID: "R.1", Parent: RootID, CreatedBy: 0, StartTime: 12, EndTime: 18, Inlined: true,
+			{ID: "R.1", Parent: 0, CreatedBy: 0, StartTime: 12, EndTime: 18, Inlined: true,
 				Fragments: []Fragment{frag(12, 18, 0)}},
 		},
 	}
@@ -62,12 +62,12 @@ func TestSchedInstants(t *testing.T) {
 		t.Errorf("tie at 40: got %+v, want the worker-0 park before the worker-1 steal", got)
 	}
 
-	// A fork whose child reference dangles is no resume.
+	// A fork of a child that was not inlined is no resume.
 	tr = instantsTrace()
-	tr.Tasks[0].Boundaries[1].Child = "R.9"
+	tr.Tasks[2].Inlined = false
 	for _, in := range tr.SchedInstants() {
 		if in.Kind == SchedResume && in.At == 30 {
-			t.Errorf("dangling fork child derived a resume: %+v", in)
+			t.Errorf("a deferred fork child derived a resume: %+v", in)
 		}
 	}
 }

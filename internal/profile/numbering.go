@@ -6,16 +6,58 @@ package profile
 // downstream of a finished trace wants an array index instead. Every grain
 // of a trace therefore has one number, fixed by the record order:
 // Tasks[i] is grain i and Chunks[j] is grain len(Tasks)+j — the order the
-// .ggp v2 task and chunk sections store them in.
-// The string references the records carry (TaskRecord.Parent,
-// Boundary.Child, Boundary.Joined, a chunk's loop pseudo-parent) are
-// resolved to numbers once per trace, lazily, by the single interning pass
-// below; its id → number map is the only string-keyed grain map in the
-// tree and serves the ids that arrive from outside (Trace.Task, what-if
-// specs, window roots, baseline matching).
+// .ggp v2 task and chunk sections store them in. The records name each
+// other by these numbers (TaskRecord.Parent, Boundary.Child,
+// Boundary.Joined): the runtimes fill them in as they append records, and
+// the .ggp readers resolve the IDs the formats store once, through an
+// IDIndex that the trace's Numbering then adopts. That id → number map is
+// the only string-keyed grain map in the tree; besides the readers it
+// serves the ids that arrive from outside (what-if specs, window roots,
+// baseline matching).
 
-// Numbering is a trace's grain numbering with every string reference
-// resolved. All slices are shared with the trace: read, don't mutate.
+// IDIndex maps grain IDs to grain numbers: a trace's one string-keyed
+// grain map. A reader builds it from the task IDs it decodes (NewIDIndex),
+// resolves the references its format stores as IDs through it, and hands
+// it to the trace (Trace.AdoptIDIndex); the trace's Numbering adds the
+// chunk IDs to the same map.
+type IDIndex struct {
+	byID map[GrainID]int32
+	dup  int32 // first task whose ID repeats an earlier task's, or -1
+}
+
+// NewIDIndex numbers ids[i] as task i, with room for chunks chunk IDs
+// more. Of repeated IDs the last keeps the number; Validate rejects a
+// trace that repeats one.
+func NewIDIndex(ids []GrainID, chunks int) *IDIndex {
+	x := &IDIndex{byID: make(map[GrainID]int32, len(ids)+chunks), dup: -1}
+	for i, id := range ids {
+		before := len(x.byID)
+		x.byID[id] = int32(i)
+		if len(x.byID) == before && x.dup < 0 {
+			x.dup = int32(i)
+		}
+	}
+	return x
+}
+
+// Resolve returns the number of the task x indexes under id, or -1. The
+// ID may be bytes, so that a reader resolves a reference in place without
+// allocating a string for it.
+func Resolve[S ~string | ~[]byte](x *IDIndex, id S) int32 {
+	if n, ok := x.byID[GrainID(id)]; ok {
+		return n
+	}
+	return -1
+}
+
+// AdoptIDIndex hands the trace the index a reader resolved its references
+// through, so that its Numbering does not hash the task IDs again. It must
+// be called before the trace is first numbered, with an index of exactly
+// the trace's task IDs.
+func (tr *Trace) AdoptIDIndex(x *IDIndex) { tr.ids = x }
+
+// Numbering is a trace's grain numbering. All slices are shared with the
+// trace: read, don't mutate.
 type Numbering struct {
 	// Tasks, Chunks and Loops are the record counts that fix the number
 	// spaces below.
@@ -24,70 +66,42 @@ type Numbering struct {
 	// IDs maps a grain number to its ID: task IDs, then chunk grain IDs.
 	IDs []GrainID
 
-	// Parent maps a grain number to its parent key. Keys extend the grain
-	// numbers so that every distinct Parent string has exactly one key:
-	// [0,Tasks+Chunks) are grains, the next Loops keys are the loop
-	// pseudo-parents of tr.Loops in order, and keys beyond name parent
-	// strings the trace records no grain for (the root's empty parent, a
-	// dangling reference). Grains with equal keys are siblings.
+	// Parent maps a grain number to its parent key; grains with equal keys
+	// are siblings. A task's key is its Parent, a task number; the next
+	// Loops keys are the loop pseudo-parents of tr.Loops in order, a
+	// chunk's; the last key, NoParent(), is the root's (and an unvalidated
+	// chunk's whose loop the trace does not record).
 	Parent []int32
 
 	// ChunkLoop maps chunk j to its loop's index in tr.Loops, or -1.
 	ChunkLoop []int32
 
-	// Boundary references, flattened over tasks in record order: task t's
-	// boundary i is row BoundOff[t]+i. Child is a fork's spawned grain;
-	// a join's synchronized grains are Joined[JoinOff[row]:JoinOff[row+1]].
-	// A reference the trace records no grain for is -1.
-	BoundOff []int32
-	Child    []int32
-	JoinOff  []int32
-	Joined   []int32
-
 	byID        map[GrainID]int32
 	loopParents []GrainID // pseudo-parent ID per loop
-	unrecorded  []GrainID // parent strings beyond the grain and loop keys
-	dupTask     int32     // first task whose ID repeats an earlier grain's, or -1
+	dupTask     int32     // first task whose ID repeats an earlier task's, or -1
 }
 
 // NumGrains returns the grain count, Tasks+Chunks.
 func (nb *Numbering) NumGrains() int { return nb.Tasks + nb.Chunks }
 
-// NumParentKeys returns the size of the parent key space.
-func (nb *Numbering) NumParentKeys() int {
-	return nb.Tasks + nb.Chunks + nb.Loops + len(nb.unrecorded)
-}
+// NoParent returns the parent key of the grains without a parent.
+func (nb *Numbering) NoParent() int32 { return int32(nb.Tasks + nb.Loops) }
 
-// ParentID returns the Parent string a parent key stands for.
+// ParentID returns the parent ID a parent key stands for: a task's ID, a
+// loop pseudo-parent, or "" for NoParent.
 func (nb *Numbering) ParentID(key int32) GrainID {
-	k := int(key)
-	if k < len(nb.IDs) {
+	switch k := int(key); {
+	case k < nb.Tasks:
 		return nb.IDs[k]
+	case k < nb.Tasks+nb.Loops:
+		return nb.loopParents[k-nb.Tasks]
 	}
-	if k -= len(nb.IDs); k < nb.Loops {
-		return nb.loopParents[k]
-	}
-	return nb.unrecorded[k-nb.Loops]
-}
-
-// TaskParent returns the number of the task that spawned grain n, or -1
-// when n's parent is not a recorded task (the root, a chunk, a dangling
-// reference).
-func (nb *Numbering) TaskParent(n int32) int32 {
-	if p := nb.Parent[n]; int(p) < nb.Tasks {
-		return p
-	}
-	return -1
-}
-
-// JoinedOf returns the grains synchronized at boundary row.
-func (nb *Numbering) JoinedOf(row int32) []int32 {
-	return nb.Joined[nb.JoinOff[row]:nb.JoinOff[row+1]]
+	return ""
 }
 
 // Lookup returns the number of the grain with the given ID, or -1.
 func (nb *Numbering) Lookup(id GrainID) int32 {
-	if n, ok := nb.byID[id]; ok && int(n) < len(nb.IDs) {
+	if n, ok := nb.byID[id]; ok {
 		return n
 	}
 	return -1
@@ -109,94 +123,45 @@ func (tr *Trace) ChunkID(j int) GrainID { return tr.Numbering().IDs[len(tr.Tasks
 // Lookup returns the number of the grain with the given ID, or -1.
 func (tr *Trace) Lookup(id GrainID) int32 { return tr.Numbering().Lookup(id) }
 
-// number is the interning pass: it assigns the numbers, fills the id
-// table and the id → number map, and resolves every reference against it.
+// number assigns the numbers: it fills the id table, adds the chunk IDs
+// to the trace's IDIndex (built here unless a reader handed one over) and
+// gathers the parent keys.
 func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
 	nT, nC, nL := len(tr.Tasks), len(tr.Chunks), len(tr.Loops)
 	nb := &Numbering{
 		Tasks: nT, Chunks: nC, Loops: nL,
+		IDs:         make([]GrainID, nT+nC),
 		Parent:      make([]int32, nT+nC),
 		ChunkLoop:   make([]int32, nC),
-		BoundOff:    make([]int32, nT+1),
-		byID:        make(map[GrainID]int32, nT+nC+nL+1),
-		IDs:         make([]GrainID, nT+nC),
 		loopParents: make([]GrainID, nL),
-		dupTask:     -1,
 	}
-
-	nBounds, nJoined := 0, 0
 	for i, t := range tr.Tasks {
 		nb.IDs[i] = t.ID
-		before := len(nb.byID)
-		nb.byID[t.ID] = int32(i)
-		if len(nb.byID) == before && nb.dupTask < 0 {
-			nb.dupTask = int32(i)
+		nb.Parent[i] = t.Parent
+		if t.Parent < 0 {
+			nb.Parent[i] = nb.NoParent()
 		}
-		nBounds += len(t.Boundaries)
-		nb.BoundOff[i+1] = int32(nBounds)
-		for bi := range t.Boundaries {
-			nJoined += len(t.Boundaries[bi].Joined)
-		}
+	}
+	x := tr.ids
+	if x == nil {
+		x = NewIDIndex(nb.IDs[:nT], nC)
+	}
+	nb.byID, nb.dupTask = x.byID, x.dup
+	for i, l := range tr.Loops {
+		nb.loopParents[i] = LoopParentID(l.ID)
 	}
 	for j, c := range tr.Chunks {
 		li, ok := loopIdx[c.Loop]
-		if !ok {
+		start, key := 0, nb.NoParent()
+		if ok {
+			start, key = tr.Loops[li].StartThread, int32(nT)+li
+		} else {
 			li = -1
 		}
 		nb.ChunkLoop[j] = li
-		start := 0
-		if li >= 0 {
-			start = tr.Loops[li].StartThread
-		}
+		nb.Parent[nT+j] = key
 		nb.IDs[nT+j] = c.ID(start)
 		nb.byID[nb.IDs[nT+j]] = int32(nT + j)
-	}
-	for i, l := range tr.Loops {
-		nb.loopParents[i] = LoopParentID(l.ID)
-		if _, taken := nb.byID[nb.loopParents[i]]; !taken {
-			nb.byID[nb.loopParents[i]] = int32(nT + nC + i)
-		}
-	}
-
-	// Every grain is numbered; now the references. A Parent string always
-	// gets a key (sibling sets are keyed by it, recorded or not); a Child
-	// or Joined reference only resolves to a grain.
-	parentKey := func(id GrainID) int32 {
-		if k, ok := nb.byID[id]; ok {
-			return k
-		}
-		k := int32(nT + nC + nL + len(nb.unrecorded))
-		nb.byID[id] = k
-		nb.unrecorded = append(nb.unrecorded, id)
-		return k
-	}
-	nb.Child = make([]int32, nBounds)
-	nb.JoinOff = make([]int32, nBounds+1)
-	nb.Joined = make([]int32, 0, nJoined)
-	row := 0
-	for i, t := range tr.Tasks {
-		nb.Parent[i] = parentKey(t.Parent)
-		for bi := range t.Boundaries {
-			b := &t.Boundaries[bi]
-			nb.Child[row] = -1
-			switch b.Kind {
-			case BoundaryFork:
-				nb.Child[row] = nb.Lookup(b.Child)
-			case BoundaryJoin:
-				for _, id := range b.Joined {
-					nb.Joined = append(nb.Joined, nb.Lookup(id))
-				}
-			}
-			row++
-			nb.JoinOff[row] = int32(len(nb.Joined))
-		}
-	}
-	for j, c := range tr.Chunks {
-		if li := nb.ChunkLoop[j]; li >= 0 {
-			nb.Parent[nT+j] = int32(nT + nC + int(li))
-		} else {
-			nb.Parent[nT+j] = parentKey(LoopParentID(c.Loop))
-		}
 	}
 	return nb
 }

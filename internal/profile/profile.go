@@ -121,10 +121,12 @@ const (
 
 // Boundary separates Fragments[i] from Fragments[i+1] in a TaskRecord.
 type Boundary struct {
-	Kind   BoundaryKind
-	At     Time
-	Child  GrainID   // BoundaryFork: the spawned task
-	Joined []GrainID // BoundaryJoin: children synchronized here
+	Kind BoundaryKind
+	At   Time
+	// Child (a fork's spawned task; zero on other kinds) and Joined (a
+	// join's children) are grain numbers of later task records.
+	Child  int32
+	Joined []int32
 	// Wait is the synchronization *overhead* the task paid at this join
 	// (runtime bookkeeping, not useful work); it feeds the parallel-benefit
 	// metric's "time spent by the grain's parent in synchronizing".
@@ -139,7 +141,7 @@ type Boundary struct {
 // TaskRecord is the complete profile of one task instance.
 type TaskRecord struct {
 	ID     GrainID
-	Parent GrainID // empty for the root
+	Parent int32 // the spawning task's grain number, an earlier record; -1 for the root
 	Loc    SrcLoc
 	Depth  int // spawn-tree depth; root is 0
 
@@ -299,6 +301,7 @@ type Trace struct {
 	// across figures), so the build must be race-free.
 	indexOnce sync.Once
 	numbering *Numbering
+	ids       *IDIndex         // a reader's, which the numbering extends
 	loopIndex map[LoopID]int32 // loop ID -> index in Loops
 }
 

@@ -46,7 +46,7 @@ func makeTestTrace() *Trace {
 	// Root R spawns R.0 and R.1, waits for both (wait 100), then runs a
 	// 2-chunk loop.
 	root := &TaskRecord{
-		ID: RootID, Loc: Loc("main.go", 1, "main"),
+		ID: RootID, Parent: -1, Loc: Loc("main.go", 1, "main"),
 		StartTime: 0, EndTime: 1000,
 		Fragments: []Fragment{
 			{Start: 0, End: 100, Core: 0},
@@ -55,19 +55,19 @@ func makeTestTrace() *Trace {
 			{Start: 900, End: 1000, Core: 0},
 		},
 		Boundaries: []Boundary{
-			{Kind: BoundaryFork, At: 100, Child: "R.0"},
-			{Kind: BoundaryJoin, At: 150, Joined: []GrainID{"R.0", "R.1"}, Wait: 100},
+			{Kind: BoundaryFork, At: 100, Child: 1},
+			{Kind: BoundaryJoin, At: 150, Joined: []int32{1, 2}, Wait: 100},
 			{Kind: BoundaryLoop, At: 400, Loop: 0},
 		},
 	}
 	c0 := &TaskRecord{
-		ID: "R.0", Parent: RootID, Depth: 1, Loc: Loc("main.go", 10, "work"),
+		ID: "R.0", Parent: 0, Depth: 1, Loc: Loc("main.go", 10, "work"),
 		CreateTime: 100, CreateCost: 50, StartTime: 110, EndTime: 210,
 		Fragments: []Fragment{{Start: 110, End: 210, Core: 1,
 			Counters: cache.Counters{Compute: 90, Stall: 10, Accesses: 5, L1Miss: 1}}},
 	}
 	c1 := &TaskRecord{
-		ID: "R.1", Parent: RootID, Depth: 1, Loc: Loc("main.go", 10, "work"),
+		ID: "R.1", Parent: 0, Depth: 1, Loc: Loc("main.go", 10, "work"),
 		CreateTime: 120, CreateCost: 50, StartTime: 130, EndTime: 250,
 		Fragments: []Fragment{{Start: 130, End: 250, Core: 2}},
 	}
@@ -242,35 +242,34 @@ func TestNumberingBuiltOnceUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestNumberingResolvesReferences pins the resolved columns of the test
-// trace: the root's empty parent and an unrecorded one get their own keys
-// past the grains and loops, a dangling child resolves to -1.
+// TestNumberingResolvesReferences pins the parent-key column of the test
+// trace (tasks by their parent's number, chunks by their loop's key past
+// the tasks, the root by the last key) and the resolution of ID strings
+// through an IDIndex a reader builds: the trace's numbering adopts it and
+// adds the chunk IDs to it.
 func TestNumberingResolvesReferences(t *testing.T) {
 	tr := makeTestTrace()
-	tr.Tasks[2].Parent = "R.9"
-	tr.Tasks[0].Boundaries[1].Joined = []GrainID{"R.0", "R.7", "R.1"}
-	nb := tr.Numbering()
-	if want := []int32{6, 0, 7, 5, 5}; !reflect.DeepEqual(nb.Parent, want) {
-		t.Errorf("parent keys = %v, want %v", nb.Parent, want)
+	x := NewIDIndex([]GrainID{"R", "R.0", "R.1"}, len(tr.Chunks))
+	if Resolve(x, []byte("R.1")) != 2 || Resolve(x, "R.0") != 1 || Resolve(x, "R.9") != -1 {
+		t.Errorf("index resolves R.1, R.0, R.9 to %d, %d, %d", Resolve(x, []byte("R.1")), Resolve(x, "R.0"), Resolve(x, "R.9"))
 	}
-	for key, want := range map[int32]GrainID{0: "R", 3: "L0@t0#0[0,4)", 5: "loop:0", 6: "", 7: "R.9"} {
+	tr.AdoptIDIndex(x)
+	nb := tr.Numbering()
+	if want := []int32{4, 0, 0, 3, 3}; !reflect.DeepEqual(nb.Parent, want) || nb.NoParent() != 4 {
+		t.Errorf("parent keys = %v (no parent %d), want %v", nb.Parent, nb.NoParent(), want)
+	}
+	for key, want := range map[int32]GrainID{0: "R", 2: "R.1", 3: "loop:0", 4: ""} {
 		if got := nb.ParentID(key); got != want {
 			t.Errorf("ParentID(%d) = %q, want %q", key, got, want)
 		}
 	}
-	if nb.TaskParent(0) != -1 || nb.TaskParent(1) != 0 || nb.TaskParent(2) != -1 || nb.TaskParent(3) != -1 {
-		t.Errorf("task parents = %d %d %d %d", nb.TaskParent(0), nb.TaskParent(1), nb.TaskParent(2), nb.TaskParent(3))
-	}
-	if want := []int32{1, -1, -1}; !reflect.DeepEqual(nb.Child, want) {
-		t.Errorf("fork children = %v, want %v", nb.Child, want)
-	}
-	if got := nb.JoinedOf(nb.BoundOff[0] + 1); !reflect.DeepEqual(got, []int32{1, -1, 2}) {
-		t.Errorf("joined = %v, want [1 -1 2]", got)
+	if Resolve(x, "L0@t0#0[0,4)") != 3 || tr.Lookup("L0@t0#1[4,8)") != 4 {
+		t.Error("the adopted index does not number the chunks")
 	}
 	if tr.Lookup("R.9") != -1 || tr.Lookup("") != -1 || tr.Lookup("loop:0") != -1 {
 		t.Error("Lookup resolved a parent key that is no grain")
 	}
 	if err := tr.Validate(); err != nil {
-		t.Errorf("dangling references rejected: %v", err)
+		t.Errorf("well-formed references rejected: %v", err)
 	}
 }

@@ -5,13 +5,14 @@ import "fmt"
 // Validate checks the structural invariants a trace must satisfy before the
 // graph builder may consume it: every fragment and chunk interval is
 // well-formed (End >= Start), every worker's busy plus overhead time fits
-// in the trace span, a task's fragments are ordered and
-// non-overlapping, boundary counts match fragment counts, every
-// boundary/chunk refers to a loop the trace records, and every task is
-// recorded after its parent, and every core and thread id fits in an int32,
-// the width the grain graph and the columnar artifact store them at. Dangling Parent/Child/Joined references are
-// accepted: they resolve to no grain (-1) and the analyses skip them. The
-// live runtimes construct traces that hold these by design; the check
+// in the trace span, a task's fragments are ordered and non-overlapping,
+// boundary counts match fragment counts, every boundary/chunk refers to a
+// loop the trace records, and every core and thread id fits in an int32,
+// the width the grain graph and the columnar artifact store them at. Of
+// the references between task records, Tasks[0] is the one parentless
+// task, every other task's parent is an earlier record, and fork children
+// and joined grains are later records, so no analysis tests one again.
+// The live runtimes construct traces that hold these by design; the check
 // matters for traces read back from disk, where corruption or a buggy
 // producer would otherwise surface far away as negative-weight graph nodes
 // or builder panics.
@@ -54,19 +55,19 @@ func (tr *Trace) Validate() error {
 		loops[l.ID] = true
 	}
 	nb := tr.Numbering()
-	for i, t := range tr.Tasks {
+	for ti, t := range tr.Tasks {
 		if t.ID == "" {
 			return fmt.Errorf("profile: task with empty grain ID")
 		}
-		if int32(i) == nb.dupTask {
+		if int32(ti) == nb.dupTask {
 			return fmt.Errorf("profile: duplicate task record %q", t.ID)
 		}
 		// Spawn order: every producer records a task after the task that
 		// spawned it. Requiring it here is what makes Parent chains finite —
 		// a self-parent or a Parent cycle cannot satisfy it — so ancestor
 		// walks over a validated trace terminate without a depth bound.
-		if p := nb.TaskParent(int32(i)); p >= int32(i) {
-			return fmt.Errorf("profile: task %q is recorded before its parent %q", t.ID, t.Parent)
+		if t.Parent >= int32(ti) || t.Parent < 0 && ti > 0 {
+			return fmt.Errorf("profile: task %q is recorded before its parent, task %d (only the first task has none, -1)", t.ID, t.Parent)
 		}
 		if outsideInt32(t.CreatedBy) {
 			return fmt.Errorf("profile: task %q creating worker %d is outside int32", t.ID, t.CreatedBy)
@@ -96,6 +97,14 @@ func (tr *Trace) Validate() error {
 			if b.Kind == BoundaryLoop && !loops[b.Loop] {
 				return fmt.Errorf("profile: task %q boundary %d references unknown loop %d",
 					t.ID, i, b.Loop)
+			}
+			if b.Kind == BoundaryFork && !tr.after(b.Child, ti) {
+				return fmt.Errorf("profile: task %q boundary %d forks task %d, not a later record", t.ID, i, b.Child)
+			}
+			for _, c := range b.Joined {
+				if !tr.after(c, ti) {
+					return fmt.Errorf("profile: task %q boundary %d joins task %d, not a later record", t.ID, i, c)
+				}
 			}
 		}
 	}
@@ -127,6 +136,9 @@ func (tr *Trace) Validate() error {
 	}
 	return nil
 }
+
+// after reports whether n numbers a task recorded after Tasks[i].
+func (tr *Trace) after(n int32, i int) bool { return int(n) > i && int(n) < len(tr.Tasks) }
 
 // outsideInt32 reports whether v would wrap when narrowed to int32.
 func outsideInt32(v int) bool { return v != int(int32(v)) }

@@ -9,7 +9,7 @@ func validTrace() *Trace {
 	return &Trace{
 		Program: "t", Cores: 2, Start: 0, End: 100,
 		Tasks: []*TaskRecord{
-			{ID: RootID, Fragments: []Fragment{{Start: 0, End: 40}, {Start: 60, End: 100}},
+			{ID: RootID, Parent: -1, Fragments: []Fragment{{Start: 0, End: 40}, {Start: 60, End: 100}},
 				Boundaries: []Boundary{{Kind: BoundaryLoop, At: 40, Loop: 0}}},
 		},
 		Loops: []*LoopRecord{{ID: 0, Lo: 0, Hi: 8, Start: 40, End: 60, Threads: []int{0, 1}}},
@@ -39,6 +39,13 @@ func TestValidateRejections(t *testing.T) {
 		{"overlapping fragments", func(tr *Trace) { tr.Tasks[0].Fragments[1].Start = 30 }, "overlap"},
 		{"duplicate task", func(tr *Trace) { tr.Tasks = append(tr.Tasks, &TaskRecord{ID: RootID}) }, "duplicate task"},
 		{"empty grain ID", func(tr *Trace) { tr.Tasks[0].ID = "" }, "empty grain"},
+		{"second parentless task", func(tr *Trace) { tr.Tasks = append(tr.Tasks, &TaskRecord{ID: "R.0", Parent: -1}) }, "before its parent, task -1"},
+		{"parent of the first task", func(tr *Trace) { tr.Tasks[0].Parent = 0 }, "before its parent"},
+		{"parent recorded later", func(tr *Trace) { tr.Tasks = append(tr.Tasks, &TaskRecord{ID: "R.0", Parent: 1}) }, "before its parent"},
+		{"fork of an earlier task", func(tr *Trace) { tr.Tasks[0].Boundaries[0] = Boundary{Kind: BoundaryFork} }, "forks task 0, not a later record"},
+		{"joined grain no task carries", func(tr *Trace) {
+			tr.Tasks[0].Boundaries[0] = Boundary{Kind: BoundaryJoin, Joined: []int32{7}}
+		}, "joins task 7"},
 		{"excess boundaries", func(tr *Trace) {
 			tr.Tasks[0].Boundaries = append(tr.Tasks[0].Boundaries,
 				Boundary{Kind: BoundaryJoin}, Boundary{Kind: BoundaryJoin})

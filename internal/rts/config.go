@@ -111,9 +111,8 @@ func DefaultCosts() CostModel {
 
 // Config describes one simulated run.
 type Config struct {
-	Program   string // label recorded in the trace
-	Cores     int    // workers; worker i is pinned to core i
-	Topology  *machine.Topology
+	Program   string // label recorded in the trace; the root task's location is <Program>.go:1(main)
+	Cores     int    // workers; worker i is pinned to core i of the 48-core machine.Default48
 	Cache     cache.Config
 	Policy    machine.Policy
 	Scheduler SchedulerKind
@@ -126,20 +125,16 @@ type Config struct {
 	ThrottleLimit int
 	Seed          uint64
 	Costs         CostModel
-	RootLoc       profile.SrcLoc
 }
 
-// withDefaults validates and fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.Topology == nil {
-		c.Topology = machine.Default48()
-	}
+// withDefaults validates and fills zero fields for a run on topo.
+func (c Config) withDefaults(topo *machine.Topology) Config {
 	if c.Cores <= 0 {
-		c.Cores = c.Topology.NumCores()
+		c.Cores = topo.NumCores()
 	}
-	if c.Cores > c.Topology.NumCores() {
+	if c.Cores > topo.NumCores() {
 		panic(fmt.Sprintf("rts: %d cores requested but topology has %d",
-			c.Cores, c.Topology.NumCores()))
+			c.Cores, topo.NumCores()))
 	}
 	if c.Cache.LineSize == 0 {
 		c.Cache = cache.DefaultConfig()
@@ -152,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Program == "" {
 		c.Program = "program"
-	}
-	if c.RootLoc == (profile.SrcLoc{}) {
-		c.RootLoc = profile.Loc(c.Program+".go", 1, "main")
 	}
 	return c
 }

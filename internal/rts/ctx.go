@@ -52,19 +52,17 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 	w := c.w()
 	pre := w.clock
 
-	childID := profile.ChildID(t.rec.ID, t.spawnSeq)
-	t.spawnSeq++
-	t.outstanding++
-	t.pendingJoin = append(t.pendingJoin, childID)
-
 	child := rt.newTask(store(&rt.recs.tasks, profile.TaskRecord{
-		ID: childID, Parent: t.rec.ID, Loc: loc,
+		ID: profile.ChildID(t.rec.ID, t.spawnSeq), Parent: t.num, Loc: loc,
 		Depth: t.rec.Depth + 1, CreatedBy: w.id,
 	}), t, body)
+	t.spawnSeq++
+	t.outstanding++
+	t.pendingJoin = append(t.pendingJoin, child.num)
 
 	rt.endFragment(t, pre)
 	t.rec.Boundaries = append(t.rec.Boundaries, profile.Boundary{
-		Kind: profile.BoundaryFork, At: pre, Child: childID,
+		Kind: profile.BoundaryFork, At: pre, Child: child.num,
 	})
 
 	throttled := rt.shouldThrottle(w)
@@ -77,7 +75,6 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 	child.rec.CreateTime = w.clock
 	child.rec.CreateCost = spawnCost
 	child.readyAt = w.clock
-	rt.trace.Tasks = append(rt.trace.Tasks, child.rec)
 	rt.live++
 	w.count.Spawns++
 

@@ -34,8 +34,9 @@ type task struct {
 	parent      *task
 	owner       int // worker the task is tied to; -1 before first run
 	spawnSeq    int
-	outstanding int               // unfinished direct children
-	pendingJoin []profile.GrainID // children created since the last join
+	num         int32   // grain number: the record's index in the trace
+	outstanding int     // unfinished direct children
+	pendingJoin []int32 // children created since the last join
 
 	waiting      bool // suspended in taskwait
 	resumable    bool
@@ -117,10 +118,11 @@ func run(cfg Config, program func(Ctx)) *runtime {
 
 // newRuntime sets up a run of program, ready for its first step.
 func newRuntime(cfg Config, program func(Ctx)) *runtime {
-	cfg = cfg.withDefaults()
+	topo := machine.Default48()
+	cfg = cfg.withDefaults(topo)
 	rt := &runtime{
 		cfg:  cfg,
-		topo: cfg.Topology,
+		topo: topo,
 		pcg:  rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15),
 		pool: sim.NewPool(),
 	}
@@ -139,13 +141,12 @@ func newRuntime(cfg Config, program func(Ctx)) *runtime {
 		PagePolicy: cfg.Policy.String(),
 	}
 
-	rec := store(&rt.recs.tasks, profile.TaskRecord{ID: profile.RootID, Loc: cfg.RootLoc})
+	rec := store(&rt.recs.tasks, profile.TaskRecord{ID: profile.RootID, Parent: -1, Loc: profile.Loc(cfg.Program+".go", 1, "main")})
 	rt.root = rt.newTask(rec, nil, func(c Ctx) {
 		program(c)
 		// Implicit end-of-parallel-region barrier: join any stragglers.
 		c.TaskWait()
 	})
-	rt.trace.Tasks = append(rt.trace.Tasks, rt.root.rec)
 	rt.live = 1
 	rt.root.readyAt = 0
 	rt.workers[0].next = rt.root
@@ -338,7 +339,8 @@ func runBody(arg any) {
 }
 
 // newTask returns a task for rec running body, on recycled storage when a
-// freed task is available.
+// freed task is available, and appends rec to the trace: the task's grain
+// number is its record's index there.
 func (rt *runtime) newTask(rec *profile.TaskRecord, parent *task, body func(Ctx)) *task {
 	var t *task
 	if n := len(rt.free); n > 0 {
@@ -347,8 +349,9 @@ func (rt *runtime) newTask(rec *profile.TaskRecord, parent *task, body func(Ctx)
 	} else {
 		t = new(task)
 	}
-	*t = task{rec: rec, body: body, parent: parent, owner: -1}
+	*t = task{rec: rec, body: body, parent: parent, owner: -1, num: int32(len(rt.trace.Tasks))}
 	t.ctx = taskCtx{rt: rt, t: t}
+	rt.trace.Tasks = append(rt.trace.Tasks, rec)
 	return t
 }
 

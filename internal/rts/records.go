@@ -14,11 +14,11 @@ type records struct {
 	bookkeeps []profile.BookkeepRecord
 	frags     []profile.Fragment
 	bounds    []profile.Boundary
-	joins     []profile.GrainID
+	joins     []int32
 
 	freeFrags  freeList[profile.Fragment]
 	freeBounds freeList[profile.Boundary]
-	freeJoins  freeList[profile.GrainID]
+	freeJoins  freeList[int32]
 }
 
 // Slab chunks double from slabMin elements up to slabMax, so a small run
@@ -102,7 +102,7 @@ func (r *records) finishTask(t *task) {
 
 // join takes the children t spawned since its last join as a kept list,
 // leaving t's pending list empty for the next ones.
-func (r *records) join(t *task) []profile.GrainID {
+func (r *records) join(t *task) []int32 {
 	joined := keep(&r.joins, t.pendingJoin)
 	t.pendingJoin = t.pendingJoin[:0]
 	return joined

@@ -46,7 +46,7 @@ func TestRecordArenasExactAndIndependent(t *testing.T) {
 					_ = append(rec.Fragments, profile.Fragment{Start: 1, End: 2})
 					_ = append(rec.Boundaries, profile.Boundary{Kind: profile.BoundaryJoin, At: 3})
 					for _, bd := range rec.Boundaries {
-						_ = append(bd.Joined, "R.99")
+						_ = append(bd.Joined, 99)
 					}
 				}
 				if !reflect.DeepEqual(a, b) {

@@ -72,7 +72,7 @@ func TestForkJoinStructure(t *testing.T) {
 	if bar.Loc.Func != "bar" || baz.Loc.Func != "baz" {
 		t.Errorf("child locations: %v, %v", bar.Loc, baz.Loc)
 	}
-	if bar.Parent != profile.RootID || bar.Depth != 1 {
+	if bar.Parent != 0 || bar.Depth != 1 {
 		t.Errorf("bar parent/depth = %v/%d", bar.Parent, bar.Depth)
 	}
 	if bar.CreateCost == 0 || bar.StartTime < bar.CreateTime {

@@ -23,19 +23,19 @@ func statsTrace() *profile.Trace {
 		Program: "stats", Cores: 3, Scheduler: profile.SchedulerWorkStealing, End: 1000,
 		Workers: []profile.WorkerStat{{Busy: 600, Overhead: 100}, {Busy: 500}, {}},
 		Tasks: []*profile.TaskRecord{
-			{ID: profile.RootID, Loc: profile.Loc("main.go", 1, "main"),
+			{ID: profile.RootID, Parent: -1, Loc: profile.Loc("main.go", 1, "main"),
 				Fragments: []profile.Fragment{frag(0, 10, 0, 4), frag(20, 30, 0, 0), frag(40, 50, 0, 0), frag(60, 70, 0, 0), frag(900, 910, 0, 0)},
 				Boundaries: []profile.Boundary{
-					{Kind: profile.BoundaryFork, At: 10, Child: "R.0"},
-					{Kind: profile.BoundaryFork, At: 30, Child: "R.1"},
-					{Kind: profile.BoundaryFork, At: 50, Child: "R.2"},
-					{Kind: profile.BoundaryJoin, At: 70, Joined: []profile.GrainID{"R.0", "R.1", "R.2"}, Suspended: 800},
+					{Kind: profile.BoundaryFork, At: 10, Child: 1},
+					{Kind: profile.BoundaryFork, At: 30, Child: 2},
+					{Kind: profile.BoundaryFork, At: 50, Child: 3},
+					{Kind: profile.BoundaryJoin, At: 70, Joined: []int32{1, 2, 3}, Suspended: 800},
 				}},
-			{ID: "R.0", Parent: profile.RootID, Loc: heavy, CreatedBy: 0, StartTime: 15,
+			{ID: "R.0", Parent: 0, Loc: heavy, CreatedBy: 0, StartTime: 15,
 				Fragments: []profile.Fragment{frag(15, 515, 1, 8)}},
-			{ID: "R.1", Parent: profile.RootID, Loc: light, CreatedBy: 0, StartTime: 100, Inlined: true,
+			{ID: "R.1", Parent: 0, Loc: light, CreatedBy: 0, StartTime: 100, Inlined: true,
 				Fragments: []profile.Fragment{frag(100, 110, 0, 0)}},
-			{ID: "R.2", Parent: profile.RootID, Loc: light, CreatedBy: 0, StartTime: 200,
+			{ID: "R.2", Parent: 0, Loc: light, CreatedBy: 0, StartTime: 200,
 				Fragments: []profile.Fragment{frag(200, 210, 0, 0)}},
 		},
 		Loops: []*profile.LoopRecord{{ID: 0, Loc: tie}},
