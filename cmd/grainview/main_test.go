@@ -11,7 +11,6 @@ import (
 
 	"graingraph/internal/expt"
 	"graingraph/internal/ggp"
-	"graingraph/internal/profile"
 	"graingraph/internal/runpool"
 	"graingraph/internal/whatif"
 	"graingraph/internal/workloads"
@@ -187,7 +186,7 @@ func TestWhatifUsageParses(t *testing.T) {
 	if !ok {
 		t.Fatalf("usage line %q lists no spec forms", whatifUsage)
 	}
-	grain := string(profile.ChildID(profile.RootID, 0))
+	grain := "R.0"
 	fill := strings.NewReplacer("<depth>", "3", "<grain>", grain, "<factor>", "0.5")
 	var specs []string
 	kinds := map[string]bool{}

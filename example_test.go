@@ -93,7 +93,7 @@ func Example_kdtreeBug() {
 		}
 		maxDepth := 0
 		for _, t := range r.Trace.Tasks {
-			maxDepth = max(maxDepth, t.Depth)
+			maxDepth = max(maxDepth, int(t.Depth))
 		}
 		fmt.Printf("%-48s grains=%4d  max task depth=%2d  makespan=%d\n",
 			label, r.Trace.NumGrains(), maxDepth, r.Trace.Makespan())

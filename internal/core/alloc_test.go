@@ -8,9 +8,8 @@ import (
 )
 
 // TestBuildAllocsFlatInTasks pins Build's allocation count: columns are
-// reserved once, boundary nodes live in one flat table and fragment labels
-// are cut from one string, so a trace with 64 times the tasks costs no more
-// allocations.
+// reserved once, boundary nodes live in one flat table and labels are not
+// stored, so a trace with 64 times the tasks costs no more allocations.
 func TestBuildAllocsFlatInTasks(t *testing.T) {
 	var counts []float64
 	for _, depth := range []int{4, 7, 10} {
@@ -65,12 +64,15 @@ func TestGeometryAfterLayout(t *testing.T) {
 	}
 }
 
-// TestBuildBytesPerNode pins the graph's size. Build allocates its node,
-// edge and label columns and the entry/exit tables, reserved once: 97 B
-// per node on this tree, bounded at 100. The node columns once also
+// TestBuildBytesPerNode pins the graph's size. Build allocates its node
+// and edge columns and the entry/exit tables, reserved once: 68.2 B per
+// node on this tree, bounded at 72. It stores no labels: they derive from
+// the columns (Graph.NodeAt), where a stored label column and the bytes of
+// every fragment label took 97 B per node. The node columns once also
 // carried a copy of every fragment's and chunk's hardware counters, 56 B
 // per node that nothing read (153 B in all): the trace holds them. A
-// column that copies what the trace holds breaks the bound.
+// column that copies what the trace holds or what the columns name breaks
+// the bound.
 func TestBuildBytesPerNode(t *testing.T) {
 	tr := benchTrace(10)
 	tr.Numbering() // indexed once per trace, not per Build
@@ -84,7 +86,7 @@ func TestBuildBytesPerNode(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(nodes)
 	t.Logf("Build allocates %.1f B per node (%d nodes)", perNode, nodes/runs)
-	if perNode > 100 {
-		t.Errorf("Build allocates %.1f B per node; the bound is 100", perNode)
+	if perNode > 72 {
+		t.Errorf("Build allocates %.1f B per node; the bound is 72", perNode)
 	}
 }

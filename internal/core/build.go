@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"graingraph/internal/profile"
 )
@@ -18,6 +15,7 @@ import (
 // last fragment → join node) across contexts.
 func Build(tr *profile.Trace) *Graph {
 	g := newGraph(tr)
+	g.derived = true
 	g.Reserve(estimateSize(tr))
 	g.FirstNode, g.LastNode = noSpans(tr.NumGrains()), noSpans(tr.NumGrains())
 
@@ -43,12 +41,6 @@ func Build(tr *profile.Trace) *Graph {
 		chunksByLoop[ck.Loop] = append(chunksByLoop[ck.Loop], int32(j))
 	}
 
-	// Fragment labels ("<task ID>/<index>") are cut from one string, so
-	// the graph holds one label allocation rather than one per fragment.
-	var labels strings.Builder
-	labels.Grow(fragmentLabelBytes(tr))
-	var digits [20]byte
-
 	// Pass 1: nodes and intra-context edges.
 	row := 0
 	for ti, task := range tr.Tasks {
@@ -56,15 +48,10 @@ func Build(tr *profile.Trace) *Graph {
 		num := int32(ti)
 		for fi := range task.Fragments {
 			f := &task.Fragments[fi]
-			at := labels.Len()
-			labels.WriteString(string(task.ID))
-			labels.WriteByte('/')
-			labels.Write(strconv.AppendInt(digits[:0], int64(fi), 10))
 			n := g.appendNode(Node{
 				Kind:     NodeFragment,
 				GrainNum: num,
 				Seq:      fi,
-				Label:    labels.String()[at:],
 				Start:    f.Start,
 				End:      f.End,
 				Weight:   f.Duration(),
@@ -89,7 +76,6 @@ func Build(tr *profile.Trace) *Graph {
 						Kind:     NodeFork,
 						GrainNum: num,
 						Seq:      fi,
-						Label:    "fork",
 						Start:    b.At,
 						End:      b.At + cost,
 						Weight:   cost,
@@ -100,7 +86,6 @@ func Build(tr *profile.Trace) *Graph {
 						Kind:     NodeJoin,
 						GrainNum: num,
 						Seq:      fi,
-						Label:    "join",
 						Start:    b.At,
 						End:      b.At + b.Suspended,
 						Weight:   b.Wait,
@@ -183,22 +168,6 @@ func estimateSize(tr *profile.Trace) (nodes, edges int) {
 	return nodes, edges
 }
 
-// fragmentLabelBytes is the length of every fragment label of tr laid end
-// to end.
-func fragmentLabelBytes(tr *profile.Trace) int {
-	bytes := 0
-	for _, task := range tr.Tasks {
-		n := len(task.Fragments)
-		bytes += n * (len(task.ID) + 1)
-		// Decimal digits of 0..n-1: one each, one more per number ≥ 10, …
-		bytes += n
-		for p := 10; p < n; p *= 10 {
-			bytes += n - p
-		}
-	}
-	return bytes
-}
-
 // expandLoop creates the loop's fork node, per-thread
 // bookkeeping/chunk chains, and join node; returns the fork node and
 // records the join node in g.lastLoopJoin.
@@ -215,7 +184,6 @@ func (g *Graph) expandLoop(id profile.LoopID, master int32, fi int,
 		GrainNum: master,
 		Loop:     id,
 		Seq:      fi,
-		Label:    fmt.Sprintf("loop %s", loop.Loc),
 		Start:    loop.Start,
 		End:      loop.Start,
 		Core:     loop.StartThread,
@@ -226,7 +194,6 @@ func (g *Graph) expandLoop(id profile.LoopID, master int32, fi int,
 		GrainNum: master,
 		Loop:     id,
 		Seq:      fi,
-		Label:    "loop join",
 		Start:    loop.End,
 		End:      loop.End,
 		Core:     loop.StartThread,
@@ -252,7 +219,6 @@ func (g *Graph) expandLoop(id profile.LoopID, master int32, fi int,
 				GrainNum: master,
 				Loop:     id,
 				Seq:      ck.Seq,
-				Label:    "bk",
 				Start:    ck.Start - ck.Bookkeep,
 				End:      ck.Start,
 				Weight:   ck.Bookkeep,
@@ -270,7 +236,6 @@ func (g *Graph) expandLoop(id profile.LoopID, master int32, fi int,
 				GrainNum: cid,
 				Loop:     id,
 				Seq:      ck.Seq,
-				Label:    fmt.Sprintf("[%d,%d)", ck.Lo, ck.Hi),
 				Start:    ck.Start,
 				End:      ck.End,
 				Weight:   ck.Duration(),
@@ -291,7 +256,6 @@ func (g *Graph) expandLoop(id profile.LoopID, master int32, fi int,
 			GrainNum: master,
 			Loop:     id,
 			Seq:      len(cks),
-			Label:    "bk",
 			Weight:   finalCost,
 			Core:     thread,
 		})

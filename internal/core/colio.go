@@ -14,12 +14,12 @@ import (
 
 // GraphColumns is the read-only column view of a built graph's
 // construction-time state. All slices alias the store: read, don't mutate.
+// Labels are not a column: the adopted graph derives them as Build's does.
 type GraphColumns struct {
 	Kind    []uint8
 	Grain   []int32 // grain numbers
 	Loop    []int32
 	Seq     []int32
-	Label   []string
 	Start   []profile.Time
 	End     []profile.Time
 	Weight  []profile.Time
@@ -39,7 +39,6 @@ func (g *Graph) ExportColumns() GraphColumns {
 		Grain:    s.grain,
 		Loop:     s.loop,
 		Seq:      s.seq,
-		Label:    s.label,
 		Start:    s.start,
 		End:      s.end,
 		Weight:   s.weight,
@@ -65,7 +64,6 @@ func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last []NodeID) (*Graph
 		"grain":   len(c.Grain),
 		"loop":    len(c.Loop),
 		"seq":     len(c.Seq),
-		"label":   len(c.Label),
 		"start":   len(c.Start),
 		"end":     len(c.End),
 		"weight":  len(c.Weight),
@@ -114,13 +112,13 @@ func AdoptGraph(tr *profile.Trace, c GraphColumns, first, last []NodeID) (*Graph
 		}
 	}
 	g := newGraph(tr)
+	g.derived = true
 	g.FirstNode, g.LastNode = first, last
 	s := &g.GraphStore
 	s.kind = c.Kind
 	s.grain = c.Grain
 	s.loop = c.Loop
 	s.seq = c.Seq
-	s.label = c.Label
 	s.start = c.Start
 	s.end = c.End
 	s.weight = c.Weight

@@ -455,8 +455,9 @@ func TestInlinedTasksStillInGraph(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	// All 6 children present regardless of inlining.
+	var ids profile.IDArena
 	for i := 0; i < 6; i++ {
-		id := profile.ChildID(profile.RootID, i)
+		id := ids.Child(profile.RootID, i)
 		if g.First(g.LookupGrain(id)) < 0 {
 			t.Errorf("grain %s missing from graph", id)
 		}

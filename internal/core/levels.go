@@ -72,22 +72,22 @@ func (s *GraphStore) indexLevels() error {
 	}
 	s.nodeLevel = level
 
-	// Counting sort by level: stable over ascending NodeID, so each level's
-	// node list comes out sorted by ID.
+	// Counting sort by level into the queue's storage, empty now: filling
+	// each level from its end, nodes in descending ID order, leaves every
+	// level's list ascending and its offset at its start.
 	numLevels := int(maxLevel) + 1
 	off := make([]int32, numLevels+1)
 	for _, l := range level {
-		off[l+1]++
+		off[l]++
 	}
-	for i := 0; i < numLevels; i++ {
-		off[i+1] += off[i]
+	for i := 1; i <= numLevels; i++ {
+		off[i] += off[i-1]
 	}
-	nodes := make([]int32, n)
-	cur := make([]int32, numLevels)
-	for i := 0; i < n; i++ {
+	nodes := queue[:n]
+	for i := n - 1; i >= 0; i-- {
 		l := level[i]
-		nodes[off[l]+cur[l]] = int32(i)
-		cur[l]++
+		off[l]--
+		nodes[off[l]] = int32(i)
 	}
 	s.levelOff, s.levelNodes = off, nodes
 	return nil

@@ -14,7 +14,7 @@ import "graingraph/internal/profile"
 // concurrent analyses — readers touch disjoint immutable slices.
 //
 // All mutation happens through appendNode/appendEdge, the narrow setters
-// (critical flags, labels) and Layout (geometry); consumers outside this
+// (critical flags) and Layout (geometry); consumers outside this
 // package read through the accessor methods, which are trivially
 // inlinable single-slice loads.
 type GraphStore struct {
@@ -23,13 +23,17 @@ type GraphStore struct {
 	grain    []int32 // owning grain's number; the Graph holds the id tables
 	loop     []int32
 	seq      []int32
-	label    []string
 	start    []profile.Time
 	end      []profile.Time
 	weight   []profile.Time
 	core     []int32
 	members  []int32
 	critical []bool
+	// label holds the labels a graph sets itself (lod windows, reduced
+	// groups, hand-assembled graphs); it stays nil until the first node
+	// with a label is appended. A built graph stores none: NodeAt derives
+	// its labels from the columns (see Graph.labelOf).
+	label []string
 	// Layout geometry columns, read by the exporters. Layout, their only
 	// writer, allocates them; a node they do not cover (every node, before
 	// a layout) reads as a zero rectangle.
@@ -103,8 +107,8 @@ func (s *GraphStore) Geometry(n NodeID) (x, y, w, h float64) {
 	return s.geoX[n], s.geoY[n], s.geoW[n], s.geoH[n]
 }
 
-// nodeAt materializes node n's row without its Grain ID, which only the
-// Graph can name (Graph.NodeAt).
+// nodeAt materializes node n's row without its Grain ID and label, which
+// only the Graph can name (Graph.NodeAt).
 func (s *GraphStore) nodeAt(n NodeID) Node {
 	x, y, w, h := s.Geometry(n)
 	return Node{
@@ -113,7 +117,6 @@ func (s *GraphStore) nodeAt(n NodeID) Node {
 		GrainNum: s.grain[n],
 		Loop:     s.Loop(n),
 		Seq:      s.Seq(n),
-		Label:    s.label[n],
 		Start:    s.start[n],
 		End:      s.end[n],
 		Weight:   s.weight[n],
@@ -169,7 +172,6 @@ func (s *GraphStore) Reserve(nodes, edges int) {
 		s.grain = append(make([]int32, 0, nodes), s.grain...)
 		s.loop = append(make([]int32, 0, nodes), s.loop...)
 		s.seq = append(make([]int32, 0, nodes), s.seq...)
-		s.label = append(make([]string, 0, nodes), s.label...)
 		s.start = append(make([]profile.Time, 0, nodes), s.start...)
 		s.end = append(make([]profile.Time, 0, nodes), s.end...)
 		s.weight = append(make([]profile.Time, 0, nodes), s.weight...)
@@ -187,7 +189,8 @@ func (s *GraphStore) Reserve(nodes, edges int) {
 
 // appendNode appends a node row and returns its ID. A zero Members is
 // normalized to 1 (an unreduced node represents itself). The row's
-// geometry is not stored: only Layout writes geometry.
+// geometry is not stored: only Layout writes geometry. The label column
+// starts at the first node that carries a label, earlier rows reading "".
 func (s *GraphStore) appendNode(n Node) NodeID {
 	id := NodeID(len(s.kind))
 	if n.Members == 0 {
@@ -197,7 +200,12 @@ func (s *GraphStore) appendNode(n Node) NodeID {
 	s.grain = append(s.grain, n.GrainNum)
 	s.loop = append(s.loop, int32(n.Loop))
 	s.seq = append(s.seq, int32(n.Seq))
-	s.label = append(s.label, n.Label)
+	if n.Label != "" && s.label == nil {
+		s.label = make([]string, id, cap(s.kind))
+	}
+	if s.label != nil {
+		s.label = append(s.label, n.Label)
+	}
 	s.start = append(s.start, n.Start)
 	s.end = append(s.end, n.End)
 	s.weight = append(s.weight, n.Weight)
@@ -231,29 +239,30 @@ func (s *GraphStore) invalidateCSR() {
 
 // buildCSR (re)builds both adjacency indexes as flat offset/index arrays:
 // two passes over the edge columns, four allocations total, independent of
-// node degree distribution.
+// node degree distribution. The first pass leaves each node's offset at
+// the end of its range; the second walks the edges backwards, placing each
+// at its node's offset and stepping the offset down, so every range fills
+// in ascending edge order and the offsets end at their starts.
 func (s *GraphStore) buildCSR() {
 	n, e := len(s.kind), len(s.edgeFrom)
 	outOff := make([]int32, n+1)
 	inOff := make([]int32, n+1)
 	for i := 0; i < e; i++ {
-		outOff[s.edgeFrom[i]+1]++
-		inOff[s.edgeTo[i]+1]++
+		outOff[s.edgeFrom[i]]++
+		inOff[s.edgeTo[i]]++
 	}
-	for i := 0; i < n; i++ {
-		outOff[i+1] += outOff[i]
-		inOff[i+1] += inOff[i]
+	for i := 1; i <= n; i++ {
+		outOff[i] += outOff[i-1]
+		inOff[i] += inOff[i-1]
 	}
 	outIdx := make([]int32, e)
 	inIdx := make([]int32, e)
-	outCur := make([]int32, n)
-	inCur := make([]int32, n)
-	for i := 0; i < e; i++ {
+	for i := e - 1; i >= 0; i-- {
 		f, t := s.edgeFrom[i], s.edgeTo[i]
-		outIdx[outOff[f]+outCur[f]] = int32(i)
-		outCur[f]++
-		inIdx[inOff[t]+inCur[t]] = int32(i)
-		inCur[t]++
+		outOff[f]--
+		outIdx[outOff[f]] = int32(i)
+		inOff[t]--
+		inIdx[inOff[t]] = int32(i)
 	}
 	s.outOff, s.outIdx = outOff, outIdx
 	s.inOff, s.inIdx = inOff, inIdx

@@ -68,7 +68,8 @@ type worker struct {
 	id    int
 	deque *sched.ChaseLev
 	rng   uint64
-	busy  atomic.Uint64 // accumulated busy nanos
+	busy  atomic.Uint64   // accumulated busy nanos
+	ids   profile.IDArena // the IDs of the tasks spawned on this worker
 }
 
 // pool is the executor.
@@ -231,8 +232,8 @@ func (c *ctx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 
 	child := &task{
 		rec: &profile.TaskRecord{
-			ID: profile.ChildID(c.t.rec.ID, c.spawnSeq), Parent: c.t.num, Loc: loc,
-			Depth: c.t.rec.Depth + 1, CreatedBy: c.w.id,
+			ID: c.w.ids.Child(c.t.rec.ID, c.spawnSeq), Parent: c.t.num, Loc: loc,
+			Depth: c.t.rec.Depth + 1, CreatedBy: int32(c.w.id),
 			CreateTime: at,
 		},
 		body:   body,
@@ -290,7 +291,7 @@ func (c *ctx) TaskWait() {
 func (c *ctx) Worker() int { return c.w.id }
 
 // Depth implements Ctx.
-func (c *ctx) Depth() int { return c.t.rec.Depth }
+func (c *ctx) Depth() int { return int(c.t.rec.Depth) }
 
 // ParallelFor is a convenience built on tasks: it splits [lo,hi) into
 // roughly chunk-sized tasks and waits for them — the native stand-in for

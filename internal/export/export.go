@@ -13,6 +13,7 @@ import (
 
 	"graingraph/internal/core"
 	"graingraph/internal/highlight"
+	"graingraph/internal/profile"
 )
 
 // View selects the colour encoding of grain nodes.
@@ -119,7 +120,7 @@ func NodeColor(g *core.Graph, n core.Node, a *highlight.Assessment, v View,
 	// Fragment / chunk.
 	switch v {
 	case ViewStructure:
-		return defColors[defKeyOf(g, n)]
+		return defColors[defKeyOf(g, n.Kind, n.GrainNum, n.Loop)]
 	case ViewCritical:
 		if n.Critical {
 			return criticalColor
@@ -153,18 +154,19 @@ func assessmentOf(g *core.Graph, a *highlight.Assessment, n core.Node) int {
 	return a.Get(n.Grain)
 }
 
-// defKeyOf returns the source-definition key of a grain node.
-func defKeyOf(g *core.Graph, n core.Node) string {
-	if n.Kind == core.NodeChunk {
-		if l := g.Trace.Loop(n.Loop); l != nil {
+// defKeyOf returns the source-definition key of a grain node, from the
+// node's kind, grain number and loop columns.
+func defKeyOf(g *core.Graph, kind core.NodeKind, num int32, loop profile.LoopID) string {
+	if kind == core.NodeChunk {
+		if l := g.Trace.Loop(loop); l != nil {
 			return l.Loc.String()
 		}
-		return fmt.Sprintf("loop:%d", n.Loop)
+		return fmt.Sprintf("loop:%d", loop)
 	}
-	if int(n.GrainNum) < len(g.Trace.Tasks) {
-		return g.Trace.Tasks[n.GrainNum].Loc.String()
+	if int(num) < len(g.Trace.Tasks) {
+		return g.Trace.Tasks[num].Loc.String()
 	}
-	return string(n.Grain)
+	return string(g.GrainID(num))
 }
 
 // DefinitionColors assigns a palette colour to every source definition in
@@ -173,10 +175,11 @@ func DefinitionColors(g *core.Graph) map[string]string {
 	colors := make(map[string]string)
 	i := 0
 	for id := core.NodeID(0); id < core.NodeID(g.NumNodes()); id++ {
-		if k := g.Kind(id); k != core.NodeFragment && k != core.NodeChunk {
+		k := g.Kind(id)
+		if k != core.NodeFragment && k != core.NodeChunk {
 			continue
 		}
-		key := defKeyOf(g, g.NodeAt(id))
+		key := defKeyOf(g, k, g.GrainNum(id), g.Loop(id))
 		if _, ok := colors[key]; !ok {
 			colors[key] = definitionPalette[i%len(definitionPalette)]
 			i++

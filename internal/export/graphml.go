@@ -88,7 +88,7 @@ func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error 
 		fmt.Fprintf(bw, `</y:ShapeNode></data>`+"\n")
 		fmt.Fprintf(bw, `   <data key="grain">%s</data>`+"\n", escape(string(n.Grain)))
 		fmt.Fprintf(bw, `   <data key="kind">%s</data>`+"\n", n.Kind)
-		fmt.Fprintf(bw, `   <data key="loc">%s</data>`+"\n", escape(defKeyOf(g, n)))
+		fmt.Fprintf(bw, `   <data key="loc">%s</data>`+"\n", escape(defKeyOf(g, n.Kind, n.GrainNum, n.Loop)))
 		fmt.Fprintf(bw, `   <data key="exec">%d</data>`+"\n", n.Weight)
 		fmt.Fprintf(bw, `   <data key="corekey">%d</data>`+"\n", n.Core)
 		if a != nil && (n.Kind == core.NodeFragment || n.Kind == core.NodeChunk) {

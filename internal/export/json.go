@@ -147,7 +147,7 @@ func jsonNodeRow(g *core.Graph, id core.NodeID, a *highlight.Assessment) jsonNod
 	n := g.NodeAt(id)
 	jn := jsonNode{
 		ID: int(n.ID), Kind: n.Kind.String(), Grain: string(n.Grain),
-		Label: n.Label, Source: defKeyOf(g, n),
+		Label: n.Label, Source: defKeyOf(g, n.Kind, n.GrainNum, n.Loop),
 		Start: n.Start, End: n.End, Weight: n.Weight,
 		Core: n.Core, Members: n.Members, Critical: n.Critical,
 	}

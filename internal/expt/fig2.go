@@ -37,9 +37,7 @@ func Figure2(w io.Writer) (*Fig2Result, error) {
 	maxDepth := func(r *Result) int {
 		d := 0
 		for _, t := range r.Trace.Tasks {
-			if t.Depth > d {
-				d = t.Depth
-			}
+			d = max(d, int(t.Depth))
 		}
 		return d
 	}

@@ -24,7 +24,7 @@ func seedTrace() *profile.Trace {
 	ctr := func(k uint64) cache.Counters {
 		return cache.Counters{Accesses: 70 + k, L1Miss: 60 + k, L2Miss: 50 + k, L3Miss: 40 + k, Remote: 30 + k, Stall: 20 + k, Compute: 10 + k}
 	}
-	child := profile.ChildID(profile.RootID, 0)
+	child := profile.GrainID("R.0")
 	return &profile.Trace{
 		Program: "fuzz-seed", Cores: 2, Sockets: 1, Scheduler: "work-stealing", Flavor: "MIR",
 		PagePolicy: "first-touch", Start: 3, End: 103,

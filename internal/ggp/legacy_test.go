@@ -26,8 +26,9 @@ import (
 // tests decode them to show that the graph every reader now builds is the
 // graph those files carry.
 type legacyNodes struct {
-	dict []profile.GrainID
-	g    *core.GraphColumns
+	dict   []profile.GrainID
+	g      *core.GraphColumns
+	labels []string // a built graph derives its labels instead of storing them
 }
 
 func (n *legacyNodes) schema() []colenc.Col {
@@ -40,7 +41,7 @@ func (n *legacyNodes) schema() []colenc.Col {
 			colenc.Ivar(&n.g.Seq),
 			colenc.Ivar(&n.g.Core),
 			colenc.Ivar(&n.g.Members),
-			colenc.Strs(&n.g.Label),
+			colenc.Strs(&n.labels),
 			colenc.U64(&n.g.Start),
 			colenc.U64(&n.g.End),
 			colenc.U64(&n.g.Weight),
@@ -237,6 +238,10 @@ func TestLegacyGraphSections(t *testing.T) {
 		tr := dec.Trace
 		g := core.Build(tr)
 		want := g.ExportColumns()
+		labels := make([]string, g.NumNodes())
+		for n := range labels {
+			labels[n] = g.NodeAt(core.NodeID(n)).Label
+		}
 		meta, l := decodeLegacy(t, data)
 		got := l.cols
 		for _, c := range []struct {
@@ -246,7 +251,7 @@ func TestLegacyGraphSections(t *testing.T) {
 			{"grain dictionary", l.nodes.dict, tr.Numbering().IDs},
 			{"kind", got.Kind, want.Kind}, {"grain", got.Grain, want.Grain},
 			{"loop", got.Loop, want.Loop}, {"seq", got.Seq, want.Seq},
-			{"label", got.Label, want.Label}, {"start", got.Start, want.Start},
+			{"label", l.nodes.labels, labels}, {"start", got.Start, want.Start},
 			{"end", got.End, want.End}, {"weight", got.Weight, want.Weight},
 			{"core", got.Core, want.Core}, {"members", got.Members, want.Members},
 			{"edge from", got.EdgeFrom, want.EdgeFrom}, {"edge to", got.EdgeTo, want.EdgeTo},

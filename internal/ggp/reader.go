@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strings"
 
 	"graingraph/internal/cache"
 	"graingraph/internal/profile"
@@ -24,9 +25,10 @@ import (
 // than one allocation per record and a growing slice. A section shorter
 // than its kind's smallest encoding is not counted, so the slabs never
 // hold more records than the input could encode; it reads the task IDs
-// too, so references resolve as the records decode. Source-location file
-// and function names, shared by thousands of records, are allocated once
-// per decode.
+// too, so references resolve as the records decode. A task's fragments,
+// boundaries and joined lists are carved from chunked slabs, whose counts
+// the frame headers do not show. Source-location file and function names,
+// shared by thousands of records, are allocated once per decode.
 func readTrace(data []byte) (*profile.Trace, error) {
 	off := len(Magic) + 1
 	tr := &profile.Trace{}
@@ -129,14 +131,51 @@ var minRecord = [256]uint64{secTask: 14, secLoop: 12, secChunk: 15, secBookkeep:
 
 // countSections counts the v1 stream's sections by ID up to the trailer,
 // reading frame headers only, and returns the IDs that open the counted
-// task sections. It stops quietly at the first framing fault: the counts
-// size the record slabs, and the decoding pass that follows frames the
-// same sections and reports the fault (or an ID that does not decode). A
-// section shorter than minRecord cannot decode, so it is not counted: each
-// counted record takes at least its smallest encoding of input, and the
-// slabs cost no more per input byte than decoding that many valid records
-// one at a time would.
-func countSections(data []byte, counts *[256]int) (ids []profile.GrainID) {
+// task sections, cut from one string. It stops quietly at the first
+// framing fault: the counts size the record slabs, and the decoding pass
+// that follows frames the same sections and reports the fault (or an ID
+// that does not decode). A section shorter than minRecord cannot decode,
+// so it is not counted: each counted record takes at least its smallest
+// encoding of input, and the slabs cost no more per input byte than
+// decoding that many valid records one at a time would.
+func countSections(data []byte, counts *[256]int) []profile.GrainID {
+	nIDs, idBytes := 0, 0
+	eachSection(data, func(id byte, p []byte) {
+		counts[id]++
+		if tid, ok := taskID(id, p); ok {
+			nIDs++
+			idBytes += len(tid)
+		}
+	})
+	if nIDs == 0 {
+		return nil
+	}
+	ids := make([]profile.GrainID, 0, nIDs)
+	var b strings.Builder
+	b.Grow(idBytes) // exactly: the substrings cut below stay where they are
+	eachSection(data, func(id byte, p []byte) {
+		if tid, ok := taskID(id, p); ok {
+			at := b.Len()
+			b.Write(tid)
+			ids = append(ids, profile.GrainID(b.String()[at:]))
+		}
+	})
+	return ids
+}
+
+// taskID returns the ID that opens section payload p when p is a task
+// section that holds all of it.
+func taskID(id byte, p []byte) ([]byte, bool) {
+	l, k := binary.Uvarint(p)
+	if id != secTask || k <= 0 || l > uint64(len(p)-k) {
+		return nil, false
+	}
+	return p[k : k+int(l)], true
+}
+
+// eachSection calls fn with the ID and payload of every section at least
+// minRecord[id] long, up to the trailer or the first framing fault.
+func eachSection(data []byte, fn func(id byte, payload []byte)) {
 	off := len(Magic) + 1
 	for off < len(data) {
 		id := data[off]
@@ -145,15 +184,10 @@ func countSections(data []byte, counts *[256]int) (ids []profile.GrainID) {
 			break
 		}
 		if size >= minRecord[id] {
-			counts[id]++
-			p := data[off+1+n : off+1+n+int(size)]
-			if l, k := binary.Uvarint(p); id == secTask && k > 0 && l <= uint64(len(p)-k) {
-				ids = append(ids, profile.GrainID(p[k:k+int(l)]))
-			}
+			fn(id, data[off+1+n:off+1+n+int(size)])
 		}
 		off += 1 + n + int(size)
 	}
-	return ids
 }
 
 // slab returns n zeroed records for a decode to fill in place and points
@@ -166,6 +200,26 @@ func slab[T any](ptrs *[]*T, n int) []T {
 	*ptrs = make([]*T, 0, n)
 	return make([]T, n)
 }
+
+// carve returns the next n zeroed elements of slab *s, with cap == len, the
+// way the runtime carves its records (rts/records.go). A new chunk starts
+// when the current one has no room; chunks double from slabMin elements up
+// to slabMax, so a small decode allocates little and a large one wastes at
+// most one part-filled chunk per slab. n is bounded by the payload (see
+// count), so a hostile count cannot force a large chunk.
+func carve[T any](s *[]T, n int) []T {
+	if cap(*s)-len(*s) < n {
+		*s = make([]T, 0, max(n, min(2*cap(*s), slabMax), slabMin))
+	}
+	i := len(*s)
+	*s = (*s)[:i+n]
+	return (*s)[i : i+n : i+n]
+}
+
+const (
+	slabMin = 16
+	slabMax = 1024
+)
 
 // at returns the slab's i-th record, or a fresh one past its end: a section
 // too short to be counted still reaches its decoder, which rejects it.
@@ -206,6 +260,11 @@ type decoder struct {
 	// ids are the task IDs (see countSections); index resolves references.
 	ids   []profile.GrainID
 	index *profile.IDIndex
+	// The slabs the tasks' fragments, boundaries and joined lists are
+	// carved from.
+	frags  []profile.Fragment
+	bounds []profile.Boundary
+	joins  []int32
 }
 
 func (d *decoder) empty() bool    { return d.off >= len(d.buf) }
@@ -227,6 +286,16 @@ func (d *decoder) i() (int, error) {
 	}
 	d.off += n
 	return int(v), nil
+}
+
+// i32 reads a signed varint that the record holds as an int32; a value
+// outside int32 is an error, not a wrapped number.
+func (d *decoder) i32(what string) (int32, error) {
+	v, err := d.i()
+	if err == nil && v != int(int32(v)) {
+		err = fmt.Errorf("%s %d is outside int32", what, v)
+	}
+	return int32(v), err
 }
 
 // bytes reads a length-prefixed byte string in place.
@@ -356,7 +425,7 @@ func (d *decoder) task(t *profile.TaskRecord, k int) error {
 	if t.Loc, err = d.loc(); err != nil {
 		return err
 	}
-	if t.Depth, err = d.i(); err != nil {
+	if t.Depth, err = d.i32("depth"); err != nil {
 		return err
 	}
 	if t.CreateTime, err = d.u(); err != nil {
@@ -365,7 +434,7 @@ func (d *decoder) task(t *profile.TaskRecord, k int) error {
 	if t.CreateCost, err = d.u(); err != nil {
 		return err
 	}
-	if t.CreatedBy, err = d.i(); err != nil {
+	if t.CreatedBy, err = d.i32("creating worker"); err != nil {
 		return err
 	}
 	if t.StartTime, err = d.u(); err != nil {
@@ -385,7 +454,7 @@ func (d *decoder) task(t *profile.TaskRecord, k int) error {
 		return err
 	}
 	if nf > 0 {
-		t.Fragments = make([]profile.Fragment, nf)
+		t.Fragments = carve(&d.frags, nf)
 	}
 	for i := range t.Fragments {
 		f := &t.Fragments[i]
@@ -408,7 +477,7 @@ func (d *decoder) task(t *profile.TaskRecord, k int) error {
 		return err
 	}
 	if nb > 0 {
-		t.Boundaries = make([]profile.Boundary, nb)
+		t.Boundaries = carve(&d.bounds, nb)
 	}
 	for i := range t.Boundaries {
 		b := &t.Boundaries[i]
@@ -435,7 +504,7 @@ func (d *decoder) task(t *profile.TaskRecord, k int) error {
 			return err
 		}
 		if nj > 0 {
-			b.Joined = make([]int32, nj)
+			b.Joined = carve(&d.joins, nj)
 			for j := range b.Joined {
 				if b.Joined[j], err = d.ref(t.ID, "joined grain"); err != nil {
 					return err

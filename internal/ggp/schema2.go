@@ -129,13 +129,14 @@ func (c *v2Counters) at(i int) cache.Counters {
 // v2Tasks has one row per task record, plus the CSR offsets (rows+1) of
 // each task's slice of the flattened fragment and boundary sections.
 type v2Tasks struct {
-	ids, parents              []profile.GrainID
-	locFile, locFunc          []string
-	locLine, depth, createdBy []int
-	createTime, createCost    []profile.Time
-	startTime, endTime        []profile.Time
-	inlined                   []bool
-	fragOff, boundOff         []uint32
+	ids, parents           []profile.GrainID
+	locFile, locFunc       []string
+	locLine                []int
+	depth, createdBy       []int32 // a value outside int32 does not decode
+	createTime, createCost []profile.Time
+	startTime, endTime     []profile.Time
+	inlined                []bool
+	fragOff, boundOff      []uint32
 }
 
 func (t *v2Tasks) schema() []colenc.Col {

@@ -22,8 +22,9 @@ import (
 type Writer struct {
 	w      *bufio.Writer
 	crc    hash.Hash32
-	buf    []byte // scratch for one section payload
-	err    error  // first write error; sticky
+	buf    []byte                          // scratch for one section payload
+	hdr    [binary.MaxVarintLen64 + 1]byte // scratch for one section header
+	err    error                           // first write error; sticky
 	closed bool
 }
 
@@ -50,10 +51,10 @@ func (w *Writer) raw(p []byte) error {
 	return nil
 }
 
-// section emits one length-prefixed section holding w.buf.
+// section emits one length-prefixed section holding w.buf. Its header is
+// built in w.hdr: a local would escape through the checksum's Write.
 func (w *Writer) section(id byte) error {
-	hdr := make([]byte, 0, binary.MaxVarintLen64+1)
-	hdr = append(hdr, id)
+	hdr := append(w.hdr[:0], id)
 	hdr = binary.AppendUvarint(hdr, uint64(len(w.buf)))
 	if err := w.raw(hdr); err != nil {
 		return err
@@ -106,10 +107,10 @@ func (w *Writer) Task(t *profile.TaskRecord, ids []profile.GrainID) error {
 	w.str(string(t.ID))
 	w.str(string(parentID(ids, t.Parent)))
 	w.loc(t.Loc)
-	w.i(t.Depth)
+	w.i(int(t.Depth))
 	w.u(t.CreateTime)
 	w.u(t.CreateCost)
-	w.i(t.CreatedBy)
+	w.i(int(t.CreatedBy))
 	w.u(t.StartTime)
 	w.u(t.EndTime)
 	if t.Inlined {

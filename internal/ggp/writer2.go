@@ -243,10 +243,10 @@ func gatherTasks(tasks []*profile.TaskRecord, ids []profile.GrainID) *v2Tasks {
 		locFile:    make([]string, n),
 		locLine:    make([]int, n),
 		locFunc:    make([]string, n),
-		depth:      make([]int, n),
+		depth:      make([]int32, n),
 		createTime: make([]profile.Time, n),
 		createCost: make([]profile.Time, n),
-		createdBy:  make([]int, n),
+		createdBy:  make([]int32, n),
 		startTime:  make([]profile.Time, n),
 		endTime:    make([]profile.Time, n),
 		inlined:    make([]bool, n),

@@ -42,7 +42,7 @@ func (tr *Trace) GrainParent(n int32) GrainID {
 // GrainDepth returns grain n's spawn depth; chunks sit at depth 1.
 func (tr *Trace) GrainDepth(n int32) int {
 	if int(n) < len(tr.Tasks) {
-		return tr.Tasks[n].Depth
+		return int(tr.Tasks[n].Depth)
 	}
 	return 1
 }

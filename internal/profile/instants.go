@@ -93,9 +93,9 @@ func (tr *Trace) eachInstant(fn func(SchedInstant)) {
 	stealing := tr.Scheduler == SchedulerWorkStealing
 	for i, t := range tr.Tasks {
 		n := int32(i)
-		if stealing && !t.Inlined && len(t.Fragments) > 0 && t.Fragments[0].Core != t.CreatedBy {
+		if stealing && !t.Inlined && len(t.Fragments) > 0 && t.Fragments[0].Core != int(t.CreatedBy) {
 			fn(SchedInstant{Kind: SchedSteal, At: t.StartTime,
-				Worker: t.Fragments[0].Core, Victim: t.CreatedBy, Grain: n})
+				Worker: t.Fragments[0].Core, Victim: int(t.CreatedBy), Grain: n})
 		}
 		for bi := range t.Boundaries {
 			b := &t.Boundaries[bi]
@@ -163,7 +163,7 @@ func (tr *Trace) WorkerCounts() []WorkerCounts {
 		if t.Parent < 0 {
 			continue // the root is not spawned
 		}
-		c := at(t.CreatedBy)
+		c := at(int(t.CreatedBy))
 		c.Spawns++
 		if t.Inlined {
 			c.Inlined++
@@ -173,7 +173,7 @@ func (tr *Trace) WorkerCounts() []WorkerCounts {
 		switch {
 		case stealing:
 			c.Pushes++
-			if acquired && t.Fragments[0].Core == t.CreatedBy {
+			if acquired && t.Fragments[0].Core == int(t.CreatedBy) {
 				c.Pops++
 			}
 		case central:

@@ -1,5 +1,7 @@
 package profile
 
+import "sync"
+
 // Grain numbers.
 //
 // A GrainID is a string so that it is schedule-independent; everything
@@ -76,9 +78,14 @@ type Numbering struct {
 	// ChunkLoop maps chunk j to its loop's index in tr.Loops, or -1.
 	ChunkLoop []int32
 
-	byID        map[GrainID]int32
 	loopParents []GrainID // pseudo-parent ID per loop
-	dupTask     int32     // first task whose ID repeats an earlier task's, or -1
+
+	// The id → number map, built under indexOnce on the first Lookup or
+	// Validate: most traces a runtime records are never asked for a grain
+	// by ID. A reader's adopted index is used from the start.
+	indexOnce sync.Once
+	byID      map[GrainID]int32
+	dupTask   int32 // first task whose ID repeats an earlier task's, or -1
 }
 
 // NumGrains returns the grain count, Tasks+Chunks.
@@ -101,10 +108,33 @@ func (nb *Numbering) ParentID(key int32) GrainID {
 
 // Lookup returns the number of the grain with the given ID, or -1.
 func (nb *Numbering) Lookup(id GrainID) int32 {
+	nb.index(nil)
 	if n, ok := nb.byID[id]; ok {
 		return n
 	}
 	return -1
+}
+
+// index builds the id → number map once: from x, a reader's index of the
+// task IDs, when there is one, else from the task IDs; the chunk IDs join
+// it either way.
+func (nb *Numbering) index(x *IDIndex) {
+	nb.indexOnce.Do(func() {
+		if x == nil {
+			x = NewIDIndex(nb.IDs[:nb.Tasks], nb.Chunks)
+		}
+		nb.byID, nb.dupTask = x.byID, x.dup
+		for n := nb.Tasks; n < len(nb.IDs); n++ {
+			nb.byID[nb.IDs[n]] = int32(n)
+		}
+	})
+}
+
+// duplicateTask returns the first task whose ID repeats an earlier task's,
+// or -1.
+func (nb *Numbering) duplicateTask() int32 {
+	nb.index(nil)
+	return nb.dupTask
 }
 
 // Numbering returns the trace's grain numbering, building it on first use.
@@ -123,9 +153,9 @@ func (tr *Trace) ChunkID(j int) GrainID { return tr.Numbering().IDs[len(tr.Tasks
 // Lookup returns the number of the grain with the given ID, or -1.
 func (tr *Trace) Lookup(id GrainID) int32 { return tr.Numbering().Lookup(id) }
 
-// number assigns the numbers: it fills the id table, adds the chunk IDs
-// to the trace's IDIndex (built here unless a reader handed one over) and
-// gathers the parent keys.
+// number assigns the numbers: it fills the id table and gathers the
+// parent keys. The id → number map waits for its first use, unless a
+// reader handed its index over: that one takes the chunk IDs now.
 func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
 	nT, nC, nL := len(tr.Tasks), len(tr.Chunks), len(tr.Loops)
 	nb := &Numbering{
@@ -142,11 +172,6 @@ func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
 			nb.Parent[i] = nb.NoParent()
 		}
 	}
-	x := tr.ids
-	if x == nil {
-		x = NewIDIndex(nb.IDs[:nT], nC)
-	}
-	nb.byID, nb.dupTask = x.byID, x.dup
 	for i, l := range tr.Loops {
 		nb.loopParents[i] = LoopParentID(l.ID)
 	}
@@ -161,7 +186,9 @@ func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
 		nb.ChunkLoop[j] = li
 		nb.Parent[nT+j] = key
 		nb.IDs[nT+j] = c.ID(start)
-		nb.byID[nb.IDs[nT+j]] = int32(nT + j)
+	}
+	if tr.ids != nil {
+		nb.index(tr.ids)
 	}
 	return nb
 }

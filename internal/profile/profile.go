@@ -12,6 +12,7 @@ package profile
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"graingraph/internal/cache"
@@ -65,15 +66,35 @@ type GrainID string
 // RootID is the grain ID of the master (initial) task.
 const RootID GrainID = "R"
 
-// ChildID returns the path-enumeration ID of the index-th child of parent.
-// It sits on the spawn hot path of both runtimes (every task creation mints
-// an ID), so it appends with strconv instead of fmt.
-func ChildID(parent GrainID, index int) GrainID {
-	b := make([]byte, 0, len(parent)+4)
-	b = append(b, parent...)
-	b = append(b, '.')
-	b = strconv.AppendInt(b, int64(index), 10)
-	return GrainID(b)
+// IDArena mints task IDs for a runtime. Every spawn mints one and the
+// trace keeps them all, so the arena cuts them from shared chunks of
+// string, which grow from idChunkMin to idChunkMax bytes, rather than
+// allocating each. The zero value is ready to use; one goroutine at a time
+// may use it.
+type IDArena struct {
+	b strings.Builder
+}
+
+const (
+	idChunkMin = 512
+	idChunkMax = 64 << 10
+)
+
+// Child returns the path-enumeration ID of the index-th child of parent.
+func (a *IDArena) Child(parent GrainID, index int) GrainID {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(index), 10)
+	if need := len(parent) + 1 + len(d); a.b.Cap()-a.b.Len() < need {
+		// A new chunk: the IDs cut from the old one keep it alive.
+		size := max(need, min(2*a.b.Cap(), idChunkMax), idChunkMin)
+		a.b = strings.Builder{}
+		a.b.Grow(size)
+	}
+	at := a.b.Len()
+	a.b.WriteString(string(parent))
+	a.b.WriteByte('.')
+	a.b.Write(d)
+	return GrainID(a.b.String()[at:])
 }
 
 // Kind distinguishes the two grain varieties.
@@ -106,7 +127,7 @@ type Fragment struct {
 func (f *Fragment) Duration() Time { return f.End - f.Start }
 
 // BoundaryKind says what ended a fragment.
-type BoundaryKind int
+type BoundaryKind uint8
 
 const (
 	// BoundaryFork marks a task spawn.
@@ -120,12 +141,13 @@ const (
 )
 
 // Boundary separates Fragments[i] from Fragments[i+1] in a TaskRecord.
+// Kind and Child share a word: a boundary is 64 bytes.
 type Boundary struct {
 	Kind BoundaryKind
-	At   Time
 	// Child (a fork's spawned task; zero on other kinds) and Joined (a
 	// join's children) are grain numbers of later task records.
 	Child  int32
+	At     Time
 	Joined []int32
 	// Wait is the synchronization *overhead* the task paid at this join
 	// (runtime bookkeeping, not useful work); it feeds the parallel-benefit
@@ -138,26 +160,26 @@ type Boundary struct {
 	Loop      LoopID // BoundaryLoop: the loop instance
 }
 
-// TaskRecord is the complete profile of one task instance.
+// TaskRecord is the complete profile of one task instance. Its four
+// narrow fields pack into two words: a record is 152 bytes.
 type TaskRecord struct {
-	ID     GrainID
-	Parent int32 // the spawning task's grain number, an earlier record; -1 for the root
-	Loc    SrcLoc
-	Depth  int // spawn-tree depth; root is 0
+	ID        GrainID
+	Parent    int32 // the spawning task's grain number, an earlier record; -1 for the root
+	Depth     int32 // spawn-tree depth; root is 0
+	CreatedBy int32 // worker that spawned it
+	// Inlined marks tasks the runtime executed undeferred due to an internal
+	// cutoff/throttle (the paper's ICC queue-size cutoff, GCC's 64×threads
+	// limit).
+	Inlined bool
+	Loc     SrcLoc
 
 	CreateTime Time // when the parent spawned it
 	CreateCost Time // cycles the parent paid to create it
-	CreatedBy  int  // worker that spawned it
 	StartTime  Time // first fragment start
 	EndTime    Time // last fragment end
 
 	Fragments  []Fragment
 	Boundaries []Boundary // len == len(Fragments)-1 for a completed task
-
-	// Inlined marks tasks the runtime executed undeferred due to an internal
-	// cutoff/throttle (the paper's ICC queue-size cutoff, GCC's 64×threads
-	// limit).
-	Inlined bool
 }
 
 // ExecTime returns the task's total execution time across fragments.

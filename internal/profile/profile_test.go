@@ -2,6 +2,7 @@ package profile
 
 import (
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -19,21 +20,33 @@ func TestSrcLocString(t *testing.T) {
 }
 
 func TestChildIDPathEnumeration(t *testing.T) {
-	if got := ChildID(RootID, 0); got != "R.0" {
-		t.Errorf("ChildID = %q", got)
+	var a IDArena
+	if got := a.Child(RootID, 0); got != "R.0" {
+		t.Errorf("Child = %q", got)
 	}
-	if got := ChildID(ChildID(RootID, 2), 5); got != "R.2.5" {
-		t.Errorf("nested ChildID = %q", got)
+	if got := a.Child(a.Child(RootID, 2), 5); got != "R.2.5" {
+		t.Errorf("nested Child = %q", got)
+	}
+	// IDs cut before the arena moves to a new chunk keep their bytes.
+	ids := make([]GrainID, 20000)
+	for i := range ids {
+		ids[i] = a.Child("R.7", i)
+	}
+	for i, id := range ids {
+		if want := "R.7." + strconv.Itoa(i); string(id) != want {
+			t.Fatalf("ID %d reads %q, want %q", i, id, want)
+		}
 	}
 }
 
 func TestChildIDUniqueProperty(t *testing.T) {
 	// Distinct (parent, index) pairs always produce distinct IDs.
+	var a IDArena
 	f := func(i1, i2 uint8, p1, p2 uint8) bool {
-		parent1 := ChildID(RootID, int(p1))
-		parent2 := ChildID(RootID, int(p2))
-		id1 := ChildID(parent1, int(i1))
-		id2 := ChildID(parent2, int(i2))
+		parent1 := a.Child(RootID, int(p1))
+		parent2 := a.Child(RootID, int(p2))
+		id1 := a.Child(parent1, int(i1))
+		id2 := a.Child(parent2, int(i2))
 		same := p1 == p2 && i1 == i2
 		return (id1 == id2) == same
 	}

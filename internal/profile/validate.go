@@ -54,12 +54,12 @@ func (tr *Trace) Validate() error {
 		}
 		loops[l.ID] = true
 	}
-	nb := tr.Numbering()
+	dup := tr.Numbering().duplicateTask()
 	for ti, t := range tr.Tasks {
 		if t.ID == "" {
 			return fmt.Errorf("profile: task with empty grain ID")
 		}
-		if int32(ti) == nb.dupTask {
+		if int32(ti) == dup {
 			return fmt.Errorf("profile: duplicate task record %q", t.ID)
 		}
 		// Spawn order: every producer records a task after the task that
@@ -68,9 +68,6 @@ func (tr *Trace) Validate() error {
 		// walks over a validated trace terminate without a depth bound.
 		if t.Parent >= int32(ti) || t.Parent < 0 && ti > 0 {
 			return fmt.Errorf("profile: task %q is recorded before its parent, task %d (only the first task has none, -1)", t.ID, t.Parent)
-		}
-		if outsideInt32(t.CreatedBy) {
-			return fmt.Errorf("profile: task %q creating worker %d is outside int32", t.ID, t.CreatedBy)
 		}
 		if len(t.Boundaries) > len(t.Fragments) {
 			return fmt.Errorf("profile: task %q has %d boundaries for %d fragments",

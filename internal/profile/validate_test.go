@@ -59,7 +59,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative loop span", func(tr *Trace) { tr.Loops[0].Start, tr.Loops[0].End = 60, 40 }, "negative"},
 		{"wrapping core count", func(tr *Trace) { tr.Cores = 1 << 31 }, "core count"},
 		{"wrapping fragment core", func(tr *Trace) { tr.Tasks[0].Fragments[1].Core = 1 << 31 }, "fragment 1 core"},
-		{"wrapping creating worker", func(tr *Trace) { tr.Tasks[0].CreatedBy = -1<<31 - 1 }, "creating worker"},
 		{"wrapping chunk thread", func(tr *Trace) { tr.Chunks[0].Thread = 1 << 32 }, "chunk 0 thread"},
 		{"wrapping bookkeep thread", func(tr *Trace) { tr.Bookkeeps[0].Thread = 1 << 31 }, "book-keeping record 0 thread"},
 		{"wrapping loop start thread", func(tr *Trace) { tr.Loops[0].StartThread = 1 << 31 }, "start thread"},

@@ -53,8 +53,8 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 	pre := w.clock
 
 	child := rt.newTask(store(&rt.recs.tasks, profile.TaskRecord{
-		ID: profile.ChildID(t.rec.ID, t.spawnSeq), Parent: t.num, Loc: loc,
-		Depth: t.rec.Depth + 1, CreatedBy: w.id,
+		ID: rt.ids.Child(t.rec.ID, t.spawnSeq), Parent: t.num, Loc: loc,
+		Depth: t.rec.Depth + 1, CreatedBy: int32(w.id),
 	}), t, body)
 	t.spawnSeq++
 	t.outstanding++

@@ -92,6 +92,7 @@ type runtime struct {
 
 	trace   *profile.Trace
 	recs    records
+	ids     profile.IDArena // the tasks' IDs
 	root    *task
 	live    int
 	loopSeq int

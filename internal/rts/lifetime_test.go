@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"graingraph/internal/sched"
@@ -172,35 +173,67 @@ func TestTaskLifetimes(t *testing.T) {
 	}
 }
 
-// TestSpawnAllocationBound pins what one spawned task allocates on a fixed
-// program of 10⁴ tasks: the body closure the program itself builds, its
-// child ID string, and each task's share of the record slabs, arenas, the
-// trace's task list and the free lists. A task's runtime state, Ctx and
-// coroutine are recycled, so they add nothing once the run has warmed up.
+// spawnTree is the fixed program the spawn bounds are taken on: root →
+// 100 tasks → 99 tasks each, spawnTreeTasks tasks in all.
+func spawnTree(c Ctx) {
+	for i := 0; i < 100; i++ {
+		c.Spawn(testLoc(1, "outer"), func(c Ctx) {
+			for j := 0; j < 99; j++ {
+				c.Spawn(testLoc(2, "inner"), func(c Ctx) { c.Compute(100) })
+			}
+			c.TaskWait()
+		})
+	}
+}
+
+const spawnTreeTasks = 1 + 100 + 9900
+
+// TestSpawnAllocationBound pins how often one spawned task allocates on
+// spawnTree: only its share of the record slabs, the ID arena, the
+// arenas, the trace's task list and the free lists, 0.19 allocations per
+// task. The bodies capture nothing, a task's runtime state, Ctx and
+// coroutine are recycled, and its ID is cut from the run's ID arena, so
+// none of them allocates once the run has warmed up. Minting each ID on
+// its own took two allocations more (2.19).
 func TestSpawnAllocationBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("counts allocations over whole runs")
 	}
-	// Root → 100 tasks → 99 tasks each: 1 + 100 + 9900 tasks.
-	program := func(c Ctx) {
-		for i := 0; i < 100; i++ {
-			c.Spawn(testLoc(1, "outer"), func(c Ctx) {
-				for j := 0; j < 99; j++ {
-					c.Spawn(testLoc(2, "inner"), func(c Ctx) { c.Compute(100) })
-				}
-				c.TaskWait()
-			})
-		}
-	}
-	const tasks = 10001
 	cfg := Config{Program: "spawn-allocs", Cores: 8, Seed: 1}
-	if n := len(Run(cfg, program).Tasks); n != tasks {
-		t.Fatalf("program spawned %d tasks, want %d", n, tasks)
+	if n := len(Run(cfg, spawnTree).Tasks); n != spawnTreeTasks {
+		t.Fatalf("program spawned %d tasks, want %d", n, spawnTreeTasks)
 	}
-	perTask := testing.AllocsPerRun(3, func() { Run(cfg, program) }) / tasks
-	const bound = 2.2
+	perTask := testing.AllocsPerRun(3, func() { Run(cfg, spawnTree) }) / spawnTreeTasks
+	const bound = 0.21
 	t.Logf("%.2f allocations per task", perTask)
 	if perTask > bound {
-		t.Fatalf("%.2f allocations per spawned task, bound %.1f", perTask, bound)
+		t.Fatalf("%.2f allocations per spawned task, bound %.2f", perTask, bound)
+	}
+}
+
+// TestSpawnBytesBound pins what one spawned task allocates in bytes on
+// spawnTree: its 152-byte record, its fragments and boundaries at exact
+// length, its joined entry, its ID's bytes and its share of the trace's
+// task list, of part-filled slab chunks and of the run's fixed set-up:
+// 566 bytes per task, bounded at 590. IDs minted one by one and the
+// 168-byte records with 72-byte boundaries took 600.
+func TestSpawnBytesBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("counts bytes over whole runs")
+	}
+	cfg := Config{Program: "spawn-bytes", Cores: 8, Seed: 1}
+	Run(cfg, spawnTree) // the first run sizes the shared free lists
+	const runs = 3
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		Run(cfg, spawnTree)
+	}
+	goruntime.ReadMemStats(&after)
+	perTask := float64(after.TotalAlloc-before.TotalAlloc) / (runs * spawnTreeTasks)
+	const bound = 590
+	t.Logf("%.1f bytes per task", perTask)
+	if perTask > bound {
+		t.Fatalf("%.1f bytes allocated per spawned task, bound %d", perTask, bound)
 	}
 }

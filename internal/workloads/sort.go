@@ -124,23 +124,18 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 			mergeCutoff = 4 * s.P.SeqCutoff
 		}
 
-		// buf abstracts the two ping-pong buffers (BOTS cilksort alternates
-		// merge direction between levels instead of copying back). A buffer
-		// is told apart by its region, since a replay's d is nil.
+		// bufs are the two ping-pong buffers (BOTS cilksort alternates
+		// merge direction between levels instead of copying back): 0 is the
+		// array, 1 the other buffer, and 1-b the other one of b. Tasks name
+		// a buffer by its index, so a spawn closure captures one word for
+		// it. A replay's data slices are nil.
 		type buf struct {
 			d []int32
 			r *machine.Region
 		}
-		bufA := buf{s.data, arr}
-		bufB := buf{s.tmp, tmp}
+		bufs := [2]buf{{s.data, arr}, {s.tmp, tmp}}
 		if !r.live() {
-			bufA.d, bufB.d = nil, nil
-		}
-		other := func(b buf) buf {
-			if b.r == arr {
-				return bufB
-			}
-			return bufA
+			bufs[0].d, bufs[1].d = nil, nil
 		}
 
 		// pmerge merges the sorted runs src[alo:ahi] and src[blo:bhi] into
@@ -148,8 +143,9 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 		// midpoint of the larger run, binary-search its value in the other,
 		// and merge the two halves as independent tasks. Each sequential
 		// merge adds its output size to *done.
-		var pmerge func(c rts.Ctx, src, dst buf, alo, ahi, blo, bhi, out int, done *int)
-		pmerge = func(c rts.Ctx, src, dst buf, alo, ahi, blo, bhi, out int, done *int) {
+		var pmerge func(c rts.Ctx, from, to int, alo, ahi, blo, bhi, out int, done *int)
+		pmerge = func(c rts.Ctx, from, to int, alo, ahi, blo, bhi, out int, done *int) {
+			src, dst := &bufs[from], &bufs[to]
 			an, bn := ahi-alo, bhi-blo
 			if an < bn {
 				alo, ahi, blo, bhi = blo, bhi, alo, ahi
@@ -183,10 +179,10 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 			c.Compute(uint64(16) * costCompare) // binary search
 			left := (amid - alo) + (bmid - blo)
 			c.Spawn(profile.Loc("sort.go", 61, "pmerge"), func(c rts.Ctx) {
-				pmerge(c, src, dst, alo, amid, blo, bmid, out, done)
+				pmerge(c, from, to, alo, amid, blo, bmid, out, done)
 			})
 			c.Spawn(profile.Loc("sort.go", 62, "pmerge"), func(c rts.Ctx) {
-				pmerge(c, src, dst, amid, ahi, bmid, bhi, out+left, done)
+				pmerge(c, from, to, amid, ahi, bmid, bhi, out+left, done)
 			})
 			c.TaskWait()
 		}
@@ -195,15 +191,16 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 		// halves into the other buffer and merges across. It adds to *done
 		// the elements its leaf or merge completed by the time it returns,
 		// so a merge still running then leaves its parent's count short.
-		var msort func(c rts.Ctx, dst buf, lo, hi int, done *int)
-		msort = func(c rts.Ctx, dst buf, lo, hi int, done *int) {
+		var msort func(c rts.Ctx, to int, lo, hi int, done *int)
+		msort = func(c rts.Ctx, to int, lo, hi int, done *int) {
+			dst := &bufs[to]
 			size := hi - lo
 			if size <= s.P.SeqCutoff {
 				comps := r.leaf(lo, func() uint64 {
 					// Input values always originate in s.data; when dst is
 					// the other buffer they are copied across first, as the
 					// real alternating-buffer cilksort does.
-					if dst.r != arr {
+					if to != 0 {
 						copy(dst.d[lo:hi], s.data[lo:hi])
 					}
 					return s.quicksort(dst.d, lo, hi-1)
@@ -215,20 +212,20 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 				return
 			}
 			mid := lo + size/2
-			src := other(dst)
+			from := 1 - to
 			var halves, merged int
-			c.Spawn(profile.Loc("sort.go", 42, "msort"), func(c rts.Ctx) { msort(c, src, lo, mid, &halves) })
-			c.Spawn(profile.Loc("sort.go", 43, "msort"), func(c rts.Ctx) { msort(c, src, mid, hi, &halves) })
+			c.Spawn(profile.Loc("sort.go", 42, "msort"), func(c rts.Ctx) { msort(c, from, lo, mid, &halves) })
+			c.Spawn(profile.Loc("sort.go", 43, "msort"), func(c rts.Ctx) { msort(c, from, mid, hi, &halves) })
 			c.TaskWait()
 			if halves != size {
 				r.fail("merge of [%d,%d) started with %d of %d elements sorted", lo, hi, halves, size)
 			}
-			pmerge(c, src, dst, lo, mid, mid, hi, lo, &merged)
+			pmerge(c, from, to, lo, mid, mid, hi, lo, &merged)
 			c.TaskWait()
 			*done += merged
 		}
 		var sorted int
-		msort(c, bufA, 0, n, &sorted)
+		msort(c, 0, 0, n, &sorted)
 		c.TaskWait()
 		if sorted != n {
 			r.fail("finished with %d of %d elements sorted", sorted, n)

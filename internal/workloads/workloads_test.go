@@ -180,9 +180,7 @@ func TestKdTreeBugCreatesTaskPerNode(t *testing.T) {
 	maxDepth := func(tr *profile.Trace) int {
 		d := 0
 		for _, task := range tr.Tasks {
-			if task.Depth > d {
-				d = task.Depth
-			}
+			d = max(d, int(task.Depth))
 		}
 		return d
 	}
