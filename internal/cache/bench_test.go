@@ -62,7 +62,7 @@ func BenchmarkAccessWriteInvalidate(b *testing.B) {
 	}
 }
 
-// BenchmarkVersionLookup isolates the line-version table, the structure the
+// BenchmarkVersionLookup isolates the line table, the structure the
 // coherence check consults on every single access.
 func BenchmarkVersionLookup(b *testing.B) {
 	h := benchHierarchy()
@@ -74,8 +74,8 @@ func BenchmarkVersionLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line := int64(i) & (1<<16 - 1)
-		if line < int64(len(h.version)) {
-			_ = h.version[line]
+		if line < int64(len(h.lines)) {
+			_ = h.lines[line].version
 		}
 	}
 }

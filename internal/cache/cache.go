@@ -12,9 +12,11 @@
 //   - Coherence uses a per-line version number: every write bumps the line's
 //     version, so copies cached by other cores become stale and their next
 //     access misses all the way to memory (a coherence miss).
-//   - A per-line bitmask records which sockets' L3s hold the line's current
+//   - A per-line table records which sockets' L3s hold the line's current
 //     version, so a local-L3 miss finds a remote copy without probing every
-//     other socket.
+//     other socket, and which L3s and how many private (L1 and L2) ways
+//     hold it at any version, so a miss the table rules out skips the scan
+//     of its set.
 //   - A memory access pays a latency scaled by the NUMA distance between the
 //     accessing core's socket and the node owning the page, so page placement
 //     policies (first-touch vs round-robin) change observed stall cycles.
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"graingraph/internal/machine"
@@ -184,6 +187,19 @@ func (l *level) probe(line int64, ver uint32) (hit bool, pos int) {
 	return false, len(set) - 1
 }
 
+// vacancy returns the position a fill of line takes when its set holds no
+// way of line at any version: the first invalid way, else the last, least
+// recently used, way. Invalid ways trail, so a full set is settled by its
+// last way alone. probe returns the same position for such a set, after a
+// scan of every way.
+func (l *level) vacancy(line int64) int {
+	set := l.set(line)
+	if last := len(set) - 1; set[last] != invalid {
+		return last
+	}
+	return slices.Index(set, invalid)
+}
+
 // fillAt puts line at version ver at the front of its set, dropping the way
 // at pos (as probe returned it), and returns the dropped word.
 func (l *level) fillAt(line int64, ver uint32, pos int) (dropped uint64) {
@@ -208,16 +224,13 @@ type Hierarchy struct {
 	mem    *machine.Memory
 	l1, l2 []*level
 	l3     []*level
-	// version is the per-line write-version table, indexed by line number.
-	// Simulated memory is a bump allocator from address zero, so lines are
-	// dense and a flat array beats the map it replaced (which dominated CPU
-	// profiles at ~1/3 of total simulation time). Grown to cover every line
-	// accessed; a line starts at version 0.
-	version []uint32
-	// holders[line] has bit s set exactly when socket s's L3 holds line at
-	// version[line]: the directory a local-L3 miss consults instead of
-	// probing every other socket's L3. Same length as version.
-	holders []uint8
+	// lines is the per-line table, indexed by line number. Simulated memory
+	// is a bump allocator from address zero, so lines are dense and a flat
+	// array beats the map it replaced (which dominated CPU profiles at ~1/3
+	// of total simulation time). Its length covers every line accessed
+	// since the last Flush, and its capacity the most any run has touched;
+	// the entries past its length are zero.
+	lines []lineState
 	// socketOf caches topo.Socket per core.
 	socketOf []int
 	// nodeDemand[n] accumulates the service cycles requested from node n's
@@ -227,6 +240,27 @@ type Hierarchy struct {
 	// processing order.)
 	nodeDemand []uint64
 }
+
+// lineState is what the hierarchy knows of one line: 8 bytes.
+type lineState struct {
+	// version is the line's write version; a line starts at 0.
+	version uint32
+	// holders has bit s set exactly when socket s's L3 holds the line at
+	// version: the directory a local-L3 miss consults instead of probing
+	// every other socket's L3.
+	holders uint8
+	// l3any has bit s set exactly when socket s's L3 holds the line at any
+	// version. A clear bit rules out every way of the line in that L3.
+	l3any uint8
+	// priv counts the L1 and L2 ways, over all cores, that hold the line
+	// at any version (a set holds each line at most once, so at most two
+	// per core). Zero rules out every way of the line in every L1 and L2.
+	priv uint8
+}
+
+// maxCores is the number of cores whose private ways lineState.priv can
+// count: two per core must fit a byte.
+const maxCores = 127
 
 // geometry is what decides a hierarchy's shape: two hierarchies of one
 // geometry differ only in their contents.
@@ -248,6 +282,9 @@ var idle = struct {
 func New(cfg Config, topo *machine.Topology, mem *machine.Memory) *Hierarchy {
 	if n := topo.NumSockets(); n > maxSockets {
 		panic(fmt.Sprintf("cache: %d sockets, but the L3 holder mask has %d bits", n, maxSockets))
+	}
+	if n := topo.NumCores(); n > maxCores {
+		panic(fmt.Sprintf("cache: %d cores, but the private-way count covers %d", n, maxCores))
 	}
 	g := geometry{cfg: cfg, cores: topo.NumCores(), sockets: topo.NumSockets()}
 	if h := takeIdle(g); h != nil {
@@ -323,28 +360,38 @@ func (h *Hierarchy) Access(core int, addr int64, write bool, now uint64, c *Coun
 // memory round trip. Scans with sub-line strides stream too (see
 // AccessStrided); wider strides and random accesses never do.
 func (h *Hierarchy) access(p *path, line int64, write bool, now uint64, streamed bool, c *Counters) uint64 {
-	if line >= int64(len(h.version)) {
+	if line >= int64(len(h.lines)) {
 		h.growLines(line)
 	}
 	// A write looks up the line at its pre-bump version: hitting your own
 	// latest copy is cheap; a line last written by another core (or never
 	// cached here) misses and pays the read-for-ownership path to wherever
 	// the line lives — that is the coherence/NUMA cost of writes.
-	ver := h.version[line]
-	lat, l1m, l2m, l3m, remote := h.probeAndFill(p, line, ver, now)
+	st := &h.lines[line]
+	lat, l1m, l2m, l3m, remote := h.probeAndFill(p, line, st, now)
 	if write {
 		// The writer's caches now hold the new version; every other copy
-		// is stale. No cache holds the new version yet, so each probe
-		// misses and yields the way the fill takes.
-		ver++
-		h.version[line] = ver
-		h.holders[line] = 0
-		_, pos := p.l1.probe(line, ver)
-		p.l1.fillAt(line, ver, pos)
-		_, pos = p.l2.probe(line, ver)
-		p.l2.fillAt(line, ver, pos)
-		_, pos = p.l3.probe(line, ver)
-		h.fillL3(p.socket, line, ver, pos)
+		// is stale. probeAndFill left the line at way 0 of the L1, of the
+		// L2 when the L1 missed and of the L3 when the L2 missed, so the
+		// new version replaces it there in place. A level that was not
+		// filled holds no way of the new version, so its probe misses and
+		// yields the way the fill takes.
+		st.version++
+		ver := st.version
+		key := pack(line, ver)
+		p.l1.set(line)[0] = key
+		if l1m {
+			p.l2.set(line)[0] = key
+		} else {
+			_, pos := p.l2.probe(line, ver)
+			h.fillPrivate(p.l2, line, ver, pos)
+		}
+		if l2m {
+			p.l3.set(line)[0] = key
+		} else {
+			h.fillL3(p.socket, line, ver, h.l3Miss(p, line, st))
+		}
+		st.holders = 1 << p.socket
 	}
 	if streamed && l1m {
 		// Prefetch-covered: the latency component collapses to the channel
@@ -373,34 +420,45 @@ func (h *Hierarchy) access(p *path, line int64, write bool, now uint64, streamed
 	return lat
 }
 
-// probeAndFill walks the hierarchy for line at ver, filling the levels
-// between the serving level and the accessing core on the way back. Each
-// level's set is scanned once: a miss's probe yields the position its fill
-// takes.
-func (h *Hierarchy) probeAndFill(p *path, line int64, ver uint32, now uint64) (lat uint64, l1m, l2m, l3m, remote bool) {
-	hit, pos1 := p.l1.probe(line, ver)
-	if hit {
-		return h.cfg.L1Lat, false, false, false, false
+// probeAndFill walks the hierarchy for line at its version st.version,
+// filling the levels between the serving level and the accessing core on
+// the way back. Each level's set is scanned at most once: a miss's probe
+// yields the position its fill takes. A level the line table rules out —
+// no private way anywhere holds the line, or the local L3 holds no way of
+// it — is not scanned at all: it misses, and its fill takes the vacancy.
+func (h *Hierarchy) probeAndFill(p *path, line int64, st *lineState, now uint64) (lat uint64, l1m, l2m, l3m, remote bool) {
+	ver := st.version
+	var pos1, pos2 int
+	if st.priv == 0 {
+		pos1, pos2 = p.l1.vacancy(line), p.l2.vacancy(line)
+	} else {
+		var hit bool
+		if hit, pos1 = p.l1.probe(line, ver); hit {
+			return h.cfg.L1Lat, false, false, false, false
+		}
+		if hit, pos2 = p.l2.probe(line, ver); hit {
+			h.fillPrivate(p.l1, line, ver, pos1)
+			return h.cfg.L2Lat, true, false, false, false
+		}
 	}
-	l1m = true
-	hit, pos2 := p.l2.probe(line, ver)
-	if hit {
-		p.l1.fillAt(line, ver, pos1)
-		return h.cfg.L2Lat, l1m, false, false, false
-	}
-	l2m = true
-	hit, pos3 := p.l3.probe(line, ver)
-	if hit {
-		p.l2.fillAt(line, ver, pos2)
-		p.l1.fillAt(line, ver, pos1)
-		return h.cfg.L3Lat, l1m, l2m, false, false
+	l1m, l2m = true, true
+	var pos3 int
+	if st.l3any&(1<<p.socket) == 0 {
+		pos3 = p.l3.vacancy(line)
+	} else {
+		var hit bool
+		if hit, pos3 = p.l3.probe(line, ver); hit {
+			h.fillPrivate(p.l2, line, ver, pos2)
+			h.fillPrivate(p.l1, line, ver, pos1)
+			return h.cfg.L3Lat, l1m, l2m, false, false
+		}
 	}
 	// Another socket's L3 holding the line serves it by a cache-to-cache
 	// transfer over the interconnect — slower than local L3, cheaper than
 	// memory, and it does not occupy a memory channel. The lowest-numbered
 	// holder serves; the local socket is not among them, since its probe
 	// missed.
-	if m := h.holders[line]; m != 0 {
+	if m := st.holders; m != 0 {
 		s2 := bits.TrailingZeros8(m)
 		if hit, _ := h.l3[s2].probe(line, ver); !hit {
 			panic(fmt.Sprintf("cache: holder mask names socket %d for line %d, but its L3 misses", s2, line))
@@ -408,8 +466,8 @@ func (h *Hierarchy) probeAndFill(p *path, line int64, ver uint32, now uint64) (l
 		dist := uint64(h.topo.NodeDistance(p.socket, s2))
 		lat = h.cfg.L3Lat + h.cfg.MemLat*dist/20
 		h.fillL3(p.socket, line, ver, pos3)
-		p.l2.fillAt(line, ver, pos2)
-		p.l1.fillAt(line, ver, pos1)
+		h.fillPrivate(p.l2, line, ver, pos2)
+		h.fillPrivate(p.l1, line, ver, pos1)
 		return lat, l1m, l2m, false, true
 	}
 	l3m = true
@@ -435,19 +493,51 @@ func (h *Hierarchy) probeAndFill(p *path, line int64, ver uint32, now uint64) (l
 	}
 	remote = node != p.socket
 	h.fillL3(p.socket, line, ver, pos3)
-	p.l2.fillAt(line, ver, pos2)
-	p.l1.fillAt(line, ver, pos1)
+	h.fillPrivate(p.l2, line, ver, pos2)
+	h.fillPrivate(p.l1, line, ver, pos1)
 	return lat, l1m, l2m, l3m, remote
 }
 
-// fillL3 fills socket s's L3 with line at its current version ver, at pos,
-// and keeps the holder mask in step: a set holds each line at most once, so
-// the line it drops leaves s's holders, and line joins them.
-func (h *Hierarchy) fillL3(s int, line int64, ver uint32, pos int) {
-	if e := h.l3[s].fillAt(line, ver, pos); e != invalid && int64(e>>32) != line {
-		h.holders[e>>32] &^= 1 << s
+// l3Miss returns the position a fill of line at a version no cache holds
+// takes in the local L3: the vacancy when the L3 holds no way of line,
+// else where a probe, which misses, puts it.
+func (h *Hierarchy) l3Miss(p *path, line int64, st *lineState) int {
+	if st.l3any&(1<<p.socket) == 0 {
+		return p.l3.vacancy(line)
 	}
-	h.holders[line] |= 1 << s
+	_, pos := p.l3.probe(line, st.version)
+	return pos
+}
+
+// fillPrivate fills the L1 or L2 l with line at version ver, at pos, and
+// keeps the private-way counts in step: a fill over the line's own stale
+// way changes none, and otherwise the dropped line loses a way and line
+// gains one.
+func (h *Hierarchy) fillPrivate(l *level, line int64, ver uint32, pos int) {
+	e := l.fillAt(line, ver, pos)
+	if int64(e>>32) == line {
+		return
+	}
+	if e != invalid {
+		h.lines[e>>32].priv--
+	}
+	h.lines[line].priv++
+}
+
+// fillL3 fills socket s's L3 with line at its current version ver, at pos,
+// and keeps the holder and any-version masks in step: a set holds each
+// line at most once, so the line it drops leaves s's masks, and line joins
+// them.
+func (h *Hierarchy) fillL3(s int, line int64, ver uint32, pos int) {
+	bit := uint8(1) << s
+	if e := h.l3[s].fillAt(line, ver, pos); e != invalid && int64(e>>32) != line {
+		d := &h.lines[e>>32]
+		d.holders &^= bit
+		d.l3any &^= bit
+	}
+	st := &h.lines[line]
+	st.holders |= bit
+	st.l3any |= bit
 }
 
 // AccessRange simulates a sequential scan of length bytes starting at addr
@@ -506,9 +596,10 @@ func (h *Hierarchy) AccessStrided(core int, addr int64, count int, stride int64,
 	return total
 }
 
-// Flush invalidates all cache contents, forgets line versions (over the
-// tables' full grown length) and zeroes the memory-channel demand, leaving
-// page placement intact. Use between measurement runs.
+// Flush invalidates all cache contents, forgets line versions (every line
+// accessed since the last Flush; the table keeps its grown capacity) and
+// zeroes the memory-channel demand, leaving page placement intact. Use
+// between measurement runs.
 func (h *Hierarchy) Flush() {
 	for _, l := range h.l1 {
 		l.reset()
@@ -519,32 +610,35 @@ func (h *Hierarchy) Flush() {
 	for _, l := range h.l3 {
 		l.reset()
 	}
-	clear(h.version)
-	clear(h.holders)
+	clear(h.lines)
+	h.lines = h.lines[:0]
 	for i := range h.nodeDemand {
 		h.nodeDemand[i] = 0
 	}
 }
 
-// growLines extends the version and holder tables to cover line
-// (power-of-two sizing to amortize growth over the bump allocator's
+// growLines extends the line table to cover line: within its capacity by
+// at least doubling its length, beyond it into a new array of twice the
+// capacity (power-of-two sizing amortizes growth over the bump allocator's
 // monotone address space).
 func (h *Hierarchy) growLines(line int64) {
 	if line >= maxLine {
 		panic(fmt.Sprintf("cache: line %d does not fit a packed way (line numbers must stay below %d)", line, int64(maxLine)))
 	}
-	n := int64(len(h.version))
-	if n == 0 {
-		n = 1 << 10
+	n := max(line+1, 2*int64(len(h.lines)))
+	if line < int64(cap(h.lines)) {
+		h.lines = h.lines[:min(n, int64(cap(h.lines)))]
+		return
 	}
-	for n <= line {
-		n *= 2
+	c := int64(cap(h.lines))
+	if c == 0 {
+		c = 1 << 10
 	}
-	n = min(n, maxLine)
-	nv := make([]uint32, n)
-	copy(nv, h.version)
-	h.version = nv
-	nh := make([]uint8, n)
-	copy(nh, h.holders)
-	h.holders = nh
+	for c <= line {
+		c *= 2
+	}
+	c = min(c, maxLine)
+	nl := make([]lineState, min(n, c), c)
+	copy(nl, h.lines)
+	h.lines = nl
 }

@@ -267,9 +267,10 @@ func BenchmarkAccessRangeScan(b *testing.B) {
 	}
 }
 
-// TestPackingGuards: a line number that would not fit a packed way, or a
-// topology with more sockets than the L3 holder mask has bits, is refused
-// with a message naming the limit rather than silently aliasing.
+// TestPackingGuards: a line number that would not fit a packed way, a
+// topology with more sockets than the L3 holder mask has bits, or one
+// with more cores than the private-way count covers, is refused with a
+// message naming the limit rather than silently aliasing.
 func TestPackingGuards(t *testing.T) {
 	mustPanic := func(name, want string, f func()) {
 		t.Helper()
@@ -290,6 +291,12 @@ func TestPackingGuards(t *testing.T) {
 	})
 	topo := machine.New(maxSockets, 1)
 	New(DefaultConfig(), topo, machine.NewMemory(topo, machine.FirstTouch)) // the widest topology that fits
+	mustPanic("128 cores", "private-way count covers 127", func() {
+		topo := machine.New(1, maxCores+1)
+		New(DefaultConfig(), topo, machine.NewMemory(topo, machine.FirstTouch))
+	})
+	topo = machine.New(1, maxCores)
+	New(DefaultConfig(), topo, machine.NewMemory(topo, machine.FirstTouch)) // the most cores that fit
 
 	h, _, _ := newTestHierarchy(machine.FirstTouch)
 	line := h.cfg.LineSize

@@ -10,7 +10,7 @@ import (
 )
 
 // streamBytes is the region a seeded stream runs over: 32k lines, so the
-// version and holder tables grow well past their initial 1k lines.
+// line table grows well past its initial 1k lines.
 const streamBytes = 2 << 20
 
 // seededStream drives h through ops accesses over a fresh region of its
@@ -47,7 +47,7 @@ func drainIdle(g geometry) {
 }
 
 // TestRecycledHierarchyMatchesFresh: a hierarchy dirtied by a stream that
-// writes across sockets and grows its line tables, then released, must
+// writes across sockets and grows its line table, then released, must
 // come back from New indistinguishable from a freshly built one: the same
 // latency for every access and the same counters on a second stream.
 func TestRecycledHierarchyMatchesFresh(t *testing.T) {
@@ -58,20 +58,19 @@ func TestRecycledHierarchyMatchesFresh(t *testing.T) {
 
 		dirty := New(cfg, topo, machine.NewMemory(topo, machine.FirstTouch))
 		seededStream(dirty, 1, 20000)
-		grown := len(dirty.version)
+		grown := cap(dirty.lines)
 		dirty.Release()
 
 		recycled := New(cfg, topo, machine.NewMemory(topo, machine.FirstTouch))
 		if recycled != dirty {
 			t.Fatalf("%d cores: New after Release built a new hierarchy instead of reusing the released one", cores)
 		}
-		if len(recycled.version) != grown || len(recycled.holders) != grown {
-			t.Fatalf("%d cores: recycled line tables have length %d/%d, want the grown %d",
-				cores, len(recycled.version), len(recycled.holders), grown)
+		if cap(recycled.lines) != grown {
+			t.Fatalf("%d cores: recycled line table has capacity %d, want the grown %d",
+				cores, cap(recycled.lines), grown)
 		}
-		if slices.ContainsFunc(recycled.version, func(v uint32) bool { return v != 0 }) ||
-			slices.ContainsFunc(recycled.holders, func(m uint8) bool { return m != 0 }) {
-			t.Fatalf("%d cores: recycled line tables are not zeroed over their full length", cores)
+		if slices.ContainsFunc(recycled.lines[:grown], func(st lineState) bool { return st != lineState{} }) {
+			t.Fatalf("%d cores: recycled line table is not zeroed over its full capacity", cores)
 		}
 		fresh := New(cfg, topo, machine.NewMemory(topo, machine.FirstTouch))
 		if fresh == dirty {

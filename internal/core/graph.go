@@ -289,9 +289,17 @@ func (g *Graph) AddNodeNum(n Node) NodeID {
 // for cold paths (export, tests). Hot loops should read the individual
 // columns instead.
 func (g *Graph) NodeAt(n NodeID) Node {
+	nd := g.NodeRow(n)
+	nd.Label = g.labelOf(n)
+	return nd
+}
+
+// NodeRow is NodeAt without the label: the row view for a caller that
+// prints every node's label with AppendLabel rather than holding a string
+// per node.
+func (g *Graph) NodeRow(n NodeID) Node {
 	nd := g.GraphStore.nodeAt(n)
 	nd.Grain = g.GrainID(nd.GrainNum)
-	nd.Label = g.labelOf(n)
 	return nd
 }
 
@@ -312,8 +320,9 @@ func (g *Graph) labelOf(n NodeID) string {
 	kind, num, seq := NodeKind(s.kind[n]), s.grain[n], int(s.seq[n])
 	tr := g.Trace
 	switch kind {
-	case NodeFragment:
-		return string(g.GrainID(num)) + "/" + strconv.Itoa(seq)
+	case NodeFragment, NodeChunk:
+		var buf [64]byte
+		return string(g.appendNumbered(buf[:0], n))
 	case NodeFork, NodeJoin:
 		if int(num) < len(tr.Tasks) && seq < len(tr.Tasks[num].Boundaries) &&
 			tr.Tasks[num].Boundaries[seq].Kind == profile.BoundaryLoop {
@@ -329,13 +338,43 @@ func (g *Graph) labelOf(n NodeID) string {
 		return kind.String()
 	case NodeBookkeep:
 		return "bk"
-	case NodeChunk:
-		if j := int(num) - len(tr.Tasks); j >= 0 && j < len(tr.Chunks) {
-			ck := tr.Chunks[j]
-			return "[" + strconv.Itoa(ck.Lo) + "," + strconv.Itoa(ck.Hi) + ")"
-		}
 	}
 	return ""
+}
+
+// AppendLabel appends node n's label, the one NodeAt reports, to b. A
+// built graph's fragment and chunk labels, one per grain, are formatted
+// straight into b, so a caller that prints every label builds no string
+// for them.
+func (g *Graph) AppendLabel(b []byte, n NodeID) []byte {
+	s := &g.GraphStore
+	if k := NodeKind(s.kind[n]); g.derived && (k == NodeFragment || k == NodeChunk) &&
+		(int(n) >= len(s.label) || s.label[n] == "") {
+		return g.appendNumbered(b, n)
+	}
+	return append(b, g.labelOf(n)...)
+}
+
+// appendNumbered appends the label a built graph's columns name for
+// fragment or chunk n: "<task ID>/<fragment index>" or "[lo,hi)".
+func (g *Graph) appendNumbered(b []byte, n NodeID) []byte {
+	s := &g.GraphStore
+	num := s.grain[n]
+	if NodeKind(s.kind[n]) == NodeFragment {
+		b = append(b, g.GrainID(num)...)
+		b = append(b, '/')
+		return strconv.AppendInt(b, int64(s.seq[n]), 10)
+	}
+	tr := g.Trace
+	if j := int(num) - len(tr.Tasks); j >= 0 && j < len(tr.Chunks) {
+		ck := tr.Chunks[j]
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(ck.Lo), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(ck.Hi), 10)
+		b = append(b, ')')
+	}
+	return b
 }
 
 // AddEdge appends an edge.

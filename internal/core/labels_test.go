@@ -107,12 +107,25 @@ func sameLabels(t *testing.T, what string, got, want *Graph) {
 		if g, w := got.NodeAt(n).Label, want.NodeAt(n).Label; g != w {
 			t.Fatalf("%s: node %d (%s) is labelled %q, want %q", what, n, got.Kind(n), g, w)
 		}
+		for _, gr := range []*Graph{got, want} {
+			appendsLabel(t, what, gr, n, want.NodeAt(n).Label)
+		}
+	}
+}
+
+// appendsLabel fails t unless g's AppendLabel appends label for node n
+// after what a buffer holds already.
+func appendsLabel(t *testing.T, what string, g *Graph, n NodeID, label string) {
+	t.Helper()
+	if got := string(g.AppendLabel([]byte("<"), n)); got != "<"+label {
+		t.Fatalf("%s: node %d (%s) appends %q after \"<\", want %q", what, n, g.Kind(n), got, "<"+label)
 	}
 }
 
 // TestDerivedLabels: a built graph stores no labels, and every label it
 // derives is the one Build once stored; so are the labels of a graph
 // reduced from it and of a lod window over it, which store their own.
+// AppendLabel appends the same label as NodeAt reports on every one.
 func TestDerivedLabels(t *testing.T) {
 	tr := labelTrace(t)
 	g := Build(tr)
@@ -125,6 +138,10 @@ func TestDerivedLabels(t *testing.T) {
 		kinds[g.Kind(n)]++
 		if got := g.NodeAt(n).Label; got != want[n] {
 			t.Fatalf("node %d (%s) derives label %q, Build stored %q", n, g.Kind(n), got, want[n])
+		}
+		appendsLabel(t, "built", g, n, want[n])
+		if row := g.NodeRow(n); row.Label != "" || row.Grain != g.NodeAt(n).Grain {
+			t.Fatalf("node %d: NodeRow gives label %q and grain %q, want no label and grain %q", n, row.Label, row.Grain, g.NodeAt(n).Grain)
 		}
 	}
 	for k := NodeFragment; k <= NodeChunk; k++ {

@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"graingraph/internal/core"
 	"graingraph/internal/highlight"
@@ -28,9 +28,9 @@ func dotPool(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, pool *
 	fmt.Fprintf(bw, "  rankdir=TB; node [style=filled, fontsize=8];\n")
 
 	if err := emitSharded(bw, g.NumNodes(), exportGrain, pool, func(lo, hi int, buf *bytes.Buffer) {
+		var line, label []byte
 		for id := core.NodeID(lo); id < core.NodeID(hi); id++ {
-			n := g.NodeAt(id)
-			color := NodeColor(g, n, a, v, defColors)
+			n := g.NodeRow(id)
 			shape := "box"
 			switch n.Kind {
 			case core.NodeFork:
@@ -40,20 +40,25 @@ func dotPool(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, pool *
 			case core.NodeBookkeep:
 				shape = "circle"
 			}
-			attrs := []string{
-				fmt.Sprintf("label=%q", n.Label),
-				fmt.Sprintf("shape=%s", shape),
-				fmt.Sprintf("fillcolor=%q", color),
-			}
+			label = g.AppendLabel(label[:0], id)
+			line = append(line[:0], "  n"...)
+			line = strconv.AppendInt(line, int64(n.ID), 10)
+			line = append(line, " [label="...)
+			line = appendQuoted(line, label)
+			line = append(line, ", shape="...)
+			line = append(line, shape...)
+			line = append(line, ", fillcolor="...)
+			line = strconv.AppendQuote(line, NodeColor(g, n, a, v, defColors))
 			if n.Critical {
-				attrs = append(attrs, `color="red"`, "penwidth=2.5")
+				line = append(line, `, color="red", penwidth=2.5`...)
 			}
-			fmt.Fprintf(buf, "  n%d [%s];\n", n.ID, strings.Join(attrs, ", "))
+			buf.Write(append(line, "];\n"...))
 		}
 	}); err != nil {
 		return err
 	}
 	if err := emitSharded(bw, g.NumEdges(), exportGrain, pool, func(lo, hi int, buf *bytes.Buffer) {
+		var line []byte
 		for i := lo; i < hi; i++ {
 			e := g.EdgeAt(i)
 			color := edgeColor(e.Kind)
@@ -62,11 +67,33 @@ func dotPool(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, pool *
 				color = criticalColor
 				width = 2.5
 			}
-			fmt.Fprintf(buf, "  n%d -> n%d [color=%q, penwidth=%.1f];\n", e.From, e.To, color, width)
+			line = append(line[:0], "  n"...)
+			line = strconv.AppendInt(line, int64(e.From), 10)
+			line = append(line, " -> n"...)
+			line = strconv.AppendInt(line, int64(e.To), 10)
+			line = append(line, " [color="...)
+			line = strconv.AppendQuote(line, color)
+			line = append(line, ", penwidth="...)
+			line = strconv.AppendFloat(line, width, 'f', 1, 64)
+			buf.Write(append(line, "];\n"...))
 		}
 	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(bw, "}\n")
 	return bw.Flush()
+}
+
+// appendQuoted appends s quoted as %q quotes it: in double quotes as it
+// is when every byte is printable ASCII other than a quote or backslash,
+// else escaped by strconv.
+func appendQuoted(b, s []byte) []byte {
+	for _, c := range s {
+		if c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, string(s))
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

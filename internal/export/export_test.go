@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"encoding/xml"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -272,4 +273,77 @@ func TestExportersByteStable(t *testing.T) {
 			t.Errorf("%s output not byte-stable across exports", name)
 		}
 	}
+}
+
+// TestDOTLinesMatchFormat pins the DOT body, which appends each node's
+// and edge's line into its shard buffer, byte for byte to the fmt verbs it
+// replaced (%q labels and colours, %.1f pen widths): on a built graph,
+// whose labels are derived, and on a copy that stores labels %q must
+// escape — quotes, backslashes, control bytes, non-ASCII and invalid
+// UTF-8.
+func TestDOTLinesMatchFormat(t *testing.T) {
+	g, a := testGraph(t)
+	odd := []string{`say "hi"`, `C:\dir`, "tab\there", "naïve", "bad\xffbyte", "", "plain/3"}
+	stored := core.NewGraph(g.Trace)
+	for n := core.NodeID(0); n < core.NodeID(g.NumNodes()); n++ {
+		nd := g.NodeAt(n)
+		nd.Label = odd[int(n)%len(odd)]
+		stored.AddNodeNum(nd)
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		stored.AddEdge(g.EdgeFrom(i), g.EdgeTo(i), g.EdgeKindAt(i))
+	}
+	for _, tc := range []struct {
+		name string
+		g    *core.Graph
+	}{{"built", g}, {"stored labels", stored}} {
+		for _, v := range []View{ViewStructure, ViewCritical, ViewParallelBenefit} {
+			var buf bytes.Buffer
+			if err := DOTWithWhatIfPool(&buf, tc.g, a, v, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(buf.String(), "\n")
+			body := strings.Join(lines[3:len(lines)-2], "")
+			if want := formattedDOTBody(tc.g, a, v); body != want {
+				t.Fatalf("%s, %s view: DOT body differs from the formatted one:\n%s\nwant:\n%s", tc.name, v, body, want)
+			}
+		}
+	}
+}
+
+// formattedDOTBody renders the node and edge lines of a DOT export with
+// fmt, as the exporter once did.
+func formattedDOTBody(g *core.Graph, a *highlight.Assessment, v View) string {
+	defColors := DefinitionColors(g)
+	var b strings.Builder
+	for id := core.NodeID(0); id < core.NodeID(g.NumNodes()); id++ {
+		n := g.NodeAt(id)
+		shape := "box"
+		switch n.Kind {
+		case core.NodeFork:
+			shape = "diamond"
+		case core.NodeJoin:
+			shape = "ellipse"
+		case core.NodeBookkeep:
+			shape = "circle"
+		}
+		attrs := []string{
+			fmt.Sprintf("label=%q", n.Label),
+			fmt.Sprintf("shape=%s", shape),
+			fmt.Sprintf("fillcolor=%q", NodeColor(g, n, a, v, defColors)),
+		}
+		if n.Critical {
+			attrs = append(attrs, `color="red"`, "penwidth=2.5")
+		}
+		fmt.Fprintf(&b, "  n%d [%s];\n", n.ID, strings.Join(attrs, ", "))
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.EdgeAt(i)
+		color, width := edgeColor(e.Kind), 1.0
+		if e.Critical {
+			color, width = criticalColor, 2.5
+		}
+		fmt.Fprintf(&b, "  n%d -> n%d [color=%q, penwidth=%.1f];\n", e.From, e.To, color, width)
+	}
+	return b.String()
 }

@@ -56,8 +56,9 @@ func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error 
 	fmt.Fprintln(bw, ` <key for="node" id="mhu" attr.name="mem_hierarchy_util" attr.type="double"/>`)
 	fmt.Fprintf(bw, ` <graph id="%s" edgedefault="directed">%s`, escape(v.String()), "\n")
 
+	var label []byte
 	for id := core.NodeID(0); id < core.NodeID(g.NumNodes()); id++ {
-		n := g.NodeAt(id)
+		n := g.NodeRow(id)
 		color := NodeColor(g, n, a, v, defColors)
 		border := "#333333"
 		borderW := 1.0
@@ -83,7 +84,10 @@ func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error 
 		fmt.Fprintf(bw, `<y:Geometry x="%.1f" y="%.1f" width="%.1f" height="%.1f"/>`, n.X, n.Y, w, h)
 		fmt.Fprintf(bw, `<y:Fill color="%s"/>`, color)
 		fmt.Fprintf(bw, `<y:BorderStyle color="%s" width="%.1f"/>`, border, borderW)
-		fmt.Fprintf(bw, `<y:NodeLabel fontSize="8">%s</y:NodeLabel>`, escape(n.Label))
+		label = g.AppendLabel(label[:0], id)
+		bw.WriteString(`<y:NodeLabel fontSize="8">`)
+		_ = xml.EscapeText(bw, label) // a write error resurfaces at Flush
+		bw.WriteString(`</y:NodeLabel>`)
 		fmt.Fprintf(bw, `<y:Shape type="%s"/>`, shape)
 		fmt.Fprintf(bw, `</y:ShapeNode></data>`+"\n")
 		fmt.Fprintf(bw, `   <data key="grain">%s</data>`+"\n", escape(string(n.Grain)))

@@ -135,7 +135,9 @@ func replaySuite(t *testing.T) {
 // guarantee: the full figure set — tables, sparklines, what-if tables and
 // runtime-metrics footers — is byte-identical at -j 1 (strict serial
 // fallback, the recorded suite) and -j 8 (pooled execution, live with a
-// cold memo), and both sides execute the same number of simulations.
+// cold memo), both sides execute the same number of simulations, and at
+// -j 8 too each Sort input's facts are recorded once: 2 recorded / 7
+// replayed.
 func TestFiguresDeterministicAcrossParallelism(t *testing.T) {
 	serial := figureSuite(t)
 	defer ResetMemo()
@@ -144,6 +146,9 @@ func TestFiguresDeterministicAcrossParallelism(t *testing.T) {
 	requireSame(t, "-j 1 and -j 8 outputs", serial.out, parallel)
 	if serial.sims != parallelSims {
 		t.Errorf("simulation counts differ: %d at -j 1, %d at -j 8", serial.sims, parallelSims)
+	}
+	if recorded, replayed := FactStats(); recorded != 2 || replayed != 7 {
+		t.Errorf("-j 8: %d recorded / %d replayed input facts, want 2 / 7", recorded, replayed)
 	}
 	if serial.sims == 0 {
 		t.Error("no simulations executed; memo reset did not take effect")

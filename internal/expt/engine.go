@@ -13,7 +13,9 @@
 //     memo but shares its input with an earlier verified run — Sort across
 //     Figure 1's flavours and page policies — replays what the input
 //     determined (Sort's comparison counts and merge splits) instead of
-//     redoing the real work. The trace is identical either way.
+//     redoing the real work. The trace is identical either way. One run
+//     per input produces the facts at every -j: a run of the same input
+//     that starts meanwhile waits for them.
 //
 //   - A bounded worker pool (internal/runpool). Figures batch their
 //     independent run requests through runAll, which fans them out across
@@ -157,13 +159,19 @@ func simulate(inst workloads.Instance, rcfg rts.Config, label string) (*profile.
 	}
 
 	compute := func() (*profile.Trace, error) {
+		// The simulate span is attributed by its children: run (the
+		// simulation and its verification) and, when recording, the
+		// artifact write.
 		sp := SelfProfiler().Begin("simulate:" + label)
 		defer sp.End()
 		if fu, ok := inst.(workloads.FactUser); ok {
 			fu.UseFacts(inputFacts)
 		}
+		runSp := sp.Child("run")
 		tr := rts.Run(rcfg, inst.Program())
-		if err := inst.Verify(); err != nil {
+		err := inst.Verify()
+		runSp.End()
+		if err != nil {
 			return tr, err
 		}
 		if keyed && recDir != "" {

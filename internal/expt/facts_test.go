@@ -7,12 +7,12 @@ import (
 )
 
 // TestSortFactsRecordedOncePerInput pins the input-facts store's life
-// cycle at -j 1: across the recorded suite's Sort runs (Figures 1, 4, 5
-// and the §4.3.1 table run Sort) the default input and Figure 5's
-// lowered-cutoff input each record once and the other seven default-input
-// simulations replay; after ResetMemo the same run sorts and records
-// again. The counts hold only for a -j 1 pass: at -j 2 whether a run
-// records or replays depends on timing.
+// cycle: across the recorded suite's Sort runs (Figures 1, 4, 5 and the
+// §4.3.1 table run Sort) the default input and Figure 5's lowered-cutoff
+// input each record once and the other seven default-input simulations
+// replay; after ResetMemo the same run sorts and records again. The
+// suite is a -j 1 pass; TestFiguresDeterministicAcrossParallelism pins
+// the same counts at -j 8, where production is single-flight.
 func TestSortFactsRecordedOncePerInput(t *testing.T) {
 	s := figureSuite(t)
 	if s.recorded != 2 || s.replayed != 7 {

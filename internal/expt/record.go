@@ -116,8 +116,9 @@ func loadArtifact(dir string, key runpool.Key) (tr *profile.Trace, found bool, e
 	tr, err, _ = artifactMemo.Do(runpool.KeyOfBytes(raw), func() (*profile.Trace, error) {
 		// Decode dispatches on version, so replay directories may mix v1
 		// and columnar v2 artifacts. The nil pool keeps the decode serial:
-		// replayed loads already run on pool workers, and a worker
-		// submitting to its own pool would deadlock.
+		// replayed loads already run one per pool worker, so a parallel
+		// decode inside one would only oversubscribe the cores (each
+		// fan-out starts goroutines of its own; nesting cannot deadlock).
 		dec, err := ggp.Decode(raw, nil, sp)
 		if err != nil {
 			return nil, err

@@ -15,19 +15,35 @@ import (
 // on the input alone — never on the schedule, the core count or the page
 // policy.
 //
+// Production is single-flight: the first run of an input that finds no
+// facts claims their production and runs live; a run of the same input
+// that starts while the claim is held waits for the facts and replays
+// them. A producer that fails verification or panics gives its claim up,
+// and a waiter then produces live itself, as a serial run would. So each
+// input is recorded by exactly one run, at any parallelism.
+//
 // The owner decides the store's lifetime; nothing in this package holds
-// one. It is safe for concurrent use: a published value is immutable, and
-// a run that starts before its input's facts exist runs live.
+// one. It is safe for concurrent use: a published value is immutable.
 type FactStore struct {
-	mu                 sync.Mutex
+	mu sync.Mutex
+	// claimEnded is signalled, on mu, whenever a claim is published or
+	// given up.
+	claimEnded         *sync.Cond
 	sort               map[string]*sortFacts
+	producing          map[string]bool // inputs whose facts a live run has claimed
+	waiting            int             // runs blocked on another run's claim
 	recorded, replayed uint64
 }
 
 // NewFactStore returns an empty store.
-func NewFactStore() *FactStore { return &FactStore{sort: map[string]*sortFacts{}} }
+func NewFactStore() *FactStore {
+	s := &FactStore{sort: map[string]*sortFacts{}, producing: map[string]bool{}}
+	s.claimEnded = sync.NewCond(&s.mu)
+	return s
+}
 
-// Reset forgets every fact and zeroes the counters.
+// Reset forgets every fact and zeroes the counters. A claim still held
+// keeps its waiters blocked until it ends.
 func (s *FactStore) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -43,28 +59,54 @@ func (s *FactStore) Stats() (recorded, replayed uint64) {
 	return s.recorded, s.replayed
 }
 
-// lookupSort returns the facts of key and counts a replay when they exist.
-func (s *FactStore) lookupSort(key string) *sortFacts {
+// acquireSort returns key's facts, counting a replay. When there are none
+// and no other run is producing them, the caller claims their production
+// and gets nil: it must run live and end the claim with publishSort or
+// releaseSort. While another run holds the claim, acquireSort waits for it
+// to end.
+func (s *FactStore) acquireSort(key string) *sortFacts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := s.sort[key]
-	if f != nil {
-		s.replayed++
+	for {
+		if f := s.sort[key]; f != nil {
+			s.replayed++
+			return f
+		}
+		if !s.producing[key] {
+			s.producing[key] = true
+			return nil
+		}
+		s.waiting++
+		s.claimEnded.Wait()
+		s.waiting--
 	}
-	return f
 }
 
-// publishSort stores f as key's facts unless another run got there first;
-// it returns the facts now stored.
+// publishSort ends the caller's claim on key by storing f as its facts,
+// unless facts are stored already; it returns the facts now stored.
 func (s *FactStore) publishSort(key string, f *sortFacts) *sortFacts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.endClaim(key)
 	if prev := s.sort[key]; prev != nil {
 		return prev
 	}
 	s.sort[key] = f
 	s.recorded++
 	return f
+}
+
+// releaseSort gives up the caller's claim on key without facts, so that a
+// waiting run produces them.
+func (s *FactStore) releaseSort(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.endClaim(key)
+}
+
+func (s *FactStore) endClaim(key string) {
+	delete(s.producing, key)
+	s.claimEnded.Broadcast()
 }
 
 // FactUser is implemented by instances that can record into and replay
@@ -134,20 +176,32 @@ func (f *sortFacts) equal(g *sortFacts) bool {
 }
 
 // sortRun is one execution of a Sort program: live, it sorts real data
-// and records into rec (when the instance has a store); replaying, it
-// reads each fact of facts exactly once, marking it in used*. Either way
-// err holds the first fault the run saw, which Verify reports.
+// and records into rec (when it claimed production of its input's facts
+// in store); replaying, it reads each fact of facts exactly once, marking
+// it in used*. Either way err holds the first fault the run saw, which
+// Verify reports.
 type sortRun struct {
 	facts                 *sortFacts
 	usedLeaves, usedSplit []bool
 	used                  int
 
-	rec *sortFacts
-	sum uint64 // live: multiset fingerprint of the input
-	err error
+	rec      *sortFacts
+	store    *FactStore // set while the run holds a production claim
+	key      string
+	finished bool   // the program body returned
+	sum      uint64 // live: multiset fingerprint of the input
+	err      error
 }
 
 func (r *sortRun) live() bool { return r.facts == nil }
+
+// release gives up the run's production claim, if it still holds one.
+func (r *sortRun) release() {
+	if r.store != nil {
+		r.store.releaseSort(r.key)
+		r.store, r.rec = nil, nil
+	}
+}
 
 func (r *sortRun) fail(format string, args ...any) {
 	if r.err == nil {

@@ -55,20 +55,23 @@ func (s *SortInstance) Name() string { return fmt.Sprintf("sort-n%d-cut%d", s.P.
 func (s *SortInstance) Key() string { return paramKey("sort", s.P) }
 
 // UseFacts implements FactUser: a run whose input has facts in store
-// replays them, moving no data; any other run sorts live, records, and
-// publishes its facts once Verify passes.
+// replays them, moving no data; the run that claims their production
+// sorts live, records, and publishes its facts once Verify passes; a run
+// that starts while another holds the claim waits for the facts. So every
+// run of an instance with a store must be verified: Verify ends its claim.
 func (s *SortInstance) UseFacts(store *FactStore) { s.store = store }
 
 // newRun starts one execution: a replay when the store has this input's
-// facts, else a live run over freshly generated data.
+// facts (waiting for them while another run produces them), else a live
+// run over freshly generated data.
 func (s *SortInstance) newRun() *sortRun {
 	r := &sortRun{}
-	if s.store != nil {
-		if r.facts = s.store.lookupSort(s.Key()); r.facts != nil {
+	if s.store != nil && s.P.N <= math.MaxInt32 { // mergeKey holds int32 positions
+		if r.facts = s.store.acquireSort(s.Key()); r.facts != nil {
 			r.usedLeaves = make([]bool, len(r.facts.leaves))
 			r.usedSplit = make([]bool, len(r.facts.splits))
-		} else if s.P.N <= math.MaxInt32 { // mergeKey holds int32 positions
-			r.rec = &sortFacts{}
+		} else {
+			r.rec, r.store, r.key = &sortFacts{}, s.store, s.Key()
 		}
 	}
 	if r.live() {
@@ -115,6 +118,14 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 		// placement every page lands on node 0 — the root cause of the
 		// work inflation the paper fixes with round-robin placement.
 		r := s.newRun()
+		// A body that does not return (a panic here or in any task, which
+		// unwinds every parked task) gives its production claim up;
+		// Verify ends the claim of one that does.
+		defer func() {
+			if !r.finished {
+				r.release()
+			}
+		}()
 		c.Store(arr, 0, int64(n)*4)
 		c.Store(tmp, 0, int64(n)*4)
 		c.Compute(uint64(n) * costArith)
@@ -230,6 +241,7 @@ func (s *SortInstance) Program() func(rts.Ctx) {
 		if sorted != n {
 			r.fail("finished with %d of %d elements sorted", sorted, n)
 		}
+		r.finished = true
 	}
 }
 
@@ -332,9 +344,9 @@ func (s *SortInstance) insertion(d []int32, lo, hi int) uint64 {
 
 // Verify implements Instance. A live run's array must be sorted and hold
 // the input's multiset; a replay must have used every fact exactly once.
-// Both must have passed the ordering checks. A live run with a store
-// publishes its facts here, once they are known to come from a verified
-// run.
+// Both must have passed the ordering checks. A live run that claimed its
+// input's facts publishes them here, once they are known to come from a
+// verified run, and gives the claim up otherwise.
 func (s *SortInstance) Verify() error {
 	r := s.last
 	if r == nil {
@@ -343,6 +355,7 @@ func (s *SortInstance) Verify() error {
 	if !r.live() {
 		return r.verifyReplay()
 	}
+	defer r.release()
 	if r.err != nil {
 		return r.err
 	}
@@ -356,15 +369,15 @@ func (s *SortInstance) Verify() error {
 	if sum != r.sum {
 		return fmt.Errorf("sort: the sorted array is not a permutation of the input")
 	}
-	if r.rec != nil {
-		if err := r.rec.seal(); err != nil {
+	if rec := r.rec; rec != nil {
+		if err := rec.seal(); err != nil {
 			return err
 		}
-		got := s.store.publishSort(s.Key(), r.rec)
-		if !got.equal(r.rec) {
+		got := r.store.publishSort(r.key, rec)
+		r.store, r.rec = nil, nil // published: immutable from here on
+		if !got.equal(rec) {
 			return fmt.Errorf("sort: this run's facts differ from an earlier run of the same input")
 		}
-		r.rec = nil // published: immutable from here on
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"graingraph/internal/machine"
 	"graingraph/internal/profile"
@@ -293,8 +294,10 @@ func TestSortReplayRejectsForeignFacts(t *testing.T) {
 }
 
 // TestFactStoreConcurrentSharing runs several goroutines' simulations of
-// one input against one store (run it under -race): the first round races
-// to record, the second replays, and every trace is the same.
+// one input against one store (run it under -race): however the first
+// round interleaves, exactly one run records and the others wait for its
+// facts and replay them; the second round replays; every trace is the
+// serial live run's.
 func TestFactStoreConcurrentSharing(t *testing.T) {
 	p := smallSortParams()[0]
 	store := NewFactStore()
@@ -324,13 +327,134 @@ func TestFactStoreConcurrentSharing(t *testing.T) {
 				t.Fatalf("round %d worker %d: trace differs from the live run", round, g)
 			}
 		}
-	}
-	if recorded, replayed := store.Stats(); recorded != 1 || replayed < workers {
-		t.Errorf("store stats %d recorded / %d replayed, want 1 / ≥ %d", recorded, replayed, workers)
+		wantReplayed := uint64((round+1)*workers - 1)
+		if recorded, replayed := store.Stats(); recorded != 1 || replayed != wantReplayed {
+			t.Errorf("after round %d: store stats %d recorded / %d replayed, want 1 / %d", round, recorded, replayed, wantReplayed)
+		}
 	}
 	store.Reset()
 	if recorded, replayed := store.Stats(); recorded != 0 || replayed != 0 || len(store.sort) != 0 {
 		t.Errorf("after Reset: %d recorded / %d replayed, %d inputs", recorded, replayed, len(store.sort))
+	}
+}
+
+// spawnGate is a serial Ctx whose Spawn blocks until open is closed and
+// then panics, as a task body that fails partway would.
+type spawnGate struct {
+	eagerCtx
+	open chan struct{}
+}
+
+func (c *spawnGate) Spawn(profile.SrcLoc, func(rts.Ctx)) {
+	<-c.open
+	panic("spawnGate: the task fails")
+}
+
+// TestFactStoreHandsOffFailedClaim pins the claim's failure paths: a
+// producer whose Verify fails, or whose body panics, while another run of
+// its input waits on its claim, gives the claim up, and the waiter sorts
+// live, records, and yields the serial live run's trace.
+func TestFactStoreHandsOffFailedClaim(t *testing.T) {
+	p := smallSortParams()[1]
+	cfg := rts.Config{Program: "sort", Cores: 8, Seed: 2}
+	want := rts.Run(cfg, NewSort(p).Program())
+	key := NewSort(p).Key()
+
+	for _, tc := range []struct {
+		name string
+		// start begins the producer's run and returns once it holds the
+		// claim; fail makes it fail.
+		start func(producer *SortInstance) (fail func())
+	}{
+		{"Verify fails", func(producer *SortInstance) func() {
+			// Every TaskWait returns before its children run, so merges
+			// start on unsorted halves and Verify reports it.
+			var late []func(rts.Ctx)
+			root := &eagerCtx{brokenFrom: 0, late: &late}
+			root.child(producer.Program())
+			for len(late) > 0 {
+				body := late[0]
+				late = late[1:]
+				root.child(body)
+			}
+			return func() {
+				if err := producer.Verify(); err == nil || !strings.Contains(err.Error(), "started with") {
+					t.Errorf("producer's Verify = %v, want an ordering error", err)
+				}
+			}
+		}},
+		{"body panics", func(producer *SortInstance) func() {
+			gate := &spawnGate{open: make(chan struct{})}
+			panicked := make(chan any)
+			go func() {
+				defer func() { panicked <- recover() }()
+				producer.Program()(gate)
+			}()
+			waitUntil(t, "the producer's claim", func(s *FactStore) bool { return s.producing[key] }, producer.store)
+			return func() {
+				close(gate.open)
+				if r := <-panicked; r == nil {
+					t.Errorf("producer's body returned, want its panic")
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := NewFactStore()
+			producer := NewSort(p)
+			producer.UseFacts(store)
+			fail := tc.start(producer)
+
+			type result struct {
+				tr   *profile.Trace
+				err  error
+				live bool
+			}
+			done := make(chan result)
+			go func() {
+				inst := NewSort(p)
+				inst.UseFacts(store)
+				tr := rts.Run(cfg, inst.Program())
+				done <- result{tr, inst.Verify(), inst.data != nil}
+			}()
+			waitUntil(t, "a waiting run", func(s *FactStore) bool { return s.waiting == 1 }, store)
+			fail()
+			res := <-done
+			if res.err != nil {
+				t.Fatalf("waiter: %v", res.err)
+			}
+			if !res.live {
+				t.Error("the waiter replayed instead of sorting live")
+			}
+			if !reflect.DeepEqual(res.tr, want) {
+				t.Error("the waiter's trace differs from the serial live run's")
+			}
+			if recorded, replayed := store.Stats(); recorded != 1 || replayed != 0 {
+				t.Errorf("store stats %d recorded / %d replayed, want 1 / 0", recorded, replayed)
+			}
+			if len(store.producing) != 0 {
+				t.Errorf("claims still held after both runs: %v", store.producing)
+			}
+		})
+	}
+}
+
+// waitUntil polls cond on s, under its lock, until it holds; what names
+// the awaited state.
+func waitUntil(t *testing.T, what string, cond func(*FactStore) bool, s *FactStore) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		s.mu.Lock()
+		ok := cond(s)
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"math"
+	"math/cmplx"
 	"testing"
 
 	"graingraph/internal/profile"
@@ -56,6 +58,22 @@ func TestNQueensKnownCounts(t *testing.T) {
 func TestFFTCorrectSmall(t *testing.T) {
 	inst := NewFFT(FFTParams{N: 128, Cutoff: 0, Seed: 2})
 	runOn(t, inst, 4)
+}
+
+// TestTwiddleMatchesExp pins that the Sincos twiddle is bit for bit the
+// cmplx.Exp it replaced, for every (k, n) the FFT inputs use: n from 2 to
+// LargeFFTParams' 2^20 points, k below n/2.
+func TestTwiddleMatchesExp(t *testing.T) {
+	for n := 2; n <= LargeFFTParams().N; n *= 2 {
+		for k := 0; k < n/2; k++ {
+			got := twiddle(k, n)
+			want := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
+			if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
+				math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+				t.Fatalf("twiddle(%d, %d) = %v, cmplx.Exp gives %v", k, n, got, want)
+			}
+		}
+	}
 }
 
 func TestFFTCutoffReducesGrains(t *testing.T) {
