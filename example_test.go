@@ -62,7 +62,7 @@ func Example_quickstart() {
 
 	// 4. Export for yEd: problems coloured red to yellow, the rest dimmed.
 	core.Layout(graph)
-	if err := export.GraphML(io.Discard, graph, assessment, export.ViewParallelBenefit); err != nil {
+	if err := export.GraphML(io.Discard, graph, assessment, export.ViewParallelBenefit, nil); err != nil {
 		log.Fatal(err)
 	}
 	// Output:
@@ -125,7 +125,7 @@ func Example_kdtreeBug() {
 	// Export the buggy graph, the Figure 2 view: the runaway recursion is an
 	// ever-deepening chain of task columns.
 	core.Layout(buggy.Graph)
-	if err := export.GraphML(io.Discard, buggy.Graph, buggy.Assessment, export.ViewStructure); err != nil {
+	if err := export.GraphML(io.Discard, buggy.Graph, buggy.Assessment, export.ViewStructure, nil); err != nil {
 		log.Fatal(err)
 	}
 	// Output:
@@ -241,7 +241,7 @@ func Example_native() {
 	}
 	metrics.Analyze(trace, g, nil, metrics.Options{})
 	core.Layout(g)
-	if err := export.GraphML(io.Discard, g, nil, export.ViewCritical); err != nil {
+	if err := export.GraphML(io.Discard, g, nil, export.ViewCritical, nil); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("grains: %d\n", trace.NumGrains())

@@ -21,6 +21,10 @@ type Owners struct {
 	Grain  []int32 // slot → grain number of the owning task
 	Depth  []int32 // slot → spawn-tree depth; -1 for an owner that is no task
 	Parent []int32 // slot → parent task's slot; -1 at a root
+	// ByDepth lists the slots by ascending depth, the -1 ones first.
+	// Depth grows by one per parent link, so read backwards it is
+	// bottom-up: every slot comes before its parent.
+	ByDepth []int32
 
 	// LoopOwner maps each loop to the grain number of the task that
 	// executed it, resolved from the graph's book-keeping nodes: chunk nodes
@@ -65,18 +69,15 @@ func (g *Graph) buildOwners() *Owners {
 			o.LoopOwner[profile.LoopID(g.loop[n])] = g.grain[n]
 		}
 	}
-	intern := func(num int32) int32 {
+	// Slots are numbered as owners first appear; each slot's grain is
+	// gathered from the grain → slot table once the count is known, so
+	// the slot columns are allocated at their final size.
+	grow := func(num int32) {
 		for int(num) >= len(o.slot) {
 			o.slot = append(o.slot, -1) // a grain numbered since the table was sized
 		}
-		if si := o.slot[num]; si >= 0 {
-			return si
-		}
-		si := int32(len(o.Grain))
-		o.slot[num] = si
-		o.Grain = append(o.Grain, num)
-		return si
 	}
+	slots := int32(0)
 
 	// Node ownership. Consecutive nodes of one task are the common layout,
 	// so a run cache skips the slot table for them.
@@ -95,9 +96,21 @@ func (g *Graph) buildOwners() *Owners {
 			}
 		}
 		if owner != lastOwner || lastSlot < 0 {
-			lastOwner, lastSlot = owner, intern(owner)
+			grow(owner)
+			if o.slot[owner] < 0 {
+				o.slot[owner] = slots
+				slots++
+			}
+			lastOwner, lastSlot = owner, o.slot[owner]
 		}
 		o.Of[n] = lastSlot
+	}
+	o.Grain = make([]int32, slots)
+	o.Parent = make([]int32, 0, slots)
+	for num, si := range o.slot {
+		if si >= 0 {
+			o.Grain[si] = int32(num)
+		}
 	}
 
 	// Parent closure: interning an ancestor appends a slot, and the loop
@@ -106,7 +119,12 @@ func (g *Graph) buildOwners() *Owners {
 	for si := 0; si < len(o.Grain); si++ {
 		p := int32(-1)
 		if pn := g.parentGrain(o.Grain[si]); pn >= 0 {
-			p = intern(pn)
+			grow(pn)
+			if p = o.slot[pn]; p < 0 {
+				p = int32(len(o.Grain))
+				o.slot[pn] = p
+				o.Grain = append(o.Grain, pn)
+			}
 		}
 		o.Parent = append(o.Parent, p)
 	}
@@ -132,6 +150,24 @@ func (g *Graph) buildOwners() *Owners {
 			}
 		}
 		path = path[:0]
+	}
+
+	// A counting sort by depth, shifted by one so that -1 is a bucket.
+	maxDepth := int32(-1)
+	for _, d := range o.Depth {
+		maxDepth = max(maxDepth, d)
+	}
+	next := make([]int32, maxDepth+3)
+	for _, d := range o.Depth {
+		next[d+2]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	o.ByDepth = make([]int32, len(o.Depth))
+	for si, d := range o.Depth {
+		o.ByDepth[next[d+1]] = int32(si)
+		next[d+1]++
 	}
 	return o
 }

@@ -10,6 +10,7 @@ package export
 
 import (
 	"fmt"
+	"strconv"
 
 	"graingraph/internal/core"
 	"graingraph/internal/highlight"
@@ -120,7 +121,8 @@ func NodeColor(g *core.Graph, n core.Node, a *highlight.Assessment, v View,
 	// Fragment / chunk.
 	switch v {
 	case ViewStructure:
-		return defColors[defKeyOf(g, n.Kind, n.GrainNum, n.Loop)]
+		var key [64]byte
+		return defColors[string(appendDefKey(key[:0], g, n.Kind, n.GrainNum, n.Loop))]
 	case ViewCritical:
 		if n.Critical {
 			return criticalColor
@@ -157,16 +159,21 @@ func assessmentOf(g *core.Graph, a *highlight.Assessment, n core.Node) int {
 // defKeyOf returns the source-definition key of a grain node, from the
 // node's kind, grain number and loop columns.
 func defKeyOf(g *core.Graph, kind core.NodeKind, num int32, loop profile.LoopID) string {
+	return string(appendDefKey(nil, g, kind, num, loop))
+}
+
+// appendDefKey appends the key defKeyOf returns.
+func appendDefKey(b []byte, g *core.Graph, kind core.NodeKind, num int32, loop profile.LoopID) []byte {
 	if kind == core.NodeChunk {
 		if l := g.Trace.Loop(loop); l != nil {
-			return l.Loc.String()
+			return l.Loc.Append(b)
 		}
-		return fmt.Sprintf("loop:%d", loop)
+		return strconv.AppendInt(append(b, "loop:"...), int64(loop), 10)
 	}
 	if int(num) < len(g.Trace.Tasks) {
-		return g.Trace.Tasks[num].Loc.String()
+		return g.Trace.Tasks[num].Loc.Append(b)
 	}
-	return string(g.GrainID(num))
+	return append(b, g.GrainID(num)...)
 }
 
 // DefinitionColors assigns a palette colour to every source definition in

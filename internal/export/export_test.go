@@ -13,6 +13,7 @@ import (
 	"graingraph/internal/metrics"
 	"graingraph/internal/profile"
 	"graingraph/internal/rts"
+	"graingraph/internal/runpool"
 )
 
 func testGraph(t *testing.T) (*core.Graph, *highlight.Assessment) {
@@ -35,7 +36,7 @@ func testGraph(t *testing.T) (*core.Graph, *highlight.Assessment) {
 func TestGraphMLWellFormed(t *testing.T) {
 	g, a := testGraph(t)
 	var buf bytes.Buffer
-	if err := GraphML(&buf, g, a, ViewParallelBenefit); err != nil {
+	if err := GraphML(&buf, g, a, ViewParallelBenefit, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Must be parseable XML.
@@ -72,7 +73,7 @@ func TestGraphMLWellFormed(t *testing.T) {
 func TestGraphMLProblemViewColors(t *testing.T) {
 	g, a := testGraph(t)
 	var buf bytes.Buffer
-	if err := GraphML(&buf, g, a, ViewParallelBenefit); err != nil {
+	if err := GraphML(&buf, g, a, ViewParallelBenefit, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
@@ -99,7 +100,7 @@ func TestGraphMLEscapesLabels(t *testing.T) {
 	})
 	g := core.Build(tr)
 	var buf bytes.Buffer
-	if err := GraphML(&buf, g, nil, ViewStructure); err != nil {
+	if err := GraphML(&buf, g, nil, ViewStructure, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := parseAllXML(buf.Bytes()); err != nil {
@@ -257,7 +258,7 @@ func TestViewStrings(t *testing.T) {
 func TestExportersByteStable(t *testing.T) {
 	g, a := testGraph(t)
 	formats := map[string]func(*bytes.Buffer) error{
-		"graphml": func(b *bytes.Buffer) error { return GraphML(b, g, a, ViewParallelBenefit) },
+		"graphml": func(b *bytes.Buffer) error { return GraphML(b, g, a, ViewParallelBenefit, nil) },
 		"dot":     func(b *bytes.Buffer) error { return DOTWithWhatIfPool(b, g, a, ViewParallelism, nil, nil) },
 		"json":    func(b *bytes.Buffer) error { return JSONWithWhatIfPool(b, g, a, nil, nil) },
 	}
@@ -346,4 +347,130 @@ func formattedDOTBody(g *core.Graph, a *highlight.Assessment, v View) string {
 		fmt.Fprintf(&b, "  n%d -> n%d [color=%q, penwidth=%.1f];\n", e.From, e.To, color, width)
 	}
 	return b.String()
+}
+
+// TestGraphMLMatchesFormat pins the GraphML export, which appends each
+// node and edge element into its shard buffer, byte for byte to the
+// fmt.Fprintf calls it replaced: on a built graph, whose labels are
+// derived, and on a copy that stores labels and hand-named grains the XML
+// escaping must handle — quotes, ampersands, angle brackets, control
+// bytes, non-ASCII and invalid UTF-8 — serially and across a pool.
+func TestGraphMLMatchesFormat(t *testing.T) {
+	g, a := testGraph(t)
+	odd := []string{`say "hi"`, `a<b>&c`, "it's", "tab\there", "naïve", "bad\xffbyte", "", "plain/3"}
+	stored := core.NewGraph(g.Trace)
+	for n := core.NodeID(0); n < core.NodeID(g.NumNodes()); n++ {
+		nd := g.NodeAt(n)
+		nd.Label = odd[int(n)%len(odd)]
+		stored.AddNodeNum(nd)
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		stored.AddEdge(g.EdgeFrom(i), g.EdgeTo(i), g.EdgeKindAt(i))
+	}
+	for i, name := range odd {
+		stored.AddNode(core.Node{Kind: core.NodeFragment, Grain: profile.GrainID("R.x" + name), Label: name, Weight: profile.Time(i)})
+	}
+	core.Layout(stored)
+	for _, tc := range []struct {
+		name string
+		g    *core.Graph
+	}{{"built", g}, {"stored labels", stored}} {
+		for _, v := range []View{ViewStructure, ViewCritical, ViewParallelBenefit} {
+			want := formattedGraphML(tc.g, a, v)
+			for _, pool := range []*runpool.Runner{nil, runpool.New(2)} {
+				var buf bytes.Buffer
+				if err := GraphML(&buf, tc.g, a, v, pool); err != nil {
+					t.Fatal(err)
+				}
+				if got := buf.String(); got != want {
+					t.Fatalf("%s, %s view: GraphML differs from the formatted one:\n%s\nwant:\n%s", tc.name, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// formattedGraphML renders a GraphML export with fmt, as the exporter once
+// did.
+func formattedGraphML(g *core.Graph, a *highlight.Assessment, v View) string {
+	var bw strings.Builder
+	defColors := DefinitionColors(g)
+	esc := func(s string) string {
+		var b strings.Builder
+		_ = xml.EscapeText(&b, []byte(s))
+		return b.String()
+	}
+	fmt.Fprint(&bw, xml.Header)
+	fmt.Fprintln(&bw, `<graphml xmlns="http://graphml.graphdrawing.org/xmlns"`)
+	fmt.Fprintln(&bw, `  xmlns:y="http://www.yworks.com/xml/graphml"`)
+	fmt.Fprintln(&bw, `  xmlns:yed="http://www.yworks.com/xml/yed/3">`)
+	fmt.Fprintln(&bw, ` <key for="node" id="ng" yfiles.type="nodegraphics"/>`)
+	fmt.Fprintln(&bw, ` <key for="edge" id="eg" yfiles.type="edgegraphics"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="grain" attr.name="grain" attr.type="string"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="kind" attr.name="kind" attr.type="string"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="loc" attr.name="source" attr.type="string"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="exec" attr.name="exec_cycles" attr.type="long"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="corekey" attr.name="core" attr.type="int"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="pb" attr.name="parallel_benefit" attr.type="double"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="wd" attr.name="work_deviation" attr.type="double"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="ip" attr.name="inst_parallelism" attr.type="int"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="sc" attr.name="scatter" attr.type="int"/>`)
+	fmt.Fprintln(&bw, ` <key for="node" id="mhu" attr.name="mem_hierarchy_util" attr.type="double"/>`)
+	fmt.Fprintf(&bw, ` <graph id="%s" edgedefault="directed">%s`, esc(v.String()), "\n")
+	for id := core.NodeID(0); id < core.NodeID(g.NumNodes()); id++ {
+		n := g.NodeAt(id)
+		border, borderW := "#333333", 1.0
+		if n.Critical {
+			border, borderW = criticalColor, 2.5
+		}
+		shape := "rectangle"
+		switch n.Kind {
+		case core.NodeFork:
+			shape = "diamond"
+		case core.NodeJoin, core.NodeBookkeep:
+			shape = "ellipse"
+		}
+		w, h := n.W, n.H
+		if w == 0 {
+			w, h = 30, 30
+		}
+		fmt.Fprintf(&bw, `  <node id="n%d">`+"\n", n.ID)
+		fmt.Fprintf(&bw, `   <data key="ng"><y:ShapeNode>`)
+		fmt.Fprintf(&bw, `<y:Geometry x="%.1f" y="%.1f" width="%.1f" height="%.1f"/>`, n.X, n.Y, w, h)
+		fmt.Fprintf(&bw, `<y:Fill color="%s"/>`, NodeColor(g, n, a, v, defColors))
+		fmt.Fprintf(&bw, `<y:BorderStyle color="%s" width="%.1f"/>`, border, borderW)
+		fmt.Fprintf(&bw, `<y:NodeLabel fontSize="8">%s</y:NodeLabel>`, esc(n.Label))
+		fmt.Fprintf(&bw, `<y:Shape type="%s"/>`, shape)
+		fmt.Fprintf(&bw, `</y:ShapeNode></data>`+"\n")
+		fmt.Fprintf(&bw, `   <data key="grain">%s</data>`+"\n", esc(string(n.Grain)))
+		fmt.Fprintf(&bw, `   <data key="kind">%s</data>`+"\n", n.Kind)
+		fmt.Fprintf(&bw, `   <data key="loc">%s</data>`+"\n", esc(defKeyOf(g, n.Kind, n.GrainNum, n.Loop)))
+		fmt.Fprintf(&bw, `   <data key="exec">%d</data>`+"\n", n.Weight)
+		fmt.Fprintf(&bw, `   <data key="corekey">%d</data>`+"\n", n.Core)
+		if a != nil && (n.Kind == core.NodeFragment || n.Kind == core.NodeChunk) {
+			if row := assessmentOf(g, a, n); row >= 0 {
+				rep := a.Report
+				fmt.Fprintf(&bw, `   <data key="pb">%g</data>`+"\n", finiteOr(rep.Benefit[row], 1e9))
+				fmt.Fprintf(&bw, `   <data key="wd">%g</data>`+"\n", rep.WorkDev[row])
+				fmt.Fprintf(&bw, `   <data key="ip">%d</data>`+"\n", rep.Parallelism[row])
+				fmt.Fprintf(&bw, `   <data key="sc">%d</data>`+"\n", rep.Scatter[row])
+				fmt.Fprintf(&bw, `   <data key="mhu">%g</data>`+"\n", finiteOr(rep.Util[row], 1e9))
+			}
+		}
+		fmt.Fprintln(&bw, `  </node>`)
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.EdgeAt(i)
+		color, width := edgeColor(e.Kind), 1.0
+		if e.Critical {
+			color, width = criticalColor, 2.5
+		}
+		fmt.Fprintf(&bw, `  <edge id="e%d" source="n%d" target="n%d">`+"\n", i, e.From, e.To)
+		fmt.Fprintf(&bw, `   <data key="eg"><y:PolyLineEdge><y:LineStyle color="%s" type="line" width="%.1f"/>`, color, width)
+		fmt.Fprintf(&bw, `<y:Arrows source="none" target="standard"/></y:PolyLineEdge></data>`+"\n")
+		fmt.Fprintln(&bw, `  </edge>`)
+	}
+	fmt.Fprintln(&bw, ` </graph>`)
+	fmt.Fprintln(&bw, `</graphml>`)
+	return bw.String()
 }

@@ -2,12 +2,15 @@ package export
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"strconv"
 
 	"graingraph/internal/core"
 	"graingraph/internal/highlight"
+	"graingraph/internal/runpool"
 )
 
 // GraphML writes the graph as yEd-flavoured GraphML: node geometry from the
@@ -19,22 +22,24 @@ import (
 // still load, with yEd able to re-layout them.
 //
 // Graphs past MaxExportNodes are refused with a *HugeGraphError;
-// FullGraphML is the explicit opt-in.
-func GraphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error {
+// FullGraphML is the explicit opt-in. Node and edge elements render across
+// pool as DOT's lines do (nil runs serially), with identical bytes.
+func GraphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, pool *runpool.Runner) error {
 	if err := SizeGate(g, false); err != nil {
 		return err
 	}
-	return graphML(w, g, a, v)
+	return graphML(w, g, a, v, pool)
 }
 
 // FullGraphML is GraphML with the huge-graph gate explicitly disabled
 // (grainview -full-export).
-func FullGraphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error {
-	return graphML(w, g, a, v)
+func FullGraphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, pool *runpool.Runner) error {
+	return graphML(w, g, a, v, pool)
 }
 
-// graphML is the ungated GraphML emitter.
-func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error {
+// graphML is the ungated GraphML emitter. Each node and edge element is
+// appended into its shard buffer.
+func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View, pool *runpool.Runner) error {
 	bw := bufio.NewWriter(w)
 	defColors := DefinitionColors(g)
 
@@ -56,70 +61,79 @@ func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error 
 	fmt.Fprintln(bw, ` <key for="node" id="mhu" attr.name="mem_hierarchy_util" attr.type="double"/>`)
 	fmt.Fprintf(bw, ` <graph id="%s" edgedefault="directed">%s`, escape(v.String()), "\n")
 
-	var label []byte
-	for id := core.NodeID(0); id < core.NodeID(g.NumNodes()); id++ {
-		n := g.NodeRow(id)
-		color := NodeColor(g, n, a, v, defColors)
-		border := "#333333"
-		borderW := 1.0
-		if n.Critical {
-			border = criticalColor
-			borderW = 2.5
-		}
-		shape := "rectangle"
-		switch n.Kind {
-		case core.NodeFork:
-			shape = "diamond"
-		case core.NodeJoin:
-			shape = "ellipse"
-		case core.NodeBookkeep:
-			shape = "ellipse"
-		}
-		w, h := n.W, n.H
-		if w == 0 {
-			w, h = 30, 30
-		}
-		fmt.Fprintf(bw, `  <node id="n%d">`+"\n", n.ID)
-		fmt.Fprintf(bw, `   <data key="ng"><y:ShapeNode>`)
-		fmt.Fprintf(bw, `<y:Geometry x="%.1f" y="%.1f" width="%.1f" height="%.1f"/>`, n.X, n.Y, w, h)
-		fmt.Fprintf(bw, `<y:Fill color="%s"/>`, color)
-		fmt.Fprintf(bw, `<y:BorderStyle color="%s" width="%.1f"/>`, border, borderW)
-		label = g.AppendLabel(label[:0], id)
-		bw.WriteString(`<y:NodeLabel fontSize="8">`)
-		_ = xml.EscapeText(bw, label) // a write error resurfaces at Flush
-		bw.WriteString(`</y:NodeLabel>`)
-		fmt.Fprintf(bw, `<y:Shape type="%s"/>`, shape)
-		fmt.Fprintf(bw, `</y:ShapeNode></data>`+"\n")
-		fmt.Fprintf(bw, `   <data key="grain">%s</data>`+"\n", escape(string(n.Grain)))
-		fmt.Fprintf(bw, `   <data key="kind">%s</data>`+"\n", n.Kind)
-		fmt.Fprintf(bw, `   <data key="loc">%s</data>`+"\n", escape(defKeyOf(g, n.Kind, n.GrainNum, n.Loop)))
-		fmt.Fprintf(bw, `   <data key="exec">%d</data>`+"\n", n.Weight)
-		fmt.Fprintf(bw, `   <data key="corekey">%d</data>`+"\n", n.Core)
-		if a != nil && (n.Kind == core.NodeFragment || n.Kind == core.NodeChunk) {
-			if row := assessmentOf(g, a, n); row >= 0 {
-				rep := a.Report
-				fmt.Fprintf(bw, `   <data key="pb">%g</data>`+"\n", finiteOr(rep.Benefit[row], 1e9))
-				fmt.Fprintf(bw, `   <data key="wd">%g</data>`+"\n", rep.WorkDev[row])
-				fmt.Fprintf(bw, `   <data key="ip">%d</data>`+"\n", rep.Parallelism[row])
-				fmt.Fprintf(bw, `   <data key="sc">%d</data>`+"\n", rep.Scatter[row])
-				fmt.Fprintf(bw, `   <data key="mhu">%g</data>`+"\n", finiteOr(rep.Util[row], 1e9))
+	if err := emitSharded(bw, g.NumNodes(), exportGrain, pool, func(lo, hi int, buf *bytes.Buffer) {
+		var b, text []byte
+		for id := core.NodeID(lo); id < core.NodeID(hi); id++ {
+			n := g.NodeRow(id)
+			border, borderW := "#333333", 1.0
+			if n.Critical {
+				border, borderW = criticalColor, 2.5
 			}
+			shape := "rectangle"
+			switch n.Kind {
+			case core.NodeFork:
+				shape = "diamond"
+			case core.NodeJoin, core.NodeBookkeep:
+				shape = "ellipse"
+			}
+			w, h := n.W, n.H
+			if w == 0 {
+				w, h = 30, 30
+			}
+			b = strconv.AppendInt(append(b[:0], `  <node id="n`...), int64(n.ID), 10)
+			b = append(b, "\">\n   <data key=\"ng\"><y:ShapeNode><y:Geometry x=\""...)
+			b = strconv.AppendFloat(b, n.X, 'f', 1, 64)
+			b = strconv.AppendFloat(append(b, `" y="`...), n.Y, 'f', 1, 64)
+			b = strconv.AppendFloat(append(b, `" width="`...), w, 'f', 1, 64)
+			b = strconv.AppendFloat(append(b, `" height="`...), h, 'f', 1, 64)
+			b = append(append(b, `"/><y:Fill color="`...), NodeColor(g, n, a, v, defColors)...)
+			b = append(append(b, `"/><y:BorderStyle color="`...), border...)
+			b = strconv.AppendFloat(append(b, `" width="`...), borderW, 'f', 1, 64)
+			text = g.AppendLabel(text[:0], id)
+			b = appendEscaped(append(b, `"/><y:NodeLabel fontSize="8">`...), text)
+			b = append(append(b, `</y:NodeLabel><y:Shape type="`...), shape...)
+			b = append(b, "\"/></y:ShapeNode></data>\n   <data key=\"grain\">"...)
+			b = appendEscaped(b, n.Grain)
+			b = append(append(b, "</data>\n   <data key=\"kind\">"...), n.Kind.String()...)
+			text = appendDefKey(text[:0], g, n.Kind, n.GrainNum, n.Loop)
+			b = appendEscaped(append(b, "</data>\n   <data key=\"loc\">"...), text)
+			b = strconv.AppendUint(append(b, "</data>\n   <data key=\"exec\">"...), n.Weight, 10)
+			b = strconv.AppendInt(append(b, "</data>\n   <data key=\"corekey\">"...), int64(n.Core), 10)
+			b = append(b, "</data>\n"...)
+			if a != nil && (n.Kind == core.NodeFragment || n.Kind == core.NodeChunk) {
+				if row := assessmentOf(g, a, n); row >= 0 {
+					rep := a.Report
+					b = strconv.AppendFloat(append(b, `   <data key="pb">`...), finiteOr(rep.Benefit[row], 1e9), 'g', -1, 64)
+					b = strconv.AppendFloat(append(b, "</data>\n   <data key=\"wd\">"...), rep.WorkDev[row], 'g', -1, 64)
+					b = strconv.AppendInt(append(b, "</data>\n   <data key=\"ip\">"...), rep.Parallelism[row], 10)
+					b = strconv.AppendInt(append(b, "</data>\n   <data key=\"sc\">"...), rep.Scatter[row], 10)
+					b = strconv.AppendFloat(append(b, "</data>\n   <data key=\"mhu\">"...), finiteOr(rep.Util[row], 1e9), 'g', -1, 64)
+					b = append(b, "</data>\n"...)
+				}
+			}
+			buf.Write(append(b, "  </node>\n"...))
 		}
-		fmt.Fprintln(bw, `  </node>`)
+	}); err != nil {
+		return err
 	}
-
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.EdgeAt(i)
-		color := edgeColor(e.Kind)
-		width := 1.0
-		if e.Critical {
-			color = criticalColor
-			width = 2.5
+	if err := emitSharded(bw, g.NumEdges(), exportGrain, pool, func(lo, hi int, buf *bytes.Buffer) {
+		var b []byte
+		for i := lo; i < hi; i++ {
+			e := g.EdgeAt(i)
+			color, width := edgeColor(e.Kind), 1.0
+			if e.Critical {
+				color, width = criticalColor, 2.5
+			}
+			b = strconv.AppendInt(append(b[:0], `  <edge id="e`...), int64(i), 10)
+			b = strconv.AppendInt(append(b, `" source="n`...), int64(e.From), 10)
+			b = strconv.AppendInt(append(b, `" target="n`...), int64(e.To), 10)
+			b = append(b, "\">\n   <data key=\"eg\"><y:PolyLineEdge><y:LineStyle color=\""...)
+			b = strconv.AppendFloat(append(append(b, color...), `" type="line" width="`...), width, 'f', 1, 64)
+			b = append(b, "\"/><y:Arrows source=\"none\" target=\"standard\"/></y:PolyLineEdge></data>\n  </edge>\n"...)
+			buf.Write(b)
 		}
-		fmt.Fprintf(bw, `  <edge id="e%d" source="n%d" target="n%d">`+"\n", i, e.From, e.To)
-		fmt.Fprintf(bw, `   <data key="eg"><y:PolyLineEdge><y:LineStyle color="%s" type="line" width="%.1f"/>`, color, width)
-		fmt.Fprintf(bw, `<y:Arrows source="none" target="standard"/></y:PolyLineEdge></data>`+"\n")
-		fmt.Fprintln(bw, `  </edge>`)
+	}); err != nil {
+		return err
 	}
 
 	fmt.Fprintln(bw, ` </graph>`)
@@ -127,11 +141,19 @@ func graphML(w io.Writer, g *core.Graph, a *highlight.Assessment, v View) error 
 	return bw.Flush()
 }
 
-func escape(s string) string {
-	b := &byteWriter{}
-	_ = xml.EscapeText(b, []byte(s)) // cannot fail on a byteWriter
-	return string(b.b)
+// appendEscaped appends s escaped as xml.EscapeText escapes it.
+func appendEscaped[S ~string | ~[]byte](b []byte, s S) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\'' || c == '&' || c == '<' || c == '>' {
+			w := byteWriter{b}
+			_ = xml.EscapeText(&w, []byte(s)) // cannot fail on a byteWriter
+			return w.b
+		}
+	}
+	return append(b, s...)
 }
+
+func escape(s string) string { return string(appendEscaped(nil, s)) }
 
 type byteWriter struct{ b []byte }
 

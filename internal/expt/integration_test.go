@@ -106,7 +106,7 @@ func TestPipelineInvariantsOnRandomTrees(t *testing.T) {
 
 		// Exports stay well-formed.
 		var buf bytes.Buffer
-		if err := export.GraphML(&buf, rg, nil, export.ViewStructure); err != nil {
+		if err := export.GraphML(&buf, rg, nil, export.ViewStructure, nil); err != nil {
 			t.Fatalf("seed %d graphml: %v", seed, err)
 		}
 		dec := xml.NewDecoder(bytes.NewReader(buf.Bytes()))

@@ -96,10 +96,10 @@ func TestArtifactAnalysisMatchesLive(t *testing.T) {
 	core.Layout(live.Graph)
 	core.Layout(replayed.Graph)
 	var a, b bytes.Buffer
-	if err := export.GraphML(&a, live.Graph, live.Assessment, export.ViewStructure); err != nil {
+	if err := export.GraphML(&a, live.Graph, live.Assessment, export.ViewStructure, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := export.GraphML(&b, replayed.Graph, replayed.Assessment, export.ViewStructure); err != nil {
+	if err := export.GraphML(&b, replayed.Graph, replayed.Assessment, export.ViewStructure, nil); err != nil {
 		t.Fatal(err)
 	}
 	requireSame(t, "live and replayed GraphML exports", a.Bytes(), b.Bytes())

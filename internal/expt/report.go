@@ -146,9 +146,9 @@ func WriteGraph(w io.Writer, g *core.Graph, res *Result, format string, v export
 	a := res.Assessment
 	switch {
 	case format == "graphml" && full:
-		return export.FullGraphML(w, g, a, v)
+		return export.FullGraphML(w, g, a, v, pool)
 	case format == "graphml":
-		return export.GraphML(w, g, a, v)
+		return export.GraphML(w, g, a, v, pool)
 	case format == "dot" && full:
 		return export.FullDOT(w, g, a, v, ps, pool)
 	case format == "dot":

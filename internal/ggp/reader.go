@@ -131,7 +131,8 @@ var minRecord = [256]uint64{secTask: 14, secLoop: 12, secChunk: 15, secBookkeep:
 
 // countSections counts the v1 stream's sections by ID up to the trailer,
 // reading frame headers only, and returns the IDs that open the counted
-// task sections, cut from one string. It stops quietly at the first
+// task sections, cut from one string, in a slice with room for the chunk
+// IDs (the trace's numbering adopts it as its ID table). It stops quietly at the first
 // framing fault: the counts size the record slabs, and the decoding pass
 // that follows frames the same sections and reports the fault (or an ID
 // that does not decode). A section shorter than minRecord cannot decode,
@@ -150,7 +151,7 @@ func countSections(data []byte, counts *[256]int) []profile.GrainID {
 	if nIDs == 0 {
 		return nil
 	}
-	ids := make([]profile.GrainID, 0, nIDs)
+	ids := make([]profile.GrainID, 0, nIDs+counts[secChunk])
 	var b strings.Builder
 	b.Grow(idBytes) // exactly: the substrings cut below stay where they are
 	eachSection(data, func(id byte, p []byte) {

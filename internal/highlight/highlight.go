@@ -326,43 +326,41 @@ func (a *Assessment) Summarize() Summary {
 // definitions by creation count and work inflation" workflow uses rankings
 // like this.
 //
-// Selection runs through query.TopK (one bounded-selection pass, the same
-// kernel behind the query grammar's topk verb) with severities computed
-// once per affected grain: a problem like low-parallel-benefit can flag
-// every grain of a million-grain report, and sorting them all (recomputing
-// severity inside the comparator) to keep the top handful used to dominate
-// what-if candidate generation.
+// Selection is one bounded pass of query.TopK (the kernel behind the query
+// grammar's topk verb) over every row, flagged rows above the rest: a
+// problem like low-parallel-benefit can flag every grain of a million-grain
+// report, and the pass keeps only the n survivors, computing a row's
+// severity where it is compared.
 func (a *Assessment) TopOffenders(p Problem, n int) []int {
 	if n <= 0 {
 		return nil
 	}
-	flagged := a.Count(p)
-	cand := make([]int, 0, flagged)
-	sev := make([]float64, 0, flagged)
-	for row, m := range a.Mask {
-		if m&p != 0 {
-			s, _ := a.Severity(row, p)
-			cand = append(cand, row)
-			sev = append(sev, s)
-		}
-	}
-	// Higher severity, then longer execution, then lower grain ID — a
-	// total order, so the bounded selection returns exactly what a full
-	// sort-and-truncate would.
+	// Flagged rows first; among them higher severity, then longer
+	// execution, then lower grain ID — a total order, so the bounded
+	// selection returns exactly what a full sort-and-truncate would.
 	rep := a.Report
-	top := query.TopK(len(cand), n, func(i, j int) bool {
-		if sev[i] != sev[j] {
-			return sev[i] > sev[j]
+	top := query.TopK(len(a.Mask), n, func(i, j int) bool {
+		si, fi := a.Severity(i, p)
+		sj, fj := a.Severity(j, p)
+		switch {
+		case fi != fj:
+			return fi
+		case !fi:
+			return i < j
+		case si != sj:
+			return si > sj
 		}
-		ri, rj := cand[i], cand[j]
-		if ei, ej := profile.Time(rep.Exec[ri]), profile.Time(rep.Exec[rj]); ei != ej {
+		if ei, ej := profile.Time(rep.Exec[i]), profile.Time(rep.Exec[j]); ei != ej {
 			return ei > ej
 		}
-		return rep.ID(ri) < rep.ID(rj)
+		return rep.ID(i) < rep.ID(j)
 	})
-	out := make([]int, len(top))
-	for i, r := range top {
-		out[i] = cand[r]
+	out := make([]int, 0, len(top))
+	for _, r := range top {
+		if a.Mask[r]&p == 0 {
+			break // the unflagged rank last
+		}
+		out = append(out, int(r))
 	}
 	return out
 }

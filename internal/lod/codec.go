@@ -5,6 +5,7 @@ import (
 
 	"graingraph/internal/colenc"
 	"graingraph/internal/core"
+	"graingraph/internal/profile"
 )
 
 // Sidecar codec for the summary index: the columnar .ggp v2 format
@@ -45,13 +46,17 @@ func (ix *Index) schema() []colenc.Col {
 	}
 }
 
-// Encode serializes the index columns.
+// Encode serializes the index columns; a built index's grain IDs are
+// derived from its grain numbers for the id column.
 func (ix *Index) Encode() []byte {
-	// Build over-allocates childIdx to numSlots; only the CSR-covered
-	// prefix carries data, so serialize exactly that.
-	trimmed := *ix
-	trimmed.childIdx = ix.childIdx[:ix.childOff[len(ix.childOff)-1]]
-	return colenc.Encode(trimmed.schema()...)
+	enc := *ix
+	if enc.ids == nil {
+		enc.ids = make([]profile.GrainID, len(ix.grain))
+		for si := range enc.ids {
+			enc.ids[si] = ix.id(int32(si))
+		}
+	}
+	return colenc.Encode(enc.schema()...)
 }
 
 // DecodeIndex reconstructs an index from an encoded payload and attaches

@@ -35,9 +35,10 @@ type Index struct {
 	g *core.Graph
 
 	// Slots follow the graph's owner-task table (core.Owners): grain (each
-	// slot's grain number, ids its ID), depth and par are its per-slot
-	// columns, ownerOf its per-node one; slotOf maps a grain number back to
-	// its slot (-1: none).
+	// slot's grain number), depth and par are its per-slot columns,
+	// ownerOf its per-node one; slotOf maps a grain number back to its
+	// slot (-1: none). ids is the sidecar's column of the slots' grain
+	// IDs, held by a decoded index only; id derives one from grain.
 	grain  []int32
 	slotOf []int32
 	ids    []profile.GrainID
@@ -76,7 +77,6 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 	ix := &Index{
 		g:        g,
 		grain:    own.Grain,
-		ids:      make([]profile.GrainID, numSlots),
 		depth:    own.Depth,
 		par:      own.Parent,
 		ownerOf:  own.Of,
@@ -85,9 +85,6 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 		probSelf: make([]int32, numSlots),
 		startMin: make([]profile.Time, numSlots),
 		endMax:   make([]profile.Time, numSlots),
-	}
-	for si, num := range ix.grain {
-		ix.ids[si] = g.GrainID(num)
 	}
 	ix.indexSlots()
 
@@ -140,12 +137,12 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 		ix.nodeOff[i+1] += ix.nodeOff[i]
 	}
 	ix.nodeIdx = make([]int32, numNodes)
-	fill := make([]int32, numSlots)
 	for n := core.NodeID(0); n < numNodes; n++ {
 		si := ix.ownerOf[n]
-		ix.nodeIdx[ix.nodeOff[si]+fill[si]] = int32(n)
-		fill[si]++
+		ix.nodeIdx[ix.nodeOff[si]] = int32(n)
+		ix.nodeOff[si]++
 	}
+	unshift(ix.nodeOff)
 
 	// Rollups, deepest depth first so children settle before parents.
 	ix.subWork = make([]int64, numSlots)
@@ -153,20 +150,6 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 	ix.subTasks = make([]int32, numSlots)
 	ix.subProbs = make([]int32, numSlots)
 	ix.critSub = make([]bool, numSlots)
-	maxDepth := int32(0)
-	for _, d := range ix.depth {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	byDepth := make([][]int32, maxDepth+1)
-	for si := 0; si < numSlots; si++ {
-		d := ix.depth[si]
-		if d < 0 {
-			d = 0 // non-task owners roll up nowhere; treat as roots
-		}
-		byDepth[d] = append(byDepth[d], int32(si))
-	}
 	for si := 0; si < numSlots; si++ {
 		ix.subWork[si] = ix.ownWork[si]
 		ix.subNodes[si] = ix.nodeOff[si+1] - ix.nodeOff[si]
@@ -174,25 +157,24 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 		ix.subProbs[si] = ix.probSelf[si]
 		ix.critSub[si] = ix.critSelf[si]
 	}
-	for d := maxDepth; d > 0; d-- {
-		for _, si := range byDepth[d] {
-			p := ix.par[si]
-			if p < 0 {
-				continue
-			}
-			ix.subWork[p] += ix.subWork[si]
-			ix.subNodes[p] += ix.subNodes[si]
-			ix.subTasks[p] += ix.subTasks[si]
-			ix.subProbs[p] += ix.subProbs[si]
-			if ix.critSub[si] {
-				ix.critSub[p] = true
-			}
-			if s := ix.startMin[si]; s != 0 && (ix.startMin[p] == 0 || s < ix.startMin[p]) {
-				ix.startMin[p] = s
-			}
-			if e := ix.endMax[si]; e > ix.endMax[p] {
-				ix.endMax[p] = e
-			}
+	for i := len(own.ByDepth) - 1; i >= 0; i-- {
+		si := own.ByDepth[i]
+		p := ix.par[si]
+		if p < 0 {
+			continue
+		}
+		ix.subWork[p] += ix.subWork[si]
+		ix.subNodes[p] += ix.subNodes[si]
+		ix.subTasks[p] += ix.subTasks[si]
+		ix.subProbs[p] += ix.subProbs[si]
+		if ix.critSub[si] {
+			ix.critSub[p] = true
+		}
+		if s := ix.startMin[si]; s != 0 && (ix.startMin[p] == 0 || s < ix.startMin[p]) {
+			ix.startMin[p] = s
+		}
+		if e := ix.endMax[si]; e > ix.endMax[p] {
+			ix.endMax[p] = e
 		}
 	}
 
@@ -207,17 +189,14 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 	for i := 0; i < numSlots; i++ {
 		ix.childOff[i+1] += ix.childOff[i]
 	}
-	ix.childIdx = make([]int32, 0, numSlots)
-	ix.childIdx = ix.childIdx[:cap(ix.childIdx)]
-	cfill := make([]int32, numSlots)
+	ix.childIdx = make([]int32, ix.childOff[numSlots])
 	for si := int32(0); si < int32(numSlots); si++ {
-		p := ix.par[si]
-		if p < 0 {
-			continue
+		if p := ix.par[si]; p >= 0 {
+			ix.childIdx[ix.childOff[p]] = si
+			ix.childOff[p]++
 		}
-		ix.childIdx[ix.childOff[p]+cfill[p]] = si
-		cfill[p]++
 	}
+	unshift(ix.childOff)
 	for p := 0; p < numSlots; p++ {
 		kids := ix.childIdx[ix.childOff[p]:ix.childOff[p+1]]
 		for i := 1; i < len(kids); i++ {
@@ -233,6 +212,16 @@ func Build(g *core.Graph, a *highlight.Assessment) *Index {
 	}
 	return ix
 }
+
+// unshift turns CSR offsets that were advanced as fill cursors — each
+// off[i] moved to the end of row i — back into row starts.
+func unshift(off []int32) {
+	copy(off[1:], off)
+	off[0] = 0
+}
+
+// id returns slot si's grain ID.
+func (ix *Index) id(si int32) profile.GrainID { return ix.g.GrainID(ix.grain[si]) }
 
 // indexSlots builds slotOf from grain. It reports the first slot whose
 // grain an earlier slot already claimed, or -1.
@@ -338,7 +327,7 @@ func (ix *Index) Window(opt WindowOptions) (*core.Graph, WindowStats, error) {
 		opt:       opt,
 		out:       core.NewGraph(ix.g.Trace),
 		nodeMap:   make([]int32, ix.g.NumNodes()),
-		regionRep: make([]int32, len(ix.ids)),
+		regionRep: make([]int32, len(ix.grain)),
 		loopRest:  make(map[profile.LoopID]int32),
 	}
 	b.recorded = int32(b.out.NumGrainNums()) // nothing hand-named yet
@@ -407,7 +396,7 @@ func (b *windowBuild) expand(si int32, rel int) {
 	for _, a := range aggs {
 		nid := b.addNode(core.Node{
 			Kind:     core.NodeChunk,
-			Grain:    ix.ids[si],
+			Grain:    ix.id(si),
 			GrainNum: ix.grain[si],
 			Loop:     a.loop,
 			Label:    fmt.Sprintf("%d chunks · work %d", a.rest, a.work),
@@ -470,13 +459,13 @@ func (b *windowBuild) expand(si int32, rel int) {
 			}
 		}
 		label := fmt.Sprintf("%d subtrees of %s · %d tasks · %d nodes · work %d",
-			len(rest), ix.ids[si], tasks, nodes, work)
+			len(rest), ix.id(si), tasks, nodes, work)
 		if probs > 0 {
 			label += fmt.Sprintf(" · %d problems", probs)
 		}
 		nid := b.addNode(core.Node{
 			Kind:     core.NodeFragment,
-			Grain:    ix.ids[si],
+			Grain:    ix.id(si),
 			GrainNum: ix.grain[si],
 			Label:    label,
 			Start:    start,

@@ -85,7 +85,7 @@ func criticalNodes(g *core.Graph) int {
 func TestIndexRootRollup(t *testing.T) {
 	for name, s := range subjects(t) {
 		ix := Build(s.g, s.a)
-		if len(ix.ids) == 0 {
+		if len(ix.grain) == 0 {
 			t.Errorf("%s: index has no tasks", name)
 		}
 		si := ix.slot(s.g.LookupGrain(profile.RootID))

@@ -22,7 +22,7 @@ import "graingraph/internal/query"
 // Column slices are fresh copies, so plans over the table never alias the
 // index's internals.
 func (ix *Index) Table() *query.Table {
-	n := len(ix.ids)
+	n := len(ix.grain)
 	id := make([]string, n)
 	parent := make([]string, n)
 	depth := make([]int64, n)
@@ -35,9 +35,9 @@ func (ix *Index) Table() *query.Table {
 	start := make([]int64, n)
 	end := make([]int64, n)
 	for si := 0; si < n; si++ {
-		id[si] = string(ix.ids[si])
+		id[si] = string(ix.id(int32(si)))
 		if p := ix.par[si]; p >= 0 {
-			parent[si] = string(ix.ids[p])
+			parent[si] = string(ix.id(p))
 		}
 		depth[si] = int64(ix.depth[si])
 		ownwork[si] = ix.ownWork[si]

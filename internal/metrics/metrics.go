@@ -163,6 +163,8 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 		g = core.Build(tr)
 		sp.End()
 	}
+	// The row order and the report's columns.
+	sp := opts.Span.Child("metric:order")
 	num := startOrder(tr)
 	n := len(num)
 	rep := &Report{
@@ -178,11 +180,12 @@ func Analyze(tr *profile.Trace, g *core.Graph, baseline *profile.Trace, opts Opt
 		LoopLoadBalance: make(map[profile.LoopID]float64),
 		rowOf:           make([]int32, n),
 	}
+	sp.End()
 
 	// Per-grain local metrics (parallel benefit, memory-hierarchy
 	// utilization, stalls): every row is independent, so the columns and the
 	// number → row index fill across the pool.
-	sp := opts.Span.Child("metric:rows")
+	sp = opts.Span.Child("metric:rows")
 	syncShare := tr.SyncShares()
 	runpool.ParallelFor(opts.Pool, n, metricGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {

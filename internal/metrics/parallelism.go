@@ -6,33 +6,23 @@ import (
 	"graingraph/internal/profile"
 )
 
-// interval execution spans per grain: tasks contribute each fragment,
-// chunks their whole span.
-type grainSpan struct {
-	num        int32 // grain number
-	start, end profile.Time
-}
-
-func executionSpans(tr *profile.Trace) []grainSpan {
-	n := len(tr.Chunks)
-	for _, t := range tr.Tasks {
-		n += len(t.Fragments)
-	}
-	spans := make([]grainSpan, 0, n)
-	for ti, t := range tr.Tasks {
-		for i := range t.Fragments {
-			f := &t.Fragments[i]
-			if f.End > f.Start {
-				spans = append(spans, grainSpan{int32(ti), f.Start, f.End})
+// eachSpan calls visit with every grain's execution spans, by grain
+// number: a task's fragments in order, then each chunk's whole span. Empty
+// spans are skipped.
+func eachSpan(tr *profile.Trace, visit func(num int32, start, end profile.Time)) {
+	for ti := range tr.Tasks {
+		frags := tr.Tasks[ti].Fragments
+		for i := range frags {
+			if f := &frags[i]; f.End > f.Start {
+				visit(int32(ti), f.Start, f.End)
 			}
 		}
 	}
 	for j, c := range tr.Chunks {
 		if c.End > c.Start {
-			spans = append(spans, grainSpan{int32(len(tr.Tasks) + j), c.Start, c.End})
+			visit(int32(len(tr.Tasks)+j), c.Start, c.End)
 		}
 	}
-	return spans
 }
 
 // maxIntervals caps the timeline resolution: a longer run gets wider
@@ -57,7 +47,6 @@ func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts
 	nIntervals := int((makespan + interval - 1) / interval)
 	counts := make([]int, nIntervals)
 
-	spans := executionSpans(tr)
 	// A grain counts once per interval even if several of its fragments
 	// overlap the same interval: count per (grain, interval) via sweeping
 	// grain spans, deduping with a last-marked stamp per grain, indexed by
@@ -69,15 +58,15 @@ func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts
 
 	// For the conservative flavour, a grain counts only in intervals its
 	// span fully covers.
-	for _, sp := range spans {
+	eachSpan(tr, func(num int32, start, end profile.Time) {
 		var first, last int
 		if opts.Flavor == IPConservative {
 			// Intervals [i*iv, (i+1)*iv) fully inside [start,end).
-			first = int((sp.start + interval - 1) / interval)
-			last = int(sp.end/interval) - 1
+			first = int((start + interval - 1) / interval)
+			last = int(end/interval) - 1
 		} else {
-			first = int(sp.start / interval)
-			last = int((sp.end - 1) / interval)
+			first = int(start / interval)
+			last = int((end - 1) / interval)
 		}
 		if first < 0 {
 			first = 0
@@ -86,13 +75,13 @@ func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts
 			last = nIntervals - 1
 		}
 		for i := first; i <= last; i++ {
-			if lastSeen[sp.num] == int32(i) {
+			if lastSeen[num] == int32(i) {
 				continue // already counted this grain in this interval
 			}
 			counts[i]++
-			lastSeen[sp.num] = int32(i)
+			lastSeen[num] = int32(i)
 		}
-	}
+	})
 
 	// Per-grain minimum over the intervals its *execution* overlaps (its
 	// fragments — a task suspended in taskwait is not executing, so thin
@@ -101,10 +90,10 @@ func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts
 	for i := range ip {
 		ip[i] = -1
 	}
-	for _, sp := range spans {
-		row := rep.rowOf[sp.num]
-		first := int(sp.start / interval)
-		last := int((sp.end - 1) / interval)
+	eachSpan(tr, func(num int32, start, end profile.Time) {
+		row := rep.rowOf[num]
+		first := int(start / interval)
+		last := int((end - 1) / interval)
 		if last >= nIntervals {
 			last = nIntervals - 1
 		}
@@ -113,7 +102,7 @@ func instParallelism(tr *profile.Trace, rep *Report, interval profile.Time, opts
 				ip[row] = c
 			}
 		}
-	}
+	})
 	for i := range ip {
 		if ip[i] == -1 {
 			ip[i] = 0

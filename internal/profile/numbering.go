@@ -24,14 +24,16 @@ import "sync"
 // chunk IDs to the same map.
 type IDIndex struct {
 	byID map[GrainID]int32
-	dup  int32 // first task whose ID repeats an earlier task's, or -1
+	dup  int32     // first task whose ID repeats an earlier task's, or -1
+	ids  []GrainID // the task IDs it numbers
 }
 
 // NewIDIndex numbers ids[i] as task i, with room for chunks chunk IDs
 // more. Of repeated IDs the last keeps the number; Validate rejects a
-// trace that repeats one.
+// trace that repeats one. When ids has capacity for the chunk IDs too, the
+// adopting trace's Numbering takes it over as its ID table.
 func NewIDIndex(ids []GrainID, chunks int) *IDIndex {
-	x := &IDIndex{byID: make(map[GrainID]int32, len(ids)+chunks), dup: -1}
+	x := &IDIndex{byID: make(map[GrainID]int32, len(ids)+chunks), dup: -1, ids: ids}
 	for i, id := range ids {
 		before := len(x.byID)
 		x.byID[id] = int32(i)
@@ -158,9 +160,13 @@ func (tr *Trace) Lookup(id GrainID) int32 { return tr.Numbering().Lookup(id) }
 // reader handed its index over: that one takes the chunk IDs now.
 func (tr *Trace) number(loopIdx map[LoopID]int32) *Numbering {
 	nT, nC, nL := len(tr.Tasks), len(tr.Chunks), len(tr.Loops)
+	ids := make([]GrainID, 0, nT+nC)
+	if x := tr.ids; x != nil && len(x.ids) == nT && cap(x.ids) >= nT+nC {
+		ids = x.ids // the reader's task IDs, with room for the chunks'
+	}
 	nb := &Numbering{
 		Tasks: nT, Chunks: nC, Loops: nL,
-		IDs:         make([]GrainID, nT+nC),
+		IDs:         ids[:nT+nC],
 		Parent:      make([]int32, nT+nC),
 		ChunkLoop:   make([]int32, nC),
 		loopParents: make([]GrainID, nL),

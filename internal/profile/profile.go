@@ -36,7 +36,11 @@ type SrcLoc struct {
 // sized append chain rather than fmt — Sprintf's interface boxing showed
 // up in rendering profiles.
 func (l SrcLoc) String() string {
-	b := make([]byte, 0, len(l.File)+len(l.Func)+8)
+	return string(l.Append(make([]byte, 0, len(l.File)+len(l.Func)+8)))
+}
+
+// Append appends the location as String renders it.
+func (l SrcLoc) Append(b []byte) []byte {
 	b = append(b, l.File...)
 	b = append(b, ':')
 	b = strconv.AppendInt(b, int64(l.Line), 10)
@@ -45,7 +49,7 @@ func (l SrcLoc) String() string {
 		b = append(b, l.Func...)
 		b = append(b, ')')
 	}
-	return string(b)
+	return b
 }
 
 // Loc is a convenience constructor for SrcLoc.

@@ -42,12 +42,13 @@ type cutIndex struct {
 	// Positions number the nodes level by level, and within a level by
 	// ascending owner depth, so a DP pass cut at depth d visits a prefix of
 	// each level. levelOff delimits the levels, runs[runOff[l]:runOff[l+1]]
-	// are level l's runs of one depth, posNode maps positions to nodes, and
-	// pred lists each position's predecessors as positions, CSR-style: a
-	// DP pass reads and writes one position-ordered finish array.
-	levelOff, runOff, posNode []int32
-	runs                      []depthRun
-	predOff, pred             []int32
+	// are level l's runs of one depth, posNode maps positions to nodes and
+	// posOf nodes to positions, and pred lists each position's
+	// predecessors as positions, CSR-style: a DP pass reads and writes one
+	// position-ordered finish array.
+	levelOff, runOff, posNode, posOf []int32
+	runs                             []depthRun
+	predOff, pred                    []int32
 
 	// regions[regionOff[d]:regionOff[d+1]] are the slots at depth d with
 	// an entry, in entry-position order: the order a DP pass meets them.
@@ -74,14 +75,13 @@ type cutIndex struct {
 }
 
 // cutBuild is what the numbering step learns for the checking step: per
-// position, the owner slot (high half) and flags; per slot, the fragment
-// count, the slot's own fragment+chunk work (summed over its subtree by the
-// checking step), and whether its entry fragment is one of its own nodes.
+// slot, the fragment count, the slot's own fragment+chunk work (summed over
+// its subtree by the checking step), and whether its entry fragment is one
+// of its own nodes.
 type cutBuild struct {
-	perPos []profile.Time
-	frags  []int32
-	work   []profile.Time
-	exact  []bool
+	frags []int32
+	work  []profile.Time
+	exact []bool
 }
 
 // depthRun is a level's positions of one owner depth, from start to the
@@ -119,17 +119,6 @@ func (e *Engine) cuts(pool *runpool.Runner) *cutIndex {
 	return x
 }
 
-// The index build packs a node's flags, position and owner slot into one
-// word: slot<<slotShift | position<<flagBits | flags. Slots and positions
-// are non-negative int32s, so they fit.
-const (
-	fragBit   = 1 // the node is a fragment
-	entryBit  = 2 // the node is its owner slot's entry
-	flagBits  = 2
-	slotShift = 31 + flagBits
-	posMask   = 1<<slotShift - 1<<flagBits
-)
-
 // numberNodes numbers the nodes and gathers the predecessor lists, on the
 // pool.
 func numberNodes(e *Engine, pool *runpool.Runner) *cutIndex {
@@ -138,6 +127,7 @@ func numberNodes(e *Engine, pool *runpool.Runner) *cutIndex {
 	x := &cutIndex{
 		levelOff:      make([]int32, g.NumLevels()+1),
 		posNode:       make([]int32, numNodes),
+		posOf:         make([]int32, numNodes),
 		predOff:       make([]int32, numNodes+1),
 		pred:          make([]int32, g.NumEdges()),
 		regionOff:     make([]int32, depths+1),
@@ -154,15 +144,6 @@ func numberNodes(e *Engine, pool *runpool.Runner) *cutIndex {
 		n := e.ownerEntry[si]
 		b.exact[si] = n >= 0 && own.Of[n] == int32(si)
 	}
-
-	// Two node-sized tables borrow the engine's DP scratch, which the
-	// evaluations reuse. nodeAt packs each node's owner slot and flags,
-	// and, once positioned, its position. perPos first lists the nodes by
-	// depth, then packs each position's owner slot (high half) with its
-	// flags; the checking step keeps it until it is done.
-	nodeAt, perPos := e.getDense(), e.getDense()
-	defer e.putDense(nodeAt)
-	b.perPos = perPos
 	x.build = b
 
 	// In node order: per-slot sums, the overflow guard — every sum either
@@ -179,10 +160,8 @@ func numberNodes(e *Engine, pool *runpool.Runner) *cutIndex {
 		if total += w; total > math.MaxInt64 || total < w {
 			x.dense = true
 		}
-		at := uint64(si) << slotShift
 		switch g.Kind(core.NodeID(n)) {
 		case core.NodeFragment:
-			at |= fragBit
 			frags[si]++
 			work[si] += w
 		case core.NodeChunk:
@@ -194,48 +173,45 @@ func numberNodes(e *Engine, pool *runpool.Runner) *cutIndex {
 		default:
 			x.dense = true
 		}
-		if e.ownerEntry[si] == int32(n) {
-			at |= entryBit
-			if dep >= 0 {
-				x.regionOff[dep+1]++
-			}
+		if e.ownerEntry[si] == int32(n) && dep >= 0 {
+			x.regionOff[dep+1]++
 		}
-		nodeAt[n] = at
 	}
 
 	// Positions: a stable counting sort of the nodes by depth, then by
-	// level.
+	// level. posOf holds the nodes in depth order until the positions
+	// are known.
 	for k := 1; k < len(depthOff); k++ {
 		depthOff[k] += depthOff[k-1]
 	}
+	byDepth := x.posOf
 	for n := 0; n < numNodes; n++ {
-		k := own.Depth[nodeAt[n]>>slotShift] + 1
-		perPos[depthOff[k]] = uint64(n)
+		k := own.Depth[own.Of[n]] + 1
+		byDepth[depthOff[k]] = int32(n)
 		depthOff[k]++
 	}
 	for l := 1; l < len(x.levelOff); l++ {
 		x.levelOff[l] += x.levelOff[l-1]
 	}
 	levelNext := append([]int32(nil), x.levelOff...)
-	for _, n := range perPos {
+	for _, n := range byDepth {
 		l := g.Level(core.NodeID(n))
 		pos := levelNext[l]
 		levelNext[l]++
-		x.posNode[pos] = int32(n)
+		x.posNode[pos] = n
 		x.predOff[pos+1] = int32(len(g.In(core.NodeID(n))))
-		nodeAt[n] |= uint64(pos) << flagBits
+	}
+	for pos, n := range x.posNode {
+		x.posOf[n] = int32(pos)
 	}
 	for pos := 0; pos < numNodes; pos++ {
 		x.predOff[pos+1] += x.predOff[pos]
 	}
 	runpool.ParallelFor(pool, numNodes, gatherGrain, func(_, lo, hi int) {
 		for pos := lo; pos < hi; pos++ {
-			n := x.posNode[pos]
-			at := nodeAt[n]
-			perPos[pos] = at>>slotShift<<32 | at&(1<<flagBits-1)
 			preds := x.pred[x.predOff[pos]:x.predOff[pos+1]]
-			for j, ei := range g.In(core.NodeID(n)) {
-				preds[j] = int32(nodeAt[g.EdgeFrom(int(ei))] & posMask >> flagBits)
+			for j, ei := range g.In(core.NodeID(x.posNode[pos])) {
+				preds[j] = x.posOf[g.EdgeFrom(int(ei))]
 			}
 		}
 	})
@@ -246,9 +222,10 @@ func numberNodes(e *Engine, pool *runpool.Runner) *cutIndex {
 // (a)–(c) in one pass over the positions, and the subtree work summed
 // bottom-up.
 func (x *cutIndex) check(e *Engine) {
-	own, b := e.own, x.build
+	g, own, b := e.G, e.own, x.build
 	numSlots, depths := len(own.Grain), len(x.depthExact)
-	perPos, frags, work, exact := b.perPos, b.frags, b.work, b.exact
+	frags, work, exact := b.frags, b.work, b.exact
+	perPos := e.getDense()
 	defer e.putDense(perPos)
 	x.build = nil
 	x.runOff = make([]int32, len(x.levelOff))
@@ -259,9 +236,10 @@ func (x *cutIndex) check(e *Engine) {
 
 	// In position order. Regions fill in position order, so each depth's
 	// come out sorted by entry; until the bottom-up pass, a region's exit
-	// holds its slot. perPos trades each position's flags for the most
-	// fragments of its slot on a path of that slot's nodes from its entry
-	// (0: no such path).
+	// holds its slot. perPos packs each visited position's owner slot (high
+	// half) with the most fragments of its slot on a path of that slot's
+	// nodes from its entry (0: no such path); predecessors sit at earlier
+	// positions, so theirs are set when a position reads them.
 	for d := 0; d < depths; d++ {
 		x.regionOff[d+1] += x.regionOff[d]
 	}
@@ -270,8 +248,12 @@ func (x *cutIndex) check(e *Engine) {
 	best := make([]int32, numSlots)
 	for l := 0; l+1 < len(x.levelOff); l++ {
 		for pos := x.levelOff[l]; pos < x.levelOff[l+1]; pos++ {
-			b, flags := int32(perPos[pos]>>32), int32(perPos[pos])
-			isFrag, isEntry := flags&fragBit, flags&entryBit != 0
+			n := x.posNode[pos]
+			b := own.Of[n]
+			isFrag, isEntry := int32(0), e.ownerEntry[b] == n
+			if g.Kind(core.NodeID(n)) == core.NodeFragment {
+				isFrag = 1
+			}
 			dep := own.Depth[b]
 			if k := len(x.runs); pos == x.levelOff[l] || x.runs[k-1].depth != dep {
 				x.runs = append(x.runs, depthRun{start: pos, depth: dep})
@@ -340,11 +322,9 @@ func (x *cutIndex) check(e *Engine) {
 		}
 	}
 
-	// Subtree work, children before parents: depths fall by one per parent
-	// link, so descending depth order is bottom-up.
-	order := slotsByDepth(own.Depth, e.maxTaskDepth)
-	for i := len(order) - 1; i >= 0; i-- {
-		if si := order[i]; own.Parent[si] >= 0 {
+	// Subtree work, children before parents.
+	for i := len(own.ByDepth) - 1; i >= 0; i-- {
+		if si := own.ByDepth[i]; own.Parent[si] >= 0 {
 			work[own.Parent[si]] += work[si]
 		}
 	}
@@ -372,23 +352,6 @@ func (x *cutIndex) check(e *Engine) {
 // gatherGrain is the predecessor gather's chunk size in positions.
 const gatherGrain = 1 << 14
 
-// slotsByDepth counting-sorts the slots by ascending depth (-1 … maxDepth).
-func slotsByDepth(depth []int32, maxDepth int) []int32 {
-	next := make([]int32, maxDepth+3)
-	for _, d := range depth {
-		next[d+2]++
-	}
-	for i := 1; i < len(next); i++ {
-		next[i] += next[i-1]
-	}
-	order := make([]int32, len(depth))
-	for si, d := range depth {
-		order[next[d+1]] = int32(si)
-		next[d+1]++
-	}
-	return order
-}
-
 // collapse evaluates CollapseAtDepth{d} on the graph contracted at depth d
 // (d already clamped to maxTaskDepth+1). ok is false when d cannot
 // contract exactly; the caller then takes the generic path.
@@ -404,12 +367,15 @@ func (x *cutIndex) collapse(e *Engine, d int32) (work, span profile.Time, ok boo
 
 // finish is the finish-time DP over positions, returning the span. Every
 // position at a depth below d finishes at its start (the latest finish
-// among its predecessors) plus its weight w[node]; each depth-d region
-// finishes at its entry's start plus its work, written to its entry and
-// exit; deeper positions, and the regions' other nodes, are skipped — by
-// (a)–(c) nothing outside a region reads them. With d = noCut it is the
-// plain DP of the dense weight vector w, whose span equals
-// metrics.CriticalSpan's. fin is scratch of one element per node.
+// among its predecessors) plus its weight; each depth-d region finishes at
+// its entry's start plus its work, written to its entry and exit; deeper
+// positions, and the regions' other nodes, are skipped — by (a)–(c)
+// nothing outside a region reads them. With d = noCut it is the plain DP
+// of the dense weight vector, whose span equals metrics.CriticalSpan's.
+// fin is one element per position. The weights are w, by node, or, when w
+// is nil, fin's own contents, by position, which the DP overwrites with
+// the finish times: a position's predecessors sit at earlier positions,
+// so each weight is read before its finish time replaces it.
 func (x *cutIndex) finish(w []profile.Time, d int32, fin []profile.Time) profile.Time {
 	cut := d != noCut
 	var regions []region
@@ -432,7 +398,12 @@ func (x *cutIndex) finish(w []profile.Time, d int32, fin []profile.Time) profile
 			shallow, end = x.cutLevel(l, d)
 		}
 		for i := x.levelOff[l]; i < shallow; i++ {
-			f := start(i) + w[x.posNode[i]]
+			f := start(i)
+			if w != nil {
+				f += w[x.posNode[i]]
+			} else {
+				f += fin[i]
+			}
 			fin[i] = f
 			span = max(span, f)
 		}

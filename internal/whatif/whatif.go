@@ -162,14 +162,17 @@ type Engine struct {
 	dagOnce, cutOnce sync.Once
 	cut              *cutIndex
 
-	// scratch is a free list of node-sized buffers: dense weight vectors,
-	// DP finish times, the collapse accumulator and the cutoff index's
-	// build tables. Without reuse each dense evaluation allocates tens of
-	// MB that the collector has to chase. A plain list, unlike a
-	// sync.Pool, hands a buffer one worker returned to the next worker
-	// that asks.
+	// scratch is a free list of node-sized buffers, one per dense
+	// evaluation in flight: a spilled weight vector, which the fallback DP
+	// overwrites with finish times in place, or the contracted DP's finish
+	// times; the index check borrows one for its path counts. Without reuse
+	// each dense evaluation allocates tens of MB that the collector has to
+	// chase. A plain list, unlike a sync.Pool, hands a buffer one worker
+	// returned to the next worker that asks. made counts the buffers
+	// allocated.
 	scratchMu sync.Mutex
 	scratch   [][]profile.Time
+	made      int
 
 	sparseEvals, contractedEvals, fullEvals, fallbackEvals atomic.Uint64
 }
@@ -184,6 +187,7 @@ func (e *Engine) getDense() []profile.Time {
 		e.scratch = e.scratch[:k-1]
 		return b
 	}
+	e.made++
 	return make([]profile.Time, e.G.NumNodes())
 }
 
@@ -308,19 +312,27 @@ type weightOverlay struct {
 	dense   []profile.Time // non-nil once spilled: the full edited vector
 	spillAt int
 	delta   int64
-	// alloc, when set, supplies the dense buffer on spill (pooled scratch
-	// from the engine); nil allocates fresh.
-	alloc func() []profile.Time
+	// e supplies the dense buffer on spill, from its scratch list, laid
+	// out in the order of e's cutoff index, where the fallback DP runs in
+	// place; byNode keeps node order instead. order is the index the
+	// spilled vector follows (nil: node order).
+	e      *Engine
+	byNode bool
+	order  *cutIndex
 }
 
-func newOverlay(base []profile.Time, spillAt int) *weightOverlay {
-	return &weightOverlay{base: base, spillAt: spillAt}
+// slot returns node n's index in the dense vector.
+func (v *weightOverlay) slot(n core.NodeID) int {
+	if v.order != nil {
+		return int(v.order.posOf[n])
+	}
+	return int(n)
 }
 
 // At returns node n's effective weight under the edits so far.
 func (v *weightOverlay) At(n core.NodeID) profile.Time {
 	if v.dense != nil {
-		return v.dense[n]
+		return v.dense[v.slot(n)]
 	}
 	if w, ok := v.edits[n]; ok {
 		return w
@@ -338,7 +350,7 @@ func (v *weightOverlay) Set(n core.NodeID, w profile.Time) {
 	}
 	v.delta += int64(w) - int64(old)
 	if v.dense != nil {
-		v.dense[n] = w
+		v.dense[v.slot(n)] = w
 		return
 	}
 	if v.edits == nil {
@@ -356,14 +368,17 @@ func (v *weightOverlay) spill() {
 	if v.dense != nil {
 		return
 	}
-	if v.alloc != nil {
-		v.dense = v.alloc()
+	v.dense = v.e.getDense()
+	if v.byNode {
+		copy(v.dense, v.base)
 	} else {
-		v.dense = make([]profile.Time, len(v.base))
+		v.order = v.e.dag(nil)
+		for i, n := range v.order.posNode {
+			v.dense[i] = v.base[n]
+		}
 	}
-	copy(v.dense, v.base)
 	for n, w := range v.edits {
-		v.dense[n] = w
+		v.dense[v.slot(n)] = w
 	}
 	v.edits = nil
 }
@@ -412,8 +427,9 @@ func (e *Engine) eval(h Hypothesis, forceFull bool) Projection {
 		maxDirty = spillMinEdits
 	}
 
-	v := newOverlay(e.baseW, spillAt)
-	v.alloc = e.getDense
+	// A spilled vector is laid out for the fallback DP, except the
+	// oracle's, which the analysis's own DP reads by node.
+	v := &weightOverlay{base: e.baseW, spillAt: spillAt, e: e, byNode: forceFull}
 	if forceFull {
 		v.spill()
 	}
@@ -449,9 +465,7 @@ func (e *Engine) eval(h Hypothesis, forceFull bool) Projection {
 		if forceFull {
 			span = metrics.CriticalSpan(e.G, v.dense, nil)
 		} else {
-			dist := e.getDense()
-			span = e.dag(nil).finish(v.dense, noCut, dist)
-			e.putDense(dist)
+			span = v.order.finish(nil, noCut, v.dense)
 		}
 		fsp.End()
 		e.fullEvals.Add(1)
@@ -696,10 +710,10 @@ func (h CollapseSubtree) apply(e *Engine, v *weightOverlay) bool {
 	if root < 0 || e.ownerEntry[root] < 0 {
 		return false
 	}
-	entry, inSubtree := e.ownerEntry[root], e.subtreeOf(root)
+	inSubtree := e.subtreeOf(root)
 	collapseInto(e, v, e.own.Depth[root], func(si int32) int32 {
 		if inSubtree(si) {
-			return entry
+			return root
 		}
 		return -1
 	})
@@ -721,18 +735,23 @@ func (h CollapseAtDepth) Approximate() bool { return true }
 
 func (h CollapseAtDepth) apply(e *Engine, v *weightOverlay) bool {
 	d := e.cutDepth(h.Depth)
-	rootEntry := newRootEntryCache(len(e.ownerEntry))
+	rootOf := make([]int32, len(e.ownerEntry))
+	for i := range rootOf {
+		rootOf[i] = rootUnresolved
+	}
 	var resolve func(si int32) int32
 	resolve = func(si int32) int32 {
-		if r := rootEntry[si]; r != entryUnresolved {
+		if r := rootOf[si]; r != rootUnresolved {
 			return r
 		}
 		r := int32(-1)
 		switch dep := e.own.Depth[si]; {
 		case dep < d:
 			// Above the cutoff, or not on a task path at all: untouched.
+		case dep == d && e.ownerEntry[si] >= 0:
+			r = si
 		case dep == d:
-			r = e.ownerEntry[si]
+			// A root without an entry fragment keeps its subtree.
 		default:
 			// Strict descendant: its root is its ancestor's root. The parent
 			// closure guarantees the chain up to depth d exists.
@@ -740,7 +759,7 @@ func (h CollapseAtDepth) apply(e *Engine, v *weightOverlay) bool {
 				r = resolve(p)
 			}
 		}
-		rootEntry[si] = r
+		rootOf[si] = r
 		return r
 	}
 	collapseInto(e, v, d, resolve)
@@ -760,44 +779,34 @@ func (e *Engine) cutDepth(depth int) int32 {
 	return int32(depth)
 }
 
-// entryUnresolved marks a rootEntry cache slot whose collapse root has not
-// been resolved yet; resolved slots hold the root's entry node or -1 for
-// "leave this owner's nodes untouched" (outside every collapsed region, or
-// the region's root has no entry fragment to absorb the work).
-const entryUnresolved = int32(-2)
-
-func newRootEntryCache(n int) []int32 {
-	c := make([]int32, n)
-	for i := range c {
-		c[i] = entryUnresolved
-	}
-	return c
-}
+// rootUnresolved marks a slot whose collapse root has not been resolved
+// yet; resolved slots hold the root's slot or -1 for "leave this owner's
+// nodes untouched" (outside every collapsed region, or the region's root
+// has no entry fragment to absorb the work).
+const rootUnresolved = int32(-2)
 
 // collapseInto is the shared serialization machinery behind both collapse
-// hypotheses: rootEntryOf resolves an owner-task slot to the entry fragment
-// absorbing its collapsed region (-1: untouched). Within a region, fork/
-// join/book-keeping weights vanish; fragment weights of strict descendants
-// — recognized by depth, since inside a region only the root itself sits at
-// rootDepth — and chunk weights of owned loops accumulate into the entry.
-// Roots without an entry keep their subtree unmodified rather than dropping
-// its work (rootEntryOf already returns -1 for them).
+// hypotheses: rootOf resolves an owner-task slot to the root slot of its
+// collapsed region (-1: untouched), whose entry fragment absorbs the
+// region. Within a region, fork/join/book-keeping weights vanish; fragment
+// weights of strict descendants — recognized by depth, since inside a
+// region only the root itself sits at rootDepth — and chunk weights of
+// owned loops accumulate into the entry. Roots without an entry keep their
+// subtree unmodified rather than dropping its work (rootOf already returns
+// -1 for them).
 //
 // One pass over the node table with nothing but array reads per node, plus
-// a dense moved-work accumulator indexed by entry node: the overlay read of
-// a node precedes its own write, so moved sums see baseline weights exactly
+// a moved-work accumulator indexed by root slot: the overlay read of a
+// node precedes its own write, so moved sums see baseline weights exactly
 // as a one-shot vector edit would.
-func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootEntryOf func(si int32) int32) {
+func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootOf func(si int32) int32) {
 	g := e.G
-	numNodes := core.NodeID(g.NumNodes())
-	moved := e.getDense()
-	clear(moved)
-	defer e.putDense(moved)
+	moved := make([]profile.Time, len(e.ownerEntry))
 	any := false
-	for n := core.NodeID(0); n < numNodes; n++ {
+	for n := core.NodeID(0); n < core.NodeID(g.NumNodes()); n++ {
 		si := e.own.Of[n]
-		entry := rootEntryOf(si)
-		if entry < 0 {
+		root := rootOf(si)
+		if root < 0 {
 			continue
 		}
 		switch g.Kind(n) {
@@ -806,12 +815,12 @@ func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootEntryOf func
 			v.Set(n, 0)
 		case core.NodeFragment:
 			if e.own.Depth[si] != rootDepth {
-				moved[entry] += v.At(n)
+				moved[root] += v.At(n)
 				v.Set(n, 0)
 				any = true
 			}
 		case core.NodeChunk:
-			moved[entry] += v.At(n)
+			moved[root] += v.At(n)
 			v.Set(n, 0)
 			any = true
 		}
@@ -819,8 +828,9 @@ func collapseInto(e *Engine, v *weightOverlay, rootDepth int32, rootEntryOf func
 	if !any {
 		return
 	}
-	for n := core.NodeID(0); n < numNodes; n++ {
-		if m := moved[n]; m != 0 {
+	for root, m := range moved {
+		if m != 0 {
+			n := core.NodeID(e.ownerEntry[root])
 			v.Set(n, v.At(n)+m)
 		}
 	}

@@ -443,3 +443,57 @@ func TestNewAdoptsTheReportsBaseline(t *testing.T) {
 		t.Error("New adopted a baseline computed on another graph")
 	}
 }
+
+// TestDenseEvalsExactUnderConcurrency runs only dense evaluations — a
+// whole-report de-inflation, which spills up front, and grain scalings
+// whose dirty cone passes the fallback fraction — several at once on a
+// pool, then pins each projection to the EvalFull oracle bit for bit. The
+// engine may make one dense buffer per evaluation in flight, never more.
+func TestDenseEvalsExactUnderConcurrency(t *testing.T) {
+	fib := func(c rts.Ctx) {
+		data := c.Alloc("data", 1<<20)
+		var fib func(c rts.Ctx, n int)
+		fib = func(c rts.Ctx, n int) {
+			c.Compute(30)
+			if n < 2 {
+				c.Load(data, int64(n)*4096, 4096) // shared lines: inflation on many cores
+				return
+			}
+			c.Spawn(profile.Loc("fib.go", 1, "fib"), func(c rts.Ctx) { fib(c, n-1) })
+			c.Spawn(profile.Loc("fib.go", 2, "fib"), func(c rts.Ctx) { fib(c, n-2) })
+			c.TaskWait()
+			c.Compute(10)
+		}
+		fib(c, 18)
+	}
+	tr := rts.Run(rts.Config{Program: "fib", Cores: 8, Seed: 1}, fib)
+	base := rts.Run(rts.Config{Program: "fib", Cores: 1, Seed: 1}, fib)
+	g := core.Build(tr)
+	rep := metrics.Analyze(tr, g, base, metrics.Options{})
+	e := New(g, rep)
+	if z := (ZeroInflation{All: true}); !e.inflated || !z.likelyDense(e) {
+		t.Fatalf("%d nodes, inflated %v: de-inflation would not spill up front", g.NumNodes(), e.inflated)
+	}
+	hs := []Hypothesis{
+		ZeroInflation{All: true},
+		ScaleGrain{Grain: profile.RootID, Factor: 0.5},
+		ScaleGrain{Grain: profile.RootID, Factor: 2},
+		ScaleGrain{Grain: "R.0", Factor: 0.25},
+		ScaleGrain{Grain: "R.0", Factor: 3, Subtree: true},
+		ZeroInflation{All: true},
+	}
+	const workers = 3
+	got := e.EvalAll(runpool.New(workers), hs)
+	if st := e.Stats(); st.Fallback != uint64(len(hs)) || st.Sparse != 0 {
+		t.Fatalf("stats %+v: want all %d evaluations on the dense fallback", st, len(hs))
+	}
+	t.Logf("%d nodes, %d dense buffers made", g.NumNodes(), e.made)
+	if e.made > workers {
+		t.Errorf("%d dense buffers made for at most %d evaluations in flight", e.made, workers)
+	}
+	for i, h := range hs {
+		if want := e.EvalFull(h); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%q: dense projection differs from the oracle:\ngot:  %+v\nwant: %+v", h.Label(), got[i], want)
+		}
+	}
+}
