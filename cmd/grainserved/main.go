@@ -38,7 +38,6 @@ func main() {
 		listen  = flag.String("listen", "127.0.0.1:8080", "address to listen on")
 		store   = flag.String("store", "", "artifact store directory (required)")
 		workers = flag.Int("j", runtime.GOMAXPROCS(0), "analysis pool worker count")
-		admit   = flag.Int("admit", 0, "max concurrently admitted analyses (0 = same as -j)")
 		cache   = flag.Int("cache", 64, "max in-memory analyzed artifacts (0 = unbounded)")
 		verbose = flag.Bool("v", false, "log every request to stderr")
 		debug   = flag.Bool("debug", false, "expose POST /debug/evict (drops all warm caches; for cold-path load testing only)")
@@ -53,7 +52,6 @@ func main() {
 		Dir:         *store,
 		Workers:     *workers,
 		AnalysisCap: *cache,
-		Admit:       *admit,
 		Verbose:     *verbose,
 		Debug:       *debug,
 	})

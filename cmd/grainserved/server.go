@@ -31,15 +31,13 @@ type serverConfig struct {
 	// <hex(KeyOfBytes(body))>.ggp, rendered responses are memoized under
 	// Dir/memo.
 	Dir string
-	// Workers bounds the analysis pool shared by all requests.
+	// Workers bounds the analysis pool shared by all requests and the
+	// fair queue's slot count (concurrently admitted analyses).
 	Workers int
 	// AnalysisCap bounds the in-memory analyzed-artifact cache (entries);
 	// <= 0 keeps it unbounded. Render and decode caches scale from it.
 	AnalysisCap int
-	// Admit bounds concurrently admitted analyses (the fair queue's slot
-	// count); <= 0 selects Workers.
-	Admit   int
-	Verbose bool
+	Verbose     bool
 	// Debug exposes the test-only /debug/evict endpoint (the benchmark's
 	// serve workload uses it to measure cold-path latency). Off by
 	// default: eviction is not something production clients should reach.
@@ -76,14 +74,10 @@ func newServer(cfg serverConfig) (*server, error) {
 	if err := os.MkdirAll(filepath.Join(cfg.Dir, "memo"), 0o755); err != nil {
 		return nil, err
 	}
-	admit := cfg.Admit
-	if admit <= 0 {
-		admit = cfg.Workers
-	}
 	s := &server{
 		cfg:      cfg,
 		pool:     runpool.New(cfg.Workers),
-		gate:     newFairGate(admit),
+		gate:     newFairGate(cfg.Workers),
 		mux:      http.NewServeMux(),
 		decodes:  runpool.NewCache[*ggp.Decoded](),
 		analyses: runpool.NewCache[*expt.Subject](),

@@ -3,8 +3,8 @@
 // Brorsson — PPoPP 2016): a grain-level performance-analysis method for
 // task- and loop-parallel programs, together with every substrate the
 // paper's evaluation depends on, rebuilt as a simulated 48-core NUMA
-// machine, an OpenMP-like tasking runtime, the paper's benchmark programs
-// (bugs included), and a native goroutine executor.
+// machine, an OpenMP-like tasking runtime and the paper's benchmark
+// programs (bugs included).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the paper-versus-measured record of every table and
@@ -14,9 +14,8 @@
 //
 // The runnable examples (example_test.go) walk the method end to end:
 // Example_quickstart profiles a task-parallel Fibonacci, Example_kdtreeBug
-// finds 376.kdtree's missing depth increment, Example_freqminePack
-// bin-packs Freqmine's imbalanced loop, and Example_native grain-graphs a
-// real Go mergesort on the native executor. `go test .` runs them and
+// finds 376.kdtree's missing depth increment, and Example_freqminePack
+// bin-packs Freqmine's imbalanced loop. `go test .` runs them and
 // checks their output, and TestEveryInternalFunctionLinked (reach_test.go)
 // checks that every function under internal/ is linked by a shipped binary
 // or allow-listed with its reason.

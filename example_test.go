@@ -9,7 +9,6 @@ import (
 
 	"graingraph/internal/binpack"
 	"graingraph/internal/core"
-	"graingraph/internal/exec"
 	"graingraph/internal/export"
 	"graingraph/internal/expt"
 	"graingraph/internal/highlight"
@@ -207,62 +206,4 @@ func dominantLoop(tr *profile.Trace) *profile.LoopRecord {
 		}
 	}
 	return best
-}
-
-// Profile a real Go mergesort, with no simulation, on the native
-// work-stealing executor and build its grain graph from wall-clock
-// timestamps: grain graphs are "independent of profiling method". Only
-// what does not depend on wall time is printed.
-func Example_native() {
-	data := make([]int, 1<<18)
-	for i := range data {
-		data[i] = (i * 2654435761) % (1 << 20)
-	}
-	tmp := make([]int, len(data))
-
-	var msort func(c exec.Ctx, lo, hi int)
-	msort = func(c exec.Ctx, lo, hi int) {
-		if hi-lo <= 1<<13 {
-			sort.Ints(data[lo:hi])
-			return
-		}
-		mid := (lo + hi) / 2
-		c.Spawn(profile.Loc("example_test.go", 230, "msort"), func(c exec.Ctx) { msort(c, lo, mid) })
-		c.Spawn(profile.Loc("example_test.go", 231, "msort"), func(c exec.Ctx) { msort(c, mid, hi) })
-		c.TaskWait()
-		merge(data, tmp, lo, mid, hi)
-	}
-	trace := exec.Run(exec.Config{Program: "native-msort"}, func(c exec.Ctx) { msort(c, 0, len(data)) })
-	fmt.Printf("sorted %d ints: %v\n", len(data), sort.IntsAreSorted(data))
-
-	g := core.Build(trace)
-	if err := g.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	metrics.Analyze(trace, g, nil, metrics.Options{})
-	core.Layout(g)
-	if err := export.GraphML(io.Discard, g, nil, export.ViewCritical, nil); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("grains: %d\n", trace.NumGrains())
-	// Output:
-	// sorted 262144 ints: true
-	// grains: 63
-}
-
-func merge(d, t []int, lo, mid, hi int) {
-	i, j, k := lo, mid, lo
-	for i < mid && j < hi {
-		if d[i] <= d[j] {
-			t[k] = d[i]
-			i++
-		} else {
-			t[k] = d[j]
-			j++
-		}
-		k++
-	}
-	copy(t[k:hi], d[i:mid])
-	copy(t[k:hi], d[j:hi])
-	copy(d[lo:hi], t[lo:hi])
 }

@@ -91,6 +91,16 @@ func TestPipelineInvariantsOnRandomTrees(t *testing.T) {
 				seed, rep.CriticalPathLength, tr.Makespan())
 		}
 
+		// Per-worker busy time is exactly the work run on that worker, under
+		// both schedulers and every runtime flavour.
+		for _, sc := range []rts.SchedulerKind{rts.WorkStealing, rts.CentralQueueSched} {
+			for _, fl := range []rts.Flavor{rts.FlavorMIR, rts.FlavorGCC, rts.FlavorICC} {
+				btr := rts.Run(rts.Config{Program: "rand", Cores: tr.Cores, Seed: seed,
+					Scheduler: sc, Flavor: fl}, loopedTree(seed))
+				checkWorkerBusy(t, seed, sc, fl, btr)
+			}
+		}
+
 		// Layout never overlaps two nodes at the same position.
 		core.Layout(rg)
 		type pos struct{ x, y float64 }
@@ -117,6 +127,42 @@ func TestPipelineInvariantsOnRandomTrees(t *testing.T) {
 				}
 				t.Fatalf("seed %d: GraphML malformed: %v", seed, err)
 			}
+		}
+	}
+}
+
+// loopedTree is randomTree followed by a dynamically scheduled loop, so a
+// run records loop chunks as well as task fragments.
+func loopedTree(seed uint64) func(rts.Ctx) {
+	tree := randomTree(seed)
+	return func(c rts.Ctx) {
+		tree(c)
+		c.For(profile.Loc("rand.go", 99, "loop"), 0, 64, rts.ForOpt{Schedule: profile.ScheduleDynamic, Chunk: 4},
+			func(c rts.Ctx, lo, hi int) { c.Compute(uint64(hi-lo) * (300 + seed*50)) })
+	}
+}
+
+// checkWorkerBusy asserts the first exact-accounting law: each worker's
+// busy time equals the summed durations of the task fragments on its core
+// plus the loop chunks on its thread.
+func checkWorkerBusy(t *testing.T, seed uint64, sc rts.SchedulerKind, fl rts.Flavor, tr *profile.Trace) {
+	t.Helper()
+	if len(tr.Chunks) == 0 {
+		t.Fatalf("seed %d %v %v: the run recorded no loop chunks", seed, sc, fl)
+	}
+	sum := make([]profile.Time, len(tr.Workers))
+	for _, task := range tr.Tasks {
+		for i := range task.Fragments {
+			sum[task.Fragments[i].Core] += task.Fragments[i].Duration()
+		}
+	}
+	for _, ck := range tr.Chunks {
+		sum[ck.Thread] += ck.Duration()
+	}
+	for w := range tr.Workers {
+		if tr.Workers[w].Busy != sum[w] {
+			t.Errorf("seed %d %v %v: worker %d busy %d, its fragments and chunks sum to %d",
+				seed, sc, fl, w, tr.Workers[w].Busy, sum[w])
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package ggp implements the grain-graph profile (GGP) artifact: a
 // versioned on-disk encoding of a profile.Trace that splits recording from
-// analysis. A runtime (simulated or native) emits records into a Writer as
-// one artifact per run; grainview, grainserved and the experiment engine
+// analysis. The simulated runtime emits records into a Writer as one
+// artifact per run; grainview, grainserved and the experiment engine
 // read the artifact's bytes back with Decode and obtain a trace that
 // analyzes byte-identically to the live-simulated path.
 //

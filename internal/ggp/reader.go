@@ -26,8 +26,10 @@ import (
 // than its kind's smallest encoding is not counted, so the slabs never
 // hold more records than the input could encode; it reads the task IDs
 // too, so references resolve as the records decode. A task's fragments,
-// boundaries and joined lists are carved from chunked slabs, whose counts
-// the frame headers do not show. Source-location file and function names,
+// boundaries and joined lists are carved from chunked slabs
+// (profile.Carve), whose counts the frame headers do not show; each count
+// is bounded by the payload (see count), so a hostile count cannot force a
+// large chunk. Source-location file and function names,
 // shared by thousands of records, are allocated once per decode.
 func readTrace(data []byte) (*profile.Trace, error) {
 	off := len(Magic) + 1
@@ -201,26 +203,6 @@ func slab[T any](ptrs *[]*T, n int) []T {
 	*ptrs = make([]*T, 0, n)
 	return make([]T, n)
 }
-
-// carve returns the next n zeroed elements of slab *s, with cap == len, the
-// way the runtime carves its records (rts/records.go). A new chunk starts
-// when the current one has no room; chunks double from slabMin elements up
-// to slabMax, so a small decode allocates little and a large one wastes at
-// most one part-filled chunk per slab. n is bounded by the payload (see
-// count), so a hostile count cannot force a large chunk.
-func carve[T any](s *[]T, n int) []T {
-	if cap(*s)-len(*s) < n {
-		*s = make([]T, 0, max(n, min(2*cap(*s), slabMax), slabMin))
-	}
-	i := len(*s)
-	*s = (*s)[:i+n]
-	return (*s)[i : i+n : i+n]
-}
-
-const (
-	slabMin = 16
-	slabMax = 1024
-)
 
 // at returns the slab's i-th record, or a fresh one past its end: a section
 // too short to be counted still reaches its decoder, which rejects it.
@@ -455,7 +437,7 @@ func (d *decoder) task(t *profile.TaskRecord, k int) error {
 		return err
 	}
 	if nf > 0 {
-		t.Fragments = carve(&d.frags, nf)
+		t.Fragments = profile.Carve(&d.frags, nf)
 	}
 	for i := range t.Fragments {
 		f := &t.Fragments[i]
@@ -478,7 +460,7 @@ func (d *decoder) task(t *profile.TaskRecord, k int) error {
 		return err
 	}
 	if nb > 0 {
-		t.Boundaries = carve(&d.bounds, nb)
+		t.Boundaries = profile.Carve(&d.bounds, nb)
 	}
 	for i := range t.Boundaries {
 		b := &t.Boundaries[i]
@@ -505,7 +487,7 @@ func (d *decoder) task(t *profile.TaskRecord, k int) error {
 			return err
 		}
 		if nj > 0 {
-			b.Joined = carve(&d.joins, nj)
+			b.Joined = profile.Carve(&d.joins, nj)
 			for j := range b.Joined {
 				if b.Joined[j], err = d.ref(t.ID, "joined grain"); err != nil {
 					return err

@@ -180,6 +180,11 @@ func EvaluateObs(rep *metrics.Report, th Thresholds, pool *runpool.Runner, paren
 	n := rep.Len()
 	a := &Assessment{Thresholds: th, Report: rep, Mask: make([]Problem, n)}
 	t := MetricTable(rep)
+	// No artifact reaches either panic: the predicates are ProblemQuery's,
+	// whose thresholds are constants except ParallelismMin (a core count
+	// Trace.Validate bounds to [0, MaxInt32]) and the caller's
+	// WorkDeviationMax. TestProblemPredicatesBind parses and binds them
+	// all over MetricTable across that range.
 	match := make([][]bool, len(AllProblems))
 	for pi, p := range AllProblems {
 		e, err := query.ParseExpr(ProblemQuery(p, th))

@@ -1,11 +1,13 @@
 package highlight
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"graingraph/internal/metrics"
 	"graingraph/internal/profile"
+	"graingraph/internal/query"
 	"graingraph/internal/rts"
 )
 
@@ -268,5 +270,30 @@ func TestUnknownScatterNotFlagged(t *testing.T) {
 	}
 	if !has(a, "s", HighScatter) {
 		t.Error("genuinely scattered grain not flagged")
+	}
+}
+
+// TestProblemPredicatesBind pins why EvaluateObs's two panics are
+// unreachable: every problem's predicate parses and binds over MetricTable
+// at the core counts Trace.Validate admits, from 0 to MaxInt32, and at the
+// work-deviation cut-offs the experiments use.
+func TestProblemPredicatesBind(t *testing.T) {
+	rep := handReport("a", "b")
+	tab := MetricTable(rep)
+	for _, cores := range []int{0, 1, 48, math.MaxInt32} {
+		for _, wdev := range []float64{2, 1.2} {
+			th := Defaults(cores, 12)
+			th.WorkDeviationMax = wdev
+			for _, p := range AllProblems {
+				q := ProblemQuery(p, th)
+				e, err := query.ParseExpr(q)
+				if err != nil {
+					t.Fatalf("cores %d, workdev %g: %q does not parse: %v", cores, wdev, q, err)
+				}
+				if err := e.EvalBool(tab, nil, make([]bool, rep.Len())); err != nil {
+					t.Fatalf("cores %d, workdev %g: %q does not bind: %v", cores, wdev, q, err)
+				}
+			}
+		}
 	}
 }

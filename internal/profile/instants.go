@@ -8,8 +8,8 @@ import (
 // Trace.Scheduler names of the simulated runtime's two schedulers. Only
 // work-stealing tasks change worker by stealing, and only these two names
 // have deque or central-queue operations derived for them (see
-// WorkerCounts); any other scheduler, such as the native executor's, has
-// neither.
+// WorkerCounts); a trace naming any other scheduler (only an artifact
+// can) has neither.
 const (
 	SchedulerWorkStealing = "work-stealing"
 	SchedulerCentralQueue = "central-queue"

@@ -1,6 +1,6 @@
 // Package profile defines the grain-level performance records produced by
-// the runtimes (simulated and native) and consumed by the grain-graph
-// builder and the metric derivations.
+// the simulated runtime (or read back from an artifact) and consumed by the
+// grain-graph builder and the metric derivations.
 //
 // The record set mirrors what the paper's MIR profiler captures at
 // OMPT-like events: per-task fragments delimited by fork and join points,
@@ -18,7 +18,7 @@ import (
 	"graingraph/internal/cache"
 )
 
-// Time is virtual (or native nanosecond) time. All records in one Trace use
+// Time is virtual time in simulated cycles. All records in one Trace use
 // the same clock.
 type Time = uint64
 

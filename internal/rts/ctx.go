@@ -98,7 +98,7 @@ func (c *taskCtx) Spawn(loc profile.SrcLoc, body func(Ctx)) {
 		w.count.QueueOps++
 		w.clock = done
 		child.readyAt = done
-		rt.central.Enqueue(child)
+		rt.central.PushBottom(child)
 	} else {
 		w.deque.PushBottom(child)
 		w.count.Pushes++

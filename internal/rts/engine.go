@@ -74,9 +74,9 @@ type runtime struct {
 	hier *cache.Hierarchy
 
 	workers     []*worker
-	central     sched.CentralQueue[*task]
-	centralFree sim.Time // central queue availability (lock serialization)
-	queued      int      // tasks currently in queues (GCC throttle)
+	central     sched.Deque[*task] // central-queue scheduler: used FIFO only
+	centralFree sim.Time           // central queue availability (lock serialization)
+	queued      int                // tasks currently in queues (GCC throttle)
 
 	rng *rand.Rand
 	pcg *rand.PCG // rng's source, so tests can snapshot and restore it
@@ -245,7 +245,7 @@ func (rt *runtime) bestAction() (action, bool) {
 				at: sim.MaxTime(w.clock, t.readyAt) + rt.cfg.Costs.Pop})
 		}
 		if rt.cfg.Scheduler == CentralQueueSched {
-			if t, ok := rt.central.Peek(); ok {
+			if t, ok := rt.central.PeekTop(); ok {
 				at := sim.MaxTime(sim.MaxTime(w.clock, rt.centralFree), t.readyAt) +
 					rt.cfg.Costs.QueueOp
 				consider(action{w: w, t: t, kind: actCentral, at: at})
@@ -299,7 +299,7 @@ func (rt *runtime) perform(a action) {
 		w.clock = a.at
 		w.count.Steals++
 	case actCentral:
-		t, _ := rt.central.Dequeue()
+		t, _ := rt.central.StealTop()
 		if t != a.t {
 			panic("rts: central queue changed between peek and pop")
 		}

@@ -53,16 +53,6 @@ func dequeTasks(d *sched.Deque[*task]) []*task {
 	return out
 }
 
-// centralTasks lists q's tasks oldest first and leaves q as it was.
-func centralTasks(q *sched.CentralQueue[*task]) []*task {
-	out := make([]*task, q.Len())
-	for i := range out {
-		out[i], _ = q.Dequeue()
-		q.Enqueue(out[i])
-	}
-	return out
-}
-
 // reachable lists every task the runtime can reach between steps: from the
 // root, the forced slots, the resume stacks and the queues, following
 // parent and notifyOnDone pointers. Each task maps to the kind of place
@@ -89,7 +79,7 @@ func (rt *runtime) reachable() map[*task]string {
 			visit(t, "a deque")
 		}
 	}
-	for _, t := range centralTasks(&rt.central) {
+	for _, t := range dequeTasks(&rt.central) {
 		visit(t, "the central queue")
 	}
 	return seen

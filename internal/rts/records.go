@@ -21,29 +21,9 @@ type records struct {
 	freeJoins  freeList[int32]
 }
 
-// Slab chunks double from slabMin elements up to slabMax, so a small run
-// allocates little and a large one wastes at most one part-filled chunk
-// per slab.
-const (
-	slabMin = 16
-	slabMax = 1024
-)
-
-// carve returns the next n zeroed elements of slab *s, with cap == len so
-// appending to the result never writes into a neighbour. A new chunk starts
-// when the current one has no room.
-func carve[T any](s *[]T, n int) []T {
-	if cap(*s)-len(*s) < n {
-		*s = make([]T, 0, max(n, min(2*cap(*s), slabMax), slabMin))
-	}
-	i := len(*s)
-	*s = (*s)[:i+n]
-	return (*s)[i : i+n : i+n]
-}
-
 // store puts record v into slab *s and returns its address.
 func store[T any](s *[]T, v T) *T {
-	p := &carve(s, 1)[0]
+	p := &profile.Carve(s, 1)[0]
 	*p = v
 	return p
 }
@@ -53,7 +33,7 @@ func keep[T any](s *[]T, x []T) []T {
 	if len(x) == 0 {
 		return nil
 	}
-	out := carve(s, len(x))
+	out := profile.Carve(s, len(x))
 	copy(out, x)
 	return out
 }

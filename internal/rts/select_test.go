@@ -49,7 +49,7 @@ func (rt *runtime) bestActionScan() (action, bool) {
 				at: sim.MaxTime(w.clock, t.readyAt) + rt.cfg.Costs.Pop})
 		}
 		if rt.cfg.Scheduler == CentralQueueSched {
-			if t, ok := rt.central.Peek(); ok {
+			if t, ok := rt.central.PeekTop(); ok {
 				at := sim.MaxTime(sim.MaxTime(w.clock, rt.centralFree), t.readyAt) +
 					rt.cfg.Costs.QueueOp
 				consider(action{w: w, t: t, kind: actCentral, at: at})

@@ -1,15 +1,11 @@
-// Package sched provides the scheduler queue structures used by both the
-// simulated runtime (internal/rts) and the native executor (internal/exec):
-//
-//   - Deque: a plain double-ended work-stealing queue. The simulator is
-//     logically single-threaded, so no synchronization is needed; the owner
-//     pushes and pops at the bottom (LIFO) and thieves steal from the top
-//     (FIFO), matching the Chase-Lev discipline the paper's MIR runtime uses.
-//   - ChaseLev: a lock-free dynamic circular work-stealing deque
-//     (Chase & Lev, SPAA'05) built on sync/atomic for the native executor.
-//   - CentralQueue: a single FIFO shared by all workers, the paper's
-//     "central queue-based task scheduler" baseline whose scatter behaviour
-//     Figure 11d demonstrates.
+// Package sched provides the scheduler queue of the simulated runtime
+// (internal/rts): Deque, a plain double-ended queue. The simulator is
+// logically single-threaded, so no synchronization is needed. A
+// work-stealing worker pushes and pops at the bottom (LIFO) and thieves
+// steal from the top (FIFO), matching the Chase-Lev discipline the paper's
+// MIR runtime uses; the central-queue scheduler, the paper's "central
+// queue-based task scheduler" baseline whose scatter behaviour Figure 11d
+// demonstrates, uses one Deque FIFO only (PushBottom, PeekTop, StealTop).
 package sched
 
 // Deque is an unsynchronized double-ended queue for the simulated runtime.
@@ -66,37 +62,3 @@ func (d *Deque[T]) PeekTop() (T, bool) {
 
 // Len returns the number of queued items.
 func (d *Deque[T]) Len() int { return len(d.items) }
-
-// CentralQueue is a single shared FIFO task queue. The simulator models its
-// lock serialization separately (see rts.CostModel); the structure itself is
-// a plain queue.
-type CentralQueue[T any] struct {
-	items []T
-}
-
-// Enqueue appends an item.
-func (q *CentralQueue[T]) Enqueue(v T) { q.items = append(q.items, v) }
-
-// Dequeue removes the oldest item.
-func (q *CentralQueue[T]) Dequeue() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Peek returns the oldest item without removing it.
-func (q *CentralQueue[T]) Peek() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	return q.items[0], true
-}
-
-// Len returns the number of queued items.
-func (q *CentralQueue[T]) Len() int { return len(q.items) }

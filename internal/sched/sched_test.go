@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -91,147 +89,6 @@ func TestDequePermutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCentralQueueFIFO(t *testing.T) {
-	var q CentralQueue[int]
-	for i := 0; i < 5; i++ {
-		q.Enqueue(i)
-	}
-	for i := 0; i < 5; i++ {
-		v, ok := q.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("Dequeue = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("Dequeue on empty queue succeeded")
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", q.Len())
-	}
-}
-
-func TestChaseLevSequential(t *testing.T) {
-	d := NewChaseLev()
-	if _, ok := d.PopBottom(); ok {
-		t.Fatal("empty PopBottom succeeded")
-	}
-	if _, ok := d.StealTop(); ok {
-		t.Fatal("empty StealTop succeeded")
-	}
-	for i := 0; i < 100; i++ { // exceeds the initial 32-slot array: must grow
-		d.PushBottom(i)
-	}
-	if d.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", d.Len())
-	}
-	if v, ok := d.StealTop(); !ok || v.(int) != 0 {
-		t.Fatalf("StealTop = %v,%v, want 0", v, ok)
-	}
-	if v, ok := d.PopBottom(); !ok || v.(int) != 99 {
-		t.Fatalf("PopBottom = %v,%v, want 99", v, ok)
-	}
-}
-
-func TestChaseLevSingleElementRace(t *testing.T) {
-	// Push one element; pop it; both empty afterwards.
-	d := NewChaseLev()
-	d.PushBottom(42)
-	if v, ok := d.PopBottom(); !ok || v.(int) != 42 {
-		t.Fatalf("PopBottom = %v,%v", v, ok)
-	}
-	if _, ok := d.PopBottom(); ok {
-		t.Fatal("second PopBottom succeeded")
-	}
-	if _, ok := d.StealTop(); ok {
-		t.Fatal("StealTop after drain succeeded")
-	}
-}
-
-// Concurrent stress: one owner pushing/popping, several thieves stealing.
-// Every pushed value must be extracted exactly once.
-func TestChaseLevConcurrentExactlyOnce(t *testing.T) {
-	const (
-		total   = 20000
-		thieves = 4
-	)
-	d := NewChaseLev()
-	var seen [total]atomic.Int32
-	var extracted atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	record := func(v any) {
-		i := v.(int)
-		seen[i].Add(1)
-		extracted.Add(1)
-	}
-
-	for k := 0; k < thieves; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if v, ok := d.StealTop(); ok {
-					record(v)
-					continue
-				}
-				select {
-				case <-stop:
-					// Final drain after owner finished.
-					for {
-						v, ok := d.StealTop()
-						if !ok {
-							if d.Len() == 0 {
-								return
-							}
-							continue
-						}
-						record(v)
-					}
-				default:
-				}
-			}
-		}()
-	}
-
-	// Owner: push all values, popping occasionally.
-	for i := 0; i < total; i++ {
-		d.PushBottom(i)
-		if i%3 == 0 {
-			if v, ok := d.PopBottom(); ok {
-				record(v)
-			}
-		}
-	}
-	// Owner drains what remains.
-	for {
-		v, ok := d.PopBottom()
-		if !ok {
-			break
-		}
-		record(v)
-	}
-	close(stop)
-	wg.Wait()
-
-	if got := extracted.Load(); got != total {
-		t.Fatalf("extracted %d values, want %d", got, total)
-	}
-	for i := range seen {
-		if n := seen[i].Load(); n != 1 {
-			t.Fatalf("value %d extracted %d times", i, n)
-		}
-	}
-}
-
-func BenchmarkChaseLevOwnerOnly(b *testing.B) {
-	d := NewChaseLev()
-	for i := 0; i < b.N; i++ {
-		d.PushBottom(i)
-		d.PopBottom()
 	}
 }
 

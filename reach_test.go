@@ -28,9 +28,7 @@ var shippedBinaries = []string{"./cmd/grainbench", "./cmd/grainserved", "./cmd/g
 var reachAllowed = map[string]string{
 	"internal/colenc/colenctest":         "test-helper package: the column size contract every codec's tests check",
 	"internal/whatif.(*Engine).EvalFull": "oracle: the sparse and delta evaluations are pinned to it bit for bit",
-	"internal/core.(*Graph).Validate":    "oracle: core, expt, whatif and exec tests hold every built graph to the paper's structure",
-	"internal/exec":                      "the native goroutine executor: grain graphs do not depend on the profiling method (run by Example_native)",
-	"internal/sched/chaselev.go":         "the native executor's work-stealing deque",
+	"internal/core.(*Graph).Validate":    "oracle: core, expt and whatif tests hold every built graph to the paper's structure",
 }
 
 // TestEveryInternalFunctionLinked builds the shipped binaries with
